@@ -3,8 +3,9 @@
 Subcommands: verify (run check suites, write the JSON report), zbw (export a
 position-trajectory CSV), lattice (export a convergence table), constants
 (print the effective constants).  Exit codes: 0 all checks pass, 1 at least
-one check failed (report still written), 2 bad flags or config, 3 I/O
-failure on an output path.
+one check failed (report still written), 2 bad flags or config, or
+constants under which a computation breaks down, 3 I/O failure on an
+output path.
 """
 
 from __future__ import annotations
@@ -102,12 +103,21 @@ def _fail_config(problems) -> int:
     return 2
 
 
+def _fail_arithmetic(exc: ArithmeticError) -> int:
+    # Also covers IllConditionedError.  Such failures come from the
+    # constants, so they get the bad-config exit code, not a traceback.
+    return _fail_config([f"numerical breakdown with these constants: {exc}"])
+
+
 def cmd_verify(args) -> int:
     try:
         config = _resolve(args, with_verify_flags=True)
     except ConfigError as exc:
         return _fail_config(exc.problems)
-    report = run_suite(config)
+    try:
+        report = run_suite(config)
+    except ArithmeticError as exc:
+        return _fail_arithmetic(exc)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(report_json(report))
@@ -198,14 +208,17 @@ def cmd_zbw(args) -> int:
     except DomainError as exc:
         return _fail_config([str(exc)])
     times = np.linspace(args.t0, args.t1, args.steps)
-    samples = zbw_trajectory(state, psi, times)
+    try:
+        samples = zbw_trajectory(state, psi, times)
+        fitted = fitted_zbw_frequency(state, psi)
+    except ArithmeticError as exc:
+        return _fail_arithmetic(exc)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_trajectory_csv(samples, fh)
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return 3
-    fitted = fitted_zbw_frequency(state, psi)
     reference = 2.0 * state.energy / config.constants.hbar
     print(f"wrote {len(samples)} rows to {args.out}")
     print(f"fitted zbw angular frequency {fitted:.10g} vs 2 E_p / hbar = {reference:.10g}")

@@ -207,6 +207,24 @@ class TestVerifyCommand:
         assert data["seed"] == 42
 
 
+SI_CONSTANTS = ["--hbar", "1.054571817e-34", "--c", "299792458",
+                "--mass", "9.1093837015e-31", "--charge", "1.602176634e-19"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *SI_CONSTANTS],
+    ["zbw", *SI_CONSTANTS, "--p", "0.5,0,0", "--t1", "12", "--steps", "40"],
+], ids=["verify", "zbw"])
+def test_arithmetic_failure_exits_two_without_traceback(argv, tmp_path, capsys):
+    # SI constants trip the absolute imaginary-part guards in dynamics;
+    # the command must end with one error line, not an ArithmeticError.
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestZbwCommand:
     def test_writes_csv_and_prints_frequency(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"

@@ -1,6 +1,10 @@
 """Generator algebra: anticommutators, spectra, exponentials."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from diraclab.errors import DomainError, IllConditionedError
 from diraclab.matrices import (
+    _expm_pade13,
     Representation,
     anticommutator,
     clifford_check,
@@ -118,14 +123,53 @@ def test_mat_exp_frozen_rotation():
     assert np.max(np.abs(got + np.eye(2))) <= 1e-14
 
 
-def test_mat_exp_agrees_with_taylor_oracle():
+def _gaussian_samples(scale):
     rng = np.random.default_rng(7)
-    for _ in range(6):
-        m = 0.5 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        got = mat_exp(m)
+    return [scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            for _ in range(6)]
+
+
+# At scale 0.5 every 1-norm is below theta_13, so the Pade path squares
+# nothing; scales 2, 8 and 20 force s >= 1 squarings.
+@pytest.mark.parametrize("samples", [
+    pytest.param(_gaussian_samples(0.5), id="scale0.5"),
+    pytest.param(_gaussian_samples(2.0), id="scale2"),
+    pytest.param(_gaussian_samples(8.0), id="scale8"),
+    pytest.param(_gaussian_samples(20.0), id="scale20"),
+    pytest.param([np.zeros((4, 4), dtype=complex)], id="zero"),
+    pytest.param([np.array([[0.3 - 1.1j]])], id="1x1"),
+    pytest.param([np.array([[1.0, 2.0], [0.5j, -3.0]])], id="2x2"),
+    pytest.param([np.array([[-1.0, 4.0, 0.0, 0.0], [0.0, -1.0, 4.0, 0.0],
+                            [0.0, 0.0, 2.0, 1.0], [0.5, 0.0, 0.0, 2.0]])], id="real"),
+])
+def test_mat_exp_agrees_with_taylor_oracle(samples):
+    # Error bound: each squaring doubles the relative error carried into it
+    # and adds about n*u (u = eps/2).  The Taylor oracle squares s_T times
+    # with 2^s_T < 8*|A|_2, so its error is about 8*|A|_2 * (n + 4) * u =
+    # 32*|A|_2*eps at n = 4; the Pade side squares at most 2*|A|_1/theta_13
+    # <= 0.75*|A|_2 times as often and adds ~3*|A|_2*eps.  Twice their sum
+    # is 64*|A|_2*eps (1.2e-12 at |A|_2 = 88, the largest scale-20 sample);
+    # below |A|_2 = 70 the 1e-12 floor the unscaled samples always had applies.
+    eps = np.finfo(float).eps
+    for m in samples:
         want = taylor_exp_reference(m)
         scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(got - want)) / scale <= 1e-12
+        tol = max(1e-12, 64.0 * float(np.linalg.norm(m, 2)) * eps)
+        for got in (mat_exp(m), _expm_pade13(m)):
+            assert got.shape == m.shape
+            assert np.max(np.abs(got - want)) / scale <= tol
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; scipy alone would more than
+    # double the cost of every cold CLI start.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run(
+        [sys.executable, "-c", "import diraclab, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True, timeout=60,
+    )
 
 
 @settings(max_examples=40, deadline=None)
