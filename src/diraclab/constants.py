@@ -51,7 +51,3 @@ class PhysicalConstants:
             "alpha": self.alpha,
         }
 
-
-def natural() -> PhysicalConstants:
-    """Unit hbar, c, mass; physical fine-structure ratio."""
-    return PhysicalConstants()

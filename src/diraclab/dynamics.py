@@ -290,28 +290,6 @@ def fit_dominant_frequency(times, signal) -> float:
     return 2.0 * math.pi * (kpk + delta) / (times.size * dt)
 
 
-@dataclass(frozen=True)
-class ZbwCharacteristics:
-    angular_frequency: float
-    amplitude_scale: float
-
-
-def zbw_characteristics(state: MomentumState) -> ZbwCharacteristics:
-    """Oscillation frequency 2 E_p / hbar and a fitted amplitude scale.
-
-    The amplitude is the peak |zbw| over one full period of the equal-
-    mixing superposition; no closed form is claimed for it.
-    """
-    k = state.constants
-    omega = 2.0 * state.energy / k.hbar
-    period = 2.0 * math.pi / omega
-    psi = max_mixing_state(state)
-    times = np.linspace(0.0, period, 512, endpoint=False)
-    samples = zbw_trajectory(state, psi, times)
-    amp = max(float(np.linalg.norm(s.zbw)) for s in samples)
-    return ZbwCharacteristics(angular_frequency=omega, amplitude_scale=amp)
-
-
 def fitted_zbw_frequency(state: MomentumState, psi=None, n_samples: int = 10000,
                          periods: int = 64) -> float:
     """FFT-fitted oscillation frequency of the oracle velocity signal."""

@@ -1,11 +1,13 @@
 """Discrete minimal coupling on a cubic grid and the commutator field probe.
 
 Kinetic momentum components are applied with symmetric central differences
-(no periodic wrap: boundary cells are marked invalid and every comparison
-stays two layers inside the box).  Commuting the discrete components and
-dividing out the test function recovers the external intensities to second
-order in the spacing; the same extraction run with caller-supplied exact
-derivatives recovers them to rounding.
+(no periodic wrap: boundary cells are marked invalid).  The extraction works
+on the interior block, the n - 4 cells per axis two layers inside the box,
+reached by basic slices of the full-grid samples; the mesh, the potentials
+and the expected intensities are evaluated once per extraction.  Commuting
+the discrete components and dividing out the test function recovers the
+external intensities to second order in the spacing; the same extraction run
+with caller-supplied exact derivatives recovers them to rounding.
 
 Sign bookkeeping, fixed once: the charge symbol is the positive magnitude
 and the operators describe the electron (signed charge -e), so
@@ -71,6 +73,12 @@ class Grid3:
     def meshgrid(self):
         ax = self.axis
         return np.meshgrid(ax, ax, ax, indexing="ij")
+
+    @property
+    def interior_block(self) -> tuple:
+        """Basic slices of the block two layers inside the box (n - 4 cells per axis)."""
+        sl = slice(2, self.n - 2)
+        return (sl, sl, sl)
 
     def interior_mask(self, layers: int = 2) -> np.ndarray:
         mask = np.zeros((self.n,) * 3, dtype=bool)
@@ -139,7 +147,12 @@ def validate_config(config: FieldConfig, grid: Grid3, constants: PhysicalConstan
 
     Returns the largest deviation found over the whole grid.
     """
-    x, y, z = grid.meshgrid()
+    return _checked_expectations(config, grid.meshgrid(), constants, tol)[0]
+
+
+def _checked_expectations(config, mesh, constants, tol=1e-12):
+    """validate_config on a given mesh; returns (worst, b_expected, e_expected)."""
+    x, y, z = mesh
     ref = classical_maxwell_reference(config.a_field, config.phi_field, (x, y, z), 0.0, constants)
     b_want = config.b_expected(x, y, z)
     e_want = config.e_expected(x, y, z)
@@ -152,36 +165,33 @@ def validate_config(config: FieldConfig, grid: Grid3, constants: PhysicalConstan
             f"config {config.name!r}: stored intensities deviate from the "
             f"potentials by {worst:.3e} (tol {tol:.1e})"
         )
-    return worst
+    return worst, b_want, e_want
 
 
-def _central_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = np.full(values.shape, np.nan + 0.0j, dtype=complex)
-    fwd = [slice(None)] * 3
-    bwd = [slice(None)] * 3
-    mid = [slice(None)] * 3
-    fwd[axis] = slice(2, None)
-    bwd[axis] = slice(0, -2)
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = (values[tuple(fwd)] - values[tuple(bwd)]) / (2.0 * h)
-    return out
+def _shift(window: tuple, axis: int, step: int) -> tuple:
+    """The basic-slice window moved by step cells along axis."""
+    moved = list(window)
+    moved[axis] = slice(window[axis].start + step, window[axis].stop + step)
+    return tuple(moved)
 
 
-def _mixed_difference(values: np.ndarray, axis_a: int, axis_b: int, h: float) -> np.ndarray:
+def _central_difference(values: np.ndarray, axis: int, h: float, window: tuple) -> np.ndarray:
+    """Central difference along axis on the cells window selects.
+
+    window holds explicit slice bounds at least one cell inside the box
+    along axis; the result has the window's shape.
+    """
+    return (values[_shift(window, axis, 1)] - values[_shift(window, axis, -1)]) / (2.0 * h)
+
+
+def _mixed_difference(values: np.ndarray, axis_a: int, axis_b: int, h: float,
+                      window: tuple) -> np.ndarray:
     """Symmetric 4-point mixed second difference D_a D_b (= D_b D_a exactly)."""
-    out = np.full(values.shape, np.nan + 0.0j, dtype=complex)
 
-    def sl(da: int, db: int):
-        s = [slice(None)] * 3
-        s[axis_a] = slice(1 + da, values.shape[axis_a] - 1 + da)
-        s[axis_b] = slice(1 + db, values.shape[axis_b] - 1 + db)
-        return tuple(s)
+    def at(da: int, db: int):
+        return values[_shift(_shift(window, axis_a, da), axis_b, db)]
 
-    mid = sl(0, 0)
-    out[mid] = (
-        values[sl(1, 1)] - values[sl(1, -1)] - values[sl(-1, 1)] + values[sl(-1, -1)]
-    ) / (4.0 * h * h)
-    return out
+    return (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * h * h)
 
 
 def kinetic_momentum_apply(j: int, config: FieldConfig, grid: Grid3, psi,
@@ -199,7 +209,9 @@ def kinetic_momentum_apply(j: int, config: FieldConfig, grid: Grid3, psi,
     x, y, z = grid.meshgrid()
     a_vals = config.a_field.value(x, y, z, 0.0)
     k = constants
-    deriv = _central_difference(psi, j - 1, grid.h)
+    valid = tuple(slice(1, grid.n - 1) if axis == j - 1 else slice(0, grid.n) for axis in range(3))
+    deriv = np.full(psi.shape, np.nan + 0.0j, dtype=complex)
+    deriv[valid] = _central_difference(psi, j - 1, grid.h, valid)
     return -1j * k.hbar * deriv + (k.charge / k.c) * a_vals[j - 1] * psi
 
 
@@ -307,8 +319,13 @@ class ExtractResult:
     interior: np.ndarray
 
 
-def _discrete_estimates(config, grid, tf, constants):
-    """Apply each commutator to the sampled test function.
+def _discrete_estimates(config, grid, tf, constants, mesh, alpha, po):
+    """Apply each commutator to the sampled test function on the interior block.
+
+    The test function is sampled on the full grid; the stencils read it
+    through basic slices and return the interior block only, so every
+    estimate has shape (3, n - 4, n - 4, n - 4).  mesh, alpha = (e/C) A and
+    po = (e/C) phi are full-grid samples shared by every test function.
 
     The composition pi_j pi_l is distributed over the four operator terms
     (exact at the discrete level by linearity) and the mixed pure-derivative
@@ -316,64 +333,63 @@ def _discrete_estimates(config, grid, tf, constants):
     that cancels algebraically also cancels in floating point.
     """
     k = constants
-    x, y, z = grid.meshgrid()
-    psi = np.asarray(tf.values(x, y, z), dtype=complex)
-    weak = np.abs(psi) < AMPLITUDE_FLOOR
-    excluded = int(np.count_nonzero(weak & grid.interior_mask()))
-    psi_safe = np.where(weak, np.nan + 0.0j, psi)
-    a_vals = config.a_field.value(x, y, z, 0.0)
-    phi_vals = config.phi_field.value(x, y, z, 0.0)
+    block = grid.interior_block
+    psi = np.asarray(tf.values(*mesh), dtype=complex)
+    psi_in = psi[block]
+    weak = np.abs(psi_in) < AMPLITUDE_FLOOR
+    psi_safe = np.where(weak, np.nan + 0.0j, psi_in)
     coupling = k.charge / k.c
-    alpha = [coupling * np.asarray(a_vals[i]) for i in range(3)]
-    d1 = {j: _central_difference(psi, j - 1, grid.h) for j in (1, 2, 3)}
-    pi1 = {j: -1j * k.hbar * d1[j] + alpha[j - 1] * psi for j in (1, 2, 3)}
+    alpha_in = [a[block] for a in alpha]
+    alpha_psi = [a * psi for a in alpha]
+    d1 = {j: _central_difference(psi, j - 1, grid.h, block) for j in (1, 2, 3)}
+    pi1 = {j: -1j * k.hbar * d1[j] + alpha_in[j - 1] * psi_in for j in (1, 2, 3)}
     mixed = {}
     for a_ax, b_ax in ((0, 1), (1, 2), (0, 2)):
-        mixed[(a_ax, b_ax)] = _mixed_difference(psi, a_ax, b_ax, grid.h)
+        mixed[(a_ax, b_ax)] = _mixed_difference(psi, a_ax, b_ax, grid.h, block)
 
     def pi_pi(j, l):
         a_ax, b_ax = j - 1, l - 1
         s = mixed[(min(a_ax, b_ax), max(a_ax, b_ax))]
         return (
             -k.hbar**2 * s
-            - 1j * k.hbar * _central_difference(alpha[b_ax] * psi, a_ax, grid.h)
-            - 1j * k.hbar * (alpha[a_ax] * d1[l])
-            + (alpha[a_ax] * alpha[b_ax]) * psi
+            - 1j * k.hbar * _central_difference(alpha_psi[b_ax], a_ax, grid.h, block)
+            - 1j * k.hbar * (alpha_in[a_ax] * d1[l])
+            + (alpha_in[a_ax] * alpha_in[b_ax]) * psi_in
         )
 
-    h_est = np.full((3,) + psi.shape, np.nan + 0.0j, dtype=complex)
-    e_est = np.full((3,) + psi.shape, np.nan + 0.0j, dtype=complex)
-    po = coupling * np.asarray(phi_vals)
+    h_est = np.empty((3,) + psi_in.shape, dtype=complex)
+    e_est = np.empty((3,) + psi_in.shape, dtype=complex)
+    po_in = po[block]
     with np.errstate(invalid="ignore", divide="ignore"):
         for (j, l, kk) in _CYCLIC:
             comm = pi_pi(j, l) - pi_pi(l, j)
             h_est[kk - 1] = comm / (-1j * k.hbar * coupling * psi_safe)
         po_psi = po * psi
         for j in (1, 2, 3):
-            pi_j_po = -1j * k.hbar * _central_difference(po_psi, j - 1, grid.h) \
-                + alpha[j - 1] * po_psi
-            comm = pi_j_po - po * pi1[j]
+            pi_j_po = -1j * k.hbar * _central_difference(po_psi, j - 1, grid.h, block) \
+                + alpha_in[j - 1] * po_psi[block]
+            comm = pi_j_po - po_in * pi1[j]
             e_est[j - 1] = comm / (1j * k.hbar * coupling * psi_safe)
-    return h_est, e_est, excluded
+    return h_est, e_est, int(np.count_nonzero(weak))
 
 
-def _analytic_estimates(config, grid, tf, constants):
+def _analytic_estimates(config, grid, tf, constants, mesh, alpha, po):
     """Same commutators, no grid differencing: every derivative is exact.
 
-    All test-function derivatives cancel algebraically; carrying them
-    through checks the operator identity rather than assuming it.
+    Evaluated on the interior block, like the discrete estimates.  All
+    test-function derivatives cancel algebraically; carrying them through
+    checks the operator identity rather than assuming it.
     """
     k = constants
-    x, y, z = grid.meshgrid()
+    block = grid.interior_block
+    x, y, z = (axis[block] for axis in mesh)
     psi = np.asarray(tf.values(x, y, z), dtype=complex)
     grad = tf.gradient(x, y, z)
     hess = tf.hessian(x, y, z)
-    a_vals = config.a_field.value(x, y, z, 0.0)
     a_jac = config.a_field.jacobian(x, y, z, 0.0)
-    phi_vals = config.phi_field.value(x, y, z, 0.0)
     phi_grad = config.phi_field.gradient(x, y, z, 0.0)
     coupling = k.charge / k.c
-    a = [coupling * a_vals[i] for i in range(3)]
+    a = [alpha[i][block] for i in range(3)]
     da = [[coupling * a_jac[i][l] for l in range(3)] for i in range(3)]
     weak = np.abs(psi) < AMPLITUDE_FLOOR
     psi_safe = np.where(weak, np.nan + 0.0j, psi)
@@ -389,7 +405,7 @@ def _analytic_estimates(config, grid, tf, constants):
 
     h_est = np.empty((3,) + psi.shape, dtype=complex)
     e_est = np.empty((3,) + psi.shape, dtype=complex)
-    po = coupling * phi_vals
+    po = po[block]
     dpo = [coupling * phi_grad[i] for i in range(3)]
     with np.errstate(invalid="ignore", divide="ignore"):
         for (j, l, kk) in _CYCLIC:
@@ -399,7 +415,13 @@ def _analytic_estimates(config, grid, tf, constants):
             pi_j_po_psi = -1j * k.hbar * (dpo[j - 1] * psi + po * grad[j - 1]) + a[j - 1] * po * psi
             po_pi_j_psi = po * (-1j * k.hbar * grad[j - 1] + a[j - 1] * psi)
             e_est[j - 1] = (pi_j_po_psi - po_pi_j_psi) / (1j * k.hbar * coupling * psi_safe)
-    return h_est, e_est, int(np.count_nonzero(weak & grid.interior_mask()))
+    return h_est, e_est, int(np.count_nonzero(weak))
+
+
+def _worst(current: float, diffs: np.ndarray) -> float:
+    """max(current, largest non-NaN entry of diffs); current if every entry is NaN."""
+    top = float(np.fmax.reduce(diffs, axis=None))
+    return current if math.isnan(top) else max(current, top)
 
 
 def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
@@ -409,7 +431,8 @@ def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
 
     mode "discrete" uses central differences; "analytic" uses the test
     fields' exact derivatives.  Estimates from every test function are
-    compared pairwise and averaged.
+    compared pairwise and averaged on the interior block; the returned
+    fields are NaN outside it.
     """
     if mode not in ("discrete", "analytic"):
         raise DomainError(f"mode must be 'discrete' or 'analytic', got {mode!r}")
@@ -417,55 +440,48 @@ def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
     test_fields = default_test_fields() if test_fields is None else list(test_fields)
     if len(test_fields) < 3:
         raise DomainError("need at least 3 test functions")
-    validate_config(config, grid, constants)
-    x, y, z = grid.meshgrid()
-    b_want = config.b_expected(x, y, z)
-    e_want = config.e_expected(x, y, z)
-    inner = grid.interior_mask()
+    mesh = grid.meshgrid()
+    _, b_want, e_want = _checked_expectations(config, mesh, constants)
+    coupling = constants.charge / constants.c
+    alpha = [coupling * np.asarray(a) for a in config.a_field.value(*mesh, 0.0)]
+    po = coupling * np.asarray(config.phi_field.value(*mesh, 0.0))
+    block = grid.interior_block
     estimator = _discrete_estimates if mode == "discrete" else _analytic_estimates
     all_h, all_e = [], []
     excluded = 0
     for tf in test_fields:
-        h_est, e_est, skipped = estimator(config, grid, tf, constants)
+        h_est, e_est, skipped = estimator(config, grid, tf, constants, mesh, alpha, po)
         excluded += skipped
         all_h.append(h_est)
         all_e.append(e_est)
+    b_in = [np.asarray(b)[block] for b in b_want]
+    e_in = [np.asarray(e)[block] for e in e_want]
     h_error = 0.0
     e_error = 0.0
     for h_est, e_est in zip(all_h, all_e):
         for j in range(3):
-            hv = h_est[j][inner]
-            ev = e_est[j][inner]
-            ok_h = np.isfinite(hv)
-            ok_e = np.isfinite(ev)
-            if np.any(ok_h):
-                h_error = max(h_error, float(np.max(np.abs(hv[ok_h] - np.asarray(b_want[j])[inner][ok_h]))))
-            if np.any(ok_e):
-                e_error = max(e_error, float(np.max(np.abs(ev[ok_e] - np.asarray(e_want[j])[inner][ok_e]))))
+            h_error = _worst(h_error, np.abs(h_est[j] - b_in[j]))
+            e_error = _worst(e_error, np.abs(e_est[j] - e_in[j]))
     spread = 0.0
     for a_idx in range(len(all_h)):
         for b_idx in range(a_idx + 1, len(all_h)):
             for j in range(3):
-                dh = np.abs(all_h[a_idx][j][inner] - all_h[b_idx][j][inner])
-                de = np.abs(all_e[a_idx][j][inner] - all_e[b_idx][j][inner])
-                if np.any(np.isfinite(dh)):
-                    spread = max(spread, float(np.nanmax(dh)))
-                if np.any(np.isfinite(de)):
-                    spread = max(spread, float(np.nanmax(de)))
+                spread = _worst(spread, np.abs(all_h[a_idx][j] - all_h[b_idx][j]))
+                spread = _worst(spread, np.abs(all_e[a_idx][j] - all_e[b_idx][j]))
+    h_field = np.full((3,) + (grid.n,) * 3, np.nan)
+    e_field = np.full((3,) + (grid.n,) * 3, np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        h_mean = np.nanmean(np.stack([h.real for h in all_h]), axis=0)
-        e_mean = np.nanmean(np.stack([e.real for e in all_e]), axis=0)
-    h_mean[:, ~inner] = np.nan
-    e_mean[:, ~inner] = np.nan
+        h_field[(slice(None),) + block] = np.nanmean(np.stack([h.real for h in all_h]), axis=0)
+        e_field[(slice(None),) + block] = np.nanmean(np.stack([e.real for e in all_e]), axis=0)
     return ExtractResult(
-        h_field=h_mean,
-        e_field=e_mean,
+        h_field=h_field,
+        e_field=e_field,
         h_error=h_error,
         e_error=e_error,
         function_deviation=spread,
         excluded_points=excluded,
-        interior=inner,
+        interior=grid.interior_mask(),
     )
 
 

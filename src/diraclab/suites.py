@@ -29,6 +29,7 @@ from .dynamics import (
 )
 from .errors import DomainError
 from .fields import (
+    EPS,
     U1_INDEX_NOTE,
     anomalous_moment_ratio,
     classical_maxwell_reference,
@@ -123,7 +124,7 @@ def build_algebra_suite(config: RunConfig, rng) -> tuple:
         for l in (1, 2, 3):
             want = (1.0 if j == l else 0.0) * np.eye(2, dtype=complex)
             for k_ax in (1, 2, 3):
-                want = want + 1j * _eps(j, l, k_ax) * pauli(k_ax)
+                want = want + 1j * EPS[j - 1, l - 1, k_ax - 1] * pauli(k_ax)
             dev = max(dev, float(np.max(np.abs(pauli(j) @ pauli(l) - want))))
     checks.append(make_check(
         "algebra.pauli_product_table", "plumbing",
@@ -165,14 +166,6 @@ def build_algebra_suite(config: RunConfig, rng) -> tuple:
         notes="eigendecomposition exponential against scaled Taylor summation",
     ))
     return checks, []
-
-
-def _eps(j: int, l: int, k_ax: int) -> float:
-    perm = (j, l, k_ax)
-    if sorted(perm) != [1, 2, 3]:
-        return 0.0
-    even = perm in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-    return 1.0 if even else -1.0
 
 
 # --- states ------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Grid extraction of field intensities from kinetic-momentum commutators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diraclab.lattice as lattice_mod
 from diraclab.constants import PhysicalConstants
 from diraclab.errors import DomainError
 from diraclab.lattice import (
+    AMPLITUDE_FLOOR,
     Grid3,
     PRESET_NAMES,
     commutator_field_extract,
@@ -171,3 +174,155 @@ def test_convergence_to_dict_layout():
     d = study.to_dict()
     assert list(d.keys()) == ["h", "n", "max_err", "order"]
     assert d["order"] == "exact"
+
+
+# --- full-box reference ------------------------------------------------------
+#
+# An independent implementation of the discrete extraction that works on the
+# whole box: every stencil writes into a NaN-filled full-grid array and the
+# comparison reaches the interior through a boolean mask.  It applies the same
+# operations per cell in the same order as the production code, so the two
+# agree to the last bit; ORACLE_ULPS only leaves room for a reassociated
+# three-term mean (at most 2 ulp), with a factor 2 to spare.
+
+ORACLE_ULPS = 4
+
+
+def _full_box_difference(v, axis, h):
+    out = np.full(v.shape, np.nan + 0.0j)
+    hi, lo, mid = [slice(None)] * 3, [slice(None)] * 3, [slice(None)] * 3
+    hi[axis], lo[axis], mid[axis] = slice(2, None), slice(0, -2), slice(1, -1)
+    out[tuple(mid)] = (v[tuple(hi)] - v[tuple(lo)]) / (2.0 * h)
+    return out
+
+
+def _full_box_mixed(v, a, b, h):
+    out = np.full(v.shape, np.nan + 0.0j)
+    n = v.shape[0]
+
+    def at(da, db):
+        s = [slice(None)] * 3
+        s[a], s[b] = slice(1 + da, n - 1 + da), slice(1 + db, n - 1 + db)
+        return tuple(s)
+
+    out[at(0, 0)] = (v[at(1, 1)] - v[at(1, -1)] - v[at(-1, 1)] + v[at(-1, -1)]) / (4.0 * h * h)
+    return out
+
+
+def _full_box_extract(cfg, grid, fields, k):
+    """(h_error, e_error, function_deviation, excluded_points, h_field, e_field)."""
+    x, y, z = grid.meshgrid()
+    inner = grid.interior_mask()
+    coupling = k.charge / k.c
+    alpha = [coupling * np.asarray(a) for a in cfg.a_field.value(x, y, z, 0.0)]
+    po = coupling * np.asarray(cfg.phi_field.value(x, y, z, 0.0))
+    b_want, e_want = cfg.b_expected(x, y, z), cfg.e_expected(x, y, z)
+    all_h, all_e, excluded = [], [], 0
+    for tf in fields:
+        psi = np.asarray(tf.values(x, y, z), dtype=complex)
+        weak = np.abs(psi) < AMPLITUDE_FLOOR
+        excluded += int(np.count_nonzero(weak & inner))
+        psi_safe = np.where(weak, np.nan + 0.0j, psi)
+        d1 = [_full_box_difference(psi, a, grid.h) for a in range(3)]
+
+        def pi_pi(a, b):
+            return (
+                -k.hbar**2 * _full_box_mixed(psi, min(a, b), max(a, b), grid.h)
+                - 1j * k.hbar * _full_box_difference(alpha[b] * psi, a, grid.h)
+                - 1j * k.hbar * (alpha[a] * d1[b])
+                + (alpha[a] * alpha[b]) * psi
+            )
+
+        h_est = np.empty((3,) + psi.shape, dtype=complex)
+        e_est = np.empty((3,) + psi.shape, dtype=complex)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                h_est[c] = (pi_pi(a, b) - pi_pi(b, a)) / (-1j * k.hbar * coupling * psi_safe)
+            po_psi = po * psi
+            for a in range(3):
+                pi_a = -1j * k.hbar * d1[a] + alpha[a] * psi
+                comm = (-1j * k.hbar * _full_box_difference(po_psi, a, grid.h)
+                        + alpha[a] * po_psi) - po * pi_a
+                e_est[a] = comm / (1j * k.hbar * coupling * psi_safe)
+        all_h.append(h_est)
+        all_e.append(e_est)
+
+    def worst(pairs):
+        top = 0.0
+        for got, want in pairs:
+            d = np.abs(got[inner] - want[inner])
+            d = d[np.isfinite(d)]
+            if d.size:
+                top = max(top, float(d.max()))
+        return top
+
+    comps = range(3)
+    h_error = worst((h[j], np.asarray(b_want[j])) for h in all_h for j in comps)
+    e_error = worst((e[j], np.asarray(e_want[j])) for e in all_e for j in comps)
+    pairs = [(a, b) for a in range(len(fields)) for b in range(a + 1, len(fields))]
+    spread = max(
+        worst((all_h[a][j], all_h[b][j]) for a, b in pairs for j in comps),
+        worst((all_e[a][j], all_e[b][j]) for a, b in pairs for j in comps),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN border cells
+        h_field = np.nanmean(np.stack([h.real for h in all_h]), axis=0)
+        e_field = np.nanmean(np.stack([e.real for e in all_e]), axis=0)
+    h_field[:, ~inner] = np.nan
+    e_field[:, ~inner] = np.nan
+    return h_error, e_error, spread, excluded, h_field, e_field
+
+
+def _assert_within_ulps(got, want):
+    assert abs(got - want) <= ORACLE_ULPS * np.spacing(abs(want)), (got, want)
+
+
+def _assert_fields_match(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.all(np.abs(got[ok] - want[ok]) <= ORACLE_ULPS * np.spacing(np.abs(want[ok])))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("n, h", [(17, 0.1), (33, 0.05)])
+def test_extraction_matches_full_box_reference(name, n, h):
+    cfg = make_preset(name, b0=1.3, e0=0.7)
+    grid = Grid3(n=n, h=h)
+    fields = default_test_fields()
+    res = commutator_field_extract(cfg, grid, fields, K)
+    h_error, e_error, spread, excluded, h_field, e_field = _full_box_extract(cfg, grid, fields, K)
+    _assert_within_ulps(res.h_error, h_error)
+    _assert_within_ulps(res.e_error, e_error)
+    _assert_within_ulps(res.function_deviation, spread)
+    assert res.excluded_points == excluded
+    _assert_fields_match(res.h_field, h_field)
+    _assert_fields_match(res.e_field, e_field)
+
+
+def _vanishing_on_plane(x0, k_vec):
+    """(x - x0) exp(i k.r): exactly zero on the grid plane x = x0 (discrete mode only)."""
+    kx, ky, kz = k_vec
+
+    def values(x, y, z):
+        return (x - x0) * np.exp(1j * (kx * x + ky * y + kz * z))
+
+    return lattice_mod.TestField(name="vanishing", values=values, gradient=None, hessian=None)
+
+
+def test_weak_amplitude_points_are_excluded():
+    grid = Grid3(n=17, h=0.1)
+    x0 = grid.axis[10]  # an interior plane: index 10 lies between 2 and n - 3
+    fields = [_vanishing_on_plane(x0, kv)
+              for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
+    cfg = make_preset("uniform_b")
+    res = commutator_field_extract(cfg, grid, fields, K)
+    m = grid.n - 4
+    assert res.excluded_points == len(fields) * m * m
+    assert math.isfinite(res.h_error) and math.isfinite(res.e_error)
+    x = grid.meshgrid()[0]
+    plane = res.interior & (x == x0)
+    assert np.count_nonzero(plane) == m * m
+    for field in (res.h_field, res.e_field):
+        assert np.isnan(field[:, plane]).all()
+        assert np.isfinite(field[:, res.interior & ~plane]).all()
