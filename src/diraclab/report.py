@@ -88,14 +88,6 @@ def matrix_to_json(m) -> dict:
     return {"dim": int(a.shape[0]), "entries": entries}
 
 
-def matrix_from_json(d) -> np.ndarray:
-    dim = int(d["dim"])
-    flat = [complex(re, im) for re, im in d["entries"]]
-    if len(flat) != dim * dim:
-        raise ValueError("entry count does not match dim")
-    return np.array(flat, dtype=complex).reshape(dim, dim)
-
-
 def _deviation(claimed, computed) -> tuple[float, float]:
     """Max absolute entrywise deviation and the claimed-side scale."""
     a = np.asarray(claimed, dtype=complex)

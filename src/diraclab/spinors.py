@@ -358,51 +358,3 @@ def jz_apply(cyl: CylindricalSpinor, constants: PhysicalConstants) -> JzResult:
         return JzResult(is_eigenstate=True, eigenvalue=values[0], component_values=values)
     return JzResult(is_eigenstate=False, eigenvalue=None, component_values=values)
 
-
-# --- JSON forms --------------------------------------------------------------
-
-def cylindrical_to_json(cyl: CylindricalSpinor) -> dict:
-    return {
-        "branch": cyl.branch,
-        "l": cyl.l,
-        "components": [
-            {"l_k": lk, "profile_ref": ref}
-            for lk, ref in zip(cyl.angular_indices, cyl.profile_refs)
-        ],
-    }
-
-
-def cylindrical_from_json(d: dict) -> CylindricalSpinor:
-    try:
-        components = d["components"]
-        indices = tuple(int(c["l_k"]) for c in components)
-        refs = tuple(str(c["profile_ref"]) for c in components)
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed cylindrical state: {exc}") from exc
-    branch = d.get("branch")
-    l = d.get("l")
-    if branch is not None and l is not None:
-        expected = angular_eigenstate(int(l), branch).angular_indices
-        if indices != expected:
-            raise DomainError(
-                f"components {indices} do not match branch {branch!r} with l={l}"
-            )
-    return CylindricalSpinor(
-        angular_indices=indices,
-        branch=branch,
-        l=None if l is None else int(l),
-        profile_refs=refs,
-    )
-
-
-def spinor_to_json(psi) -> dict:
-    psi = as_spinor(psi)
-    return {"components": [[float(z.real), float(z.imag)] for z in psi]}
-
-
-def spinor_from_json(d: dict) -> np.ndarray:
-    try:
-        comps = d["components"]
-        return as_spinor([complex(re, im) for re, im in comps])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed spinor: {exc}") from exc

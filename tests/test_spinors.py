@@ -20,15 +20,11 @@ from diraclab.spinors import (
     angular_eigenstate,
     component_residual,
     coupled_residual,
-    cylindrical_from_json,
     cylindrical_residual,
-    cylindrical_to_json,
     jz_apply,
     recompose,
     spin_coherent_expectation,
     spin_coherent_state,
-    spinor_from_json,
-    spinor_to_json,
     split_bispinor,
 )
 
@@ -191,26 +187,6 @@ def test_angular_eigenstate_rejects_bad_input():
         CylindricalSpinor(angular_indices=(0, 1, 2))
     with pytest.raises(DomainError):
         CylindricalSpinor(angular_indices=(0, 1, 0, 1), profile_refs=("nope",) * 4)
-
-
-def test_cylindrical_json_round_trip():
-    cyl = angular_eigenstate(-2, BRANCH_MINUS, profile_refs=("gaussian",) * 4)
-    again = cylindrical_from_json(cylindrical_to_json(cyl))
-    assert again.angular_indices == cyl.angular_indices
-    assert again.branch == cyl.branch
-    assert again.profile_refs == cyl.profile_refs
-
-
-def test_cylindrical_json_rejects_inconsistent_branch():
-    d = cylindrical_to_json(angular_eigenstate(1, BRANCH_PLUS))
-    d["components"][0]["l_k"] = 9
-    with pytest.raises(DomainError):
-        cylindrical_from_json(d)
-
-
-def test_spinor_json_round_trip():
-    psi = np.array([0.5, -0.25j, 0.3 + 0.1j, -0.7])
-    assert np.array_equal(spinor_from_json(spinor_to_json(psi)), psi)
 
 
 def test_spin_coherent_expectation_is_unit_direction():
