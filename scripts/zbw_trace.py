@@ -29,15 +29,14 @@ psi = max_mixing_state(state)
 omega = 2.0 * state.energy / state.constants.hbar
 period = 2.0 * np.pi / omega
 
-samples = zbw_trajectory(state, psi, np.linspace(period / 16, 2 * period, 12))
-zbw = np.array([s.zbw for s in samples])
-ax = int(np.argmax(zbw.max(axis=0) - zbw.min(axis=0)))  # most active component
+traj = zbw_trajectory(state, psi, np.linspace(period / 16, 2 * period, 12))
+ax = int(np.argmax(traj.zbw.max(axis=0) - traj.zbw.min(axis=0)))  # most active component
 name = "xyz"[ax]
 
 print(f"p = {p}, E_p = {state.energy:.12g}, expected omega = {omega:.12g}")
 print(f"{'t':>10s} {'drift_' + name:>12s} {'zbw_' + name:>12s} {'total_' + name:>12s}")
-for s in samples:
-    print(f"{s.t:10.4f} {s.drift[ax]:12.3e} {s.zbw[ax]:12.3e} {s.total[ax]:12.3e}")
+for i, t in enumerate(traj.t):
+    print(f"{t:10.4f} {traj.drift[i, ax]:12.3e} {traj.zbw[i, ax]:12.3e} {traj.total[i, ax]:12.3e}")
 
 fitted = fitted_zbw_frequency(state, psi)
 print(f"fitted omega = {fitted:.12g}  (off by {abs(fitted - omega) / omega:.2e} relative)")

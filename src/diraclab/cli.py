@@ -209,18 +209,18 @@ def cmd_zbw(args) -> int:
         return _fail_config([str(exc)])
     times = np.linspace(args.t0, args.t1, args.steps)
     try:
-        samples = zbw_trajectory(state, psi, times)
+        trajectory = zbw_trajectory(state, psi, times)
         fitted = fitted_zbw_frequency(state, psi)
     except ArithmeticError as exc:
         return _fail_arithmetic(exc)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_trajectory_csv(samples, fh)
+            write_trajectory_csv(trajectory, fh)
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return 3
     reference = 2.0 * state.energy / config.constants.hbar
-    print(f"wrote {len(samples)} rows to {args.out}")
+    print(f"wrote {len(trajectory)} rows to {args.out}")
     print(f"fitted zbw angular frequency {fitted:.10g} vs 2 E_p / hbar = {reference:.10g}")
     return 0
 

@@ -176,11 +176,16 @@ def zbw_closed_form(state: MomentumState, j: int, t: float) -> ClosedFormPositio
 
 
 @dataclass(frozen=True)
-class EvolutionSample:
-    t: float
+class Trajectory:
+    """Columnar position displacement: t (n,), drift, zbw and total (n, 3)."""
+
+    t: np.ndarray
     drift: np.ndarray
     zbw: np.ndarray
     total: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t.size
 
 
 def _eigenbasis(state: MomentumState):
@@ -189,12 +194,13 @@ def _eigenbasis(state: MomentumState):
     return w, v
 
 
-def zbw_trajectory(state: MomentumState, psi, times) -> list:
+def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
     """Expectation trajectory of the closed-form position displacement.
 
     psi must be normalized; times strictly increasing.  Works in the energy
     eigenbasis so long windows stay cheap.  drift and zbw expectations are
-    mathematically real; imaginary residue beyond 1e-10 aborts.
+    mathematically real; imaginary residue beyond 1e-10 aborts.  Returns one
+    Trajectory of arrays, one row per time.
     """
     psi = require_normalized(psi)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -221,12 +227,9 @@ def zbw_trajectory(state: MomentumState, psi, times) -> list:
     zbw_c = phases @ g.T - np.sum(g, axis=1)  # (nt, 3)
     if zbw_c.size and float(np.max(np.abs(zbw_c.imag))) > 1e-10:
         raise ArithmeticError("zbw expectation grew a non-real part")
-    samples = []
-    for i, t in enumerate(times):
-        drift = drift_rate * t
-        zbw = zbw_c[i].real.copy()
-        samples.append(EvolutionSample(t=float(t), drift=drift, zbw=zbw, total=drift + zbw))
-    return samples
+    drift = times[:, None] * drift_rate
+    zbw = zbw_c.real.copy()
+    return Trajectory(t=times.copy(), drift=drift, zbw=zbw, total=drift + zbw)
 
 
 def max_mixing_state(state: MomentumState, axis=(0.0, 0.0)) -> np.ndarray:
@@ -247,13 +250,13 @@ def velocity_signal(state: MomentumState, psi, times) -> np.ndarray:
     k = state.constants
     w, v = _eigenbasis(state)
     coeff = v.conj().T @ psi
+    freq = (w[:, None] - w[None, :]) / k.hbar  # (a, b)
+    phase = np.exp(1j * np.einsum("t,ab->tab", times, freq))
     out = np.empty((times.size, 3))
     for j in (1, 2, 3):
         alpha = dirac_generator(GeneratorKind(j), state.rep)
         a_eig = v.conj().T @ alpha @ v
         weights = np.outer(coeff.conj(), coeff) * a_eig  # (a, b)
-        freq = (w[:, None] - w[None, :]) / k.hbar  # (a, b)
-        phase = np.exp(1j * np.einsum("t,ab->tab", times, freq))
         vals = k.c * np.einsum("tab,ab->t", phase, weights)
         if vals.size and float(np.max(np.abs(vals.imag))) > 1e-10:
             raise ArithmeticError("velocity expectation grew a non-real part")
@@ -308,16 +311,17 @@ def fitted_zbw_frequency(state: MomentumState, psi=None, n_samples: int = 10000,
 TRAJECTORY_HEADER = "t,drift_x,drift_y,drift_z,zbw_x,zbw_y,zbw_z,total_x,total_y,total_z"
 
 
-def trajectory_rows(samples) -> list:
-    rows = []
-    for s in samples:
-        cells = [s.t, *s.drift, *s.zbw, *s.total]
-        rows.append(",".join(format(float(v), ".15g") for v in cells))
-    return rows
+# Rows stacked and formatted per write: bounds the transient (rows, 10)
+# table and the Python floats of one chunk.
+_CSV_CHUNK_ROWS = 1024
 
 
-def write_trajectory_csv(samples, fh) -> None:
+def write_trajectory_csv(trajectory: Trajectory, fh) -> None:
     """CSV with a fixed header and 15-significant-digit cells."""
     fh.write(TRAJECTORY_HEADER + "\n")
-    for row in trajectory_rows(samples):
-        fh.write(row + "\n")
+    row = ",".join(["%.15g"] * 10) + "\n"
+    for start in range(0, len(trajectory), _CSV_CHUNK_ROWS):
+        rows = slice(start, start + _CSV_CHUNK_ROWS)
+        chunk = np.column_stack((trajectory.t[rows], trajectory.drift[rows],
+                                 trajectory.zbw[rows], trajectory.total[rows]))
+        fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))

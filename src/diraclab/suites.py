@@ -108,7 +108,12 @@ def _dev(got, want=0.0) -> float:
 
 
 def _zero(claim_id, eq, devs, tol, notes=""):
-    """Check that every deviation in devs vanishes to within tol."""
+    """Check that every deviation in devs vanishes to within tol.
+
+    A NaN deviation raises ArithmeticError: max() would silently drop it.
+    """
+    if any(math.isnan(d) for d in devs):
+        raise ArithmeticError(f"{claim_id}: NaN deviation")
     return make_check(claim_id, eq, claimed=0.0, computed=max([0.0, *devs]),
                       tol=tol, notes=notes)
 
@@ -374,9 +379,9 @@ def build_dynamics_suite(config: RunConfig, rng) -> tuple:
         for sign in (1, -1):
             u = eigenspinor(state, sign, "up")
             slope = k.c**2 * state.p / (sign * state.energy)
-            for s in zbw_trajectory(state, u, times):
-                dev_osc.append(_dev(s.zbw))
-                dev_lin.append(_dev(s.total, slope * s.t))
+            traj = zbw_trajectory(state, u, times)
+            dev_osc.append(_dev(traj.zbw))
+            dev_lin.append(_dev(traj.total, traj.t[:, None] * slope))
     checks.append(_zero("eigenstate_no_oscillation", "g", dev_osc, tol,
                         "energy eigenstates carry no oscillatory displacement"))
     checks.append(_zero("eigenstate_drift_linear", "g", dev_lin, 1e-10,

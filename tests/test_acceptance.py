@@ -151,10 +151,10 @@ def test_criterion_05_zitterbewegung():
         state = MomentumState(p=np.array([0.7, -0.3, 0.4]), constants=K)
         psi = eigenspinor(state, sign, "down")
         period = 2.0 * math.pi * K.hbar / (2.0 * state.energy)
-        samples = zbw_trajectory(state, psi, np.linspace(0.0, 3.0 * period, 48))
+        traj = zbw_trajectory(state, psi, np.linspace(0.0, 3.0 * period, 48))
         slope = K.c**2 * state.p / (sign * state.energy)
-        for s in samples:
-            worst_lin = max(worst_lin, float(np.max(np.abs(s.total - slope * s.t))))
+        worst_lin = max(worst_lin,
+                        float(np.max(np.abs(traj.total - traj.t[:, None] * slope))))
 
     state = MomentumState(p=np.array([0.9, 0.2, -0.5]), constants=K)
     fitted = fitted_zbw_frequency(state)

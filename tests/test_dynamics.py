@@ -1,6 +1,8 @@
 """Spectrum, eigenspinors, trembling-motion closed forms."""
 
+import hashlib
 import io
+import json
 import math
 
 import numpy as np
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diraclab import cli
 from diraclab.constants import PhysicalConstants
 from diraclab.dynamics import (
+    _CSV_CHUNK_ROWS,
     MomentumState,
     TRAJECTORY_HEADER,
     alpha_evolved_oracle,
@@ -158,9 +162,9 @@ def test_eigenstates_drift_without_oscillation():
     for sign in (1, -1):
         u = eigenspinor(state, sign, "up")
         slope = K.c**2 * state.p / (sign * state.energy)
-        for s in zbw_trajectory(state, u, times):
-            assert np.max(np.abs(s.zbw)) <= 1e-12
-            assert np.max(np.abs(s.total - slope * s.t)) <= 1e-10
+        traj = zbw_trajectory(state, u, times)
+        assert np.max(np.abs(traj.zbw)) <= 1e-12
+        assert np.max(np.abs(traj.total - traj.t[:, None] * slope)) <= 1e-10
 
 
 def test_mixed_state_oscillates_at_twice_energy():
@@ -176,14 +180,26 @@ def test_trajectory_expectation_matches_direct_route():
     state = MomentumState(p=rng.uniform(-1, 1, 3), constants=K)
     psi = max_mixing_state(state)
     times = np.linspace(0.1, 2.0, 7)
-    samples = zbw_trajectory(state, psi, times)
-    for s in samples:
+    traj = zbw_trajectory(state, psi, times)
+    for i, t in enumerate(traj.t):
         for j in (1, 2, 3):
-            closed = zbw_closed_form(state, j, s.t)
+            closed = zbw_closed_form(state, j, t)
             drift = float(np.real(psi.conj() @ (closed.drift_matrix @ psi)))
             zbw = float(np.real(psi.conj() @ (closed.zbw_matrix @ psi)))
-            assert abs(s.drift[j - 1] - drift) <= 1e-12
-            assert abs(s.zbw[j - 1] - zbw) <= 1e-12
+            assert abs(traj.drift[i, j - 1] - drift) <= 1e-12
+            assert abs(traj.zbw[i, j - 1] - zbw) <= 1e-12
+
+
+def test_trajectory_columns_have_one_row_per_time():
+    state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K)
+    times = np.linspace(0.0, 4.0, 37)
+    traj = zbw_trajectory(state, max_mixing_state(state), times)
+    n = times.size
+    assert len(traj) == n
+    assert traj.t.shape == (n,)
+    assert traj.drift.shape == traj.zbw.shape == traj.total.shape == (n, 3)
+    assert np.array_equal(traj.t, times)
+    assert np.array_equal(traj.total, traj.drift + traj.zbw)
 
 
 def test_trajectory_rejects_bad_times():
@@ -224,10 +240,69 @@ def test_fit_dominant_frequency_rejects_bad_sampling():
 def test_trajectory_csv_format():
     state = MomentumState(p=np.array([0.5, 0.0, 0.0]), constants=K)
     psi = max_mixing_state(state)
-    samples = zbw_trajectory(state, psi, np.linspace(0.0, 1.0, 5))
+    traj = zbw_trajectory(state, psi, np.linspace(0.0, 1.0, 5))
     buf = io.StringIO()
-    write_trajectory_csv(samples, buf)
+    write_trajectory_csv(traj, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == TRAJECTORY_HEADER
     assert len(lines) == 6
     assert all(len(line.split(",")) == 10 for line in lines[1:])
+
+
+def _reference_csv(traj) -> str:
+    # Reference writer: one format() call per cell, sharing no code with the
+    # chunked %-format of write_trajectory_csv.
+    lines = [TRAJECTORY_HEADER]
+    for i in range(len(traj)):
+        cells = [traj.t[i], *traj.drift[i], *traj.zbw[i], *traj.total[i]]
+        lines.append(",".join(format(float(v), ".15g") for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+SUPERPOSITION = json.dumps({"superposition": [
+    {"energy_sign": 1, "spin": "up"},
+    {"energy_sign": -1, "spin": "down", "weight": [0, 1]}]})
+
+
+@pytest.mark.parametrize("p, spec, rows", [
+    ((0.3, -0.2, 0.5), "mix", _CSV_CHUNK_ROWS + 1),
+    ((0.4, 0.0, -0.7), "mix", 3),
+    ((0.5, 0.0, 0.0), "mix", 1),
+    ((0.0, -0.6, 0.0), SUPERPOSITION, _CSV_CHUNK_ROWS),
+    ((0.2, 0.1, 0.0), SUPERPOSITION, 2 * _CSV_CHUNK_ROWS + 5),
+], ids=["no-zero-chunk+1", "one-zero", "two-zero-one-row", "superposition-chunk",
+        "superposition-two-chunks"])
+def test_trajectory_csv_matches_per_cell_reference(p, spec, rows):
+    state = MomentumState(p=np.array(p), constants=K)
+    psi = cli._parse_state(spec, state)
+    traj = zbw_trajectory(state, psi, np.linspace(0.0, 12.0, rows))
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    # Lines, not whole strings: pytest diffs two long strings very slowly.
+    assert buf.getvalue().splitlines(True) == _reference_csv(traj).splitlines(True)
+
+
+def test_trajectory_csv_keeps_signed_zero_cells():
+    # p_y = p_z = 0: those drift columns are exact zeros, negative for a
+    # negative-energy state, and both spellings must survive the writer.
+    state = MomentumState(p=np.array([0.5, 0.0, 0.0]), constants=K)
+    traj = zbw_trajectory(state, eigenspinor(state, -1, "up"), np.linspace(0.0, 1.0, 4))
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    cells = {c for line in buf.getvalue().splitlines()[1:] for c in line.split(",")}
+    assert {"0", "-0"} <= cells
+    assert buf.getvalue().splitlines(True) == _reference_csv(traj).splitlines(True)
+
+
+@pytest.mark.parametrize("argv, digest, lines", [
+    (["--p", "0.3,-0.2,0.5", "--t1", "12", "--steps", "400"],
+     "77f09374846bcdc619ae76f594c5e4709c580fd82a530fd26b5b9c5762f357a9", 401),
+    (["--p", "0.5,0,0", "--state", "plus", "--t1", "6", "--steps", "100"],
+     "6c65b1d7e790537abe1437f433946f781bc2d46086c24fcadb0d8b01b261f4e0", 101),
+], ids=["mix", "plus"])
+def test_readme_zbw_csv_bytes_are_locked(tmp_path, argv, digest, lines):
+    out = tmp_path / "traj.csv"
+    assert cli.main(["zbw", *argv, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest

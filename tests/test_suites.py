@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from diraclab.config import DEFAULT_SEED, SUITE_NAMES, RunConfig
 from diraclab.report import render_json, report_json
-from diraclab.suites import run_suite
+from diraclab.suites import _dev, _zero, run_suite
 
 SEEDED_SUITES = ("algebra", "states", "dynamics", "fields")
 
@@ -34,3 +35,8 @@ def test_suite_alone_matches_its_slice_of_the_full_run(full_run, suite):
     alone = run_suite(RunConfig(seed=DEFAULT_SEED, suites=(suite,)))
     assert {c.claim_id.split(".", 1)[0] for c in alone.checks} == {suite}
     assert _rendered_checks(alone, suite) == _rendered_checks(full_run, suite)
+
+
+def test_zero_raises_on_nan_deviation():
+    with pytest.raises(ArithmeticError, match="x: NaN deviation"):
+        _zero("x", "plumbing", [_dev(np.array([np.nan, 1.0]))], 1e-12)
