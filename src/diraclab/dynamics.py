@@ -188,6 +188,26 @@ class Trajectory:
         return self.t.size
 
 
+# Rows per block: the time-vectorized kernels and the CSV writer work on
+# this many rows at a time, which bounds their temporaries (complex phase
+# tables, Python floats) however many times are asked for.
+_BLOCK_ROWS = 1024
+
+
+def _row_blocks(n: int) -> list:
+    """Slices of about _BLOCK_ROWS rows that cover range(n) in order.
+
+    A lone last row joins the block before it: numpy multiplies a one-row
+    matrix by a matrix-vector routine, which can round differently from the
+    matrix-matrix routine that the other blocks, and the whole array at
+    once, go through.
+    """
+    edges = list(range(0, n, _BLOCK_ROWS)) + [n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _eigenbasis(state: MomentumState):
     h = hamiltonian(state)
     w, v = np.linalg.eigh(h)
@@ -223,12 +243,15 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
         m = 0.5j * k.c * k.hbar * (eta_matrix(state, j) @ h_inv)
         m_eig = v.conj().T @ m @ v
         g[j - 1] = coeff.conj() @ m_eig * coeff
-    phases = np.exp(-2j * np.outer(times, w) / k.hbar)  # (nt, 4)
-    zbw_c = phases @ g.T - np.sum(g, axis=1)  # (nt, 3)
-    if zbw_c.size and float(np.max(np.abs(zbw_c.imag))) > 1e-10:
-        raise ArithmeticError("zbw expectation grew a non-real part")
+    g_sum = np.sum(g, axis=1)
+    zbw = np.empty((times.size, 3))
+    for rows in _row_blocks(times.size):
+        phases = np.exp(-2j * np.outer(times[rows], w) / k.hbar)  # (rows, 4)
+        zbw_c = phases @ g.T - g_sum  # (rows, 3)
+        if float(np.max(np.abs(zbw_c.imag))) > 1e-10:
+            raise ArithmeticError("zbw expectation grew a non-real part")
+        zbw[rows] = zbw_c.real
     drift = times[:, None] * drift_rate
-    zbw = zbw_c.real.copy()
     return Trajectory(t=times.copy(), drift=drift, zbw=zbw, total=drift + zbw)
 
 
@@ -251,16 +274,19 @@ def velocity_signal(state: MomentumState, psi, times) -> np.ndarray:
     w, v = _eigenbasis(state)
     coeff = v.conj().T @ psi
     freq = (w[:, None] - w[None, :]) / k.hbar  # (a, b)
-    phase = np.exp(1j * np.einsum("t,ab->tab", times, freq))
-    out = np.empty((times.size, 3))
+    weights = []  # (a, b) per axis
     for j in (1, 2, 3):
         alpha = dirac_generator(GeneratorKind(j), state.rep)
         a_eig = v.conj().T @ alpha @ v
-        weights = np.outer(coeff.conj(), coeff) * a_eig  # (a, b)
-        vals = k.c * np.einsum("tab,ab->t", phase, weights)
-        if vals.size and float(np.max(np.abs(vals.imag))) > 1e-10:
-            raise ArithmeticError("velocity expectation grew a non-real part")
-        out[:, j - 1] = vals.real
+        weights.append(np.outer(coeff.conj(), coeff) * a_eig)
+    out = np.empty((times.size, 3))
+    for rows in _row_blocks(times.size):
+        phase = np.exp(1j * np.einsum("t,ab->tab", times[rows], freq))
+        for j, weight in enumerate(weights):
+            vals = k.c * np.einsum("tab,ab->t", phase, weight)
+            if float(np.max(np.abs(vals.imag))) > 1e-10:
+                raise ArithmeticError("velocity expectation grew a non-real part")
+            out[rows, j] = vals.real
     return out
 
 
@@ -311,17 +337,33 @@ def fitted_zbw_frequency(state: MomentumState, psi=None, n_samples: int = 10000,
 TRAJECTORY_HEADER = "t,drift_x,drift_y,drift_z,zbw_x,zbw_y,zbw_z,total_x,total_y,total_z"
 
 
-# Rows stacked and formatted per write: bounds the transient (rows, 10)
-# table and the Python floats of one chunk.
-_CSV_CHUNK_ROWS = 1024
+def _release_freed_heap() -> None:
+    """Give the C heap's free pages back to the OS, where glibc can (malloc_trim).
+
+    By itself glibc returns free heap memory only from the top of the heap,
+    and only past a threshold that grows with the largest block freed so
+    far.  A process that exports trajectories one after another would keep
+    each export's freed buffers resident, and its peak memory would depend
+    on the order of the buffer sizes it has seen.  Elsewhere this does
+    nothing.
+    """
+    import ctypes  # here, not at the top: only exports pay for loading it
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
 
 
 def write_trajectory_csv(trajectory: Trajectory, fh) -> None:
     """CSV with a fixed header and 15-significant-digit cells."""
     fh.write(TRAJECTORY_HEADER + "\n")
     row = ",".join(["%.15g"] * 10) + "\n"
-    for start in range(0, len(trajectory), _CSV_CHUNK_ROWS):
-        rows = slice(start, start + _CSV_CHUNK_ROWS)
+    for rows in _row_blocks(len(trajectory)):
         chunk = np.column_stack((trajectory.t[rows], trajectory.drift[rows],
                                  trajectory.zbw[rows], trajectory.total[rows]))
         fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+    _release_freed_heap()

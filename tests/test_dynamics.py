@@ -4,16 +4,21 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab import cli
+from diraclab import cli, dynamics
 from diraclab.constants import PhysicalConstants
 from diraclab.dynamics import (
-    _CSV_CHUNK_ROWS,
+    _BLOCK_ROWS,
     MomentumState,
     TRAJECTORY_HEADER,
     alpha_evolved_oracle,
@@ -26,6 +31,7 @@ from diraclab.dynamics import (
     max_mixing_state,
     spectrum,
     velocity_operator,
+    velocity_signal,
     write_trajectory_csv,
     zbw_closed_form,
     zbw_trajectory,
@@ -202,6 +208,28 @@ def test_trajectory_columns_have_one_row_per_time():
     assert np.array_equal(traj.total, traj.drift + traj.zbw)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 13, 50])
+def test_blocked_kernels_match_one_block(monkeypatch, n):
+    # Rows are independent, so splitting the times into blocks must not
+    # change a bit; 5, 9 and 13 leave a lone last row, which must not go
+    # through numpy's one-row product.
+    state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K)
+    times = np.linspace(0.0, 12.0, n)
+    outputs = []
+    for block in (4, 10**9):
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block)
+        blocks = dynamics._row_blocks(n)
+        assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+        assert n == 1 or min(rows.stop - rows.start for rows in blocks) >= 2
+        for psi in (max_mixing_state(state), cli._parse_state(SUPERPOSITION, state)):
+            traj = zbw_trajectory(state, psi, times)
+            outputs.append([traj.t, traj.drift, traj.zbw, traj.total,
+                            velocity_signal(state, psi, times)])
+    for blocked, whole in zip(outputs[:2], outputs[2:]):
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)
+
+
 def test_trajectory_rejects_bad_times():
     state = MomentumState(p=np.zeros(3), constants=K)
     psi = max_mixing_state(state)
@@ -265,11 +293,11 @@ SUPERPOSITION = json.dumps({"superposition": [
 
 
 @pytest.mark.parametrize("p, spec, rows", [
-    ((0.3, -0.2, 0.5), "mix", _CSV_CHUNK_ROWS + 1),
+    ((0.3, -0.2, 0.5), "mix", _BLOCK_ROWS + 1),
     ((0.4, 0.0, -0.7), "mix", 3),
     ((0.5, 0.0, 0.0), "mix", 1),
-    ((0.0, -0.6, 0.0), SUPERPOSITION, _CSV_CHUNK_ROWS),
-    ((0.2, 0.1, 0.0), SUPERPOSITION, 2 * _CSV_CHUNK_ROWS + 5),
+    ((0.0, -0.6, 0.0), SUPERPOSITION, _BLOCK_ROWS),
+    ((0.2, 0.1, 0.0), SUPERPOSITION, 2 * _BLOCK_ROWS + 5),
 ], ids=["no-zero-chunk+1", "one-zero", "two-zero-one-row", "superposition-chunk",
         "superposition-two-chunks"])
 def test_trajectory_csv_matches_per_cell_reference(p, spec, rows):
@@ -292,6 +320,38 @@ def test_trajectory_csv_keeps_signed_zero_cells():
     cells = {c for line in buf.getvalue().splitlines()[1:] for c in line.split(",")}
     assert {"0", "-0"} <= cells
     assert buf.getvalue().splitlines(True) == _reference_csv(traj).splitlines(True)
+
+
+_FREED_HEAP_SCRIPT = """
+import io
+import numpy as np
+from diraclab.constants import PhysicalConstants
+from diraclab.dynamics import MomentumState, max_mixing_state, write_trajectory_csv, zbw_trajectory
+
+def rss_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=PhysicalConstants())
+traj = zbw_trajectory(state, max_mixing_state(state), np.linspace(0.0, 1.0, 8))
+big = bytes(24 << 20)  # mapped on its own; freeing it raises glibc's mmap threshold
+del big
+held = bytearray(16 << 20)  # so this one comes from the heap, written through
+del held  # and stays resident after the free
+before = rss_kib()
+write_trajectory_csv(traj, io.StringIO())
+print(before - rss_kib())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+def test_csv_export_returns_freed_heap_pages():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _FREED_HEAP_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert int(out) >= 12 << 10  # KiB, of the 16 MiB freed
 
 
 @pytest.mark.parametrize("argv, digest, lines", [
