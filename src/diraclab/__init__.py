@@ -19,7 +19,7 @@ from .dynamics import (
     zbw_closed_form,
     zbw_trajectory,
 )
-from .errors import ConfigError, DomainError, IllConditionedError
+from .errors import ConfigError, DomainError
 from .fields import (
     self_fields_commutator,
     self_fields_matrix_maxwell,
@@ -48,7 +48,6 @@ __all__ = [
     "zbw_trajectory",
     "ConfigError",
     "DomainError",
-    "IllConditionedError",
     "self_fields_commutator",
     "self_fields_matrix_maxwell",
     "self_potentials",

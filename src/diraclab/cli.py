@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -104,8 +105,8 @@ def _fail_config(problems) -> int:
 
 
 def _fail_arithmetic(exc: ArithmeticError) -> int:
-    # Also covers IllConditionedError.  Such failures come from the
-    # constants, so they get the bad-config exit code, not a traceback.
+    # Such failures come from the constants, so they get the bad-config
+    # exit code, not a traceback.
     return _fail_config([f"numerical breakdown with these constants: {exc}"])
 
 
@@ -139,6 +140,20 @@ def _parse_momentum(text: str):
     return np.array(vals)
 
 
+# Keys a --state JSON object may hold: one term, or a superposition of
+# weighted terms (and nothing beside the superposition list).
+_TERM_KEYS = ("energy_sign", "spin", "spin_axis")
+_WEIGHTED_TERM_KEYS = _TERM_KEYS + ("weight",)
+_SUPERPOSITION_KEYS = ("superposition",)
+
+
+def _require_known_keys(obj: dict, allowed: tuple, where: str) -> None:
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise ConfigError([f"--state: unknown keys {unknown} in {where}; "
+                           f"allowed keys are {list(allowed)}"])
+
+
 def _state_from_term(term: dict, state: MomentumState) -> np.ndarray:
     sign = term.get("energy_sign", 1)
     if sign not in (1, -1):
@@ -169,6 +184,7 @@ def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
     if not isinstance(data, dict):
         raise ConfigError([f"--state JSON must be an object, got {type(data).__name__}"])
     if "superposition" in data:
+        _require_known_keys(data, _SUPERPOSITION_KEYS, "the state object")
         terms = data["superposition"]
         if not isinstance(terms, list) or not terms:
             raise ConfigError(["--state: superposition must be a non-empty list"])
@@ -176,6 +192,7 @@ def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
         for term in terms:
             if not isinstance(term, dict):
                 raise ConfigError([f"--state: superposition term must be an object, got {term!r}"])
+            _require_known_keys(term, _WEIGHTED_TERM_KEYS, "a superposition term")
             w = term.get("weight", 1.0)
             if isinstance(w, list):
                 if len(w) != 2:
@@ -190,7 +207,20 @@ def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
         if norm < 1e-12:
             raise ConfigError(["--state: superposition terms cancel to zero"])
         return as_spinor(psi / norm)
+    _require_known_keys(data, _TERM_KEYS, "the state object")
     return _state_from_term(data, state)
+
+
+def _require_finite_energy(state: MomentumState) -> None:
+    """Refuse a state whose energy overflows: every output would be garbage."""
+    try:
+        with np.errstate(over="ignore"):
+            energy = state.energy
+    except OverflowError:
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise ConfigError(["the state's energy is not finite with this --p and "
+                           "these constants"])
 
 
 def cmd_zbw(args) -> int:
@@ -199,20 +229,25 @@ def cmd_zbw(args) -> int:
         p = _parse_momentum(args.p)
         if args.steps < 2:
             raise ConfigError([f"--steps must be at least 2, got {args.steps}"])
+        if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
+            raise ConfigError([f"--t0 and --t1 must be finite, got t0={args.t0} t1={args.t1}"])
         if not args.t1 > args.t0:
             raise ConfigError([f"--t1 must exceed --t0, got t0={args.t0} t1={args.t1}"])
         state = MomentumState(p=p, constants=config.constants)
+        _require_finite_energy(state)
         psi = _parse_state(args.state, state)
     except ConfigError as exc:
         return _fail_config(exc.problems)
     except DomainError as exc:
         return _fail_config([str(exc)])
-    times = np.linspace(args.t0, args.t1, args.steps)
     try:
+        times = np.linspace(args.t0, args.t1, args.steps)
         trajectory = zbw_trajectory(state, psi, times)
         fitted = fitted_zbw_frequency(state, psi)
     except ArithmeticError as exc:
         return _fail_arithmetic(exc)
+    except MemoryError:
+        return _fail_config([f"not enough memory for --steps {args.steps}"])
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_trajectory_csv(trajectory, fh)

@@ -22,14 +22,13 @@ import numpy as np
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .matrices import (
+    SIGMA_BLOCKS,
     GeneratorKind,
     Representation,
     dirac_generator,
     generators,
     identity,
     mat_exp,
-    mat_inverse,
-    sigma_block,
 )
 from .spinors import require_normalized
 
@@ -50,7 +49,7 @@ class MomentumState:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float).reshape(-1)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
+        if p.shape != (3,) or not np.isfinite(p).all():
             raise DomainError(f"momentum must be 3 finite reals, got {self.p!r}")
         object.__setattr__(self, "p", p)
         if not isinstance(self.rep, Representation):
@@ -104,7 +103,8 @@ def eigenspinor(state: MomentumState, energy_sign: int = 1, spin: str = "up",
     cols = (2, 3) if energy_sign == 1 else (0, 1)
     sub = v[:, list(cols)]
     n = _axis_vector(axis)
-    spin_op = n[0] * sigma_block(1) + n[1] * sigma_block(2) + n[2] * sigma_block(3)
+    s1, s2, s3 = SIGMA_BLOCKS
+    spin_op = n[0] * s1 + n[1] * s2 + n[2] * s3
     restricted = sub.conj().T @ spin_op @ sub
     sw, sv = np.linalg.eigh(restricted)
     pick = 1 if spin == "up" else 0  # eigh sorts ascending
@@ -126,13 +126,18 @@ def velocity_operator(j: int, constants: PhysicalConstants,
 
 
 def eta_matrix(state: MomentumState, j: int) -> np.ndarray:
-    """alpha_j - C p_j H^-1: the part of alpha_j that anticommutes with H."""
+    """alpha_j - C p_j H^-1: the part of alpha_j that anticommutes with H.
+
+    H is inverted without a condition estimate.  H is Hermitian and
+    H^2 = E^2 I, so every singular value of H equals E and cond_2(H) = 1;
+    E >= m C^2 > 0 because PhysicalConstants requires mass and C > 0.
+    """
     if j not in (1, 2, 3):
         raise DomainError(f"axis must be 1, 2 or 3, got {j!r}")
     alpha = dirac_generator(GeneratorKind(j), state.rep)
     if state.p[j - 1] == 0.0:
         return alpha
-    h_inv = mat_inverse(hamiltonian(state))
+    h_inv = np.linalg.inv(hamiltonian(state))
     return alpha - state.constants.c * state.p[j - 1] * h_inv
 
 
@@ -163,11 +168,12 @@ def zbw_closed_form(state: MomentumState, j: int, t: float) -> ClosedFormPositio
     """Drift and oscillatory matrices of r_j(t) - r_j(0).
 
     d/dt (drift + zbw) reproduces C * alpha_evolved_oracle(state, j, t);
-    the additive constant is fixed so both terms vanish at t = 0.
+    the additive constant is fixed so both terms vanish at t = 0.  H is
+    inverted directly: cond_2(H) = 1 (see eta_matrix).
     """
     k = state.constants
     h = hamiltonian(state)
-    h_inv = mat_inverse(h)
+    h_inv = np.linalg.inv(h)
     drift = t * k.c**2 * state.p[j - 1] * h_inv
     eta = eta_matrix(state, j)
     osc = mat_exp(-2j * t / k.hbar * h)

@@ -5,17 +5,6 @@ class DomainError(ValueError):
     """Input outside an operation's domain (bad axis, shape mismatch, ...)."""
 
 
-class IllConditionedError(ArithmeticError):
-    """Matrix too ill-conditioned to invert reliably.
-
-    Carries the condition estimate that triggered the refusal.
-    """
-
-    def __init__(self, message, condition):
-        super().__init__(message)
-        self.condition = float(condition)
-
-
 class ConfigError(ValueError):
     """Invalid run configuration.  Collects every problem, not just the first."""
 

@@ -13,34 +13,51 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, IllConditionedError
-from .report import make_check, qualitative_check
+from .errors import DomainError
+from .report import make_check
 
-_SIGMA = (
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
+# Module tables, built once at import and never written: the accessors
+# below validate their arguments and hand out fresh writable copies.
+PAULI_TABLE = tuple(_read_only(m) for m in (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
-)
+))
 
 
 def pauli(j: int) -> np.ndarray:
     """Pauli matrix sigma_j, axis j in {1, 2, 3}."""
     if j not in (1, 2, 3):
         raise DomainError(f"pauli axis must be 1, 2 or 3, got {j!r}")
-    return _SIGMA[j - 1].copy()
+    return PAULI_TABLE[j - 1].copy()
 
 
 def identity(dim: int = 4) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def sigma_block(j: int) -> np.ndarray:
-    """4x4 promotion of sigma_j: block-diag(sigma_j, sigma_j)."""
-    s = pauli(j)
+def _sigma_block(s: np.ndarray) -> np.ndarray:
     out = np.zeros((4, 4), dtype=complex)
     out[:2, :2] = s
     out[2:, 2:] = s
-    return out
+    return _read_only(out)
+
+
+# SIGMA_BLOCKS[j - 1] is block-diag(sigma_j, sigma_j).
+SIGMA_BLOCKS = tuple(_sigma_block(s) for s in PAULI_TABLE)
+
+
+def sigma_block(j: int) -> np.ndarray:
+    """4x4 promotion of sigma_j: block-diag(sigma_j, sigma_j)."""
+    if j not in (1, 2, 3):
+        raise DomainError(f"pauli axis must be 1, 2 or 3, got {j!r}")
+    return SIGMA_BLOCKS[j - 1].copy()
 
 
 class Representation(Enum):
@@ -55,8 +72,35 @@ class GeneratorKind(Enum):
     BETA = 0
 
 
+def _build_generator(kind: GeneratorKind, rep: Representation) -> np.ndarray:
+    out = np.zeros((4, 4), dtype=complex)
+    if rep is Representation.PAULI_DIRAC:
+        if kind is GeneratorKind.BETA:
+            np.fill_diagonal(out, (1, 1, -1, -1))
+        else:
+            s = PAULI_TABLE[kind.value - 1]
+            out[:2, 2:] = s
+            out[2:, :2] = s
+    else:
+        if kind is GeneratorKind.BETA:
+            out[:2, 2:] = np.eye(2)
+            out[2:, :2] = np.eye(2)
+        else:
+            s = PAULI_TABLE[kind.value - 1]
+            out[:2, :2] = s
+            out[2:, 2:] = -s
+    return _read_only(out)
+
+
+# GENERATOR_TABLE[rep][kind]: the eight 4x4 generators of both sets.
+GENERATOR_TABLE = {
+    rep: {kind: _build_generator(kind, rep) for kind in GeneratorKind}
+    for rep in Representation
+}
+
+
 def dirac_generator(kind: GeneratorKind, rep: Representation = Representation.PAULI_DIRAC) -> np.ndarray:
-    """One 4x4 generator of the chosen set.
+    """One 4x4 generator of the chosen set, as a fresh writable copy.
 
     In the standard set ALPHA1..3 name the three sigma-block generators
     and BETA names the off-diagonal scalar generator.
@@ -65,23 +109,7 @@ def dirac_generator(kind: GeneratorKind, rep: Representation = Representation.PA
         raise DomainError(f"kind must be a GeneratorKind, got {kind!r}")
     if not isinstance(rep, Representation):
         raise DomainError(f"rep must be a Representation, got {rep!r}")
-    out = np.zeros((4, 4), dtype=complex)
-    if rep is Representation.PAULI_DIRAC:
-        if kind is GeneratorKind.BETA:
-            np.fill_diagonal(out, (1, 1, -1, -1))
-        else:
-            s = pauli(kind.value)
-            out[:2, 2:] = s
-            out[2:, :2] = s
-    else:
-        if kind is GeneratorKind.BETA:
-            out[:2, 2:] = np.eye(2)
-            out[2:, :2] = np.eye(2)
-        else:
-            s = pauli(kind.value)
-            out[:2, :2] = s
-            out[2:, 2:] = -s
-    return out
+    return GENERATOR_TABLE[rep][kind].copy()
 
 
 def generators(rep: Representation = Representation.PAULI_DIRAC):
@@ -124,23 +152,6 @@ def anticommutator(a, b) -> np.ndarray:
 def is_hermitian(a, tol: float = 1e-14) -> bool:
     m = _as_matrix(a)
     return float(np.max(np.abs(m - m.conj().T))) <= tol if m.size else True
-
-
-def mat_inverse(a, cond_limit: float = 1e12) -> np.ndarray:
-    """Inverse of a well-conditioned square matrix.
-
-    Refuses (IllConditionedError, carrying the 2-norm condition estimate)
-    anything with condition number above cond_limit.
-    """
-    m = _as_matrix(a)
-    if not np.all(np.isfinite(m)):
-        raise DomainError("matrix has non-finite entries")
-    cond = float(np.linalg.cond(m))
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise IllConditionedError(
-            f"condition estimate {cond:.6e} exceeds limit {cond_limit:.1e}", cond
-        )
-    return np.linalg.inv(m)
 
 
 _PADE13_B = (

@@ -9,6 +9,7 @@ written.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -84,7 +85,7 @@ def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    entries = [[float(z.real), float(z.imag)] for z in a.ravel()]
+    entries = [list(z) for z in zip(a.real.ravel().tolist(), a.imag.ravel().tolist())]
     return {"dim": int(a.shape[0]), "entries": entries}
 
 
@@ -216,25 +217,33 @@ def _render_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# Characters a JSON string cannot hold literally: the quote, the backslash
+# and the C0 controls.
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+
+
+def _escape(match) -> str:
+    ch = match.group()
+    if ch == '"':
+        return '\\"'
+    if ch == "\\":
+        return "\\\\"
+    if ch == "\n":
+        return "\\n"
+    return f"\\u{ord(ch):04x}"
+
+
 def _render_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + _NEEDS_ESCAPE.sub(_escape, s) + '"'
 
 
 def render_json(value, indent=0) -> str:
     """Deterministic JSON text: 17-significant-digit floats, stable key order."""
+    kind = type(value)
+    if kind is float:
+        return _render_float(value)
+    if kind is str:
+        return _render_string(value)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if value is None:
@@ -262,7 +271,9 @@ def render_json(value, indent=0) -> str:
     if isinstance(value, (list, tuple)):
         if not len(value):
             return "[]"
-        parts = [render_json(v, indent + 1) for v in value]
+        # plain floats, the bulk of every matrix entry, skip the recursion
+        parts = [_render_float(v) if type(v) is float else render_json(v, indent + 1)
+                 for v in value]
         if all(len(p) <= 24 and "\n" not in p for p in parts) and sum(map(len, parts)) <= 72:
             return "[" + ", ".join(parts) + "]"
         rows = [f"{inner}{p}" for p in parts]

@@ -25,7 +25,7 @@ def as_spinor(values) -> np.ndarray:
     psi = np.asarray(values, dtype=complex).reshape(-1)
     if psi.shape != (4,):
         raise DomainError(f"spinor must have 4 components, got shape {psi.shape}")
-    if not np.all(np.isfinite(psi)):
+    if not np.isfinite(psi).all():
         raise DomainError("spinor has non-finite components")
     return psi
 
@@ -107,7 +107,7 @@ class PlaneWave:
     def __post_init__(self):
         object.__setattr__(self, "amplitude", as_spinor(self.amplitude))
         p = np.asarray(self.p, dtype=float).reshape(-1)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
+        if p.shape != (3,) or not np.isfinite(p).all():
             raise DomainError(f"momentum must be 3 finite reals, got {self.p!r}")
         object.__setattr__(self, "p", p)
         if not math.isfinite(self.omega):

@@ -274,6 +274,76 @@ class TestZbwCommand:
         assert "error:" in capsys.readouterr().err
 
 
+ZBW_BASE = ["zbw", "--p", "0.5,0,0", "--t1", "6", "--steps", "40"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["zbw", "--p", "0.5,0,0", "--t1", "inf", "--steps", "40"],
+    ["zbw", "--p", "0.5,0,0", "--t0=-inf", "--t1", "1", "--steps", "40"],
+    ["zbw", "--p", "0.5,0,0", "--t0", "nan", "--t1", "1", "--steps", "40"],
+    ["zbw", "--p", "1e200,0,0", "--t1", "6", "--steps", "40"],
+    ["zbw", "--p", "0,0,0", "--c", "1e200", "--t1", "6", "--steps", "40"],
+    [*ZBW_BASE, "--state", '{"bad": 1}'],
+    [*ZBW_BASE, "--state", '{"energy-sign": -1}'],
+    [*ZBW_BASE, "--state", '{"energy_sign": 1, "weight": 2.0}'],
+    [*ZBW_BASE, "--state", '{"superposition": [{"energy_sign": 1}], "spin": "up"}'],
+    [*ZBW_BASE, "--state", '{"superposition": [{"energy_sign": 1, "wieght": 1.0}]}'],
+], ids=["t1-inf", "t0-minus-inf", "t0-nan", "energy-overflow", "c-overflow",
+        "unknown-key", "typo-key", "weight-outside-superposition",
+        "key-beside-superposition", "typo-in-term"])
+@pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
+def test_zbw_rejects_input_with_one_error_line(argv, tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_zbw_unknown_state_key_error_names_allowed_keys(tmp_path, capsys):
+    argv = [*ZBW_BASE, "--state", '{"superposition": [{"spni": "up"}]}']
+    assert cli.main([*argv, "--out", str(tmp_path / "traj.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "'spni'" in err
+    for key in ("energy_sign", "spin", "spin_axis", "weight"):
+        assert repr(key) in err
+
+
+@pytest.mark.parametrize("target", ["linspace", "zbw_trajectory"])
+def test_zbw_out_of_memory_exits_two(target, tmp_path, capsys, monkeypatch):
+    # Stands in for a --steps too large to allocate; nothing big is allocated.
+    def refuse(*args, **kwargs):
+        raise MemoryError()
+
+    if target == "linspace":
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+    else:
+        monkeypatch.setattr(cli, "zbw_trajectory", refuse)
+    out = tmp_path / "traj.csv"
+    assert cli.main([*ZBW_BASE, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: not enough memory for --steps 40\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    # the README example
+    {"superposition": [{"energy_sign": 1, "spin": "up"},
+                       {"energy_sign": -1, "spin": "down", "weight": [0, 1]}]},
+    # the shape of the benchmark's zbw_export superposition inputs
+    {"superposition": [
+        {"energy_sign": 1, "spin": "down", "spin_axis": [1.2, 4.5], "weight": 1.0},
+        {"energy_sign": -1, "spin": "down", "spin_axis": [1.2, 4.5], "weight": [0.9, -0.2]}]},
+    {"energy_sign": -1, "spin": "down", "spin_axis": [0.3, 0.1]},
+    {},
+])
+def test_zbw_allowed_state_keys_still_parse(spec, tmp_path):
+    out = tmp_path / "traj.csv"
+    assert cli.main([*ZBW_BASE, "--state", json.dumps(spec), "--out", str(out)]) == 0
+    assert out.exists()
+
+
 class TestLatticeCommand:
     def test_zero_preset_reports_exact(self, tmp_path, capsys):
         out = tmp_path / "table.json"

@@ -43,7 +43,6 @@ from diraclab.matrices import (
     dirac_generator,
     identity,
     mat_exp,
-    mat_inverse,
 )
 
 K = PhysicalConstants()
@@ -66,7 +65,7 @@ def test_rest_hamiltonian_inverse_frozen():
     # H(p=0)^-1 = beta / (m C^2)
     state = MomentumState(p=np.zeros(3), constants=K)
     beta = dirac_generator(GeneratorKind.BETA, Representation.PAULI_DIRAC)
-    assert np.max(np.abs(mat_inverse(hamiltonian(state)) - beta)) <= 1e-14
+    assert np.max(np.abs(np.linalg.inv(hamiltonian(state)) - beta)) <= 1e-14
 
 
 def test_eigenspinor_residual_and_orthonormality():
@@ -120,7 +119,7 @@ def test_velocity_direction_closed_form_vs_conjugation_oracle():
         t = float(rng.uniform(-3, 3))
         j = int(rng.integers(1, 4))
         h = hamiltonian(state)
-        closed = (K.c * state.p[j - 1] * mat_inverse(h)
+        closed = (K.c * state.p[j - 1] * np.linalg.inv(h)
                   + eta_matrix(state, j) @ mat_exp(-2j * t / K.hbar * h))
         assert np.max(np.abs(closed - alpha_evolved_oracle(state, j, t))) <= 1e-12
 

@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab.errors import DomainError, IllConditionedError
+from diraclab.errors import DomainError
 from diraclab.matrices import (
+    GENERATOR_TABLE,
+    PAULI_TABLE,
+    SIGMA_BLOCKS,
     _expm_pade13,
     Representation,
     anticommutator,
@@ -26,7 +29,6 @@ from diraclab.matrices import (
     identity,
     is_hermitian,
     mat_exp,
-    mat_inverse,
     pauli,
     sigma_block,
     taylor_exp_reference,
@@ -183,20 +185,89 @@ def test_mat_exp_hermitian_argument_gives_unitary(seed):
     assert np.max(np.abs(u.conj().T @ u - identity(4))) <= 1e-12
 
 
-def test_mat_inverse_round_trip_and_condition_guard():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((4, 4)) + identity(4) * 3.0
-    inv = mat_inverse(m)
-    assert np.max(np.abs(m @ inv - identity(4))) <= 1e-12
-    with pytest.raises(IllConditionedError):
-        mat_inverse(np.diag([1.0, 1.0, 1.0, 1e-15]))
-
-
 def test_dirac_generator_is_view_safe():
     g1 = dirac_generator(GeneratorKind.BETA, Representation.PAULI_DIRAC)
     g1[0, 0] = 99.0
     g2 = dirac_generator(GeneratorKind.BETA, Representation.PAULI_DIRAC)
     assert g2[0, 0] == 1.0, "callers must not be able to corrupt the cached set"
+
+
+S1 = [[0, 1], [1, 0]]
+S2 = [[0, -1j], [1j, 0]]
+S3 = [[1, 0], [0, -1]]
+Z2 = [[0, 0], [0, 0]]
+I2 = [[1, 0], [0, 1]]
+
+
+def _blocks(a, b, c, d):
+    return np.block([[np.array(a, dtype=complex), np.array(b, dtype=complex)],
+                     [np.array(c, dtype=complex), np.array(d, dtype=complex)]])
+
+
+def _neg(s):
+    return [[-x for x in row] for row in s]
+
+
+# Every table entry written out literally, block by block.
+LITERAL_GENERATORS = {
+    (Representation.PAULI_DIRAC, GeneratorKind.ALPHA1): _blocks(Z2, S1, S1, Z2),
+    (Representation.PAULI_DIRAC, GeneratorKind.ALPHA2): _blocks(Z2, S2, S2, Z2),
+    (Representation.PAULI_DIRAC, GeneratorKind.ALPHA3): _blocks(Z2, S3, S3, Z2),
+    (Representation.PAULI_DIRAC, GeneratorKind.BETA): np.diag([1, 1, -1, -1]).astype(complex),
+    (Representation.STANDARD, GeneratorKind.ALPHA1): _blocks(S1, Z2, Z2, _neg(S1)),
+    (Representation.STANDARD, GeneratorKind.ALPHA2): _blocks(S2, Z2, Z2, _neg(S2)),
+    (Representation.STANDARD, GeneratorKind.ALPHA3): _blocks(S3, Z2, Z2, _neg(S3)),
+    (Representation.STANDARD, GeneratorKind.BETA): _blocks(Z2, I2, I2, Z2),
+}
+
+
+@pytest.mark.parametrize("rep,kind", list(LITERAL_GENERATORS), ids=lambda v: v.name)
+def test_generator_table_matches_literal(rep, kind):
+    want = LITERAL_GENERATORS[(rep, kind)]
+    got = dirac_generator(kind, rep)
+    assert got.dtype == complex and np.array_equal(got, want)
+    assert np.array_equal(GENERATOR_TABLE[rep][kind], want)
+
+
+def test_pauli_and_sigma_block_tables_match_literal():
+    for j, s in enumerate((S1, S2, S3), start=1):
+        want = np.array(s, dtype=complex)
+        assert np.array_equal(pauli(j), want)
+        assert np.array_equal(PAULI_TABLE[j - 1], want)
+        block = _blocks(s, Z2, Z2, s)
+        assert np.array_equal(sigma_block(j), block)
+        assert np.array_equal(SIGMA_BLOCKS[j - 1], block)
+
+
+def test_tables_are_read_only_and_copies_are_fresh():
+    entries = [*PAULI_TABLE, *SIGMA_BLOCKS,
+               *(g for table in GENERATOR_TABLE.values() for g in table.values())]
+    assert len(entries) == 14
+    for m in entries:
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 7.0
+    for get, arg in ((pauli, 1), (sigma_block, 1)):
+        first = get(arg)
+        assert first.flags.writeable
+        first[...] = 42.0
+        assert np.array_equal(get(arg)[0], [0, 1] if get is pauli else [0, 1, 0, 0])
+    for rep in REPS:
+        mutated = generators(rep)
+        for g in mutated:
+            assert g.flags.writeable
+            g *= 3.0
+        for g, want in zip(generators(rep), (LITERAL_GENERATORS[(rep, kind)] for kind in (
+                GeneratorKind.ALPHA1, GeneratorKind.ALPHA2, GeneratorKind.ALPHA3,
+                GeneratorKind.BETA))):
+            assert np.array_equal(g, want)
+
+
+def test_sigma_block_rejects_bad_axis():
+    with pytest.raises(DomainError):
+        sigma_block(0)
+    with pytest.raises(DomainError):
+        sigma_block(4)
 
 
 def test_sigma_block_shape():

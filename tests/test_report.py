@@ -1,5 +1,7 @@
 """Report assembly, JSON rendering, determinism plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,3 +136,135 @@ def test_text_summary_flags_failures_and_skips():
     assert "[FAIL] algebra.bad" in out
     assert "[SKIP] states.skipme" in out
     assert "1/2" in out
+
+
+# --- rendering against a per-element reference ---------------------------------
+#
+# The reference below renders one character and one element at a time, as
+# report.py did before its fast paths; it is kept here, not imported, so the
+# production renderer is checked against code it does not share.
+
+def _ref_float(x):
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError("non-finite float cannot be serialized")
+    if x == int(x) and abs(x) < 1e16:
+        return repr(float(x))
+    return format(x, ".17g")
+
+
+def _ref_string(s):
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ch == "\n":
+            out.append("\\n")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+def _ref_jsonable(v):
+    if isinstance(v, np.ndarray):
+        if v.ndim == 2:
+            a = np.asarray(v, dtype=complex)
+            return {"dim": int(a.shape[0]),
+                    "entries": [[float(z.real), float(z.imag)] for z in a.ravel()]}
+        return [_ref_jsonable(x) for x in v.tolist()]
+    if isinstance(v, np.floating):
+        return float(v)
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, (complex, np.complexfloating)):
+        z = complex(v)
+        return z.real if z.imag == 0.0 else [z.real, z.imag]
+    return v
+
+
+def _ref_render(value, indent=0):
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _ref_float(float(value))
+    if isinstance(value, str):
+        return _ref_string(value)
+    if isinstance(value, (np.ndarray, complex, np.complexfloating)):
+        return _ref_render(_ref_jsonable(value), indent)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = [f"{inner}{_ref_string(str(k))}: {_ref_render(v, indent + 1)}"
+                for k, v in value.items()]
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not len(value):
+            return "[]"
+        parts = [_ref_render(v, indent + 1) for v in value]
+        if all(len(p) <= 24 and "\n" not in p for p in parts) and sum(map(len, parts)) <= 72:
+            return "[" + ", ".join(parts) + "]"
+        rows = [f"{inner}{p}" for p in parts]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+AWKWARD_STRINGS = [
+    "", "plain", 'say "hi"', "back\\slash", "line\nbreak", "tab\there",
+    "nul\x00", "unit\x1f", "del\x7f", "space \x20", "caf\u00e9 \u03c3_j \u2202\u03c8",
+    "\U0001d6fc emoji \U0001f600", '\\"\n\t\x00\x1f\x7f\u00e9', "\r\x0b\x0c\x1b",
+]
+
+
+@pytest.mark.parametrize("s", AWKWARD_STRINGS)
+def test_render_string_matches_reference(s):
+    assert render_json(s) == _ref_string(s)
+    assert render_json({s: [s, {s: s}]}) == _ref_render({s: [s, {s: s}]})
+
+
+def test_render_json_mixed_lists_match_reference():
+    values = [
+        [1.0, 2, True, False, None, np.float64(0.1), np.int64(-3), [0.5, [-0.0]]],
+        [0.0, -0.0, 1e16, -1e16, 1e-300, 5e-324, 1.7976931348623157e308, 0.1],
+        [np.float64(-0.0), np.float32(0.25), 3, 1.0 / 3.0, "s", 1j, 2 + 0j],
+        [[1.0, -0.0]] * 4 + [[]] + [{}] + [()],
+        (1.5, (2.5, [3.5, (4.5,)])),
+        [1.0] * 12 + [123456789.123456789] * 3,
+        np.array([[1 + 2j, -0.0], [0.0 - 0.0j, 3.0]]),
+        np.array([0.1, -0.0, 2.0]),
+        {"nested": {"deep": [[-0.0, 0.0], [np.float64(1e-17)], []]}},
+    ]
+    for v in values:
+        assert render_json(v) == _ref_render(v)
+        assert render_json(v, 3) == _ref_render(v, 3)
+
+
+def test_matrix_to_json_matches_per_entry_reference():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m[0, 0] = complex(-0.0, 0.0)
+    m[1, 2] = complex(0.0, -0.0)
+    m[3, 3] = complex(-0.0, -0.0)
+    got = matrix_to_json(m)
+    want = _ref_jsonable(m)
+    assert got["dim"] == want["dim"]
+    assert [[repr(x) for x in e] for e in got["entries"]] == \
+        [[repr(x) for x in e] for e in want["entries"]]
+    assert all(type(x) is float for e in got["entries"] for x in e)
+
+
+def test_seed137_report_renders_like_reference():
+    from diraclab.config import RunConfig
+    from diraclab.suites import run_suite
+
+    data = run_suite(RunConfig(seed=137)).to_dict()
+    assert render_json(data) == _ref_render(data)
