@@ -278,6 +278,8 @@ def cmd_lattice(args) -> int:
         return _fail_config(exc.problems)
     except DomainError as exc:
         return _fail_config([str(exc)])
+    except MemoryError:
+        return _fail_config([f"not enough memory for the grids of --h {args.h}"])
     payload = {"preset": args.preset}
     payload.update(study.to_dict())
     try:

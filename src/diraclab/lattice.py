@@ -3,11 +3,17 @@
 Kinetic momentum components are applied with symmetric central differences
 (no periodic wrap: boundary cells are marked invalid).  The extraction works
 on the interior block, the n - 4 cells per axis two layers inside the box,
-reached by basic slices of the full-grid samples; the mesh, the potentials
-and the expected intensities are evaluated once per extraction.  Commuting
-the discrete components and dividing out the test function recovers the
-external intensities to second order in the spacing; the same extraction run
-with caller-supplied exact derivatives recovers them to rounding.
+and walks it in slabs of whole planes along axis 0, each sized to stay near
+an L2 cache.  A slab samples the mesh, the potentials, the expected
+intensities and every test function on its own planes plus the one-cell halo
+the stencils reach, finishes its estimates, error maxima and mean, and is
+dropped before the next starts, so no full-grid complex temporary is ever
+built.  Every cell sees the same operations in the same order whatever the
+slab size, so the results are bit-identical to a single whole-block pass.
+Commuting the discrete components and dividing out the test function
+recovers the external intensities to second order in the spacing; the same
+extraction run with caller-supplied exact derivatives recovers them to
+rounding.
 
 Sign bookkeeping, fixed once: the charge symbol is the positive magnitude
 and the operators describe the electron (signed charge -e), so
@@ -70,15 +76,12 @@ class Grid3:
         half = (self.n - 1) // 2
         return (np.arange(self.n) - half) * self.h
 
-    def meshgrid(self):
+    def meshgrid(self, planes: slice = slice(None), inset: int = 0):
+        """Coordinates of the planes selected along axis 0, leaving out the
+        inset outermost cells on each face of the other two axes."""
         ax = self.axis
-        return np.meshgrid(ax, ax, ax, indexing="ij")
-
-    @property
-    def interior_block(self) -> tuple:
-        """Basic slices of the block two layers inside the box (n - 4 cells per axis)."""
-        sl = slice(2, self.n - 2)
-        return (sl, sl, sl)
+        across = ax[inset:self.n - inset]
+        return np.meshgrid(ax[planes], across, across, indexing="ij")
 
     def interior_mask(self, layers: int = 2) -> np.ndarray:
         mask = np.zeros((self.n,) * 3, dtype=bool)
@@ -147,25 +150,50 @@ def validate_config(config: FieldConfig, grid: Grid3, constants: PhysicalConstan
 
     Returns the largest deviation found over the whole grid.
     """
-    return _checked_expectations(config, grid.meshgrid(), constants, tol)[0]
+    return _validated(config, grid, constants, tol)
 
 
-def _checked_expectations(config, mesh, constants, tol=1e-12):
-    """validate_config on a given mesh; returns (worst, b_expected, e_expected)."""
-    x, y, z = mesh
-    ref = classical_maxwell_reference(config.a_field, config.phi_field, (x, y, z), 0.0, constants)
-    b_want = config.b_expected(x, y, z)
-    e_want = config.e_expected(x, y, z)
+def _validated(config, grid, constants, tol=1e-12):
+    """validate_config, evaluated one slab of whole planes at a time.
+
+    Each of the six components keeps its own running maximum (NaN wins, as
+    in one np.max over the whole grid), so the result and the error text do
+    not depend on the slab size.
+    """
+    running = np.zeros(6)
+    for s0, s1 in _slabs(0, grid.n, grid.n * grid.n):
+        x, y, z = grid.meshgrid(slice(s0, s1))
+        ref = classical_maxwell_reference(config.a_field, config.phi_field, (x, y, z), 0.0,
+                                          constants)
+        b_want = config.b_expected(x, y, z)
+        e_want = config.e_expected(x, y, z)
+        slab = [np.max(np.abs(got[j] - want[j]))
+                for j in range(3) for got, want in ((ref.h, b_want), (ref.e, e_want))]
+        running = np.maximum(running, slab)
     worst = 0.0
-    for j in range(3):
-        worst = max(worst, float(np.max(np.abs(ref.h[j] - b_want[j]))))
-        worst = max(worst, float(np.max(np.abs(ref.e[j] - e_want[j]))))
+    for top in running:
+        worst = max(worst, float(top))
     if worst > tol:
         raise DomainError(
             f"config {config.name!r}: stored intensities deviate from the "
             f"potentials by {worst:.3e} (tol {tol:.1e})"
         )
-    return worst, b_want, e_want
+    return worst
+
+
+# Interior cells per slab of the extraction: two planes at n = 65, the whole
+# block in one slab at n <= 17.  A complex array of this many cells is
+# 128 KiB, so the few dozen a slab keeps alive stay within a small multiple
+# of a 2 MiB L2 cache; 4096 to 32768 cells timed within noise of each other,
+# and peak memory grows with the size.
+_SLAB_CELLS = 8192
+
+
+def _slabs(start: int, stop: int, plane_cells: int) -> list:
+    """Consecutive (s0, s1) plane ranges covering [start, stop) along axis 0,
+    each about _SLAB_CELLS cells and never less than one plane."""
+    step = max(1, _SLAB_CELLS // plane_cells)
+    return [(s0, min(s0 + step, stop)) for s0 in range(start, stop, step)]
 
 
 def _shift(window: tuple, axis: int, step: int) -> tuple:
@@ -319,13 +347,12 @@ class ExtractResult:
     interior: np.ndarray
 
 
-def _discrete_estimates(config, grid, tf, constants, mesh, alpha, po):
-    """Apply each commutator to the sampled test function on the interior block.
+def _discrete_estimates(config, tf, constants, h, mesh, window, alpha, po):
+    """Apply each commutator to the sampled test function on one slab.
 
-    The test function is sampled on the full grid; the stencils read it
-    through basic slices and return the interior block only, so every
-    estimate has shape (3, n - 4, n - 4, n - 4).  mesh, alpha = (e/C) A and
-    po = (e/C) phi are full-grid samples shared by every test function.
+    mesh, alpha = (e/C) A and po = (e/C) phi are samples on the slab's cells
+    plus a one-cell halo on every face; window holds the basic slices of the
+    slab's own cells, so every estimate has the window's shape.
 
     The composition pi_j pi_l is distributed over the four operator terms
     (exact at the discrete level by linearity) and the mixed pure-derivative
@@ -333,63 +360,62 @@ def _discrete_estimates(config, grid, tf, constants, mesh, alpha, po):
     that cancels algebraically also cancels in floating point.
     """
     k = constants
-    block = grid.interior_block
     psi = np.asarray(tf.values(*mesh), dtype=complex)
-    psi_in = psi[block]
+    psi_in = psi[window]
     weak = np.abs(psi_in) < AMPLITUDE_FLOOR
     psi_safe = np.where(weak, np.nan + 0.0j, psi_in)
     coupling = k.charge / k.c
-    alpha_in = [a[block] for a in alpha]
+    alpha_in = [a[window] for a in alpha]
     alpha_psi = [a * psi for a in alpha]
-    d1 = {j: _central_difference(psi, j - 1, grid.h, block) for j in (1, 2, 3)}
+    d1 = {j: _central_difference(psi, j - 1, h, window) for j in (1, 2, 3)}
     pi1 = {j: -1j * k.hbar * d1[j] + alpha_in[j - 1] * psi_in for j in (1, 2, 3)}
     mixed = {}
     for a_ax, b_ax in ((0, 1), (1, 2), (0, 2)):
-        mixed[(a_ax, b_ax)] = _mixed_difference(psi, a_ax, b_ax, grid.h, block)
+        mixed[(a_ax, b_ax)] = _mixed_difference(psi, a_ax, b_ax, h, window)
 
     def pi_pi(j, l):
         a_ax, b_ax = j - 1, l - 1
         s = mixed[(min(a_ax, b_ax), max(a_ax, b_ax))]
         return (
             -k.hbar**2 * s
-            - 1j * k.hbar * _central_difference(alpha_psi[b_ax], a_ax, grid.h, block)
+            - 1j * k.hbar * _central_difference(alpha_psi[b_ax], a_ax, h, window)
             - 1j * k.hbar * (alpha_in[a_ax] * d1[l])
             + (alpha_in[a_ax] * alpha_in[b_ax]) * psi_in
         )
 
     h_est = np.empty((3,) + psi_in.shape, dtype=complex)
     e_est = np.empty((3,) + psi_in.shape, dtype=complex)
-    po_in = po[block]
+    po_in = po[window]
     with np.errstate(invalid="ignore", divide="ignore"):
         for (j, l, kk) in _CYCLIC:
             comm = pi_pi(j, l) - pi_pi(l, j)
             h_est[kk - 1] = comm / (-1j * k.hbar * coupling * psi_safe)
         po_psi = po * psi
         for j in (1, 2, 3):
-            pi_j_po = -1j * k.hbar * _central_difference(po_psi, j - 1, grid.h, block) \
-                + alpha_in[j - 1] * po_psi[block]
+            pi_j_po = -1j * k.hbar * _central_difference(po_psi, j - 1, h, window) \
+                + alpha_in[j - 1] * po_psi[window]
             comm = pi_j_po - po_in * pi1[j]
             e_est[j - 1] = comm / (1j * k.hbar * coupling * psi_safe)
     return h_est, e_est, int(np.count_nonzero(weak))
 
 
-def _analytic_estimates(config, grid, tf, constants, mesh, alpha, po):
+def _analytic_estimates(config, tf, constants, h, mesh, window, alpha, po):
     """Same commutators, no grid differencing: every derivative is exact.
 
-    Evaluated on the interior block, like the discrete estimates.  All
-    test-function derivatives cancel algebraically; carrying them through
-    checks the operator identity rather than assuming it.
+    Evaluated on the slab's own cells (window of mesh), like the discrete
+    estimates.  All test-function derivatives cancel algebraically;
+    carrying them through checks the operator identity rather than
+    assuming it.
     """
     k = constants
-    block = grid.interior_block
-    x, y, z = (axis[block] for axis in mesh)
+    x, y, z = (axis[window] for axis in mesh)
     psi = np.asarray(tf.values(x, y, z), dtype=complex)
     grad = tf.gradient(x, y, z)
     hess = tf.hessian(x, y, z)
     a_jac = config.a_field.jacobian(x, y, z, 0.0)
     phi_grad = config.phi_field.gradient(x, y, z, 0.0)
     coupling = k.charge / k.c
-    a = [alpha[i][block] for i in range(3)]
+    a = [alpha[i][window] for i in range(3)]
     da = [[coupling * a_jac[i][l] for l in range(3)] for i in range(3)]
     weak = np.abs(psi) < AMPLITUDE_FLOOR
     psi_safe = np.where(weak, np.nan + 0.0j, psi)
@@ -405,7 +431,7 @@ def _analytic_estimates(config, grid, tf, constants, mesh, alpha, po):
 
     h_est = np.empty((3,) + psi.shape, dtype=complex)
     e_est = np.empty((3,) + psi.shape, dtype=complex)
-    po = po[block]
+    po = po[window]
     dpo = [coupling * phi_grad[i] for i in range(3)]
     with np.errstate(invalid="ignore", divide="ignore"):
         for (j, l, kk) in _CYCLIC:
@@ -431,8 +457,8 @@ def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
 
     mode "discrete" uses central differences; "analytic" uses the test
     fields' exact derivatives.  Estimates from every test function are
-    compared pairwise and averaged on the interior block; the returned
-    fields are NaN outside it.
+    compared pairwise and averaged on the interior block, one slab of
+    planes at a time; the returned fields are NaN outside the block.
     """
     if mode not in ("discrete", "analytic"):
         raise DomainError(f"mode must be 'discrete' or 'analytic', got {mode!r}")
@@ -440,40 +466,46 @@ def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
     test_fields = default_test_fields() if test_fields is None else list(test_fields)
     if len(test_fields) < 3:
         raise DomainError("need at least 3 test functions")
-    mesh = grid.meshgrid()
-    _, b_want, e_want = _checked_expectations(config, mesh, constants)
+    _validated(config, grid, constants)
     coupling = constants.charge / constants.c
-    alpha = [coupling * np.asarray(a) for a in config.a_field.value(*mesh, 0.0)]
-    po = coupling * np.asarray(config.phi_field.value(*mesh, 0.0))
-    block = grid.interior_block
     estimator = _discrete_estimates if mode == "discrete" else _analytic_estimates
-    all_h, all_e = [], []
-    excluded = 0
-    for tf in test_fields:
-        h_est, e_est, skipped = estimator(config, grid, tf, constants, mesh, alpha, po)
-        excluded += skipped
-        all_h.append(h_est)
-        all_e.append(e_est)
-    b_in = [np.asarray(b)[block] for b in b_want]
-    e_in = [np.asarray(e)[block] for e in e_want]
+    n, m = grid.n, grid.n - 4
+    h_field = np.full((3,) + (n,) * 3, np.nan)
+    e_field = np.full((3,) + (n,) * 3, np.nan)
     h_error = 0.0
     e_error = 0.0
-    for h_est, e_est in zip(all_h, all_e):
-        for j in range(3):
-            h_error = _worst(h_error, np.abs(h_est[j] - b_in[j]))
-            e_error = _worst(e_error, np.abs(e_est[j] - e_in[j]))
     spread = 0.0
-    for a_idx in range(len(all_h)):
-        for b_idx in range(a_idx + 1, len(all_h)):
+    excluded = 0
+    for s0, s1 in _slabs(2, n - 2, m * m):
+        # the slab's interior cells and the one-cell halo the stencils reach
+        mesh = grid.meshgrid(slice(s0 - 1, s1 + 1), inset=1)
+        window = (slice(1, s1 - s0 + 1), slice(1, m + 1), slice(1, m + 1))
+        alpha = [coupling * np.asarray(a) for a in config.a_field.value(*mesh, 0.0)]
+        po = coupling * np.asarray(config.phi_field.value(*mesh, 0.0))
+        cells = [axis[window] for axis in mesh]
+        b_in = [np.asarray(b) for b in config.b_expected(*cells)]
+        e_in = [np.asarray(e) for e in config.e_expected(*cells)]
+        all_h, all_e = [], []
+        for tf in test_fields:
+            h_est, e_est, skipped = estimator(config, tf, constants, grid.h, mesh, window,
+                                              alpha, po)
+            excluded += skipped
+            all_h.append(h_est)
+            all_e.append(e_est)
+        for h_est, e_est in zip(all_h, all_e):
             for j in range(3):
-                spread = _worst(spread, np.abs(all_h[a_idx][j] - all_h[b_idx][j]))
-                spread = _worst(spread, np.abs(all_e[a_idx][j] - all_e[b_idx][j]))
-    h_field = np.full((3,) + (grid.n,) * 3, np.nan)
-    e_field = np.full((3,) + (grid.n,) * 3, np.nan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        h_field[(slice(None),) + block] = np.nanmean(np.stack([h.real for h in all_h]), axis=0)
-        e_field[(slice(None),) + block] = np.nanmean(np.stack([e.real for e in all_e]), axis=0)
+                h_error = _worst(h_error, np.abs(h_est[j] - b_in[j]))
+                e_error = _worst(e_error, np.abs(e_est[j] - e_in[j]))
+        for a_idx in range(len(all_h)):
+            for b_idx in range(a_idx + 1, len(all_h)):
+                for j in range(3):
+                    spread = _worst(spread, np.abs(all_h[a_idx][j] - all_h[b_idx][j]))
+                    spread = _worst(spread, np.abs(all_e[a_idx][j] - all_e[b_idx][j]))
+        out = (slice(None), slice(s0, s1), slice(2, n - 2), slice(2, n - 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            h_field[out] = np.nanmean(np.stack([h.real for h in all_h]), axis=0)
+            e_field[out] = np.nanmean(np.stack([e.real for e in all_e]), axis=0)
     return ExtractResult(
         h_field=h_field,
         e_field=e_field,

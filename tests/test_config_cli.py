@@ -368,6 +368,22 @@ class TestLatticeCommand:
         assert code == 2
         assert "at least 3" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        # Stands in for a ladder whose finest grid is too large to allocate;
+        # nothing big is allocated.
+        def refuse(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "convergence_study", refuse)
+        out = tmp_path / "t.json"
+        code = cli.main(["lattice", "--preset", "uniform_b", "--h", "0.2,0.1,0.05,0.025",
+                         "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: not enough memory for the grids of --h 0.2,0.1,0.05,0.025\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestConstantsCommand:
     def test_prints_effective_values(self, capsys):

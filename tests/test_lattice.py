@@ -326,3 +326,147 @@ def test_weak_amplitude_points_are_excluded():
     for field in (res.h_field, res.e_field):
         assert np.isnan(field[:, plane]).all()
         assert np.isfinite(field[:, res.interior & ~plane]).all()
+
+
+# --- slabs -------------------------------------------------------------------
+#
+# The extraction walks the interior block in slabs of planes along axis 0.
+# Every cell goes through the same operations whatever the slab size, so the
+# outputs must match the default setting bit for bit, not within ulps.
+
+
+def _result_bytes(res):
+    return (res.h_field.tobytes(), res.e_field.tobytes(), res.interior.tobytes(),
+            repr((res.h_error, res.e_error, res.function_deviation, res.excluded_points)))
+
+
+def _slab_settings(n):
+    """One plane per slab, three planes (a short last slab), one slab for the block."""
+    m = n - 4
+    assert m % 3 != 0
+    return (1, 3 * m * m, m**3)
+
+
+def _extract_at_each_setting(monkeypatch, n, extract):
+    want = _result_bytes(extract())
+    for cells in _slab_settings(n):
+        monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
+        assert _result_bytes(extract()) == want, cells
+
+
+def test_slabs_cover_the_block_in_order(monkeypatch):
+    for n in (9, 17, 33, 65):
+        m = n - 4
+        for cells in (*_slab_settings(n), lattice_mod._SLAB_CELLS):
+            monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
+            slabs = lattice_mod._slabs(2, n - 2, m * m)
+            assert [p for s0, s1 in slabs for p in range(s0, s1)] == list(range(2, n - 2))
+            assert all(s1 - s0 == max(1, cells // (m * m)) for s0, s1 in slabs[:-1])
+    monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", 3 * 29 * 29)
+    assert lattice_mod._slabs(2, 31, 29 * 29)[-1] == (29, 31)
+
+
+@pytest.mark.parametrize("mode", ["discrete", "analytic"])
+@pytest.mark.parametrize("n", [9, 17, 33])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_slab_size_does_not_change_a_bit(monkeypatch, name, n, mode):
+    cfg = make_preset(name, b0=1.3, e0=0.7)
+    grid = Grid3(n=n, h=1.6 / (n - 1))
+    _extract_at_each_setting(
+        monkeypatch, n, lambda: commutator_field_extract(cfg, grid, constants=K, mode=mode))
+
+
+@pytest.mark.parametrize("n", [9, 17, 33])
+def test_weak_plane_on_a_slab_boundary_does_not_change_a_bit(monkeypatch, n):
+    # with three planes per slab, slabs start at 2, 5, 8, ...: put the zero
+    # plane on the last plane of one slab and on the first plane of the next
+    grid = Grid3(n=n, h=0.1)
+    cfg = make_preset("uniform_b")
+    for plane in (4, 5):
+        x0 = grid.axis[plane]
+        fields = [_vanishing_on_plane(x0, kv)
+                  for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
+        _extract_at_each_setting(
+            monkeypatch, n, lambda: commutator_field_extract(cfg, grid, fields, K))
+        res = commutator_field_extract(cfg, grid, fields, K)
+        assert res.excluded_points == len(fields) * (n - 4) ** 2
+
+
+def _tilted_uniform_b():
+    # stored H_z is off by 1e-9 / (1 + x^2): the worst deviation sits on the
+    # middle plane, inside a middle slab
+    base = make_preset("uniform_b")
+
+    def b_expected(x, y, z):
+        bx, by, bz = base.b_expected(x, y, z)
+        return bx, by, bz + 1e-9 / (1.0 + np.asarray(x) ** 2)
+
+    return lattice_mod.FieldConfig(name="tilted", a_field=base.a_field,
+                                   phi_field=base.phi_field, b_expected=b_expected,
+                                   e_expected=base.e_expected)
+
+
+def test_misconfigured_preset_names_the_whole_grid_worst(monkeypatch):
+    grid = Grid3(n=17, h=0.1)
+    cfg = _tilted_uniform_b()
+    worst = float(np.max(np.abs(1.0 - (1.0 + 1e-9 / (1.0 + grid.axis**2)))))  # curl A is 1
+    messages = set()
+    for cells in (1, 3 * 13 * 13, 10**9):
+        monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
+        with pytest.raises(DomainError) as exc:
+            commutator_field_extract(cfg, grid, constants=K)
+        messages.add(str(exc.value))
+        assert validate_config(cfg, grid, K, tol=1.0) == worst
+    assert messages == {f"config 'tilted': stored intensities deviate from the "
+                        f"potentials by {worst:.3e} (tol 1.0e-12)"}
+
+
+# numpy reports its buffers to tracemalloc, so the traced peak of a call is
+# deterministic.  A "slab array" is one complex array over a slab's planes and
+# their one-cell halo; every slab-sized temporary of a discrete extraction is
+# at most that large.  Counted from the code, at most 46 are alive at once,
+# while the third test function is estimated: the 12 estimates of the first
+# two (2 intensities x 3 components each), up to 27 inside the estimator (the
+# sample and its safe copy, 3 potential products, 3 first differences, 3
+# kinetic momenta, 3 mixed differences, 6 estimates, the phi product and up to
+# 6 operands of the expression in flight), and the real mesh, potentials and
+# expected intensities (13 real arrays, less than 7 slab arrays).  Averaging
+# the 18 finished estimates afterwards needs fewer.
+LIVE_SLAB_ARRAYS = 46
+
+
+def test_extraction_memory_is_bounded_by_the_slab(monkeypatch):
+    import tracemalloc
+
+    n = 65
+    grid = Grid3(n=n, h=0.025)
+    cfg = make_preset("uniform_b")
+    m = n - 4
+    planes = max(1, lattice_mod._SLAB_CELLS // (m * m))
+    slab_bytes = (planes + 2) * (n - 2) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        res = commutator_field_extract(cfg, grid, constants=K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = res.h_field.nbytes + res.e_field.nbytes + res.interior.nbytes
+    assert peak <= own + LIVE_SLAB_ARRAYS * slab_bytes, (peak, own, slab_bytes)
+
+
+# sha256 of the JSON table written by the README invocation
+# `diraclab lattice --preset <name> --h 0.2,0.1,0.05`, recorded before the
+# extraction was split into slabs.
+@pytest.mark.parametrize("preset, digest", [
+    ("uniform_b", "4f37e80a2c0f8aab899da8670ee26ea70837da61cb44bbca4b81f3de3e74f201"),
+    ("linear_phi", "6b32a994a5c847d8ce71352d650a912774296ab283bddc53af3eaa047b29c0f8"),
+])
+def test_readme_lattice_table_bytes_are_locked(tmp_path, preset, digest):
+    import hashlib
+
+    from diraclab import cli
+
+    out = tmp_path / "table.json"
+    assert cli.main(["lattice", "--preset", preset, "--h", "0.2,0.1,0.05",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
