@@ -8,28 +8,56 @@ brute-force oracle; `run_suite` assembles the machine-readable report the
 `diraclab` CLI writes.
 """
 
-from .config import DEFAULT_SEED, SUITE_NAMES, RunConfig, resolve_run_config
-from .constants import PhysicalConstants
-from .dynamics import (
-    MomentumState,
-    eigenspinor,
-    fitted_zbw_frequency,
-    hamiltonian,
-    spectrum,
-    zbw_closed_form,
-    zbw_trajectory,
-)
-from .errors import ConfigError, DomainError
-from .fields import (
-    self_fields_commutator,
-    self_fields_matrix_maxwell,
-    self_potentials,
-)
-from .lattice import Grid3, commutator_field_extract, convergence_study, make_preset
-from .matrices import Representation, clifford_check, generators
-from .report import VerificationReport, report_json, text_summary
-from .spinors import PlaneWave, angular_eigenstate, jz_apply
-from .suites import run_suite
+import importlib
+
+# Public name -> the submodule that defines it.  Names resolve on first use
+# (PEP 562), so `import diraclab` loads no submodule and no numpy; each
+# access reads the submodule's current binding, never a copy kept here.
+_EXPORTS = {
+    "DEFAULT_SEED": "config",
+    "SUITE_NAMES": "config",
+    "RunConfig": "config",
+    "resolve_run_config": "config",
+    "PhysicalConstants": "constants",
+    "MomentumState": "dynamics",
+    "eigenspinor": "dynamics",
+    "fitted_zbw_frequency": "dynamics",
+    "hamiltonian": "dynamics",
+    "spectrum": "dynamics",
+    "zbw_closed_form": "dynamics",
+    "zbw_trajectory": "dynamics",
+    "ConfigError": "errors",
+    "DomainError": "errors",
+    "self_fields_commutator": "fields",
+    "self_fields_matrix_maxwell": "fields",
+    "self_potentials": "fields",
+    "Grid3": "lattice",
+    "commutator_field_extract": "lattice",
+    "convergence_study": "lattice",
+    "make_preset": "lattice",
+    "Representation": "matrices",
+    "clifford_check": "matrices",
+    "generators": "matrices",
+    "VerificationReport": "report",
+    "report_json": "report",
+    "text_summary": "report",
+    "PlaneWave": "spinors",
+    "angular_eigenstate": "spinors",
+    "jz_apply": "spinors",
+    "run_suite": "suites",
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "0.1.0"
 

@@ -14,23 +14,18 @@ import argparse
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .config import SUITE_NAMES, resolve_run_config
-from .dynamics import (
-    MomentumState,
-    eigenspinor,
-    fitted_zbw_frequency,
-    max_mixing_state,
-    write_trajectory_csv,
-    zbw_trajectory,
-)
+# The package modules imported here use only the standard library, so
+# `constants`, `--help` and every flag or config error load no numpy.  Each
+# command imports the numerical modules it runs, once its flags are valid.
+from .config import PRESET_NAMES, SUITE_NAMES, resolve_run_config
 from .errors import ConfigError, DomainError
-from .lattice import PRESET_NAMES, convergence_study, make_preset
-from .report import render_json, report_json, text_summary
-from .spinors import as_spinor, spinor_norm
-from .suites import run_suite
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dynamics import MomentumState
 
 
 def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
@@ -105,9 +100,9 @@ def _fail_config(problems) -> int:
 
 
 def _fail_arithmetic(exc: ArithmeticError) -> int:
-    # Such failures come from the constants, so they get the bad-config
-    # exit code, not a traceback.
-    return _fail_config([f"numerical breakdown with these constants: {exc}"])
+    # Such failures come from the constants or the grid spacings, so they
+    # get the bad-config exit code, not a traceback.
+    return _fail_config([f"numerical breakdown with these inputs: {exc}"])
 
 
 def cmd_verify(args) -> int:
@@ -115,6 +110,9 @@ def cmd_verify(args) -> int:
         config = _resolve(args, with_verify_flags=True)
     except ConfigError as exc:
         return _fail_config(exc.problems)
+    from .report import report_json, text_summary
+    from .suites import run_suite
+
     try:
         report = run_suite(config)
     except ArithmeticError as exc:
@@ -129,7 +127,7 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed() else 1
 
 
-def _parse_momentum(text: str):
+def _parse_momentum(text: str) -> list:
     parts = text.split(",")
     try:
         vals = [float(s) for s in parts]
@@ -137,7 +135,7 @@ def _parse_momentum(text: str):
         raise ConfigError([f"--p must be three comma-separated numbers, got {text!r}"])
     if len(vals) != 3:
         raise ConfigError([f"--p must have exactly 3 components, got {len(vals)}"])
-    return np.array(vals)
+    return vals
 
 
 # Keys a --state JSON object may hold: one term, or a superposition of
@@ -155,6 +153,8 @@ def _require_known_keys(obj: dict, allowed: tuple, where: str) -> None:
 
 
 def _state_from_term(term: dict, state: MomentumState) -> np.ndarray:
+    from .dynamics import eigenspinor
+
     sign = term.get("energy_sign", 1)
     if sign not in (1, -1):
         raise ConfigError([f"--state: energy_sign must be 1 or -1, got {sign!r}"])
@@ -170,6 +170,11 @@ def _state_from_term(term: dict, state: MomentumState) -> np.ndarray:
 
 
 def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
+    import numpy as np
+
+    from .dynamics import eigenspinor, max_mixing_state
+    from .spinors import as_spinor, spinor_norm
+
     if spec == "plus":
         return eigenspinor(state, 1, "up")
     if spec == "minus":
@@ -213,6 +218,8 @@ def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
 
 def _require_finite_energy(state: MomentumState) -> None:
     """Refuse a state whose energy overflows: every output would be garbage."""
+    import numpy as np
+
     try:
         with np.errstate(over="ignore"):
             energy = state.energy
@@ -233,7 +240,19 @@ def cmd_zbw(args) -> int:
             raise ConfigError([f"--t0 and --t1 must be finite, got t0={args.t0} t1={args.t1}"])
         if not args.t1 > args.t0:
             raise ConfigError([f"--t1 must exceed --t0, got t0={args.t0} t1={args.t1}"])
-        state = MomentumState(p=p, constants=config.constants)
+    except ConfigError as exc:
+        return _fail_config(exc.problems)
+    import numpy as np
+
+    from .dynamics import (
+        MomentumState,
+        fitted_zbw_frequency,
+        write_trajectory_csv,
+        zbw_trajectory,
+    )
+
+    try:
+        state = MomentumState(p=np.array(p), constants=config.constants)
         _require_finite_energy(state)
         psi = _parse_state(args.state, state)
     except ConfigError as exc:
@@ -273,11 +292,17 @@ def cmd_lattice(args) -> int:
             raise ConfigError([f"--h must be comma-separated numbers, got {args.h!r}"])
         if len(spacings) < 3:
             raise ConfigError([f"--h needs at least 3 spacings, got {len(spacings)}"])
-        study = convergence_study(make_preset(args.preset), spacings, config.constants)
     except ConfigError as exc:
         return _fail_config(exc.problems)
+    from .lattice import convergence_study, make_preset
+    from .report import render_json
+
+    try:
+        study = convergence_study(make_preset(args.preset), spacings, config.constants)
     except DomainError as exc:
         return _fail_config([str(exc)])
+    except ArithmeticError as exc:
+        return _fail_arithmetic(exc)
     except MemoryError:
         return _fail_config([f"not enough memory for the grids of --h {args.h}"])
     payload = {"preset": args.preset}

@@ -23,6 +23,9 @@ from .errors import ConfigError
 
 DEFAULT_SEED = 137
 SUITE_NAMES = ("algebra", "states", "dynamics", "fields", "lattice")
+# Field configurations `lattice.make_preset` builds.  Kept here, beside the
+# other names the CLI parser offers, so the parser builds without numpy.
+PRESET_NAMES = ("uniform_b", "linear_phi", "zero")
 ENV_CONFIG = "DIRACLAB_CONFIG"
 
 _CONSTANT_KEYS = ("hbar", "c", "mass", "charge")

@@ -29,12 +29,14 @@ field configuration come out as H = +B.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .config import PRESET_NAMES
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .fields import (
@@ -58,6 +60,16 @@ SIGN_CONVENTION = (
 AMPLITUDE_FLOOR = 1e-8
 
 
+def _check_spacing(h) -> None:
+    """A spacing the stencils can divide by: finite, > 0, and large enough
+    that the mixed-difference denominator 4 h^2 is a normal float."""
+    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
+        raise DomainError(f"grid spacing must be finite and > 0, got {h!r}")
+    if 4.0 * h * h < sys.float_info.min:
+        raise DomainError(f"grid spacing {h!r} is too small: the stencil denominator "
+                          f"4 h^2 underflows")
+
+
 @dataclass(frozen=True)
 class Grid3:
     """Origin-centered cubic grid: n points per axis (odd, >= 9), spacing h."""
@@ -68,8 +80,7 @@ class Grid3:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 9 or self.n % 2 == 0:
             raise DomainError(f"grid size must be an odd integer >= 9, got {self.n!r}")
-        if not (isinstance(self.h, (int, float)) and math.isfinite(self.h) and self.h > 0):
-            raise DomainError(f"grid spacing must be finite and > 0, got {self.h!r}")
+        _check_spacing(self.h)
 
     @property
     def axis(self) -> np.ndarray:
@@ -111,9 +122,6 @@ def _const_expected(values):
         x = np.asarray(x, dtype=float)
         return tuple(np.full_like(x, v) for v in values)
     return expected
-
-
-PRESET_NAMES = ("uniform_b", "linear_phi", "zero")
 
 
 def make_preset(name: str, b0: float = 1.0, e0: float = 1.0) -> FieldConfig:
@@ -396,7 +404,7 @@ def _discrete_estimates(config, tf, constants, h, mesh, window, alpha, po):
                 + alpha_in[j - 1] * po_psi[window]
             comm = pi_j_po - po_in * pi1[j]
             e_est[j - 1] = comm / (1j * k.hbar * coupling * psi_safe)
-    return h_est, e_est, int(np.count_nonzero(weak))
+    return h_est, e_est, weak
 
 
 def _analytic_estimates(config, tf, constants, h, mesh, window, alpha, po):
@@ -441,13 +449,24 @@ def _analytic_estimates(config, tf, constants, h, mesh, window, alpha, po):
             pi_j_po_psi = -1j * k.hbar * (dpo[j - 1] * psi + po * grad[j - 1]) + a[j - 1] * po * psi
             po_pi_j_psi = po * (-1j * k.hbar * grad[j - 1] + a[j - 1] * psi)
             e_est[j - 1] = (pi_j_po_psi - po_pi_j_psi) / (1j * k.hbar * coupling * psi_safe)
-    return h_est, e_est, int(np.count_nonzero(weak))
+    return h_est, e_est, weak
 
 
-def _worst(current: float, diffs: np.ndarray) -> float:
-    """max(current, largest non-NaN entry of diffs); current if every entry is NaN."""
+def _worst(current: float, diffs: np.ndarray, *weak: np.ndarray) -> float:
+    """max(current, largest non-NaN entry of diffs).
+
+    A NaN entry is expected only on a cell where a test function is too weak
+    to divide by (a True cell of one of the weak masks).  If every entry is
+    NaN while some cell is weak in none of the masks, the estimates broke
+    down, and that raises ArithmeticError instead of passing current on.
+    """
     top = float(np.fmax.reduce(diffs, axis=None))
-    return current if math.isnan(top) else max(current, top)
+    if not math.isnan(top):
+        return max(current, top)
+    if not np.logical_or.reduce(weak).all():
+        raise ArithmeticError("every lattice estimate on a slab of planes is NaN, "
+                              "including cells where the test function is not weak")
+    return current
 
 
 def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
@@ -485,22 +504,24 @@ def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
         cells = [axis[window] for axis in mesh]
         b_in = [np.asarray(b) for b in config.b_expected(*cells)]
         e_in = [np.asarray(e) for e in config.e_expected(*cells)]
-        all_h, all_e = [], []
+        all_h, all_e, all_weak = [], [], []
         for tf in test_fields:
-            h_est, e_est, skipped = estimator(config, tf, constants, grid.h, mesh, window,
-                                              alpha, po)
-            excluded += skipped
+            h_est, e_est, weak = estimator(config, tf, constants, grid.h, mesh, window,
+                                           alpha, po)
+            excluded += int(np.count_nonzero(weak))
             all_h.append(h_est)
             all_e.append(e_est)
-        for h_est, e_est in zip(all_h, all_e):
+            all_weak.append(weak)
+        for h_est, e_est, weak in zip(all_h, all_e, all_weak):
             for j in range(3):
-                h_error = _worst(h_error, np.abs(h_est[j] - b_in[j]))
-                e_error = _worst(e_error, np.abs(e_est[j] - e_in[j]))
+                h_error = _worst(h_error, np.abs(h_est[j] - b_in[j]), weak)
+                e_error = _worst(e_error, np.abs(e_est[j] - e_in[j]), weak)
         for a_idx in range(len(all_h)):
             for b_idx in range(a_idx + 1, len(all_h)):
+                weak = (all_weak[a_idx], all_weak[b_idx])
                 for j in range(3):
-                    spread = _worst(spread, np.abs(all_h[a_idx][j] - all_h[b_idx][j]))
-                    spread = _worst(spread, np.abs(all_e[a_idx][j] - all_e[b_idx][j]))
+                    spread = _worst(spread, np.abs(all_h[a_idx][j] - all_h[b_idx][j]), *weak)
+                    spread = _worst(spread, np.abs(all_e[a_idx][j] - all_e[b_idx][j]), *weak)
         out = (slice(None), slice(s0, s1), slice(2, n - 2), slice(2, n - 2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -540,18 +561,22 @@ def convergence_study(config: FieldConfig, spacings, constants: PhysicalConstant
                       test_fields=None) -> ConvergenceResult:
     """Error-versus-spacing fit for the discrete extraction.
 
-    spacings must be at least three values, each half the previous.  The
-    physical box is fixed by the coarsest spacing (nine points across), so
-    finer grids refine the same volume.
+    spacings must be at least three values, each half the previous and
+    each a spacing Grid3 accepts.  The physical box is fixed by the coarsest
+    spacing (nine points across), so finer grids refine the same volume.
     """
     constants = PhysicalConstants() if constants is None else constants
     spac = [float(h) for h in spacings]
     if len(spac) < 3:
         raise DomainError("need at least 3 spacings")
+    for h in spac:
+        _check_spacing(h)
     for a, b in zip(spac, spac[1:]):
         if not math.isclose(b, a / 2.0, rel_tol=1e-9):
             raise DomainError(f"each spacing must halve the previous; {b} does not halve {a}")
     half_width = 4.0 * spac[0]
+    if not math.isfinite(2.0 * half_width):
+        raise DomainError(f"grid spacing {spac[0]!r} is too large: the box width overflows")
     errors = []
     sizes = []
     for h in spac:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from diraclab import cli
+from diraclab import cli, dynamics, lattice
 from diraclab.config import (
     DEFAULT_SEED,
     SUITE_NAMES,
@@ -317,9 +317,9 @@ def test_zbw_out_of_memory_exits_two(target, tmp_path, capsys, monkeypatch):
         raise MemoryError()
 
     if target == "linspace":
-        monkeypatch.setattr(cli.np, "linspace", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
     else:
-        monkeypatch.setattr(cli, "zbw_trajectory", refuse)
+        monkeypatch.setattr(dynamics, "zbw_trajectory", refuse)
     out = tmp_path / "traj.csv"
     assert cli.main([*ZBW_BASE, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -374,7 +374,7 @@ class TestLatticeCommand:
         def refuse(*args, **kwargs):
             raise MemoryError()
 
-        monkeypatch.setattr(cli, "convergence_study", refuse)
+        monkeypatch.setattr(lattice, "convergence_study", refuse)
         out = tmp_path / "t.json"
         code = cli.main(["lattice", "--preset", "uniform_b", "--h", "0.2,0.1,0.05,0.025",
                          "--out", str(out)])
@@ -383,6 +383,37 @@ class TestLatticeCommand:
         assert captured.err == "error: not enough memory for the grids of --h 0.2,0.1,0.05,0.025\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+# Spacings convergence_study cannot size a box or a stencil with: zero and
+# infinity, and one so small that 4 h^2 underflows to 0 and every estimate
+# would come out NaN.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spacings", ["0,0,0", "inf,inf,inf", "1e-300,5e-301,2.5e-301"])
+def test_lattice_rejects_unusable_spacings(spacings, tmp_path, capsys):
+    out = tmp_path / "t.json"
+    code = cli.main(["lattice", "--preset", "uniform_b", "--h", spacings, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: grid spacing ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_lattice_arithmetic_failure_exits_two(tmp_path, capsys, monkeypatch):
+    def breakdown(*args, **kwargs):
+        raise ArithmeticError("every estimate is NaN")
+
+    monkeypatch.setattr(lattice, "convergence_study", breakdown)
+    out = tmp_path / "t.json"
+    code = cli.main(["lattice", "--preset", "uniform_b", "--h", "0.2,0.1,0.05",
+                     "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: numerical breakdown with these inputs: "
+                            "every estimate is NaN\n")
+    assert not out.exists()
 
 
 class TestConstantsCommand:

@@ -169,6 +169,55 @@ def test_convergence_rejects_bad_spacings():
         convergence_study(cfg, (0.2, 0.15, 0.1), K)
 
 
+@pytest.mark.parametrize("spacings, match", [
+    ((0.0, 0.0, 0.0), "finite and > 0"),
+    ((math.inf, math.inf, math.inf), "finite and > 0"),
+    ((math.nan, math.nan, math.nan), "finite and > 0"),
+    ((0.2, 0.1, -0.05), "finite and > 0"),
+    ((1e-300, 5e-301, 2.5e-301), "4 h\\^2 underflows"),
+    ((1e-154, 5e-155, 2.5e-155), "4 h\\^2 underflows"),
+    ((1e308, 5e307, 2.5e307), "box width overflows"),
+])
+def test_convergence_rejects_unusable_spacings_before_any_grid(spacings, match, monkeypatch):
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("extraction ran on an unusable ladder")
+
+    monkeypatch.setattr(lattice_mod, "commutator_field_extract", no_extraction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            convergence_study(make_preset("uniform_b"), spacings, K)
+
+
+def test_grid_rejects_a_spacing_whose_stencil_denominator_underflows():
+    h = math.sqrt(np.finfo(float).tiny / 4.0)
+    Grid3(n=9, h=2.0 * h)
+    with pytest.raises(DomainError, match="underflows"):
+        Grid3(n=9, h=h / 2.0)
+
+
+def test_worst_skips_nan_only_on_weak_cells():
+    weak = np.array([True, False])
+    assert lattice_mod._worst(0.5, np.array([np.nan, 2.0]), weak) == 2.0
+    assert lattice_mod._worst(0.5, np.array([np.nan, np.nan]), weak, ~weak) == 0.5
+    with pytest.raises(ArithmeticError):
+        lattice_mod._worst(0.5, np.array([np.nan, np.nan]), weak)
+    with pytest.raises(ArithmeticError):
+        lattice_mod._worst(0.5, np.array([np.nan, np.nan]), weak, weak)
+
+
+def test_all_nan_estimates_raise_instead_of_reading_zero():
+    # NaN samples are not weak (|NaN| < floor is False), so every estimate
+    # is NaN on cells no mask excuses: the old reduction reported 0 here.
+    def nan_values(x, y, z):
+        return np.full(np.shape(x), np.nan + 0.0j)
+
+    fields = [lattice_mod.TestField(name=f"nan{i}", values=nan_values, gradient=None,
+                                    hessian=None) for i in range(3)]
+    with pytest.raises(ArithmeticError):
+        commutator_field_extract(make_preset("uniform_b"), Grid3(n=9, h=0.2), fields, K)
+
+
 def test_convergence_to_dict_layout():
     study = convergence_study(make_preset("zero"), (0.2, 0.1, 0.05), K)
     d = study.to_dict()
