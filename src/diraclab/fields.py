@@ -22,10 +22,9 @@ import numpy as np
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .matrices import (
-    GeneratorKind,
+    GENERATOR_STACK,
     Representation,
     commutator,
-    dirac_generator,
     generators,
     identity,
     pauli,
@@ -37,6 +36,26 @@ EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     EPS[_i, _j, _k] = 1.0
     EPS[_i, _k, _j] = -1.0
+
+
+def _expectation_table(rep: Representation) -> np.ndarray:
+    """(alpha_1, alpha_2, alpha_3, beta, beta alpha_1, beta alpha_2, beta alpha_3), read-only."""
+    g = GENERATOR_STACK[rep]
+    table = np.concatenate((g, g[3] @ g[:3]))
+    table.setflags(write=False)
+    return table
+
+
+EXPECTATIONS = {rep: _expectation_table(rep) for rep in Representation}
+
+
+def _expectations(table: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<psi| M |psi> for every M of a stacked (m, 4, 4) table.
+
+    Every generator product has one entry per row, so table @ psi is exact;
+    the sums over components then run in one fixed order per M.
+    """
+    return np.einsum("i,mi->m", psi.conj(), table @ psi)
 
 U1_INDEX_NOTE = "curl contraction read as eps_jkl alpha_k alpha_l (printed form repeats the free index)"
 
@@ -248,19 +267,11 @@ def self_potentials(psi, constants: PhysicalConstants,
     """
     psi = require_normalized(psi)
     k = constants
-    beta = dirac_generator(GeneratorKind.BETA, rep)
     factor = k.mass * k.c**2 / (-k.charge)
-    a_vals = []
-    imag_max = 0.0
-    for j in (1, 2, 3):
-        alpha = dirac_generator(GeneratorKind(j), rep)
-        val = factor * complex(psi.conj() @ (beta @ alpha @ psi))
-        a_vals.append(val.real)
-        imag_max = max(imag_max, abs(val.imag))
-    phi_val = factor * complex(psi.conj() @ (beta @ psi))
-    imag_max = max(imag_max, abs(phi_val.imag))
+    vals = factor * _expectations(EXPECTATIONS[rep][3:], psi)  # beta, beta alpha_j
     return SelfPotentials(
-        a=np.array(a_vals), phi=phi_val.real, imag_magnitude=imag_max, state_ref=psi,
+        a=vals[1:].real.copy(), phi=float(vals[0].real),
+        imag_magnitude=float(np.abs(vals.imag).max()), state_ref=psi,
     )
 
 
@@ -315,29 +326,25 @@ def self_action_reduction(psi, state) -> SelfActionResult:
     reduced_value is C <alpha_j P_j> + m C^2 <beta>.  For eigenstates both
     equal <H> and the cross sum <alpha_j><beta alpha_j> vanishes.
     """
-    from .dynamics import hamiltonian  # local import keeps module layering flat
-
     psi = require_normalized(psi)
     k = state.constants
-    a1, a2, a3, beta = generators(state.rep)
-    alphas = (a1, a2, a3)
     mc2 = k.mass * k.c**2
     norm_sq = float(np.real(psi.conj() @ psi))
-    beta_exp = complex(psi.conj() @ (beta @ psi))
-    alpha_exp = [complex(psi.conj() @ (a @ psi)) for a in alphas]
-    beta_alpha_exp = [complex(psi.conj() @ (beta @ a @ psi)) for a in alphas]
+    vals = _expectations(EXPECTATIONS[state.rep], psi).tolist()
+    alpha_exp, beta_exp, beta_alpha_exp = vals[:3], vals[3], vals[4:]
     overlap_sum = sum(ae * bae for ae, bae in zip(alpha_exp, beta_alpha_exp))
+    momentum_term = k.c * sum(pj * ae for pj, ae in zip(state.p.tolist(), alpha_exp))
     coupled = (
         -k.charge * norm_sq * (mc2 / -k.charge) * beta_exp
         + sum(
             k.charge * k.c * ae * (k.mass * k.c / k.charge) * bae
             for ae, bae in zip(alpha_exp, beta_alpha_exp)
         )
-        + k.c * sum(state.p[j] * alpha_exp[j] for j in range(3))
+        + momentum_term
     )
-    reduced = k.c * sum(state.p[j] * alpha_exp[j] for j in range(3)) + mc2 * beta_exp
-    h = hamiltonian(state)
-    hd_exp = float(np.real(psi.conj() @ (h @ psi)))
+    reduced = momentum_term + mc2 * beta_exp
+    # <H> by its own route, H @ psi, so the check against reduced shares no code
+    hd_exp = float(np.real(psi.conj() @ (state.h @ psi)))
     return SelfActionResult(
         norm_sq=norm_sq,
         overlap_sum=complex(overlap_sum),

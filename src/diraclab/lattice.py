@@ -557,6 +557,29 @@ class ConvergenceResult:
 EXACT_FLOOR = 1e-13
 
 
+def _check_box_scale(config, half_width, constants, spacing) -> None:
+    """Refuse a box whose coordinates or coupled potentials overflow when squared.
+
+    The Gaussian test functions square the coordinates, and the kinetic
+    momenta multiply (e/C) A and (e/C) phi by each other and by the
+    samples, then difference and sum a few such products.  All of that
+    stays finite when every coordinate and coupled potential on the box is
+    at most sqrt(float max) / 8 in magnitude.  The preset potentials are
+    linear, so their largest magnitude on the box is at a corner.
+    """
+    limit = math.sqrt(sys.float_info.max) / 8.0
+    ends = np.array([-half_width, half_width])
+    x, y, z = np.meshgrid(ends, ends, ends, indexing="ij")
+    coupling = constants.charge / constants.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = (*config.a_field.value(x, y, z, 0.0), config.phi_field.value(x, y, z, 0.0))
+        largest = max([half_width] + [float(np.max(np.abs(coupling * f))) for f in fields])
+    if not largest <= limit:
+        raise DomainError(f"grid spacing {spacing!r} is too large for these potentials and "
+                          f"constants: a coordinate or an (e/C)-scaled potential on the box "
+                          f"reaches {largest:.3g}, whose square overflows")
+
+
 def convergence_study(config: FieldConfig, spacings, constants: PhysicalConstants | None = None,
                       test_fields=None) -> ConvergenceResult:
     """Error-versus-spacing fit for the discrete extraction.
@@ -577,6 +600,7 @@ def convergence_study(config: FieldConfig, spacings, constants: PhysicalConstant
     half_width = 4.0 * spac[0]
     if not math.isfinite(2.0 * half_width):
         raise DomainError(f"grid spacing {spac[0]!r} is too large: the box width overflows")
+    _check_box_scale(config, half_width, constants, spac[0])
     errors = []
     sizes = []
     for h in spac:

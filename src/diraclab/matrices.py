@@ -99,6 +99,15 @@ GENERATOR_TABLE = {
 }
 
 
+# GENERATOR_STACK[rep]: (alpha_1, alpha_2, alpha_3, beta) of one set as a
+# read-only (4, 4, 4) array, for code that contracts over the generators.
+GENERATOR_STACK = {
+    rep: _read_only(np.stack([table[kind] for kind in (
+        GeneratorKind.ALPHA1, GeneratorKind.ALPHA2, GeneratorKind.ALPHA3, GeneratorKind.BETA)]))
+    for rep, table in GENERATOR_TABLE.items()
+}
+
+
 def dirac_generator(kind: GeneratorKind, rep: Representation = Representation.PAULI_DIRAC) -> np.ndarray:
     """One 4x4 generator of the chosen set, as a fresh writable copy.
 
@@ -113,11 +122,10 @@ def dirac_generator(kind: GeneratorKind, rep: Representation = Representation.PA
 
 
 def generators(rep: Representation = Representation.PAULI_DIRAC):
-    """The three vector generators followed by the scalar generator."""
-    return tuple(
-        dirac_generator(kind, rep)
-        for kind in (GeneratorKind.ALPHA1, GeneratorKind.ALPHA2, GeneratorKind.ALPHA3, GeneratorKind.BETA)
-    )
+    """The three vector generators followed by the scalar generator, as writable copies."""
+    if not isinstance(rep, Representation):
+        raise DomainError(f"rep must be a Representation, got {rep!r}")
+    return tuple(GENERATOR_STACK[rep].copy())
 
 
 def generator_labels(rep: Representation):

@@ -386,10 +386,11 @@ class TestLatticeCommand:
 
 
 # Spacings convergence_study cannot size a box or a stencil with: zero and
-# infinity, and one so small that 4 h^2 underflows to 0 and every estimate
-# would come out NaN.
+# infinity, one so small that 4 h^2 underflows to 0 and every estimate
+# would come out NaN, and one so large that the squared coordinates overflow.
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("spacings", ["0,0,0", "inf,inf,inf", "1e-300,5e-301,2.5e-301"])
+@pytest.mark.parametrize("spacings", ["0,0,0", "inf,inf,inf", "1e-300,5e-301,2.5e-301",
+                                      "1e300,5e299,2.5e299"])
 def test_lattice_rejects_unusable_spacings(spacings, tmp_path, capsys):
     out = tmp_path / "t.json"
     code = cli.main(["lattice", "--preset", "uniform_b", "--h", spacings, "--out", str(out)])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab import cli, dynamics
+from diraclab import cli, dynamics, matrices
 from diraclab.constants import PhysicalConstants
 from diraclab.dynamics import (
     _BLOCK_ROWS,
@@ -30,6 +30,7 @@ from diraclab.dynamics import (
     hamiltonian,
     max_mixing_state,
     spectrum,
+    velocity_direction,
     velocity_operator,
     velocity_signal,
     write_trajectory_csv,
@@ -38,6 +39,7 @@ from diraclab.dynamics import (
 )
 from diraclab.errors import DomainError
 from diraclab.matrices import (
+    SIGMA_BLOCKS,
     GeneratorKind,
     Representation,
     dirac_generator,
@@ -46,6 +48,9 @@ from diraclab.matrices import (
 )
 
 K = PhysicalConstants()
+SI = PhysicalConstants(hbar=1.054571817e-34, c=299792458.0, mass=9.1093837015e-31,
+                       charge=1.602176634e-19)
+REPS = (Representation.PAULI_DIRAC, Representation.STANDARD)
 
 finite_momentum = st.tuples(
     st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
@@ -59,6 +64,55 @@ def test_spectrum_matches_dispersion(p, mass, c):
     w = spectrum(state)
     e = math.sqrt(c**2 * float(np.dot(p, p)) + mass**2 * c**4)
     assert np.max(np.abs(w - np.array([-e, -e, e, e]))) / e <= 1e-12
+
+
+def test_state_keeps_a_read_only_copy_of_its_momentum():
+    arr = np.array([0.3, -0.2, 0.5])
+    state = MomentumState(p=arr, constants=K)
+    energy, h = state.energy, hamiltonian(state)
+    arr[0] = 5.0
+    assert state.p[0] == 0.3
+    assert MomentumState(p=state.p, constants=K).energy == energy
+    assert np.array_equal(hamiltonian(state), h)
+    with pytest.raises(ValueError):
+        state.p[0] = 5.0
+    with pytest.raises(ValueError):
+        state.h[0, 0] = 5.0
+    copy = hamiltonian(state)
+    copy[0, 0] = 5.0
+    assert np.array_equal(hamiltonian(state), h)
+
+
+def test_production_side_never_reaches_the_oracles_linear_algebra(monkeypatch):
+    # H^-1, exp(-2 i t H / hbar) and the eigenspinors come from closed forms;
+    # only the oracles may diagonalise, invert or exponentiate H.
+    class Reached(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Reached()
+
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "inv"),
+                        (np.linalg, "solve"), (dynamics, "mat_exp"), (matrices, "mat_exp")):
+        monkeypatch.setattr(owner, name, refuse)
+    times = np.linspace(0.0, 3.0, 9)
+    for rep in REPS:
+        state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K, rep=rep)
+        hamiltonian(state)
+        for j in (1, 2, 3):
+            eta_matrix(state, j)
+            zbw_closed_form(state, j, 0.7)
+            velocity_direction(state, j, 0.7)
+        for sign in (1, -1):
+            for spin in ("up", "down"):
+                eigenspinor(state, sign, spin, (0.4, 1.1))
+        psi = max_mixing_state(state)
+        zbw_trajectory(state, psi, times)
+        for oracle in (lambda: alpha_evolved_oracle(state, 1, 0.7),
+                       lambda: spectrum(state),
+                       lambda: velocity_signal(state, psi, times)):
+            with pytest.raises(Reached):
+                oracle()
 
 
 def test_rest_hamiltonian_inverse_frozen():
@@ -81,6 +135,64 @@ def test_eigenspinor_residual_and_orthonormality():
                 cols.append(u)
         g = np.stack(cols, axis=1)
         assert np.max(np.abs(g.conj().T @ g - identity(4))) <= 1e-12
+
+
+def _eigh_eigenspinor(state, energy_sign, spin, axis):
+    """Reference: diagonalise H, then Sigma.n restricted to the chosen
+    eigenspace, with eigenspinor's phase rule.  Shares no code with the
+    closed form."""
+    w, v = np.linalg.eigh(hamiltonian(state))
+    sub = v[:, [2, 3] if energy_sign == 1 else [0, 1]]
+    theta, phi = axis
+    n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    spin_op = sum(n_j * s for n_j, s in zip(n, SIGMA_BLOCKS))
+    sw, sv = np.linalg.eigh(sub.conj().T @ spin_op @ sub)
+    u = sub @ sv[:, 1 if spin == "up" else 0]
+    u = u / np.linalg.norm(u)
+    lead = u[np.flatnonzero(np.abs(u) > 1e-12)[0]]
+    return u * (lead.conjugate() / abs(lead))
+
+
+def _assert_matches_reference(state, axis):
+    for sign in (1, -1):
+        for spin in ("up", "down"):
+            u = eigenspinor(state, sign, spin, axis)
+            ref = _eigh_eigenspinor(state, sign, spin, axis)
+            lead = np.flatnonzero(np.abs(u) > 1e-12)[0]
+            assert u[lead].real > 0.0 and abs(u[lead].imag) <= 1e-15 * abs(u[lead])
+            overlap = np.vdot(ref, u)
+            assert np.max(np.abs(u - ref * (overlap / abs(overlap)))) <= 1e-12
+            if min(abs(u[lead]), abs(ref[lead])) > 1e-3:
+                # The rule rotates by the phase of the leading component, which
+                # eigh knows to about eps / |lead|: only a large one pins it
+                # to 1e-12, and then the two vectors are the same.
+                assert np.max(np.abs(u - ref)) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_momentum, st.floats(0.2, 5.0), st.floats(0.2, 5.0),
+       st.floats(0.0, math.pi), st.floats(-math.pi, math.pi), st.sampled_from(REPS))
+def test_eigenspinor_matches_eigh_reference(p, c, mass, theta, phi, rep):
+    k = PhysicalConstants(hbar=1.0, c=c, mass=mass, charge=K.charge)
+    _assert_matches_reference(MomentumState(p=np.array(p), constants=k, rep=rep), (theta, phi))
+
+
+@pytest.mark.parametrize("rep", REPS, ids=lambda r: r.value)
+@pytest.mark.parametrize("p_over_mc, axis", [
+    ((0.7, -0.3, 0.0), (0.0, 0.0)),
+    ((0.0, 0.0, 0.4), (math.pi / 2, 0.0)),
+    ((0.0, 2.5, 0.0), (math.pi / 2, 0.0)),
+    ((1e-3, 0.0, 0.0), (0.0, 0.0)),
+], ids=["xy-vs-z", "z-vs-x", "fast-y-vs-x", "slow-x-vs-z"])
+def test_eigenspinor_si_constants_momentum_across_spin_axis(rep, p_over_mc, axis):
+    # SI scales (m C^2 ~ 8e-14) with p perpendicular to n: the restricted
+    # spin operator is then (2 m C^2 / (E + m C^2)) sigma.n, nothing cancels.
+    mc = SI.mass * SI.c
+    state = MomentumState(p=mc * np.array(p_over_mc), constants=SI, rep=rep)
+    _assert_matches_reference(state, axis)
+    for sign in (1, -1):
+        u = eigenspinor(state, sign, "up", axis)
+        assert np.max(np.abs(state.h @ u - sign * state.energy * u)) <= 1e-12 * state.energy
 
 
 def test_eigenspinor_deterministic_and_phase_fixed():
@@ -180,19 +292,56 @@ def test_mixed_state_oscillates_at_twice_energy():
 
 
 def test_trajectory_expectation_matches_direct_route():
-    # eigenbasis fast path against literal matrix expectations
+    # two-component fast path against literal matrix expectations
     rng = np.random.default_rng(26)
-    state = MomentumState(p=rng.uniform(-1, 1, 3), constants=K)
-    psi = max_mixing_state(state)
+    p = rng.uniform(-1, 1, 3)
+    arbitrary = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     times = np.linspace(0.1, 2.0, 7)
-    traj = zbw_trajectory(state, psi, times)
-    for i, t in enumerate(traj.t):
-        for j in (1, 2, 3):
-            closed = zbw_closed_form(state, j, t)
-            drift = float(np.real(psi.conj() @ (closed.drift_matrix @ psi)))
-            zbw = float(np.real(psi.conj() @ (closed.zbw_matrix @ psi)))
-            assert abs(traj.drift[i, j - 1] - drift) <= 1e-12
-            assert abs(traj.zbw[i, j - 1] - zbw) <= 1e-12
+    for rep in REPS:
+        state = MomentumState(p=p, constants=K, rep=rep)
+        for psi in (max_mixing_state(state, (1.1, -0.4)), arbitrary / np.linalg.norm(arbitrary)):
+            traj = zbw_trajectory(state, psi, times)
+            for i, t in enumerate(traj.t):
+                for j in (1, 2, 3):
+                    closed = zbw_closed_form(state, j, t)
+                    drift = float(np.real(psi.conj() @ (closed.drift_matrix @ psi)))
+                    zbw = float(np.real(psi.conj() @ (closed.zbw_matrix @ psi)))
+                    assert abs(traj.drift[i, j - 1] - drift) <= 1e-12
+                    assert abs(traj.zbw[i, j - 1] - zbw) <= 1e-12
+
+
+@pytest.mark.parametrize("rep", REPS, ids=lambda r: r.value)
+def test_trajectory_physical_zeros_are_exact(rep):
+    # An equal-weight mix does not drift and trembles only along its spin
+    # axis; an eigenstate does not tremble.  Those cells are exact zeros,
+    # not rounding residues.
+    times = np.linspace(0.0, 12.0, 50)
+    for p in ((0.3, -0.2, 0.5), (0.5, 0.0, 0.0), (-0.8, 0.5, 0.0), (0.14, -0.94, -0.73)):
+        state = MomentumState(p=np.array(p), constants=K, rep=rep)
+        mix = zbw_trajectory(state, max_mixing_state(state), times)
+        assert not np.any(mix.drift)
+        assert not np.any(mix.zbw[:, :2]) and not np.any(mix.total[:, :2])
+        assert np.all(np.signbit(mix.zbw[:, :2]) == 0)
+        assert np.max(np.abs(mix.zbw[:, 2])) > 0.1
+        for sign in (1, -1):
+            for spin in ("up", "down"):
+                eig = zbw_trajectory(state, eigenspinor(state, sign, spin, (0.7, 2.0)), times)
+                assert not np.any(eig.zbw)
+                assert np.array_equal(eig.total, eig.drift)
+
+
+def test_velocity_signal_matches_literal_conjugation():
+    rng = np.random.default_rng(27)
+    times = np.linspace(-1.0, 2.5, 6)
+    for rep in REPS:
+        state = MomentumState(p=rng.uniform(-1, 1, 3), constants=K, rep=rep)
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        psi = psi / np.linalg.norm(psi)
+        got = velocity_signal(state, psi, times)
+        for i, t in enumerate(times):
+            for j in (1, 2, 3):
+                want = K.c * np.vdot(psi, alpha_evolved_oracle(state, j, t) @ psi)
+                assert abs(got[i, j - 1] - want.real) <= 1e-13
 
 
 def test_trajectory_columns_have_one_row_per_time():
@@ -355,9 +504,9 @@ def test_csv_export_returns_freed_heap_pages():
 
 @pytest.mark.parametrize("argv, digest, lines", [
     (["--p", "0.3,-0.2,0.5", "--t1", "12", "--steps", "400"],
-     "77f09374846bcdc619ae76f594c5e4709c580fd82a530fd26b5b9c5762f357a9", 401),
+     "95f75b24f3cbd29d13c21a6e1d76ac2c2871010088f1fa3b44afe8536174588c", 401),
     (["--p", "0.5,0,0", "--state", "plus", "--t1", "6", "--steps", "100"],
-     "6c65b1d7e790537abe1437f433946f781bc2d46086c24fcadb0d8b01b261f4e0", 101),
+     "28c64e29527feeca2112194d733efb073ace5d7a2ba77dc5a741a6a9a7eaf12b", 101),
 ], ids=["mix", "plus"])
 def test_readme_zbw_csv_bytes_are_locked(tmp_path, argv, digest, lines):
     out = tmp_path / "traj.csv"

@@ -1,6 +1,7 @@
 """Grid extraction of field intensities from kinetic-momentum commutators."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -177,6 +178,7 @@ def test_convergence_rejects_bad_spacings():
     ((1e-300, 5e-301, 2.5e-301), "4 h\\^2 underflows"),
     ((1e-154, 5e-155, 2.5e-155), "4 h\\^2 underflows"),
     ((1e308, 5e307, 2.5e307), "box width overflows"),
+    ((1e300, 5e299, 2.5e299), "square overflows"),
 ])
 def test_convergence_rejects_unusable_spacings_before_any_grid(spacings, match, monkeypatch):
     def no_extraction(*args, **kwargs):
@@ -187,6 +189,30 @@ def test_convergence_rejects_unusable_spacings_before_any_grid(spacings, match, 
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=match):
             convergence_study(make_preset("uniform_b"), spacings, K)
+
+
+def test_largest_accepted_box_runs_without_overflow():
+    # Half the box is 4 h; coordinates and (e/C)-scaled potentials may reach
+    # sqrt(float max) / 8, and every preset then extracts without a warning.
+    limit = math.sqrt(sys.float_info.max) / 8.0
+    top = limit / 4.0
+    for preset in ("uniform_b", "linear_phi", "zero"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            convergence_study(make_preset(preset), (top, top / 2, top / 4), K)
+            with pytest.raises(DomainError, match="square overflows"):
+                convergence_study(make_preset(preset), (1.01 * top, 1.01 * top / 2,
+                                                        1.01 * top / 4), K)
+
+
+def test_potentials_scaled_past_the_float_range_are_refused():
+    # A tiny C makes the coupling e/C, and with it (e/C) A, overflow when
+    # squared on an ordinary box.
+    small_c = PhysicalConstants(c=1e-160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="square overflows"):
+            convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05), small_c)
 
 
 def test_grid_rejects_a_spacing_whose_stencil_denominator_underflows():

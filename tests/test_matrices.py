@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from diraclab.errors import DomainError
 from diraclab.matrices import (
+    GENERATOR_STACK,
     GENERATOR_TABLE,
     PAULI_TABLE,
     SIGMA_BLOCKS,
@@ -261,6 +262,13 @@ def test_tables_are_read_only_and_copies_are_fresh():
                 GeneratorKind.ALPHA1, GeneratorKind.ALPHA2, GeneratorKind.ALPHA3,
                 GeneratorKind.BETA))):
             assert np.array_equal(g, want)
+        stack = GENERATOR_STACK[rep]
+        assert stack.shape == (4, 4, 4) and not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[3, 0, 0] = 7.0
+        assert np.array_equal(stack, np.stack(generators(rep)))
+    with pytest.raises(DomainError):
+        generators("pauli_dirac")
 
 
 def test_sigma_block_rejects_bad_axis():
