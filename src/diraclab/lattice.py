@@ -4,12 +4,16 @@ Kinetic momentum components are applied with symmetric central differences
 (no periodic wrap: boundary cells are marked invalid).  The extraction works
 on the interior block, the n - 4 cells per axis two layers inside the box,
 and walks it in slabs of whole planes along axis 0, each sized to stay near
-an L2 cache.  A slab samples the mesh, the potentials, the expected
-intensities and every test function on its own planes plus the one-cell halo
-the stencils reach, finishes its estimates, error maxima and mean, and is
-dropped before the next starts, so no full-grid complex temporary is ever
-built.  Every cell sees the same operations in the same order whatever the
-slab size, so the results are bit-identical to a single whole-block pass.
+an L2 cache.  One generator builds every slab: it samples the mesh, the
+potentials, the expected intensities and every test function on the slab's
+own planes plus the one-cell halo the stencils reach, and yields the
+estimates, which are dropped before the next slab is built, so no full-grid
+complex temporary is ever made.  commutator_field_extract folds the error
+maxima, the test-function spread and the per-cell mean into the two
+intensity grids it returns; convergence_study folds only the error maxima
+and so holds one slab's working set.  Every cell sees the same operations in
+the same order whatever the slab size, so the results are bit-identical to
+a single whole-block pass.
 Commuting the discrete components and dividing out the test function
 recovers the external intensities to second order in the spacing; the same
 extraction run with caller-supplied exact derivatives recovers them to
@@ -28,6 +32,7 @@ field configuration come out as H = +B.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -202,6 +207,23 @@ def _slabs(start: int, stop: int, plane_cells: int) -> list:
     each about _SLAB_CELLS cells and never less than one plane."""
     step = max(1, _SLAB_CELLS // plane_cells)
     return [(s0, min(s0 + step, stop)) for s0 in range(start, stop, step)]
+
+
+def _keep_slab_pages(halo_cells: int) -> None:
+    """Let the C heap reuse one slab's freed pages for the next slab.
+
+    glibc hands the top of its heap back to the OS once more than twice the
+    largest block it has unmapped lies free there (its dynamic mmap and trim
+    thresholds, mallopt(3)), and a slab frees a few dozen complex arrays of
+    halo_cells cells at once.  Under the default thresholds every slab would
+    unmap its working set and fault it back in: about 50 000 minor page
+    faults per study over h = 0.2 ... 0.025.  Allocating and freeing one
+    untouched block of 24 such arrays lifts both thresholds past the at most
+    46 alive at once, for one mmap/munmap pair and no resident page, up to
+    glibc's 32 MiB cap (reached near n = 170).  Under other allocators this
+    is an ordinary short-lived allocation.
+    """
+    np.empty(24 * halo_cells, dtype=complex)
 
 
 def _shift(window: tuple, axis: int, step: int) -> tuple:
@@ -469,6 +491,61 @@ def _worst(current: float, diffs: np.ndarray, *weak: np.ndarray) -> float:
     return current
 
 
+def _slab_estimates(config, grid, test_fields, constants, mode):
+    """Validate the inputs and yield the interior block's estimates slab by slab.
+
+    Each item is (s0, s1, b_in, e_in, estimates): the slab's planes [s0, s1)
+    along axis 0, the expected intensities on its cells, and one
+    (h_est, e_est, weak) per test function.  The generator keeps no
+    reference to the estimates it yields, so a consumer that lets go of
+    them before asking for the next slab holds one slab's working set at a
+    time.
+    """
+    if mode not in ("discrete", "analytic"):
+        raise DomainError(f"mode must be 'discrete' or 'analytic', got {mode!r}")
+    test_fields = default_test_fields() if test_fields is None else list(test_fields)
+    if len(test_fields) < 3:
+        raise DomainError("need at least 3 test functions")
+    _validated(config, grid, constants)
+    coupling = constants.charge / constants.c
+    estimator = _discrete_estimates if mode == "discrete" else _analytic_estimates
+    n, m = grid.n, grid.n - 4
+    slabs = _slabs(2, n - 2, m * m)
+    s0, s1 = slabs[0]
+    _keep_slab_pages((s1 - s0 + 2) * (m + 2) ** 2)
+    for s0, s1 in slabs:
+        # the slab's interior cells and the one-cell halo the stencils reach
+        mesh = grid.meshgrid(slice(s0 - 1, s1 + 1), inset=1)
+        window = (slice(1, s1 - s0 + 1), slice(1, m + 1), slice(1, m + 1))
+        alpha = [coupling * np.asarray(a) for a in config.a_field.value(*mesh, 0.0)]
+        po = coupling * np.asarray(config.phi_field.value(*mesh, 0.0))
+        cells = [axis[window] for axis in mesh]
+        b_in = [np.asarray(b) for b in config.b_expected(*cells)]
+        e_in = [np.asarray(e) for e in config.e_expected(*cells)]
+        yield s0, s1, b_in, e_in, [
+            estimator(config, tf, constants, grid.h, mesh, window, alpha, po)
+            for tf in test_fields
+        ]
+
+
+def _fold_errors(h_error: float, e_error: float, b_in, e_in, estimates) -> tuple:
+    """(h_error, e_error) raised to the worst deviation of one slab's estimates."""
+    for h_est, e_est, weak in estimates:
+        for j in range(3):
+            h_error = _worst(h_error, np.abs(h_est[j] - b_in[j]), weak)
+            e_error = _worst(e_error, np.abs(e_est[j] - e_in[j]), weak)
+    return h_error, e_error
+
+
+def _fold_spread(spread: float, estimates) -> float:
+    """spread raised to the worst disagreement between two test functions on one slab."""
+    for (h_a, e_a, weak_a), (h_b, e_b, weak_b) in itertools.combinations(estimates, 2):
+        for j in range(3):
+            spread = _worst(spread, np.abs(h_a[j] - h_b[j]), weak_a, weak_b)
+            spread = _worst(spread, np.abs(e_a[j] - e_b[j]), weak_a, weak_b)
+    return spread
+
+
 def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
                              constants: PhysicalConstants | None = None,
                              mode: str = "discrete") -> ExtractResult:
@@ -479,54 +556,23 @@ def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
     compared pairwise and averaged on the interior block, one slab of
     planes at a time; the returned fields are NaN outside the block.
     """
-    if mode not in ("discrete", "analytic"):
-        raise DomainError(f"mode must be 'discrete' or 'analytic', got {mode!r}")
     constants = PhysicalConstants() if constants is None else constants
-    test_fields = default_test_fields() if test_fields is None else list(test_fields)
-    if len(test_fields) < 3:
-        raise DomainError("need at least 3 test functions")
-    _validated(config, grid, constants)
-    coupling = constants.charge / constants.c
-    estimator = _discrete_estimates if mode == "discrete" else _analytic_estimates
-    n, m = grid.n, grid.n - 4
+    n = grid.n
     h_field = np.full((3,) + (n,) * 3, np.nan)
     e_field = np.full((3,) + (n,) * 3, np.nan)
-    h_error = 0.0
-    e_error = 0.0
-    spread = 0.0
+    h_error = e_error = spread = 0.0
     excluded = 0
-    for s0, s1 in _slabs(2, n - 2, m * m):
-        # the slab's interior cells and the one-cell halo the stencils reach
-        mesh = grid.meshgrid(slice(s0 - 1, s1 + 1), inset=1)
-        window = (slice(1, s1 - s0 + 1), slice(1, m + 1), slice(1, m + 1))
-        alpha = [coupling * np.asarray(a) for a in config.a_field.value(*mesh, 0.0)]
-        po = coupling * np.asarray(config.phi_field.value(*mesh, 0.0))
-        cells = [axis[window] for axis in mesh]
-        b_in = [np.asarray(b) for b in config.b_expected(*cells)]
-        e_in = [np.asarray(e) for e in config.e_expected(*cells)]
-        all_h, all_e, all_weak = [], [], []
-        for tf in test_fields:
-            h_est, e_est, weak = estimator(config, tf, constants, grid.h, mesh, window,
-                                           alpha, po)
-            excluded += int(np.count_nonzero(weak))
-            all_h.append(h_est)
-            all_e.append(e_est)
-            all_weak.append(weak)
-        for h_est, e_est, weak in zip(all_h, all_e, all_weak):
-            for j in range(3):
-                h_error = _worst(h_error, np.abs(h_est[j] - b_in[j]), weak)
-                e_error = _worst(e_error, np.abs(e_est[j] - e_in[j]), weak)
-        for a_idx in range(len(all_h)):
-            for b_idx in range(a_idx + 1, len(all_h)):
-                weak = (all_weak[a_idx], all_weak[b_idx])
-                for j in range(3):
-                    spread = _worst(spread, np.abs(all_h[a_idx][j] - all_h[b_idx][j]), *weak)
-                    spread = _worst(spread, np.abs(all_e[a_idx][j] - all_e[b_idx][j]), *weak)
+    for s0, s1, b_in, e_in, estimates in _slab_estimates(config, grid, test_fields, constants,
+                                                         mode):
+        excluded += sum(int(np.count_nonzero(weak)) for _, _, weak in estimates)
+        h_error, e_error = _fold_errors(h_error, e_error, b_in, e_in, estimates)
+        spread = _fold_spread(spread, estimates)
         out = (slice(None), slice(s0, s1), slice(2, n - 2), slice(2, n - 2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            h_field[out] = np.nanmean(np.stack([h.real for h in all_h]), axis=0)
-            e_field[out] = np.nanmean(np.stack([e.real for e in all_e]), axis=0)
+            h_field[out] = np.nanmean(np.stack([h.real for h, _, _ in estimates]), axis=0)
+            e_field[out] = np.nanmean(np.stack([e.real for _, e, _ in estimates]), axis=0)
+        del estimates  # freed before the generator builds the next slab
     return ExtractResult(
         h_field=h_field,
         e_field=e_field,
@@ -607,9 +653,12 @@ def convergence_study(config: FieldConfig, spacings, constants: PhysicalConstant
         n = int(round(2.0 * half_width / h)) + 1
         if n % 2 == 0:
             n += 1
-        grid = Grid3(n=n, h=h)
-        res = commutator_field_extract(config, grid, test_fields, constants, mode="discrete")
-        errors.append(max(res.h_error, res.e_error))
+        h_error = e_error = 0.0
+        for _, _, b_in, e_in, estimates in _slab_estimates(config, Grid3(n=n, h=h), test_fields,
+                                                           constants, "discrete"):
+            h_error, e_error = _fold_errors(h_error, e_error, b_in, e_in, estimates)
+            del estimates  # freed before the generator builds the next slab
+        errors.append(max(h_error, e_error))
         sizes.append(n)
     if all(err < EXACT_FLOOR for err in errors):
         order = "exact"

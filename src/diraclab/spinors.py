@@ -97,7 +97,11 @@ class CylindricalSample:
 
 @dataclass(frozen=True)
 class PlaneWave:
-    """amplitude * exp(i p.r / hbar - i omega t) with constant amplitude."""
+    """amplitude * exp(i p.r / hbar - i omega t) with constant amplitude.
+
+    amplitude and p are kept as read-only copies, so the caller's arrays may
+    change later without moving the wave.
+    """
 
     amplitude: np.ndarray
     p: np.ndarray
@@ -105,10 +109,13 @@ class PlaneWave:
     constants: PhysicalConstants
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitude", as_spinor(self.amplitude))
-        p = np.asarray(self.p, dtype=float).reshape(-1)
+        amplitude = as_spinor(self.amplitude).copy()
+        amplitude.setflags(write=False)
+        object.__setattr__(self, "amplitude", amplitude)
+        p = np.array(self.p, dtype=float).reshape(-1)
         if p.shape != (3,) or not np.isfinite(p).all():
             raise DomainError(f"momentum must be 3 finite reals, got {self.p!r}")
+        p.setflags(write=False)
         object.__setattr__(self, "p", p)
         if not math.isfinite(self.omega):
             raise DomainError("omega must be finite")

@@ -1,8 +1,10 @@
 """Grid extraction of field intensities from kinetic-momentum commutators."""
 
 import math
+import os
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,7 +186,7 @@ def test_convergence_rejects_unusable_spacings_before_any_grid(spacings, match, 
     def no_extraction(*args, **kwargs):
         raise AssertionError("extraction ran on an unusable ladder")
 
-    monkeypatch.setattr(lattice_mod, "commutator_field_extract", no_extraction)
+    monkeypatch.setattr(lattice_mod, "_slab_estimates", no_extraction)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=match):
@@ -527,6 +529,73 @@ def test_extraction_memory_is_bounded_by_the_slab(monkeypatch):
         tracemalloc.stop()
     own = res.h_field.nbytes + res.e_field.nbytes + res.interior.nbytes
     assert peak <= own + LIVE_SLAB_ARRAYS * slab_bytes, (peak, own, slab_bytes)
+
+
+def test_convergence_study_memory_is_one_slab():
+    # The study folds the errors slab by slab and keeps no intensity grid,
+    # so the n = 65 grid costs one slab's working set and nothing per cell
+    # of the full grid (its two float grids alone would be 13.2 MB).
+    import tracemalloc
+
+    n = 65
+    m = n - 4
+    planes = max(1, lattice_mod._SLAB_CELLS // (m * m))
+    slab_bytes = (planes + 2) * (n - 2) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        study = convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05, 0.025), K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert study.grid_sizes[-1] == n
+    assert peak <= LIVE_SLAB_ARRAYS * slab_bytes, (peak, slab_bytes)
+
+
+STUDY_PAGE_FAULTS = """
+import resource
+from diraclab.lattice import convergence_study, make_preset
+cfg = make_preset("uniform_b")
+convergence_study(cfg, (0.2, 0.1, 0.05))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+convergence_study(cfg, (0.2, 0.1, 0.05))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap thresholds")
+def test_repeated_study_reuses_the_slab_pages():
+    # A fresh process, so no earlier test has raised the heap thresholds.
+    # With the slab's freed pages handed back to the OS after every slab,
+    # the second study takes about 5400 minor page faults; reused, a few.
+    import platform
+    import subprocess
+
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("glibc heap thresholds")
+    src = str(Path(lattice_mod.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", STUDY_PAGE_FAULTS], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout) < 500, out.stdout
+
+
+@pytest.mark.parametrize("amplitudes", [(1.0, 1.0), (1.3, 0.7)])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_convergence_errors_equal_the_extraction_bit_for_bit(monkeypatch, name, amplitudes):
+    # Both consumers fold the same slabs through the same helper; check it at
+    # the default slab size and at one plane per slab.
+    cfg = make_preset(name, *amplitudes)
+    spacings = (0.2, 0.1, 0.05)
+    for cells in (lattice_mod._SLAB_CELLS, 1):
+        monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
+        want = []
+        for n, h in zip((9, 17, 33), spacings):
+            res = commutator_field_extract(cfg, Grid3(n=n, h=h), constants=K)
+            want.append(max(res.h_error, res.e_error))
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice_mod, "commutator_field_extract", None)
+            study = convergence_study(cfg, spacings, K)
+        assert study.grid_sizes == (9, 17, 33)
+        assert [err.hex() for err in study.errors] == [err.hex() for err in want], cells
 
 
 # sha256 of the JSON table written by the README invocation

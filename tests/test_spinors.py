@@ -52,6 +52,22 @@ def matrix_form_residual(wave, points):
     return np.array(rows)
 
 
+def test_plane_wave_keeps_read_only_copies_of_its_arrays():
+    amp = np.array([1.0, 0.5j, -0.25, 0.0], dtype=complex)
+    p = np.array([0.3, -0.2, 0.5])
+    wave = PlaneWave(amplitude=amp, p=p, omega=0.7, constants=K)
+    before = wave.sample(0.1, 0.2, 0.3, 0.0)
+    amp[0] = 5.0
+    p[0] = 2.0
+    after = wave.sample(0.1, 0.2, 0.3, 0.0)
+    for name in ("psi", "d_t", "d_x", "d_y", "d_z"):
+        assert np.array_equal(getattr(after, name), getattr(before, name)), name
+    with pytest.raises(ValueError):
+        wave.p[0] = 1.0
+    with pytest.raises(ValueError):
+        wave.amplitude[0] = 1.0
+
+
 def test_component_rows_equal_matrix_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
