@@ -5,15 +5,21 @@ Kinetic momentum components are applied with symmetric central differences
 on the interior block, the n - 4 cells per axis two layers inside the box,
 and walks it in slabs of whole planes along axis 0, each sized to stay near
 an L2 cache.  One generator builds every slab: it samples the mesh, the
-potentials, the expected intensities and every test function on the slab's
-own planes plus the one-cell halo the stencils reach, and yields the
-estimates, which are dropped before the next slab is built, so no full-grid
-complex temporary is ever made.  commutator_field_extract folds the error
-maxima, the test-function spread and the per-cell mean into the two
-intensity grids it returns; convergence_study folds only the error maxima
-and so holds one slab's working set.  Every cell sees the same operations in
-the same order whatever the slab size, so the results are bit-identical to
-a single whole-block pass.
+potentials and the expected intensities on the slab's own planes plus the
+one-cell halo the stencils reach, and yields the estimates, which are
+dropped before the next slab is built, so no full-grid complex temporary is
+ever made.  The discrete kernel behind it is made once per grid.  It keeps
+each test function's samples from one slab to the next, so the two planes
+neighbouring slabs share are sampled once; it evaluates every operator term
+into buffers reused for every slab and test function; and it computes once
+what several terms share: the alpha_a alpha_b products per slab, and per
+test function the two denominators and the terms both orders of a
+commutator have in common.  commutator_field_extract folds the error maxima,
+the test-function spread and the per-cell mean into the two intensity grids
+it returns; convergence_study folds only the error maxima and so holds one
+slab's working set.  Every cell sees the same operations in the same order
+whatever the slab size, so the results are bit-identical to a single
+whole-block pass.
 Commuting the discrete components and dividing out the test function
 recovers the external intensities to second order in the spacing; the same
 extraction run with caller-supplied exact derivatives recovers them to
@@ -219,7 +225,7 @@ def _keep_slab_pages(halo_cells: int) -> None:
     unmap its working set and fault it back in: about 50 000 minor page
     faults per study over h = 0.2 ... 0.025.  Allocating and freeing one
     untouched block of 24 such arrays lifts both thresholds past the at most
-    46 alive at once, for one mmap/munmap pair and no resident page, up to
+    42 alive at once, for one mmap/munmap pair and no resident page, up to
     glibc's 32 MiB cap (reached near n = 170).  Under other allocators this
     is an ordinary short-lived allocation.
     """
@@ -233,23 +239,33 @@ def _shift(window: tuple, axis: int, step: int) -> tuple:
     return tuple(moved)
 
 
-def _central_difference(values: np.ndarray, axis: int, h: float, window: tuple) -> np.ndarray:
+def _central_difference(values: np.ndarray, axis: int, inv_2h: float, window: tuple,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Central difference along axis on the cells window selects.
 
     window holds explicit slice bounds at least one cell inside the box
-    along axis; the result has the window's shape.
+    along axis; the result has the window's shape.  inv_2h is 1 / (2 h):
+    numpy divides a complex array by a real scalar as a complex division by
+    (c + 0j), which Smith's method carries out as a multiplication by 1 / c,
+    so on finite values the product has the quotient's bits, up to the sign
+    of a zero component, without the cost of a complex division.
     """
-    return (values[_shift(window, axis, 1)] - values[_shift(window, axis, -1)]) / (2.0 * h)
+    out = np.subtract(values[_shift(window, axis, 1)], values[_shift(window, axis, -1)], out=out)
+    return np.multiply(out, inv_2h, out=out)
 
 
-def _mixed_difference(values: np.ndarray, axis_a: int, axis_b: int, h: float,
-                      window: tuple) -> np.ndarray:
-    """Symmetric 4-point mixed second difference D_a D_b (= D_b D_a exactly)."""
+def _mixed_difference(values: np.ndarray, axis_a: int, axis_b: int, inv_4h2: float,
+                      window: tuple, out: np.ndarray) -> np.ndarray:
+    """Symmetric 4-point mixed second difference D_a D_b (= D_b D_a exactly),
+    scaled by inv_4h2 = 1 / (4 h^2) like _central_difference."""
 
     def at(da: int, db: int):
         return values[_shift(_shift(window, axis_a, da), axis_b, db)]
 
-    return (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * h * h)
+    np.subtract(at(1, 1), at(1, -1), out=out)
+    np.subtract(out, at(-1, 1), out=out)
+    np.add(out, at(-1, -1), out=out)
+    return np.multiply(out, inv_4h2, out=out)
 
 
 def kinetic_momentum_apply(j: int, config: FieldConfig, grid: Grid3, psi,
@@ -269,7 +285,7 @@ def kinetic_momentum_apply(j: int, config: FieldConfig, grid: Grid3, psi,
     k = constants
     valid = tuple(slice(1, grid.n - 1) if axis == j - 1 else slice(0, grid.n) for axis in range(3))
     deriv = np.full(psi.shape, np.nan + 0.0j, dtype=complex)
-    deriv[valid] = _central_difference(psi, j - 1, grid.h, valid)
+    deriv[valid] = _central_difference(psi, j - 1, 1.0 / (2.0 * grid.h), valid)
     return -1j * k.hbar * deriv + (k.charge / k.c) * a_vals[j - 1] * psi
 
 
@@ -377,56 +393,130 @@ class ExtractResult:
     interior: np.ndarray
 
 
-def _discrete_estimates(config, tf, constants, h, mesh, window, alpha, po):
-    """Apply each commutator to the sampled test function on one slab.
+class _DiscreteKernel:
+    """The discrete estimator on one grid, walked slab by slab.
 
-    mesh, alpha = (e/C) A and po = (e/C) phi are samples on the slab's cells
-    plus a one-cell halo on every face; window holds the basic slices of the
-    slab's own cells, so every estimate has the window's shape.
-
-    The composition pi_j pi_l is distributed over the four operator terms
-    (exact at the discrete level by linearity) and the mixed pure-derivative
-    term uses one shared symmetric stencil for both orders, so the part
-    that cancels algebraically also cancels in floating point.
+    Made once per grid: the stencil scales, the scalar factors of the
+    operator terms, and every buffer the commutators are evaluated into,
+    sized for the grid's first slab (a shorter last slab uses their leading
+    planes).  Each test function keeps its samples in a buffer of its own,
+    so the two planes one slab shares with the next (its last own plane and
+    its upper halo) are carried over instead of sampled again.
     """
-    k = constants
-    psi = np.asarray(tf.values(*mesh), dtype=complex)
-    psi_in = psi[window]
-    weak = np.abs(psi_in) < AMPLITUDE_FLOOR
-    psi_safe = np.where(weak, np.nan + 0.0j, psi_in)
-    coupling = k.charge / k.c
-    alpha_in = [a[window] for a in alpha]
-    alpha_psi = [a * psi for a in alpha]
-    d1 = {j: _central_difference(psi, j - 1, h, window) for j in (1, 2, 3)}
-    pi1 = {j: -1j * k.hbar * d1[j] + alpha_in[j - 1] * psi_in for j in (1, 2, 3)}
-    mixed = {}
-    for a_ax, b_ax in ((0, 1), (1, 2), (0, 2)):
-        mixed[(a_ax, b_ax)] = _mixed_difference(psi, a_ax, b_ax, h, window)
 
-    def pi_pi(j, l):
-        a_ax, b_ax = j - 1, l - 1
-        s = mixed[(min(a_ax, b_ax), max(a_ax, b_ax))]
-        return (
-            -k.hbar**2 * s
-            - 1j * k.hbar * _central_difference(alpha_psi[b_ax], a_ax, h, window)
-            - 1j * k.hbar * (alpha_in[a_ax] * d1[l])
-            + (alpha_in[a_ax] * alpha_in[b_ax]) * psi_in
-        )
+    def __init__(self, constants, h, halo_shape, test_fields):
+        k = constants
+        coupling = k.charge / k.c
+        self.inv_2h = 1.0 / (2.0 * h)
+        self.inv_4h2 = 1.0 / (4.0 * h * h)
+        # the scalar factors, grouped as the operator terms group them
+        self.neg_hbar2 = -k.hbar**2
+        self.i_hbar = 1j * k.hbar
+        self.neg_i_hbar = -1j * k.hbar
+        self.h_scale = -1j * k.hbar * coupling
+        self.e_scale = 1j * k.hbar * coupling
+        self.test_fields = test_fields
+        self.samples = [np.empty(halo_shape, dtype=complex) for _ in test_fields]
+        self.halo = [np.empty(halo_shape, dtype=complex) for _ in range(3)]
+        cells = tuple(size - 2 for size in halo_shape)
+        self.cells = [np.empty(cells, dtype=complex) for _ in range(8)]
+        self.carry = None  # first of the planes the next slab shares
 
-    h_est = np.empty((3,) + psi_in.shape, dtype=complex)
-    e_est = np.empty((3,) + psi_in.shape, dtype=complex)
-    po_in = po[window]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for (j, l, kk) in _CYCLIC:
-            comm = pi_pi(j, l) - pi_pi(l, j)
-            h_est[kk - 1] = comm / (-1j * k.hbar * coupling * psi_safe)
-        po_psi = po * psi
-        for j in (1, 2, 3):
-            pi_j_po = -1j * k.hbar * _central_difference(po_psi, j - 1, h, window) \
-                + alpha_in[j - 1] * po_psi[window]
-            comm = pi_j_po - po_in * pi1[j]
-            e_est[j - 1] = comm / (1j * k.hbar * coupling * psi_safe)
-    return h_est, e_est, weak
+    def _sample(self, mesh) -> list:
+        planes = mesh[0].shape[0]
+        start = 0 if self.carry is None else 2
+        for tf, psi in zip(self.test_fields, self.samples):
+            if start:
+                psi[:2] = psi[self.carry:self.carry + 2]
+            psi[start:planes] = tf.values(*(axis[start:] for axis in mesh))
+        self.carry = planes - 2
+        return [psi[:planes] for psi in self.samples]
+
+    def slab(self, mesh, window, alpha, po) -> list:
+        """(h_est, e_est, weak) for every test function on the next slab.
+
+        mesh, alpha = (e/C) A and po = (e/C) phi are samples on the slab's
+        cells plus a one-cell halo on every face; window holds the basic
+        slices of the slab's own cells, so every estimate has the window's
+        shape.  Slabs must come in order along axis 0.
+        """
+        samples = self._sample(mesh)
+        planes = samples[0].shape[0]
+        alpha_in = [a[window] for a in alpha]
+        # alpha_a alpha_b of pi_j pi_l and of pi_l pi_j: real products commute
+        alpha_alpha = {(j, l): alpha_in[j - 1] * alpha_in[l - 1] for j, l, _ in _CYCLIC}
+        halo = [buf[:planes] for buf in self.halo]
+        work = [buf[:planes - 2] for buf in self.cells]
+        return [self._estimate(psi, window, alpha, alpha_in, alpha_alpha, po, halo, work)
+                for psi in samples]
+
+    def _estimate(self, psi, window, alpha, alpha_in, alpha_alpha, po, halo, work) -> tuple:
+        """Apply each commutator to one test function's samples psi.
+
+        The composition pi_j pi_l is distributed over the four operator terms
+        (exact at the discrete level by linearity) and the mixed
+        pure-derivative term uses one shared symmetric stencil for both
+        orders, so the part that cancels algebraically also cancels in
+        floating point.  Each term is evaluated into the buffers in halo and
+        work one operation at a time, grouped from left to right as in
+
+            pi_j pi_l psi = -hbar^2 D_j D_l psi - i hbar D_j (alpha_l psi)
+                            - i hbar (alpha_j D_l psi) + (alpha_j alpha_l) psi
+            [pi_j, po] psi = -i hbar D_j (po psi) + alpha_j po psi - po pi_j psi
+
+        and divided by -i hbar (e/C) psi for H, +i hbar (e/C) psi for E, so
+        which buffer holds a term does not change a bit.
+        """
+        psi_in = psi[window]
+        weak = np.abs(psi_in) < AMPLITUDE_FLOOR
+        den_h, den_e, p1, p2, tmp, *d1 = work
+        np.copyto(den_e, psi_in)
+        np.copyto(den_e, np.nan + 0.0j, where=weak)  # psi, NaN where too weak to divide by
+        np.multiply(self.h_scale, den_e, out=den_h)
+        np.multiply(self.e_scale, den_e, out=den_e)
+        alpha_psi = halo
+        for a in range(3):
+            np.multiply(alpha[a], psi, out=alpha_psi[a])
+            _central_difference(psi, a, self.inv_2h, window, out=d1[a])
+        h_est = np.empty((3,) + psi_in.shape, dtype=complex)
+        e_est = np.empty((3,) + psi_in.shape, dtype=complex)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for j, l, kk in _CYCLIC:
+                a, b = j - 1, l - 1
+                # -hbar^2 D_a D_b psi, shared by both orders, until the estimate replaces it
+                shared = h_est[kk - 1]
+                _mixed_difference(psi, min(a, b), max(a, b), self.inv_4h2, window, out=shared)
+                np.multiply(self.neg_hbar2, shared, out=shared)
+                for out, (x, y) in ((p1, (a, b)), (p2, (b, a))):
+                    # pi_x pi_y psi short of its last term (alpha_x alpha_y) psi
+                    _central_difference(alpha_psi[y], x, self.inv_2h, window, out=out)
+                    np.multiply(self.i_hbar, out, out=out)
+                    np.subtract(shared, out, out=out)
+                    np.multiply(alpha_in[x], d1[y], out=tmp)
+                    np.multiply(self.i_hbar, tmp, out=tmp)
+                    np.subtract(out, tmp, out=out)
+                np.multiply(alpha_alpha[(j, l)], psi_in, out=tmp)
+                np.add(p1, tmp, out=p1)
+                np.add(p2, tmp, out=p2)
+                np.subtract(p1, p2, out=p1)
+                np.divide(p1, den_h, out=shared)
+        pi = d1  # pi_a psi = -i hbar D_a psi + alpha_a psi, over D_a psi
+        for a in range(3):
+            np.multiply(self.neg_i_hbar, d1[a], out=pi[a])
+            np.add(pi[a], alpha_psi[a][window], out=pi[a])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            po_psi = np.multiply(po, psi, out=halo[0])
+            po_in = po[window]
+            for a in range(3):
+                # pi_a (po psi) - po pi_a psi
+                _central_difference(po_psi, a, self.inv_2h, window, out=p1)
+                np.multiply(self.neg_i_hbar, p1, out=p1)
+                np.multiply(alpha_in[a], po_psi[window], out=tmp)
+                np.add(p1, tmp, out=p1)
+                np.multiply(po_in, pi[a], out=tmp)
+                np.subtract(p1, tmp, out=p1)
+                np.divide(p1, den_e, out=e_est[a])
+        return h_est, e_est, weak
 
 
 def _analytic_estimates(config, tf, constants, h, mesh, window, alpha, po):
@@ -508,12 +598,19 @@ def _slab_estimates(config, grid, test_fields, constants, mode):
         raise DomainError("need at least 3 test functions")
     _validated(config, grid, constants)
     coupling = constants.charge / constants.c
-    estimator = _discrete_estimates if mode == "discrete" else _analytic_estimates
     n, m = grid.n, grid.n - 4
     slabs = _slabs(2, n - 2, m * m)
     s0, s1 = slabs[0]
-    _keep_slab_pages((s1 - s0 + 2) * (m + 2) ** 2)
-    for s0, s1 in slabs:
+    halo_shape = (s1 - s0 + 2, m + 2, m + 2)
+    _keep_slab_pages(math.prod(halo_shape))
+    if mode == "discrete":
+        estimate = _DiscreteKernel(constants, grid.h, halo_shape, test_fields).slab
+    else:
+        def estimate(mesh, window, alpha, po):
+            return [_analytic_estimates(config, tf, constants, grid.h, mesh, window, alpha, po)
+                    for tf in test_fields]
+
+    def slab(s0, s1):
         # the slab's interior cells and the one-cell halo the stencils reach
         mesh = grid.meshgrid(slice(s0 - 1, s1 + 1), inset=1)
         window = (slice(1, s1 - s0 + 1), slice(1, m + 1), slice(1, m + 1))
@@ -522,10 +619,10 @@ def _slab_estimates(config, grid, test_fields, constants, mode):
         cells = [axis[window] for axis in mesh]
         b_in = [np.asarray(b) for b in config.b_expected(*cells)]
         e_in = [np.asarray(e) for e in config.e_expected(*cells)]
-        yield s0, s1, b_in, e_in, [
-            estimator(config, tf, constants, grid.h, mesh, window, alpha, po)
-            for tf in test_fields
-        ]
+        return b_in, e_in, estimate(mesh, window, alpha, po)
+
+    for s0, s1 in slabs:
+        yield (s0, s1, *slab(s0, s1))  # the mesh and potentials are gone by the yield
 
 
 def _fold_errors(h_error: float, e_error: float, b_in, e_in, estimates) -> tuple:
@@ -567,11 +664,12 @@ def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
         excluded += sum(int(np.count_nonzero(weak)) for _, _, weak in estimates)
         h_error, e_error = _fold_errors(h_error, e_error, b_in, e_in, estimates)
         spread = _fold_spread(spread, estimates)
-        out = (slice(None), slice(s0, s1), slice(2, n - 2), slice(2, n - 2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            h_field[out] = np.nanmean(np.stack([h.real for h, _, _ in estimates]), axis=0)
-            e_field[out] = np.nanmean(np.stack([e.real for _, e, _ in estimates]), axis=0)
+            for j in range(3):  # one component at a time keeps nanmean's copies small
+                out = (j, slice(s0, s1), slice(2, n - 2), slice(2, n - 2))
+                h_field[out] = np.nanmean(np.stack([h[j].real for h, _, _ in estimates]), axis=0)
+                e_field[out] = np.nanmean(np.stack([e[j].real for _, e, _ in estimates]), axis=0)
         del estimates  # freed before the generator builds the next slab
     return ExtractResult(
         h_field=h_field,
@@ -633,8 +731,11 @@ def convergence_study(config: FieldConfig, spacings, constants: PhysicalConstant
     spacings must be at least three values, each half the previous and
     each a spacing Grid3 accepts.  The physical box is fixed by the coarsest
     spacing (nine points across), so finer grids refine the same volume.
+    test_fields, any iterable of at least three, is read once and walked
+    on every grid.
     """
     constants = PhysicalConstants() if constants is None else constants
+    test_fields = default_test_fields() if test_fields is None else list(test_fields)
     spac = [float(h) for h in spacings]
     if len(spac) < 3:
         raise DomainError("need at least 3 spacings")

@@ -500,16 +500,18 @@ def test_misconfigured_preset_names_the_whole_grid_worst(monkeypatch):
 
 # numpy reports its buffers to tracemalloc, so the traced peak of a call is
 # deterministic.  A "slab array" is one complex array over a slab's planes and
-# their one-cell halo; every slab-sized temporary of a discrete extraction is
-# at most that large.  Counted from the code, at most 46 are alive at once,
+# their one-cell halo; every slab-sized array of a discrete extraction is at
+# most that large.  Counted from the code, at most 42 are alive at once,
 # while the third test function is estimated: the 12 estimates of the first
-# two (2 intensities x 3 components each), up to 27 inside the estimator (the
-# sample and its safe copy, 3 potential products, 3 first differences, 3
-# kinetic momenta, 3 mixed differences, 6 estimates, the phi product and up to
-# 6 operands of the expression in flight), and the real mesh, potentials and
-# expected intensities (13 real arrays, less than 7 slab arrays).  Averaging
-# the 18 finished estimates afterwards needs fewer.
-LIVE_SLAB_ARRAYS = 46
+# two (2 intensities x 3 components each), the third's 6, the kernel's 14
+# reused buffers (3 test-function samples carried from slab to slab, 3 halo
+# products and 8 cell buffers), the one buffer numpy casts a real operand
+# into for a complex product, and the real mesh, potentials, expected
+# intensities and alpha_a alpha_b products with the 3 weak masks (16 real
+# arrays and 3 boolean ones, less than 9 slab arrays).  Folding the 18
+# finished estimates afterwards, and averaging them one component at a time,
+# needs fewer: the mesh and potentials are gone by then.
+LIVE_SLAB_ARRAYS = 42
 
 
 def test_extraction_memory_is_bounded_by_the_slab(monkeypatch):
@@ -596,6 +598,33 @@ def test_convergence_errors_equal_the_extraction_bit_for_bit(monkeypatch, name, 
             study = convergence_study(cfg, spacings, K)
         assert study.grid_sizes == (9, 17, 33)
         assert [err.hex() for err in study.errors] == [err.hex() for err in want], cells
+
+
+# convergence_study(make_preset(name, 1.3, 0.7), (0.2, 0.1, 0.05, 0.025)).errors
+# as float.hex(), recorded before the discrete kernel carried halo samples,
+# hoisted its slab invariants and evaluated into reused buffers.  The other
+# bit-identity tests stop at n = 33; this one reaches the benchmark's n = 65.
+N65_ERRORS_HEX = {
+    "uniform_b": ["0x1.e0653547c6d00p-6", "0x1.e421ae3f4fe00p-8",
+                  "0x1.e51243051f000p-10", "0x1.e54e7fbad7000p-12"],
+    "linear_phi": ["0x1.81777453e8b60p-6", "0x1.83198d5fe6a80p-8",
+                   "0x1.83824c3b9f600p-10", "0x1.839c7f7d3d000p-12"],
+    "zero": ["0x0.0p+0"] * 4,
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_convergence_errors_down_to_n65_are_locked(name):
+    study = convergence_study(make_preset(name, 1.3, 0.7), (0.2, 0.1, 0.05, 0.025), K)
+    assert study.grid_sizes == (9, 17, 33, 65)
+    assert [err.hex() for err in study.errors] == N65_ERRORS_HEX[name]
+
+
+def test_convergence_study_reads_a_one_shot_iterator_once():
+    cfg = make_preset("uniform_b")
+    spacings = (0.2, 0.1, 0.05)
+    study = convergence_study(cfg, spacings, K, test_fields=iter(default_test_fields()))
+    assert study.errors == convergence_study(cfg, spacings, K).errors
 
 
 # sha256 of the JSON table written by the README invocation
