@@ -240,6 +240,8 @@ def cmd_zbw(args) -> int:
             raise ConfigError([f"--t0 and --t1 must be finite, got t0={args.t0} t1={args.t1}"])
         if not args.t1 > args.t0:
             raise ConfigError([f"--t1 must exceed --t0, got t0={args.t0} t1={args.t1}"])
+        if not math.isfinite(args.t1 - args.t0):
+            raise ConfigError([f"--t1 - --t0 overflows, got t0={args.t0} t1={args.t1}"])
     except ConfigError as exc:
         return _fail_config(exc.problems)
     import numpy as np
@@ -265,6 +267,8 @@ def cmd_zbw(args) -> int:
         fitted = fitted_zbw_frequency(state, psi)
     except ArithmeticError as exc:
         return _fail_arithmetic(exc)
+    except DomainError as exc:  # --t0 and --t1 too close for --steps distinct times
+        return _fail_config([f"{exc}: --t0={args.t0} --t1={args.t1} --steps {args.steps}"])
     except MemoryError:
         return _fail_config([f"not enough memory for --steps {args.steps}"])
     try:

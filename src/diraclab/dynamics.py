@@ -492,12 +492,53 @@ def _release_freed_heap() -> None:
     trim(0)
 
 
+_PLAIN_ROW = ",".join(["%.15g"] * 10) + "\n"
+
+
+def _block_text(chunk: np.ndarray) -> str:
+    """The CSV rows of one (n, 10) block, each cell as "%.15g" prints it.
+
+    Columns are told apart by their bytes.  A column of only +0.0 or only
+    -0.0 is written as the literal 0 or -0 in the row template.  A column
+    bit-identical to an earlier one is formatted once and both get the same
+    strings through %s: equal bits print equal text.  Every other column is
+    %.15g, and a block without such columns is one %-format of all its
+    cells.
+    """
+    n = len(chunk)
+    cols = chunk.T
+    zero, neg_zero = bytes(8 * n), np.full(n, -0.0).tobytes()
+    cells = []  # per column: a literal, or the index of its text source
+    first = {}
+    for c in range(10):
+        key = cols[c].tobytes()
+        cells.append("0" if key == zero else "-0" if key == neg_zero
+                     else first.setdefault(key, c))
+    if cells == list(range(10)):
+        return _PLAIN_ROW * n % tuple(chunk.ravel().tolist())
+    formatted = [c for c in cells if isinstance(c, int)]
+    shared = {c for c in formatted if formatted.count(c) > 1}
+    text = {c: ("%.15g\n" * n % tuple(cols[c].tolist())).split() for c in shared}
+    args = [None] * (n * len(formatted))
+    for i, c in enumerate(formatted):
+        args[i::len(formatted)] = text[c] if c in shared else cols[c].tolist()
+    row = ",".join(c if isinstance(c, str) else "%s" if c in shared else "%.15g"
+                   for c in cells) + "\n"
+    return row * n % tuple(args)
+
+
 def write_trajectory_csv(trajectory: Trajectory, fh) -> None:
-    """CSV with a fixed header and 15-significant-digit cells."""
+    """CSV with a fixed header and 15-significant-digit cells.
+
+    Block by block (_block_text), a column of exact zeros (an eigenstate's
+    oscillation, an equal mix's drift, both columns of a zero momentum
+    component) is written as the literal 0 or -0, and a column
+    bit-identical to an earlier one (a total equal to its drift or its
+    oscillation) is formatted once and shares that text.  The bytes are
+    those of "%.15g" on every cell.
+    """
     fh.write(TRAJECTORY_HEADER + "\n")
-    row = ",".join(["%.15g"] * 10) + "\n"
     for rows in _row_blocks(len(trajectory)):
-        chunk = np.column_stack((trajectory.t[rows], trajectory.drift[rows],
-                                 trajectory.zbw[rows], trajectory.total[rows]))
-        fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+        fh.write(_block_text(np.column_stack((trajectory.t[rows], trajectory.drift[rows],
+                                              trajectory.zbw[rows], trajectory.total[rows]))))
     _release_freed_heap()

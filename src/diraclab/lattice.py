@@ -626,11 +626,18 @@ def _slab_estimates(config, grid, test_fields, constants, mode):
 
 
 def _fold_errors(h_error: float, e_error: float, b_in, e_in, estimates) -> tuple:
-    """(h_error, e_error) raised to the worst deviation of one slab's estimates."""
+    """(h_error, e_error) raised to the worst deviation of one slab's estimates.
+
+    Every difference and its magnitude go into the same two cell buffers.
+    """
+    diff = np.empty_like(estimates[0][0][0])
+    mag = np.empty(diff.shape)
     for h_est, e_est, weak in estimates:
         for j in range(3):
-            h_error = _worst(h_error, np.abs(h_est[j] - b_in[j]), weak)
-            e_error = _worst(e_error, np.abs(e_est[j] - e_in[j]), weak)
+            np.subtract(h_est[j], b_in[j], out=diff)
+            h_error = _worst(h_error, np.abs(diff, out=mag), weak)
+            np.subtract(e_est[j], e_in[j], out=diff)
+            e_error = _worst(e_error, np.abs(diff, out=mag), weak)
     return h_error, e_error
 
 

@@ -267,6 +267,10 @@ class TestZbwCommand:
          "--steps", "4", "--out", "x.csv"],
         ["zbw", "--p", "0,0,0", "--state", '{"energy_sign": 2}', "--t1", "1",
          "--steps", "4", "--out", "x.csv"],
+        ["zbw", "--p", "0.3,0,0", "--t0", "1", "--t1", "1.0000000000000002",
+         "--steps", "10", "--out", "x.csv"],
+        ["zbw", "--p", "0.3,0,0", "--t0=-1e308", "--t1=1e308", "--steps", "10",
+         "--out", "x.csv"],
     ])
     def test_bad_arguments_exit_two(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -288,9 +292,11 @@ ZBW_BASE = ["zbw", "--p", "0.5,0,0", "--t1", "6", "--steps", "40"]
     [*ZBW_BASE, "--state", '{"energy_sign": 1, "weight": 2.0}'],
     [*ZBW_BASE, "--state", '{"superposition": [{"energy_sign": 1}], "spin": "up"}'],
     [*ZBW_BASE, "--state", '{"superposition": [{"energy_sign": 1, "wieght": 1.0}]}'],
+    ["zbw", "--p", "0.3,0,0", "--t0", "1", "--t1", "1.0000000000000002", "--steps", "10"],
+    ["zbw", "--p", "0.3,0,0", "--t0=-1e308", "--t1=1e308", "--steps", "10"],
 ], ids=["t1-inf", "t0-minus-inf", "t0-nan", "energy-overflow", "c-overflow",
         "unknown-key", "typo-key", "weight-outside-superposition",
-        "key-beside-superposition", "typo-in-term"])
+        "key-beside-superposition", "typo-in-term", "times-collapse", "span-overflow"])
 @pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
 def test_zbw_rejects_input_with_one_error_line(argv, tmp_path, capsys):
     out = tmp_path / "traj.csv"

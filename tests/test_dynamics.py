@@ -446,16 +446,79 @@ SUPERPOSITION = json.dumps({"superposition": [
     ((0.5, 0.0, 0.0), "mix", 1),
     ((0.0, -0.6, 0.0), SUPERPOSITION, _BLOCK_ROWS),
     ((0.2, 0.1, 0.0), SUPERPOSITION, 2 * _BLOCK_ROWS + 5),
+    ((0.5, 0.0, 0.0), "plus", 2 * _BLOCK_ROWS + 3),
+    ((-0.3, 0.6, 0.2), "minus", _BLOCK_ROWS + 7),
+    ((0.7, 0.0, -0.4), SUPERPOSITION, 2 * _BLOCK_ROWS + 1),
+    ((0.0, 0.0, 0.9), SUPERPOSITION, 3 * _BLOCK_ROWS - 2),
+    ((0.0, 0.0, 0.0), "mix", _BLOCK_ROWS + 2),
 ], ids=["no-zero-chunk+1", "one-zero", "two-zero-one-row", "superposition-chunk",
-        "superposition-two-chunks"])
+        "superposition-two-chunks", "plus-three-chunks", "minus-two-chunks",
+        "superposition-one-zero", "superposition-two-zero", "mix-at-rest"])
 def test_trajectory_csv_matches_per_cell_reference(p, spec, rows):
     state = MomentumState(p=np.array(p), constants=K)
     psi = cli._parse_state(spec, state)
     traj = zbw_trajectory(state, psi, np.linspace(0.0, 12.0, rows))
+    _assert_writes_reference(traj)
+
+
+def _assert_writes_reference(traj):
     buf = io.StringIO()
     write_trajectory_csv(traj, buf)
     # Lines, not whole strings: pytest diffs two long strings very slowly.
     assert buf.getvalue().splitlines(True) == _reference_csv(traj).splitlines(True)
+
+
+def test_trajectory_csv_matches_reference_on_mixed_columns():
+    # Three blocks; each column is built so that the writer's reading of it
+    # (a literal zero, a copy of an earlier column, or its own digits)
+    # changes from block to block.
+    n = 3 * _BLOCK_ROWS
+    first, rest = slice(0, _BLOCK_ROWS), slice(_BLOCK_ROWS, None)
+    t = np.linspace(-1.0, 2.0, n)
+    drift = np.zeros((n, 3))
+    drift[rest, 0] = t[rest] / 3.0  # zero in the first block only
+    drift[:, 1] = -0.0  # -0 in every row
+    drift[2 * _BLOCK_ROWS:, 2] = -0.0  # +0, +0, then -0 block by block
+    zbw = np.column_stack((np.sin(t), np.cos(t), np.sin(3.0 * t)))
+    zbw[7, 0], zbw[_BLOCK_ROWS + 5, 1], zbw[-3, 2] = np.nan, np.inf, -np.inf
+    zbw[first, 2] = drift[first, 0]  # a zero column that follows an earlier zero column
+    total = zbw.copy()
+    total[_BLOCK_ROWS + 9, 0] = -0.0  # equal to zbw except one signed zero in one block
+    zbw[_BLOCK_ROWS + 9, 0] = 0.0
+    total[rest, 1] = t[rest]  # a copy of t, not of zbw, after the first block
+    total[:, 2] = drift[:, 0]
+    traj = dynamics.Trajectory(t=t, drift=drift, zbw=zbw, total=total)
+    _assert_writes_reference(traj)
+    cells = [line.split(",") for line in _reference_csv(traj).splitlines()[1:]]
+    assert {row[2] for row in cells} == {"-0"}
+    assert cells[_BLOCK_ROWS + 9][4] == "0" and cells[_BLOCK_ROWS + 9][7] == "-0"
+    assert {"nan", "inf", "-inf"} <= {c for row in cells for c in row}
+
+
+# 0 about one draw in three, as in the benchmark's momenta
+_zero_or_component = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
+
+
+@st.composite
+def _state_spec(draw):
+    kind = draw(st.sampled_from(("mix", "plus", "minus", "superposition")))
+    if kind != "superposition":
+        return kind
+    spin = draw(st.sampled_from(("up", "down")))
+    axis = [draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2.0 * math.pi))]
+    weight = [draw(st.floats(0.5, 1.5)), draw(st.floats(-0.5, 0.5))]
+    return json.dumps({"superposition": [
+        {"energy_sign": 1, "spin": spin, "spin_axis": axis},
+        {"energy_sign": -1, "spin": spin, "spin_axis": axis, "weight": weight}]})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(_zero_or_component, _zero_or_component, _zero_or_component),
+       _state_spec(), st.integers(1, 3 * _BLOCK_ROWS))
+def test_trajectory_csv_matches_reference_on_drawn_states(p, spec, rows):
+    state = MomentumState(p=np.array(p), constants=K)
+    traj = zbw_trajectory(state, cli._parse_state(spec, state), np.linspace(0.0, 12.0, rows))
+    _assert_writes_reference(traj)
 
 
 def test_trajectory_csv_keeps_signed_zero_cells():
