@@ -61,37 +61,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_SEED",
-    "SUITE_NAMES",
-    "RunConfig",
-    "resolve_run_config",
-    "PhysicalConstants",
-    "MomentumState",
-    "eigenspinor",
-    "fitted_zbw_frequency",
-    "hamiltonian",
-    "spectrum",
-    "zbw_closed_form",
-    "zbw_trajectory",
-    "ConfigError",
-    "DomainError",
-    "self_fields_commutator",
-    "self_fields_matrix_maxwell",
-    "self_potentials",
-    "Grid3",
-    "commutator_field_extract",
-    "convergence_study",
-    "make_preset",
-    "Representation",
-    "clifford_check",
-    "generators",
-    "VerificationReport",
-    "report_json",
-    "text_summary",
-    "PlaneWave",
-    "angular_eigenstate",
-    "jz_apply",
-    "run_suite",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

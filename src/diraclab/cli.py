@@ -267,7 +267,7 @@ def cmd_zbw(args) -> int:
         fitted = fitted_zbw_frequency(state, psi)
     except ArithmeticError as exc:
         return _fail_arithmetic(exc)
-    except DomainError as exc:  # --t0 and --t1 too close for --steps distinct times
+    except DomainError as exc:  # times not distinct for --steps, or a phase that overflows
         return _fail_config([f"{exc}: --t0={args.t0} --t1={args.t1} --steps {args.steps}"])
     except MemoryError:
         return _fail_config([f"not enough memory for --steps {args.steps}"])

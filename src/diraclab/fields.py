@@ -9,18 +9,20 @@ the potential operators).  They must agree entrywise.
 The substitution route's curl contraction is evaluated as
 eps_jkl alpha_k alpha_l; the printed contraction reuses the free index and
 is recorded as corrected in every check this route emits.
+
+External fields are static potentials linear in position, held as their
+constant coefficients (LinearPotentials); their classical intensities,
+curl A and -grad phi, are read from those coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import DomainError
 from .matrices import (
     GENERATOR_STACK,
     Representation,
@@ -141,87 +143,48 @@ def expected_self_h(constants: PhysicalConstants, k_axis: int) -> np.ndarray:
     return 2.0 * kc.mass**2 * kc.c**3 / (kc.charge * kc.hbar) * sigma_block(k_axis)
 
 
-@dataclass(frozen=True)
-class VectorField3:
-    """Closed-form 3-vector field with caller-supplied derivatives.
+_ZERO3 = (0.0, 0.0, 0.0)
 
-    value(x, y, z, t) -> 3 components; jacobian[k][l] = d_k value_l;
-    dt -> time derivative of each component.  All callables broadcast
-    over numpy arrays.
+
+def _linear(coeffs, coords):
+    """sum_k coeffs[k] coords[k] over the nonzero coefficients only.
+
+    A single term keeps its bits (c * y, no 0 * x added to it); with no
+    term the result is zeros shaped like the coordinates.
+    """
+    terms = [c * x for c, x in zip(coeffs, coords) if c != 0.0]
+    if not terms:
+        return np.zeros_like(np.asarray(coords[0], dtype=float))
+    return sum(terms[1:], terms[0])
+
+
+@dataclass(frozen=True)
+class LinearPotentials:
+    """Static potentials linear in position, given by their constant gradients.
+
+    grad_a[k][l] = d_k A_l and grad_phi[k] = d_k phi, so that
+    A_l = sum_k grad_a[k][l] x_k and phi = sum_k grad_phi[k] x_k.  a and phi
+    broadcast over numpy arrays.  LinearPotentials() is the zero field.
     """
 
-    value: Callable
-    jacobian: Callable
-    dt: Callable
+    grad_a: tuple = (_ZERO3, _ZERO3, _ZERO3)
+    grad_phi: tuple = _ZERO3
+
+    def a(self, x, y, z) -> tuple:
+        return tuple(_linear([row[l] for row in self.grad_a], (x, y, z)) for l in range(3))
+
+    def phi(self, x, y, z):
+        return _linear(self.grad_phi, (x, y, z))
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    value: Callable
-    gradient: Callable
-
-
-def zero_vector_field() -> VectorField3:
-    def value(x, y, z, t):
-        zero = np.zeros_like(np.asarray(x, dtype=float))
-        return (zero, zero.copy(), zero.copy())
-
-    def jacobian(x, y, z, t):
-        zero = np.zeros_like(np.asarray(x, dtype=float))
-        return [[zero.copy() for _ in range(3)] for _ in range(3)]
-
-    def dt(x, y, z, t):
-        zero = np.zeros_like(np.asarray(x, dtype=float))
-        return (zero, zero.copy(), zero.copy())
-
-    return VectorField3(value=value, jacobian=jacobian, dt=dt)
-
-
-def zero_scalar_field() -> ScalarField:
-    def value(x, y, z, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def gradient(x, y, z, t):
-        zero = np.zeros_like(np.asarray(x, dtype=float))
-        return (zero, zero.copy(), zero.copy())
-
-    return ScalarField(value=value, gradient=gradient)
-
-
-def symmetric_gauge(b0: float) -> VectorField3:
+def symmetric_gauge(b0: float) -> LinearPotentials:
     """A = (-B0 y / 2, B0 x / 2, 0): uniform intensity (0, 0, B0)."""
-
-    def value(x, y, z, t):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return (-0.5 * b0 * y, 0.5 * b0 * x, np.zeros_like(x))
-
-    def jacobian(x, y, z, t):
-        zero = np.zeros_like(np.asarray(x, dtype=float))
-        half = np.full_like(zero, 0.5 * b0)
-        rows = [[zero.copy() for _ in range(3)] for _ in range(3)]
-        rows[0][1] = half            # d_x A_y
-        rows[1][0] = -half           # d_y A_x
-        return rows
-
-    def dt(x, y, z, t):
-        zero = np.zeros_like(np.asarray(x, dtype=float))
-        return (zero, zero.copy(), zero.copy())
-
-    return VectorField3(value=value, jacobian=jacobian, dt=dt)
+    return LinearPotentials(grad_a=((0.0, 0.5 * b0, 0.0), (-0.5 * b0, 0.0, 0.0), _ZERO3))
 
 
-def linear_scalar(e0: float) -> ScalarField:
+def linear_scalar(e0: float) -> LinearPotentials:
     """phi = -E0 x: uniform static field (E0, 0, 0)."""
-
-    def value(x, y, z, t):
-        return -e0 * np.asarray(x, dtype=float)
-
-    def gradient(x, y, z, t):
-        zero = np.zeros_like(np.asarray(x, dtype=float))
-        return (np.full_like(zero, -e0), zero.copy(), zero.copy())
-
-    return ScalarField(value=value, gradient=gradient)
+    return LinearPotentials(grad_phi=(-e0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -230,23 +193,20 @@ class MaxwellFields:
     h: tuple
 
 
-def classical_maxwell_reference(a_field: VectorField3, phi_field: ScalarField,
-                                point, time, constants: PhysicalConstants) -> MaxwellFields:
-    """Textbook intensities H = curl A and E = -(1/C) dA/dt - grad phi.
+def classical_maxwell_reference(potentials: LinearPotentials, point) -> MaxwellFields:
+    """Textbook intensities H = curl A and E = -grad phi of static potentials.
 
-    point is (x, y, z) scalars or broadcastable arrays.  Used as ground
-    truth by the lattice comparisons.
+    Read from the constant gradients, so they are the same everywhere;
+    point is (x, y, z) scalars or broadcastable arrays and sets the shape of
+    every component.  Used as ground truth by the lattice comparisons.
     """
-    x, y, z = point
-    jac = a_field.jacobian(x, y, z, time)
-    h = tuple(
-        sum(EPS[jj, kk, ll] * jac[kk][ll] for kk in range(3) for ll in range(3) if EPS[jj, kk, ll])
-        for jj in range(3)
-    )
-    dadt = a_field.dt(x, y, z, time)
-    grad = phi_field.gradient(x, y, z, time)
-    e = tuple(-dadt[jj] / constants.c - grad[jj] for jj in range(3))
-    return MaxwellFields(e=e, h=h)
+    g = potentials.grad_a
+    h = [sum(EPS[jj, kk, ll] * g[kk][ll] for kk in range(3) for ll in range(3) if EPS[jj, kk, ll])
+         for jj in range(3)]
+    e = [-v for v in potentials.grad_phi]
+    shape = np.broadcast(*point).shape
+    return MaxwellFields(e=tuple(np.full(shape, v) for v in e),
+                         h=tuple(np.full(shape, v) for v in h))
 
 
 @dataclass(frozen=True)

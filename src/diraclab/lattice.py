@@ -1,23 +1,29 @@
 """Discrete minimal coupling on a cubic grid and the commutator field probe.
 
+A field configuration is a pair of static potentials linear in position,
+given by their constant coefficients (fields.LinearPotentials), plus the
+uniform intensities B and E they should produce.  Validating it is one
+comparison of those two vectors with the curl and gradient of the
+coefficients, and every estimate's error is its distance from them.
+
 Kinetic momentum components are applied with symmetric central differences
-(no periodic wrap: boundary cells are marked invalid).  The extraction works
-on the interior block, the n - 4 cells per axis two layers inside the box,
-and walks it in slabs of whole planes along axis 0, each sized to stay near
-an L2 cache.  One generator builds every slab: it samples the mesh, the
-potentials and the expected intensities on the slab's own planes plus the
-one-cell halo the stencils reach, and yields the estimates, which are
-dropped before the next slab is built, so no full-grid complex temporary is
-ever made.  The discrete kernel behind it is made once per grid.  It keeps
-each test function's samples from one slab to the next, so the two planes
-neighbouring slabs share are sampled once; it evaluates every operator term
-into buffers reused for every slab and test function; and it computes once
-what several terms share: the alpha_a alpha_b products per slab, and per
-test function the two denominators and the terms both orders of a
-commutator have in common.  commutator_field_extract folds the error maxima,
-the test-function spread and the per-cell mean into the two intensity grids
-it returns; convergence_study folds only the error maxima and so holds one
-slab's working set.  Every cell sees the same operations in the same order
+(no periodic wrap: boundary cells are marked invalid).  The extraction
+works on the interior block, the n - 4 cells per axis two layers inside the
+box, and walks it in slabs of whole planes along axis 0, each sized to stay
+near an L2 cache.  One generator builds every slab: it samples the mesh and
+the potentials on the slab's own planes plus the one-cell halo the stencils
+reach, and yields the estimates, which are dropped before the next slab is
+built, so no full-grid complex temporary is ever made.  The discrete kernel
+behind it is made once per grid.  It keeps each test function's samples
+from one slab to the next, so the two planes neighbouring slabs share are
+sampled once; it evaluates every operator term into buffers reused for
+every slab and test function; and it computes once what several terms
+share: the alpha_a alpha_b products per slab, and per test function the two
+denominators and the terms both orders of a commutator have in common.
+commutator_field_extract folds the error maxima, the test-function spread
+and the per-cell mean into the two intensity grids it returns;
+convergence_study folds only the error maxima and so holds one slab's
+working set.  Every cell sees the same operations in the same order
 whatever the slab size, so the results are bit-identical to a single
 whole-block pass.
 Commuting the discrete components and dividing out the test function
@@ -50,16 +56,7 @@ import numpy as np
 from .config import PRESET_NAMES
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .fields import (
-    MaxwellFields,
-    ScalarField,
-    VectorField3,
-    classical_maxwell_reference,
-    linear_scalar,
-    symmetric_gauge,
-    zero_scalar_field,
-    zero_vector_field,
-)
+from .fields import LinearPotentials, classical_maxwell_reference, linear_scalar, symmetric_gauge
 
 SIGN_CONVENTION = (
     "kinetic pi_j = -i hbar D_j + (e/C) A_j with e > 0; intensities solved from "
@@ -114,52 +111,27 @@ class Grid3:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Potential pair plus the intensities they must reproduce.
+    """Static linear potentials plus the uniform intensities they must reproduce.
 
-    a_field components are polynomials of degree <= 2 in the presets;
-    b_expected/e_expected are closed forms checked against the curl and
-    gradient of (a_field, phi_field) before any lattice work happens.
+    b_expected and e_expected are constant 3-vectors, checked against the
+    curl and gradient of the potentials' coefficients before any lattice
+    work happens.
     """
 
     name: str
-    a_field: VectorField3
-    phi_field: ScalarField
-    b_expected: Callable  # (X, Y, Z) -> 3 arrays
-    e_expected: Callable
-
-
-def _const_expected(values):
-    def expected(x, y, z):
-        x = np.asarray(x, dtype=float)
-        return tuple(np.full_like(x, v) for v in values)
-    return expected
+    potentials: LinearPotentials
+    b_expected: tuple
+    e_expected: tuple
 
 
 def make_preset(name: str, b0: float = 1.0, e0: float = 1.0) -> FieldConfig:
+    zero = (0.0, 0.0, 0.0)
     if name == "uniform_b":
-        return FieldConfig(
-            name=name,
-            a_field=symmetric_gauge(b0),
-            phi_field=zero_scalar_field(),
-            b_expected=_const_expected((0.0, 0.0, b0)),
-            e_expected=_const_expected((0.0, 0.0, 0.0)),
-        )
+        return FieldConfig(name, symmetric_gauge(b0), (0.0, 0.0, b0), zero)
     if name == "linear_phi":
-        return FieldConfig(
-            name=name,
-            a_field=zero_vector_field(),
-            phi_field=linear_scalar(e0),
-            b_expected=_const_expected((0.0, 0.0, 0.0)),
-            e_expected=_const_expected((e0, 0.0, 0.0)),
-        )
+        return FieldConfig(name, linear_scalar(e0), zero, (e0, 0.0, 0.0))
     if name == "zero":
-        return FieldConfig(
-            name=name,
-            a_field=zero_vector_field(),
-            phi_field=zero_scalar_field(),
-            b_expected=_const_expected((0.0, 0.0, 0.0)),
-            e_expected=_const_expected((0.0, 0.0, 0.0)),
-        )
+        return FieldConfig(name, LinearPotentials(), zero, zero)
     raise DomainError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
@@ -167,32 +139,15 @@ def validate_config(config: FieldConfig, grid: Grid3, constants: PhysicalConstan
                     tol: float = 1e-12) -> float:
     """Expected intensities must match curl/gradient of the potentials.
 
-    Returns the largest deviation found over the whole grid.
+    Both sides are constants, so one comparison covers every cell of any
+    grid; grid and constants do not enter it.  Returns the largest
+    deviation, and raises when it exceeds tol or is NaN.
     """
-    return _validated(config, grid, constants, tol)
-
-
-def _validated(config, grid, constants, tol=1e-12):
-    """validate_config, evaluated one slab of whole planes at a time.
-
-    Each of the six components keeps its own running maximum (NaN wins, as
-    in one np.max over the whole grid), so the result and the error text do
-    not depend on the slab size.
-    """
-    running = np.zeros(6)
-    for s0, s1 in _slabs(0, grid.n, grid.n * grid.n):
-        x, y, z = grid.meshgrid(slice(s0, s1))
-        ref = classical_maxwell_reference(config.a_field, config.phi_field, (x, y, z), 0.0,
-                                          constants)
-        b_want = config.b_expected(x, y, z)
-        e_want = config.e_expected(x, y, z)
-        slab = [np.max(np.abs(got[j] - want[j]))
-                for j in range(3) for got, want in ((ref.h, b_want), (ref.e, e_want))]
-        running = np.maximum(running, slab)
-    worst = 0.0
-    for top in running:
-        worst = max(worst, float(top))
-    if worst > tol:
+    ref = classical_maxwell_reference(config.potentials, (0.0, 0.0, 0.0))
+    with np.errstate(invalid="ignore"):  # inf - inf is reported as a NaN deviation
+        worst = float(np.max(np.abs(np.subtract((*ref.h, *ref.e),
+                                                (*config.b_expected, *config.e_expected)))))
+    if not worst <= tol:
         raise DomainError(
             f"config {config.name!r}: stored intensities deviate from the "
             f"potentials by {worst:.3e} (tol {tol:.1e})"
@@ -225,7 +180,7 @@ def _keep_slab_pages(halo_cells: int) -> None:
     unmap its working set and fault it back in: about 50 000 minor page
     faults per study over h = 0.2 ... 0.025.  Allocating and freeing one
     untouched block of 24 such arrays lifts both thresholds past the at most
-    42 alive at once, for one mmap/munmap pair and no resident page, up to
+    39 alive at once, for one mmap/munmap pair and no resident page, up to
     glibc's 32 MiB cap (reached near n = 170).  Under other allocators this
     is an ordinary short-lived allocation.
     """
@@ -280,8 +235,7 @@ def kinetic_momentum_apply(j: int, config: FieldConfig, grid: Grid3, psi,
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (grid.n,) * 3:
         raise DomainError(f"psi shape {psi.shape} does not match grid {(grid.n,)*3}")
-    x, y, z = grid.meshgrid()
-    a_vals = config.a_field.value(x, y, z, 0.0)
+    a_vals = config.potentials.a(*grid.meshgrid())
     k = constants
     valid = tuple(slice(1, grid.n - 1) if axis == j - 1 else slice(0, grid.n) for axis in range(3))
     deriv = np.full(psi.shape, np.nan + 0.0j, dtype=complex)
@@ -519,7 +473,7 @@ class _DiscreteKernel:
         return h_est, e_est, weak
 
 
-def _analytic_estimates(config, tf, constants, h, mesh, window, alpha, po):
+def _analytic_estimates(config, tf, constants, mesh, window, alpha, po):
     """Same commutators, no grid differencing: every derivative is exact.
 
     Evaluated on the slab's own cells (window of mesh), like the discrete
@@ -532,11 +486,9 @@ def _analytic_estimates(config, tf, constants, h, mesh, window, alpha, po):
     psi = np.asarray(tf.values(x, y, z), dtype=complex)
     grad = tf.gradient(x, y, z)
     hess = tf.hessian(x, y, z)
-    a_jac = config.a_field.jacobian(x, y, z, 0.0)
-    phi_grad = config.phi_field.gradient(x, y, z, 0.0)
     coupling = k.charge / k.c
     a = [alpha[i][window] for i in range(3)]
-    da = [[coupling * a_jac[i][l] for l in range(3)] for i in range(3)]
+    da = [[coupling * g for g in row] for row in config.potentials.grad_a]
     weak = np.abs(psi) < AMPLITUDE_FLOOR
     psi_safe = np.where(weak, np.nan + 0.0j, psi)
 
@@ -552,7 +504,7 @@ def _analytic_estimates(config, tf, constants, h, mesh, window, alpha, po):
     h_est = np.empty((3,) + psi.shape, dtype=complex)
     e_est = np.empty((3,) + psi.shape, dtype=complex)
     po = po[window]
-    dpo = [coupling * phi_grad[i] for i in range(3)]
+    dpo = [coupling * g for g in config.potentials.grad_phi]
     with np.errstate(invalid="ignore", divide="ignore"):
         for (j, l, kk) in _CYCLIC:
             comm = pi_pi(j - 1, l - 1) - pi_pi(l - 1, j - 1)
@@ -584,19 +536,18 @@ def _worst(current: float, diffs: np.ndarray, *weak: np.ndarray) -> float:
 def _slab_estimates(config, grid, test_fields, constants, mode):
     """Validate the inputs and yield the interior block's estimates slab by slab.
 
-    Each item is (s0, s1, b_in, e_in, estimates): the slab's planes [s0, s1)
-    along axis 0, the expected intensities on its cells, and one
-    (h_est, e_est, weak) per test function.  The generator keeps no
-    reference to the estimates it yields, so a consumer that lets go of
-    them before asking for the next slab holds one slab's working set at a
-    time.
+    Each item is (s0, s1, estimates): the slab's planes [s0, s1) along
+    axis 0 and one (h_est, e_est, weak) per test function.  The generator
+    keeps no reference to the estimates it yields, so a consumer that lets
+    go of them before asking for the next slab holds one slab's working set
+    at a time.
     """
     if mode not in ("discrete", "analytic"):
         raise DomainError(f"mode must be 'discrete' or 'analytic', got {mode!r}")
     test_fields = default_test_fields() if test_fields is None else list(test_fields)
     if len(test_fields) < 3:
         raise DomainError("need at least 3 test functions")
-    _validated(config, grid, constants)
+    validate_config(config, grid, constants)
     coupling = constants.charge / constants.c
     n, m = grid.n, grid.n - 4
     slabs = _slabs(2, n - 2, m * m)
@@ -607,26 +558,24 @@ def _slab_estimates(config, grid, test_fields, constants, mode):
         estimate = _DiscreteKernel(constants, grid.h, halo_shape, test_fields).slab
     else:
         def estimate(mesh, window, alpha, po):
-            return [_analytic_estimates(config, tf, constants, grid.h, mesh, window, alpha, po)
+            return [_analytic_estimates(config, tf, constants, mesh, window, alpha, po)
                     for tf in test_fields]
 
     def slab(s0, s1):
         # the slab's interior cells and the one-cell halo the stencils reach
         mesh = grid.meshgrid(slice(s0 - 1, s1 + 1), inset=1)
         window = (slice(1, s1 - s0 + 1), slice(1, m + 1), slice(1, m + 1))
-        alpha = [coupling * np.asarray(a) for a in config.a_field.value(*mesh, 0.0)]
-        po = coupling * np.asarray(config.phi_field.value(*mesh, 0.0))
-        cells = [axis[window] for axis in mesh]
-        b_in = [np.asarray(b) for b in config.b_expected(*cells)]
-        e_in = [np.asarray(e) for e in config.e_expected(*cells)]
-        return b_in, e_in, estimate(mesh, window, alpha, po)
+        alpha = [coupling * a for a in config.potentials.a(*mesh)]
+        po = coupling * config.potentials.phi(*mesh)
+        return estimate(mesh, window, alpha, po)
 
     for s0, s1 in slabs:
-        yield (s0, s1, *slab(s0, s1))  # the mesh and potentials are gone by the yield
+        yield s0, s1, slab(s0, s1)  # the mesh and potentials are gone by the yield
 
 
-def _fold_errors(h_error: float, e_error: float, b_in, e_in, estimates) -> tuple:
-    """(h_error, e_error) raised to the worst deviation of one slab's estimates.
+def _fold_errors(h_error: float, e_error: float, config, estimates) -> tuple:
+    """(h_error, e_error) raised to the worst deviation of one slab's estimates
+    from the config's constant intensities.
 
     Every difference and its magnitude go into the same two cell buffers.
     """
@@ -634,9 +583,9 @@ def _fold_errors(h_error: float, e_error: float, b_in, e_in, estimates) -> tuple
     mag = np.empty(diff.shape)
     for h_est, e_est, weak in estimates:
         for j in range(3):
-            np.subtract(h_est[j], b_in[j], out=diff)
+            np.subtract(h_est[j], config.b_expected[j], out=diff)
             h_error = _worst(h_error, np.abs(diff, out=mag), weak)
-            np.subtract(e_est[j], e_in[j], out=diff)
+            np.subtract(e_est[j], config.e_expected[j], out=diff)
             e_error = _worst(e_error, np.abs(diff, out=mag), weak)
     return h_error, e_error
 
@@ -666,10 +615,9 @@ def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
     e_field = np.full((3,) + (n,) * 3, np.nan)
     h_error = e_error = spread = 0.0
     excluded = 0
-    for s0, s1, b_in, e_in, estimates in _slab_estimates(config, grid, test_fields, constants,
-                                                         mode):
+    for s0, s1, estimates in _slab_estimates(config, grid, test_fields, constants, mode):
         excluded += sum(int(np.count_nonzero(weak)) for _, _, weak in estimates)
-        h_error, e_error = _fold_errors(h_error, e_error, b_in, e_in, estimates)
+        h_error, e_error = _fold_errors(h_error, e_error, config, estimates)
         spread = _fold_spread(spread, estimates)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -723,7 +671,7 @@ def _check_box_scale(config, half_width, constants, spacing) -> None:
     x, y, z = np.meshgrid(ends, ends, ends, indexing="ij")
     coupling = constants.charge / constants.c
     with np.errstate(over="ignore", invalid="ignore"):
-        fields = (*config.a_field.value(x, y, z, 0.0), config.phi_field.value(x, y, z, 0.0))
+        fields = (*config.potentials.a(x, y, z), config.potentials.phi(x, y, z))
         largest = max([half_width] + [float(np.max(np.abs(coupling * f))) for f in fields])
     if not largest <= limit:
         raise DomainError(f"grid spacing {spacing!r} is too large for these potentials and "
@@ -762,9 +710,9 @@ def convergence_study(config: FieldConfig, spacings, constants: PhysicalConstant
         if n % 2 == 0:
             n += 1
         h_error = e_error = 0.0
-        for _, _, b_in, e_in, estimates in _slab_estimates(config, Grid3(n=n, h=h), test_fields,
-                                                           constants, "discrete"):
-            h_error, e_error = _fold_errors(h_error, e_error, b_in, e_in, estimates)
+        for _, _, estimates in _slab_estimates(config, Grid3(n=n, h=h), test_fields, constants,
+                                               "discrete"):
+            h_error, e_error = _fold_errors(h_error, e_error, config, estimates)
             del estimates  # freed before the generator builds the next slab
         errors.append(max(h_error, e_error))
         sizes.append(n)

@@ -89,22 +89,15 @@ def _build_generator(kind: GeneratorKind, rep: Representation) -> np.ndarray:
             s = PAULI_TABLE[kind.value - 1]
             out[:2, :2] = s
             out[2:, 2:] = -s
-    return _read_only(out)
-
-
-# GENERATOR_TABLE[rep][kind]: the eight 4x4 generators of both sets.
-GENERATOR_TABLE = {
-    rep: {kind: _build_generator(kind, rep) for kind in GeneratorKind}
-    for rep in Representation
-}
+    return out
 
 
 # GENERATOR_STACK[rep]: (alpha_1, alpha_2, alpha_3, beta) of one set as a
-# read-only (4, 4, 4) array, for code that contracts over the generators.
+# read-only (4, 4, 4) array.  Entry kind.value - 1 is that kind's generator:
+# BETA, of value 0, is entry -1, the last.
 GENERATOR_STACK = {
-    rep: _read_only(np.stack([table[kind] for kind in (
-        GeneratorKind.ALPHA1, GeneratorKind.ALPHA2, GeneratorKind.ALPHA3, GeneratorKind.BETA)]))
-    for rep, table in GENERATOR_TABLE.items()
+    rep: _read_only(np.stack([_build_generator(GeneratorKind(v), rep) for v in (1, 2, 3, 0)]))
+    for rep in Representation
 }
 
 
@@ -118,7 +111,7 @@ def dirac_generator(kind: GeneratorKind, rep: Representation = Representation.PA
         raise DomainError(f"kind must be a GeneratorKind, got {kind!r}")
     if not isinstance(rep, Representation):
         raise DomainError(f"rep must be a Representation, got {rep!r}")
-    return GENERATOR_TABLE[rep][kind].copy()
+    return GENERATOR_STACK[rep][kind.value - 1].copy()
 
 
 def generators(rep: Representation = Representation.PAULI_DIRAC):
@@ -162,49 +155,11 @@ def is_hermitian(a, tol: float = 1e-14) -> bool:
     return float(np.max(np.abs(m - m.conj().T))) <= tol if m.size else True
 
 
-_PADE13_B = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-)
-# Largest 1-norm for which the [13/13] Pade approximant of exp is accurate
-# to double-precision unit roundoff (Higham 2005).
-_PADE13_THETA = 5.371920351148152
-
-
-def _expm_pade13(m: np.ndarray) -> np.ndarray:
-    """exp(m) by [13/13] Pade approximation with scaling and squaring.
-
-    Higham 2005, SIAM J. Matrix Anal. Appl. 26:1179, at fixed degree 13:
-    scale m by 2^-s so its 1-norm is at most theta_13, form
-    r = (V - U)^-1 (V + U), then square r s times.  Shares no code with
-    taylor_exp_reference, the oracle it is checked against.
-    """
-    norm = float(np.linalg.norm(m, 1))
-    s = max(0, int(np.ceil(np.log2(norm / _PADE13_THETA)))) if norm > 0.0 else 0
-    a = m / 2.0**s
-    b = _PADE13_B
-    eye = np.eye(m.shape[0], dtype=a.dtype)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
 def mat_exp(a) -> np.ndarray:
-    """Matrix exponential.
+    """Matrix exponential of a Hermitian or skew-Hermitian matrix.
 
-    Hermitian and skew-Hermitian inputs go through an eigendecomposition
-    (exactly unitary output for skew input, up to rounding); everything
-    else goes through degree-13 Pade scaling-and-squaring (Higham 2005).
+    Both go through an eigendecomposition (exactly unitary output for skew
+    input, up to rounding); any other matrix raises DomainError.
     """
     m = _as_matrix(a)
     if not np.all(np.isfinite(m)):
@@ -217,7 +172,7 @@ def mat_exp(a) -> np.ndarray:
     if is_hermitian(-1j * m, htol):
         w, v = np.linalg.eigh(-1j * m)
         return (v * np.exp(1j * w)) @ v.conj().T
-    return _expm_pade13(m)
+    raise DomainError("mat_exp needs a Hermitian or skew-Hermitian matrix")
 
 
 def clifford_check(rep: Representation, gens=None, tol: float = 1e-14):

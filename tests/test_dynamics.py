@@ -387,6 +387,18 @@ def test_trajectory_rejects_bad_times():
         zbw_trajectory(state, psi, [])
 
 
+def test_trajectory_rejects_a_phase_that_overflows():
+    # E t / hbar = 3 * 1e308 overflows even though every time is finite;
+    # sin and cos of it would fill the zbw columns with NaN
+    state = MomentumState(p=np.array([0.3, 0.0, 0.0]), constants=PhysicalConstants(c=10.0))
+    psi = max_mixing_state(state)
+    with pytest.raises(DomainError, match="overflows"):
+        zbw_trajectory(state, psi, np.linspace(0.0, 1e308, 10))
+    with pytest.raises(DomainError, match="overflows"):
+        zbw_trajectory(state, psi, [-1e308, 0.0])
+    zbw_trajectory(state, psi, np.linspace(0.0, 1e306, 10))  # phase 1e307 is finite
+
+
 def test_evolution_operator_unitary():
     state = MomentumState(p=np.array([0.4, 0.7, -0.1]), constants=K)
     u = evolution_operator(state, 1.7)
@@ -403,6 +415,36 @@ def test_fit_dominant_frequency_on_synthetic_line():
 def test_fit_dominant_frequency_flat_signal_returns_zero():
     times = np.linspace(0.0, 1.0, 64)
     assert fit_dominant_frequency(times, np.ones(64)) == 0.0
+    assert fit_dominant_frequency(times, np.zeros(64)) == 0.0
+    # a constant that rounding moved by a few ulps is flat too
+    eps = np.finfo(float).eps
+    noisy = 0.447 * (1.0 + 3.0 * eps * np.cos(40.0 * times))
+    assert np.ptp(noisy) > 0.0
+    assert fit_dominant_frequency(times, noisy) == 0.0
+    # a line well above rounding is not
+    assert fit_dominant_frequency(times, 0.447 * (1.0 + 1e-9 * np.cos(40.0 * times))) > 0.0
+
+
+# (p, C, energy sign, spin, spin axis).  The last three are eigenstates whose
+# chosen velocity component is rounding noise with no sizeable mean, which
+# only the spread against C (not against the component itself) calls flat.
+EIGENSTATE_CASES = [
+    ((0.5, 0.0, 0.0), 1.0, 1, "up", (0.0, 0.0)),
+    ((0.3, 0.2, -0.1), 1.0, -1, "up", (0.0, 0.0)),
+    ((5.0, 1.0, 2.0), 1.0, 1, "down", (1.0, 0.5)),
+    ((0.0, 1e-3, 0.0), 1.0, -1, "up", (2.0, -1.0)),
+    ((0.0, -0.24, 0.234), 9.28, -1, "up", (2.52, -1.94)),
+    ((0.013, 0.0, -0.004), 0.32, -1, "up", (2.36, -1.38)),
+    ((-0.352, 0.0, -0.004), 0.13, 1, "down", (2.55, 2.66)),
+]
+
+
+@pytest.mark.parametrize("p, c, sign, spin, axis", EIGENSTATE_CASES)
+def test_eigenstates_fit_zero_and_mixes_fit_twice_the_energy(p, c, sign, spin, axis):
+    state = MomentumState(p=np.array(p), constants=PhysicalConstants(c=c))
+    assert fitted_zbw_frequency(state, eigenspinor(state, sign, spin, axis)) == 0.0
+    want = 2.0 * state.energy / state.constants.hbar
+    assert abs(fitted_zbw_frequency(state, max_mixing_state(state, axis)) - want) <= 0.01 * want
 
 
 def test_fit_dominant_frequency_rejects_bad_sampling():

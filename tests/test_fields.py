@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from diraclab.constants import PhysicalConstants
 from diraclab.dynamics import MomentumState, eigenspinor
 from diraclab.fields import (
+    LinearPotentials,
     anomalous_moment_ratio,
     classical_maxwell_reference,
     expected_self_h,
@@ -24,8 +25,6 @@ from diraclab.fields import (
     self_potentials,
     spin_matrices,
     symmetric_gauge,
-    zero_scalar_field,
-    zero_vector_field,
 )
 from diraclab.matrices import Representation, commutator, generators, identity, sigma_block
 
@@ -94,13 +93,33 @@ def test_expected_self_h_is_sigma_block_multiple():
 
 
 def test_classical_reference_uniform_field_gauges():
-    a_field = symmetric_gauge(1.7)
-    phi_field = linear_scalar(0.9)
+    gauge = symmetric_gauge(1.7)
+    scalar = linear_scalar(0.9)
     for pt in ((0.0, 0.0, 0.0), (1.2, -0.4, 2.0)):
-        ref = classical_maxwell_reference(a_field, zero_scalar_field(), pt, 0.0, K)
+        ref = classical_maxwell_reference(gauge, pt)
         assert np.max(np.abs(np.array(ref.h) - np.array([0.0, 0.0, 1.7]))) <= 1e-14
-        ref = classical_maxwell_reference(zero_vector_field(), phi_field, pt, 0.0, K)
+        assert np.max(np.abs(np.array(ref.e))) == 0.0
+        ref = classical_maxwell_reference(scalar, pt)
         assert np.max(np.abs(np.array(ref.e) - np.array([0.9, 0.0, 0.0]))) <= 1e-14
+        assert np.max(np.abs(np.array(ref.h))) == 0.0
+    grid = np.meshgrid(*[np.linspace(-1.0, 1.0, 3)] * 3, indexing="ij")
+    ref = classical_maxwell_reference(gauge, grid)
+    assert all(c.shape == (3, 3, 3) for c in (*ref.h, *ref.e))
+    assert np.all(ref.h[2] == 1.7)
+
+
+def test_linear_potentials_sample_only_their_nonzero_coefficients():
+    x, y, z = np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * 3, indexing="ij")
+    ax, ay, az = symmetric_gauge(1.3).a(x, y, z)
+    assert ax.tobytes() == ((-0.5 * 1.3) * y).tobytes()
+    assert ay.tobytes() == ((0.5 * 1.3) * x).tobytes()
+    assert not az.any() and az.shape == x.shape
+    assert linear_scalar(0.7).phi(x, y, z).tobytes() == ((-0.7) * x).tobytes()
+    assert not symmetric_gauge(1.3).phi(x, y, z).any()
+    zero = LinearPotentials()
+    assert all(not c.any() and c.shape == x.shape for c in (*zero.a(x, y, z), zero.phi(x, y, z)))
+    mixed = LinearPotentials(grad_phi=(1.5, -2.0, 0.25))
+    assert np.array_equal(mixed.phi(x, y, z), 1.5 * x + (-2.0) * y + 0.25 * z)
 
 
 def test_rest_energy_is_mass_energy_for_any_direction():

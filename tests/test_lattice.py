@@ -59,6 +59,11 @@ def test_presets_and_validation():
         validate_config(make_preset(name), grid, K)
     with pytest.raises(DomainError):
         make_preset("sideways")
+    for bad in (make_preset("uniform_b", b0=math.nan), make_preset("linear_phi", e0=math.inf)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="deviate from the potentials by nan"):
+                validate_config(bad, grid, K)
 
 
 def test_discrete_symbol_frozen():
@@ -291,9 +296,10 @@ def _full_box_extract(cfg, grid, fields, k):
     x, y, z = grid.meshgrid()
     inner = grid.interior_mask()
     coupling = k.charge / k.c
-    alpha = [coupling * np.asarray(a) for a in cfg.a_field.value(x, y, z, 0.0)]
-    po = coupling * np.asarray(cfg.phi_field.value(x, y, z, 0.0))
-    b_want, e_want = cfg.b_expected(x, y, z), cfg.e_expected(x, y, z)
+    alpha = [coupling * a for a in cfg.potentials.a(x, y, z)]
+    po = coupling * cfg.potentials.phi(x, y, z)
+    b_want = [np.full(x.shape, v) for v in cfg.b_expected]
+    e_want = [np.full(x.shape, v) for v in cfg.e_expected]
     all_h, all_e, excluded = [], [], 0
     for tf in fields:
         psi = np.asarray(tf.values(x, y, z), dtype=complex)
@@ -469,49 +475,38 @@ def test_weak_plane_on_a_slab_boundary_does_not_change_a_bit(monkeypatch, n):
         assert res.excluded_points == len(fields) * (n - 4) ** 2
 
 
-def _tilted_uniform_b():
-    # stored H_z is off by 1e-9 / (1 + x^2): the worst deviation sits on the
-    # middle plane, inside a middle slab
+def test_misconfigured_preset_names_the_whole_grid_worst():
+    # stored H_z is off by a constant 1e-9: the potentials are linear, so
+    # that one comparison is the worst over every cell of every grid
     base = make_preset("uniform_b")
-
-    def b_expected(x, y, z):
-        bx, by, bz = base.b_expected(x, y, z)
-        return bx, by, bz + 1e-9 / (1.0 + np.asarray(x) ** 2)
-
-    return lattice_mod.FieldConfig(name="tilted", a_field=base.a_field,
-                                   phi_field=base.phi_field, b_expected=b_expected,
-                                   e_expected=base.e_expected)
-
-
-def test_misconfigured_preset_names_the_whole_grid_worst(monkeypatch):
+    cfg = lattice_mod.FieldConfig(name="tilted", potentials=base.potentials,
+                                  b_expected=(0.0, 0.0, 1.0 + 1e-9), e_expected=base.e_expected)
+    worst = abs(1.0 - (1.0 + 1e-9))  # curl A is 1
     grid = Grid3(n=17, h=0.1)
-    cfg = _tilted_uniform_b()
-    worst = float(np.max(np.abs(1.0 - (1.0 + 1e-9 / (1.0 + grid.axis**2)))))  # curl A is 1
-    messages = set()
-    for cells in (1, 3 * 13 * 13, 10**9):
-        monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
-        with pytest.raises(DomainError) as exc:
-            commutator_field_extract(cfg, grid, constants=K)
-        messages.add(str(exc.value))
-        assert validate_config(cfg, grid, K, tol=1.0) == worst
-    assert messages == {f"config 'tilted': stored intensities deviate from the "
-                        f"potentials by {worst:.3e} (tol 1.0e-12)"}
+    with pytest.raises(DomainError) as exc:
+        commutator_field_extract(cfg, grid, constants=K)
+    assert str(exc.value) == (f"config 'tilted': stored intensities deviate from the "
+                              f"potentials by {worst:.3e} (tol 1.0e-12)")
+    with pytest.raises(DomainError, match="deviate"):
+        convergence_study(cfg, (0.2, 0.1, 0.05), K)
+    assert validate_config(cfg, grid, K, tol=1.0) == worst
 
 
 # numpy reports its buffers to tracemalloc, so the traced peak of a call is
 # deterministic.  A "slab array" is one complex array over a slab's planes and
 # their one-cell halo; every slab-sized array of a discrete extraction is at
-# most that large.  Counted from the code, at most 42 are alive at once,
+# most that large.  Counted from the code, at most 39 are alive at once,
 # while the third test function is estimated: the 12 estimates of the first
 # two (2 intensities x 3 components each), the third's 6, the kernel's 14
 # reused buffers (3 test-function samples carried from slab to slab, 3 halo
 # products and 8 cell buffers), the one buffer numpy casts a real operand
-# into for a complex product, and the real mesh, potentials, expected
-# intensities and alpha_a alpha_b products with the 3 weak masks (16 real
-# arrays and 3 boolean ones, less than 9 slab arrays).  Folding the 18
-# finished estimates afterwards, and averaging them one component at a time,
-# needs fewer: the mesh and potentials are gone by then.
-LIVE_SLAB_ARRAYS = 42
+# into for a complex product, and the real mesh, potentials and
+# alpha_a alpha_b products with the 3 weak masks (10 real arrays and 3
+# boolean ones, less than 6 slab arrays).  The expected intensities are
+# constants and take no array.  Folding the 18 finished estimates
+# afterwards, and averaging them one component at a time, needs fewer: the
+# mesh and potentials are gone by then.
+LIVE_SLAB_ARRAYS = 39
 
 
 def test_extraction_memory_is_bounded_by_the_slab(monkeypatch):

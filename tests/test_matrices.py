@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 from diraclab.errors import DomainError
 from diraclab.matrices import (
     GENERATOR_STACK,
-    GENERATOR_TABLE,
     PAULI_TABLE,
     SIGMA_BLOCKS,
-    _expm_pade13,
     Representation,
     anticommutator,
     clifford_check,
@@ -132,8 +130,8 @@ def _gaussian_samples(scale):
             for _ in range(6)]
 
 
-# At scale 0.5 every 1-norm is below theta_13, so the Pade path squares
-# nothing; scales 2, 8 and 20 force s >= 1 squarings.
+# Each sample is split into its Hermitian and skew-Hermitian parts, the two
+# kinds mat_exp takes; scales 2, 8 and 20 make the Taylor oracle square.
 @pytest.mark.parametrize("samples", [
     pytest.param(_gaussian_samples(0.5), id="scale0.5"),
     pytest.param(_gaussian_samples(2.0), id="scale2"),
@@ -149,18 +147,26 @@ def test_mat_exp_agrees_with_taylor_oracle(samples):
     # Error bound: each squaring doubles the relative error carried into it
     # and adds about n*u (u = eps/2).  The Taylor oracle squares s_T times
     # with 2^s_T < 8*|A|_2, so its error is about 8*|A|_2 * (n + 4) * u =
-    # 32*|A|_2*eps at n = 4; the Pade side squares at most 2*|A|_1/theta_13
-    # <= 0.75*|A|_2 times as often and adds ~3*|A|_2*eps.  Twice their sum
-    # is 64*|A|_2*eps (1.2e-12 at |A|_2 = 88, the largest scale-20 sample);
-    # below |A|_2 = 70 the 1e-12 floor the unscaled samples always had applies.
+    # 32*|A|_2*eps at n = 4.  The eigendecomposition moves each eigenvalue
+    # by a few |A|_2*eps, which exp turns into the same relative error.
+    # Twice the oracle's share is 64*|A|_2*eps; below |A|_2 = 70 the 1e-12
+    # floor applies.
     eps = np.finfo(float).eps
-    for m in samples:
-        want = taylor_exp_reference(m)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        tol = max(1e-12, 64.0 * float(np.linalg.norm(m, 2)) * eps)
-        for got in (mat_exp(m), _expm_pade13(m)):
+    for r in samples:
+        r = np.asarray(r, dtype=complex)
+        for m in (r + r.conj().T, r - r.conj().T):
+            want = taylor_exp_reference(m)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            tol = max(1e-12, 64.0 * float(np.linalg.norm(m, 2)) * eps)
+            got = mat_exp(m)
             assert got.shape == m.shape
             assert np.max(np.abs(got - want)) / scale <= tol
+
+
+def test_mat_exp_rejects_a_matrix_neither_hermitian_nor_skew():
+    for m in (np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[0.3 - 1.1j]])):
+        with pytest.raises(DomainError, match="Hermitian or skew-Hermitian"):
+            mat_exp(m)
 
 
 def test_import_does_not_load_scipy():
@@ -227,7 +233,7 @@ def test_generator_table_matches_literal(rep, kind):
     want = LITERAL_GENERATORS[(rep, kind)]
     got = dirac_generator(kind, rep)
     assert got.dtype == complex and np.array_equal(got, want)
-    assert np.array_equal(GENERATOR_TABLE[rep][kind], want)
+    assert np.array_equal(GENERATOR_STACK[rep][kind.value - 1], want)
 
 
 def test_pauli_and_sigma_block_tables_match_literal():
@@ -242,7 +248,7 @@ def test_pauli_and_sigma_block_tables_match_literal():
 
 def test_tables_are_read_only_and_copies_are_fresh():
     entries = [*PAULI_TABLE, *SIGMA_BLOCKS,
-               *(g for table in GENERATOR_TABLE.values() for g in table.values())]
+               *(g for stack in GENERATOR_STACK.values() for g in stack)]
     assert len(entries) == 14
     for m in entries:
         assert not m.flags.writeable
