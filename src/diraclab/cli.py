@@ -6,6 +6,10 @@ position-trajectory CSV), lattice (export a convergence table), constants
 one check failed (report still written), 2 bad flags or config, or
 constants under which a computation breaks down, 3 I/O failure on an
 output path.
+
+The commands raise; `main` alone turns an error into its exit code and its
+`error:` lines.  ConfigError, DomainError and ArithmeticError give exit 2,
+a failed write of the output path (`_write_out`) exit 3.
 """
 
 from __future__ import annotations
@@ -45,13 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run check suites and write the JSON report")
     _add_shared_flags(p_verify)
-    p_verify.add_argument("--suite", action="append", choices=SUITE_NAMES,
+    p_verify.add_argument("--suite", action="append", choices=SUITE_NAMES, dest="suites",
                           help="run only this suite (repeatable)")
     p_verify.add_argument("--seed", type=int, help="seed for randomized checks")
     p_verify.add_argument("--out", default="report.json", metavar="PATH",
                           help="report path (default report.json)")
     for name in SUITE_NAMES:
-        p_verify.add_argument(f"--tol-{name}", type=float, dest=f"tol_{name}",
+        p_verify.add_argument(f"--tol-{name}", type=float, dest=f"tol.{name}",
+                              metavar=f"TOL_{name.upper()}",
                               help=f"override the {name} suite tolerance")
     p_verify.add_argument("--tamper", action="store_true", help=argparse.SUPPRESS)
 
@@ -77,52 +82,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args, with_verify_flags: bool = False):
-    flags = {
-        "hbar": args.hbar,
-        "c": args.c,
-        "mass": args.mass,
-        "charge": args.charge,
-    }
-    if with_verify_flags:
-        flags["seed"] = args.seed
-        for name in SUITE_NAMES:
-            flags[f"tol.{name}"] = getattr(args, f"tol_{name}")
-        flags["suites"] = args.suite
-        flags["tamper"] = args.tamper
-    return resolve_run_config(flags, args.config)
+class _WriteError(Exception):
+    """The output path could not be opened or written (exit 3)."""
 
 
-def _fail_config(problems) -> int:
-    for prob in problems:
-        print(f"error: {prob}", file=sys.stderr)
-    return 2
-
-
-def _fail_arithmetic(exc: ArithmeticError) -> int:
-    # Such failures come from the constants or the grid spacings, so they
-    # get the bad-config exit code, not a traceback.
-    return _fail_config([f"numerical breakdown with these inputs: {exc}"])
+def _write_out(path: str, write) -> None:
+    """Open path for text and hand the file to write(fh)."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path!r}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
-    try:
-        config = _resolve(args, with_verify_flags=True)
-    except ConfigError as exc:
-        return _fail_config(exc.problems)
+    config = resolve_run_config(vars(args), args.config)
     from .report import report_json, text_summary
     from .suites import run_suite
 
-    try:
-        report = run_suite(config)
-    except ArithmeticError as exc:
-        return _fail_arithmetic(exc)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report_json(report))
-    except OSError as exc:
-        print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return 3
+    report = run_suite(config)
+    _write_out(args.out, lambda fh: fh.write(report_json(report)))
     print(text_summary(report))
     return 0 if report.all_passed() else 1
 
@@ -231,19 +210,16 @@ def _require_finite_energy(state: MomentumState) -> None:
 
 
 def cmd_zbw(args) -> int:
-    try:
-        config = _resolve(args)
-        p = _parse_momentum(args.p)
-        if args.steps < 2:
-            raise ConfigError([f"--steps must be at least 2, got {args.steps}"])
-        if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
-            raise ConfigError([f"--t0 and --t1 must be finite, got t0={args.t0} t1={args.t1}"])
-        if not args.t1 > args.t0:
-            raise ConfigError([f"--t1 must exceed --t0, got t0={args.t0} t1={args.t1}"])
-        if not math.isfinite(args.t1 - args.t0):
-            raise ConfigError([f"--t1 - --t0 overflows, got t0={args.t0} t1={args.t1}"])
-    except ConfigError as exc:
-        return _fail_config(exc.problems)
+    config = resolve_run_config(vars(args), args.config)
+    p = _parse_momentum(args.p)
+    if args.steps < 2:
+        raise ConfigError([f"--steps must be at least 2, got {args.steps}"])
+    if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
+        raise ConfigError([f"--t0 and --t1 must be finite, got t0={args.t0} t1={args.t1}"])
+    if not args.t1 > args.t0:
+        raise ConfigError([f"--t1 must exceed --t0, got t0={args.t0} t1={args.t1}"])
+    if not math.isfinite(args.t1 - args.t0):
+        raise ConfigError([f"--t1 - --t0 overflows, got t0={args.t0} t1={args.t1}"])
     import numpy as np
 
     from .dynamics import (
@@ -253,30 +229,18 @@ def cmd_zbw(args) -> int:
         zbw_trajectory,
     )
 
-    try:
-        state = MomentumState(p=np.array(p), constants=config.constants)
-        _require_finite_energy(state)
-        psi = _parse_state(args.state, state)
-    except ConfigError as exc:
-        return _fail_config(exc.problems)
-    except DomainError as exc:
-        return _fail_config([str(exc)])
+    state = MomentumState(p=np.array(p), constants=config.constants)
+    _require_finite_energy(state)
+    psi = _parse_state(args.state, state)
     try:
         times = np.linspace(args.t0, args.t1, args.steps)
         trajectory = zbw_trajectory(state, psi, times)
-        fitted = fitted_zbw_frequency(state, psi)
-    except ArithmeticError as exc:
-        return _fail_arithmetic(exc)
-    except DomainError as exc:  # times not distinct for --steps, or a phase that overflows
-        return _fail_config([f"{exc}: --t0={args.t0} --t1={args.t1} --steps {args.steps}"])
+    except DomainError as exc:  # times not distinct, or a phase or drift that overflows
+        raise ConfigError([f"{exc}: --t0={args.t0} --t1={args.t1} --steps {args.steps}"])
     except MemoryError:
-        return _fail_config([f"not enough memory for --steps {args.steps}"])
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_trajectory_csv(trajectory, fh)
-    except OSError as exc:
-        print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return 3
+        raise ConfigError([f"not enough memory for --steps {args.steps}"])
+    fitted = fitted_zbw_frequency(state, psi)
+    _write_out(args.out, lambda fh: write_trajectory_csv(trajectory, fh))
     reference = 2.0 * state.energy / config.constants.hbar
     print(f"wrote {len(trajectory)} rows to {args.out}")
     print(f"fitted zbw angular frequency {fitted:.10g} vs 2 E_p / hbar = {reference:.10g}")
@@ -284,39 +248,25 @@ def cmd_zbw(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    config = resolve_run_config(vars(args), args.config)
+    if args.preset not in PRESET_NAMES:
+        raise ConfigError([f"unknown preset {args.preset!r}; choose from {list(PRESET_NAMES)}"])
     try:
-        config = _resolve(args)
-        if args.preset not in PRESET_NAMES:
-            raise ConfigError(
-                [f"unknown preset {args.preset!r}; choose from {list(PRESET_NAMES)}"])
-        parts = args.h.split(",")
-        try:
-            spacings = [float(s) for s in parts]
-        except ValueError:
-            raise ConfigError([f"--h must be comma-separated numbers, got {args.h!r}"])
-        if len(spacings) < 3:
-            raise ConfigError([f"--h needs at least 3 spacings, got {len(spacings)}"])
-    except ConfigError as exc:
-        return _fail_config(exc.problems)
+        spacings = [float(s) for s in args.h.split(",")]
+    except ValueError:
+        raise ConfigError([f"--h must be comma-separated numbers, got {args.h!r}"])
+    if len(spacings) < 3:
+        raise ConfigError([f"--h needs at least 3 spacings, got {len(spacings)}"])
     from .lattice import convergence_study, make_preset
     from .report import render_json
 
     try:
         study = convergence_study(make_preset(args.preset), spacings, config.constants)
-    except DomainError as exc:
-        return _fail_config([str(exc)])
-    except ArithmeticError as exc:
-        return _fail_arithmetic(exc)
     except MemoryError:
-        return _fail_config([f"not enough memory for the grids of --h {args.h}"])
+        raise ConfigError([f"not enough memory for the grids of --h {args.h}"])
     payload = {"preset": args.preset}
     payload.update(study.to_dict())
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_json(payload) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return 3
+    _write_out(args.out, lambda fh: fh.write(render_json(payload) + "\n"))
     if isinstance(study.order, float):
         print(f"estimated convergence order {study.order:.3f}")
     else:
@@ -325,10 +275,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    try:
-        config = _resolve(args)
-    except ConfigError as exc:
-        return _fail_config(exc.problems)
+    config = resolve_run_config(vars(args), args.config)
     for key, val in config.constants.to_dict().items():
         print(f"{key} = {val!r}")
     return 0
@@ -344,7 +291,22 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        problems = exc.problems
+    except DomainError as exc:
+        problems = [str(exc)]
+    except ArithmeticError as exc:
+        # Such failures come from the constants or the grid spacings, so
+        # they get the bad-config exit code, not a traceback.
+        problems = [f"numerical breakdown with these inputs: {exc}"]
+    except _WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    for prob in problems:
+        print(f"error: {prob}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -126,7 +126,9 @@ def resolve_run_config(flag_values: dict, config_path: str | None = None,
     """Merge flags, config file, and defaults into a RunConfig.
 
     flag_values may carry: hbar, c, mass, charge, seed, tol.* (None means
-    not given), suites (list or None), tamper (bool).
+    not given), suites (list or None), tamper (bool).  Other keys are
+    ignored, so the CLI passes vars() of its parsed arguments, whose
+    destinations are named after these keys.
     """
     env = os.environ if env is None else env
     path = config_path or env.get(ENV_CONFIG)

@@ -342,8 +342,8 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
     """Expectation trajectory of the closed-form position displacement.
 
     psi must be normalized; times strictly increasing, and small enough
-    that the phase max|t| E / hbar is finite.  Returns one Trajectory of
-    arrays, one row per time.
+    that the phase max|t| E / hbar and the displacement stay finite.
+    Returns one Trajectory of arrays, one row per time.
 
     Works in the closed-form basis of eigenspinor, whose energies are
     exactly +-E: psi = u_+(chi_+) + u_-(chi_-) (_energy_split).  H^-1 is
@@ -370,7 +370,8 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
         raise DomainError("times must be strictly increasing")
     k = state.constants
     e = state.energy
-    if not math.isfinite(float(np.max(np.abs(times))) * (e / k.hbar)):
+    t_max = float(np.max(np.abs(times)))
+    if not math.isfinite(t_max * (e / k.hbar)):
         raise DomainError("the phase E t / hbar overflows at the largest |t|")
     q, _ = _boost(state)
     chi_p, chi_m = _energy_split(state.rep, q, psi)
@@ -383,13 +384,19 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
     scale = k.c * k.hbar / e
     amp_sin = np.where(np.abs(cross.real) <= floor, 0.0, scale * cross.real)
     amp_vers = np.where(np.abs(cross.imag) <= floor, 0.0, -scale * cross.imag)
+    velocity = (k.c**2 * weight / e) * state.p
+    # |total_j| <= |t| |velocity_j| + |amp_sin_j| + 2 |amp_vers_j| on every row
+    bound = (t_max * float(np.max(np.abs(velocity)))
+             + float(np.max(np.abs(amp_sin))) + 2.0 * float(np.max(np.abs(amp_vers))))
+    if not math.isfinite(bound):
+        raise DomainError("the drift C^2 p t / E overflows at the largest |t|")
     zbw = np.empty((times.size, 3))
     for rows in _row_blocks(times.size):
         half = times[rows] * (e / k.hbar)  # theta / 2
         sin_half = np.sin(half)
         zbw[rows] = (np.outer(2.0 * sin_half * np.cos(half), amp_sin)
                      + np.outer(2.0 * sin_half * sin_half, amp_vers))
-    drift = times[:, None] * ((k.c**2 * weight / e) * state.p)
+    drift = times[:, None] * velocity
     return Trajectory(t=times.copy(), drift=drift, zbw=zbw, total=drift + zbw)
 
 
@@ -472,17 +479,27 @@ def fit_dominant_frequency(times, signal) -> float:
     return 2.0 * math.pi * (kpk + delta) / (times.size * dt)
 
 
-def fitted_zbw_frequency(state: MomentumState, psi=None, n_samples: int = 10000,
-                         periods: int = 64) -> float:
+# fitted_zbw_frequency samples the velocity this many times over this many
+# periods 2 pi hbar / (2 E) of the trembling motion.
+_FIT_SAMPLES = 10000
+_FIT_PERIODS = 64
+
+
+def fitted_zbw_frequency(state: MomentumState, psi=None) -> float:
     """FFT-fitted oscillation frequency of the oracle velocity signal.
 
     0.0 when every component is flat against C (_FLAT_EPS), as for an
-    energy eigenstate, whose velocity is constant.
+    energy eigenstate, whose velocity is constant.  Raises DomainError when
+    the constants make the sampled window overflow, or its sample step
+    underflow to a subnormal.
     """
     k = state.constants
     expected = 2.0 * state.energy / k.hbar
-    window = periods * 2.0 * math.pi / expected
-    times = np.linspace(0.0, window, n_samples, endpoint=False)
+    window = _FIT_PERIODS * 2.0 * math.pi / expected if expected > 0.0 else math.inf
+    if not (math.isfinite(window) and window / _FIT_SAMPLES >= sys.float_info.min):
+        raise DomainError(f"the fit window of {_FIT_PERIODS} periods 2 pi hbar / (2 E) "
+                          "overflows or underflows with these constants")
+    times = np.linspace(0.0, window, _FIT_SAMPLES, endpoint=False)
     if psi is None:
         psi = max_mixing_state(state)
     signal = velocity_signal(state, psi, times)

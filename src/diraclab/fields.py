@@ -83,7 +83,6 @@ class SelfFields:
 
     e: tuple
     h: tuple
-    provenance: str
 
 
 def self_fields_commutator(constants: PhysicalConstants,
@@ -102,7 +101,7 @@ def self_fields_commutator(constants: PhysicalConstants,
     for (j, l, kk) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         h_list[kk] = factor * commutator(mom.p[j], mom.p[l])
     e_list = [factor * commutator(mom.p[j], mom.p0) for j in range(3)]
-    return SelfFields(e=tuple(e_list), h=tuple(h_list), provenance="commutator")
+    return SelfFields(e=tuple(e_list), h=tuple(h_list))
 
 
 def self_fields_matrix_maxwell(constants: PhysicalConstants,
@@ -134,7 +133,7 @@ def self_fields_matrix_maxwell(constants: PhysicalConstants,
         term_t = grad_factor * (pot_factor * a[jj])
         term_g = grad_factor * (a[jj] * pot_factor)
         e_list.append(term_t - term_g)
-    return SelfFields(e=tuple(e_list), h=tuple(h_list), provenance="matrix_maxwell")
+    return SelfFields(e=tuple(e_list), h=tuple(h_list))
 
 
 def expected_self_h(constants: PhysicalConstants, k_axis: int) -> np.ndarray:
@@ -214,7 +213,6 @@ class SelfPotentials:
     a: np.ndarray
     phi: float
     imag_magnitude: float
-    state_ref: np.ndarray
 
 
 def self_potentials(psi, constants: PhysicalConstants,
@@ -231,8 +229,7 @@ def self_potentials(psi, constants: PhysicalConstants,
     vals = factor * _expectations(EXPECTATIONS[rep][3:], psi)  # beta, beta alpha_j
     return SelfPotentials(
         a=vals[1:].real.copy(), phi=float(vals[0].real),
-        imag_magnitude=float(np.abs(vals.imag).max()), state_ref=psi,
-    )
+        imag_magnitude=float(np.abs(vals.imag).max()))
 
 
 def magnetic_moment_matrices(constants: PhysicalConstants) -> tuple:

@@ -102,9 +102,10 @@ class Grid3:
         across = ax[inset:self.n - inset]
         return np.meshgrid(ax[planes], across, across, indexing="ij")
 
-    def interior_mask(self, layers: int = 2) -> np.ndarray:
+    def interior_mask(self) -> np.ndarray:
+        """Cells at least two from every face: where the stencils reach no edge."""
         mask = np.zeros((self.n,) * 3, dtype=bool)
-        sl = slice(layers, self.n - layers)
+        sl = slice(2, self.n - 2)
         mask[sl, sl, sl] = True
         return mask
 
@@ -135,13 +136,12 @@ def make_preset(name: str, b0: float = 1.0, e0: float = 1.0) -> FieldConfig:
     raise DomainError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-def validate_config(config: FieldConfig, grid: Grid3, constants: PhysicalConstants,
-                    tol: float = 1e-12) -> float:
+def validate_config(config: FieldConfig, tol: float = 1e-12) -> float:
     """Expected intensities must match curl/gradient of the potentials.
 
     Both sides are constants, so one comparison covers every cell of any
-    grid; grid and constants do not enter it.  Returns the largest
-    deviation, and raises when it exceeds tol or is NaN.
+    grid under any constants.  Returns the largest deviation, and raises
+    when it exceeds tol or is NaN.
     """
     ref = classical_maxwell_reference(config.potentials, (0.0, 0.0, 0.0))
     with np.errstate(invalid="ignore"):  # inf - inf is reported as a NaN deviation
@@ -547,7 +547,7 @@ def _slab_estimates(config, grid, test_fields, constants, mode):
     test_fields = default_test_fields() if test_fields is None else list(test_fields)
     if len(test_fields) < 3:
         raise DomainError("need at least 3 test functions")
-    validate_config(config, grid, constants)
+    validate_config(config)
     coupling = constants.charge / constants.c
     n, m = grid.n, grid.n - 4
     slabs = _slabs(2, n - 2, m * m)

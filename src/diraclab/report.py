@@ -117,7 +117,7 @@ def _jsonable_value(v):
     return v
 
 
-def make_check(claim_id, eq, claimed, computed, tol, *, oracle=None, notes="", quote=None):
+def make_check(claim_id, eq, claimed, computed, tol, *, oracle=None, notes=""):
     """Build a Check by comparing claimed and computed values.
 
     Scalars and arrays both work; arrays compare entrywise and record the
@@ -129,7 +129,7 @@ def make_check(claim_id, eq, claimed, computed, tol, *, oracle=None, notes="", q
     return Check(
         claim_id=claim_id,
         paper_eq=eq,
-        quote=ANCHORS[eq] if quote is None else quote,
+        quote=ANCHORS[eq],
         claimed=_jsonable_value(claimed),
         computed=_jsonable_value(computed),
         oracle=_jsonable_value(oracle) if oracle is not None else None,
@@ -141,12 +141,12 @@ def make_check(claim_id, eq, claimed, computed, tol, *, oracle=None, notes="", q
     )
 
 
-def qualitative_check(claim_id, eq, claimed, computed, passed, *, notes="", quote=None):
+def qualitative_check(claim_id, eq, claimed, computed, passed, *, notes=""):
     """Check whose verdict is a judgement, not a numeric distance."""
     return Check(
         claim_id=claim_id,
         paper_eq=eq,
-        quote=ANCHORS[eq] if quote is None else quote,
+        quote=ANCHORS[eq],
         claimed=claimed,
         computed=computed,
         oracle=None,

@@ -34,10 +34,10 @@ def spinor_norm(psi) -> float:
     return float(np.linalg.norm(as_spinor(psi)))
 
 
-def require_normalized(psi, tol: float = 1e-12) -> np.ndarray:
+def require_normalized(psi) -> np.ndarray:
     psi = as_spinor(psi)
     n = float(np.linalg.norm(psi))
-    if abs(n**2 - 1.0) > tol:
+    if abs(n**2 - 1.0) > 1e-12:
         raise DomainError(f"state is not normalized: |psi|^2 = {n**2!r}")
     return psi
 
@@ -166,13 +166,13 @@ def sigma_dot(p) -> np.ndarray:
     return p[0] * pauli(1) + p[1] * pauli(2) + p[2] * pauli(3)
 
 
-def coupled_residual(wave: PlaneWave, constants: PhysicalConstants | None = None):
+def coupled_residual(wave: PlaneWave):
     """Residuals of the two-component split equations for a plane wave.
 
     Returns (upper residual, lower residual); both vanish exactly when the
     amplitude is an energy eigenvector and hbar*omega matches that energy.
     """
-    k = wave.constants if constants is None else constants
+    k = wave.constants
     split = split_bispinor(wave.amplitude)
     sp = sigma_dot(wave.p)
     mc2 = k.mass * k.c**2

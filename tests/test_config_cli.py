@@ -14,7 +14,7 @@ from diraclab.config import (
     resolve_run_config,
 )
 from diraclab.constants import PhysicalConstants
-from diraclab.errors import ConfigError
+from diraclab.errors import ConfigError, DomainError
 
 
 def write_config(tmp_path, text):
@@ -295,10 +295,15 @@ ZBW_BASE = ["zbw", "--p", "0.5,0,0", "--t1", "6", "--steps", "40"]
     ["zbw", "--p", "0.3,0,0", "--t0", "1", "--t1", "1.0000000000000002", "--steps", "10"],
     ["zbw", "--p", "0.3,0,0", "--t0=-1e308", "--t1=1e308", "--steps", "10"],
     ["zbw", "--p", "0.3,0,0", "--t0", "0", "--t1", "1e308", "--c", "10", "--steps", "10"],
+    # the drift C^2 p t / E overflows while the phase stays finite
+    ["zbw", "--p", "1000,0,0", "--state", "plus", "--c", "10", "--hbar", "1e10",
+     "--t1", "1e308", "--steps", "10"],
+    # the fit window, 64 periods 2 pi hbar / (2 E), overflows
+    ["zbw", "--p", "0.3,0,0", "--hbar", "1e307", "--t1", "5", "--steps", "10"],
 ], ids=["t1-inf", "t0-minus-inf", "t0-nan", "energy-overflow", "c-overflow",
         "unknown-key", "typo-key", "weight-outside-superposition",
         "key-beside-superposition", "typo-in-term", "times-collapse", "span-overflow",
-        "phase-overflow"])
+        "phase-overflow", "drift-overflow", "fit-window-overflow"])
 @pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
 def test_zbw_rejects_input_with_one_error_line(argv, tmp_path, capsys):
     out = tmp_path / "traj.csv"
@@ -437,3 +442,55 @@ class TestConstantsCommand:
         assert values["hbar"] == 1.0
         assert values["c"] == 1.0
         assert values["charge"] == pytest.approx(0.08542454313184122)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_breakdown_constants_exit_two_without_traceback(tmp_path, capsys):
+    # hbar = 1e-310 makes the sampled plane-wave spinors non-finite
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--hbar", "1e-310", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: ")
+    assert not out.exists()
+
+
+# Each command's numerical entry point, patched to fail, and a run of the
+# command small enough to reach it.
+NUMERICAL_ENTRIES = {
+    "verify": ("diraclab.suites.run_suite", ["verify", "--suite", "states"]),
+    "zbw": ("diraclab.dynamics.zbw_trajectory", ZBW_BASE),
+    "lattice": ("diraclab.lattice.convergence_study",
+                ["lattice", "--preset", "zero", "--h", "0.2,0.1,0.05"]),
+}
+
+
+@pytest.mark.parametrize("error", [DomainError("outside the domain"),
+                                   ArithmeticError("every estimate is NaN")],
+                         ids=["domain", "arithmetic"])
+@pytest.mark.parametrize("command", list(NUMERICAL_ENTRIES))
+def test_numerical_failure_exits_two_with_one_error_line(command, error, tmp_path, capsys,
+                                                         monkeypatch):
+    target, argv = NUMERICAL_ENTRIES[command]
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(target, fail)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(error) in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# (verify: TestVerifyCommand.test_unwritable_out_exits_three)
+@pytest.mark.parametrize("command", ["zbw", "lattice"])
+def test_unwritable_out_exits_three(command, tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "out"
+    assert cli.main([*NUMERICAL_ENTRIES[command][1], "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {str(out)!r}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""

@@ -619,3 +619,23 @@ def test_readme_zbw_csv_bytes_are_locked(tmp_path, argv, digest, lines):
     data = out.read_bytes()
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("error")
+def test_trajectory_refuses_a_drift_that_overflows():
+    # the phase E t / hbar stays finite; t C^2 p / E does not
+    state = MomentumState(p=np.array([1000.0, 0.0, 0.0]),
+                          constants=PhysicalConstants(c=10.0, hbar=1e10))
+    with pytest.raises(DomainError, match="drift"):
+        zbw_trajectory(state, eigenspinor(state, 1, "up"), [0.0, 1e308])
+    # an equal mix has no drift, so the same times are fine for it
+    traj = zbw_trajectory(state, max_mixing_state(state), [0.0, 1e308])
+    assert np.all(traj.drift == 0.0) and np.all(np.isfinite(traj.total))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("hbar", [1e307, 1e-308])
+def test_fit_refuses_a_window_that_overflows_or_underflows(hbar):
+    state = MomentumState(p=np.array([0.3, 0.0, 0.0]), constants=PhysicalConstants(hbar=hbar))
+    with pytest.raises(DomainError, match="fit window"):
+        fitted_zbw_frequency(state)

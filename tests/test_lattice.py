@@ -54,16 +54,15 @@ def test_grid_rejects_bad_parameters():
 
 
 def test_presets_and_validation():
-    grid = Grid3(n=9, h=0.2)
     for name in PRESET_NAMES:
-        validate_config(make_preset(name), grid, K)
+        validate_config(make_preset(name))
     with pytest.raises(DomainError):
         make_preset("sideways")
     for bad in (make_preset("uniform_b", b0=math.nan), make_preset("linear_phi", e0=math.inf)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="deviate from the potentials by nan"):
-                validate_config(bad, grid, K)
+                validate_config(bad)
 
 
 def test_discrete_symbol_frozen():
@@ -489,7 +488,7 @@ def test_misconfigured_preset_names_the_whole_grid_worst():
                               f"potentials by {worst:.3e} (tol 1.0e-12)")
     with pytest.raises(DomainError, match="deviate"):
         convergence_study(cfg, (0.2, 0.1, 0.05), K)
-    assert validate_config(cfg, grid, K, tol=1.0) == worst
+    assert validate_config(cfg, tol=1.0) == worst
 
 
 # numpy reports its buffers to tracemalloc, so the traced peak of a call is
