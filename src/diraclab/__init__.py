@@ -36,7 +36,6 @@ _EXPORTS = {
     "convergence_study": "lattice",
     "make_preset": "lattice",
     "Representation": "matrices",
-    "clifford_check": "matrices",
     "generators": "matrices",
     "VerificationReport": "report",
     "report_json": "report",

@@ -14,7 +14,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .report import make_check
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -173,74 +172,6 @@ def mat_exp(a) -> np.ndarray:
         w, v = np.linalg.eigh(-1j * m)
         return (v * np.exp(1j * w)) @ v.conj().T
     raise DomainError("mat_exp needs a Hermitian or skew-Hermitian matrix")
-
-
-def clifford_check(rep: Representation, gens=None, tol: float = 1e-14):
-    """Verify the full 4x4 anticommutator table of a generator set.
-
-    Emits one check per ordered generator pair ({G_j, G_l} = 2 delta_jl I,
-    16 relations) plus hermiticity and zero-trace checks per generator.
-    gens overrides the built-in set; the override hook exists so a
-    deliberately corrupted set can prove the checker detects damage.
-    """
-    if gens is None:
-        gens = generators(rep)
-    if len(gens) != 4:
-        raise DomainError(f"expected 4 generators, got {len(gens)}")
-    gens = [_as_matrix(g) for g in gens]
-    labels = generator_labels(rep)
-    eq = "a2" if rep is Representation.PAULI_DIRAC else "b2"
-    eye2 = 2.0 * identity(4)
-    zero = np.zeros((4, 4), dtype=complex)
-    checks = []
-    for j in range(4):
-        for l in range(4):
-            want = eye2 if j == l else zero
-            got = anticommutator(gens[j], gens[l])
-            checks.append(make_check(
-                f"clifford.{rep.value}.anticomm.{labels[j]}.{labels[l]}",
-                eq,
-                claimed=want,
-                computed=got,
-                tol=tol,
-            ))
-    for j in range(4):
-        m = gens[j]
-        checks.append(make_check(
-            f"clifford.{rep.value}.hermitian.{labels[j]}",
-            eq,
-            claimed=m.conj().T,
-            computed=m,
-            tol=tol,
-            notes="generator equals its own conjugate transpose",
-        ))
-        checks.append(make_check(
-            f"clifford.{rep.value}.traceless.{labels[j]}",
-            eq,
-            claimed=0.0,
-            computed=complex(np.trace(m)),
-            tol=tol,
-        ))
-    return checks
-
-
-def generator_spectrum_checks(rep: Representation, tol: float = 1e-12):
-    """Each generator must have eigenvalues {+1, +1, -1, -1}."""
-    labels = generator_labels(rep)
-    eq = "a2" if rep is Representation.PAULI_DIRAC else "b2"
-    want = np.array([-1.0, -1.0, 1.0, 1.0])
-    checks = []
-    for g, label in zip(generators(rep), labels):
-        got = np.sort(np.linalg.eigvalsh(g))
-        checks.append(make_check(
-            f"clifford.{rep.value}.eigenvalues.{label}",
-            eq,
-            claimed=want,
-            computed=got,
-            tol=tol,
-            notes="doubly degenerate +1/-1 spectrum",
-        ))
-    return checks
 
 
 def taylor_exp_reference(a) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Config parsing, precedence rules and command-line behavior."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +453,20 @@ def test_verify_breakdown_constants_exit_two_without_traceback(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--charge", "1e-310"], ["--hbar", "1e308"],
+                                   ["--hbar", "1e-310"]])
+def test_verify_breakdown_prints_one_error_line_and_no_warning(flags, tmp_path, capsys):
+    # the suites run under np.errstate(raise): the first overflow or invalid
+    # operation ends the run, so no numpy RuntimeWarning reaches the user
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
     assert not out.exists()
 
 

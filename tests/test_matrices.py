@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diraclab.config import RunConfig
 from diraclab.errors import DomainError
 from diraclab.matrices import (
     GENERATOR_STACK,
@@ -18,12 +19,10 @@ from diraclab.matrices import (
     SIGMA_BLOCKS,
     Representation,
     anticommutator,
-    clifford_check,
     commutator,
     dirac_generator,
     GeneratorKind,
     generator_labels,
-    generator_spectrum_checks,
     generators,
     identity,
     is_hermitian,
@@ -32,6 +31,7 @@ from diraclab.matrices import (
     sigma_block,
     taylor_exp_reference,
 )
+from diraclab.suites import run_suite
 
 REPS = (Representation.PAULI_DIRAC, Representation.STANDARD)
 
@@ -92,17 +92,25 @@ def test_block_spin_commutator_frozen():
     assert np.array_equal(got, 2j * sigma_block(3))
 
 
+def _clifford_checks(rep, kinds, tamper=False):
+    """The algebra suite's Clifford checks of one generator set, by kind."""
+    report = run_suite(RunConfig(suites=("algebra",), tamper=tamper))
+    return [c for c in report.checks
+            if c.claim_id.startswith(f"algebra.clifford.{rep.value}.")
+            and c.claim_id.split(".")[3] in kinds]
+
+
 @pytest.mark.parametrize("rep", REPS)
 def test_clifford_check_all_pass(rep):
-    checks = clifford_check(rep)
+    checks = _clifford_checks(rep, ("anticomm", "hermitian", "traceless"))
     assert len(checks) == 16 + 4 + 4
     assert all(c.passed for c in checks)
 
 
 def test_clifford_check_catches_tampered_beta():
-    gens = [g.copy() for g in generators(Representation.PAULI_DIRAC)]
-    gens[3][0, 0] = -1.0
-    checks = clifford_check(Representation.PAULI_DIRAC, gens=gens)
+    # --tamper flips the first diagonal entry of the Pauli-Dirac beta
+    checks = _clifford_checks(Representation.PAULI_DIRAC,
+                              ("anticomm", "hermitian", "traceless"), tamper=True)
     failed = [c for c in checks if not c.passed]
     assert failed, "sign flip in beta must break anticommutators"
     assert any("anticomm" in c.claim_id for c in failed)
@@ -110,7 +118,7 @@ def test_clifford_check_catches_tampered_beta():
 
 
 def test_spectrum_checks_emit_one_per_generator():
-    checks = generator_spectrum_checks(Representation.STANDARD)
+    checks = _clifford_checks(Representation.STANDARD, ("eigenvalues",))
     assert len(checks) == 4
     assert all(c.passed for c in checks)
     labels = generator_labels(Representation.STANDARD)

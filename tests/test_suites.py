@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from diraclab.config import DEFAULT_SEED, SUITE_NAMES, RunConfig
-from diraclab.report import render_json, report_json
-from diraclab.suites import _dev, _zero, run_suite
+from diraclab.report import ANCHORS, render_json, report_json
+from diraclab.suites import CLAIMS, NOT_MACHINE_CHECKABLE, _dev, _judge, run_suite
 
 SEEDED_SUITES = ("algebra", "states", "dynamics", "fields")
 
@@ -38,5 +38,96 @@ def test_suite_alone_matches_its_slice_of_the_full_run(full_run, suite):
 
 
 def test_zero_raises_on_nan_deviation():
-    with pytest.raises(ArithmeticError, match="x: NaN deviation"):
-        _zero("x", "plumbing", [_dev(np.array([np.nan, 1.0]))], 1e-12)
+    with pytest.raises(ArithmeticError, match="algebra.pauli_product_table: NaN deviation"):
+        _judge("algebra.pauli_product_table", [_dev(np.array([np.nan, 1.0])), 0.0], RunConfig())
+
+
+def _rows_of(claim_id):
+    return [key for key in CLAIMS if claim_id == key or claim_id.startswith(key + ".")]
+
+
+def test_every_check_has_one_claim_row_and_every_row_is_used(full_run):
+    tampered = run_suite(RunConfig(seed=DEFAULT_SEED, tamper=True))
+    assert not tampered.all_passed()
+    used = set()
+    for report in (full_run, tampered):
+        for c in report.checks:
+            rows = _rows_of(c.claim_id)
+            assert len(rows) == 1, (c.claim_id, rows)
+            assert c.paper_eq == CLAIMS[rows[0]].eq
+            used.update(rows)
+    assert used == set(CLAIMS)
+    assert {row.eq for row in CLAIMS.values()} <= set(ANCHORS)
+    assert {eq for _, eq, _ in NOT_MACHINE_CHECKABLE} <= set(ANCHORS)
+
+
+def test_a_claim_id_without_a_row_is_refused():
+    with pytest.raises(KeyError, match="algebra.no_such_claim"):
+        _judge("algebra.no_such_claim", [0.0], RunConfig())
+
+
+# Claims whose tol follows tol.<suite>, keyed by claim id or by a dotted
+# prefix of it, with the factor between the override and the tol.  Every
+# other claim keeps its tol under every override.
+TOL_OVERRIDE_FACTORS = {
+    "algebra": {
+        "algebra.clifford": 1.0,
+        "algebra.pauli_product_table": 1.0,
+        "algebra.block_spin_commutator": 1.0,
+    },
+    "states": {
+        "states.component_rows_match_matrix_form": 1.0,
+        "states.two_component_stack": 1.0,
+        "states.cylindrical_rows_match": 100.0,
+        "states.eigen_wave_residual": 1.0,
+        "states.coupled_split_residual": 1.0,
+    },
+    "dynamics": {
+        "dynamics.energy_spectrum": 1.0,
+        "dynamics.spectrum_degeneracy": 1.0,
+        "dynamics.eta_anticommutes": 1.0,
+        "dynamics.eta_traceless": 1.0,
+        "dynamics.velocity_direction_evolution": 1.0,
+        "dynamics.eigenstate_no_oscillation": 1.0,
+        "dynamics.eigenspinor_residual": 1.0,
+        "dynamics.eigenbasis_orthonormal": 1.0,
+    },
+    "fields": {
+        "fields.momentum_commutator_h": 1.0,
+        "fields.self_h_matches_expected": 1.0,
+        "fields.routes_agree": 1.0,
+        "fields.self_potentials_vector_real_part": 1.0,
+        "fields.eigenspinor_norm": 1.0,
+        "fields.cross_sum_eigenstates": 1.0,
+        "fields.coupled_equals_reduced": 1.0,
+        "fields.reduced_equals_expectation": 1.0,
+    },
+    "lattice": {
+        "lattice.analytic_identity": 1.0,
+    },
+}
+
+
+def _override_factor(suite, claim_id):
+    for key, factor in TOL_OVERRIDE_FACTORS[suite].items():
+        if claim_id == key or claim_id.startswith(key + "."):
+            return factor
+    return None
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_tol_override_moves_exactly_the_mapped_claims(full_run, suite):
+    override = 2.0**-20  # a power of two, so factor * override is exact
+    moved = run_suite(RunConfig(seed=DEFAULT_SEED, tol_overrides={suite: override}))
+    base_tols = {c.claim_id: c.tol for c in full_run.checks}
+    assert [c.claim_id for c in moved.checks] == list(base_tols)
+    seen = set()
+    for c in moved.checks:
+        factor = _override_factor(suite, c.claim_id)
+        if factor is None:
+            assert c.tol == base_tols[c.claim_id], c.claim_id
+        else:
+            assert c.tol == factor * override, c.claim_id
+            seen.update(k for k in TOL_OVERRIDE_FACTORS[suite]
+                        if c.claim_id == k or c.claim_id.startswith(k + "."))
+    assert seen == set(TOL_OVERRIDE_FACTORS[suite])
