@@ -16,10 +16,15 @@ reach, and yields the estimates, which are dropped before the next slab is
 built, so no full-grid complex temporary is ever made.  The discrete kernel
 behind it is made once per grid.  It keeps each test function's samples
 from one slab to the next, so the two planes neighbouring slabs share are
-sampled once; it evaluates every operator term into buffers reused for
+sampled once; it evaluates the operator terms into buffers reused for
 every slab and test function; and it computes once what several terms
 share: the alpha_a alpha_b products per slab, and per test function the two
-denominators and the terms both orders of a commutator have in common.
+denominators and the terms both orders of a commutator have in common.  It
+skips every term whose potential is identically zero (a component of A, or
+phi, whose coefficients are all zero): such a term only adds or subtracts
+signed zeros, and x - (+-0) = x for every nonzero x, so on finite samples
+only the sign of an exact-zero estimate can differ, which the error
+magnitudes and the per-cell mean do not see.
 commutator_field_extract folds the error maxima, the test-function spread
 and the per-cell mean into the two intensity grids it returns;
 convergence_study folds only the error maxima and so holds one slab's
@@ -230,8 +235,8 @@ def kinetic_momentum_apply(j: int, config: FieldConfig, grid: Grid3, psi,
     psi must be sampled on the full grid.  Cells whose central difference
     would reach outside the box come back NaN.
     """
-    if j not in (1, 2, 3):
-        raise DomainError(f"axis must be 1, 2 or 3, got {j!r}")
+    if not isinstance(j, int) or isinstance(j, bool) or j not in (1, 2, 3):
+        raise DomainError(f"axis must be the int 1, 2 or 3, got {j!r}")
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (grid.n,) * 3:
         raise DomainError(f"psi shape {psi.shape} does not match grid {(grid.n,)*3}")
@@ -347,18 +352,26 @@ class ExtractResult:
     interior: np.ndarray
 
 
+def _live_terms(potentials: LinearPotentials) -> tuple:
+    """(a_live, phi_live): whether each of A_1, A_2, A_3 and whether phi is
+    not identically zero, i.e. has a nonzero (or NaN) coefficient."""
+    a_live = tuple(any(row[l] != 0.0 for row in potentials.grad_a) for l in range(3))
+    return a_live, any(g != 0.0 for g in potentials.grad_phi)
+
+
 class _DiscreteKernel:
     """The discrete estimator on one grid, walked slab by slab.
 
     Made once per grid: the stencil scales, the scalar factors of the
-    operator terms, and every buffer the commutators are evaluated into,
-    sized for the grid's first slab (a shorter last slab uses their leading
-    planes).  Each test function keeps its samples in a buffer of its own,
-    so the two planes one slab shares with the next (its last own plane and
-    its upper halo) are carried over instead of sampled again.
+    operator terms, which potentials are live (_live_terms), and every
+    buffer the commutators are evaluated into, sized for the grid's first
+    slab (a shorter last slab uses their leading planes).  Each test
+    function keeps its samples in a buffer of its own, so the two planes one
+    slab shares with the next (its last own plane and its upper halo) are
+    carried over instead of sampled again.
     """
 
-    def __init__(self, constants, h, halo_shape, test_fields):
+    def __init__(self, constants, h, halo_shape, test_fields, live):
         k = constants
         coupling = k.charge / k.c
         self.inv_2h = 1.0 / (2.0 * h)
@@ -369,6 +382,10 @@ class _DiscreteKernel:
         self.neg_i_hbar = -1j * k.hbar
         self.h_scale = -1j * k.hbar * coupling
         self.e_scale = 1j * k.hbar * coupling
+        self.a_live, self.phi_live = live
+        # D_a psi enters alpha_x D_a psi (x != a) and pi_a psi of the E block
+        self.d1_live = [self.phi_live or any(self.a_live[x] for x in range(3) if x != a)
+                        for a in range(3)]
         self.test_fields = test_fields
         self.samples = [np.empty(halo_shape, dtype=complex) for _ in test_fields]
         self.halo = [np.empty(halo_shape, dtype=complex) for _ in range(3)]
@@ -398,7 +415,8 @@ class _DiscreteKernel:
         planes = samples[0].shape[0]
         alpha_in = [a[window] for a in alpha]
         # alpha_a alpha_b of pi_j pi_l and of pi_l pi_j: real products commute
-        alpha_alpha = {(j, l): alpha_in[j - 1] * alpha_in[l - 1] for j, l, _ in _CYCLIC}
+        alpha_alpha = {(j, l): alpha_in[j - 1] * alpha_in[l - 1] for j, l, _ in _CYCLIC
+                       if self.a_live[j - 1] and self.a_live[l - 1]}
         halo = [buf[:planes] for buf in self.halo]
         work = [buf[:planes - 2] for buf in self.cells]
         return [self._estimate(psi, window, alpha, alpha_in, alpha_alpha, po, halo, work)
@@ -420,7 +438,15 @@ class _DiscreteKernel:
 
         and divided by -i hbar (e/C) psi for H, +i hbar (e/C) psi for E, so
         which buffer holds a term does not change a bit.
+
+        A term with a dead factor (alpha_l, alpha_j or po identically zero)
+        is left out: it is a signed zero, and adding or subtracting one
+        leaves every nonzero value as it is.  A commutator whose two alphas
+        are both dead is shared - shared = 0, and with po dead so is every E
+        commutator; those estimates are 0 times the denominator, which keeps
+        it NaN where psi is too weak to divide by or not finite.
         """
+        live = self.a_live
         psi_in = psi[window]
         weak = np.abs(psi_in) < AMPLITUDE_FLOOR
         den_h, den_e, p1, p2, tmp, *d1 = work
@@ -430,8 +456,10 @@ class _DiscreteKernel:
         np.multiply(self.e_scale, den_e, out=den_e)
         alpha_psi = halo
         for a in range(3):
-            np.multiply(alpha[a], psi, out=alpha_psi[a])
-            _central_difference(psi, a, self.inv_2h, window, out=d1[a])
+            if live[a]:
+                np.multiply(alpha[a], psi, out=alpha_psi[a])
+            if self.d1_live[a]:
+                _central_difference(psi, a, self.inv_2h, window, out=d1[a])
         h_est = np.empty((3,) + psi_in.shape, dtype=complex)
         e_est = np.empty((3,) + psi_in.shape, dtype=complex)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -439,25 +467,38 @@ class _DiscreteKernel:
                 a, b = j - 1, l - 1
                 # -hbar^2 D_a D_b psi, shared by both orders, until the estimate replaces it
                 shared = h_est[kk - 1]
+                if not (live[a] or live[b]):
+                    np.multiply(0.0, den_h, out=shared)
+                    continue
                 _mixed_difference(psi, min(a, b), max(a, b), self.inv_4h2, window, out=shared)
                 np.multiply(self.neg_hbar2, shared, out=shared)
                 for out, (x, y) in ((p1, (a, b)), (p2, (b, a))):
-                    # pi_x pi_y psi short of its last term (alpha_x alpha_y) psi
-                    _central_difference(alpha_psi[y], x, self.inv_2h, window, out=out)
-                    np.multiply(self.i_hbar, out, out=out)
-                    np.subtract(shared, out, out=out)
-                    np.multiply(alpha_in[x], d1[y], out=tmp)
-                    np.multiply(self.i_hbar, tmp, out=tmp)
-                    np.subtract(out, tmp, out=out)
-                np.multiply(alpha_alpha[(j, l)], psi_in, out=tmp)
-                np.add(p1, tmp, out=p1)
-                np.add(p2, tmp, out=p2)
+                    # pi_x pi_y psi short of its last term (alpha_x alpha_y) psi;
+                    # alpha_x or alpha_y is live, so out is written
+                    partial = shared
+                    if live[y]:
+                        _central_difference(alpha_psi[y], x, self.inv_2h, window, out=out)
+                        np.multiply(self.i_hbar, out, out=out)
+                        partial = np.subtract(shared, out, out=out)
+                    if live[x]:
+                        np.multiply(alpha_in[x], d1[y], out=tmp)
+                        np.multiply(self.i_hbar, tmp, out=tmp)
+                        np.subtract(partial, tmp, out=out)
+                if (j, l) in alpha_alpha:
+                    np.multiply(alpha_alpha[(j, l)], psi_in, out=tmp)
+                    np.add(p1, tmp, out=p1)
+                    np.add(p2, tmp, out=p2)
                 np.subtract(p1, p2, out=p1)
                 np.divide(p1, den_h, out=shared)
+            if not self.phi_live:
+                for a in range(3):
+                    np.multiply(0.0, den_e, out=e_est[a])
+                return h_est, e_est, weak
         pi = d1  # pi_a psi = -i hbar D_a psi + alpha_a psi, over D_a psi
         for a in range(3):
             np.multiply(self.neg_i_hbar, d1[a], out=pi[a])
-            np.add(pi[a], alpha_psi[a][window], out=pi[a])
+            if live[a]:
+                np.add(pi[a], alpha_psi[a][window], out=pi[a])
         with np.errstate(invalid="ignore", divide="ignore"):
             po_psi = np.multiply(po, psi, out=halo[0])
             po_in = po[window]
@@ -465,8 +506,9 @@ class _DiscreteKernel:
                 # pi_a (po psi) - po pi_a psi
                 _central_difference(po_psi, a, self.inv_2h, window, out=p1)
                 np.multiply(self.neg_i_hbar, p1, out=p1)
-                np.multiply(alpha_in[a], po_psi[window], out=tmp)
-                np.add(p1, tmp, out=p1)
+                if live[a]:
+                    np.multiply(alpha_in[a], po_psi[window], out=tmp)
+                    np.add(p1, tmp, out=p1)
                 np.multiply(po_in, pi[a], out=tmp)
                 np.subtract(p1, tmp, out=p1)
                 np.divide(p1, den_e, out=e_est[a])
@@ -555,7 +597,8 @@ def _slab_estimates(config, grid, test_fields, constants, mode):
     halo_shape = (s1 - s0 + 2, m + 2, m + 2)
     _keep_slab_pages(math.prod(halo_shape))
     if mode == "discrete":
-        estimate = _DiscreteKernel(constants, grid.h, halo_shape, test_fields).slab
+        estimate = _DiscreteKernel(constants, grid.h, halo_shape, test_fields,
+                                   _live_terms(config.potentials)).slab
     else:
         def estimate(mesh, window, alpha, po):
             return [_analytic_estimates(config, tf, constants, mesh, window, alpha, po)

@@ -750,7 +750,10 @@ def run_suite(config: RunConfig) -> VerificationReport:
         # an overflow or an invalid operation raises FloatingPointError (an
         # ArithmeticError) where it happens instead of printing a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            measured = _BUILDERS[name](config, rng)
+            try:
+                measured = _BUILDERS[name](config, rng)
+            except ArithmeticError as exc:  # say which suite broke down
+                raise type(exc)(f"{name} suite: {exc}") from exc
         checks += [_judge(f"{name}.{claim_id}", value, config)
                    for claim_id, value in measured.items()]
     return VerificationReport(

@@ -460,13 +460,17 @@ def test_verify_breakdown_constants_exit_two_without_traceback(tmp_path, capsys)
                                    ["--hbar", "1e-310"]])
 def test_verify_breakdown_prints_one_error_line_and_no_warning(flags, tmp_path, capsys):
     # the suites run under np.errstate(raise): the first overflow or invalid
-    # operation ends the run, so no numpy RuntimeWarning reaches the user
+    # operation ends the run, so no numpy RuntimeWarning reaches the user,
+    # and the one error line names the suite that broke down (a tiny charge
+    # first breaks the self fields, an extreme hbar the sampled states)
+    suite = "fields" if flags[0] == "--charge" else "states"
     out = tmp_path / "r.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["verify", *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: numerical breakdown with these inputs: {suite} suite: "), err
     assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import diraclab.lattice as lattice_mod
 from diraclab.constants import PhysicalConstants
 from diraclab.errors import DomainError
+from diraclab.fields import LinearPotentials, linear_scalar, symmetric_gauge
 from diraclab.lattice import (
     AMPLITUDE_FLOOR,
     Grid3,
@@ -103,6 +104,14 @@ def test_kinetic_momentum_constant_potential_pointwise():
     inner = grid.interior_mask()
     want = (K.charge / K.c) * (2.0 * x / 2.0)  # second component of the gauge
     assert np.max(np.abs(applied[inner] - want[inner])) <= 1e-14
+
+
+@pytest.mark.parametrize("axis", [True, False, 1.0, 2.0, "1", None, 0, 4])
+def test_kinetic_momentum_rejects_an_axis_that_is_not_the_int_1_2_or_3(axis):
+    grid = Grid3(n=9, h=0.2)
+    psi = np.ones((9, 9, 9), dtype=complex)
+    with pytest.raises(DomainError, match="axis must be"):
+        kinetic_momentum_apply(axis, make_preset("uniform_b"), grid, psi, K)
 
 
 def test_extracted_uniform_intensity_coarse_grid():
@@ -238,16 +247,20 @@ def test_worst_skips_nan_only_on_weak_cells():
         lattice_mod._worst(0.5, np.array([np.nan, np.nan]), weak, weak)
 
 
-def test_all_nan_estimates_raise_instead_of_reading_zero():
-    # NaN samples are not weak (|NaN| < floor is False), so every estimate
-    # is NaN on cells no mask excuses: the old reduction reported 0 here.
+def _nan_test_fields():
     def nan_values(x, y, z):
         return np.full(np.shape(x), np.nan + 0.0j)
 
-    fields = [lattice_mod.TestField(name=f"nan{i}", values=nan_values, gradient=None,
-                                    hessian=None) for i in range(3)]
+    return [lattice_mod.TestField(name=f"nan{i}", values=nan_values, gradient=None,
+                                  hessian=None) for i in range(3)]
+
+
+def test_all_nan_estimates_raise_instead_of_reading_zero():
+    # NaN samples are not weak (|NaN| < floor is False), so every estimate
+    # is NaN on cells no mask excuses: the old reduction reported 0 here.
     with pytest.raises(ArithmeticError):
-        commutator_field_extract(make_preset("uniform_b"), Grid3(n=9, h=0.2), fields, K)
+        commutator_field_extract(make_preset("uniform_b"), Grid3(n=9, h=0.2),
+                                 _nan_test_fields(), K)
 
 
 def test_convergence_to_dict_layout():
@@ -366,10 +379,45 @@ def _assert_fields_match(got, want):
     assert np.all(np.abs(got[ok] - want[ok]) <= ORACLE_ULPS * np.spacing(np.abs(want[ok])))
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
+def _linear_config(name, potentials):
+    """A FieldConfig expecting H = curl A and E = -grad phi, read off the
+    coefficients grad_a[k][l] = d_k A_l and grad_phi[k] = d_k phi."""
+    g = potentials.grad_a
+    curl = (g[1][2] - g[2][1], g[2][0] - g[0][2], g[0][1] - g[1][0])
+    return lattice_mod.FieldConfig(name, potentials, curl,
+                                   tuple(-v for v in potentials.grad_phi))
+
+
+# No preset has a live A_3, or A and phi live together; these two configs
+# run every operator term of the discrete kernel.
+LIVE_CONFIGS = {
+    "all_live": _linear_config("all_live", LinearPotentials(
+        grad_a=((0.3, 0.7, -0.2), (-0.4, 0.1, 0.9), (0.6, -0.8, 0.25)),
+        grad_phi=(-0.5, 0.35, 0.45))),
+    "symmetric_gauge_and_phi": _linear_config("symmetric_gauge_and_phi", LinearPotentials(
+        grad_a=symmetric_gauge(1.3).grad_a, grad_phi=linear_scalar(0.7).grad_phi)),
+}
+
+
+def _config(name):
+    """A preset at amplitudes (1.3, 0.7), or one of LIVE_CONFIGS."""
+    return LIVE_CONFIGS[name] if name in LIVE_CONFIGS else make_preset(name, b0=1.3, e0=0.7)
+
+
+def test_live_configs_are_valid_and_live_everywhere():
+    for cfg in LIVE_CONFIGS.values():
+        validate_config(cfg)
+    assert lattice_mod._live_terms(LIVE_CONFIGS["all_live"].potentials) == ((True,) * 3, True)
+    assert (lattice_mod._live_terms(LIVE_CONFIGS["symmetric_gauge_and_phi"].potentials)
+            == ((True, True, False), True))
+    assert lattice_mod._live_terms(make_preset("linear_phi").potentials) == ((False,) * 3, True)
+    assert lattice_mod._live_terms(make_preset("zero").potentials) == ((False,) * 3, False)
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
 @pytest.mark.parametrize("n, h", [(17, 0.1), (33, 0.05)])
 def test_extraction_matches_full_box_reference(name, n, h):
-    cfg = make_preset(name, b0=1.3, e0=0.7)
+    cfg = _config(name)
     grid = Grid3(n=n, h=h)
     fields = default_test_fields()
     res = commutator_field_extract(cfg, grid, fields, K)
@@ -450,9 +498,9 @@ def test_slabs_cover_the_block_in_order(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["discrete", "analytic"])
 @pytest.mark.parametrize("n", [9, 17, 33])
-@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
 def test_slab_size_does_not_change_a_bit(monkeypatch, name, n, mode):
-    cfg = make_preset(name, b0=1.3, e0=0.7)
+    cfg = _config(name)
     grid = Grid3(n=n, h=1.6 / (n - 1))
     _extract_at_each_setting(
         monkeypatch, n, lambda: commutator_field_extract(cfg, grid, constants=K, mode=mode))
@@ -472,6 +520,75 @@ def test_weak_plane_on_a_slab_boundary_does_not_change_a_bit(monkeypatch, n):
             monkeypatch, n, lambda: commutator_field_extract(cfg, grid, fields, K))
         res = commutator_field_extract(cfg, grid, fields, K)
         assert res.excluded_points == len(fields) * (n - 4) ** 2
+
+
+# --- dead terms --------------------------------------------------------------
+#
+# The kernel leaves out the operator terms of identically zero potentials.
+# Evaluating them anyway, with every potential marked live, must give the
+# same bytes.
+
+
+def _all_live(potentials):
+    return (True, True, True), True
+
+
+def _extraction_bits(res):
+    return (res.h_field.tobytes(), res.e_field.tobytes(), res.excluded_points,
+            [err.hex() for err in (res.h_error, res.e_error, res.function_deviation)])
+
+
+@pytest.mark.parametrize("amplitudes", [(1.0, 1.0), (1.3, 0.7)])
+@pytest.mark.parametrize("n", [17, 33])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_leaving_out_dead_terms_does_not_change_a_bit(monkeypatch, name, n, amplitudes):
+    cfg = make_preset(name, *amplitudes)
+    grid = Grid3(n=n, h=1.6 / (n - 1))
+    pruned = _extraction_bits(commutator_field_extract(cfg, grid, constants=K))
+    monkeypatch.setattr(lattice_mod, "_live_terms", _all_live)
+    assert _extraction_bits(commutator_field_extract(cfg, grid, constants=K)) == pruned
+
+
+def test_leaving_out_dead_terms_does_not_change_the_n65_study(monkeypatch):
+    cfg = make_preset("uniform_b", 1.3, 0.7)
+    spacings = (0.2, 0.1, 0.05, 0.025)
+    pruned = [err.hex() for err in convergence_study(cfg, spacings, K).errors]
+    monkeypatch.setattr(lattice_mod, "_live_terms", _all_live)
+    assert [err.hex() for err in convergence_study(cfg, spacings, K).errors] == pruned
+
+
+@pytest.mark.parametrize("name", ["linear_phi", "zero"])
+def test_all_nan_estimates_raise_where_a_whole_block_is_dead(name):
+    # linear_phi's H estimates and all of zero's are 0 times the
+    # denominator, which stays NaN where the samples are
+    fields = _nan_test_fields()
+    with pytest.raises(ArithmeticError):
+        commutator_field_extract(make_preset(name), Grid3(n=9, h=0.2), fields, K)
+    with pytest.raises(ArithmeticError):
+        convergence_study(make_preset(name), (0.2, 0.1, 0.05), K, test_fields=fields)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_nan_sample_reads_nan_not_zero(name):
+    # every estimate is divided by psi, or is 0 times that denominator, so a
+    # cell whose samples are NaN keeps NaN intensities even where the
+    # commutators are dead
+    grid = Grid3(n=9, h=0.2)
+    x0 = grid.axis[4]
+
+    def nan_at_center(k_vec):
+        wave = plane_wave_field(k_vec).values
+
+        def values(x, y, z):
+            return np.where((x == x0) & (y == x0) & (z == x0), np.nan + 0.0j, wave(x, y, z))
+
+        return lattice_mod.TestField(name="nan_center", values=values, gradient=None,
+                                     hessian=None)
+
+    fields = [nan_at_center(kv) for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
+    res = commutator_field_extract(make_preset(name), grid, fields, K)
+    assert np.isnan(res.h_field[:, 4, 4, 4]).all() and np.isnan(res.e_field[:, 4, 4, 4]).all()
+    assert np.isfinite(res.h_field[:, 2, 2, 2]).all() and np.isfinite(res.e_field[:, 2, 2, 2]).all()
 
 
 def test_misconfigured_preset_names_the_whole_grid_worst():
