@@ -131,21 +131,28 @@ def _require_known_keys(obj: dict, allowed: tuple, where: str) -> None:
                            f"allowed keys are {list(allowed)}"])
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool, which Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_number_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
 def _state_from_term(term: dict, state: MomentumState) -> np.ndarray:
     from .dynamics import eigenspinor
 
     sign = term.get("energy_sign", 1)
-    if sign not in (1, -1):
+    if not _is_number(sign) or sign not in (1, -1):
         raise ConfigError([f"--state: energy_sign must be 1 or -1, got {sign!r}"])
     spin = term.get("spin", "up")
     if spin not in ("up", "down"):
         raise ConfigError([f"--state: spin must be 'up' or 'down', got {spin!r}"])
-    axis = term.get("spin_axis", (0.0, 0.0))
-    try:
-        theta, phi = (float(v) for v in axis)
-    except (TypeError, ValueError):
+    axis = term.get("spin_axis", [0.0, 0.0])
+    if not _is_number_pair(axis):
         raise ConfigError([f"--state: spin_axis must be [theta, phi], got {axis!r}"])
-    return eigenspinor(state, int(sign), spin, (theta, phi))
+    return eigenspinor(state, int(sign), spin, (float(axis[0]), float(axis[1])))
 
 
 def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
@@ -178,14 +185,9 @@ def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
                 raise ConfigError([f"--state: superposition term must be an object, got {term!r}"])
             _require_known_keys(term, _WEIGHTED_TERM_KEYS, "a superposition term")
             w = term.get("weight", 1.0)
-            if isinstance(w, list):
-                if len(w) != 2:
-                    raise ConfigError([f"--state: weight must be a number or [re, im], got {w!r}"])
-                w = complex(float(w[0]), float(w[1]))
-            elif isinstance(w, (int, float)):
-                w = complex(w)
-            else:
+            if not (_is_number(w) or _is_number_pair(w)):
                 raise ConfigError([f"--state: weight must be a number or [re, im], got {w!r}"])
+            w = complex(*w) if isinstance(w, list) else complex(w)
             psi = psi + w * _state_from_term(term, state)
         norm = spinor_norm(psi)
         if norm < 1e-12:

@@ -467,8 +467,6 @@ def fit_dominant_frequency(times, signal) -> float:
         return 0.0
     y = x - x.mean()
     spec = np.abs(np.fft.rfft(y * np.hanning(times.size)))
-    if spec.size < 3:
-        return 0.0
     kpk = int(np.argmax(spec[1:]) + 1)
     delta = 0.0
     if 1 <= kpk < spec.size - 1 and spec[kpk - 1] > 0 and spec[kpk + 1] > 0:

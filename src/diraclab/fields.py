@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
+from .errors import DomainError
 from .matrices import (
     GENERATOR_STACK,
     Representation,
@@ -161,13 +162,17 @@ def _linear(coeffs, coords):
 class LinearPotentials:
     """Static potentials linear in position, given by their constant gradients.
 
-    grad_a[k][l] = d_k A_l and grad_phi[k] = d_k phi, so that
+    grad_a[k][l] = d_k A_l and grad_phi[k] = d_k phi, all finite, so that
     A_l = sum_k grad_a[k][l] x_k and phi = sum_k grad_phi[k] x_k.  a and phi
     broadcast over numpy arrays.  LinearPotentials() is the zero field.
     """
 
     grad_a: tuple = (_ZERO3, _ZERO3, _ZERO3)
     grad_phi: tuple = _ZERO3
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for row in (*self.grad_a, self.grad_phi) for v in row):
+            raise DomainError(f"potential coefficients must be finite, got {self!r}")
 
     def a(self, x, y, z) -> tuple:
         return tuple(_linear([row[l] for row in self.grad_a], (x, y, z)) for l in range(3))

@@ -1,10 +1,10 @@
 """Discrete minimal coupling on a cubic grid and the commutator field probe.
 
-A field configuration is a pair of static potentials linear in position,
-given by their constant coefficients (fields.LinearPotentials), plus the
-uniform intensities B and E they should produce.  Validating it is one
-comparison of those two vectors with the curl and gradient of the
-coefficients, and every estimate's error is its distance from them.
+An external field is a pair of static potentials linear in position, given
+by their constant coefficients (fields.LinearPotentials).  The intensities
+it should produce, H = curl A and E = -grad phi, are read once from those
+coefficients (fields.classical_maxwell_reference), and every estimate's
+error is its distance from them.
 
 Kinetic momentum components are applied with symmetric central differences
 (no periodic wrap: boundary cells are marked invalid).  The extraction
@@ -44,7 +44,7 @@ and the operators describe the electron (signed charge -e), so
 and the intensities are solved from [pi_j, pi_l] = -i hbar (e/C) eps_jlk H_k
 and [pi_j, pi_o] = +i hbar (e/C) E_j.  With e read as the signed charge both
 templates match the catalogue's printed form; this choice makes the uniform
-field configuration come out as H = +B.
+field preset come out as H = +B.
 """
 
 from __future__ import annotations
@@ -115,49 +115,15 @@ class Grid3:
         return mask
 
 
-@dataclass(frozen=True)
-class FieldConfig:
-    """Static linear potentials plus the uniform intensities they must reproduce.
-
-    b_expected and e_expected are constant 3-vectors, checked against the
-    curl and gradient of the potentials' coefficients before any lattice
-    work happens.
-    """
-
-    name: str
-    potentials: LinearPotentials
-    b_expected: tuple
-    e_expected: tuple
-
-
-def make_preset(name: str, b0: float = 1.0, e0: float = 1.0) -> FieldConfig:
-    zero = (0.0, 0.0, 0.0)
+def make_preset(name: str, b0: float = 1.0, e0: float = 1.0) -> LinearPotentials:
+    """The named field: a uniform H = (0, 0, b0), a uniform E = (e0, 0, 0), or none."""
     if name == "uniform_b":
-        return FieldConfig(name, symmetric_gauge(b0), (0.0, 0.0, b0), zero)
+        return symmetric_gauge(b0)
     if name == "linear_phi":
-        return FieldConfig(name, linear_scalar(e0), zero, (e0, 0.0, 0.0))
+        return linear_scalar(e0)
     if name == "zero":
-        return FieldConfig(name, LinearPotentials(), zero, zero)
+        return LinearPotentials()
     raise DomainError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-
-
-def validate_config(config: FieldConfig, tol: float = 1e-12) -> float:
-    """Expected intensities must match curl/gradient of the potentials.
-
-    Both sides are constants, so one comparison covers every cell of any
-    grid under any constants.  Returns the largest deviation, and raises
-    when it exceeds tol or is NaN.
-    """
-    ref = classical_maxwell_reference(config.potentials, (0.0, 0.0, 0.0))
-    with np.errstate(invalid="ignore"):  # inf - inf is reported as a NaN deviation
-        worst = float(np.max(np.abs(np.subtract((*ref.h, *ref.e),
-                                                (*config.b_expected, *config.e_expected)))))
-    if not worst <= tol:
-        raise DomainError(
-            f"config {config.name!r}: stored intensities deviate from the "
-            f"potentials by {worst:.3e} (tol {tol:.1e})"
-        )
-    return worst
 
 
 # Interior cells per slab of the extraction: two planes at n = 65, the whole
@@ -228,7 +194,7 @@ def _mixed_difference(values: np.ndarray, axis_a: int, axis_b: int, inv_4h2: flo
     return np.multiply(out, inv_4h2, out=out)
 
 
-def kinetic_momentum_apply(j: int, config: FieldConfig, grid: Grid3, psi,
+def kinetic_momentum_apply(j: int, potentials: LinearPotentials, grid: Grid3, psi,
                            constants: PhysicalConstants) -> np.ndarray:
     """(-i hbar D_j + (e/C) A_j) psi on the grid.
 
@@ -240,7 +206,7 @@ def kinetic_momentum_apply(j: int, config: FieldConfig, grid: Grid3, psi,
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (grid.n,) * 3:
         raise DomainError(f"psi shape {psi.shape} does not match grid {(grid.n,)*3}")
-    a_vals = config.potentials.a(*grid.meshgrid())
+    a_vals = potentials.a(*grid.meshgrid())
     k = constants
     valid = tuple(slice(1, grid.n - 1) if axis == j - 1 else slice(0, grid.n) for axis in range(3))
     deriv = np.full(psi.shape, np.nan + 0.0j, dtype=complex)
@@ -349,12 +315,11 @@ class ExtractResult:
     e_error: float
     function_deviation: float  # worst spread between test functions
     excluded_points: int
-    interior: np.ndarray
 
 
 def _live_terms(potentials: LinearPotentials) -> tuple:
     """(a_live, phi_live): whether each of A_1, A_2, A_3 and whether phi is
-    not identically zero, i.e. has a nonzero (or NaN) coefficient."""
+    not identically zero, i.e. has a nonzero coefficient."""
     a_live = tuple(any(row[l] != 0.0 for row in potentials.grad_a) for l in range(3))
     return a_live, any(g != 0.0 for g in potentials.grad_phi)
 
@@ -515,7 +480,7 @@ class _DiscreteKernel:
         return h_est, e_est, weak
 
 
-def _analytic_estimates(config, tf, constants, mesh, window, alpha, po):
+def _analytic_estimates(potentials, tf, constants, mesh, window, alpha, po):
     """Same commutators, no grid differencing: every derivative is exact.
 
     Evaluated on the slab's own cells (window of mesh), like the discrete
@@ -530,7 +495,7 @@ def _analytic_estimates(config, tf, constants, mesh, window, alpha, po):
     hess = tf.hessian(x, y, z)
     coupling = k.charge / k.c
     a = [alpha[i][window] for i in range(3)]
-    da = [[coupling * g for g in row] for row in config.potentials.grad_a]
+    da = [[coupling * g for g in row] for row in potentials.grad_a]
     weak = np.abs(psi) < AMPLITUDE_FLOOR
     psi_safe = np.where(weak, np.nan + 0.0j, psi)
 
@@ -546,7 +511,7 @@ def _analytic_estimates(config, tf, constants, mesh, window, alpha, po):
     h_est = np.empty((3,) + psi.shape, dtype=complex)
     e_est = np.empty((3,) + psi.shape, dtype=complex)
     po = po[window]
-    dpo = [coupling * g for g in config.potentials.grad_phi]
+    dpo = [coupling * g for g in potentials.grad_phi]
     with np.errstate(invalid="ignore", divide="ignore"):
         for (j, l, kk) in _CYCLIC:
             comm = pi_pi(j - 1, l - 1) - pi_pi(l - 1, j - 1)
@@ -575,7 +540,7 @@ def _worst(current: float, diffs: np.ndarray, *weak: np.ndarray) -> float:
     return current
 
 
-def _slab_estimates(config, grid, test_fields, constants, mode):
+def _slab_estimates(potentials, grid, test_fields, constants, mode):
     """Validate the inputs and yield the interior block's estimates slab by slab.
 
     Each item is (s0, s1, estimates): the slab's planes [s0, s1) along
@@ -589,7 +554,6 @@ def _slab_estimates(config, grid, test_fields, constants, mode):
     test_fields = default_test_fields() if test_fields is None else list(test_fields)
     if len(test_fields) < 3:
         raise DomainError("need at least 3 test functions")
-    validate_config(config)
     coupling = constants.charge / constants.c
     n, m = grid.n, grid.n - 4
     slabs = _slabs(2, n - 2, m * m)
@@ -598,27 +562,27 @@ def _slab_estimates(config, grid, test_fields, constants, mode):
     _keep_slab_pages(math.prod(halo_shape))
     if mode == "discrete":
         estimate = _DiscreteKernel(constants, grid.h, halo_shape, test_fields,
-                                   _live_terms(config.potentials)).slab
+                                   _live_terms(potentials)).slab
     else:
         def estimate(mesh, window, alpha, po):
-            return [_analytic_estimates(config, tf, constants, mesh, window, alpha, po)
+            return [_analytic_estimates(potentials, tf, constants, mesh, window, alpha, po)
                     for tf in test_fields]
 
     def slab(s0, s1):
         # the slab's interior cells and the one-cell halo the stencils reach
         mesh = grid.meshgrid(slice(s0 - 1, s1 + 1), inset=1)
         window = (slice(1, s1 - s0 + 1), slice(1, m + 1), slice(1, m + 1))
-        alpha = [coupling * a for a in config.potentials.a(*mesh)]
-        po = coupling * config.potentials.phi(*mesh)
+        alpha = [coupling * a for a in potentials.a(*mesh)]
+        po = coupling * potentials.phi(*mesh)
         return estimate(mesh, window, alpha, po)
 
     for s0, s1 in slabs:
         yield s0, s1, slab(s0, s1)  # the mesh and potentials are gone by the yield
 
 
-def _fold_errors(h_error: float, e_error: float, config, estimates) -> tuple:
+def _fold_errors(h_error: float, e_error: float, expected, estimates) -> tuple:
     """(h_error, e_error) raised to the worst deviation of one slab's estimates
-    from the config's constant intensities.
+    from expected, the constant MaxwellFields (curl A, -grad phi) of the field.
 
     Every difference and its magnitude go into the same two cell buffers.
     """
@@ -626,9 +590,9 @@ def _fold_errors(h_error: float, e_error: float, config, estimates) -> tuple:
     mag = np.empty(diff.shape)
     for h_est, e_est, weak in estimates:
         for j in range(3):
-            np.subtract(h_est[j], config.b_expected[j], out=diff)
+            np.subtract(h_est[j], expected.h[j], out=diff)
             h_error = _worst(h_error, np.abs(diff, out=mag), weak)
-            np.subtract(e_est[j], config.e_expected[j], out=diff)
+            np.subtract(e_est[j], expected.e[j], out=diff)
             e_error = _worst(e_error, np.abs(diff, out=mag), weak)
     return h_error, e_error
 
@@ -642,7 +606,7 @@ def _fold_spread(spread: float, estimates) -> float:
     return spread
 
 
-def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
+def commutator_field_extract(potentials: LinearPotentials, grid: Grid3, test_fields=None,
                              constants: PhysicalConstants | None = None,
                              mode: str = "discrete") -> ExtractResult:
     """Estimate the external intensities from kinetic-momentum commutators.
@@ -658,9 +622,10 @@ def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
     e_field = np.full((3,) + (n,) * 3, np.nan)
     h_error = e_error = spread = 0.0
     excluded = 0
-    for s0, s1, estimates in _slab_estimates(config, grid, test_fields, constants, mode):
+    expected = classical_maxwell_reference(potentials, (0.0, 0.0, 0.0))
+    for s0, s1, estimates in _slab_estimates(potentials, grid, test_fields, constants, mode):
         excluded += sum(int(np.count_nonzero(weak)) for _, _, weak in estimates)
-        h_error, e_error = _fold_errors(h_error, e_error, config, estimates)
+        h_error, e_error = _fold_errors(h_error, e_error, expected, estimates)
         spread = _fold_spread(spread, estimates)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -676,7 +641,6 @@ def commutator_field_extract(config: FieldConfig, grid: Grid3, test_fields=None,
         e_error=e_error,
         function_deviation=spread,
         excluded_points=excluded,
-        interior=grid.interior_mask(),
     )
 
 
@@ -699,14 +663,14 @@ class ConvergenceResult:
 EXACT_FLOOR = 1e-13
 
 
-def _check_box_scale(config, half_width, constants, spacing) -> None:
+def _check_box_scale(potentials, half_width, constants, spacing) -> None:
     """Refuse a box whose coordinates or coupled potentials overflow when squared.
 
     The Gaussian test functions square the coordinates, and the kinetic
     momenta multiply (e/C) A and (e/C) phi by each other and by the
     samples, then difference and sum a few such products.  All of that
     stays finite when every coordinate and coupled potential on the box is
-    at most sqrt(float max) / 8 in magnitude.  The preset potentials are
+    at most sqrt(float max) / 8 in magnitude.  The potentials are
     linear, so their largest magnitude on the box is at a corner.
     """
     limit = math.sqrt(sys.float_info.max) / 8.0
@@ -714,7 +678,7 @@ def _check_box_scale(config, half_width, constants, spacing) -> None:
     x, y, z = np.meshgrid(ends, ends, ends, indexing="ij")
     coupling = constants.charge / constants.c
     with np.errstate(over="ignore", invalid="ignore"):
-        fields = (*config.potentials.a(x, y, z), config.potentials.phi(x, y, z))
+        fields = (*potentials.a(x, y, z), potentials.phi(x, y, z))
         largest = max([half_width] + [float(np.max(np.abs(coupling * f))) for f in fields])
     if not largest <= limit:
         raise DomainError(f"grid spacing {spacing!r} is too large for these potentials and "
@@ -722,7 +686,8 @@ def _check_box_scale(config, half_width, constants, spacing) -> None:
                           f"reaches {largest:.3g}, whose square overflows")
 
 
-def convergence_study(config: FieldConfig, spacings, constants: PhysicalConstants | None = None,
+def convergence_study(potentials: LinearPotentials, spacings,
+                      constants: PhysicalConstants | None = None,
                       test_fields=None) -> ConvergenceResult:
     """Error-versus-spacing fit for the discrete extraction.
 
@@ -745,7 +710,8 @@ def convergence_study(config: FieldConfig, spacings, constants: PhysicalConstant
     half_width = 4.0 * spac[0]
     if not math.isfinite(2.0 * half_width):
         raise DomainError(f"grid spacing {spac[0]!r} is too large: the box width overflows")
-    _check_box_scale(config, half_width, constants, spac[0])
+    _check_box_scale(potentials, half_width, constants, spac[0])
+    expected = classical_maxwell_reference(potentials, (0.0, 0.0, 0.0))
     errors = []
     sizes = []
     for h in spac:
@@ -753,9 +719,9 @@ def convergence_study(config: FieldConfig, spacings, constants: PhysicalConstant
         if n % 2 == 0:
             n += 1
         h_error = e_error = 0.0
-        for _, _, estimates in _slab_estimates(config, Grid3(n=n, h=h), test_fields, constants,
-                                               "discrete"):
-            h_error, e_error = _fold_errors(h_error, e_error, config, estimates)
+        for _, _, estimates in _slab_estimates(potentials, Grid3(n=n, h=h), test_fields,
+                                               constants, "discrete"):
+            h_error, e_error = _fold_errors(h_error, e_error, expected, estimates)
             del estimates  # freed before the generator builds the next slab
         errors.append(max(h_error, e_error))
         sizes.append(n)

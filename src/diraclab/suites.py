@@ -715,16 +715,16 @@ def build_lattice_suite(config: RunConfig, rng) -> dict:
         lattice_mod.make_preset("uniform_b"), grid, constants=k, mode="discrete")
     bound = _truncation_bound(res)
     m["function_independence"] = (0.0, res.function_deviation, bound)
-    inner = res.interior
+    inner = grid.interior_mask()
     h3 = res.h_field[2][inner]
     m["uniform_intensity_flat"] = (0.0, float(np.nanmax(h3) - np.nanmin(h3)), bound)
 
-    zero_cfg = lattice_mod.make_preset("zero")
+    zero = lattice_mod.make_preset("zero")
     kvec = (1.3, -0.7, 0.5)
     psi = lattice_mod.plane_wave_field(kvec).values(*grid.meshgrid())
     devs = []
     for j in (1, 2, 3):
-        applied = lattice_mod.kinetic_momentum_apply(j, zero_cfg, grid, psi, k)
+        applied = lattice_mod.kinetic_momentum_apply(j, zero, grid, psi, k)
         symbol = k.hbar * math.sin(kvec[j - 1] * grid.h) / grid.h
         devs.append(_dev(applied[inner] / psi[inner], symbol))
     m["discrete_symbol"] = devs

@@ -293,6 +293,12 @@ ZBW_BASE = ["zbw", "--p", "0.5,0,0", "--t1", "6", "--steps", "40"]
     [*ZBW_BASE, "--state", '{"energy_sign": 1, "weight": 2.0}'],
     [*ZBW_BASE, "--state", '{"superposition": [{"energy_sign": 1}], "spin": "up"}'],
     [*ZBW_BASE, "--state", '{"superposition": [{"energy_sign": 1, "wieght": 1.0}]}'],
+    # a JSON boolean is not a number, although Python counts it as an int
+    [*ZBW_BASE, "--state", '{"energy_sign": true}'],
+    [*ZBW_BASE, "--state",
+     '{"superposition": [{"energy_sign": 1}, {"energy_sign": -1, "weight": false}]}'],
+    [*ZBW_BASE, "--state", '{"superposition": [{"energy_sign": -1, "weight": [true, 0]}]}'],
+    [*ZBW_BASE, "--state", '{"spin_axis": [true, 0]}'],
     ["zbw", "--p", "0.3,0,0", "--t0", "1", "--t1", "1.0000000000000002", "--steps", "10"],
     ["zbw", "--p", "0.3,0,0", "--t0=-1e308", "--t1=1e308", "--steps", "10"],
     ["zbw", "--p", "0.3,0,0", "--t0", "0", "--t1", "1e308", "--c", "10", "--steps", "10"],
@@ -303,7 +309,8 @@ ZBW_BASE = ["zbw", "--p", "0.5,0,0", "--t1", "6", "--steps", "40"]
     ["zbw", "--p", "0.3,0,0", "--hbar", "1e307", "--t1", "5", "--steps", "10"],
 ], ids=["t1-inf", "t0-minus-inf", "t0-nan", "energy-overflow", "c-overflow",
         "unknown-key", "typo-key", "weight-outside-superposition",
-        "key-beside-superposition", "typo-in-term", "times-collapse", "span-overflow",
+        "key-beside-superposition", "typo-in-term", "bool-energy-sign", "bool-weight",
+        "bool-in-weight-pair", "bool-in-spin-axis", "times-collapse", "span-overflow",
         "phase-overflow", "drift-overflow", "fit-window-overflow"])
 @pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
 def test_zbw_rejects_input_with_one_error_line(argv, tmp_path, capsys):

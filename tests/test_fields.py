@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from diraclab.constants import PhysicalConstants
 from diraclab.dynamics import MomentumState, eigenspinor
+from diraclab.errors import DomainError
 from diraclab.fields import (
     LinearPotentials,
     anomalous_moment_ratio,
@@ -120,6 +121,16 @@ def test_linear_potentials_sample_only_their_nonzero_coefficients():
     assert all(not c.any() and c.shape == x.shape for c in (*zero.a(x, y, z), zero.phi(x, y, z)))
     mixed = LinearPotentials(grad_phi=(1.5, -2.0, 0.25))
     assert np.array_equal(mixed.phi(x, y, z), 1.5 * x + (-2.0) * y + 0.25 * z)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [(0, 1), (2, 2), (3, 0)])
+def test_linear_potentials_refuse_a_non_finite_coefficient(bad, slot):
+    # slot (k, l): grad_a[k][l] for k < 3, grad_phi[l] for k = 3
+    rows = [[0.0, 0.0, 0.0] for _ in range(4)]
+    rows[slot[0]][slot[1]] = bad
+    with pytest.raises(DomainError, match="coefficients must be finite"):
+        LinearPotentials(grad_a=tuple(map(tuple, rows[:3])), grad_phi=tuple(rows[3]))
 
 
 def test_rest_energy_is_mass_energy_for_any_direction():

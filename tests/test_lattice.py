@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 import diraclab.lattice as lattice_mod
 from diraclab.constants import PhysicalConstants
 from diraclab.errors import DomainError
-from diraclab.fields import LinearPotentials, linear_scalar, symmetric_gauge
+from diraclab.fields import (
+    LinearPotentials,
+    classical_maxwell_reference,
+    linear_scalar,
+    symmetric_gauge,
+)
 from diraclab.lattice import (
     AMPLITUDE_FLOOR,
     Grid3,
@@ -26,7 +31,6 @@ from diraclab.lattice import (
     kinetic_momentum_apply,
     make_preset,
     plane_wave_field,
-    validate_config,
 )
 
 K = PhysicalConstants()
@@ -54,16 +58,26 @@ def test_grid_rejects_bad_parameters():
         Grid3(n=9, h=-0.1)
 
 
+def _intensities(potentials):
+    """(H, E) as floats: curl A and -grad phi of the coefficients."""
+    ref = classical_maxwell_reference(potentials, (0.0, 0.0, 0.0))
+    return tuple(float(v) for v in ref.h), tuple(float(v) for v in ref.e)
+
+
 def test_presets_and_validation():
-    for name in PRESET_NAMES:
-        validate_config(make_preset(name))
+    zero = (0.0, 0.0, 0.0)
+    for b0, e0 in ((1.0, 1.0), (1.3, 0.7), (-2.1, 3.3)):
+        assert _intensities(make_preset("uniform_b", b0, e0)) == ((0.0, 0.0, b0), zero)
+        assert _intensities(make_preset("linear_phi", b0, e0)) == (zero, (e0, 0.0, 0.0))
+        assert _intensities(make_preset("zero", b0, e0)) == (zero, zero)
     with pytest.raises(DomainError):
         make_preset("sideways")
-    for bad in (make_preset("uniform_b", b0=math.nan), make_preset("linear_phi", e0=math.inf)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="deviate from the potentials by nan"):
-                validate_config(bad)
+    # a non-finite amplitude is refused where its potentials are built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, amplitudes in (("uniform_b", {"b0": math.nan}), ("linear_phi", {"e0": math.inf})):
+            with pytest.raises(DomainError, match="coefficients must be finite"):
+                make_preset(name, **amplitudes)
 
 
 def test_discrete_symbol_frozen():
@@ -118,8 +132,7 @@ def test_extracted_uniform_intensity_coarse_grid():
     # even the coarse grid lands near the exact value
     grid = Grid3(n=9, h=0.2)
     res = commutator_field_extract(make_preset("uniform_b"), grid, constants=K)
-    inner = res.interior
-    vals = res.h_field[2][inner]
+    vals = res.h_field[2][grid.interior_mask()]
     assert np.isfinite(vals).all()
     b_ref = np.nanmean(vals)
     assert abs(b_ref - 1.0) <= 0.05
@@ -131,7 +144,7 @@ def test_extraction_discrete_uniform_b():
     assert res.h_error <= 0.01
     assert res.e_error <= 0.01
     assert res.function_deviation <= 2.0 * max(res.h_error, res.e_error) + 1e-13
-    vals = res.h_field[2][res.interior]
+    vals = res.h_field[2][grid.interior_mask()]
     assert np.nanmax(vals) - np.nanmin(vals) <= 2.0 * res.h_error + 1e-13
 
 
@@ -141,6 +154,27 @@ def test_extraction_analytic_is_exact_to_rounding():
         res = commutator_field_extract(make_preset(name), grid, constants=K, mode="analytic")
         assert res.h_error <= 1e-12
         assert res.e_error <= 1e-12
+
+
+_COEFFICIENT = st.floats(-2.0, 2.0)
+_TRIPLE = st.tuples(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT)
+
+
+# The modulated test function sums its Hessian's product-rule terms in a
+# different order for (a, b) and (b, a), so the H estimates carry about
+# 1.5e-15 of rounding even where no potential is live: ANALYTIC_FLOOR
+# leaves room for it with a factor 6 to spare.
+ANALYTIC_FLOOR = 1e-14
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(_TRIPLE, _TRIPLE, _TRIPLE), _TRIPLE)
+def test_analytic_extraction_recovers_any_linear_field(grad_a, grad_phi):
+    potentials = LinearPotentials(grad_a=grad_a, grad_phi=grad_phi)
+    scale = max(abs(v) for row in (*grad_a, grad_phi) for v in row)
+    res = commutator_field_extract(potentials, Grid3(n=9, h=0.2), constants=K, mode="analytic")
+    assert res.h_error <= 1e-13 * scale + ANALYTIC_FLOOR
+    assert res.e_error <= 1e-13 * scale + ANALYTIC_FLOOR
 
 
 def test_extraction_zero_preset_exact_zero():
@@ -303,15 +337,15 @@ def _full_box_mixed(v, a, b, h):
     return out
 
 
-def _full_box_extract(cfg, grid, fields, k):
+def _full_box_extract(potentials, grid, fields, k):
     """(h_error, e_error, function_deviation, excluded_points, h_field, e_field)."""
     x, y, z = grid.meshgrid()
     inner = grid.interior_mask()
     coupling = k.charge / k.c
-    alpha = [coupling * a for a in cfg.potentials.a(x, y, z)]
-    po = coupling * cfg.potentials.phi(x, y, z)
-    b_want = [np.full(x.shape, v) for v in cfg.b_expected]
-    e_want = [np.full(x.shape, v) for v in cfg.e_expected]
+    alpha = [coupling * a for a in potentials.a(x, y, z)]
+    po = coupling * potentials.phi(x, y, z)
+    want = classical_maxwell_reference(potentials, (x, y, z))
+    b_want, e_want = want.h, want.e
     all_h, all_e, excluded = [], [], 0
     for tf in fields:
         psi = np.asarray(tf.values(x, y, z), dtype=complex)
@@ -379,23 +413,14 @@ def _assert_fields_match(got, want):
     assert np.all(np.abs(got[ok] - want[ok]) <= ORACLE_ULPS * np.spacing(np.abs(want[ok])))
 
 
-def _linear_config(name, potentials):
-    """A FieldConfig expecting H = curl A and E = -grad phi, read off the
-    coefficients grad_a[k][l] = d_k A_l and grad_phi[k] = d_k phi."""
-    g = potentials.grad_a
-    curl = (g[1][2] - g[2][1], g[2][0] - g[0][2], g[0][1] - g[1][0])
-    return lattice_mod.FieldConfig(name, potentials, curl,
-                                   tuple(-v for v in potentials.grad_phi))
-
-
-# No preset has a live A_3, or A and phi live together; these two configs
+# No preset has a live A_3, or A and phi live together; these two fields
 # run every operator term of the discrete kernel.
 LIVE_CONFIGS = {
-    "all_live": _linear_config("all_live", LinearPotentials(
+    "all_live": LinearPotentials(
         grad_a=((0.3, 0.7, -0.2), (-0.4, 0.1, 0.9), (0.6, -0.8, 0.25)),
-        grad_phi=(-0.5, 0.35, 0.45))),
-    "symmetric_gauge_and_phi": _linear_config("symmetric_gauge_and_phi", LinearPotentials(
-        grad_a=symmetric_gauge(1.3).grad_a, grad_phi=linear_scalar(0.7).grad_phi)),
+        grad_phi=(-0.5, 0.35, 0.45)),
+    "symmetric_gauge_and_phi": LinearPotentials(
+        grad_a=symmetric_gauge(1.3).grad_a, grad_phi=linear_scalar(0.7).grad_phi),
 }
 
 
@@ -405,13 +430,16 @@ def _config(name):
 
 
 def test_live_configs_are_valid_and_live_everywhere():
-    for cfg in LIVE_CONFIGS.values():
-        validate_config(cfg)
-    assert lattice_mod._live_terms(LIVE_CONFIGS["all_live"].potentials) == ((True,) * 3, True)
-    assert (lattice_mod._live_terms(LIVE_CONFIGS["symmetric_gauge_and_phi"].potentials)
+    # H = curl A by hand: (d_2 A_3 - d_3 A_2, d_3 A_1 - d_1 A_3, d_1 A_2 - d_2 A_1)
+    assert _intensities(LIVE_CONFIGS["all_live"]) == (
+        (0.9 - (-0.8), 0.6 - (-0.2), 0.7 - (-0.4)), (0.5, -0.35, -0.45))
+    assert _intensities(LIVE_CONFIGS["symmetric_gauge_and_phi"]) == (
+        (0.0, 0.0, 1.3), (0.7, 0.0, 0.0))
+    assert lattice_mod._live_terms(LIVE_CONFIGS["all_live"]) == ((True,) * 3, True)
+    assert (lattice_mod._live_terms(LIVE_CONFIGS["symmetric_gauge_and_phi"])
             == ((True, True, False), True))
-    assert lattice_mod._live_terms(make_preset("linear_phi").potentials) == ((False,) * 3, True)
-    assert lattice_mod._live_terms(make_preset("zero").potentials) == ((False,) * 3, False)
+    assert lattice_mod._live_terms(make_preset("linear_phi")) == ((False,) * 3, True)
+    assert lattice_mod._live_terms(make_preset("zero")) == ((False,) * 3, False)
 
 
 @pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
@@ -451,11 +479,12 @@ def test_weak_amplitude_points_are_excluded():
     assert res.excluded_points == len(fields) * m * m
     assert math.isfinite(res.h_error) and math.isfinite(res.e_error)
     x = grid.meshgrid()[0]
-    plane = res.interior & (x == x0)
+    inner = grid.interior_mask()
+    plane = inner & (x == x0)
     assert np.count_nonzero(plane) == m * m
     for field in (res.h_field, res.e_field):
         assert np.isnan(field[:, plane]).all()
-        assert np.isfinite(field[:, res.interior & ~plane]).all()
+        assert np.isfinite(field[:, inner & ~plane]).all()
 
 
 # --- slabs -------------------------------------------------------------------
@@ -466,7 +495,7 @@ def test_weak_amplitude_points_are_excluded():
 
 
 def _result_bytes(res):
-    return (res.h_field.tobytes(), res.e_field.tobytes(), res.interior.tobytes(),
+    return (res.h_field.tobytes(), res.e_field.tobytes(),
             repr((res.h_error, res.e_error, res.function_deviation, res.excluded_points)))
 
 
@@ -591,23 +620,6 @@ def test_a_nan_sample_reads_nan_not_zero(name):
     assert np.isfinite(res.h_field[:, 2, 2, 2]).all() and np.isfinite(res.e_field[:, 2, 2, 2]).all()
 
 
-def test_misconfigured_preset_names_the_whole_grid_worst():
-    # stored H_z is off by a constant 1e-9: the potentials are linear, so
-    # that one comparison is the worst over every cell of every grid
-    base = make_preset("uniform_b")
-    cfg = lattice_mod.FieldConfig(name="tilted", potentials=base.potentials,
-                                  b_expected=(0.0, 0.0, 1.0 + 1e-9), e_expected=base.e_expected)
-    worst = abs(1.0 - (1.0 + 1e-9))  # curl A is 1
-    grid = Grid3(n=17, h=0.1)
-    with pytest.raises(DomainError) as exc:
-        commutator_field_extract(cfg, grid, constants=K)
-    assert str(exc.value) == (f"config 'tilted': stored intensities deviate from the "
-                              f"potentials by {worst:.3e} (tol 1.0e-12)")
-    with pytest.raises(DomainError, match="deviate"):
-        convergence_study(cfg, (0.2, 0.1, 0.05), K)
-    assert validate_config(cfg, tol=1.0) == worst
-
-
 # numpy reports its buffers to tracemalloc, so the traced peak of a call is
 # deterministic.  A "slab array" is one complex array over a slab's planes and
 # their one-cell halo; every slab-sized array of a discrete extraction is at
@@ -640,7 +652,7 @@ def test_extraction_memory_is_bounded_by_the_slab(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    own = res.h_field.nbytes + res.e_field.nbytes + res.interior.nbytes
+    own = res.h_field.nbytes + res.e_field.nbytes
     assert peak <= own + LIVE_SLAB_ARRAYS * slab_bytes, (peak, own, slab_bytes)
 
 

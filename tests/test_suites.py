@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import diraclab.suites as suites_mod
 from diraclab.config import DEFAULT_SEED, SUITE_NAMES, RunConfig
+from diraclab.fields import LinearPotentials
 from diraclab.report import ANCHORS, render_json, report_json
 from diraclab.suites import CLAIMS, NOT_MACHINE_CHECKABLE, _dev, _judge, run_suite
 
@@ -18,6 +20,27 @@ def test_seeded_suites_pass_at_every_seed(seed):
     failed = [c.claim_id for c in report.checks if not c.passed]
     assert not failed, f"seed {seed}: {failed}"
     assert json.loads(report_json(report))["summary"]["failed"] == 0
+
+
+# A wrong preset gauge or scalar potential no longer fails a lattice
+# validation step; the t1 and t2 rows of the fields suite must catch it.
+def _curl_one_and_a_half(b0):
+    return LinearPotentials(grad_a=((0.0, 0.75 * b0, 0.0), (-0.75 * b0, 0.0, 0.0),
+                                    (0.0, 0.0, 0.0)))
+
+
+def _gradient_one_and_a_half(e0):
+    return LinearPotentials(grad_phi=(-1.5 * e0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("name, wrong, claim_id", [
+    ("symmetric_gauge", _curl_one_and_a_half, "fields.classical_curl"),
+    ("linear_scalar", _gradient_one_and_a_half, "fields.classical_gradient"),
+])
+def test_a_wrong_preset_potential_fails_its_classical_row(monkeypatch, name, wrong, claim_id):
+    monkeypatch.setattr(suites_mod, name, wrong)
+    report = run_suite(RunConfig(suites=("fields",)))
+    assert [c.claim_id for c in report.checks if not c.passed] == [claim_id]
 
 
 def _rendered_checks(report, suite):
