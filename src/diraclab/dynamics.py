@@ -407,6 +407,20 @@ def max_mixing_state(state: MomentumState, axis=(0.0, 0.0)) -> np.ndarray:
     return (plus + minus) / math.sqrt(2.0)
 
 
+# A signal whose spread (max - min) is at most this many machine epsilons
+# times the scale it was computed at is flat: rounding alone moves it that
+# far, so no line in it can be told from noise.  For a signal given on its
+# own the scale is its largest magnitude; velocity_signal sums 16 products
+# whose sizes add up to at most 2 C |psi|^2, so its rounding is measured
+# against C.  Over 1600 random eigenstates, momenta and constants an
+# eigenstate's velocity spread at most 7.2 epsilon C, and the equal-weight
+# mixes of the same momenta at least 8e-6 C.  The same bound caps the
+# imaginary part of velocity_signal's expectations, which is rounding
+# alone: over 1500 random states, momenta and times under five constant
+# sets, SI among them, it reached 1.0 epsilon C |psi|^2.
+_FLAT_EPS = 64
+
+
 def velocity_signal(state: MomentumState, psi, times) -> np.ndarray:
     """Oracle velocity expectations C <psi| U^dag alpha_j U |psi>.
 
@@ -414,11 +428,15 @@ def velocity_signal(state: MomentumState, psi, times) -> np.ndarray:
     and energies w_b, U |psi> has coefficients r_b = c_b e^{-i w_b t / hbar},
     and the expectation is sum_ab conj(r_a) (C alpha_j)_ab r_b: one product
     of the (t, 4) table r with all three generators per row block.
-    Returns an (ntimes, 3) real array.
+    Returns an (ntimes, 3) real array.  The expectation of a Hermitian
+    form is real; an imaginary part above _FLAT_EPS epsilon C |psi|^2, more
+    rounding than a unitary eigenbasis allows, raises ArithmeticError
+    (require_normalized holds |psi|^2 to 1 within 1e-12).
     """
     psi = require_normalized(psi)
     times = np.asarray(times, dtype=float).reshape(-1)
     k = state.constants
+    imag_bound = _FLAT_EPS * sys.float_info.epsilon * k.c
     w, v = np.linalg.eigh(state.h)
     coeff = v.conj().T @ psi
     a_eig = v.conj().T @ GENERATOR_STACK[state.rep][:3] @ v  # (j, a, b)
@@ -428,21 +446,10 @@ def velocity_signal(state: MomentumState, psi, times) -> np.ndarray:
     for rows in _row_blocks(times.size):
         r = coeff * np.exp(-1j * np.outer(times[rows], w / k.hbar))
         vals = np.einsum("tja,ta->tj", (r @ contract).reshape(-1, 3, 4), r.conj())
-        if float(np.max(np.abs(vals.imag))) > 1e-10:
+        if float(np.max(np.abs(vals.imag))) > imag_bound:
             raise ArithmeticError("velocity expectation grew a non-real part")
         out[rows] = vals.real
     return out
-
-
-# A signal whose spread (max - min) is at most this many machine epsilons
-# times the scale it was computed at is flat: rounding alone moves it that
-# far, so no line in it can be told from noise.  For a signal given on its
-# own the scale is its largest magnitude; velocity_signal sums 16 products
-# whose sizes add up to at most 2 C |psi|^2, so its rounding is measured
-# against C.  Over 1600 random eigenstates, momenta and constants an
-# eigenstate's velocity spread at most 7.2 epsilon C, and the equal-weight
-# mixes of the same momenta at least 8e-6 C.
-_FLAT_EPS = 64
 
 
 def _is_flat(spread: float, scale: float) -> bool:
@@ -532,39 +539,164 @@ def _release_freed_heap() -> None:
     trim(0)
 
 
-_PLAIN_ROW = ",".join(["%.15g"] * 10) + "\n"
+# The CSV cells.  A cell is a row of little-endian uint32 words whose NUL
+# bytes are dropped when its block is joined (_block_text).  In fixed
+# notation the words are 3-digit groups aligned at the point: the integer
+# part's groups "\0ddd", the first of which holds the sign in its free front
+# byte; one word for the "0" of 0.ddd and the point; and the fraction's
+# groups "ddd\0", the last of which takes the separator in its free back
+# byte.  Each group table has two halves: all three digits, and the digits
+# with the integer's leading or the fraction's trailing zeros made NUL.
+def _group_words(front: bool) -> np.ndarray:
+    def word(g: int, strip: bool) -> bytes:
+        digits = b"%03d" % g
+        if front:
+            return b"\0" + (digits.lstrip(b"0").rjust(3, b"\0") if strip else digits)
+        return (digits.rstrip(b"0").ljust(3, b"\0") if strip else digits) + b"\0"
+
+    return np.frombuffer(b"".join(word(g, strip) for strip in (False, True) for g in range(1000)),
+                         dtype="<u4")
+
+
+# Built from Python numbers: a ufunc run here would page in its loop's code,
+# 64-128 kB of resident memory each, in every process that imports this.
+_INT_WORDS = _group_words(front=True)
+_FRAC_WORDS = _group_words(front=False)
+_SEPARATORS = np.array([ord(",") << 24] * 9 + [ord("\n") << 24], dtype="<u4")
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for 53-bit doubles
+_POW10 = np.array([float(10**k) for k in range(21)])  # exact doubles
+_POW10_HI = np.array([p * _SPLIT - (p * _SPLIT - p) for p in _POW10.tolist()])
+_POW10_LO = np.array([p - hi for p, hi in zip(_POW10.tolist(), _POW10_HI.tolist())])
+_POW10_INT = np.array([10**k for k in range(19)], dtype=np.int64)
+
+
+def _round15(a: np.ndarray) -> tuple:
+    """(d, e) with a ~ d 10^(e - 14): a in [1e-5, 1e15) to 15 significant digits.
+
+    d is an int64 in [10^14, 10^15), a rounded to nearest with ties to even,
+    as "%.15g" rounds (CPython formats floats with Gay's correctly rounded
+    conversion: D. Gay, "Correctly rounded binary-decimal and
+    decimal-binary conversions", 1990).
+
+    e starts as floor(log10 a), at most 14, which can be one off next to
+    a power of ten.  With k = 14 - e, 10^k is an exact double (0 <= k <=
+    20), and one step on y = fl(a 10^k) moves e by one where y < 10^14 or
+    y >= 10^15.  Where a 10^k lies within half an ulp below 10^14 or
+    10^15, y rounds to that power and the step may leave e one off; such a
+    value rounds to 10^15 at the lower exponent and to 10^14 at the higher,
+    the same digits.
+
+    Dekker's TwoProduct (a Veltkamp split of a by 2^27 + 1, the split of
+    10^k from a table) gives the exact residual err = a 10^k - y (T. J.
+    Dekker, "A floating-point technique for extending the available
+    precision", Numer. Math. 18, 1971).  y < 2^50, so floor(y), frac(y)
+    and frac(y) - 0.5 are exact, and |err| <= ulp(y) / 2 < 0.5: a 10^k
+    rounds up exactly where frac(y) - 0.5 > -err, and on equality, an exact
+    decimal tie, where floor(y) is odd.  A d of 10^15 carries into the next
+    decade.
+    """
+    e = np.minimum(np.floor(np.log10(a)), 14).astype(np.int64)
+    y = a * _POW10[14 - e]
+    e += (y >= 1e15).astype(np.int64) - (y < 1e14)
+    k = 14 - e
+    y = a * _POW10[k]
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    err = ((a_hi * p_hi - y) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    floor = np.floor(y)
+    half = (y - floor) - 0.5
+    d = floor.astype(np.int64)
+    d += (half > -err) | ((half == -err) & (d & 1 == 1))
+    carry = d == 10**15
+    d[carry] = 10**14
+    return d, e + carry
+
+
+def _cell_words(x: np.ndarray) -> np.ndarray:
+    """The words of "%.15g" % v for every v in x, one row of words a cell.
+
+    A cell whose rounded exponent e lies in [-4, 14] prints in fixed
+    notation and is built from _round15: its integer part d // 10^(14 - e)
+    and its fraction become 3-digit groups, looked up in the group tables.
+    Only the groups that some cell of x reaches are kept.  Every other cell
+    (0, +-inf, nan, or below 10^-4 or from 10^15 up after rounding) is
+    printed by "%-Ng" % v itself, at least 6 words wide, its space padding
+    made NUL.
+    """
+    x = x.ravel()
+    a = np.abs(x)
+    live = (a >= 1e-5) & (a < 1e15)
+    d, e = _round15(np.where(live, a, 1.0))
+    fixed = live & (e >= -4) & (e <= 14)
+    other = np.flatnonzero(~fixed)
+    if other.size == x.size:
+        return _print_into(np.zeros((x.size, 6), dtype="<u4"), x, other)
+    lo, hi = int(e[fixed].min()), int(e[fixed].max())
+    whole_groups, frac_groups = max(hi, 0) // 3 + 1, -(-(14 - lo) // 3)
+    width = whole_groups + 1 + frac_groups
+    out = np.zeros((x.size, max(width, 6) if other.size else width), dtype="<u4")
+    point = 14 - np.clip(e, lo, hi)  # digits of d after the point
+    whole = d // _POW10_INT[point]
+    frac = (d - whole * _POW10_INT[point]) * _POW10_INT[3 * frac_groups - point]
+    rest = whole
+    for g in range(whole_groups):
+        place = 1000 ** (whole_groups - 1 - g)
+        group = rest // place
+        rest = rest - group * place
+        out[:, g] = _INT_WORDS.take(group + 1000 * (whole < 1000 * place))
+    out[:, 0] |= np.signbit(x).astype("<u4") * ord("-")
+    out[:, whole_groups] = (whole == 0) * ord("0") | (frac != 0) * (ord(".") << 8)
+    rest = frac
+    for g in range(frac_groups):
+        place = 1000 ** (frac_groups - 1 - g)
+        group = rest // place
+        rest = rest - group * place
+        out[:, whole_groups + 1 + g] = _FRAC_WORDS.take(group + 1000 * (rest == 0))
+    return _print_into(out, x, other)
+
+
+def _print_into(out: np.ndarray, x: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """out with the cells `which` of x printed by "%-Ng", N = 4 words a cell."""
+    if which.size:
+        text = ("%%-%d.15g" % (4 * out.shape[1]) * which.size % tuple(x[which].tolist()))
+        out[which] = np.frombuffer(text.encode("ascii").replace(b" ", b"\0"),
+                                   dtype="<u4").reshape(which.size, -1)
+    return out
 
 
 def _block_text(chunk: np.ndarray) -> str:
     """The CSV rows of one (n, 10) block, each cell as "%.15g" prints it.
 
     Columns are told apart by their bytes.  A column of only +0.0 or only
-    -0.0 is written as the literal 0 or -0 in the row template.  A column
-    bit-identical to an earlier one is formatted once and both get the same
-    strings through %s: equal bits print equal text.  Every other column is
-    %.15g, and a block without such columns is one %-format of all its
-    cells.
+    -0.0 is written as the literal 0 or -0, one word a cell, and a column
+    bit-identical to an earlier one shares its words, formatted once: equal
+    bits print equal text.  The other columns go through _cell_words
+    together.  Each cell's separator fills the free back byte of its last
+    word, and the NUL bytes of the whole block are dropped at once.
     """
     n = len(chunk)
-    cols = chunk.T
     zero, neg_zero = bytes(8 * n), np.full(n, -0.0).tobytes()
-    cells = []  # per column: a literal, or the index of its text source
-    first = {}
-    for c in range(10):
-        key = cols[c].tobytes()
-        cells.append("0" if key == zero else "-0" if key == neg_zero
-                     else first.setdefault(key, c))
-    if cells == list(range(10)):
-        return _PLAIN_ROW * n % tuple(chunk.ravel().tolist())
-    formatted = [c for c in cells if isinstance(c, int)]
-    shared = {c for c in formatted if formatted.count(c) > 1}
-    text = {c: ("%.15g\n" * n % tuple(cols[c].tolist())).split() for c in shared}
-    args = [None] * (n * len(formatted))
-    for i, c in enumerate(formatted):
-        args[i::len(formatted)] = text[c] if c in shared else cols[c].tolist()
-    row = ",".join(c if isinstance(c, str) else "%s" if c in shared else "%.15g"
-                   for c in cells) + "\n"
-    return row * n % tuple(args)
+    first, picked, slots = {}, [], []  # slot: a literal, or a picked column
+    for c, col in enumerate(chunk.T):
+        key = col.tobytes()
+        if key == zero or key == neg_zero:
+            slots.append(b"0" if key == zero else b"-0")
+            continue
+        if key not in first:
+            first[key] = len(picked)
+            picked.append(c)
+        slots.append(first[key])
+    words = _cell_words(chunk[:, picked]).reshape(n, len(picked), -1) if picked else None
+    widths = [1 if isinstance(s, bytes) else words.shape[2] for s in slots]
+    ends = np.cumsum(widths)
+    rows = np.empty((n, int(ends[-1])), dtype="<u4")
+    for slot, end, width in zip(slots, ends, widths):
+        rows[:, end - width:end] = (int.from_bytes(slot, "little") if isinstance(slot, bytes)
+                                    else words[:, slot])
+    rows[:, ends - 1] |= _SEPARATORS
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_trajectory_csv(trajectory: Trajectory, fh) -> None:
@@ -574,8 +706,12 @@ def write_trajectory_csv(trajectory: Trajectory, fh) -> None:
     oscillation, an equal mix's drift, both columns of a zero momentum
     component) is written as the literal 0 or -0, and a column
     bit-identical to an earlier one (a total equal to its drift or its
-    oscillation) is formatted once and shares that text.  The bytes are
-    those of "%.15g" on every cell.
+    oscillation) is formatted once and shares that text.  The other cells
+    come from two sources (_cell_words): a cell in fixed notation is built
+    in numpy from its exactly rounded 15-digit integer (_round15, Dekker's
+    error-free product), and every other cell (zeros, infinities, nan,
+    exponent notation) from "%.15g" itself.  The bytes are those of
+    "%.15g" on every cell.
     """
     fh.write(TRAJECTORY_HEADER + "\n")
     for rows in _row_blocks(len(trajectory)):

@@ -285,9 +285,12 @@ def modulated_field(k_vec=(0.8, -0.5, 0.6), width: float = 1.2) -> TestField:
         f1, f2 = pw.values(x, y, z), ga.values(x, y, z)
         g1, g2 = pw.gradient(x, y, z), ga.gradient(x, y, z)
         h1, h2 = pw.hessian(x, y, z), ga.hessian(x, y, z)
+        # the cross terms in one order for (a, b) and (b, a), so the
+        # Hessian is symmetric to the last bit
         return [
             [
-                h1[a][b] * f2 + g1[a] * g2[b] + g1[b] * g2[a] + f1 * h2[a][b]
+                h1[a][b] * f2 + g1[min(a, b)] * g2[max(a, b)] + g1[max(a, b)] * g2[min(a, b)]
+                + f1 * h2[a][b]
                 for b in range(3)
             ]
             for a in range(3)

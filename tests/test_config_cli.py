@@ -213,17 +213,44 @@ SI_CONSTANTS = ["--hbar", "1.054571817e-34", "--c", "299792458",
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", *SI_CONSTANTS],
-    ["zbw", *SI_CONSTANTS, "--p", "0.5,0,0", "--t1", "12", "--steps", "40"],
+    ["verify"],
+    ["zbw", "--p", "0.5,0,0", "--t1", "12", "--steps", "40"],
 ], ids=["verify", "zbw"])
-def test_arithmetic_failure_exits_two_without_traceback(argv, tmp_path, capsys):
-    # SI constants trip the absolute imaginary-part guards in dynamics;
-    # the command must end with one error line, not an ArithmeticError.
+def test_arithmetic_failure_exits_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
+    # A numerical breakdown inside dynamics (here the oracle's non-real
+    # guard) must end the command with one error line, not a traceback.
+    def breakdown(*args, **kwargs):
+        raise ArithmeticError("velocity expectation grew a non-real part")
+
+    monkeypatch.setattr(dynamics, "velocity_signal", breakdown)
     out = tmp_path / "out"
     assert cli.main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-real part" in err
     assert not out.exists()
+
+
+def test_zbw_under_si_constants_fits_twice_the_energy(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code = cli.main(["zbw", *SI_CONSTANTS, "--p", "0.5,0,0", "--t1", "12",
+                     "--steps", "40", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 41
+    printed = capsys.readouterr().out.splitlines()
+    words = next(line for line in printed if line.startswith("fitted")).split()
+    fitted, expected = float(words[4]), float(words[-1])
+    assert expected > 1e42 and fitted == pytest.approx(expected, rel=1e-6)
+
+
+def test_verify_under_si_constants_writes_its_report(tmp_path):
+    # Some checks still fail in SI units (absolute tolerances), but the
+    # oracle's non-real guard no longer stops the run.
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", *SI_CONSTANTS, "--out", str(out)]) == 1
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert len(checks) == 118
+    assert 0 < sum(not c["pass"] for c in checks) < len(checks)
 
 
 class TestZbwCommand:

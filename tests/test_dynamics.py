@@ -6,8 +6,10 @@ import json
 import math
 import os
 import platform
+import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +346,28 @@ def test_velocity_signal_matches_literal_conjugation():
                 assert abs(got[i, j - 1] - want.real) <= 1e-13
 
 
+def test_velocity_signal_is_real_under_si_constants():
+    state = MomentumState(p=np.array([0.3, -0.2, 0.5]) * SI.mass * SI.c, constants=SI)
+    signal = velocity_signal(state, max_mixing_state(state),
+                             np.linspace(0.0, 40.0, 200) * SI.hbar / state.energy)
+    assert np.all(np.isfinite(signal)) and float(np.ptp(signal, axis=0).max()) > 1e-3 * SI.c
+
+
+def test_velocity_signal_guard_trips_on_a_non_unitary_basis(monkeypatch):
+    state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K)
+    psi, times = max_mixing_state(state), np.linspace(0.0, 5.0, 50)
+    velocity_signal(state, psi, times)
+    eigh = np.linalg.eigh
+
+    def inflated(h):
+        w, v = eigh(h)
+        return w, 1e4 * v  # orthogonal columns of norm 1e4
+
+    monkeypatch.setattr(np.linalg, "eigh", inflated)
+    with pytest.raises(ArithmeticError, match="non-real"):
+        velocity_signal(state, psi, times)
+
+
 def test_trajectory_columns_have_one_row_per_time():
     state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K)
     times = np.linspace(0.0, 4.0, 37)
@@ -573,6 +597,78 @@ def test_trajectory_csv_keeps_signed_zero_cells():
     cells = {c for line in buf.getvalue().splitlines()[1:] for c in line.split(",")}
     assert {"0", "-0"} <= cells
     assert buf.getvalue().splitlines(True) == _reference_csv(traj).splitlines(True)
+
+
+def _cell_text(values) -> list:
+    """The text the CSV writer gives each value: its cell words, NUL bytes dropped."""
+    words = dynamics._cell_words(np.asarray(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in words]
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_any_bits = st.integers(0, 2**64 - 1).map(_from_bits)
+# sign, a biased exponent from 2^-17 to 2^50 (the fixed-notation range and
+# its edges) and any mantissa
+_fixed_range_bits = st.builds(lambda sign, exp, mant: _from_bits(sign << 63 | exp << 52 | mant),
+                              st.integers(0, 1), st.integers(1006, 1073),
+                              st.integers(0, 2**52 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_any_bits, st.floats(), _fixed_range_bits), min_size=1, max_size=40))
+def test_cell_words_print_every_float_as_15g(values):
+    assert _cell_text(values) == [format(v, ".15g") for v in values]
+
+
+_EDGE_VALUES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    # the edges of fixed notation: 1e-4 and 1e15, and what rounds onto them
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 0.000099999999999999995,
+    0.00009999999999999949, 1e-5, math.nextafter(1e-5, 0.0),
+    1e15, math.nextafter(1e15, 0.0), math.nextafter(1e15, math.inf),
+    999999999999999.5, 999999999999999.4, 999999999999999.6, 999999999999999.0,
+    # 15 nines that carry into the next decade, or just do not
+    9.9999999999999995, 9.999999999999995, 0.99999999999999995, 99999.999999999995,
+    99999999999999.95, 0.9999999999999999, 9.99999999999999,
+    # exact decimal ties at the 16th digit: to even, up and down
+    32769 / 32768, 1.000030517578125, 123456789012345.5, 123456789012344.5,
+    12345678901234.25, 12345678901234.75, 0.1000000000000025, 2.5, 0.5,
+    # powers of ten and their neighbours
+    *(v for k in range(-6, 17) for v in (10.0 ** k, math.nextafter(10.0 ** k, 0.0),
+                                          math.nextafter(10.0 ** k, math.inf))),
+    1.0, -1.0, 100.0, 1234.5, -0.000123456789012345, 123456789012345.0, 1e300, -1e-300,
+]
+
+
+def test_cell_words_print_the_edge_values_as_15g():
+    values = _EDGE_VALUES + [-v for v in _EDGE_VALUES]
+    assert _cell_text(values) == [format(v, ".15g") for v in values]
+    # one value at a time too: the kept groups then differ from cell to cell
+    assert [_cell_text([v])[0] for v in values] == [format(v, ".15g") for v in values]
+
+
+def _round15_reference(a: float) -> tuple:
+    exact = Fraction(a)
+    e = math.floor(math.log10(a))
+    while Fraction(10) ** e > exact:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= exact:
+        e += 1
+    d = round(exact * Fraction(10) ** (14 - e))  # Fraction rounds half to even
+    return (10**14, e + 1) if d == 10**15 else (d, e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(1e-5, 1e15, exclude_max=True),
+                 _fixed_range_bits.map(abs).filter(lambda a: 1e-5 <= a < 1e15),
+                 st.sampled_from([abs(v) for v in _EDGE_VALUES
+                                  if math.isfinite(v) and 1e-5 <= abs(v) < 1e15])))
+def test_round15_rounds_the_exact_value_half_to_even(a):
+    d, e = dynamics._round15(np.array([a]))
+    assert (int(d[0]), int(e[0])) == _round15_reference(a)
 
 
 _FREED_HEAP_SCRIPT = """

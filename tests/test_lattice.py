@@ -160,10 +160,11 @@ _COEFFICIENT = st.floats(-2.0, 2.0)
 _TRIPLE = st.tuples(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT)
 
 
-# The modulated test function sums its Hessian's product-rule terms in a
-# different order for (a, b) and (b, a), so the H estimates carry about
-# 1.5e-15 of rounding even where no potential is live: ANALYTIC_FLOOR
-# leaves room for it with a factor 6 to spare.
+# The analytic route rounds a live field's terms against the hbar^2 Hessian
+# term before the two orders are subtracted, so its H estimates carry about
+# epsilon hbar^2 |d^2 psi| / |psi| of rounding that does not shrink with the
+# coefficients (1.1e-15 for a largest coefficient of 1e-6): ANALYTIC_FLOOR
+# leaves room for it.  The zero field is exact (below).
 ANALYTIC_FLOOR = 1e-14
 
 
@@ -175,6 +176,15 @@ def test_analytic_extraction_recovers_any_linear_field(grad_a, grad_phi):
     res = commutator_field_extract(potentials, Grid3(n=9, h=0.2), constants=K, mode="analytic")
     assert res.h_error <= 1e-13 * scale + ANALYTIC_FLOOR
     assert res.e_error <= 1e-13 * scale + ANALYTIC_FLOOR
+
+
+def test_zero_field_analytic_identity_is_exact():
+    # The test functions' Hessians are symmetric to the last bit, so with no
+    # live potential the analytic commutator leaves no rounding at all.
+    res = commutator_field_extract(LinearPotentials(), Grid3(n=9, h=0.2), constants=K,
+                                   mode="analytic")
+    assert res.h_error == 0.0
+    assert res.e_error == 0.0
 
 
 def test_extraction_zero_preset_exact_zero():
