@@ -10,27 +10,31 @@ Kinetic momentum components are applied with symmetric central differences
 (no periodic wrap: boundary cells are marked invalid).  The extraction
 works on the interior block, the n - 4 cells per axis two layers inside the
 box, and walks it in slabs of whole planes along axis 0, each sized to stay
-near an L2 cache.  One generator builds every slab: it samples the mesh and
-the potentials on the slab's own planes plus the one-cell halo the stencils
-reach, and yields the estimates, which are dropped before the next slab is
-built, so no full-grid complex temporary is ever made.  The discrete kernel
-behind it is made once per grid.  It keeps each test function's samples
-from one slab to the next, so the two planes neighbouring slabs share are
-sampled once; it evaluates the operator terms into buffers reused for
-every slab and test function; and it computes once what several terms
-share: the alpha_a alpha_b products per slab, and per test function the two
-denominators and the terms both orders of a commutator have in common.  It
-skips every term whose potential is identically zero (a component of A, or
-phi, whose coefficients are all zero): such a term only adds or subtracts
-signed zeros, and x - (+-0) = x for every nonzero x, so on finite samples
-only the sign of an exact-zero estimate can differ, which the error
-magnitudes and the per-cell mean do not see.
+near an L2 cache.  One generator builds every slab: it samples the test
+functions and the potentials on the slab's own planes plus the one-cell halo
+the stencils reach, on broadcast axes (x of shape (p, 1, 1), y (1, q, 1),
+z (1, 1, q)) rather than full coordinate arrays, and yields the estimates,
+which are dropped before the next slab is built, so no full-grid complex
+temporary is ever made.  The discrete kernel behind it is made once per
+grid.  It keeps each test function's samples from one slab to the next, so
+the two planes neighbouring slabs share are sampled once; it evaluates the
+operator terms into buffers reused for every slab and test function; and it
+computes once what several terms share: the alpha_a alpha_b products per
+slab, and per test function the two denominators and the terms both orders
+of a commutator have in common.  It skips every term whose potential is
+identically zero (a component of A, or phi, whose coefficients are all
+zero): such a term only adds or subtracts signed zeros, and x - (+-0) = x
+for every nonzero x, so on finite samples only the sign of an exact-zero
+estimate can differ, which the error magnitudes and the per-cell mean do
+not see.
 commutator_field_extract folds the error maxima, the test-function spread
 and the per-cell mean into the two intensity grids it returns;
 convergence_study folds only the error maxima and so holds one slab's
-working set.  Every cell sees the same operations in the same order
-whatever the slab size, so the results are bit-identical to a single
-whole-block pass.
+working set.  In discrete mode the error maxima take only the intensity
+components the field can move: a dead one's estimate is 0 against an
+expected 0.  Every cell sees the same operations in the same order whatever
+the slab size, so the results are bit-identical to a single whole-block
+pass.
 Commuting the discrete components and dividing out the test function
 recovers the external intensities to second order in the spacing; the same
 extraction run with caller-supplied exact derivatives recovers them to
@@ -100,12 +104,10 @@ class Grid3:
         half = (self.n - 1) // 2
         return (np.arange(self.n) - half) * self.h
 
-    def meshgrid(self, planes: slice = slice(None), inset: int = 0):
-        """Coordinates of the planes selected along axis 0, leaving out the
-        inset outermost cells on each face of the other two axes."""
+    def meshgrid(self):
+        """Coordinates of every grid point, one (n, n, n) array per axis."""
         ax = self.axis
-        across = ax[inset:self.n - inset]
-        return np.meshgrid(ax[planes], across, across, indexing="ij")
+        return np.meshgrid(ax, ax, ax, indexing="ij")
 
     def interior_mask(self) -> np.ndarray:
         """Cells at least two from every face: where the stencils reach no edge."""
@@ -216,10 +218,17 @@ def kinetic_momentum_apply(j: int, potentials: LinearPotentials, grid: Grid3, ps
 
 @dataclass(frozen=True)
 class TestField:
-    """Smooth scalar probe with analytic derivatives for the exact path."""
+    """Smooth scalar probe with analytic derivatives for the exact path.
+
+    values, gradient and hessian receive coordinates that broadcast against
+    each other, not full grids: the extraction passes x of shape (p, 1, 1),
+    y of shape (1, q, 1) and z of shape (1, 1, q).  Each returned array must
+    broadcast to their common shape (p, q, q); it may have that shape, or
+    fewer cells where the probe does not vary along an axis.
+    """
 
     name: str
-    values: Callable    # (X, Y, Z) -> complex array
+    values: Callable    # (x, y, z) -> complex array
     gradient: Callable  # -> [3] arrays
     hessian: Callable   # -> [3][3] arrays
 
@@ -327,6 +336,9 @@ def _live_terms(potentials: LinearPotentials) -> tuple:
     return a_live, any(g != 0.0 for g in potentials.grad_phi)
 
 
+_ALL_LIVE = ((True, True, True), True)
+
+
 class _DiscreteKernel:
     """The discrete estimator on one grid, walked slab by slab.
 
@@ -344,13 +356,19 @@ class _DiscreteKernel:
         coupling = k.charge / k.c
         self.inv_2h = 1.0 / (2.0 * h)
         self.inv_4h2 = 1.0 / (4.0 * h * h)
-        # the scalar factors, grouped as the operator terms group them
-        self.neg_hbar2 = -k.hbar**2
+        self.a_live, self.phi_live = live
+        # the scalar factors, grouped as the operator terms group them; only
+        # a mixed term pi_j pi_l with a live alpha uses hbar^2
+        if any(self.a_live):
+            try:
+                self.neg_hbar2 = -k.hbar**2
+            except OverflowError:
+                raise DomainError(f"hbar = {k.hbar!r} is too large for this field: hbar^2, "
+                                  f"which the magnetic commutators take, overflows") from None
         self.i_hbar = 1j * k.hbar
         self.neg_i_hbar = -1j * k.hbar
         self.h_scale = -1j * k.hbar * coupling
         self.e_scale = 1j * k.hbar * coupling
-        self.a_live, self.phi_live = live
         # D_a psi enters alpha_x D_a psi (x != a) and pi_a psi of the E block
         self.d1_live = [self.phi_live or any(self.a_live[x] for x in range(3) if x != a)
                         for a in range(3)]
@@ -362,22 +380,24 @@ class _DiscreteKernel:
         self.carry = None  # first of the planes the next slab shares
 
     def _sample(self, mesh) -> list:
-        planes = mesh[0].shape[0]
+        x, y, z = mesh
+        planes = x.shape[0]
         start = 0 if self.carry is None else 2
         for tf, psi in zip(self.test_fields, self.samples):
             if start:
                 psi[:2] = psi[self.carry:self.carry + 2]
-            psi[start:planes] = tf.values(*(axis[start:] for axis in mesh))
+            psi[start:planes] = tf.values(x[start:], y, z)
         self.carry = planes - 2
         return [psi[:planes] for psi in self.samples]
 
     def slab(self, mesh, window, alpha, po) -> list:
         """(h_est, e_est, weak) for every test function on the next slab.
 
-        mesh, alpha = (e/C) A and po = (e/C) phi are samples on the slab's
-        cells plus a one-cell halo on every face; window holds the basic
-        slices of the slab's own cells, so every estimate has the window's
-        shape.  Slabs must come in order along axis 0.
+        mesh holds the broadcast axes, alpha = (e/C) A and po = (e/C) phi
+        the samples, of the slab's cells plus a one-cell halo on every face;
+        window holds the basic slices of the slab's own cells, so every
+        estimate has the window's shape.  Slabs must come in order along
+        axis 0.
         """
         samples = self._sample(mesh)
         planes = samples[0].shape[0]
@@ -492,12 +512,12 @@ def _analytic_estimates(potentials, tf, constants, mesh, window, alpha, po):
     assuming it.
     """
     k = constants
-    x, y, z = (axis[window] for axis in mesh)
-    psi = np.asarray(tf.values(x, y, z), dtype=complex)
+    x, y, z = mesh[0][window[0]], mesh[1][:, window[1]], mesh[2][:, :, window[2]]
+    a = [alpha[i][window] for i in range(3)]
+    psi = np.asarray(np.broadcast_to(tf.values(x, y, z), a[0].shape), dtype=complex)
     grad = tf.gradient(x, y, z)
     hess = tf.hessian(x, y, z)
     coupling = k.charge / k.c
-    a = [alpha[i][window] for i in range(3)]
     da = [[coupling * g for g in row] for row in potentials.grad_a]
     weak = np.abs(psi) < AMPLITUDE_FLOOR
     psi_safe = np.where(weak, np.nan + 0.0j, psi)
@@ -559,6 +579,8 @@ def _slab_estimates(potentials, grid, test_fields, constants, mode):
         raise DomainError("need at least 3 test functions")
     coupling = constants.charge / constants.c
     n, m = grid.n, grid.n - 4
+    ax = grid.axis
+    across = ax[1:n - 1]
     slabs = _slabs(2, n - 2, m * m)
     s0, s1 = slabs[0]
     halo_shape = (s1 - s0 + 2, m + 2, m + 2)
@@ -572,31 +594,48 @@ def _slab_estimates(potentials, grid, test_fields, constants, mode):
                     for tf in test_fields]
 
     def slab(s0, s1):
-        # the slab's interior cells and the one-cell halo the stencils reach
-        mesh = grid.meshgrid(slice(s0 - 1, s1 + 1), inset=1)
+        # the slab's interior cells and the one-cell halo the stencils reach,
+        # on broadcast axes; the potentials are full-shape views of theirs
+        mesh = (ax[s0 - 1:s1 + 1, None, None], across[None, :, None], across[None, None, :])
+        shape = (s1 - s0 + 2, m + 2, m + 2)
         window = (slice(1, s1 - s0 + 1), slice(1, m + 1), slice(1, m + 1))
-        alpha = [coupling * a for a in potentials.a(*mesh)]
-        po = coupling * potentials.phi(*mesh)
+        alpha = [np.broadcast_to(coupling * a, shape) for a in potentials.a(*mesh)]
+        po = np.broadcast_to(coupling * potentials.phi(*mesh), shape)
         return estimate(mesh, window, alpha, po)
 
     for s0, s1 in slabs:
         yield s0, s1, slab(s0, s1)  # the mesh and potentials are gone by the yield
 
 
-def _fold_errors(h_error: float, e_error: float, expected, estimates) -> tuple:
+def _fold_errors(h_error: float, e_error: float, expected, estimates, live) -> tuple:
     """(h_error, e_error) raised to the worst deviation of one slab's estimates
     from expected, the constant MaxwellFields (curl A, -grad phi) of the field.
 
+    Only the components the field can move are folded, as live (a mask from
+    _live_terms) says: H_k where A_j or A_l is live for cyclic (j, l, k), E_j
+    where phi is.  The discrete kernel makes a dead component's estimate 0
+    times the denominator, and its expected value is exactly 0, so it can
+    never raise a maximum.  All dead estimates are NaN on the same cells,
+    those whose denominator is not finite, so _worst on one of them per test
+    function keeps the all-NaN guard firing wherever folding them all would.
     Every difference and its magnitude go into the same two cell buffers.
     """
+    a_live, phi_live = live
+    h_live = [a_live[(k + 1) % 3] or a_live[(k + 2) % 3] for k in range(3)]
+    h_dead = [k for k in range(3) if not h_live[k]]
     diff = np.empty_like(estimates[0][0][0])
     mag = np.empty(diff.shape)
     for h_est, e_est, weak in estimates:
         for j in range(3):
-            np.subtract(h_est[j], expected.h[j], out=diff)
-            h_error = _worst(h_error, np.abs(diff, out=mag), weak)
-            np.subtract(e_est[j], expected.e[j], out=diff)
-            e_error = _worst(e_error, np.abs(diff, out=mag), weak)
+            if h_live[j]:
+                np.subtract(h_est[j], expected.h[j], out=diff)
+                h_error = _worst(h_error, np.abs(diff, out=mag), weak)
+            if phi_live:
+                np.subtract(e_est[j], expected.e[j], out=diff)
+                e_error = _worst(e_error, np.abs(diff, out=mag), weak)
+        if h_dead or not phi_live:
+            dead = h_est[h_dead[0]] if h_dead else e_est[0]
+            _worst(0.0, np.abs(dead, out=mag), weak)
     return h_error, e_error
 
 
@@ -626,9 +665,11 @@ def commutator_field_extract(potentials: LinearPotentials, grid: Grid3, test_fie
     h_error = e_error = spread = 0.0
     excluded = 0
     expected = classical_maxwell_reference(potentials, (0.0, 0.0, 0.0))
+    # the analytic estimates of a dead component are not 0 by construction
+    live = _live_terms(potentials) if mode == "discrete" else _ALL_LIVE
     for s0, s1, estimates in _slab_estimates(potentials, grid, test_fields, constants, mode):
         excluded += sum(int(np.count_nonzero(weak)) for _, _, weak in estimates)
-        h_error, e_error = _fold_errors(h_error, e_error, expected, estimates)
+        h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
         spread = _fold_spread(spread, estimates)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -715,6 +756,7 @@ def convergence_study(potentials: LinearPotentials, spacings,
         raise DomainError(f"grid spacing {spac[0]!r} is too large: the box width overflows")
     _check_box_scale(potentials, half_width, constants, spac[0])
     expected = classical_maxwell_reference(potentials, (0.0, 0.0, 0.0))
+    live = _live_terms(potentials)
     errors = []
     sizes = []
     for h in spac:
@@ -724,7 +766,7 @@ def convergence_study(potentials: LinearPotentials, spacings,
         h_error = e_error = 0.0
         for _, _, estimates in _slab_estimates(potentials, Grid3(n=n, h=h), test_fields,
                                                constants, "discrete"):
-            h_error, e_error = _fold_errors(h_error, e_error, expected, estimates)
+            h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
             del estimates  # freed before the generator builds the next slab
         errors.append(max(h_error, e_error))
         sizes.append(n)

@@ -274,6 +274,58 @@ def test_potentials_scaled_past_the_float_range_are_refused():
             convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05), small_c)
 
 
+# hbar^2 overflows for hbar above sqrt(float max), about 1.34e154.  Only the
+# magnetic commutators of a live A take it, so a field without one runs.
+@pytest.mark.parametrize("hbar", [1e160, 1e200, 1e300])
+def test_zero_field_is_exact_at_an_hbar_whose_square_overflows(hbar):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        study = convergence_study(make_preset("zero"), (0.2, 0.1, 0.05),
+                                  PhysicalConstants(hbar=hbar))
+    assert study.order == "exact"
+    assert all(err == 0.0 for err in study.errors)
+
+
+@pytest.mark.parametrize("hbar", [1e160, 1e200, 1e300])
+def test_linear_phi_converges_at_an_hbar_whose_square_overflows(hbar):
+    spacings = (0.2, 0.1, 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        study = convergence_study(make_preset("linear_phi"), spacings,
+                                  PhysicalConstants(hbar=hbar))
+    # the E estimates are hbar-free up to rounding
+    want = convergence_study(make_preset("linear_phi"), spacings, K)
+    assert all(math.isclose(got, ref, rel_tol=1e-12)
+               for got, ref in zip(study.errors, want.errors)), study.errors
+    assert abs(study.order - want.order) <= 1e-9
+
+
+@pytest.mark.parametrize("hbar", [1e160, 1e200, 1e300])
+def test_uniform_b_refuses_an_hbar_whose_square_overflows(hbar, monkeypatch):
+    def no_slab(*args, **kwargs):
+        raise AssertionError("a slab was estimated")
+
+    monkeypatch.setattr(lattice_mod._DiscreteKernel, "slab", no_slab)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="hbar\\^2.* overflows"):
+            convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05),
+                              PhysicalConstants(hbar=hbar))
+
+
+def test_lattice_cli_at_an_hbar_whose_square_overflows(tmp_path, capsys):
+    from diraclab import cli
+
+    out = tmp_path / "table.json"
+    args = ["--h", "0.2,0.1,0.05", "--hbar", "1e200", "--out", str(out)]
+    assert cli.main(["lattice", "--preset", "uniform_b", *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "hbar^2" in err[0], err
+    assert not out.exists()
+    assert cli.main(["lattice", "--preset", "zero", *args]) == 0
+    assert '"order": "exact"' in out.read_text(encoding="utf-8")
+
+
 def test_grid_rejects_a_spacing_whose_stencil_denominator_underflows():
     h = math.sqrt(np.finfo(float).tiny / 4.0)
     Grid3(n=9, h=2.0 * h)
@@ -588,8 +640,10 @@ def test_leaving_out_dead_terms_does_not_change_a_bit(monkeypatch, name, n, ampl
     assert _extraction_bits(commutator_field_extract(cfg, grid, constants=K)) == pruned
 
 
-def test_leaving_out_dead_terms_does_not_change_the_n65_study(monkeypatch):
-    cfg = make_preset("uniform_b", 1.3, 0.7)
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_leaving_out_dead_terms_does_not_change_the_n65_study(monkeypatch, name):
+    # all-live also makes the study fold every component, dead ones included
+    cfg = make_preset(name, 1.3, 0.7)
     spacings = (0.2, 0.1, 0.05, 0.025)
     pruned = [err.hex() for err in convergence_study(cfg, spacings, K).errors]
     monkeypatch.setattr(lattice_mod, "_live_terms", _all_live)

@@ -92,6 +92,14 @@ def test_computed_within_tolerance_of_recorded(current, recorded):
     assert drifted == []
 
 
+def test_lattice_computed_equals_recorded_exactly(current, recorded):
+    # The lattice suite calls no LAPACK and its extractions keep every
+    # cell's operations, so its values are pinned to the bit, not to tol.
+    lattice = [cid for cid in recorded if cid.startswith("lattice.")]
+    assert len(lattice) == 7
+    assert [cid for cid in lattice if current[cid]["computed"] != recorded[cid]["computed"]] == []
+
+
 def test_within_accepts_rounding_and_rejects_a_changed_value():
     assert _within({"entries": [[1.0, 0.0]]}, {"entries": [[1.0 + 1e-15, 0.0]]}, 1e-14)
     assert not _within({"entries": [[1.0, 0.0]]}, {"entries": [[1.1, 0.0]]}, 1e-14)
