@@ -19,14 +19,14 @@ temporary is ever made.  The discrete kernel behind it is made once per
 grid.  It keeps each test function's samples from one slab to the next, so
 the two planes neighbouring slabs share are sampled once; it evaluates the
 operator terms into buffers reused for every slab and test function; and it
-computes once what several terms share: the alpha_a alpha_b products per
-slab, and per test function the two denominators and the terms both orders
-of a commutator have in common.  It skips every term whose potential is
-identically zero (a component of A, or phi, whose coefficients are all
-zero): such a term only adds or subtracts signed zeros, and x - (+-0) = x
-for every nonzero x, so on finite samples only the sign of an exact-zero
-estimate can differ, which the error magnitudes and the per-cell mean do
-not see.
+forms no term that cancels between the two orders of a commutator (the mixed
+second difference, the products of two potentials), so the field terms are
+never rounded against larger terms that drop out.  It skips every term
+whose potential is identically zero (a component of A, or phi, whose
+coefficients are all zero): such a term only adds or subtracts signed
+zeros, and x - (+-0) = x for every nonzero x, so on finite samples only the
+sign of an exact-zero estimate can differ, which the error magnitudes and
+the per-cell mean do not see.
 commutator_field_extract folds the error maxima, the test-function spread
 and the per-cell mean into the two intensity grids it returns;
 convergence_study folds only the error maxima and so holds one slab's
@@ -79,12 +79,12 @@ AMPLITUDE_FLOOR = 1e-8
 
 def _check_spacing(h) -> None:
     """A spacing the stencils can divide by: finite, > 0, and large enough
-    that the mixed-difference denominator 4 h^2 is a normal float."""
+    that the stencil scale 1 / (2 h) is finite (h above about 2.8e-309)."""
     if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
         raise DomainError(f"grid spacing must be finite and > 0, got {h!r}")
-    if 4.0 * h * h < sys.float_info.min:
-        raise DomainError(f"grid spacing {h!r} is too small: the stencil denominator "
-                          f"4 h^2 underflows")
+    if not math.isfinite(1.0 / (2.0 * h)):
+        raise DomainError(f"grid spacing {h!r} is too small: the stencil scale "
+                          f"1 / (2 h) overflows")
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def _keep_slab_pages(halo_cells: int) -> None:
     unmap its working set and fault it back in: about 50 000 minor page
     faults per study over h = 0.2 ... 0.025.  Allocating and freeing one
     untouched block of 24 such arrays lifts both thresholds past the at most
-    39 alive at once, for one mmap/munmap pair and no resident page, up to
+    35 alive at once, for one mmap/munmap pair and no resident page, up to
     glibc's 32 MiB cap (reached near n = 170).  Under other allocators this
     is an ordinary short-lived allocation.
     """
@@ -180,20 +180,6 @@ def _central_difference(values: np.ndarray, axis: int, inv_2h: float, window: tu
     """
     out = np.subtract(values[_shift(window, axis, 1)], values[_shift(window, axis, -1)], out=out)
     return np.multiply(out, inv_2h, out=out)
-
-
-def _mixed_difference(values: np.ndarray, axis_a: int, axis_b: int, inv_4h2: float,
-                      window: tuple, out: np.ndarray) -> np.ndarray:
-    """Symmetric 4-point mixed second difference D_a D_b (= D_b D_a exactly),
-    scaled by inv_4h2 = 1 / (4 h^2) like _central_difference."""
-
-    def at(da: int, db: int):
-        return values[_shift(_shift(window, axis_a, da), axis_b, db)]
-
-    np.subtract(at(1, 1), at(1, -1), out=out)
-    np.subtract(out, at(-1, 1), out=out)
-    np.add(out, at(-1, -1), out=out)
-    return np.multiply(out, inv_4h2, out=out)
 
 
 def kinetic_momentum_apply(j: int, potentials: LinearPotentials, grid: Grid3, psi,
@@ -342,7 +328,7 @@ _ALL_LIVE = ((True, True, True), True)
 class _DiscreteKernel:
     """The discrete estimator on one grid, walked slab by slab.
 
-    Made once per grid: the stencil scales, the scalar factors of the
+    Made once per grid: the stencil scale, the scalar factors of the
     operator terms, which potentials are live (_live_terms), and every
     buffer the commutators are evaluated into, sized for the grid's first
     slab (a shorter last slab uses their leading planes).  Each test
@@ -355,28 +341,18 @@ class _DiscreteKernel:
         k = constants
         coupling = k.charge / k.c
         self.inv_2h = 1.0 / (2.0 * h)
-        self.inv_4h2 = 1.0 / (4.0 * h * h)
         self.a_live, self.phi_live = live
-        # the scalar factors, grouped as the operator terms group them; only
-        # a mixed term pi_j pi_l with a live alpha uses hbar^2
-        if any(self.a_live):
-            try:
-                self.neg_hbar2 = -k.hbar**2
-            except OverflowError:
-                raise DomainError(f"hbar = {k.hbar!r} is too large for this field: hbar^2, "
-                                  f"which the magnetic commutators take, overflows") from None
-        self.i_hbar = 1j * k.hbar
         self.neg_i_hbar = -1j * k.hbar
         self.h_scale = -1j * k.hbar * coupling
         self.e_scale = 1j * k.hbar * coupling
-        # D_a psi enters alpha_x D_a psi (x != a) and pi_a psi of the E block
+        # D_a psi enters alpha_x D_a psi (x != a) and po D_a psi of the E block
         self.d1_live = [self.phi_live or any(self.a_live[x] for x in range(3) if x != a)
                         for a in range(3)]
         self.test_fields = test_fields
         self.samples = [np.empty(halo_shape, dtype=complex) for _ in test_fields]
         self.halo = [np.empty(halo_shape, dtype=complex) for _ in range(3)]
         cells = tuple(size - 2 for size in halo_shape)
-        self.cells = [np.empty(cells, dtype=complex) for _ in range(8)]
+        self.cells = [np.empty(cells, dtype=complex) for _ in range(7)]
         self.carry = None  # first of the planes the next slab shares
 
     def _sample(self, mesh) -> list:
@@ -402,27 +378,25 @@ class _DiscreteKernel:
         samples = self._sample(mesh)
         planes = samples[0].shape[0]
         alpha_in = [a[window] for a in alpha]
-        # alpha_a alpha_b of pi_j pi_l and of pi_l pi_j: real products commute
-        alpha_alpha = {(j, l): alpha_in[j - 1] * alpha_in[l - 1] for j, l, _ in _CYCLIC
-                       if self.a_live[j - 1] and self.a_live[l - 1]}
         halo = [buf[:planes] for buf in self.halo]
         work = [buf[:planes - 2] for buf in self.cells]
-        return [self._estimate(psi, window, alpha, alpha_in, alpha_alpha, po, halo, work)
-                for psi in samples]
+        return [self._estimate(psi, window, alpha, alpha_in, po, halo, work) for psi in samples]
 
-    def _estimate(self, psi, window, alpha, alpha_in, alpha_alpha, po, halo, work) -> tuple:
+    def _estimate(self, psi, window, alpha, alpha_in, po, halo, work) -> tuple:
         """Apply each commutator to one test function's samples psi.
 
         The composition pi_j pi_l is distributed over the four operator terms
-        (exact at the discrete level by linearity) and the mixed
-        pure-derivative term uses one shared symmetric stencil for both
-        orders, so the part that cancels algebraically also cancels in
-        floating point.  Each term is evaluated into the buffers in halo and
-        work one operation at a time, grouped from left to right as in
+        (exact at the discrete level by linearity).  Two of them are the same
+        in both orders, -hbar^2 D_j D_l psi (the symmetric stencil has
+        D_j D_l = D_l D_j) and (alpha_j alpha_l) psi, and so is the term
+        alpha_j po psi of [pi_j, pi_o]; they cancel in the commutator and are
+        never formed, so the field terms are not rounded against them.  What
+        is left is evaluated into the buffers in halo and work one operation
+        at a time, grouped from left to right as in
 
-            pi_j pi_l psi = -hbar^2 D_j D_l psi - i hbar D_j (alpha_l psi)
-                            - i hbar (alpha_j D_l psi) + (alpha_j alpha_l) psi
-            [pi_j, po] psi = -i hbar D_j (po psi) + alpha_j po psi - po pi_j psi
+            [pi_j, pi_l] psi = -i hbar ((D_j (alpha_l psi) + alpha_j D_l psi)
+                                        - (D_l (alpha_j psi) + alpha_l D_j psi))
+            [pi_j, po] psi = -i hbar (D_j (po psi) - po D_j psi)
 
         and divided by -i hbar (e/C) psi for H, +i hbar (e/C) psi for E, so
         which buffer holds a term does not change a bit.
@@ -430,14 +404,14 @@ class _DiscreteKernel:
         A term with a dead factor (alpha_l, alpha_j or po identically zero)
         is left out: it is a signed zero, and adding or subtracting one
         leaves every nonzero value as it is.  A commutator whose two alphas
-        are both dead is shared - shared = 0, and with po dead so is every E
+        are both dead has no term left, and with po dead neither has any E
         commutator; those estimates are 0 times the denominator, which keeps
         it NaN where psi is too weak to divide by or not finite.
         """
         live = self.a_live
         psi_in = psi[window]
         weak = np.abs(psi_in) < AMPLITUDE_FLOOR
-        den_h, den_e, p1, p2, tmp, *d1 = work
+        den_h, den_e, p2, tmp, *d1 = work
         np.copyto(den_e, psi_in)
         np.copyto(den_e, np.nan + 0.0j, where=weak)  # psi, NaN where too weak to divide by
         np.multiply(self.h_scale, den_e, out=den_h)
@@ -453,53 +427,34 @@ class _DiscreteKernel:
         with np.errstate(invalid="ignore", divide="ignore"):
             for j, l, kk in _CYCLIC:
                 a, b = j - 1, l - 1
-                # -hbar^2 D_a D_b psi, shared by both orders, until the estimate replaces it
-                shared = h_est[kk - 1]
+                est = h_est[kk - 1]
                 if not (live[a] or live[b]):
-                    np.multiply(0.0, den_h, out=shared)
+                    np.multiply(0.0, den_h, out=est)
                     continue
-                _mixed_difference(psi, min(a, b), max(a, b), self.inv_4h2, window, out=shared)
-                np.multiply(self.neg_hbar2, shared, out=shared)
-                for out, (x, y) in ((p1, (a, b)), (p2, (b, a))):
-                    # pi_x pi_y psi short of its last term (alpha_x alpha_y) psi;
-                    # alpha_x or alpha_y is live, so out is written
-                    partial = shared
+                for out, (x, y) in ((est, (a, b)), (p2, (b, a))):
+                    # D_x (alpha_y psi) + alpha_x D_y psi; alpha_x or alpha_y
+                    # is live, so out is written
                     if live[y]:
                         _central_difference(alpha_psi[y], x, self.inv_2h, window, out=out)
-                        np.multiply(self.i_hbar, out, out=out)
-                        partial = np.subtract(shared, out, out=out)
-                    if live[x]:
-                        np.multiply(alpha_in[x], d1[y], out=tmp)
-                        np.multiply(self.i_hbar, tmp, out=tmp)
-                        np.subtract(partial, tmp, out=out)
-                if (j, l) in alpha_alpha:
-                    np.multiply(alpha_alpha[(j, l)], psi_in, out=tmp)
-                    np.add(p1, tmp, out=p1)
-                    np.add(p2, tmp, out=p2)
-                np.subtract(p1, p2, out=p1)
-                np.divide(p1, den_h, out=shared)
+                    if live[x] and live[y]:
+                        np.add(out, np.multiply(alpha_in[x], d1[y], out=tmp), out=out)
+                    elif live[x]:
+                        np.multiply(alpha_in[x], d1[y], out=out)
+                np.subtract(est, p2, out=est)
+                np.multiply(self.neg_i_hbar, est, out=est)
+                np.divide(est, den_h, out=est)
             if not self.phi_live:
                 for a in range(3):
                     np.multiply(0.0, den_e, out=e_est[a])
                 return h_est, e_est, weak
-        pi = d1  # pi_a psi = -i hbar D_a psi + alpha_a psi, over D_a psi
-        for a in range(3):
-            np.multiply(self.neg_i_hbar, d1[a], out=pi[a])
-            if live[a]:
-                np.add(pi[a], alpha_psi[a][window], out=pi[a])
-        with np.errstate(invalid="ignore", divide="ignore"):
             po_psi = np.multiply(po, psi, out=halo[0])
             po_in = po[window]
             for a in range(3):
-                # pi_a (po psi) - po pi_a psi
-                _central_difference(po_psi, a, self.inv_2h, window, out=p1)
-                np.multiply(self.neg_i_hbar, p1, out=p1)
-                if live[a]:
-                    np.multiply(alpha_in[a], po_psi[window], out=tmp)
-                    np.add(p1, tmp, out=p1)
-                np.multiply(po_in, pi[a], out=tmp)
-                np.subtract(p1, tmp, out=p1)
-                np.divide(p1, den_e, out=e_est[a])
+                est = _central_difference(po_psi, a, self.inv_2h, window, out=e_est[a])
+                np.multiply(po_in, d1[a], out=tmp)
+                np.subtract(est, tmp, out=est)
+                np.multiply(self.neg_i_hbar, est, out=est)
+                np.divide(est, den_e, out=est)
         return h_est, e_est, weak
 
 
@@ -509,7 +464,11 @@ def _analytic_estimates(potentials, tf, constants, mesh, window, alpha, po):
     Evaluated on the slab's own cells (window of mesh), like the discrete
     estimates.  All test-function derivatives cancel algebraically;
     carrying them through checks the operator identity rather than
-    assuming it.
+    assuming it.  Each term of pi_j pi_l is subtracted from its twin in
+    pi_l pi_j before the terms are summed, and hbar multiplies the Hessian
+    pair one factor at a time, so no field term is rounded against an
+    O(hbar^2) one and hbar^2 is never formed.  As in the discrete kernel,
+    the products of two potentials, equal in both orders, are not formed.
     """
     k = constants
     x, y, z = mesh[0][window[0]], mesh[1][:, window[1]], mesh[2][:, :, window[2]]
@@ -521,28 +480,22 @@ def _analytic_estimates(potentials, tf, constants, mesh, window, alpha, po):
     da = [[coupling * g for g in row] for row in potentials.grad_a]
     weak = np.abs(psi) < AMPLITUDE_FLOOR
     psi_safe = np.where(weak, np.nan + 0.0j, psi)
-
-    def pi_pi(j, l):
-        # pi_j pi_l psi expanded with exact derivatives
-        return (
-            -k.hbar**2 * hess[j][l]
-            - 1j * k.hbar * (da[j][l] * psi + a[l] * grad[j])
-            - 1j * k.hbar * a[j] * grad[l]
-            + a[j] * a[l] * psi
-        )
-
     h_est = np.empty((3,) + psi.shape, dtype=complex)
     e_est = np.empty((3,) + psi.shape, dtype=complex)
     po = po[window]
     dpo = [coupling * g for g in potentials.grad_phi]
     with np.errstate(invalid="ignore", divide="ignore"):
         for (j, l, kk) in _CYCLIC:
-            comm = pi_pi(j - 1, l - 1) - pi_pi(l - 1, j - 1)
+            j, l = j - 1, l - 1
+            comm = (-k.hbar * (k.hbar * (hess[j][l] - hess[l][j]))
+                    - 1j * k.hbar * ((da[j][l] - da[l][j]) * psi)
+                    - 1j * k.hbar * (a[l] * grad[j] - a[l] * grad[j])
+                    - 1j * k.hbar * (a[j] * grad[l] - a[j] * grad[l]))
             h_est[kk - 1] = comm / (-1j * k.hbar * coupling * psi_safe)
-        for j in (1, 2, 3):
-            pi_j_po_psi = -1j * k.hbar * (dpo[j - 1] * psi + po * grad[j - 1]) + a[j - 1] * po * psi
-            po_pi_j_psi = po * (-1j * k.hbar * grad[j - 1] + a[j - 1] * psi)
-            e_est[j - 1] = (pi_j_po_psi - po_pi_j_psi) / (1j * k.hbar * coupling * psi_safe)
+        for j in range(3):
+            comm = (-1j * k.hbar * (dpo[j] * psi)
+                    - 1j * k.hbar * (po * grad[j] - po * grad[j]))
+            e_est[j] = comm / (1j * k.hbar * coupling * psi_safe)
     return h_est, e_est, weak
 
 
@@ -711,11 +664,12 @@ def _check_box_scale(potentials, half_width, constants, spacing) -> None:
     """Refuse a box whose coordinates or coupled potentials overflow when squared.
 
     The Gaussian test functions square the coordinates, and the kinetic
-    momenta multiply (e/C) A and (e/C) phi by each other and by the
-    samples, then difference and sum a few such products.  All of that
-    stays finite when every coordinate and coupled potential on the box is
-    at most sqrt(float max) / 8 in magnitude.  The potentials are
-    linear, so their largest magnitude on the box is at a corner.
+    momenta multiply (e/C) A and (e/C) phi by the samples, then difference
+    and sum a few such products.  All of that stays finite when every
+    coordinate and coupled potential on the box is at most
+    sqrt(float max) / 8 in magnitude; one limit serves both.  The
+    potentials are linear, so their largest magnitude on the box is at a
+    corner.
     """
     limit = math.sqrt(sys.float_info.max) / 8.0
     ends = np.array([-half_width, half_width])

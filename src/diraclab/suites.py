@@ -725,8 +725,10 @@ def build_lattice_suite(config: RunConfig, rng) -> dict:
     devs = []
     for j in (1, 2, 3):
         applied = lattice_mod.kinetic_momentum_apply(j, zero, grid, psi, k)
-        symbol = k.hbar * math.sin(kvec[j - 1] * grid.h) / grid.h
-        devs.append(_dev(applied[inner] / psi[inner], symbol))
+        # judged in units of hbar: the symbol is hbar sin(k h) / h, and its
+        # rounding is relative to it
+        symbol = math.sin(kvec[j - 1] * grid.h) / grid.h
+        devs.append(_dev(applied[inner] / (k.hbar * psi[inner]), symbol))
     m["discrete_symbol"] = devs
     return m
 

@@ -434,10 +434,10 @@ class TestLatticeCommand:
 
 
 # Spacings convergence_study cannot size a box or a stencil with: zero and
-# infinity, one so small that 4 h^2 underflows to 0 and every estimate
-# would come out NaN, and one so large that the squared coordinates overflow.
+# infinity, a subnormal one whose stencil scale 1 / (2 h) overflows, and one
+# so large that the squared coordinates overflow.
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("spacings", ["0,0,0", "inf,inf,inf", "1e-300,5e-301,2.5e-301",
+@pytest.mark.parametrize("spacings", ["0,0,0", "inf,inf,inf", "1e-310,5e-311,2.5e-311",
                                       "1e300,5e299,2.5e299"])
 def test_lattice_rejects_unusable_spacings(spacings, tmp_path, capsys):
     out = tmp_path / "t.json"
