@@ -29,6 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +37,11 @@ from .constants import PhysicalConstants
 from .errors import DomainError
 from .matrices import (
     GENERATOR_STACK,
-    PAULI_TABLE,
+    PAULI_STACK,
     GeneratorKind,
     Representation,
     dirac_generator,
+    hamiltonians,
     mat_exp,
 )
 from .spinors import require_normalized
@@ -52,8 +54,6 @@ RESOLVED_OSCILLATION = (
 
 _EYE4 = np.eye(4, dtype=complex)
 _EYE4.setflags(write=False)
-_PAULI_STACK = np.stack(PAULI_TABLE)
-_PAULI_STACK.setflags(write=False)
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -83,8 +83,7 @@ class MomentumState:
     @cached_property
     def energy_sq(self) -> float:
         """E^2 = C^2 |p|^2 + m^2 C^4, summed directly rather than squared from energy."""
-        k = self.constants
-        return k.c**2 * float(self.p @ self.p) + k.mass**2 * k.c**4
+        return energy_sq(self.constants.c, self.constants.mass, float(self.p @ self.p))
 
     @cached_property
     def energy(self) -> float:
@@ -95,13 +94,14 @@ class MomentumState:
     def h(self) -> np.ndarray:
         """C alpha_j p_j + m C^2 beta, read-only; hamiltonian() hands out copies."""
         k = self.constants
-        g = GENERATOR_STACK[self.rep]
-        # Every generator entry is 0, +-1 or +-i, so the products are exact
-        # and the sum over j adds disjoint real and imaginary parts: any
-        # order of summation gives the same bits.
-        h = ((k.c * self.p) @ g[:3].reshape(3, 16)).reshape(4, 4) + k.mc2 * g[3]
+        h = hamiltonians(self.p, k.c, k.mc2, self.rep)
         h.setflags(write=False)
         return h
+
+
+def energy_sq(c: float, mass: float, p_sq: float) -> float:
+    """C^2 |p|^2 + m^2 C^4 from |p|^2, for Python floats."""
+    return c**2 * p_sq + mass**2 * c**4
 
 
 def hamiltonian(state: MomentumState) -> np.ndarray:
@@ -211,46 +211,102 @@ def velocity_operator(j: int, constants: PhysicalConstants,
     return constants.c * dirac_generator(GeneratorKind(j), rep)
 
 
-def eta_matrix(state: MomentumState, j: int) -> np.ndarray:
+class _Rows(NamedTuple):
+    """One state, or a sequence of states with one axis j and time t each,
+    as per-row arrays (n rows; one for a single state)."""
+
+    single: bool
+    constants: PhysicalConstants
+    rep: Representation
+    p_j: np.ndarray  # (n,) momentum component along each row's axis
+    energy: np.ndarray  # (n,)
+    energy_sq: np.ndarray  # (n,)
+    h: np.ndarray  # (n, 4, 4)
+    j: np.ndarray  # (n,) axes 1..3
+    t: np.ndarray  # (n,)
+
+
+def _rows(state, j, t=0.0) -> _Rows:
+    """The closed forms below take one MomentumState with a scalar j and t,
+    or a sequence of n states that share constants and generator set, with
+    j and t scalars or one per state; they then return stacks of n results,
+    each the bits of its single-state call."""
+    single = isinstance(state, MomentumState)
+    states = (state,) if single else tuple(state)
+    if not states:
+        raise DomainError("need at least one state")
+    k, rep = states[0].constants, states[0].rep
+    if any(s.constants != k or s.rep is not rep for s in states):
+        raise DomainError("a sequence of states must share constants and generator set")
+    n = len(states)
+    j = np.broadcast_to(np.asarray(j), (n,))
+    bad = [v for v in j.tolist() if v not in (1, 2, 3)]
+    if bad:
+        raise DomainError(f"axis must be 1, 2 or 3, got {bad[0]!r}")
+    j = j.astype(int)
+    p = np.array([s.p for s in states])
+    return _Rows(single, k, rep, p[np.arange(n), j - 1], np.array([s.energy for s in states]),
+                 np.array([s.energy_sq for s in states]), np.array([s.h for s in states]), j,
+                 np.broadcast_to(np.asarray(t, dtype=float), (n,)))
+
+
+def _result(rows: _Rows, stack: np.ndarray) -> np.ndarray:
+    return stack[0] if rows.single else stack
+
+
+def _eta(r: _Rows) -> np.ndarray:
+    scale = r.constants.c * r.p_j / r.energy_sq  # C p_j / E^2
+    return GENERATOR_STACK[r.rep][r.j - 1] - scale[:, None, None] * r.h
+
+
+def _double_evolution(r: _Rows) -> np.ndarray:
+    """exp(-2 i t H / hbar) = cos(2 E t / hbar) I - i sin(2 E t / hbar) H / E."""
+    theta = 2.0 * r.t * r.energy / r.constants.hbar
+    return (np.cos(theta)[:, None, None] * _EYE4
+            - (1j * (np.sin(theta) / r.energy))[:, None, None] * r.h)
+
+
+def eta_matrix(state, j) -> np.ndarray:
     """alpha_j - C p_j H^-1: the part of alpha_j that anticommutes with H.
 
     H^-1 = H / E^2, since H^2 = E^2 I; E >= m C^2 > 0 because
-    PhysicalConstants requires mass and C > 0.
+    PhysicalConstants requires mass and C > 0.  Stacks as _rows says.
     """
-    if j not in (1, 2, 3):
-        raise DomainError(f"axis must be 1, 2 or 3, got {j!r}")
-    return (GENERATOR_STACK[state.rep][j - 1]
-            - (state.constants.c * state.p[j - 1] / state.energy_sq) * state.h)
+    r = _rows(state, j)
+    return _result(r, _eta(r))
 
 
-def _double_evolution(state: MomentumState, t: float) -> np.ndarray:
-    """exp(-2 i t H / hbar) = cos(2 E t / hbar) I - i sin(2 E t / hbar) H / E."""
-    e = state.energy
-    theta = 2.0 * t * e / state.constants.hbar
-    return math.cos(theta) * _EYE4 - (1j * math.sin(theta) / e) * state.h
-
-
-def velocity_direction(state: MomentumState, j: int, t: float) -> np.ndarray:
+def velocity_direction(state, j, t) -> np.ndarray:
     """Closed-form Heisenberg velocity direction C p_j H^-1 + eta_j exp(-2 i t H / hbar).
 
     The production side of alpha_evolved_oracle: the two share no code.
+    Stacks as _rows says.
     """
-    return ((state.constants.c * state.p[j - 1] / state.energy_sq) * state.h
-            + eta_matrix(state, j) @ _double_evolution(state, t))
+    r = _rows(state, j, t)
+    return _result(r, (r.constants.c * r.p_j / r.energy_sq)[:, None, None] * r.h
+                   + _eta(r) @ _double_evolution(r))
 
 
-def evolution_operator(state: MomentumState, t: float) -> np.ndarray:
-    """exp(-i H t / hbar), by the general matrix exponential.  Oracle."""
-    return mat_exp(-1j * t / state.constants.hbar * state.h)
+def _evolution(r: _Rows) -> np.ndarray:
+    # -1j * t / hbar as the scalar forms it: (+-0, -t / hbar), purely imaginary
+    return mat_exp((-1j * (r.t / r.constants.hbar))[:, None, None] * r.h)
 
 
-def alpha_evolved_oracle(state: MomentumState, j: int, t: float) -> np.ndarray:
-    """Brute-force Heisenberg velocity direction: U(t)^dag alpha_j U(t)."""
-    if j not in (1, 2, 3):
-        raise DomainError(f"axis must be 1, 2 or 3, got {j!r}")
-    alpha = dirac_generator(GeneratorKind(j), state.rep)
-    u = evolution_operator(state, t)
-    return u.conj().T @ alpha @ u
+def evolution_operator(state, t) -> np.ndarray:
+    """exp(-i H t / hbar), by the general matrix exponential.  Oracle.
+
+    Stacks as _rows says."""
+    r = _rows(state, 1, t)
+    return _result(r, _evolution(r))
+
+
+def alpha_evolved_oracle(state, j, t) -> np.ndarray:
+    """Brute-force Heisenberg velocity direction: U(t)^dag alpha_j U(t).
+
+    Stacks as _rows says."""
+    r = _rows(state, j, t)
+    u = _evolution(r)
+    return _result(r, u.conj().swapaxes(-1, -2) @ GENERATOR_STACK[r.rep][r.j - 1] @ u)
 
 
 @dataclass(frozen=True)
@@ -261,19 +317,19 @@ class ClosedFormPosition:
     zbw_matrix: np.ndarray
 
 
-def zbw_closed_form(state: MomentumState, j: int, t: float) -> ClosedFormPosition:
+def zbw_closed_form(state, j, t) -> ClosedFormPosition:
     """Drift and oscillatory matrices of r_j(t) - r_j(0).
 
     d/dt (drift + zbw) reproduces C * alpha_evolved_oracle(state, j, t);
     the additive constant is fixed so both terms vanish at t = 0.
-    H^-1 = H / E^2 (see eta_matrix).
+    H^-1 = H / E^2 (see eta_matrix).  Stacks as _rows says.
     """
-    k = state.constants
-    h_inv = state.h / state.energy_sq
-    drift = (t * k.c**2 * state.p[j - 1]) * h_inv
-    osc = _double_evolution(state, t)
-    zbw = 0.5j * k.c * k.hbar * (eta_matrix(state, j) @ h_inv @ (osc - _EYE4))
-    return ClosedFormPosition(drift_matrix=drift, zbw_matrix=zbw)
+    r = _rows(state, j, t)
+    k = r.constants
+    h_inv = r.h / r.energy_sq[:, None, None]
+    drift = (r.t * k.c**2 * r.p_j)[:, None, None] * h_inv
+    zbw = 0.5j * k.c * k.hbar * (_eta(r) @ h_inv @ (_double_evolution(r) - _EYE4))
+    return ClosedFormPosition(drift_matrix=_result(r, drift), zbw_matrix=_result(r, zbw))
 
 
 @dataclass(frozen=True)
@@ -318,7 +374,7 @@ def _energy_split(rep: Representation, q: np.ndarray, psi: np.ndarray) -> tuple:
     """
     if rep is Representation.STANDARD:
         psi = _SQRT_HALF * np.concatenate((psi[:2] + psi[2:], psi[:2] - psi[2:]))
-    sq = np.tensordot(q, _PAULI_STACK, axes=1)
+    sq = np.tensordot(q, PAULI_STACK, axes=1)
     norm = 1.0 / math.sqrt(1.0 + float(q @ q))
     top, bottom = psi[:2], psi[2:]
     return norm * (top + sq @ bottom), norm * (bottom - sq @ top)
@@ -375,7 +431,7 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
         raise DomainError("the phase E t / hbar overflows at the largest |t|")
     q, _ = _boost(state)
     chi_p, chi_m = _energy_split(state.rep, q, psi)
-    s = _PAULI_STACK @ chi_m @ chi_p.conj()  # chi_+^dag sigma_j chi_-
+    s = PAULI_STACK @ chi_m @ chi_p.conj()  # chi_+^dag sigma_j chi_-
     cross = s - (2.0 * (q @ s) / (1.0 + float(q @ q))) * q
     floor = _RESIDUE_EPS * sys.float_info.epsilon * float(np.vdot(psi, psi).real)
     weight = float(np.vdot(chi_p, chi_p).real - np.vdot(chi_m, chi_m).real)

@@ -27,8 +27,9 @@ from .errors import DomainError
 from .matrices import (
     GENERATOR_STACK,
     Representation,
-    commutator,
+    complex_product,
     generators,
+    hamiltonians,
     identity,
     pauli,
     sigma_block,
@@ -53,12 +54,14 @@ EXPECTATIONS = {rep: _expectation_table(rep) for rep in Representation}
 
 
 def _expectations(table: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """<psi| M |psi> for every M of a stacked (m, 4, 4) table.
+    """<psi| M |psi> for every M of a stacked (m, 4, 4) table: (m,) for one
+    spinor, (..., m) for a (..., 4) stack.
 
     Every generator product has one entry per row, so table @ psi is exact;
-    the sums over components then run in one fixed order per M.
+    the sums over components then run in one fixed order per M, the same
+    for every row of a stack.
     """
-    return np.einsum("i,mi->m", psi.conj(), table @ psi)
+    return np.einsum("...i,...mi->...m", psi.conj(), (table @ psi[..., None, :, None])[..., 0])
 
 U1_INDEX_NOTE = "curl contraction read as eps_jkl alpha_k alpha_l (printed form repeats the free index)"
 
@@ -80,10 +83,11 @@ def kinematic_momenta(constants: PhysicalConstants,
 
 @dataclass(frozen=True)
 class SelfFields:
-    """Matrix-valued intensities: e[j] and h[k] for axes 1..3 (0-indexed)."""
+    """Matrix-valued intensities: e[j] and h[k] for axes 1..3 (0-indexed),
+    each a (3, 4, 4) array."""
 
-    e: tuple
-    h: tuple
+    e: np.ndarray
+    h: np.ndarray
 
 
 def self_fields_commutator(constants: PhysicalConstants,
@@ -92,17 +96,20 @@ def self_fields_commutator(constants: PhysicalConstants,
 
     [p_j, p_l] = i hbar (e/C) eps_jlk H_k gives H_k for the cyclic pair
     (j, l); [p_j, p0] = i hbar (e/C) E_j gives E_j (identically zero since
-    p0 is proportional to the identity).
+    p0 is proportional to the identity).  The three commutators of each
+    kind are formed as one stack.
     """
     k = constants
     mom = kinematic_momenta(k, rep)
+    p = np.stack(mom.p)
     factor = k.c / (1j * k.hbar * k.charge)
-    # cyclic (j, l, k) triples, 0-indexed: eps_jlk = +1 for each
-    h_list = [None, None, None]
-    for (j, l, kk) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        h_list[kk] = factor * commutator(mom.p[j], mom.p[l])
-    e_list = [factor * commutator(mom.p[j], mom.p0) for j in range(3)]
-    return SelfFields(e=tuple(e_list), h=tuple(h_list))
+    # H_k from the cyclic pair (j, l) before it: (1, 2), (2, 0), (0, 1), 0-indexed
+    pj, pl = p[[1, 2, 0]], p[[2, 0, 1]]
+    return SelfFields(e=factor * (p @ mom.p0 - mom.p0 @ p), h=factor * (pj @ pl - pl @ pj))
+
+
+# The nonzero eps_jkl as (j, k, l), j-major with (k, l) ascending: two per j.
+_CURL_TERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
 def self_fields_matrix_maxwell(constants: PhysicalConstants,
@@ -115,26 +122,18 @@ def self_fields_matrix_maxwell(constants: PhysicalConstants,
     evaluated literally.
     """
     k = constants
-    a = generators(rep)[:3]
+    a = GENERATOR_STACK[rep][:3]
     grad_factor = 1j * (k.mass * k.c / k.hbar)
     pot_factor = k.mass * k.c**2 / (-k.charge)
-    h_list = []
-    for jj in range(3):
-        acc = np.zeros((4, 4), dtype=complex)
-        for kk in range(3):
-            for ll in range(3):
-                if EPS[jj, kk, ll] != 0.0:
-                    acc = acc + EPS[jj, kk, ll] * grad_factor * a[kk] @ (pot_factor * a[ll])
-        h_list.append(acc)
-    e_list = []
-    for jj in range(3):
-        # time-gradient acting on the vector part minus space gradient
-        # acting on the scalar part; elementwise scalar products keep the
-        # cancellation exact in floating point
-        term_t = grad_factor * (pot_factor * a[jj])
-        term_g = grad_factor * (a[jj] * pot_factor)
-        e_list.append(term_t - term_g)
-    return SelfFields(e=tuple(e_list), h=tuple(h_list))
+    j, kk, ll = (list(axis) for axis in zip(*_CURL_TERMS))
+    coef = (EPS[j, kk, ll] * grad_factor)[:, None, None]
+    terms = (coef * a[kk]) @ (pot_factor * a[ll])  # eps_jkl grad_k acting on A_l
+    h = np.zeros((3, 4, 4), dtype=complex) + terms[0::2] + terms[1::2]
+    # time-gradient acting on the vector part minus space gradient acting on
+    # the scalar part; elementwise scalar products keep the cancellation
+    # exact in floating point
+    e = grad_factor * (pot_factor * a) - grad_factor * (a * pot_factor)
+    return SelfFields(e=e, h=h)
 
 
 def expected_self_h(constants: PhysicalConstants, k_axis: int) -> np.ndarray:
@@ -226,15 +225,17 @@ def self_potentials(psi, constants: PhysicalConstants,
 
     <beta alpha_j> is purely imaginary for any state (the operator is
     anti-Hermitian), so the reported vector components are the real parts
-    with the imaginary magnitude recorded alongside.
+    with the imaginary magnitude recorded alongside.  A (..., 4) stack of
+    states gives a of shape (..., 3) and arrays phi and imag_magnitude.
     """
     psi = require_normalized(psi)
     k = constants
     factor = k.mass * k.c**2 / (-k.charge)
     vals = factor * _expectations(EXPECTATIONS[rep][3:], psi)  # beta, beta alpha_j
-    return SelfPotentials(
-        a=vals[1:].real.copy(), phi=float(vals[0].real),
-        imag_magnitude=float(np.abs(vals.imag).max()))
+    phi, imag = vals[..., 0].real, np.abs(vals.imag).max(axis=-1)
+    if psi.ndim == 1:
+        phi, imag = float(phi), float(imag)
+    return SelfPotentials(a=vals[..., 1:].real.copy(), phi=phi, imag_magnitude=imag)
 
 
 def magnetic_moment_matrices(constants: PhysicalConstants) -> tuple:
@@ -254,17 +255,19 @@ def gyromagnetic_ratio(constants: PhysicalConstants) -> float:
     return -constants.charge / (constants.mass * constants.c)
 
 
-def rest_energy(theta: float, phi_s: float, constants: PhysicalConstants) -> float:
+def rest_energy(theta, phi_s, constants: PhysicalConstants):
     """E_0 = -sum_j <mu_j><H_j> evaluated in a spin coherent state.
 
     The moment and intensity expectations each carry <sigma_j>, so the sum
-    collapses to m C^2 independent of the spin direction.
+    collapses to m C^2 independent of the spin direction.  Equal-shaped
+    arrays of angles give an array, one energy per direction.
     """
     k = constants
     s = spin_coherent_expectation(theta, phi_s)
     mu = (-k.charge * k.hbar / (2.0 * k.mass * k.c)) * s
     h = (2.0 * k.mass**2 * k.c**3 / (k.charge * k.hbar)) * s
-    return float(-(mu @ h))
+    e0 = -(mu[..., None, :] @ h[..., :, None])[..., 0, 0]  # one dot product per direction
+    return float(e0) if e0.ndim == 0 else e0
 
 
 def anomalous_moment_ratio(constants: PhysicalConstants) -> float:
@@ -287,30 +290,44 @@ def self_action_reduction(psi, state) -> SelfActionResult:
     coupled_value inserts the self potentials into the energy expectation;
     reduced_value is C <alpha_j P_j> + m C^2 <beta>.  For eigenstates both
     equal <H> and the cross sum <alpha_j><beta alpha_j> vanishes.
+
+    psi is one spinor and state its MomentumState, or psi is an (n, 4)
+    stack and state a sequence of n MomentumStates that share constants
+    and generator set; every field of the result is then an array of n
+    values.  One state is this kernel on a stack of one row.  Each sum and
+    each product of two complex expectations is formed as the scalar
+    arithmetic of one state would form it (complex_product), so a stack
+    gives its rows' bits.
     """
-    psi = require_normalized(psi)
-    k = state.constants
+    single = np.ndim(psi) == 1
+    states = (state,) if single else tuple(state)
+    psi = require_normalized(np.asarray(psi)[None] if single else psi)
+    if psi.ndim != 2 or psi.shape[0] != len(states):
+        raise DomainError(f"{len(states)} states for spinors of shape {psi.shape}")
+    k, rep = states[0].constants, states[0].rep
+    if any(s.constants != k or s.rep is not rep for s in states):
+        raise DomainError("a stack of states must share constants and generator set")
+    p = np.array([s.p for s in states])
     mc2 = k.mass * k.c**2
-    norm_sq = float(np.real(psi.conj() @ psi))
-    vals = _expectations(EXPECTATIONS[state.rep], psi).tolist()
-    alpha_exp, beta_exp, beta_alpha_exp = vals[:3], vals[3], vals[4:]
-    overlap_sum = sum(ae * bae for ae, bae in zip(alpha_exp, beta_alpha_exp))
-    momentum_term = k.c * sum(pj * ae for pj, ae in zip(state.p.tolist(), alpha_exp))
+    bra = psi.conj()[:, None, :]
+    norm_sq = (bra @ psi[:, :, None])[:, 0, 0].real
+    vals = _expectations(EXPECTATIONS[rep], psi)
+    alpha_exp, beta_exp, beta_alpha_exp = vals[:, :3].T, vals[:, 3], vals[:, 4:].T
+    overlap_sum = sum(complex_product(ae, bae) for ae, bae in zip(alpha_exp, beta_alpha_exp))
+    momentum_term = k.c * sum(pj * ae for pj, ae in zip(p.T, alpha_exp))
     coupled = (
         -k.charge * norm_sq * (mc2 / -k.charge) * beta_exp
         + sum(
-            k.charge * k.c * ae * (k.mass * k.c / k.charge) * bae
+            complex_product(k.charge * k.c * ae * (k.mass * k.c / k.charge), bae)
             for ae, bae in zip(alpha_exp, beta_alpha_exp)
         )
         + momentum_term
     )
     reduced = momentum_term + mc2 * beta_exp
     # <H> by its own route, H @ psi, so the check against reduced shares no code
-    hd_exp = float(np.real(psi.conj() @ (state.h @ psi)))
-    return SelfActionResult(
-        norm_sq=norm_sq,
-        overlap_sum=complex(overlap_sum),
-        hd_expectation=hd_exp,
-        coupled_value=complex(coupled),
-        reduced_value=complex(reduced),
-    )
+    h = hamiltonians(p, k.c, k.mc2, rep)
+    hd_exp = (bra @ (h @ psi[:, :, None]))[:, 0, 0].real
+    values = (norm_sq, overlap_sum, hd_exp, coupled, reduced)
+    if single:
+        values = tuple(v[0].item() for v in values)
+    return SelfActionResult(*values)

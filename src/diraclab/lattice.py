@@ -609,10 +609,13 @@ def commutator_field_extract(potentials: LinearPotentials, grid: Grid3, test_fie
     mode "discrete" uses central differences; "analytic" uses the test
     fields' exact derivatives.  Estimates from every test function are
     compared pairwise and averaged on the interior block, one slab of
-    planes at a time; the returned fields are NaN outside the block.
+    planes at a time; the returned fields are NaN outside the block.  A
+    grid whose coordinates or (e/C)-scaled potentials overflow when squared
+    raises DomainError, as in convergence_study.
     """
     constants = PhysicalConstants() if constants is None else constants
     n = grid.n
+    _check_box_scale(potentials, (n - 1) // 2 * grid.h, constants, grid.h)
     h_field = np.full((3,) + (n,) * 3, np.nan)
     e_field = np.full((3,) + (n,) * 3, np.nan)
     h_error = e_error = spread = 0.0

@@ -28,6 +28,7 @@ PAULI_TABLE = tuple(_read_only(m) for m in (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 ))
+PAULI_STACK = _read_only(np.stack(PAULI_TABLE))  # (sigma_1, sigma_2, sigma_3) as (3, 2, 2)
 
 
 def pauli(j: int) -> np.ndarray:
@@ -120,6 +121,21 @@ def generators(rep: Representation = Representation.PAULI_DIRAC):
     return tuple(GENERATOR_STACK[rep].copy())
 
 
+def hamiltonians(p, c, mc2, rep: Representation = Representation.PAULI_DIRAC) -> np.ndarray:
+    """C alpha_j p_j + m C^2 beta for one momentum (3,), or for each row of a
+    stack (..., 3); c and mc2 = m C^2 are scalars or arrays that broadcast
+    against the stack's leading shape.  Returns (..., 4, 4).
+
+    Every generator entry is 0, +-1 or +-i, so the products are exact and
+    the sum over j adds disjoint real and imaginary parts: any order of
+    summation, and so any stack size, gives the same bits.
+    """
+    g = GENERATOR_STACK[rep]
+    cp = np.asarray(c, dtype=float)[..., None] * np.asarray(p, dtype=float)
+    h = (cp @ g[:3].reshape(3, 16)).reshape(cp.shape[:-1] + (4, 4))
+    return h + np.asarray(mc2, dtype=float)[..., None, None] * g[3]
+
+
 def generator_labels(rep: Representation):
     if rep is Representation.PAULI_DIRAC:
         return ("alpha_1", "alpha_2", "alpha_3", "beta")
@@ -131,6 +147,22 @@ def _as_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def complex_product(a, b) -> np.ndarray:
+    """a * b, elementwise, each part a sum of two separately rounded products.
+
+    This is how a scalar complex product (Python's or a numpy scalar's)
+    rounds.  numpy's complex array product may fuse a multiply-add and
+    round differently, so a stack that must reproduce a per-sample product
+    of two general complex scalars bit for bit uses this.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def commutator(a, b) -> np.ndarray:
@@ -149,29 +181,44 @@ def anticommutator(a, b) -> np.ndarray:
     return a @ b + b @ a
 
 
+def _hermitian_gap(m: np.ndarray) -> np.ndarray:
+    """max |m - m^dag| of each matrix of a (..., n, n) stack of nonzero size."""
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
 def is_hermitian(a, tol: float = 1e-14) -> bool:
     m = _as_matrix(a)
-    return float(np.max(np.abs(m - m.conj().T))) <= tol if m.size else True
+    return float(_hermitian_gap(m)) <= tol if m.size else True
 
 
 def mat_exp(a) -> np.ndarray:
-    """Matrix exponential of a Hermitian or skew-Hermitian matrix.
+    """Matrix exponential of a Hermitian or skew-Hermitian matrix, or of
+    each matrix of a (..., n, n) stack.
 
     Both go through an eigendecomposition (exactly unitary output for skew
-    input, up to rounding); any other matrix raises DomainError.
+    input, up to rounding); any other matrix raises DomainError.  Each
+    matrix of a stack is judged and diagonalised on its own, as it would
+    be alone.
     """
-    m = _as_matrix(a)
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DomainError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix has non-finite entries")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    htol = 1e-12 * max(1.0, scale)
-    if is_hermitian(m, htol):
-        w, v = np.linalg.eigh(m)
-        return (v * np.exp(w)) @ v.conj().T
-    if is_hermitian(-1j * m, htol):
-        w, v = np.linalg.eigh(-1j * m)
-        return (v * np.exp(1j * w)) @ v.conj().T
-    raise DomainError("mat_exp needs a Hermitian or skew-Hermitian matrix")
+    if not m.size:
+        return m.copy()
+    stack = m.reshape((-1,) + m.shape[-2:])
+    htol = 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+    herm = _hermitian_gap(stack) <= htol
+    skew = ~herm & (_hermitian_gap(-1j * stack) <= htol)
+    if not (herm | skew).all():
+        raise DomainError("mat_exp needs a Hermitian or skew-Hermitian matrix")
+    out = np.empty_like(stack)
+    for rows, gen, phase in ((herm, stack, np.exp), (skew, -1j * stack, lambda w: np.exp(1j * w))):
+        if rows.any():
+            w, v = np.linalg.eigh(gen[rows])
+            out[rows] = (v * phase(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return out.reshape(m.shape)
 
 
 def taylor_exp_reference(a) -> np.ndarray:

@@ -8,7 +8,6 @@ written.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Any
@@ -210,10 +209,12 @@ class VerificationReport:
 
 
 def _render_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    """A Python float (not a subclass) as JSON text."""
+    if x.is_integer():  # False for nan and the infinities
+        # '1.0': integers stay visibly floating below 1e16
+        return repr(x) if -1e16 < x < 1e16 else format(x, ".17g")
+    if x - x != 0.0:  # nan or an infinity
         raise ValueError("non-finite float cannot be serialized")
-    if x == int(x) and abs(x) < 1e16:
-        return repr(float(x))  # '1.0': keeps integers visibly floating
     return format(x, ".17g")
 
 
@@ -233,52 +234,79 @@ def _escape(match) -> str:
     return f"\\u{ord(ch):04x}"
 
 
+# Rendered strings by content: report keys, quotes and notes repeat in every
+# check.  Bounded, so rendering many distinct strings cannot grow it without end.
+_STRING_CACHE: dict = {}
+_STRING_CACHE_SIZE = 4096
+
+
 def _render_string(s: str) -> str:
-    return '"' + _NEEDS_ESCAPE.sub(_escape, s) + '"'
+    text = _STRING_CACHE.get(s)
+    if text is None:
+        text = '"' + _NEEDS_ESCAPE.sub(_escape, s) + '"'
+        if len(_STRING_CACHE) < _STRING_CACHE_SIZE:
+            _STRING_CACHE[s] = text
+    return text
+
+
+def _render_dict(value: dict, indent: int) -> str:
+    if not value:
+        return "{}"
+    inner = "\n" + "  " * (indent + 1)
+    rows = [f"{_render_string(str(k))}: {_render_value(v, indent + 1)}"
+            for k, v in value.items()]
+    return "{" + inner + ("," + inner).join(rows) + "\n" + "  " * indent + "}"
+
+
+def _render_sequence(value, indent: int) -> str:
+    if not len(value):
+        return "[]"
+    # plain floats, and the [re, im] pairs of every matrix entry, skip the
+    # dispatch; a pair of floats always fits the inline rule below
+    parts = [
+        _render_float(v) if type(v) is float
+        else "[" + _render_float(v[0]) + ", " + _render_float(v[1]) + "]"
+        if type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
+        else _render_value(v, indent + 1)
+        for v in value]
+    if sum(map(len, parts)) <= 72 and all(len(p) <= 24 and "\n" not in p for p in parts):
+        return "[" + ", ".join(parts) + "]"
+    inner = "\n" + "  " * (indent + 1)
+    return "[" + inner + ("," + inner).join(parts) + "\n" + "  " * indent + "]"
+
+
+def _unserializable(value, indent: int) -> str:
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+# How each kind of value renders, tried in this order for a type seen the
+# first time; _HANDLERS then maps the type itself to its renderer.
+_KINDS = (
+    (type(None), lambda v, indent: "null"),
+    (bool, lambda v, indent: "true" if v else "false"),
+    ((int, np.integer), lambda v, indent: str(int(v))),
+    ((float, np.floating), lambda v, indent: _render_float(float(v))),
+    (str, lambda v, indent: _render_string(v)),
+    ((np.ndarray, complex, np.complexfloating),
+     lambda v, indent: _render_value(_jsonable_value(v), indent)),
+    (dict, _render_dict),
+    ((list, tuple), _render_sequence),
+)
+_HANDLERS: dict = {float: lambda v, indent: _render_float(v)}
+
+
+def _render_value(value, indent: int) -> str:
+    kind = type(value)
+    handler = _HANDLERS.get(kind)
+    if handler is None:
+        handler = next((h for base, h in _KINDS if issubclass(kind, base)), _unserializable)
+        _HANDLERS[kind] = handler
+    return handler(value, indent)
 
 
 def render_json(value, indent=0) -> str:
     """Deterministic JSON text: 17-significant-digit floats, stable key order."""
-    kind = type(value)
-    if kind is float:
-        return _render_float(value)
-    if kind is str:
-        return _render_string(value)
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _render_float(float(value))
-    if isinstance(value, str):
-        return _render_string(value)
-    if isinstance(value, np.ndarray):
-        return render_json(_jsonable_value(value), indent)
-    if isinstance(value, (complex, np.complexfloating)):
-        return render_json(_jsonable_value(value), indent)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [
-            f"{inner}{_render_string(str(k))}: {render_json(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        # plain floats, the bulk of every matrix entry, skip the recursion
-        parts = [_render_float(v) if type(v) is float else render_json(v, indent + 1)
-                 for v in value]
-        if all(len(p) <= 24 and "\n" not in p for p in parts) and sum(map(len, parts)) <= 72:
-            return "[" + ", ".join(parts) + "]"
-        rows = [f"{inner}{p}" for p in parts]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    return _render_value(value, indent)
 
 
 def report_json(report: VerificationReport) -> str:

@@ -8,26 +8,38 @@ two-component split without rearranging anything by hand.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .matrices import pauli
+from .matrices import PAULI_STACK, _read_only, complex_product
 
 BRANCH_PLUS = "l+1/2"
 BRANCH_MINUS = "l-1/2"
 
 
-def as_spinor(values) -> np.ndarray:
-    psi = np.asarray(values, dtype=complex).reshape(-1)
-    if psi.shape != (4,):
-        raise DomainError(f"spinor must have 4 components, got shape {psi.shape}")
-    if not np.isfinite(psi).all():
+def spinor_rows(values) -> np.ndarray:
+    """values as a complex array whose last axis holds the four components of
+    each spinor: one spinor of shape (4,) or a stack of shape (..., 4).
+
+    The whole stack is checked at once; a misshapen or non-finite row
+    anywhere in it is refused.
+    """
+    try:
+        a = np.asarray(values, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ragged rows, non-numbers
+        raise DomainError(f"spinor rows must be complex 4-vectors: {exc}") from None
+    if a.ndim == 0 or a.shape[-1] != 4:
+        raise DomainError(f"spinor must have 4 components, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise DomainError("spinor has non-finite components")
-    return psi
+    return a
+
+
+def as_spinor(values) -> np.ndarray:
+    return spinor_rows(np.asarray(values, dtype=complex).reshape(-1))
 
 
 def spinor_norm(psi) -> float:
@@ -35,10 +47,12 @@ def spinor_norm(psi) -> float:
 
 
 def require_normalized(psi) -> np.ndarray:
-    psi = as_spinor(psi)
-    n = float(np.linalg.norm(psi))
-    if abs(n**2 - 1.0) > 1e-12:
-        raise DomainError(f"state is not normalized: |psi|^2 = {n**2!r}")
+    """psi, one spinor or a stack of them, each with |psi|^2 within 1e-12 of 1."""
+    psi = spinor_rows(psi)
+    norm_sq = np.square(np.abs(psi)).sum(axis=-1)
+    off = np.abs(norm_sq - 1.0) > 1e-12
+    if off.any():
+        raise DomainError(f"state is not normalized: |psi|^2 = {float(norm_sq[off].flat[0])!r}")
     return psi
 
 
@@ -51,17 +65,58 @@ class BispinorSplit:
 
 
 def split_bispinor(psi) -> BispinorSplit:
-    psi = as_spinor(psi)
-    return BispinorSplit(upper=psi[:2].copy(), lower=psi[2:].copy())
+    """(upper, lower) pairs of one spinor or of each row of a stack."""
+    psi = spinor_rows(psi)
+    return BispinorSplit(upper=psi[..., :2].copy(), lower=psi[..., 2:].copy())
 
 
 def recompose(split: BispinorSplit) -> np.ndarray:
-    return np.concatenate([split.upper, split.lower]).astype(complex)
+    return np.concatenate([split.upper, split.lower], axis=-1).astype(complex)
+
+
+def _coordinates(*coords) -> tuple:
+    """Equal-shaped float arrays, one per coordinate; scalars are shape ()."""
+    arrays = tuple(np.asarray(c, dtype=float) for c in coords)
+    if any(a.shape != arrays[0].shape for a in arrays):
+        raise DomainError(f"coordinates must share one shape, got {[a.shape for a in arrays]}")
+    return arrays
+
+
+def _point_columns(points) -> tuple:
+    """The four coordinate arrays of a (..., 4) table of points."""
+    try:
+        table = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"points must be rows of 4 coordinates: {exc}") from None
+    if table.ndim < 2 or table.shape[-1] != 4:
+        raise DomainError(f"points must have shape (npoints, 4), got {table.shape}")
+    return tuple(np.moveaxis(table, -1, 0))
+
+
+def _by_component(*stacks) -> tuple:
+    """Views of (..., 4) stacks with the component axis first: a[k] is
+    component k at every point."""
+    return tuple(np.moveaxis(a, -1, 0) for a in stacks)
+
+
+def _validated(sample, names: tuple):
+    """Check a sample's stacks once: present, one shape, 4 components, finite."""
+    stacks = [getattr(sample, name) for name in names]
+    if any(v is None for v in stacks):
+        raise DomainError(f"missing derivative data: {names[stacks.index(None)]}")
+    stacks = [np.asarray(v, dtype=complex) for v in stacks]
+    shape = stacks[0].shape
+    if any(v.shape != shape for v in stacks):
+        raise DomainError(f"sample stacks differ in shape: {[v.shape for v in stacks]}")
+    spinor_rows(np.stack(stacks))
+    for name, v in zip(names, stacks):
+        object.__setattr__(sample, name, v)
 
 
 @dataclass(frozen=True)
 class FieldSample:
-    """State value and first partial derivatives at one spacetime point."""
+    """State value and first partial derivatives at one spacetime point, or
+    at a stack of points: every field then has shape (..., 4)."""
 
     psi: np.ndarray
     d_t: np.ndarray
@@ -70,16 +125,13 @@ class FieldSample:
     d_z: np.ndarray
 
     def __post_init__(self):
-        for name in ("psi", "d_t", "d_x", "d_y", "d_z"):
-            v = getattr(self, name)
-            if v is None:
-                raise DomainError(f"missing derivative data: {name}")
-            object.__setattr__(self, name, as_spinor(v))
+        _validated(self, ("psi", "d_t", "d_x", "d_y", "d_z"))
 
 
 @dataclass(frozen=True)
 class CylindricalSample:
-    """State value and cylindrical partial derivatives at one point."""
+    """State value and cylindrical partial derivatives at one point, or at a
+    stack of points: every field then has shape (..., 4)."""
 
     psi: np.ndarray
     d_t: np.ndarray
@@ -88,19 +140,19 @@ class CylindricalSample:
     d_z: np.ndarray
 
     def __post_init__(self):
-        for name in ("psi", "d_t", "d_rho", "d_phi", "d_z"):
-            v = getattr(self, name)
-            if v is None:
-                raise DomainError(f"missing derivative data: {name}")
-            object.__setattr__(self, name, as_spinor(v))
+        _validated(self, ("psi", "d_t", "d_rho", "d_phi", "d_z"))
 
 
 @dataclass(frozen=True)
 class PlaneWave:
     """amplitude * exp(i p.r / hbar - i omega t) with constant amplitude.
 
-    amplitude and p are kept as read-only copies, so the caller's arrays may
-    change later without moving the wave.
+    amplitude (..., 4), p (..., 3) and omega (...) may carry leading axes: a
+    stack of waves, whose leading shape broadcasts against the coordinates
+    it is sampled at (a wave of shape (n, 1) at points of shape (n, m)
+    samples wave i at row i of the points).  amplitude, p and an array
+    omega are kept as read-only copies, so the caller's arrays may change
+    later without moving the wave.
     """
 
     amplitude: np.ndarray
@@ -109,33 +161,36 @@ class PlaneWave:
     constants: PhysicalConstants
 
     def __post_init__(self):
-        amplitude = as_spinor(self.amplitude).copy()
-        amplitude.setflags(write=False)
-        object.__setattr__(self, "amplitude", amplitude)
-        p = np.array(self.p, dtype=float).reshape(-1)
-        if p.shape != (3,) or not np.isfinite(p).all():
+        object.__setattr__(self, "amplitude", _read_only(spinor_rows(self.amplitude).copy()))
+        p = np.array(self.p, dtype=float)
+        if p.ndim == 0 or p.shape[-1] != 3 or not np.isfinite(p).all():
             raise DomainError(f"momentum must be 3 finite reals, got {self.p!r}")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        if not math.isfinite(self.omega):
+        object.__setattr__(self, "p", _read_only(p))
+        if np.ndim(self.omega):
+            object.__setattr__(self, "omega", _read_only(np.array(self.omega, dtype=float)))
+        if not np.isfinite(self.omega).all():
             raise DomainError("omega must be finite")
 
-    def phase(self, x, y, z, t) -> complex:
-        hbar = self.constants.hbar
-        return np.exp(
-            1j * (self.p[0] * x + self.p[1] * y + self.p[2] * z) / hbar
-            - 1j * self.omega * t
-        )
+    def phase(self, x, y, z, t) -> np.ndarray:
+        """The phase factor at equal-shaped coordinates (scalars or arrays)."""
+        x, y, z, t = _coordinates(x, y, z, t)
+        p = self.p
+        arg = (p[..., 0] * x + p[..., 1] * y + p[..., 2] * z) / self.constants.hbar
+        return np.exp(1j * (arg - self.omega * t))
 
     def sample(self, x, y, z, t) -> FieldSample:
-        hbar = self.constants.hbar
-        psi = self.amplitude * self.phase(x, y, z, t)
+        """Value and derivatives at equal-shaped coordinates: scalars give
+        (4,) spinors, arrays of shape S give (*S, 4) stacks."""
+        psi = self.amplitude * self.phase(x, y, z, t)[..., None]
+        # i p_j / hbar and -i omega: the parts of the scalar 1j * p_j / hbar
+        # and -1j * omega, both purely imaginary, so every product is exact
+        i_p = 1j * (self.p / self.constants.hbar)
         return FieldSample(
             psi=psi,
-            d_t=-1j * self.omega * psi,
-            d_x=1j * self.p[0] / hbar * psi,
-            d_y=1j * self.p[1] / hbar * psi,
-            d_z=1j * self.p[2] / hbar * psi,
+            d_t=(-1j * np.asarray(self.omega))[..., None] * psi,
+            d_x=i_p[..., 0:1] * psi,
+            d_y=i_p[..., 1:2] * psi,
+            d_z=i_p[..., 2:3] * psi,
         )
 
 
@@ -150,118 +205,140 @@ class CylindricalPlaneWave:
         return self.wave.constants
 
     def sample_cyl(self, rho, phi, z, t) -> CylindricalSample:
-        x = rho * math.cos(phi)
-        y = rho * math.sin(phi)
-        s = self.wave.sample(x, y, z, t)
-        d_rho = math.cos(phi) * s.d_x + math.sin(phi) * s.d_y
-        d_phi = -rho * math.sin(phi) * s.d_x + rho * math.cos(phi) * s.d_y
+        """Value and cylindrical derivatives at equal-shaped coordinates."""
+        rho, phi, z, t = _coordinates(rho, phi, z, t)
+        cos, sin = np.cos(phi), np.sin(phi)
+        s = self.wave.sample(rho * cos, rho * sin, z, t)
+        rho, cos, sin = rho[..., None], cos[..., None], sin[..., None]
+        d_rho = cos * s.d_x + sin * s.d_y
+        d_phi = -rho * sin * s.d_x + rho * cos * s.d_y
         return CylindricalSample(psi=s.psi, d_t=s.d_t, d_rho=d_rho, d_phi=d_phi, d_z=s.d_z)
 
 
 def sigma_dot(p) -> np.ndarray:
-    """2x2 contraction sigma_j p_j."""
-    p = np.asarray(p, dtype=float).reshape(-1)
-    if p.shape != (3,):
+    """2x2 contraction sigma_j p_j, of one momentum (3,) or a stack (..., 3)."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0 or p.shape[-1] != 3:
         raise DomainError(f"need 3 momentum components, got shape {p.shape}")
-    return p[0] * pauli(1) + p[1] * pauli(2) + p[2] * pauli(3)
+    # each product is exact and each entry sums disjoint parts, so any
+    # summation order gives the same bits
+    return np.tensordot(p, PAULI_STACK, axes=1)
 
 
 def coupled_residual(wave: PlaneWave):
-    """Residuals of the two-component split equations for a plane wave.
+    """Residuals of the two-component split equations for a plane wave, or
+    for each wave of a stack.
 
-    Returns (upper residual, lower residual); both vanish exactly when the
-    amplitude is an energy eigenvector and hbar*omega matches that energy.
+    Returns (upper residual, lower residual), each of shape (..., 2); both
+    vanish exactly when the amplitude is an energy eigenvector and
+    hbar*omega matches that energy.
     """
     k = wave.constants
     split = split_bispinor(wave.amplitude)
     sp = sigma_dot(wave.p)
     mc2 = k.mass * k.c**2
-    e = k.hbar * wave.omega
-    r_upper = e * split.upper - k.c * (sp @ split.lower) - mc2 * split.upper
-    r_lower = e * split.lower - k.c * (sp @ split.upper) + mc2 * split.lower
+    e = (k.hbar * np.asarray(wave.omega))[..., None]
+    r_upper = e * split.upper - k.c * (sp @ split.lower[..., None])[..., 0] - mc2 * split.upper
+    r_lower = e * split.lower - k.c * (sp @ split.upper[..., None])[..., 0] + mc2 * split.lower
     return r_upper, r_lower
 
 
 def component_residual(field, points) -> np.ndarray:
     """Residuals of the four scalar component equations at each point.
 
-    field must provide .sample(x, y, z, t) -> FieldSample and .constants.
-    Returns an (npoints, 4) complex array; each row is LHS - RHS of the
-    four printed equations.
+    points is a table of (x, y, z, t) rows, of shape (npoints, 4) or, more
+    generally, (..., 4).  field must provide .constants and
+    .sample(x, y, z, t), which is called once, with the four coordinate
+    columns as equal-shaped arrays of the table's leading shape, and must
+    return a FieldSample whose fields are stacks of that shape plus a last
+    axis of 4 (row i is the sample at point i).  Returns a complex array of
+    the table's shape; each row is LHS - RHS of the four printed equations.
     """
     k = field.constants
     ih = 1j * k.hbar
     ihc = 1j * k.hbar * k.c
     mc2 = k.mass * k.c**2
-    rows = []
-    for (x, y, z, t) in points:
-        s = field.sample(x, y, z, t)
-        r1 = ih * s.d_t[0] + ihc * (s.d_x[3] - 1j * s.d_y[3] + s.d_z[2]) - mc2 * s.psi[0]
-        r2 = ih * s.d_t[1] + ihc * (s.d_x[2] + 1j * s.d_y[2] - s.d_z[3]) - mc2 * s.psi[1]
-        r3 = ih * s.d_t[2] + ihc * (s.d_x[1] - 1j * s.d_y[1] + s.d_z[0]) + mc2 * s.psi[2]
-        r4 = ih * s.d_t[3] + ihc * (s.d_x[0] + 1j * s.d_y[0] - s.d_z[1]) + mc2 * s.psi[3]
-        rows.append([r1, r2, r3, r4])
-    return np.array(rows, dtype=complex)
+    s = field.sample(*_point_columns(points))
+    d_t, d_x, d_y, d_z, psi = _by_component(s.d_t, s.d_x, s.d_y, s.d_z, s.psi)
+    r1 = ih * d_t[0] + ihc * (d_x[3] - 1j * d_y[3] + d_z[2]) - mc2 * psi[0]
+    r2 = ih * d_t[1] + ihc * (d_x[2] + 1j * d_y[2] - d_z[3]) - mc2 * psi[1]
+    r3 = ih * d_t[2] + ihc * (d_x[1] - 1j * d_y[1] + d_z[0]) + mc2 * psi[2]
+    r4 = ih * d_t[3] + ihc * (d_x[0] + 1j * d_y[0] - d_z[1]) + mc2 * psi[3]
+    return np.stack([r1, r2, r3, r4], axis=-1)
 
 
 def cylindrical_residual(field, points) -> np.ndarray:
     """Residuals of the cylindrical-coordinate component equations.
 
-    field must provide .sample_cyl(rho, phi, z, t) -> CylindricalSample and
-    .constants.  points are (rho, phi, z, t) tuples with rho > 0; rho = 0
-    sits on the coordinate singularity and is rejected.
+    points is a table of (rho, phi, z, t) rows with rho > 0, of shape
+    (npoints, 4) or (..., 4); rho = 0 sits on the coordinate singularity
+    and is rejected.  field must provide .constants and
+    .sample_cyl(rho, phi, z, t), which is called once, with the four
+    coordinate columns as equal-shaped arrays of the table's leading shape,
+    and must return a CylindricalSample whose fields are stacks of that
+    shape plus a last axis of 4.  Returns a complex array of the table's
+    shape, one row of residuals per point.
     """
     k = field.constants
     ih = 1j * k.hbar
     ihc = 1j * k.hbar * k.c
     mc2 = k.mass * k.c**2
-    rows = []
-    for (rho, phi, z, t) in points:
-        if rho <= 0.0:
-            raise DomainError(f"rho must be > 0, got {rho!r}")
-        s = field.sample_cyl(rho, phi, z, t)
-        em = np.exp(-1j * phi)
-        ep = np.exp(1j * phi)
-        t1 = em * (s.d_rho[3] - 1j / rho * s.d_phi[3]) + s.d_z[2]
-        t2 = ep * (s.d_rho[2] + 1j / rho * s.d_phi[2]) - s.d_z[3]
-        t3 = em * (s.d_rho[1] - 1j / rho * s.d_phi[1]) + s.d_z[0]
-        t4 = ep * (s.d_rho[0] + 1j / rho * s.d_phi[0]) - s.d_z[1]
-        r1 = ih * s.d_t[0] + ihc * t1 - mc2 * s.psi[0]
-        r2 = ih * s.d_t[1] + ihc * t2 - mc2 * s.psi[1]
-        r3 = ih * s.d_t[2] + ihc * t3 + mc2 * s.psi[2]
-        r4 = ih * s.d_t[3] + ihc * t4 + mc2 * s.psi[3]
-        rows.append([r1, r2, r3, r4])
-    return np.array(rows, dtype=complex)
+    rho, phi, z, t = _point_columns(points)
+    if not (rho > 0.0).all():
+        raise DomainError(f"rho must be > 0, got {float(rho[~(rho > 0.0)][0])!r}")
+    s = field.sample_cyl(rho, phi, z, t)
+    d_t, d_rho, d_phi, d_z, psi = _by_component(s.d_t, s.d_rho, s.d_phi, s.d_z, s.psi)
+    em = np.exp(-1j * phi)
+    ep = np.exp(1j * phi)
+    i_rho = 1j * (1.0 / rho)  # the parts of the scalar 1j / rho
+    t1 = complex_product(em, d_rho[3] - i_rho * d_phi[3]) + d_z[2]
+    t2 = complex_product(ep, d_rho[2] + i_rho * d_phi[2]) - d_z[3]
+    t3 = complex_product(em, d_rho[1] - i_rho * d_phi[1]) + d_z[0]
+    t4 = complex_product(ep, d_rho[0] + i_rho * d_phi[0]) - d_z[1]
+    r1 = ih * d_t[0] + ihc * t1 - mc2 * psi[0]
+    r2 = ih * d_t[1] + ihc * t2 - mc2 * psi[1]
+    r3 = ih * d_t[2] + ihc * t3 + mc2 * psi[2]
+    r4 = ih * d_t[3] + ihc * t4 + mc2 * psi[3]
+    return np.stack([r1, r2, r3, r4], axis=-1)
 
 
-def spin_coherent_state(theta: float, phi_s: float) -> np.ndarray:
-    """Two-component unit spinor pointing along (theta, phi_s)."""
-    if not (math.isfinite(theta) and math.isfinite(phi_s)):
+def spin_coherent_state(theta, phi_s) -> np.ndarray:
+    """Two-component unit spinor pointing along (theta, phi_s).
+
+    Equal-shaped arrays of angles give a (..., 2) stack, one spinor per pair.
+    """
+    theta, phi_s = _coordinates(theta, phi_s)
+    if not (np.isfinite(theta).all() and np.isfinite(phi_s).all()):
         raise DomainError("angles must be finite")
-    return np.array(
-        [math.cos(theta / 2.0), np.exp(1j * phi_s) * math.sin(theta / 2.0)],
-        dtype=complex,
-    )
+    v = np.empty(theta.shape + (2,), dtype=complex)
+    v[..., 0] = np.cos(theta / 2.0)
+    v[..., 1] = np.exp(1j * phi_s) * np.sin(theta / 2.0)
+    return v
 
 
-def spin_coherent_expectation(theta: float, phi_s: float) -> np.ndarray:
-    """<sigma_j> in the coherent state, computed as a matrix expectation."""
+def spin_coherent_expectation(theta, phi_s) -> np.ndarray:
+    """<sigma_j> in the coherent state, computed as a matrix expectation:
+    (3,) for one direction, (..., 3) for equal-shaped arrays of angles."""
     v = spin_coherent_state(theta, phi_s)
-    out = np.empty(3)
-    for j in (1, 2, 3):
-        val = complex(v.conj() @ (pauli(j) @ v))
-        out[j - 1] = val.real
-    return out
+    # one matrix-vector product and one dot product per spinor and sigma_j,
+    # as for a single spinor, so a stack rounds like its rows
+    sv = PAULI_STACK @ v[..., None, :, None]
+    return (v.conj()[..., None, None, :] @ sv)[..., 0, 0].real
 
 
 # --- cylindrical angular families ------------------------------------------
+#
+# A profile maps equal-shaped rho and z arrays to (f, df/drho, df/dz), each
+# an array of that shape or a scalar.  rho^2 is np.float_power, the libm
+# pow of a Python rho**2, which can differ from numpy's rho * rho in the
+# last bit.
 
 def _unit_profile(rho, z):
     return 1.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j
 
 
 def _gaussian_profile(rho, z):
-    f = np.exp(-0.5 * (rho**2 + z**2))
+    f = np.exp(-0.5 * (np.float_power(rho, 2) + np.float_power(z, 2)))
     return f, -rho * f, -z * f
 
 
@@ -312,19 +389,40 @@ class CylindricalSpinor:
         object.__setattr__(self, "profile_refs", refs)
 
     def sample_cyl(self, rho, phi, z, t) -> CylindricalSample:
-        psi = np.zeros(4, dtype=complex)
-        d_rho = np.zeros(4, dtype=complex)
-        d_phi = np.zeros(4, dtype=complex)
-        d_z = np.zeros(4, dtype=complex)
-        tfac = np.exp(-1j * self.omega * t)
-        for k in range(4):
-            f, df_rho, df_z = PROFILES[self.profile_refs[k]](rho, z)
-            base = self.amplitude * self.weights[k] * np.exp(1j * self.angular_indices[k] * phi) * tfac
-            psi[k] = base * f
-            d_rho[k] = base * df_rho
-            d_phi[k] = 1j * self.angular_indices[k] * psi[k]
-            d_z[k] = base * df_z
-        return CylindricalSample(psi=psi, d_t=-1j * self.omega * psi, d_rho=d_rho, d_phi=d_phi, d_z=d_z)
+        """Value and cylindrical derivatives at equal-shaped coordinates:
+        scalars give (4,) spinors, arrays of shape S give (*S, 4) stacks."""
+        return sample_separable(self.angular_indices, self.weights, self.omega,
+                                rho, phi, z, t, amplitude=self.amplitude,
+                                profile_refs=self.profile_refs)
+
+
+def sample_separable(indices, weights, omega, rho, phi, z, t, *, amplitude=1.0,
+                     profile_refs=("unit", "unit", "unit", "unit")) -> CylindricalSample:
+    """Samples of separable states w_k f_k(rho, z) exp(i l_k phi - i omega t).
+
+    The stacked kernel of CylindricalSpinor.sample_cyl: indices (..., 4)
+    integer exponents, weights (..., 4) and omega (...) describe one state
+    or a stack of states whose leading shape broadcasts against the
+    equal-shaped coordinates, so one call samples a whole family; amplitude
+    and the four profile_refs are shared.  Every product of two general
+    complex factors is rounded as the scalar product (complex_product).
+    """
+    rho, phi, z, t = _coordinates(rho, phi, z, t)
+    l = np.asarray(indices, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    refs = tuple(profile_refs)
+    profile = np.empty((3,) + rho.shape + (4,), dtype=complex)  # f, df/drho, df/dz
+    for ref in dict.fromkeys(refs):
+        cols = [k for k, r in enumerate(refs) if r == ref]
+        for out, v in zip(profile, PROFILES[ref](rho, z)):
+            out[..., cols] = np.asarray(v)[..., None]
+    angular = np.exp(1j * (l * phi[..., None]))
+    tfac = np.exp((-1j * omega) * t)[..., None]
+    weights = amplitude * np.asarray(weights, dtype=complex)
+    base = complex_product(complex_product(weights, angular), tfac)
+    psi, d_rho, d_z = (complex_product(base, v) for v in profile)
+    return CylindricalSample(psi=psi, d_t=(-1j * omega)[..., None] * psi, d_rho=d_rho,
+                             d_phi=(1j * l) * psi, d_z=d_z)
 
 
 def angular_eigenstate(l: int, branch: str, **kw) -> CylindricalSpinor:

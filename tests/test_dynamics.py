@@ -735,3 +735,54 @@ def test_fit_refuses_a_window_that_overflows_or_underflows(hbar):
     state = MomentumState(p=np.array([0.3, 0.0, 0.0]), constants=PhysicalConstants(hbar=hbar))
     with pytest.raises(DomainError, match="fit window"):
         fitted_zbw_frequency(state)
+
+
+# --- stacks: a sequence of states gives its single-state results bit for bit ---
+
+@pytest.mark.parametrize("rep", REPS)
+def test_stacked_closed_forms_and_oracles_equal_their_single_rows(rep):
+    rng = np.random.default_rng(90)
+    k = PhysicalConstants(hbar=1.2, c=0.8, mass=1.3, charge=0.5)
+    states = [MomentumState(p=rng.uniform(-2, 2, 3), constants=k, rep=rep) for _ in range(9)]
+    js = [int(v) for v in rng.integers(1, 4, 9)]
+    ts = rng.uniform(-3, 3, 9)
+    stacked = {
+        "eta": eta_matrix(states, js),
+        "direction": velocity_direction(states, js, ts),
+        "evolution": evolution_operator(states, ts),
+        "oracle": alpha_evolved_oracle(states, js, ts),
+        "drift": zbw_closed_form(states, js, ts).drift_matrix,
+        "zbw": zbw_closed_form(states, js, ts).zbw_matrix,
+    }
+    singles = {
+        "eta": [eta_matrix(s, j) for s, j in zip(states, js)],
+        "direction": [velocity_direction(s, j, t) for s, j, t in zip(states, js, ts)],
+        "evolution": [evolution_operator(s, t) for s, t in zip(states, ts)],
+        "oracle": [alpha_evolved_oracle(s, j, t) for s, j, t in zip(states, js, ts)],
+        "drift": [zbw_closed_form(s, j, t).drift_matrix for s, j, t in zip(states, js, ts)],
+        "zbw": [zbw_closed_form(s, j, t).zbw_matrix for s, j, t in zip(states, js, ts)],
+    }
+    for name, got in stacked.items():
+        assert got.shape == (9, 4, 4)
+        assert np.array_equal(got, np.array(singles[name])), name
+    # a scalar axis or time is shared by every state
+    assert np.array_equal(zbw_closed_form(states, 2, 0.0).zbw_matrix,
+                          np.array([zbw_closed_form(s, 2, 0.0).zbw_matrix for s in states]))
+
+
+def test_a_bad_row_inside_a_stack_of_states_is_refused():
+    states = [MomentumState(p=np.array([0.1 * i, 0.2, -0.3]), constants=K) for i in range(4)]
+    for fn in (lambda js: eta_matrix(states, js), lambda js: zbw_closed_form(states, js, 0.5),
+               lambda js: velocity_direction(states, js, 0.5),
+               lambda js: alpha_evolved_oracle(states, js, 0.5)):
+        with pytest.raises(DomainError, match="axis must be"):
+            fn([1, 2, 4, 3])
+        with pytest.raises(DomainError, match="axis must be"):
+            fn([1, 0, 2, 3])
+    mixed = states[:3] + [MomentumState(p=states[3].p, constants=K, rep=Representation.STANDARD)]
+    with pytest.raises(DomainError, match="share constants"):
+        eta_matrix(mixed, 1)
+    with pytest.raises(DomainError, match="share constants"):
+        zbw_closed_form(states[:3] + [MomentumState(p=states[3].p, constants=SI)], 1, 0.5)
+    with pytest.raises(DomainError):
+        eta_matrix([], 1)

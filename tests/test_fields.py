@@ -201,3 +201,84 @@ def test_self_action_expectation_equals_energy_on_eigenstates():
         u = eigenspinor(state, sign, "up")
         res = self_action_reduction(u, state)
         assert abs(res.hd_expectation - sign * state.energy) <= 1e-12
+
+
+# --- stacks: n samples in one call give the n single-row results -------------
+
+RESULT_FIELDS = ("norm_sq", "overlap_sum", "hd_expectation", "coupled_value", "reduced_value")
+
+
+@pytest.mark.parametrize("rep", REPS)
+def test_stacked_self_action_equals_its_single_rows(rep):
+    rng = np.random.default_rng(40)
+    states, psis = [], []
+    for i in range(12):
+        state = MomentumState(p=rng.uniform(-2, 2, 3), constants=K, rep=rep)
+        if i % 3:
+            psi = eigenspinor(state, 1 if i % 2 else -1, "up", (0.4 * i, 0.3 * i))
+        else:  # away from the eigenstates, where the cross sum does not vanish
+            psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            psi = psi / np.linalg.norm(psi)
+        states.append(state)
+        psis.append(psi)
+    stacked = self_action_reduction(np.array(psis), states)
+    singles = [self_action_reduction(psi, state) for psi, state in zip(psis, states)]
+    for name in RESULT_FIELDS:
+        got = getattr(stacked, name)
+        assert got.shape == (12,)
+        assert np.array_equal(got, np.array([getattr(s, name) for s in singles])), name
+    assert type(singles[0].norm_sq) is float and type(singles[0].overlap_sum) is complex
+    pots = self_potentials(np.array(psis), K, rep)
+    for i, psi in enumerate(psis):
+        one = self_potentials(psi, K, rep)
+        assert np.array_equal(pots.a[i], one.a)
+        assert pots.phi[i] == one.phi and pots.imag_magnitude[i] == one.imag_magnitude
+
+
+def test_stacked_rest_energy_equals_its_single_directions():
+    rng = np.random.default_rng(41)
+    theta = np.arccos(rng.uniform(-1, 1, 30))
+    phi = rng.uniform(-math.pi, math.pi, 30)
+    k = PhysicalConstants(hbar=1.3, c=0.9, mass=1.1, charge=0.4)
+    got = rest_energy(theta, phi, k)
+    assert np.array_equal(got, np.array([rest_energy(a, b, k) for a, b in zip(theta, phi)]))
+
+
+def test_a_bad_row_inside_a_self_action_stack_is_refused():
+    rng = np.random.default_rng(42)
+    states = [MomentumState(p=rng.uniform(-2, 2, 3), constants=K) for _ in range(5)]
+    psis = np.array([eigenspinor(s, 1, "up") for s in states])
+    for row, value in ((2, np.nan), (4, 2.0)):  # non-finite, then not normalized
+        bad = psis.copy()
+        bad[row, 1] = value
+        with pytest.raises(DomainError):
+            self_action_reduction(bad, states)
+    with pytest.raises(DomainError):
+        self_action_reduction(psis[:, :3], states)
+    with pytest.raises(DomainError):
+        self_action_reduction(psis, states[:4])
+    other = MomentumState(p=states[0].p, constants=PhysicalConstants(c=2.0))
+    with pytest.raises(DomainError, match="share constants"):
+        self_action_reduction(psis, states[:4] + [other])
+
+
+def test_stacked_self_action_and_rest_energy_give_the_scalar_bits():
+    # tests/reference_kernels.py holds the per-state code the stacks replaced
+    import reference_kernels as ref
+
+    rng = np.random.default_rng(43)
+    k = PhysicalConstants(hbar=0.9, c=1.3, mass=0.8, charge=0.6)
+    states = [MomentumState(p=rng.uniform(-2, 2, 3), constants=k, rep=REPS[i % 2])
+              for i in range(80)]
+    for rep in REPS:
+        group = [s for s in states if s.rep is rep]
+        psis = rng.standard_normal((len(group), 4)) + 1j * rng.standard_normal((len(group), 4))
+        psis = psis / np.linalg.norm(psis, axis=1, keepdims=True)
+        psis[::2] = [eigenspinor(s, 1, "down", (0.2, 1.0)) for s in group[::2]]
+        got = self_action_reduction(psis, group)
+        for i, (psi, state) in enumerate(zip(psis, group)):
+            want = ref.self_action_reduction(psi, state)
+            assert [getattr(got, name)[i] for name in RESULT_FIELDS] == list(want)
+    theta, phi = np.arccos(rng.uniform(-1, 1, 25)), rng.uniform(-math.pi, math.pi, 25)
+    assert rest_energy(theta, phi, k).tolist() == [ref.rest_energy(a, b, k)
+                                                   for a, b in zip(theta.tolist(), phi.tolist())]

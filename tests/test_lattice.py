@@ -274,6 +274,24 @@ def test_potentials_scaled_past_the_float_range_are_refused():
             convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05), small_c)
 
 
+@pytest.mark.parametrize("mode", ["discrete", "analytic"])
+def test_extraction_refuses_a_grid_whose_square_overflows(mode):
+    # A single extraction applies the same box check as a convergence study:
+    # at h = 1e160 the half width 4e160 overflows when squared.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="square overflows"):
+            commutator_field_extract(make_preset("uniform_b"), Grid3(9, 1e160), mode=mode)
+        with pytest.raises(DomainError, match="square overflows"):
+            commutator_field_extract(make_preset("uniform_b"), Grid3(9, 0.2),
+                                     constants=PhysicalConstants(c=1e-160), mode=mode)
+    limit = math.sqrt(sys.float_info.max) / 8.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = commutator_field_extract(make_preset("zero"), Grid3(9, limit / 4.0), mode=mode)
+    assert res.h_error == res.e_error == 0.0
+
+
 # hbar^2 overflows for hbar above sqrt(float max), about 1.34e154.  No
 # commutator forms it, so every field runs there.
 @pytest.mark.parametrize("hbar", [1e160, 1e200, 1e300])

@@ -20,6 +20,7 @@ from diraclab.matrices import (
     Representation,
     anticommutator,
     commutator,
+    complex_product,
     dirac_generator,
     GeneratorKind,
     generator_labels,
@@ -298,3 +299,41 @@ def test_sigma_block_shape():
     assert np.array_equal(s[:2, :2], pauli(2))
     assert np.array_equal(s[2:, 2:], pauli(2))
     assert np.max(np.abs(s[:2, 2:])) == 0.0
+
+
+def test_mat_exp_of_a_stack_equals_its_single_matrices():
+    # mixed Hermitian and skew-Hermitian matrices, each judged on its own
+    rng = np.random.default_rng(70)
+    mats = []
+    for i in range(12):
+        r = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        mats.append(r + r.conj().T if i % 3 else r - r.conj().T)
+    mats = np.array(mats)
+    got = mat_exp(mats)
+    assert np.array_equal(got, np.array([mat_exp(a) for a in mats]))
+    assert np.array_equal(mat_exp(mats.reshape(3, 4, 4, 4)), got.reshape(3, 4, 4, 4))
+    bad = mats.copy()
+    bad[5] = np.triu(bad[5])
+    with pytest.raises(DomainError, match="Hermitian or skew-Hermitian"):
+        mat_exp(bad)
+    bad[5] = mats[5]
+    bad[7, 1, 2] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        mat_exp(bad)
+    with pytest.raises(DomainError, match="square"):
+        mat_exp(np.zeros((3, 4, 5)))
+
+
+def test_complex_product_rounds_as_the_scalar_complex_product():
+    # the stacked kernels rely on this to give the bits of per-sample scalar
+    # code; special values cover signed zeros and purely real or imaginary factors
+    rng = np.random.default_rng(71)
+    a = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+    b = rng.standard_normal(4000) * 10.0 ** rng.integers(-8, 8, 4000) + 1j * rng.standard_normal(4000)
+    special = np.array([0.0, -0.0, 1.0, -1j, 2.5, complex(0.0, -0.0), complex(-0.0, 3.0)])
+    a = np.concatenate((a, np.repeat(special, special.size)))
+    b = np.concatenate((b, np.tile(special, special.size)))
+    got = complex_product(a, b)
+    want = np.array([complex(x) * complex(y) for x, y in zip(a, b)])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert complex_product(a[:6].reshape(2, 3), b[0]).shape == (2, 3)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_json  # tests/reference_json.py, the renderer before its fast paths
 from diraclab.report import (
     ANCHORS,
     TOOL_VERSION,
@@ -268,3 +269,65 @@ def test_seed137_report_renders_like_reference():
 
     data = run_suite(RunConfig(seed=137)).to_dict()
     assert render_json(data) == _ref_render(data)
+
+
+# --- against the reference renderer -------------------------------------------
+#
+# tests/reference_json.py is render_json as it was before its type dispatch,
+# string cache and [re, im] fast path; every value must render to the same
+# bytes through both.
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 9999999999999998.0, -9999999999999998.0,
+    1.0000000000000002e16, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+    0.1, 1.0 / 3.0, 0.30000000000000004, 123456789.12345679, -2.2250738585072014e-308,
+    1.7976931348623157e308, 1e22, 4503599627370497.5,
+]
+_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(SPECIAL_FLOATS),
+                    st.integers(-2**60, 2**60).map(float))
+_strings = st.text(alphabet=st.one_of(st.characters(max_codepoint=0x1f),
+                                      st.sampled_from('"\\ab éσ\U0001f600'),
+                                      st.characters()), max_size=12)
+_scalars = st.one_of(
+    _floats, st.integers(-10**20, 10**20), st.booleans(), st.none(), _strings,
+    _floats.map(np.float64), _floats.filter(lambda x: abs(x) < 1e30).map(np.float32),
+    st.integers(-2**62, 2**62).map(np.int64),
+    st.tuples(_floats, _floats).map(lambda z: complex(*z)),
+    st.tuples(_floats, st.sampled_from([0.0, -0.0, 1.5])).map(lambda z: np.complex128(complex(*z))),
+)
+_arrays = st.one_of(
+    st.lists(_floats, max_size=6).map(np.array),
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(_floats, _floats), min_size=n * n, max_size=n * n).map(
+        lambda zs: np.array([complex(*z) for z in zs]).reshape(n, n))),
+)
+# lists of short floats straddle the inline rule: parts of at most 24
+# characters, at most 72 in all
+_short_lists = st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.5, -2.25, 1e16, 5e-324, 0.1]),
+                        max_size=30)
+_values = st.recursive(
+    st.one_of(_scalars, _arrays, _short_lists, st.lists(st.tuples(_floats, _floats).map(list))),
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.tuples(inner, inner),
+                            st.dictionaries(_strings, inner, max_size=5)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values, st.integers(0, 3))
+def test_render_json_matches_the_reference_renderer(value, indent):
+    assert render_json(value, indent) == reference_json.render_json(value, indent)
+    assert render_json(value, indent) == render_json(value, indent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_values, st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                 complex(math.inf, 0.0), complex(1.0, math.nan)]),
+       st.integers(0, 2))
+def test_non_finite_floats_raise_in_both_renderers(value, bad, where):
+    nested = [value, bad] if where == 0 else {"x": [bad, value]} if where == 1 else [[(bad,)]]
+    with pytest.raises(ValueError):
+        render_json(nested)
+    with pytest.raises(ValueError):
+        reference_json.render_json(nested)

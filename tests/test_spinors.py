@@ -16,6 +16,7 @@ from diraclab.spinors import (
     BRANCH_PLUS,
     CylindricalPlaneWave,
     CylindricalSpinor,
+    FieldSample,
     PlaneWave,
     angular_eigenstate,
     component_residual,
@@ -23,6 +24,7 @@ from diraclab.spinors import (
     cylindrical_residual,
     jz_apply,
     recompose,
+    sample_separable,
     spin_coherent_expectation,
     spin_coherent_state,
     split_bispinor,
@@ -220,3 +222,149 @@ def test_spin_coherent_expectation_is_unit_direction():
         assert abs(float(s @ s) - 1.0) <= 1e-14
         chi = spin_coherent_state(theta, phi_s)
         assert abs(float(np.real(chi.conj() @ chi)) - 1.0) <= 1e-14
+
+
+# --- stacks: n points or samples in one call give the n single-row results ------
+
+SAMPLE_FIELDS = ("psi", "d_t", "d_x", "d_y", "d_z")
+CYL_FIELDS = ("psi", "d_t", "d_rho", "d_phi", "d_z")
+
+
+def random_cyl_points(rng, n):
+    return np.column_stack((rng.uniform(0.3, 2.0, n), rng.uniform(-math.pi, math.pi, n),
+                            rng.standard_normal(n), rng.standard_normal(n)))
+
+
+def assert_rows_match(stacked, singles, names):
+    for name in names:
+        want = np.array([getattr(s, name) for s in singles])
+        assert np.array_equal(getattr(stacked, name), want), name
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_residuals_equal_their_single_rows(seed):
+    rng = np.random.default_rng(seed)
+    wave = random_wave(rng)
+    pts = rng.standard_normal((9, 4))
+    got = component_residual(wave, pts)
+    assert got.shape == (9, 4)
+    assert np.array_equal(got, np.array([component_residual(wave, pts[i:i + 1])[0]
+                                         for i in range(9)]))
+    cyl = CylindricalPlaneWave(wave)
+    cpts = random_cyl_points(rng, 9)
+    got = cylindrical_residual(cyl, cpts)
+    assert np.array_equal(got, np.array([cylindrical_residual(cyl, cpts[i:i + 1])[0]
+                                         for i in range(9)]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_samplers_equal_their_single_rows(seed):
+    rng = np.random.default_rng(100 + seed)
+    wave = random_wave(rng)
+    pts = rng.standard_normal((7, 4))
+    assert_rows_match(wave.sample(*pts.T), [wave.sample(*row) for row in pts], SAMPLE_FIELDS)
+    cpts = random_cyl_points(rng, 7)
+    cyl = CylindricalPlaneWave(wave)
+    assert_rows_match(cyl.sample_cyl(*cpts.T), [cyl.sample_cyl(*row) for row in cpts],
+                      CYL_FIELDS)
+    spinor = angular_eigenstate(
+        int(rng.integers(-5, 6)), BRANCH_MINUS,
+        weights=tuple(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+        profile_refs=("gaussian", "zwave", "unit", "gaussian"), omega=float(rng.standard_normal()))
+    assert_rows_match(spinor.sample_cyl(*cpts.T), [spinor.sample_cyl(*row) for row in cpts],
+                      CYL_FIELDS)
+
+
+def test_a_stack_of_waves_and_states_samples_each_at_its_row():
+    rng = np.random.default_rng(7)
+    waves = [random_wave(rng) for _ in range(5)]
+    stack = PlaneWave(amplitude=np.array([w.amplitude for w in waves])[:, None],
+                      p=np.array([w.p for w in waves])[:, None],
+                      omega=np.array([w.omega for w in waves])[:, None], constants=K)
+    pts = rng.standard_normal((5, 3, 4))
+    got = component_residual(stack, pts)
+    assert got.shape == (5, 3, 4)
+    for w, rows, want in zip(waves, pts, got):
+        assert np.array_equal(component_residual(w, rows), want)
+    up, lo = coupled_residual(stack)
+    for w, u, d in zip(waves, up[:, 0], lo[:, 0]):
+        u1, d1 = coupled_residual(w)
+        assert np.array_equal(u, u1) and np.array_equal(d, d1)
+    states = [angular_eigenstate(l, BRANCH_PLUS, omega=0.1 * l, profile_refs=(
+        "gaussian", "unit", "zwave", "gaussian"),
+        weights=tuple(rng.standard_normal(4) + 1j)) for l in range(-2, 3)]
+    cpts = random_cyl_points(rng, 10).reshape(5, 2, 4)
+    stacked = sample_separable(
+        np.array([s.angular_indices for s in states])[:, None],
+        np.array([s.weights for s in states])[:, None],
+        np.array([s.omega for s in states])[:, None],
+        *np.moveaxis(cpts, -1, 0), profile_refs=states[0].profile_refs)
+    for i, s in enumerate(states):
+        one = s.sample_cyl(*cpts[i].T)
+        for name in CYL_FIELDS:
+            assert np.array_equal(getattr(stacked, name)[i], getattr(one, name)), name
+
+
+def test_a_bad_row_inside_a_stack_is_refused():
+    rng = np.random.default_rng(8)
+    wave = random_wave(rng)
+    pts = rng.standard_normal((6, 4))
+    pts[3, 1] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        component_residual(wave, pts)
+    cpts = random_cyl_points(rng, 6)
+    cpts[2, 0] = 0.0
+    with pytest.raises(DomainError, match="rho must be > 0"):
+        cylindrical_residual(CylindricalPlaneWave(wave), cpts)
+    cpts[2, 0], cpts[4, 3] = 0.5, np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
+        cylindrical_residual(CylindricalPlaneWave(wave), cpts)
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
+        CylindricalPlaneWave(wave).sample_cyl(*cpts.T)
+    for misshapen in ([[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3]], np.zeros((4, 3)), np.zeros(4)):
+        with pytest.raises(DomainError):
+            component_residual(wave, misshapen)
+        with pytest.raises(DomainError):
+            cylindrical_residual(CylindricalPlaneWave(wave), misshapen)
+    psi = wave.sample(*pts[:2].T).psi
+    bad = psi.copy()
+    bad[1, 2] = complex(np.nan, 0.0)
+    with pytest.raises(DomainError, match="non-finite"):
+        FieldSample(psi=psi, d_t=psi, d_x=bad, d_y=psi, d_z=psi)
+    with pytest.raises(DomainError):
+        FieldSample(psi=psi, d_t=psi, d_x=psi[:1], d_y=psi, d_z=psi)
+    with pytest.raises(DomainError):
+        FieldSample(psi=psi[:, :3], d_t=psi[:, :3], d_x=psi[:, :3], d_y=psi[:, :3],
+                    d_z=psi[:, :3])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_kernels_give_the_per_point_loops_bits(seed):
+    # tests/reference_kernels.py holds the scalar loops the stacks replaced
+    import reference_kernels as ref
+
+    rng = np.random.default_rng(300 + seed)
+    k = PhysicalConstants(hbar=1.1, c=0.9, mass=1.2, charge=0.4)
+    wave = PlaneWave(amplitude=rng.standard_normal(4) + 1j * rng.standard_normal(4),
+                     p=2.0 * rng.standard_normal(3), omega=float(rng.standard_normal()),
+                     constants=k)
+    pts = rng.standard_normal((6, 4))
+    assert np.array_equal(component_residual(wave, pts),
+                          ref.component_residual(wave, [tuple(map(float, r)) for r in pts]))
+    cpts = [tuple(map(float, r)) for r in random_cyl_points(rng, 6)]
+    assert np.array_equal(
+        cylindrical_residual(CylindricalPlaneWave(wave), cpts),
+        ref.cylindrical_residual(lambda *c: ref.cylindrical_plane_wave_sample(wave, *c), k, cpts))
+    spinor = angular_eigenstate(
+        int(rng.integers(-5, 6)), BRANCH_PLUS,
+        weights=tuple(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+        profile_refs=("gaussian", "unit", "zwave", "gaussian"),
+        omega=float(rng.standard_normal()), constants=k)
+    stacked = spinor.sample_cyl(*np.array(cpts).T)
+    for i, point in enumerate(cpts):
+        want = ref.separable_sample(spinor, *point)
+        for name, w in zip(CYL_FIELDS, want):
+            assert np.array_equal(getattr(stacked, name)[i], w), name
+    assert np.array_equal(cylindrical_residual(spinor, cpts),
+                          ref.cylindrical_residual(lambda *c: ref.separable_sample(spinor, *c),
+                                                   k, cpts))
