@@ -29,7 +29,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,12 +58,15 @@ _SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class MomentumState:
-    """One momentum eigenspace: fixed p vector, constants and generator set.
+    """Momentum eigenspaces of one set of constants and generators.
 
-    p is kept as a read-only copy, so the caller's array may change later
-    without moving the state.  energy_sq, energy and h are computed on
-    first use and then kept; a state whose energy overflows therefore
-    raises only where something asks for it.
+    p is one momentum (3,) or a stack (..., 3) of them, kept as a read-only
+    copy, so the caller's array may change later without moving the state.
+    energy_sq, energy and h are computed per row on first use and then
+    kept: Python floats and one (4, 4) H for one momentum, arrays of the
+    leading shape and a (..., 4, 4) stack for a stack, each row the bits
+    of its single-momentum state.  A state whose energy overflows
+    therefore raises only where something asks for it.
     """
 
     p: np.ndarray
@@ -72,23 +74,27 @@ class MomentumState:
     rep: Representation = Representation.PAULI_DIRAC
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float).reshape(-1)
-        if p.shape != (3,) or not np.isfinite(p).all():
-            raise DomainError(f"momentum must be 3 finite reals, got {self.p!r}")
+        p = np.array(self.p, dtype=float)
+        if p.ndim == 0 or p.shape[-1] != 3 or not np.isfinite(p).all():
+            raise DomainError(f"momentum must be 3 finite reals, or a (..., 3) stack of them, "
+                              f"got {self.p!r}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
         if not isinstance(self.rep, Representation):
             raise DomainError(f"rep must be a Representation, got {self.rep!r}")
 
     @cached_property
-    def energy_sq(self) -> float:
-        """E^2 = C^2 |p|^2 + m^2 C^4, summed directly rather than squared from energy."""
-        return energy_sq(self.constants.c, self.constants.mass, float(self.p @ self.p))
+    def energy_sq(self):
+        """E^2 = C^2 |p|^2 + m^2 C^4, summed directly rather than squared from energy;
+        for one momentum in Python floats, so an overflowing m^2 C^4 raises OverflowError."""
+        k, p = self.constants, self.p
+        p_sq = (p[..., None, :] @ p[..., :, None])[..., 0, 0]  # each p @ p
+        return k.c**2 * (float(p_sq) if p.ndim == 1 else p_sq) + k.mass**2 * k.c**4
 
     @cached_property
-    def energy(self) -> float:
+    def energy(self):
         """Positive branch energy sqrt(C^2 |p|^2 + m^2 C^4)."""
-        return math.sqrt(self.energy_sq)
+        return math.sqrt(self.energy_sq) if self.p.ndim == 1 else np.sqrt(self.energy_sq)
 
     @cached_property
     def h(self) -> np.ndarray:
@@ -99,9 +105,10 @@ class MomentumState:
         return h
 
 
-def energy_sq(c: float, mass: float, p_sq: float) -> float:
-    """C^2 |p|^2 + m^2 C^4 from |p|^2, for Python floats."""
-    return c**2 * p_sq + mass**2 * c**4
+def _one_momentum(state) -> None:
+    """Refuse all but a state of one momentum: the spinor and trajectory forms are per state."""
+    if not (isinstance(state, MomentumState) and state.p.ndim == 1):
+        raise DomainError("expected a MomentumState of one momentum, p of shape (3,)")
 
 
 def hamiltonian(state: MomentumState) -> np.ndarray:
@@ -180,6 +187,7 @@ def eigenspinor(state: MomentumState, energy_sign: int = 1, spin: str = "up",
         raise DomainError(f"energy_sign must be +1 or -1, got {energy_sign!r}")
     if spin not in ("up", "down"):
         raise DomainError(f"spin must be 'up' or 'down', got {spin!r}")
+    _one_momentum(state)
     n = _axis_vector(axis)
     q, rest = _boost(state)
     qx, qy, qz = q.tolist()
@@ -211,102 +219,81 @@ def velocity_operator(j: int, constants: PhysicalConstants,
     return constants.c * dirac_generator(GeneratorKind(j), rep)
 
 
-class _Rows(NamedTuple):
-    """One state, or a sequence of states with one axis j and time t each,
-    as per-row arrays (n rows; one for a single state)."""
-
-    single: bool
-    constants: PhysicalConstants
-    rep: Representation
-    p_j: np.ndarray  # (n,) momentum component along each row's axis
-    energy: np.ndarray  # (n,)
-    energy_sq: np.ndarray  # (n,)
-    h: np.ndarray  # (n, 4, 4)
-    j: np.ndarray  # (n,) axes 1..3
-    t: np.ndarray  # (n,)
+def _per_matrix(x) -> np.ndarray:
+    """x, one value per row, as a factor of each row's 4x4 matrix."""
+    return np.asarray(x)[..., None, None]
 
 
-def _rows(state, j, t=0.0) -> _Rows:
-    """The closed forms below take one MomentumState with a scalar j and t,
-    or a sequence of n states that share constants and generator set, with
-    j and t scalars or one per state; they then return stacks of n results,
-    each the bits of its single-state call."""
-    single = isinstance(state, MomentumState)
-    states = (state,) if single else tuple(state)
-    if not states:
-        raise DomainError("need at least one state")
-    k, rep = states[0].constants, states[0].rep
-    if any(s.constants != k or s.rep is not rep for s in states):
-        raise DomainError("a sequence of states must share constants and generator set")
-    n = len(states)
-    j = np.broadcast_to(np.asarray(j), (n,))
-    bad = [v for v in j.tolist() if v not in (1, 2, 3)]
+def _axes(state, j, t=0.0) -> tuple:
+    """(p_j, j, t) with the axis j and the time t broadcast against the
+    state's rows: the closed forms below give a (4, 4) matrix for one
+    momentum with a scalar j and t, and otherwise one matrix per row of the
+    broadcast shape, each the bits of its single-momentum call."""
+    if not isinstance(state, MomentumState):
+        raise DomainError(f"expected a MomentumState, got {type(state).__name__}; "
+                          "a stack of momenta is one state's p")
+    j = np.asarray(j)
+    bad = [v for v in j.ravel().tolist() if v not in (1, 2, 3)]
     if bad:
         raise DomainError(f"axis must be 1, 2 or 3, got {bad[0]!r}")
-    j = j.astype(int)
-    p = np.array([s.p for s in states])
-    return _Rows(single, k, rep, p[np.arange(n), j - 1], np.array([s.energy for s in states]),
-                 np.array([s.energy_sq for s in states]), np.array([s.h for s in states]), j,
-                 np.broadcast_to(np.asarray(t, dtype=float), (n,)))
+    shape = np.broadcast_shapes(state.p.shape[:-1], j.shape, np.shape(t))
+    j = np.broadcast_to(j.astype(int), shape)
+    return (np.choose(j - 1, np.moveaxis(state.p, -1, 0)), j,
+            np.broadcast_to(np.asarray(t, dtype=float), shape))
 
 
-def _result(rows: _Rows, stack: np.ndarray) -> np.ndarray:
-    return stack[0] if rows.single else stack
+def _eta(state: MomentumState, p_j, j) -> np.ndarray:
+    scale = state.constants.c * p_j / state.energy_sq  # C p_j / E^2
+    return GENERATOR_STACK[state.rep][j - 1] - _per_matrix(scale) * state.h
 
 
-def _eta(r: _Rows) -> np.ndarray:
-    scale = r.constants.c * r.p_j / r.energy_sq  # C p_j / E^2
-    return GENERATOR_STACK[r.rep][r.j - 1] - scale[:, None, None] * r.h
-
-
-def _double_evolution(r: _Rows) -> np.ndarray:
+def _double_evolution(state: MomentumState, t) -> np.ndarray:
     """exp(-2 i t H / hbar) = cos(2 E t / hbar) I - i sin(2 E t / hbar) H / E."""
-    theta = 2.0 * r.t * r.energy / r.constants.hbar
-    return (np.cos(theta)[:, None, None] * _EYE4
-            - (1j * (np.sin(theta) / r.energy))[:, None, None] * r.h)
+    theta = 2.0 * t * state.energy / state.constants.hbar
+    return (_per_matrix(np.cos(theta)) * _EYE4
+            - _per_matrix(1j * (np.sin(theta) / state.energy)) * state.h)
 
 
-def eta_matrix(state, j) -> np.ndarray:
+def eta_matrix(state: MomentumState, j) -> np.ndarray:
     """alpha_j - C p_j H^-1: the part of alpha_j that anticommutes with H.
 
     H^-1 = H / E^2, since H^2 = E^2 I; E >= m C^2 > 0 because
-    PhysicalConstants requires mass and C > 0.  Stacks as _rows says.
+    PhysicalConstants requires mass and C > 0.  Stacks as _axes says.
     """
-    r = _rows(state, j)
-    return _result(r, _eta(r))
+    p_j, j, _ = _axes(state, j)
+    return _eta(state, p_j, j)
 
 
-def velocity_direction(state, j, t) -> np.ndarray:
+def velocity_direction(state: MomentumState, j, t) -> np.ndarray:
     """Closed-form Heisenberg velocity direction C p_j H^-1 + eta_j exp(-2 i t H / hbar).
 
     The production side of alpha_evolved_oracle: the two share no code.
-    Stacks as _rows says.
+    Stacks as _axes says.
     """
-    r = _rows(state, j, t)
-    return _result(r, (r.constants.c * r.p_j / r.energy_sq)[:, None, None] * r.h
-                   + _eta(r) @ _double_evolution(r))
+    p_j, j, t = _axes(state, j, t)
+    return (_per_matrix(state.constants.c * p_j / state.energy_sq) * state.h
+            + _eta(state, p_j, j) @ _double_evolution(state, t))
 
 
-def _evolution(r: _Rows) -> np.ndarray:
+def _evolution(state: MomentumState, t) -> np.ndarray:
     # -1j * t / hbar as the scalar forms it: (+-0, -t / hbar), purely imaginary
-    return mat_exp((-1j * (r.t / r.constants.hbar))[:, None, None] * r.h)
+    return mat_exp(_per_matrix(-1j * (t / state.constants.hbar)) * state.h)
 
 
-def evolution_operator(state, t) -> np.ndarray:
+def evolution_operator(state: MomentumState, t) -> np.ndarray:
     """exp(-i H t / hbar), by the general matrix exponential.  Oracle.
 
-    Stacks as _rows says."""
-    r = _rows(state, 1, t)
-    return _result(r, _evolution(r))
+    Stacks as _axes says."""
+    return _evolution(state, _axes(state, 1, t)[2])
 
 
-def alpha_evolved_oracle(state, j, t) -> np.ndarray:
+def alpha_evolved_oracle(state: MomentumState, j, t) -> np.ndarray:
     """Brute-force Heisenberg velocity direction: U(t)^dag alpha_j U(t).
 
-    Stacks as _rows says."""
-    r = _rows(state, j, t)
-    u = _evolution(r)
-    return _result(r, u.conj().swapaxes(-1, -2) @ GENERATOR_STACK[r.rep][r.j - 1] @ u)
+    Stacks as _axes says."""
+    _, j, t = _axes(state, j, t)
+    u = _evolution(state, t)
+    return u.conj().swapaxes(-1, -2) @ GENERATOR_STACK[state.rep][j - 1] @ u
 
 
 @dataclass(frozen=True)
@@ -317,19 +304,20 @@ class ClosedFormPosition:
     zbw_matrix: np.ndarray
 
 
-def zbw_closed_form(state, j, t) -> ClosedFormPosition:
+def zbw_closed_form(state: MomentumState, j, t) -> ClosedFormPosition:
     """Drift and oscillatory matrices of r_j(t) - r_j(0).
 
     d/dt (drift + zbw) reproduces C * alpha_evolved_oracle(state, j, t);
     the additive constant is fixed so both terms vanish at t = 0.
-    H^-1 = H / E^2 (see eta_matrix).  Stacks as _rows says.
+    H^-1 = H / E^2 (see eta_matrix).  Stacks as _axes says.
     """
-    r = _rows(state, j, t)
-    k = r.constants
-    h_inv = r.h / r.energy_sq[:, None, None]
-    drift = (r.t * k.c**2 * r.p_j)[:, None, None] * h_inv
-    zbw = 0.5j * k.c * k.hbar * (_eta(r) @ h_inv @ (_double_evolution(r) - _EYE4))
-    return ClosedFormPosition(drift_matrix=_result(r, drift), zbw_matrix=_result(r, zbw))
+    p_j, j, t = _axes(state, j, t)
+    k = state.constants
+    h_inv = state.h / _per_matrix(state.energy_sq)
+    drift = _per_matrix(t * k.c**2 * p_j) * h_inv
+    oscillation = _double_evolution(state, t) - _EYE4
+    zbw = 0.5j * k.c * k.hbar * (_eta(state, p_j, j) @ h_inv @ oscillation)
+    return ClosedFormPosition(drift_matrix=drift, zbw_matrix=zbw)
 
 
 @dataclass(frozen=True)
@@ -418,6 +406,7 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
     are real by construction, and amplitudes within rounding of zero are
     exact zeros (_RESIDUE_EPS).
     """
+    _one_momentum(state)
     psi = require_normalized(psi)
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
@@ -458,6 +447,7 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
 
 def max_mixing_state(state: MomentumState, axis=(0.0, 0.0)) -> np.ndarray:
     """Equal-weight superposition of the two energy signs (same spin label)."""
+    _one_momentum(state)
     plus = eigenspinor(state, 1, "up", axis)
     minus = eigenspinor(state, -1, "up", axis)
     return (plus + minus) / math.sqrt(2.0)
@@ -489,6 +479,7 @@ def velocity_signal(state: MomentumState, psi, times) -> np.ndarray:
     rounding than a unitary eigenbasis allows, raises ArithmeticError
     (require_normalized holds |psi|^2 to 1 within 1e-12).
     """
+    _one_momentum(state)
     psi = require_normalized(psi)
     times = np.asarray(times, dtype=float).reshape(-1)
     k = state.constants
@@ -517,7 +508,8 @@ def fit_dominant_frequency(times, signal) -> float:
 
     Uniform sampling assumed.  Hann window plus parabolic interpolation of
     the log-magnitude peak.  Returns 0.0 for a flat signal, one whose spread
-    is within rounding of its largest magnitude (_FLAT_EPS).
+    is within rounding of its largest magnitude (_FLAT_EPS).  A non-finite
+    sample raises DomainError: it has no spectrum.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     x = np.asarray(signal, dtype=float).reshape(-1)
@@ -526,6 +518,8 @@ def fit_dominant_frequency(times, signal) -> float:
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0):
         raise DomainError("samples must be uniformly spaced")
+    if not np.isfinite(x).all():
+        raise DomainError("the signal has a non-finite sample")
     if _is_flat(float(np.ptp(x)), float(np.max(np.abs(x)))):
         return 0.0
     y = x - x.mean()
@@ -554,6 +548,7 @@ def fitted_zbw_frequency(state: MomentumState, psi=None) -> float:
     the constants make the sampled window overflow, or its sample step
     underflow to a subnormal.
     """
+    _one_momentum(state)
     k = state.constants
     expected = 2.0 * state.energy / k.hbar
     window = _FIT_PERIODS * 2.0 * math.pi / expected if expected > 0.0 else math.inf

@@ -29,7 +29,6 @@ from .matrices import (
     Representation,
     complex_product,
     generators,
-    hamiltonians,
     identity,
     pauli,
     sigma_block,
@@ -291,30 +290,27 @@ def self_action_reduction(psi, state) -> SelfActionResult:
     reduced_value is C <alpha_j P_j> + m C^2 <beta>.  For eigenstates both
     equal <H> and the cross sum <alpha_j><beta alpha_j> vanishes.
 
-    psi is one spinor and state its MomentumState, or psi is an (n, 4)
-    stack and state a sequence of n MomentumStates that share constants
-    and generator set; every field of the result is then an array of n
-    values.  One state is this kernel on a stack of one row.  Each sum and
-    each product of two complex expectations is formed as the scalar
-    arithmetic of one state would form it (complex_product), so a stack
-    gives its rows' bits.
+    psi is one spinor and state its MomentumState of one momentum, or psi
+    is an (n, 4) stack and state a MomentumState of n momenta; every field
+    of the result is then an array of n values.  Each sum and each product
+    of two complex expectations is formed as the scalar arithmetic of one
+    state would form it (complex_product), so a stack gives its rows' bits.
     """
-    single = np.ndim(psi) == 1
-    states = (state,) if single else tuple(state)
-    psi = require_normalized(np.asarray(psi)[None] if single else psi)
-    if psi.ndim != 2 or psi.shape[0] != len(states):
-        raise DomainError(f"{len(states)} states for spinors of shape {psi.shape}")
-    k, rep = states[0].constants, states[0].rep
-    if any(s.constants != k or s.rep is not rep for s in states):
-        raise DomainError("a stack of states must share constants and generator set")
-    p = np.array([s.p for s in states])
+    from .dynamics import MomentumState  # here: the lattice CLI loads fields, not dynamics
+
+    psi = require_normalized(psi)
+    if not isinstance(state, MomentumState):
+        raise DomainError(f"expected a MomentumState, got {type(state).__name__}")
+    if psi.shape[:-1] != state.p.shape[:-1]:
+        raise DomainError(f"spinors of shape {psi.shape} for momenta of shape {state.p.shape}")
+    k = state.constants
     mc2 = k.mass * k.c**2
-    bra = psi.conj()[:, None, :]
-    norm_sq = (bra @ psi[:, :, None])[:, 0, 0].real
-    vals = _expectations(EXPECTATIONS[rep], psi)
-    alpha_exp, beta_exp, beta_alpha_exp = vals[:, :3].T, vals[:, 3], vals[:, 4:].T
+    bra = psi.conj()[..., None, :]
+    norm_sq = (bra @ psi[..., :, None])[..., 0, 0].real
+    vals = np.moveaxis(_expectations(EXPECTATIONS[state.rep], psi), -1, 0)
+    alpha_exp, beta_exp, beta_alpha_exp = vals[:3], vals[3], vals[4:]
     overlap_sum = sum(complex_product(ae, bae) for ae, bae in zip(alpha_exp, beta_alpha_exp))
-    momentum_term = k.c * sum(pj * ae for pj, ae in zip(p.T, alpha_exp))
+    momentum_term = k.c * sum(pj * ae for pj, ae in zip(np.moveaxis(state.p, -1, 0), alpha_exp))
     coupled = (
         -k.charge * norm_sq * (mc2 / -k.charge) * beta_exp
         + sum(
@@ -325,9 +321,8 @@ def self_action_reduction(psi, state) -> SelfActionResult:
     )
     reduced = momentum_term + mc2 * beta_exp
     # <H> by its own route, H @ psi, so the check against reduced shares no code
-    h = hamiltonians(p, k.c, k.mc2, rep)
-    hd_exp = (bra @ (h @ psi[:, :, None]))[:, 0, 0].real
+    hd_exp = (bra @ (state.h @ psi[..., :, None]))[..., 0, 0].real
     values = (norm_sq, overlap_sum, hd_exp, coupled, reduced)
-    if single:
-        values = tuple(v[0].item() for v in values)
+    if psi.ndim == 1:
+        values = tuple(v.item() for v in values)
     return SelfActionResult(*values)

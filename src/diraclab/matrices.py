@@ -186,11 +186,6 @@ def _hermitian_gap(m: np.ndarray) -> np.ndarray:
     return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def is_hermitian(a, tol: float = 1e-14) -> bool:
-    m = _as_matrix(a)
-    return float(_hermitian_gap(m)) <= tol if m.size else True
-
-
 def mat_exp(a) -> np.ndarray:
     """Matrix exponential of a Hermitian or skew-Hermitian matrix, or of
     each matrix of a (..., n, n) stack.

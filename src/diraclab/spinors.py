@@ -358,14 +358,10 @@ PROFILES = {
 class CylindricalSpinor:
     """Separable test state psi_k = w_k f_k(rho, z) exp(i l_k phi - i omega t).
 
-    angular_indices carries one integer exponent per component.  branch and
-    l tag states built by angular_eigenstate; hand-built index patterns
-    leave them None.
+    angular_indices carries one integer exponent per component.
     """
 
     angular_indices: tuple
-    branch: str | None = None
-    l: int | None = None
     amplitude: float = 1.0
     weights: tuple = (1.0, 1.0, 1.0, 1.0)
     profile_refs: tuple = ("unit", "unit", "unit", "unit")
@@ -439,7 +435,7 @@ def angular_eigenstate(l: int, branch: str, **kw) -> CylindricalSpinor:
         idx = (l - 1, l, l - 1, l)
     else:
         raise DomainError(f"branch must be {BRANCH_PLUS!r} or {BRANCH_MINUS!r}, got {branch!r}")
-    return CylindricalSpinor(angular_indices=idx, branch=branch, l=l, **kw)
+    return CylindricalSpinor(angular_indices=idx, **kw)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .dynamics import (
     MomentumState,
     alpha_evolved_oracle,
     eigenspinor,
-    energy_sq,
     eta_matrix,
     fitted_zbw_frequency,
     velocity_direction,
@@ -373,13 +372,13 @@ def build_algebra_suite(config: RunConfig, rng) -> dict:
     m["pauli_product_table"] = devs
 
     devs = []
-    for kind in ("hermitian", "skew"):
-        for _ in range(2):
-            r = 0.4 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-            a = r + r.conj().T if kind == "hermitian" else r - r.conj().T
-            got = mat_exp(a)
-            want = taylor_exp_reference(a)
-            devs.append(_dev(got, want) / max(1.0, float(np.max(np.abs(want)))))
+    parts = rng.standard_normal((4, 2, 4, 4))  # real and imaginary parts of 4 matrices
+    for kind, (re, im) in zip(("hermitian", "hermitian", "skew", "skew"), parts):
+        r = 0.4 * (re + 1j * im)
+        a = r + r.conj().T if kind == "hermitian" else r - r.conj().T
+        got = mat_exp(a)
+        want = taylor_exp_reference(a)
+        devs.append(_dev(got, want) / max(1.0, float(np.max(np.abs(want)))))
     m["matrix_exponential_oracle"] = devs
     return m
 
@@ -436,8 +435,9 @@ def build_states_suite(config: RunConfig, rng) -> dict:
     m["cylindrical_rows_match"] = _row_devs(
         cylindrical_residual(CylindricalPlaneWave(waves), cpts), rows[:, 5:])
 
-    psis = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(5)]
-    m["split_recompose"] = [_dev(recompose(split_bispinor(psi)), psi) for psi in psis]
+    parts = rng.standard_normal((5, 2, 4))
+    psis = parts[:, 0] + 1j * parts[:, 1]
+    m["split_recompose"] = _row_devs(recompose(split_bispinor(psis)), psis)
 
     us, ps, omegas, pts = [], [], [], []
     for _ in range(4):
@@ -509,56 +509,54 @@ def build_dynamics_suite(config: RunConfig, rng) -> dict:
     k = config.constants
     m = {}
 
-    # 200 momenta, each with its own C and mass, drawn one by one and
-    # diagonalised as one stack
-    ps, cs, masses = [], [], []
-    for _ in range(200):
-        ps.append(rng.uniform(-3.0, 3.0, 3))
-        cs.append(float(rng.uniform(0.4, 2.5)))
-        masses.append(float(rng.uniform(0.4, 2.5)))
-    p, c, mass = np.array(ps), np.array(cs), np.array(masses)
-    # m C^2 and E with the libm pow of the scalar mass * c**2 (np.float_power)
-    w = np.linalg.eigvalsh(hamiltonians(p, c, mass * np.float_power(c, 2)))  # ascending rows
-    p_sq = (p[:, None, :] @ p[:, :, None])[:, 0, 0].tolist()  # each p @ p
-    e = np.array([math.sqrt(energy_sq(*row)) for row in zip(cs, masses, p_sq)])
+    # 200 rows of (p, C, mass), drawn and diagonalised as one stack
+    draws = rng.uniform([-3.0, -3.0, -3.0, 0.4, 0.4], [3.0, 3.0, 3.0, 2.5, 2.5], (200, 5))
+    p, c, mass = draws[:, :3], draws[:, 3], draws[:, 4]
+    # powers by np.float_power, the libm pow of the scalar c**2 and mass**2 * c**4
+    c_sq = np.float_power(c, 2)
+    w = np.linalg.eigvalsh(hamiltonians(p, c, mass * c_sq))  # ascending rows
+    p_sq = (p[:, None, :] @ p[:, :, None])[:, 0, 0]  # each p @ p
+    e = np.sqrt(c_sq * p_sq + np.float_power(mass, 2) * np.float_power(c, 4))
     m["energy_spectrum"] = (
         np.abs(w - e[:, None] * [-1.0, -1.0, 1.0, 1.0]).max(axis=1) / e).tolist()
     m["spectrum_degeneracy"] = (
         np.maximum(np.abs(w[:, 0] - w[:, 1]), np.abs(w[:, 2] - w[:, 3])) / e).tolist()
 
-    states = [MomentumState(p=rng.uniform(-2.0, 2.0, 3), constants=k) for _ in range(6)]
+    momenta = rng.uniform(-2.0, 2.0, (6, 3))
+    states = [MomentumState(p=p, constants=k) for p in momenta]
 
-    # each closed form below runs once, on the stack of its family's states
-    pairs = [(state, j) for state in states for j in (1, 2, 3)]
-    paired, axes = zip(*pairs)
-    etas = eta_matrix(paired, axes)
-    hs = np.array([state.h for state in paired])
-    m["eta_anticommutes"] = _matrix_devs(etas @ hs + hs @ etas)
+    # each closed form below runs once, on the stack of its family's states:
+    # every state with each axis j, then the first three states with theirs
+    pairs = MomentumState(p=np.repeat(momenta, 3, axis=0), constants=k)
+    axes = np.tile([1, 2, 3], 6)
+    etas = eta_matrix(pairs, axes)
+    m["eta_anticommutes"] = _matrix_devs(etas @ pairs.h + pairs.h @ etas)
     m["eta_traceless"] = _modulus(np.trace(etas, axis1=-2, axis2=-1)).tolist()
 
-    first, first_axes = paired[:9], axes[:9]  # the first three states
+    first = MomentumState(p=pairs.p[:9], constants=k)
     m["velocity_at_zero"] = _matrix_devs(
-        _position_rate(first, first_axes, 0.0, 1e-6),
-        np.array([velocity_operator(j, k, state.rep) for state, j in pairs[:9]]))
+        _position_rate(first, axes[:9], 0.0, 1e-6),
+        np.array([velocity_operator(j, k) for j in axes[:9].tolist()]))
 
-    picked, ts, js = [], [], []
+    picked, ts, js = [], [], []  # per-sample draws: integers interleave them
     for _ in range(18):
-        picked.append(states[int(rng.integers(0, len(states)))])
+        picked.append(int(rng.integers(0, len(states))))
         ts.append(float(rng.uniform(-3.0, 3.0)))
         js.append(int(rng.integers(1, 4)))
+    picked = MomentumState(p=momenta[picked], constants=k)
     m["velocity_direction_evolution"] = _matrix_devs(
         velocity_direction(picked, js, ts), alpha_evolved_oracle(picked, js, ts))
 
     drawn, ts, js = [], [], []
     for _ in range(20):
-        drawn.append(MomentumState(p=rng.uniform(-1.5, 1.5, 3), constants=k))
+        drawn.append(rng.uniform(-1.5, 1.5, 3))
         ts.append(float(rng.uniform(0.1, 3.0)))
         js.append(int(rng.integers(1, 4)))
-    ts = np.array(ts)
+    drawn, ts = MomentumState(p=np.array(drawn), constants=k), np.array(ts)
     m["position_rate_matches_velocity"] = _matrix_devs(
         _position_rate(drawn, js, ts, 1e-5), k.c * alpha_evolved_oracle(drawn, js, ts))
 
-    m["zbw_vanishes_at_zero"] = _matrix_devs(zbw_closed_form(first, first_axes, 0.0).zbw_matrix)
+    m["zbw_vanishes_at_zero"] = _matrix_devs(zbw_closed_form(first, axes[:9], 0.0).zbw_matrix)
 
     dev_osc, dev_lin = [], []
     for state in states[:2]:
@@ -598,17 +596,6 @@ def build_dynamics_suite(config: RunConfig, rng) -> dict:
 
 # --- fields ------------------------------------------------------------------
 
-def _random_route_constants(rng, base: PhysicalConstants) -> PhysicalConstants:
-    # narrow ranges keep 2 m^2 C^3 / (e hbar) small enough that the two
-    # routes, rounded independently, stay within 1e-14 of each other
-    return PhysicalConstants(
-        hbar=float(rng.uniform(0.9, 1.5)),
-        c=float(rng.uniform(0.8, 1.2)),
-        mass=float(rng.uniform(0.8, 1.2)),
-        charge=float(rng.uniform(0.9, 1.5)),
-    )
-
-
 def _random_direction(rng) -> tuple:
     """(theta, phi) of a direction drawn uniformly on the sphere."""
     return math.acos(float(rng.uniform(-1.0, 1.0))), float(rng.uniform(-math.pi, math.pi))
@@ -641,9 +628,12 @@ def build_fields_suite(config: RunConfig, rng) -> dict:
 
     m["momentum_time_commutator_zero"] = [_dev(commutator(mom.p[j], mom.p0)) for j in range(3)]
 
+    # the run's constants, then 7 random sets (hbar, C, mass, charge); narrow
+    # ranges keep 2 m^2 C^3 / (e hbar) small enough that the two routes,
+    # rounded independently, stay within 1e-14 of each other
+    route_draws = rng.uniform([0.9, 0.8, 0.8, 0.9], [1.5, 1.2, 1.2, 1.5], (7, 4))
     dev_expected, dev_routes, dev_e_comm, dev_e_sub = [], [], [], []
-    for i in range(8):
-        kc = k if i == 0 else _random_route_constants(rng, k)
+    for kc in [k] + [PhysicalConstants(*row) for row in route_draws.tolist()]:
         expected = np.stack([expected_self_h(kc, ax) for ax in (1, 2, 3)])
         for rep in (Representation.PAULI_DIRAC, Representation.STANDARD):
             via_comm = self_fields_commutator(kc, rep)
@@ -661,14 +651,15 @@ def build_fields_suite(config: RunConfig, rng) -> dict:
     e0 = float(rng.uniform(0.5, 2.0))
     gauge = symmetric_gauge(b0)
     scalar = linear_scalar(e0)
-    pts = [tuple(float(v) for v in rng.uniform(-2.0, 2.0, 3)) for _ in range(10)]
-    m["classical_curl"] = [_dev(np.array(classical_maxwell_reference(gauge, pt).h, dtype=float),
-                                np.array([0.0, 0.0, b0])) for pt in pts]
-    m["classical_gradient"] = [
-        _dev(np.array(classical_maxwell_reference(scalar, pt).e, dtype=float),
-             np.array([e0, 0.0, 0.0])) for pt in pts]
+    pts = tuple(rng.uniform(-2.0, 2.0, (10, 3)).T)  # 10 points as (x, y, z) arrays
+    m["classical_curl"] = _row_devs(
+        np.array(classical_maxwell_reference(gauge, pts).h).T, np.array([0.0, 0.0, b0]))
+    m["classical_gradient"] = _row_devs(
+        np.array(classical_maxwell_reference(scalar, pts).e).T, np.array([e0, 0.0, 0.0]))
 
-    theta, phi = np.array([_random_direction(rng) for _ in range(100)]).T
+    # 100 directions (acos(u), phi), uniform on the sphere; acos is libm's per value
+    u, phi = rng.uniform([-1.0, -math.pi], [1.0, math.pi], (100, 2)).T
+    theta = np.array([math.acos(v) for v in u.tolist()])
     m["rest_energy_isotropic"] = (np.abs(rest_energy(theta, phi, k) - k.mc2) / k.mc2).tolist()
     spins = spin_coherent_expectation(theta, phi)
     norms = (spins[:, None, :] @ spins[:, :, None])[:, 0, 0]  # each s @ s
@@ -681,14 +672,9 @@ def build_fields_suite(config: RunConfig, rng) -> dict:
     m["anomalous_ratio_physical"] = (1.161410e-3, anomalous_moment_ratio(PhysicalConstants()))
     base = anomalous_moment_ratio(k)
     devs = []
-    for _ in range(8):
-        lam_h = float(rng.uniform(0.5, 3.0))
-        lam_c = float(rng.uniform(0.5, 3.0))
-        scaled = PhysicalConstants(
-            hbar=k.hbar * lam_h, c=k.c * lam_c,
-            mass=float(rng.uniform(0.5, 3.0)),
-            charge=k.charge * math.sqrt(lam_h * lam_c),
-        )
+    for lam_h, lam_c, mass in rng.uniform(0.5, 3.0, (8, 3)).tolist():
+        scaled = PhysicalConstants(hbar=k.hbar * lam_h, c=k.c * lam_c, mass=mass,
+                                   charge=k.charge * math.sqrt(lam_h * lam_c))
         devs.append(abs(anomalous_moment_ratio(scaled) - base))
     m["anomalous_ratio_invariance"] = devs
 
@@ -698,18 +684,19 @@ def build_fields_suite(config: RunConfig, rng) -> dict:
     m["self_potentials_vector_real_part"] = [_dev(pots.a)] + _row_devs(self_potentials(us, k).a)
 
     states, us = zip(*(random_eigen_sample(rng, k) for _ in range(100)))
-    r = self_action_reduction(np.array(us), states)
+    r = self_action_reduction(np.array(us), MomentumState(p=[s.p for s in states], constants=k))
     m["eigenspinor_norm"] = np.abs(r.norm_sq - 1.0).tolist()
     m["cross_sum_eigenstates"] = _modulus(r.overlap_sum).tolist()
     m["coupled_equals_reduced"] = _modulus(r.coupled_value - r.reduced_value).tolist()
     m["reduced_equals_expectation"] = _modulus(r.reduced_value - r.hd_expectation).tolist()
 
-    psis, states = [], []
+    psis, ps = [], []  # per-sample draws: normal and uniform draws interleave
     for _ in range(20):
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psis.append(psi / np.linalg.norm(psi))
-        states.append(MomentumState(p=rng.uniform(-2.0, 2.0, 3), constants=k))
-    worst = float(_modulus(self_action_reduction(np.array(psis), states).overlap_sum).max())
+        ps.append(rng.uniform(-2.0, 2.0, 3))
+    r = self_action_reduction(np.array(psis), MomentumState(p=ps, constants=k))
+    worst = float(_modulus(r.overlap_sum).max())
     m["cross_sum_arbitrary_reported"] = Verdict(
         f"max |sum_j <alpha_j><beta alpha_j>| = {worst:.6f} over 20 random states", True)
     return m

@@ -471,6 +471,17 @@ def test_eigenstates_fit_zero_and_mixes_fit_twice_the_energy(p, c, sign, spin, a
     assert abs(fitted_zbw_frequency(state, max_mixing_state(state, axis)) - want) <= 0.01 * want
 
 
+@pytest.mark.filterwarnings("error")
+def test_fit_dominant_frequency_refuses_a_non_finite_sample():
+    times = np.linspace(0.0, 10.0, 64)
+    signal = np.cos(1.3 * times)
+    for bad in (np.full(64, np.nan), np.where(times == times[5], np.inf, signal),
+                np.where(times == times[40], -np.inf, signal),
+                np.where(times == times[63], np.nan, signal)):
+        with pytest.raises(DomainError, match="non-finite"):
+            fit_dominant_frequency(times, bad)
+
+
 def test_fit_dominant_frequency_rejects_bad_sampling():
     with pytest.raises(DomainError):
         fit_dominant_frequency(np.linspace(0, 1, 4), np.ones(4))
@@ -737,22 +748,25 @@ def test_fit_refuses_a_window_that_overflows_or_underflows(hbar):
         fitted_zbw_frequency(state)
 
 
-# --- stacks: a sequence of states gives its single-state results bit for bit ---
+# --- stacks: a state of n momenta gives its single-momentum results bit for bit ---
 
 @pytest.mark.parametrize("rep", REPS)
 def test_stacked_closed_forms_and_oracles_equal_their_single_rows(rep):
     rng = np.random.default_rng(90)
     k = PhysicalConstants(hbar=1.2, c=0.8, mass=1.3, charge=0.5)
-    states = [MomentumState(p=rng.uniform(-2, 2, 3), constants=k, rep=rep) for _ in range(9)]
+    momenta = rng.uniform(-2, 2, (9, 3))
+    stack = MomentumState(p=momenta, constants=k, rep=rep)
+    states = [MomentumState(p=p, constants=k, rep=rep) for p in momenta]
     js = [int(v) for v in rng.integers(1, 4, 9)]
     ts = rng.uniform(-3, 3, 9)
     stacked = {
-        "eta": eta_matrix(states, js),
-        "direction": velocity_direction(states, js, ts),
-        "evolution": evolution_operator(states, ts),
-        "oracle": alpha_evolved_oracle(states, js, ts),
-        "drift": zbw_closed_form(states, js, ts).drift_matrix,
-        "zbw": zbw_closed_form(states, js, ts).zbw_matrix,
+        "eta": eta_matrix(stack, js),
+        "direction": velocity_direction(stack, js, ts),
+        "evolution": evolution_operator(stack, ts),
+        "oracle": alpha_evolved_oracle(stack, js, ts),
+        "drift": zbw_closed_form(stack, js, ts).drift_matrix,
+        "zbw": zbw_closed_form(stack, js, ts).zbw_matrix,
+        "h": stack.h,
     }
     singles = {
         "eta": [eta_matrix(s, j) for s, j in zip(states, js)],
@@ -761,28 +775,63 @@ def test_stacked_closed_forms_and_oracles_equal_their_single_rows(rep):
         "oracle": [alpha_evolved_oracle(s, j, t) for s, j, t in zip(states, js, ts)],
         "drift": [zbw_closed_form(s, j, t).drift_matrix for s, j, t in zip(states, js, ts)],
         "zbw": [zbw_closed_form(s, j, t).zbw_matrix for s, j, t in zip(states, js, ts)],
+        "h": [s.h for s in states],
     }
     for name, got in stacked.items():
         assert got.shape == (9, 4, 4)
         assert np.array_equal(got, np.array(singles[name])), name
-    # a scalar axis or time is shared by every state
-    assert np.array_equal(zbw_closed_form(states, 2, 0.0).zbw_matrix,
+    assert stack.energy.tolist() == [s.energy for s in states]
+    assert stack.energy_sq.tolist() == [s.energy_sq for s in states]
+    assert type(states[0].energy) is float and type(states[0].energy_sq) is float
+    # a scalar axis or time is shared by every row, and j and t broadcast
+    # against the rows' leading axes
+    assert np.array_equal(zbw_closed_form(stack, 2, 0.0).zbw_matrix,
                           np.array([zbw_closed_form(s, 2, 0.0).zbw_matrix for s in states]))
+    grid = MomentumState(p=momenta.reshape(3, 3, 3), constants=k, rep=rep)
+    assert np.array_equal(eta_matrix(grid, [1, 2, 3]),
+                          np.array([[eta_matrix(states[3 * a + b], b + 1) for b in range(3)]
+                                    for a in range(3)]))
+    assert np.array_equal(velocity_direction(states[4], [1, 2, 3], ts[:3]),
+                          np.array([velocity_direction(states[4], j, t)
+                                    for j, t in zip((1, 2, 3), ts[:3])]))
 
 
 def test_a_bad_row_inside_a_stack_of_states_is_refused():
-    states = [MomentumState(p=np.array([0.1 * i, 0.2, -0.3]), constants=K) for i in range(4)]
-    for fn in (lambda js: eta_matrix(states, js), lambda js: zbw_closed_form(states, js, 0.5),
-               lambda js: velocity_direction(states, js, 0.5),
-               lambda js: alpha_evolved_oracle(states, js, 0.5)):
+    momenta = np.array([[0.1 * i, 0.2, -0.3] for i in range(4)])
+    stack = MomentumState(p=momenta, constants=K)
+    for fn in (lambda js: eta_matrix(stack, js), lambda js: zbw_closed_form(stack, js, 0.5),
+               lambda js: velocity_direction(stack, js, 0.5),
+               lambda js: alpha_evolved_oracle(stack, js, 0.5)):
         with pytest.raises(DomainError, match="axis must be"):
             fn([1, 2, 4, 3])
         with pytest.raises(DomainError, match="axis must be"):
             fn([1, 0, 2, 3])
-    mixed = states[:3] + [MomentumState(p=states[3].p, constants=K, rep=Representation.STANDARD)]
-    with pytest.raises(DomainError, match="share constants"):
-        eta_matrix(mixed, 1)
-    with pytest.raises(DomainError, match="share constants"):
-        zbw_closed_form(states[:3] + [MomentumState(p=states[3].p, constants=SI)], 1, 0.5)
-    with pytest.raises(DomainError):
-        eta_matrix([], 1)
+    for row in range(4):  # a non-finite row inside a stack of momenta
+        bad = momenta.copy()
+        bad[row, row % 3] = (np.nan, np.inf, -np.inf, np.nan)[row]
+        with pytest.raises(DomainError, match="momentum must be"):
+            MomentumState(p=bad, constants=K)
+    for shape in ((4, 2), (2, 3, 4), ()):
+        with pytest.raises(DomainError, match="momentum must be"):
+            MomentumState(p=np.zeros(shape), constants=K)
+    states = [MomentumState(p=p, constants=K) for p in momenta]
+    for seq in (states, tuple(states)):
+        for fn in (lambda: eta_matrix(seq, 1), lambda: velocity_direction(seq, 1, 0.5),
+                   lambda: zbw_closed_form(seq, 1, 0.5), lambda: evolution_operator(seq, 0.5),
+                   lambda: alpha_evolved_oracle(seq, 1, 0.5)):
+            with pytest.raises(DomainError, match="expected a MomentumState"):
+                fn()
+
+
+def test_the_single_momentum_forms_refuse_a_stack():
+    stack = MomentumState(p=np.array([[0.3, -0.2, 0.5], [0.1, 0.0, 0.4]]), constants=K)
+    one = MomentumState(p=stack.p[0], constants=K)
+    psi = eigenspinor(one, 1, "up")
+    times = np.linspace(0.0, 1.0, 16)
+    for fn in (lambda: eigenspinor(stack, 1, "up"), lambda: zbw_trajectory(stack, psi, times),
+               lambda: velocity_signal(stack, psi, times), lambda: fitted_zbw_frequency(stack),
+               lambda: max_mixing_state(stack)):
+        with pytest.raises(DomainError, match="one momentum"):
+            fn()
+    with pytest.raises(DomainError, match="one momentum"):
+        eigenspinor([one], 1, "up")

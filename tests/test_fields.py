@@ -221,7 +221,8 @@ def test_stacked_self_action_equals_its_single_rows(rep):
             psi = psi / np.linalg.norm(psi)
         states.append(state)
         psis.append(psi)
-    stacked = self_action_reduction(np.array(psis), states)
+    stack = MomentumState(p=[s.p for s in states], constants=K, rep=rep)
+    stacked = self_action_reduction(np.array(psis), stack)
     singles = [self_action_reduction(psi, state) for psi, state in zip(psis, states)]
     for name in RESULT_FIELDS:
         got = getattr(stacked, name)
@@ -246,20 +247,26 @@ def test_stacked_rest_energy_equals_its_single_directions():
 
 def test_a_bad_row_inside_a_self_action_stack_is_refused():
     rng = np.random.default_rng(42)
-    states = [MomentumState(p=rng.uniform(-2, 2, 3), constants=K) for _ in range(5)]
+    momenta = rng.uniform(-2, 2, (5, 3))
+    states = [MomentumState(p=p, constants=K) for p in momenta]
+    stack = MomentumState(p=momenta, constants=K)
     psis = np.array([eigenspinor(s, 1, "up") for s in states])
     for row, value in ((2, np.nan), (4, 2.0)):  # non-finite, then not normalized
         bad = psis.copy()
         bad[row, 1] = value
         with pytest.raises(DomainError):
-            self_action_reduction(bad, states)
+            self_action_reduction(bad, stack)
     with pytest.raises(DomainError):
-        self_action_reduction(psis[:, :3], states)
-    with pytest.raises(DomainError):
-        self_action_reduction(psis, states[:4])
-    other = MomentumState(p=states[0].p, constants=PhysicalConstants(c=2.0))
-    with pytest.raises(DomainError, match="share constants"):
-        self_action_reduction(psis, states[:4] + [other])
+        self_action_reduction(psis[:, :3], stack)
+    with pytest.raises(DomainError, match="for momenta of shape"):
+        self_action_reduction(psis, MomentumState(p=momenta[:4], constants=K))
+    with pytest.raises(DomainError, match="for momenta of shape"):
+        self_action_reduction(psis[0], stack)
+    with pytest.raises(DomainError, match="for momenta of shape"):
+        self_action_reduction(psis, states[0])
+    for seq in (states, tuple(states)):  # a sequence of states is not a stack
+        with pytest.raises(DomainError, match="expected a MomentumState"):
+            self_action_reduction(psis, seq)
 
 
 def test_stacked_self_action_and_rest_energy_give_the_scalar_bits():
@@ -268,17 +275,19 @@ def test_stacked_self_action_and_rest_energy_give_the_scalar_bits():
 
     rng = np.random.default_rng(43)
     k = PhysicalConstants(hbar=0.9, c=1.3, mass=0.8, charge=0.6)
-    states = [MomentumState(p=rng.uniform(-2, 2, 3), constants=k, rep=REPS[i % 2])
-              for i in range(80)]
+    momenta = rng.uniform(-2, 2, (80, 3))
     for rep in REPS:
-        group = [s for s in states if s.rep is rep]
+        group = [MomentumState(p=p, constants=k, rep=rep) for p in momenta[REPS.index(rep)::2]]
         psis = rng.standard_normal((len(group), 4)) + 1j * rng.standard_normal((len(group), 4))
         psis = psis / np.linalg.norm(psis, axis=1, keepdims=True)
         psis[::2] = [eigenspinor(s, 1, "down", (0.2, 1.0)) for s in group[::2]]
-        got = self_action_reduction(psis, group)
+        got = self_action_reduction(psis, MomentumState(p=momenta[REPS.index(rep)::2],
+                                                        constants=k, rep=rep))
         for i, (psi, state) in enumerate(zip(psis, group)):
             want = ref.self_action_reduction(psi, state)
             assert [getattr(got, name)[i] for name in RESULT_FIELDS] == list(want)
+            one = self_action_reduction(psi, state)
+            assert [getattr(one, name) for name in RESULT_FIELDS] == list(want)
     theta, phi = np.arccos(rng.uniform(-1, 1, 25)), rng.uniform(-math.pi, math.pi, 25)
     assert rest_energy(theta, phi, k).tolist() == [ref.rest_energy(a, b, k)
                                                    for a, b in zip(theta.tolist(), phi.tolist())]

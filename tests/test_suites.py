@@ -1,6 +1,7 @@
 """Suite orchestration: seed sweep and independence of suite selection."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,62 @@ def test_seeded_suites_pass_at_every_seed(seed):
     assert json.loads(text)["summary"]["failed"] == 0
     if seed < 40:
         assert report_json(run_suite(RunConfig(seed=seed, suites=SEEDED_SUITES))) == text
+
+
+# Every family the seeded suites draw in one call, as (batched draw, the
+# per-sample draws it replaced).  uniform with per-column bounds and
+# standard_normal fill element by element in C order, so the two must give
+# the same doubles and leave the generator in the same state.
+DRAW_FAMILIES = {
+    "algebra.matrix_exponential_oracle": (
+        lambda rng: rng.standard_normal((4, 2, 4, 4)),
+        lambda rng: [[rng.standard_normal((4, 4)) for _ in range(2)] for _ in range(4)]),
+    "states.split_recompose": (
+        lambda rng: rng.standard_normal((5, 2, 4)),
+        lambda rng: [[rng.standard_normal(4) for _ in range(2)] for _ in range(5)]),
+    "dynamics.energy_spectrum": (
+        lambda rng: rng.uniform([-3.0, -3.0, -3.0, 0.4, 0.4], [3.0, 3.0, 3.0, 2.5, 2.5],
+                                (200, 5)),
+        lambda rng: [[*rng.uniform(-3.0, 3.0, 3), rng.uniform(0.4, 2.5), rng.uniform(0.4, 2.5)]
+                     for _ in range(200)]),
+    "dynamics.states": (
+        lambda rng: rng.uniform(-2.0, 2.0, (6, 3)),
+        lambda rng: [rng.uniform(-2.0, 2.0, 3) for _ in range(6)]),
+    "fields.route_constants": (
+        lambda rng: rng.uniform([0.9, 0.8, 0.8, 0.9], [1.5, 1.2, 1.2, 1.5], (7, 4)),
+        lambda rng: [[rng.uniform(0.9, 1.5), rng.uniform(0.8, 1.2), rng.uniform(0.8, 1.2),
+                      rng.uniform(0.9, 1.5)] for _ in range(7)]),
+    "fields.classical_points": (
+        lambda rng: rng.uniform(-2.0, 2.0, (10, 3)),
+        lambda rng: [rng.uniform(-2.0, 2.0, 3) for _ in range(10)]),
+    "fields.spin_directions": (
+        lambda rng: rng.uniform([-1.0, -math.pi], [1.0, math.pi], (100, 2)),
+        lambda rng: [[rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi)]
+                     for _ in range(100)]),
+    "fields.rescalings": (
+        lambda rng: rng.uniform(0.5, 3.0, (8, 3)),
+        lambda rng: [[rng.uniform(0.5, 3.0) for _ in range(3)] for _ in range(8)]),
+}
+
+
+@pytest.mark.parametrize("family", DRAW_FAMILIES)
+def test_a_family_drawn_in_one_call_equals_its_per_sample_draws(family):
+    batched, per_sample = DRAW_FAMILIES[family]
+    for seed in range(25):
+        one, many = (np.random.default_rng([seed, 2]) for _ in range(2))
+        got, want = batched(one), np.array(per_sample(many), dtype=float)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (family, seed)
+        assert one.bit_generator.state == many.bit_generator.state, (family, seed)
+
+
+def test_the_spectrum_family_energies_match_the_scalar_formula():
+    # np.float_power is libm pow, as a Python c**2, and np.sqrt is math.sqrt
+    draws = DRAW_FAMILIES["dynamics.energy_spectrum"][0](np.random.default_rng(11))
+    p, c, mass = draws[:, :3], draws[:, 3], draws[:, 4]
+    p_sq = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
+    got = np.sqrt(np.float_power(c, 2) * p_sq + np.float_power(mass, 2) * np.float_power(c, 4))
+    assert got.tolist() == [math.sqrt(cc**2 * float(pp @ pp) + mm**2 * cc**4)
+                            for pp, cc, mm in zip(p, c.tolist(), mass.tolist())]
 
 
 # A wrong preset gauge or scalar potential no longer fails a lattice
