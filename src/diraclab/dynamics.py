@@ -35,10 +35,10 @@ import numpy as np
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .matrices import (
-    GENERATOR_STACK,
+    DIRAC_STACK,
     PAULI_STACK,
     GeneratorKind,
-    Representation,
+    _is_axis,
     dirac_generator,
     hamiltonians,
     mat_exp,
@@ -53,12 +53,11 @@ RESOLVED_OSCILLATION = (
 
 _EYE4 = np.eye(4, dtype=complex)
 _EYE4.setflags(write=False)
-_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
 class MomentumState:
-    """Momentum eigenspaces of one set of constants and generators.
+    """Momentum eigenspaces of one set of constants, in the Pauli-Dirac set.
 
     p is one momentum (3,) or a stack (..., 3) of them, kept as a read-only
     copy, so the caller's array may change later without moving the state.
@@ -71,7 +70,6 @@ class MomentumState:
 
     p: np.ndarray
     constants: PhysicalConstants
-    rep: Representation = Representation.PAULI_DIRAC
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
@@ -80,8 +78,6 @@ class MomentumState:
                               f"got {self.p!r}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-        if not isinstance(self.rep, Representation):
-            raise DomainError(f"rep must be a Representation, got {self.rep!r}")
 
     @cached_property
     def energy_sq(self):
@@ -100,7 +96,7 @@ class MomentumState:
     def h(self) -> np.ndarray:
         """C alpha_j p_j + m C^2 beta, read-only; hamiltonian() hands out copies."""
         k = self.constants
-        h = hamiltonians(self.p, k.c, k.mc2, self.rep)
+        h = hamiltonians(self.p, k.c, k.mc2)
         h.setflags(write=False)
         return h
 
@@ -109,6 +105,14 @@ def _one_momentum(state) -> None:
     """Refuse all but a state of one momentum: the spinor and trajectory forms are per state."""
     if not (isinstance(state, MomentumState) and state.p.ndim == 1):
         raise DomainError("expected a MomentumState of one momentum, p of shape (3,)")
+
+
+def _one_spinor(psi) -> np.ndarray:
+    """psi checked to be one normalized spinor of shape (4,), not a stack."""
+    psi = require_normalized(psi)
+    if psi.ndim != 1:
+        raise DomainError(f"expected one spinor of shape (4,), got shape {psi.shape}")
+    return psi
 
 
 def hamiltonian(state: MomentumState) -> np.ndarray:
@@ -164,7 +168,7 @@ def eigenspinor(state: MomentumState, energy_sign: int = 1, spin: str = "up",
     restricted eigenvalue.  The first component larger than 1e-12 in
     magnitude is rotated to be real positive.
 
-    Closed form, in the Pauli-Dirac set: with q = C p / (E + m C^2) and
+    Closed form: with q = C p / (E + m C^2) and
     N = (1 + |q|^2)^-1/2, every state of energy +E is u_+(chi) =
     N (chi, (sigma.q) chi) and every state of energy -E is u_-(chi) =
     N (-(sigma.q) chi, chi), for a two-component chi, and chi -> u_+-(chi)
@@ -177,13 +181,10 @@ def eigenspinor(state: MomentumState, energy_sign: int = 1, spin: str = "up",
     by (sigma.q)(sigma.n)(sigma.q) = 2 (q.n) sigma.q - |q|^2 sigma.n.
     1 - |q|^2 = 2 m C^2 / (E + m C^2) > 0 is computed in that form, with
     no cancellation, so a.n > 0 and a never vanishes.  "up" takes chi
-    along +a, "down" along -a.  The standard set is W u with
-    W = (1/sqrt 2) [[I, I], [I, -I]], which maps the Pauli-Dirac
-    generators to the standard ones and commutes with Sigma.n.  The
-    spinor is divided by its computed norm, which stands for N and for
-    the 1/sqrt 2 of W.
+    along +a, "down" along -a.  The spinor is divided by its computed
+    norm, which stands for N.
     """
-    if energy_sign not in (1, -1):
+    if isinstance(energy_sign, (bool, np.bool_)) or energy_sign not in (1, -1):
         raise DomainError(f"energy_sign must be +1 or -1, got {energy_sign!r}")
     if spin not in ("up", "down"):
         raise DomainError(f"spin must be 'up' or 'down', got {spin!r}")
@@ -198,9 +199,6 @@ def eigenspinor(state: MomentumState, energy_sign: int = 1, spin: str = "up",
     s0 = qz * c0 + complex(qx, -qy) * c1  # (sigma.q) chi
     s1 = complex(qx, qy) * c0 - qz * c1
     u = [c0, c1, s0, s1] if energy_sign == 1 else [-s0, -s1, c0, c1]
-    if state.rep is Representation.STANDARD:
-        top0, top1, bot0, bot1 = u
-        u = [top0 + bot0, top1 + bot1, top0 - bot0, top1 - bot1]
     norm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in u))
     u = [z / norm for z in u]
     for comp in u:
@@ -211,12 +209,11 @@ def eigenspinor(state: MomentumState, energy_sign: int = 1, spin: str = "up",
     return np.array(u, dtype=complex)
 
 
-def velocity_operator(j: int, constants: PhysicalConstants,
-                      rep: Representation = Representation.PAULI_DIRAC) -> np.ndarray:
+def velocity_operator(j: int, constants: PhysicalConstants) -> np.ndarray:
     """C alpha_j: the velocity operator along axis j."""
-    if j not in (1, 2, 3):
+    if not _is_axis(j):
         raise DomainError(f"axis must be 1, 2 or 3, got {j!r}")
-    return constants.c * dirac_generator(GeneratorKind(j), rep)
+    return constants.c * dirac_generator(GeneratorKind(j))
 
 
 def _per_matrix(x) -> np.ndarray:
@@ -232,8 +229,8 @@ def _axes(state, j, t=0.0) -> tuple:
     if not isinstance(state, MomentumState):
         raise DomainError(f"expected a MomentumState, got {type(state).__name__}; "
                           "a stack of momenta is one state's p")
+    bad = [v for v in np.ravel(np.asarray(j, dtype=object)).tolist() if not _is_axis(v)]
     j = np.asarray(j)
-    bad = [v for v in j.ravel().tolist() if v not in (1, 2, 3)]
     if bad:
         raise DomainError(f"axis must be 1, 2 or 3, got {bad[0]!r}")
     shape = np.broadcast_shapes(state.p.shape[:-1], j.shape, np.shape(t))
@@ -244,7 +241,7 @@ def _axes(state, j, t=0.0) -> tuple:
 
 def _eta(state: MomentumState, p_j, j) -> np.ndarray:
     scale = state.constants.c * p_j / state.energy_sq  # C p_j / E^2
-    return GENERATOR_STACK[state.rep][j - 1] - _per_matrix(scale) * state.h
+    return DIRAC_STACK[j - 1] - _per_matrix(scale) * state.h
 
 
 def _double_evolution(state: MomentumState, t) -> np.ndarray:
@@ -293,7 +290,7 @@ def alpha_evolved_oracle(state: MomentumState, j, t) -> np.ndarray:
     Stacks as _axes says."""
     _, j, t = _axes(state, j, t)
     u = _evolution(state, t)
-    return u.conj().swapaxes(-1, -2) @ GENERATOR_STACK[state.rep][j - 1] @ u
+    return u.conj().swapaxes(-1, -2) @ DIRAC_STACK[j - 1] @ u
 
 
 @dataclass(frozen=True)
@@ -353,15 +350,12 @@ def _row_blocks(n: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _energy_split(rep: Representation, q: np.ndarray, psi: np.ndarray) -> tuple:
+def _energy_split(q: np.ndarray, psi: np.ndarray) -> tuple:
     """(chi_+, chi_-) with psi = u_+(chi_+) + u_-(chi_-), u_+- as in eigenspinor.
 
-    The map (chi_+, chi_-) -> psi is N [[I, -sigma.q], [sigma.q, I]] in the
-    Pauli-Dirac set, which is unitary, so its inverse is its adjoint.  A
-    standard-set psi is first taken to the Pauli-Dirac set by W = W^-1.
+    The map (chi_+, chi_-) -> psi is N [[I, -sigma.q], [sigma.q, I]], which
+    is unitary, so its inverse is its adjoint.
     """
-    if rep is Representation.STANDARD:
-        psi = _SQRT_HALF * np.concatenate((psi[:2] + psi[2:], psi[:2] - psi[2:]))
     sq = np.tensordot(q, PAULI_STACK, axes=1)
     norm = 1.0 / math.sqrt(1.0 + float(q @ q))
     top, bottom = psi[:2], psi[2:]
@@ -385,8 +379,8 @@ _RESIDUE_EPS = 16
 def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
     """Expectation trajectory of the closed-form position displacement.
 
-    psi must be normalized; times strictly increasing, and small enough
-    that the phase max|t| E / hbar and the displacement stay finite.
+    psi must be one normalized spinor; times strictly increasing, and small
+    enough that the phase max|t| E / hbar and the displacement stay finite.
     Returns one Trajectory of arrays, one row per time.
 
     Works in the closed-form basis of eigenspinor, whose energies are
@@ -407,7 +401,7 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
     exact zeros (_RESIDUE_EPS).
     """
     _one_momentum(state)
-    psi = require_normalized(psi)
+    psi = _one_spinor(psi)
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
         raise DomainError("times must be non-empty")
@@ -419,7 +413,7 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
     if not math.isfinite(t_max * (e / k.hbar)):
         raise DomainError("the phase E t / hbar overflows at the largest |t|")
     q, _ = _boost(state)
-    chi_p, chi_m = _energy_split(state.rep, q, psi)
+    chi_p, chi_m = _energy_split(q, psi)
     s = PAULI_STACK @ chi_m @ chi_p.conj()  # chi_+^dag sigma_j chi_-
     cross = s - (2.0 * (q @ s) / (1.0 + float(q @ q))) * q
     floor = _RESIDUE_EPS * sys.float_info.epsilon * float(np.vdot(psi, psi).real)
@@ -445,11 +439,11 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
     return Trajectory(t=times.copy(), drift=drift, zbw=zbw, total=drift + zbw)
 
 
-def max_mixing_state(state: MomentumState, axis=(0.0, 0.0)) -> np.ndarray:
-    """Equal-weight superposition of the two energy signs (same spin label)."""
+def max_mixing_state(state: MomentumState) -> np.ndarray:
+    """Equal-weight superposition of the two energy signs, both spin up along z."""
     _one_momentum(state)
-    plus = eigenspinor(state, 1, "up", axis)
-    minus = eigenspinor(state, -1, "up", axis)
+    plus = eigenspinor(state, 1, "up")
+    minus = eigenspinor(state, -1, "up")
     return (plus + minus) / math.sqrt(2.0)
 
 
@@ -480,13 +474,13 @@ def velocity_signal(state: MomentumState, psi, times) -> np.ndarray:
     (require_normalized holds |psi|^2 to 1 within 1e-12).
     """
     _one_momentum(state)
-    psi = require_normalized(psi)
+    psi = _one_spinor(psi)
     times = np.asarray(times, dtype=float).reshape(-1)
     k = state.constants
     imag_bound = _FLAT_EPS * sys.float_info.epsilon * k.c
     w, v = np.linalg.eigh(state.h)
     coeff = v.conj().T @ psi
-    a_eig = v.conj().T @ GENERATOR_STACK[state.rep][:3] @ v  # (j, a, b)
+    a_eig = v.conj().T @ DIRAC_STACK[:3] @ v  # (j, a, b)
     # contract[b, 4 j + a] = C alpha_j[a, b] in the eigenbasis
     contract = (k.c * a_eig).transpose(2, 0, 1).reshape(4, 12)
     out = np.empty((times.size, 3))
@@ -506,16 +500,19 @@ def _is_flat(spread: float, scale: float) -> bool:
 def fit_dominant_frequency(times, signal) -> float:
     """Angular frequency of the strongest nonzero line, by windowed FFT.
 
-    Uniform sampling assumed.  Hann window plus parabolic interpolation of
-    the log-magnitude peak.  Returns 0.0 for a flat signal, one whose spread
-    is within rounding of its largest magnitude (_FLAT_EPS).  A non-finite
-    sample raises DomainError: it has no spectrum.
+    The times must increase in uniform steps.  Hann window plus parabolic
+    interpolation of the log-magnitude peak.  Returns 0.0 for a flat signal,
+    one whose spread is within rounding of its largest magnitude
+    (_FLAT_EPS).  A non-finite sample raises DomainError: it has no
+    spectrum.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     x = np.asarray(signal, dtype=float).reshape(-1)
     if times.size != x.size or times.size < 8:
         raise DomainError("need at least 8 uniformly spaced samples")
     dt = times[1] - times[0]
+    if not dt > 0.0:
+        raise DomainError(f"sample times must increase, got a first step of {dt!r}")
     if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0):
         raise DomainError("samples must be uniformly spaced")
     if not np.isfinite(x).all():

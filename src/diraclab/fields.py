@@ -25,6 +25,7 @@ import numpy as np
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .matrices import (
+    DIRAC_STACK,
     GENERATOR_STACK,
     Representation,
     complex_product,
@@ -41,15 +42,10 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     EPS[_i, _k, _j] = -1.0
 
 
-def _expectation_table(rep: Representation) -> np.ndarray:
-    """(alpha_1, alpha_2, alpha_3, beta, beta alpha_1, beta alpha_2, beta alpha_3), read-only."""
-    g = GENERATOR_STACK[rep]
-    table = np.concatenate((g, g[3] @ g[:3]))
-    table.setflags(write=False)
-    return table
-
-
-EXPECTATIONS = {rep: _expectation_table(rep) for rep in Representation}
+# (alpha_1, alpha_2, alpha_3, beta, beta alpha_1, beta alpha_2, beta alpha_3)
+# of the Pauli-Dirac set, read-only.
+EXPECTATIONS = np.concatenate((DIRAC_STACK, DIRAC_STACK[3] @ DIRAC_STACK[:3]))
+EXPECTATIONS.setflags(write=False)
 
 
 def _expectations(table: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -218,19 +214,19 @@ class SelfPotentials:
     imag_magnitude: float
 
 
-def self_potentials(psi, constants: PhysicalConstants,
-                    rep: Representation = Representation.PAULI_DIRAC) -> SelfPotentials:
+def self_potentials(psi, constants: PhysicalConstants) -> SelfPotentials:
     """Expectation potentials (m C^2 / -e) <beta alpha_j> and (m C^2 / -e) <beta>.
 
-    <beta alpha_j> is purely imaginary for any state (the operator is
-    anti-Hermitian), so the reported vector components are the real parts
-    with the imaginary magnitude recorded alongside.  A (..., 4) stack of
+    psi is in the Pauli-Dirac set.  <beta alpha_j> is purely imaginary for
+    any state (the operator is anti-Hermitian), so the reported vector
+    components are the real parts with the imaginary magnitude recorded
+    alongside.  A (..., 4) stack of
     states gives a of shape (..., 3) and arrays phi and imag_magnitude.
     """
     psi = require_normalized(psi)
     k = constants
     factor = k.mass * k.c**2 / (-k.charge)
-    vals = factor * _expectations(EXPECTATIONS[rep][3:], psi)  # beta, beta alpha_j
+    vals = factor * _expectations(EXPECTATIONS[3:], psi)  # beta, beta alpha_j
     phi, imag = vals[..., 0].real, np.abs(vals.imag).max(axis=-1)
     if psi.ndim == 1:
         phi, imag = float(phi), float(imag)
@@ -307,7 +303,7 @@ def self_action_reduction(psi, state) -> SelfActionResult:
     mc2 = k.mass * k.c**2
     bra = psi.conj()[..., None, :]
     norm_sq = (bra @ psi[..., :, None])[..., 0, 0].real
-    vals = np.moveaxis(_expectations(EXPECTATIONS[state.rep], psi), -1, 0)
+    vals = np.moveaxis(_expectations(EXPECTATIONS, psi), -1, 0)
     alpha_exp, beta_exp, beta_alpha_exp = vals[:3], vals[3], vals[4:]
     overlap_sum = sum(complex_product(ae, bae) for ae, bae in zip(alpha_exp, beta_alpha_exp))
     momentum_term = k.c * sum(pj * ae for pj, ae in zip(np.moveaxis(state.p, -1, 0), alpha_exp))

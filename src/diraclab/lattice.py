@@ -30,14 +30,13 @@ the per-cell mean do not see.
 commutator_field_extract folds the error maxima, the test-function spread
 and the per-cell mean into the two intensity grids it returns;
 convergence_study folds only the error maxima and so holds one slab's
-working set.  In discrete mode the error maxima take only the intensity
-components the field can move: a dead one's estimate is 0 against an
-expected 0.  Every cell sees the same operations in the same order whatever
-the slab size, so the results are bit-identical to a single whole-block
-pass.
+working set.  The error maxima take only the intensity components the
+field can move: a dead one's estimate is 0 against an expected 0.  Every
+cell sees the same operations in the same order whatever the slab size, so
+the results are bit-identical to a single whole-block pass.
 Commuting the discrete components and dividing out the test function
 recovers the external intensities to second order in the spacing; the same
-extraction run with caller-supplied exact derivatives recovers them to
+extraction run with the test functions' exact derivatives recovers them to
 rounding.
 
 Sign bookkeeping, fixed once: the charge symbol is the positive magnitude
@@ -80,7 +79,7 @@ AMPLITUDE_FLOOR = 1e-8
 def _check_spacing(h) -> None:
     """A spacing the stencils can divide by: finite, > 0, and large enough
     that the stencil scale 1 / (2 h) is finite (h above about 2.8e-309)."""
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
+    if isinstance(h, bool) or not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
         raise DomainError(f"grid spacing must be finite and > 0, got {h!r}")
     if not math.isfinite(1.0 / (2.0 * h)):
         raise DomainError(f"grid spacing {h!r} is too small: the stencil scale "
@@ -210,10 +209,11 @@ class TestField:
     each other, not full grids: the extraction passes x of shape (p, 1, 1),
     y of shape (1, q, 1) and z of shape (1, 1, q).  Each returned array must
     broadcast to their common shape (p, q, q); it may have that shape, or
-    fewer cells where the probe does not vary along an axis.
+    fewer cells where the probe does not vary along an axis.  hessian[a][b]
+    and hessian[b][a] must be equal to the bit, so that the analytic terms
+    of a component the field cannot move cancel exactly.
     """
 
-    name: str
     values: Callable    # (x, y, z) -> complex array
     gradient: Callable  # -> [3] arrays
     hessian: Callable   # -> [3][3] arrays
@@ -234,7 +234,7 @@ def plane_wave_field(k_vec) -> TestField:
         kk = (kx, ky, kz)
         return [[-kk[a] * kk[b] * f for b in range(3)] for a in range(3)]
 
-    return TestField(name="plane_wave", values=values, gradient=gradient, hessian=hessian)
+    return TestField(values=values, gradient=gradient, hessian=hessian)
 
 
 def gaussian_field(center=(0.05, -0.04, 0.03), width: float = 1.0) -> TestField:
@@ -261,7 +261,7 @@ def gaussian_field(center=(0.05, -0.04, 0.03), width: float = 1.0) -> TestField:
             for a in range(3)
         ]
 
-    return TestField(name="gaussian", values=values, gradient=gradient, hessian=hessian)
+    return TestField(values=values, gradient=gradient, hessian=hessian)
 
 
 def modulated_field(k_vec=(0.8, -0.5, 0.6), width: float = 1.2) -> TestField:
@@ -291,7 +291,7 @@ def modulated_field(k_vec=(0.8, -0.5, 0.6), width: float = 1.2) -> TestField:
             for a in range(3)
         ]
 
-    return TestField(name="modulated", values=values, gradient=gradient, hessian=hessian)
+    return TestField(values=values, gradient=gradient, hessian=hessian)
 
 
 def default_test_fields() -> list:
@@ -320,9 +320,6 @@ def _live_terms(potentials: LinearPotentials) -> tuple:
     not identically zero, i.e. has a nonzero coefficient."""
     a_live = tuple(any(row[l] != 0.0 for row in potentials.grad_a) for l in range(3))
     return a_live, any(g != 0.0 for g in potentials.grad_phi)
-
-
-_ALL_LIVE = ((True, True, True), True)
 
 
 class _DiscreteKernel:
@@ -516,20 +513,18 @@ def _worst(current: float, diffs: np.ndarray, *weak: np.ndarray) -> float:
     return current
 
 
-def _slab_estimates(potentials, grid, test_fields, constants, mode):
-    """Validate the inputs and yield the interior block's estimates slab by slab.
+def _slab_estimates(potentials, grid, constants, mode):
+    """Validate the mode and yield the interior block's estimates slab by slab.
 
     Each item is (s0, s1, estimates): the slab's planes [s0, s1) along
-    axis 0 and one (h_est, e_est, weak) per test function.  The generator
-    keeps no reference to the estimates it yields, so a consumer that lets
-    go of them before asking for the next slab holds one slab's working set
-    at a time.
+    axis 0 and one (h_est, e_est, weak) per test function of
+    default_test_fields().  The generator keeps no reference to the
+    estimates it yields, so a consumer that lets go of them before asking
+    for the next slab holds one slab's working set at a time.
     """
     if mode not in ("discrete", "analytic"):
         raise DomainError(f"mode must be 'discrete' or 'analytic', got {mode!r}")
-    test_fields = default_test_fields() if test_fields is None else list(test_fields)
-    if len(test_fields) < 3:
-        raise DomainError("need at least 3 test functions")
+    test_fields = default_test_fields()
     coupling = constants.charge / constants.c
     n, m = grid.n, grid.n - 4
     ax = grid.axis
@@ -567,8 +562,10 @@ def _fold_errors(h_error: float, e_error: float, expected, estimates, live) -> t
     Only the components the field can move are folded, as live (a mask from
     _live_terms) says: H_k where A_j or A_l is live for cyclic (j, l, k), E_j
     where phi is.  The discrete kernel makes a dead component's estimate 0
-    times the denominator, and its expected value is exactly 0, so it can
-    never raise a maximum.  All dead estimates are NaN on the same cells,
+    times the denominator, and the analytic route a difference of equal
+    terms over it (the Hessian of every default test function is symmetric
+    to the bit).  Its expected value is exactly 0, so it can never raise a
+    maximum.  All dead estimates are NaN on the same cells,
     those whose denominator is not finite, so _worst on one of them per test
     function keeps the all-NaN guard firing wherever folding them all would.
     Every difference and its magnitude go into the same two cell buffers.
@@ -601,17 +598,17 @@ def _fold_spread(spread: float, estimates) -> float:
     return spread
 
 
-def commutator_field_extract(potentials: LinearPotentials, grid: Grid3, test_fields=None,
+def commutator_field_extract(potentials: LinearPotentials, grid: Grid3,
                              constants: PhysicalConstants | None = None,
                              mode: str = "discrete") -> ExtractResult:
     """Estimate the external intensities from kinetic-momentum commutators.
 
-    mode "discrete" uses central differences; "analytic" uses the test
-    fields' exact derivatives.  Estimates from every test function are
-    compared pairwise and averaged on the interior block, one slab of
-    planes at a time; the returned fields are NaN outside the block.  A
-    grid whose coordinates or (e/C)-scaled potentials overflow when squared
-    raises DomainError, as in convergence_study.
+    mode "discrete" uses central differences; "analytic" uses the exact
+    derivatives of default_test_fields().  Estimates from every test
+    function are compared pairwise and averaged on the interior block, one
+    slab of planes at a time; the returned fields are NaN outside the
+    block.  A grid whose coordinates or (e/C)-scaled potentials overflow
+    when squared raises DomainError, as in convergence_study.
     """
     constants = PhysicalConstants() if constants is None else constants
     n = grid.n
@@ -621,9 +618,8 @@ def commutator_field_extract(potentials: LinearPotentials, grid: Grid3, test_fie
     h_error = e_error = spread = 0.0
     excluded = 0
     expected = classical_maxwell_reference(potentials, (0.0, 0.0, 0.0))
-    # the analytic estimates of a dead component are not 0 by construction
-    live = _live_terms(potentials) if mode == "discrete" else _ALL_LIVE
-    for s0, s1, estimates in _slab_estimates(potentials, grid, test_fields, constants, mode):
+    live = _live_terms(potentials)
+    for s0, s1, estimates in _slab_estimates(potentials, grid, constants, mode):
         excluded += sum(int(np.count_nonzero(weak)) for _, _, weak in estimates)
         h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
         spread = _fold_spread(spread, estimates)
@@ -688,19 +684,15 @@ def _check_box_scale(potentials, half_width, constants, spacing) -> None:
 
 
 def convergence_study(potentials: LinearPotentials, spacings,
-                      constants: PhysicalConstants | None = None,
-                      test_fields=None) -> ConvergenceResult:
+                      constants: PhysicalConstants | None = None) -> ConvergenceResult:
     """Error-versus-spacing fit for the discrete extraction.
 
     spacings must be at least three values, each half the previous and
     each a spacing Grid3 accepts.  The physical box is fixed by the coarsest
     spacing (nine points across), so finer grids refine the same volume.
-    test_fields, any iterable of at least three, is read once and walked
-    on every grid.
     """
     constants = PhysicalConstants() if constants is None else constants
-    test_fields = default_test_fields() if test_fields is None else list(test_fields)
-    spac = [float(h) for h in spacings]
+    spac = [h if isinstance(h, (bool, np.bool_)) else float(h) for h in spacings]
     if len(spac) < 3:
         raise DomainError("need at least 3 spacings")
     for h in spac:
@@ -721,8 +713,8 @@ def convergence_study(potentials: LinearPotentials, spacings,
         if n % 2 == 0:
             n += 1
         h_error = e_error = 0.0
-        for _, _, estimates in _slab_estimates(potentials, Grid3(n=n, h=h), test_fields,
-                                               constants, "discrete"):
+        for _, _, estimates in _slab_estimates(potentials, Grid3(n=n, h=h), constants,
+                                               "discrete"):
             h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
             del estimates  # freed before the generator builds the next slab
         errors.append(max(h_error, e_error))

@@ -31,9 +31,14 @@ PAULI_TABLE = tuple(_read_only(m) for m in (
 PAULI_STACK = _read_only(np.stack(PAULI_TABLE))  # (sigma_1, sigma_2, sigma_3) as (3, 2, 2)
 
 
+def _is_axis(j) -> bool:
+    """Whether j names the axis 1, 2 or 3: an integer, not a boolean."""
+    return not isinstance(j, (bool, np.bool_)) and j in (1, 2, 3)
+
+
 def pauli(j: int) -> np.ndarray:
     """Pauli matrix sigma_j, axis j in {1, 2, 3}."""
-    if j not in (1, 2, 3):
+    if not _is_axis(j):
         raise DomainError(f"pauli axis must be 1, 2 or 3, got {j!r}")
     return PAULI_TABLE[j - 1].copy()
 
@@ -55,7 +60,7 @@ SIGMA_BLOCKS = tuple(_sigma_block(s) for s in PAULI_TABLE)
 
 def sigma_block(j: int) -> np.ndarray:
     """4x4 promotion of sigma_j: block-diag(sigma_j, sigma_j)."""
-    if j not in (1, 2, 3):
+    if not _is_axis(j):
         raise DomainError(f"pauli axis must be 1, 2 or 3, got {j!r}")
     return SIGMA_BLOCKS[j - 1].copy()
 
@@ -99,19 +104,15 @@ GENERATOR_STACK = {
     rep: _read_only(np.stack([_build_generator(GeneratorKind(v), rep) for v in (1, 2, 3, 0)]))
     for rep in Representation
 }
+# The Pauli-Dirac set: the one the dynamics and the expectation potentials use.
+DIRAC_STACK = GENERATOR_STACK[Representation.PAULI_DIRAC]
 
 
-def dirac_generator(kind: GeneratorKind, rep: Representation = Representation.PAULI_DIRAC) -> np.ndarray:
-    """One 4x4 generator of the chosen set, as a fresh writable copy.
-
-    In the standard set ALPHA1..3 name the three sigma-block generators
-    and BETA names the off-diagonal scalar generator.
-    """
+def dirac_generator(kind: GeneratorKind) -> np.ndarray:
+    """One 4x4 generator of the Pauli-Dirac set, as a fresh writable copy."""
     if not isinstance(kind, GeneratorKind):
         raise DomainError(f"kind must be a GeneratorKind, got {kind!r}")
-    if not isinstance(rep, Representation):
-        raise DomainError(f"rep must be a Representation, got {rep!r}")
-    return GENERATOR_STACK[rep][kind.value - 1].copy()
+    return DIRAC_STACK[kind.value - 1].copy()
 
 
 def generators(rep: Representation = Representation.PAULI_DIRAC):
@@ -121,19 +122,19 @@ def generators(rep: Representation = Representation.PAULI_DIRAC):
     return tuple(GENERATOR_STACK[rep].copy())
 
 
-def hamiltonians(p, c, mc2, rep: Representation = Representation.PAULI_DIRAC) -> np.ndarray:
-    """C alpha_j p_j + m C^2 beta for one momentum (3,), or for each row of a
-    stack (..., 3); c and mc2 = m C^2 are scalars or arrays that broadcast
-    against the stack's leading shape.  Returns (..., 4, 4).
+def hamiltonians(p, c, mc2) -> np.ndarray:
+    """C alpha_j p_j + m C^2 beta in the Pauli-Dirac set, for one momentum
+    (3,) or for each row of a stack (..., 3); c and mc2 = m C^2 are scalars
+    or arrays that broadcast against the stack's leading shape.  Returns
+    (..., 4, 4).
 
     Every generator entry is 0, +-1 or +-i, so the products are exact and
     the sum over j adds disjoint real and imaginary parts: any order of
     summation, and so any stack size, gives the same bits.
     """
-    g = GENERATOR_STACK[rep]
     cp = np.asarray(c, dtype=float)[..., None] * np.asarray(p, dtype=float)
-    h = (cp @ g[:3].reshape(3, 16)).reshape(cp.shape[:-1] + (4, 4))
-    return h + np.asarray(mc2, dtype=float)[..., None, None] * g[3]
+    h = (cp @ DIRAC_STACK[:3].reshape(3, 16)).reshape(cp.shape[:-1] + (4, 4))
+    return h + np.asarray(mc2, dtype=float)[..., None, None] * DIRAC_STACK[3]
 
 
 def generator_labels(rep: Representation):

@@ -304,9 +304,9 @@ def _render_value(value, indent: int) -> str:
     return handler(value, indent)
 
 
-def render_json(value, indent=0) -> str:
+def render_json(value) -> str:
     """Deterministic JSON text: 17-significant-digit floats, stable key order."""
-    return _render_value(value, indent)
+    return _render_value(value, 0)
 
 
 def report_json(report: VerificationReport) -> str:

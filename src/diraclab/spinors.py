@@ -362,7 +362,6 @@ class CylindricalSpinor:
     """
 
     angular_indices: tuple
-    amplitude: float = 1.0
     weights: tuple = (1.0, 1.0, 1.0, 1.0)
     profile_refs: tuple = ("unit", "unit", "unit", "unit")
     omega: float = 0.0
@@ -388,20 +387,19 @@ class CylindricalSpinor:
         """Value and cylindrical derivatives at equal-shaped coordinates:
         scalars give (4,) spinors, arrays of shape S give (*S, 4) stacks."""
         return sample_separable(self.angular_indices, self.weights, self.omega,
-                                rho, phi, z, t, amplitude=self.amplitude,
-                                profile_refs=self.profile_refs)
+                                rho, phi, z, t, profile_refs=self.profile_refs)
 
 
-def sample_separable(indices, weights, omega, rho, phi, z, t, *, amplitude=1.0,
+def sample_separable(indices, weights, omega, rho, phi, z, t, *,
                      profile_refs=("unit", "unit", "unit", "unit")) -> CylindricalSample:
     """Samples of separable states w_k f_k(rho, z) exp(i l_k phi - i omega t).
 
     The stacked kernel of CylindricalSpinor.sample_cyl: indices (..., 4)
     integer exponents, weights (..., 4) and omega (...) describe one state
     or a stack of states whose leading shape broadcasts against the
-    equal-shaped coordinates, so one call samples a whole family; amplitude
-    and the four profile_refs are shared.  Every product of two general
-    complex factors is rounded as the scalar product (complex_product).
+    equal-shaped coordinates, so one call samples a whole family; the four
+    profile_refs are shared.  Every product of two general complex factors
+    is rounded as the scalar product (complex_product).
     """
     rho, phi, z, t = _coordinates(rho, phi, z, t)
     l = np.asarray(indices, dtype=float)
@@ -414,8 +412,7 @@ def sample_separable(indices, weights, omega, rho, phi, z, t, *, amplitude=1.0,
             out[..., cols] = np.asarray(v)[..., None]
     angular = np.exp(1j * (l * phi[..., None]))
     tfac = np.exp((-1j * omega) * t)[..., None]
-    weights = amplitude * np.asarray(weights, dtype=complex)
-    base = complex_product(complex_product(weights, angular), tfac)
+    base = complex_product(complex_product(np.asarray(weights, dtype=complex), angular), tfac)
     psi, d_rho, d_z = (complex_product(base, v) for v in profile)
     return CylindricalSample(psi=psi, d_t=(-1j * omega)[..., None] * psi, d_rho=d_rho,
                              d_phi=(1j * l) * psi, d_z=d_z)
@@ -445,16 +442,17 @@ class JzResult:
     component_values: tuple
 
 
-def jz_apply(cyl: CylindricalSpinor, constants: PhysicalConstants) -> JzResult:
+def jz_apply(cyl: CylindricalSpinor) -> JzResult:
     """Apply the axial angular momentum operator -i hbar d/dphi + (hbar/2) Sigma_z.
 
-    Each component k picks up hbar * (l_k + s_k / 2) with s = (+1,-1,+1,-1).
-    If the four values coincide the state is an eigenstate with that
-    eigenvalue; otherwise it is reported as not an eigenstate (no error).
+    Each component k picks up hbar * (l_k + s_k / 2) with s = (+1,-1,+1,-1)
+    and hbar from cyl.constants.  If the four values coincide the state is
+    an eigenstate with that eigenvalue; otherwise it is reported as not an
+    eigenstate (no error).
     """
     s = (1, -1, 1, -1)
     doubled = [2 * lk + sk for lk, sk in zip(cyl.angular_indices, s)]
-    values = tuple(constants.hbar * d / 2.0 for d in doubled)
+    values = tuple(cyl.constants.hbar * d / 2.0 for d in doubled)
     if all(d == doubled[0] for d in doubled):
         return JzResult(is_eigenstate=True, eigenvalue=values[0], component_values=values)
     return JzResult(is_eigenstate=False, eigenvalue=None, component_values=values)

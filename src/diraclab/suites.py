@@ -466,7 +466,7 @@ def build_states_suite(config: RunConfig, rng) -> dict:
             cyl = angular_eigenstate(l, branch, weights=weights, profile_refs=_ANGULAR_PROFILES,
                                      omega=float(rng.standard_normal()), constants=k)
             indices_ok &= cyl.angular_indices == tuple(l + d for d in shifts)
-            res = jz_apply(cyl, k)
+            res = jz_apply(cyl)
             if not res.is_eigenstate:
                 dev_val.append(math.inf)
                 continue
@@ -488,7 +488,7 @@ def build_states_suite(config: RunConfig, rng) -> dict:
             "all patterns matched for l in [-5, 5]" if indices_ok else "pattern mismatch",
             indices_ok)
 
-    res = jz_apply(CylindricalSpinor(angular_indices=(0, 2, 0, 1), constants=k), k)
+    res = jz_apply(CylindricalSpinor(angular_indices=(0, 2, 0, 1), constants=k))
     m["angular_mixed_rejected"] = Verdict(
         f"is_eigenstate={res.is_eigenstate}, component values {list(res.component_values)}",
         not res.is_eigenstate)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from diraclab.matrices import GENERATOR_STACK, PAULI_TABLE
+from diraclab.matrices import DIRAC_STACK, PAULI_TABLE
 
 
 def plane_wave_sample(wave, x, y, z, t) -> tuple:
@@ -61,8 +61,7 @@ def separable_sample(cyl, rho, phi, z, t) -> tuple:
     tfac = np.exp(-1j * cyl.omega * t)
     for k in range(4):
         f, df_rho, df_z = profiles[cyl.profile_refs[k]](rho, z)
-        base = (cyl.amplitude * cyl.weights[k] * np.exp(1j * cyl.angular_indices[k] * phi)
-                * tfac)
+        base = cyl.weights[k] * np.exp(1j * cyl.angular_indices[k] * phi) * tfac
         psi[k] = base * f
         d_rho[k] = base * df_rho
         d_phi[k] = 1j * cyl.angular_indices[k] * psi[k]
@@ -91,7 +90,7 @@ def cylindrical_residual(sample, constants, points) -> np.ndarray:
 def self_action_reduction(psi, state) -> tuple:
     """(norm_sq, overlap_sum, hd_expectation, coupled_value, reduced_value)."""
     k = state.constants
-    g = GENERATOR_STACK[state.rep]
+    g = DIRAC_STACK
     table = np.concatenate((g, g[3] @ g[:3]))
     mc2 = k.mass * k.c**2
     norm_sq = float(np.real(psi.conj() @ psi))

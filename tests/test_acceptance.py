@@ -96,9 +96,9 @@ def test_criterion_03_angular_eigenvalues():
     ok = True
     for l in range(-5, 6):
         for branch, offset in ((BRANCH_PLUS, 0.5), (BRANCH_MINUS, -0.5)):
-            res = jz_apply(angular_eigenstate(l, branch), K)
+            res = jz_apply(angular_eigenstate(l, branch))
             ok = ok and res.is_eigenstate and res.eigenvalue == K.hbar * (l + offset)
-    mixed = jz_apply(CylindricalSpinor(angular_indices=(0, 2, 0, 1)), K)
+    mixed = jz_apply(CylindricalSpinor(angular_indices=(0, 2, 0, 1)))
     ok = ok and not mixed.is_eigenstate and mixed.eigenvalue is None
     _verdict(3, "axial angular momentum exactly hbar*(l +- 1/2) on both branches, "
                 "mixed pattern rejected", ok)

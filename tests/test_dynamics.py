@@ -43,7 +43,6 @@ from diraclab.errors import DomainError
 from diraclab.matrices import (
     SIGMA_BLOCKS,
     GeneratorKind,
-    Representation,
     dirac_generator,
     identity,
     mat_exp,
@@ -52,7 +51,6 @@ from diraclab.matrices import (
 K = PhysicalConstants()
 SI = PhysicalConstants(hbar=1.054571817e-34, c=299792458.0, mass=9.1093837015e-31,
                        charge=1.602176634e-19)
-REPS = (Representation.PAULI_DIRAC, Representation.STANDARD)
 
 finite_momentum = st.tuples(
     st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
@@ -98,29 +96,28 @@ def test_production_side_never_reaches_the_oracles_linear_algebra(monkeypatch):
                         (np.linalg, "solve"), (dynamics, "mat_exp"), (matrices, "mat_exp")):
         monkeypatch.setattr(owner, name, refuse)
     times = np.linspace(0.0, 3.0, 9)
-    for rep in REPS:
-        state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K, rep=rep)
-        hamiltonian(state)
-        for j in (1, 2, 3):
-            eta_matrix(state, j)
-            zbw_closed_form(state, j, 0.7)
-            velocity_direction(state, j, 0.7)
-        for sign in (1, -1):
-            for spin in ("up", "down"):
-                eigenspinor(state, sign, spin, (0.4, 1.1))
-        psi = max_mixing_state(state)
-        zbw_trajectory(state, psi, times)
-        for oracle in (lambda: alpha_evolved_oracle(state, 1, 0.7),
-                       lambda: spectrum(state),
-                       lambda: velocity_signal(state, psi, times)):
-            with pytest.raises(Reached):
-                oracle()
+    state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K)
+    hamiltonian(state)
+    for j in (1, 2, 3):
+        eta_matrix(state, j)
+        zbw_closed_form(state, j, 0.7)
+        velocity_direction(state, j, 0.7)
+    for sign in (1, -1):
+        for spin in ("up", "down"):
+            eigenspinor(state, sign, spin, (0.4, 1.1))
+    psi = max_mixing_state(state)
+    zbw_trajectory(state, psi, times)
+    for oracle in (lambda: alpha_evolved_oracle(state, 1, 0.7),
+                   lambda: spectrum(state),
+                   lambda: velocity_signal(state, psi, times)):
+        with pytest.raises(Reached):
+            oracle()
 
 
 def test_rest_hamiltonian_inverse_frozen():
     # H(p=0)^-1 = beta / (m C^2)
     state = MomentumState(p=np.zeros(3), constants=K)
-    beta = dirac_generator(GeneratorKind.BETA, Representation.PAULI_DIRAC)
+    beta = dirac_generator(GeneratorKind.BETA)
     assert np.max(np.abs(np.linalg.inv(hamiltonian(state)) - beta)) <= 1e-14
 
 
@@ -173,24 +170,23 @@ def _assert_matches_reference(state, axis):
 
 @settings(max_examples=150, deadline=None)
 @given(finite_momentum, st.floats(0.2, 5.0), st.floats(0.2, 5.0),
-       st.floats(0.0, math.pi), st.floats(-math.pi, math.pi), st.sampled_from(REPS))
-def test_eigenspinor_matches_eigh_reference(p, c, mass, theta, phi, rep):
+       st.floats(0.0, math.pi), st.floats(-math.pi, math.pi))
+def test_eigenspinor_matches_eigh_reference(p, c, mass, theta, phi):
     k = PhysicalConstants(hbar=1.0, c=c, mass=mass, charge=K.charge)
-    _assert_matches_reference(MomentumState(p=np.array(p), constants=k, rep=rep), (theta, phi))
+    _assert_matches_reference(MomentumState(p=np.array(p), constants=k), (theta, phi))
 
 
-@pytest.mark.parametrize("rep", REPS, ids=lambda r: r.value)
 @pytest.mark.parametrize("p_over_mc, axis", [
     ((0.7, -0.3, 0.0), (0.0, 0.0)),
     ((0.0, 0.0, 0.4), (math.pi / 2, 0.0)),
     ((0.0, 2.5, 0.0), (math.pi / 2, 0.0)),
     ((1e-3, 0.0, 0.0), (0.0, 0.0)),
 ], ids=["xy-vs-z", "z-vs-x", "fast-y-vs-x", "slow-x-vs-z"])
-def test_eigenspinor_si_constants_momentum_across_spin_axis(rep, p_over_mc, axis):
+def test_eigenspinor_si_constants_momentum_across_spin_axis(p_over_mc, axis):
     # SI scales (m C^2 ~ 8e-14) with p perpendicular to n: the restricted
     # spin operator is then (2 m C^2 / (E + m C^2)) sigma.n, nothing cancels.
     mc = SI.mass * SI.c
-    state = MomentumState(p=mc * np.array(p_over_mc), constants=SI, rep=rep)
+    state = MomentumState(p=mc * np.array(p_over_mc), constants=SI)
     _assert_matches_reference(state, axis)
     for sign in (1, -1):
         u = eigenspinor(state, sign, "up", axis)
@@ -293,33 +289,36 @@ def test_mixed_state_oscillates_at_twice_energy():
     assert abs(fitted - want) <= 0.01 * want
 
 
+def _mix(state, axis):
+    """Equal-weight mix of the two energy signs, both spin up along axis."""
+    return (eigenspinor(state, 1, "up", axis) + eigenspinor(state, -1, "up", axis)) / math.sqrt(2)
+
+
 def test_trajectory_expectation_matches_direct_route():
     # two-component fast path against literal matrix expectations
     rng = np.random.default_rng(26)
     p = rng.uniform(-1, 1, 3)
     arbitrary = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     times = np.linspace(0.1, 2.0, 7)
-    for rep in REPS:
-        state = MomentumState(p=p, constants=K, rep=rep)
-        for psi in (max_mixing_state(state, (1.1, -0.4)), arbitrary / np.linalg.norm(arbitrary)):
-            traj = zbw_trajectory(state, psi, times)
-            for i, t in enumerate(traj.t):
-                for j in (1, 2, 3):
-                    closed = zbw_closed_form(state, j, t)
-                    drift = float(np.real(psi.conj() @ (closed.drift_matrix @ psi)))
-                    zbw = float(np.real(psi.conj() @ (closed.zbw_matrix @ psi)))
-                    assert abs(traj.drift[i, j - 1] - drift) <= 1e-12
-                    assert abs(traj.zbw[i, j - 1] - zbw) <= 1e-12
+    state = MomentumState(p=p, constants=K)
+    for psi in (_mix(state, (1.1, -0.4)), arbitrary / np.linalg.norm(arbitrary)):
+        traj = zbw_trajectory(state, psi, times)
+        for i, t in enumerate(traj.t):
+            for j in (1, 2, 3):
+                closed = zbw_closed_form(state, j, t)
+                drift = float(np.real(psi.conj() @ (closed.drift_matrix @ psi)))
+                zbw = float(np.real(psi.conj() @ (closed.zbw_matrix @ psi)))
+                assert abs(traj.drift[i, j - 1] - drift) <= 1e-12
+                assert abs(traj.zbw[i, j - 1] - zbw) <= 1e-12
 
 
-@pytest.mark.parametrize("rep", REPS, ids=lambda r: r.value)
-def test_trajectory_physical_zeros_are_exact(rep):
+def test_trajectory_physical_zeros_are_exact():
     # An equal-weight mix does not drift and trembles only along its spin
     # axis; an eigenstate does not tremble.  Those cells are exact zeros,
     # not rounding residues.
     times = np.linspace(0.0, 12.0, 50)
     for p in ((0.3, -0.2, 0.5), (0.5, 0.0, 0.0), (-0.8, 0.5, 0.0), (0.14, -0.94, -0.73)):
-        state = MomentumState(p=np.array(p), constants=K, rep=rep)
+        state = MomentumState(p=np.array(p), constants=K)
         mix = zbw_trajectory(state, max_mixing_state(state), times)
         assert not np.any(mix.drift)
         assert not np.any(mix.zbw[:, :2]) and not np.any(mix.total[:, :2])
@@ -335,15 +334,14 @@ def test_trajectory_physical_zeros_are_exact(rep):
 def test_velocity_signal_matches_literal_conjugation():
     rng = np.random.default_rng(27)
     times = np.linspace(-1.0, 2.5, 6)
-    for rep in REPS:
-        state = MomentumState(p=rng.uniform(-1, 1, 3), constants=K, rep=rep)
-        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi = psi / np.linalg.norm(psi)
-        got = velocity_signal(state, psi, times)
-        for i, t in enumerate(times):
-            for j in (1, 2, 3):
-                want = K.c * np.vdot(psi, alpha_evolved_oracle(state, j, t) @ psi)
-                assert abs(got[i, j - 1] - want.real) <= 1e-13
+    state = MomentumState(p=rng.uniform(-1, 1, 3), constants=K)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi = psi / np.linalg.norm(psi)
+    got = velocity_signal(state, psi, times)
+    for i, t in enumerate(times):
+        for j in (1, 2, 3):
+            want = K.c * np.vdot(psi, alpha_evolved_oracle(state, j, t) @ psi)
+            assert abs(got[i, j - 1] - want.real) <= 1e-13
 
 
 def test_velocity_signal_is_real_under_si_constants():
@@ -468,7 +466,7 @@ def test_eigenstates_fit_zero_and_mixes_fit_twice_the_energy(p, c, sign, spin, a
     state = MomentumState(p=np.array(p), constants=PhysicalConstants(c=c))
     assert fitted_zbw_frequency(state, eigenspinor(state, sign, spin, axis)) == 0.0
     want = 2.0 * state.energy / state.constants.hbar
-    assert abs(fitted_zbw_frequency(state, max_mixing_state(state, axis)) - want) <= 0.01 * want
+    assert abs(fitted_zbw_frequency(state, _mix(state, axis)) - want) <= 0.01 * want
 
 
 @pytest.mark.filterwarnings("error")
@@ -488,6 +486,45 @@ def test_fit_dominant_frequency_rejects_bad_sampling():
     with pytest.raises(DomainError):
         fit_dominant_frequency(np.array([0.0, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]),
                                np.ones(8))
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_dominant_frequency_refuses_times_that_do_not_increase():
+    # reversed times used to fit sin(3 t) as -3.004, and equal times to
+    # return inf after a division by zero
+    times = np.linspace(0.0, 10.0, 64)
+    signal = np.sin(3.0 * times)
+    for bad in (times[::-1], np.full(64, 2.0)):
+        with pytest.raises(DomainError, match="must increase"):
+            fit_dominant_frequency(bad, signal)
+
+
+def test_a_stack_of_spinors_is_refused_where_one_is_expected():
+    state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K)
+    stack = np.array([max_mixing_state(state), eigenspinor(state, 1, "up")])
+    times = np.linspace(0.0, 1.0, 8)
+    for call in (lambda: zbw_trajectory(state, stack, times),
+                 lambda: velocity_signal(state, stack, times),
+                 lambda: fitted_zbw_frequency(state, stack)):
+        with pytest.raises(DomainError, match="one spinor"):
+            call()
+
+
+def test_booleans_are_not_numbers():
+    from diraclab.lattice import Grid3, convergence_study, make_preset
+    from diraclab.matrices import pauli
+
+    state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K)
+    for flag in (True, np.True_):
+        for call in (lambda: Grid3(9, flag),
+                     lambda: convergence_study(make_preset("uniform_b"), (flag, 0.5, 0.25)),
+                     lambda: velocity_operator(flag, K),
+                     lambda: eta_matrix(state, flag),
+                     lambda: eta_matrix(state, [1, flag]),
+                     lambda: pauli(flag),
+                     lambda: eigenspinor(state, flag)):
+            with pytest.raises(DomainError):
+                call()
 
 
 def test_trajectory_csv_format():
@@ -750,13 +787,12 @@ def test_fit_refuses_a_window_that_overflows_or_underflows(hbar):
 
 # --- stacks: a state of n momenta gives its single-momentum results bit for bit ---
 
-@pytest.mark.parametrize("rep", REPS)
-def test_stacked_closed_forms_and_oracles_equal_their_single_rows(rep):
+def test_stacked_closed_forms_and_oracles_equal_their_single_rows():
     rng = np.random.default_rng(90)
     k = PhysicalConstants(hbar=1.2, c=0.8, mass=1.3, charge=0.5)
     momenta = rng.uniform(-2, 2, (9, 3))
-    stack = MomentumState(p=momenta, constants=k, rep=rep)
-    states = [MomentumState(p=p, constants=k, rep=rep) for p in momenta]
+    stack = MomentumState(p=momenta, constants=k)
+    states = [MomentumState(p=p, constants=k) for p in momenta]
     js = [int(v) for v in rng.integers(1, 4, 9)]
     ts = rng.uniform(-3, 3, 9)
     stacked = {
@@ -787,7 +823,7 @@ def test_stacked_closed_forms_and_oracles_equal_their_single_rows(rep):
     # against the rows' leading axes
     assert np.array_equal(zbw_closed_form(stack, 2, 0.0).zbw_matrix,
                           np.array([zbw_closed_form(s, 2, 0.0).zbw_matrix for s in states]))
-    grid = MomentumState(p=momenta.reshape(3, 3, 3), constants=k, rep=rep)
+    grid = MomentumState(p=momenta.reshape(3, 3, 3), constants=k)
     assert np.array_equal(eta_matrix(grid, [1, 2, 3]),
                           np.array([[eta_matrix(states[3 * a + b], b + 1) for b in range(3)]
                                     for a in range(3)]))

@@ -208,12 +208,11 @@ def test_self_action_expectation_equals_energy_on_eigenstates():
 RESULT_FIELDS = ("norm_sq", "overlap_sum", "hd_expectation", "coupled_value", "reduced_value")
 
 
-@pytest.mark.parametrize("rep", REPS)
-def test_stacked_self_action_equals_its_single_rows(rep):
+def test_stacked_self_action_equals_its_single_rows():
     rng = np.random.default_rng(40)
     states, psis = [], []
     for i in range(12):
-        state = MomentumState(p=rng.uniform(-2, 2, 3), constants=K, rep=rep)
+        state = MomentumState(p=rng.uniform(-2, 2, 3), constants=K)
         if i % 3:
             psi = eigenspinor(state, 1 if i % 2 else -1, "up", (0.4 * i, 0.3 * i))
         else:  # away from the eigenstates, where the cross sum does not vanish
@@ -221,7 +220,7 @@ def test_stacked_self_action_equals_its_single_rows(rep):
             psi = psi / np.linalg.norm(psi)
         states.append(state)
         psis.append(psi)
-    stack = MomentumState(p=[s.p for s in states], constants=K, rep=rep)
+    stack = MomentumState(p=[s.p for s in states], constants=K)
     stacked = self_action_reduction(np.array(psis), stack)
     singles = [self_action_reduction(psi, state) for psi, state in zip(psis, states)]
     for name in RESULT_FIELDS:
@@ -229,9 +228,9 @@ def test_stacked_self_action_equals_its_single_rows(rep):
         assert got.shape == (12,)
         assert np.array_equal(got, np.array([getattr(s, name) for s in singles])), name
     assert type(singles[0].norm_sq) is float and type(singles[0].overlap_sum) is complex
-    pots = self_potentials(np.array(psis), K, rep)
+    pots = self_potentials(np.array(psis), K)
     for i, psi in enumerate(psis):
-        one = self_potentials(psi, K, rep)
+        one = self_potentials(psi, K)
         assert np.array_equal(pots.a[i], one.a)
         assert pots.phi[i] == one.phi and pots.imag_magnitude[i] == one.imag_magnitude
 
@@ -275,19 +274,17 @@ def test_stacked_self_action_and_rest_energy_give_the_scalar_bits():
 
     rng = np.random.default_rng(43)
     k = PhysicalConstants(hbar=0.9, c=1.3, mass=0.8, charge=0.6)
-    momenta = rng.uniform(-2, 2, (80, 3))
-    for rep in REPS:
-        group = [MomentumState(p=p, constants=k, rep=rep) for p in momenta[REPS.index(rep)::2]]
-        psis = rng.standard_normal((len(group), 4)) + 1j * rng.standard_normal((len(group), 4))
-        psis = psis / np.linalg.norm(psis, axis=1, keepdims=True)
-        psis[::2] = [eigenspinor(s, 1, "down", (0.2, 1.0)) for s in group[::2]]
-        got = self_action_reduction(psis, MomentumState(p=momenta[REPS.index(rep)::2],
-                                                        constants=k, rep=rep))
-        for i, (psi, state) in enumerate(zip(psis, group)):
-            want = ref.self_action_reduction(psi, state)
-            assert [getattr(got, name)[i] for name in RESULT_FIELDS] == list(want)
-            one = self_action_reduction(psi, state)
-            assert [getattr(one, name) for name in RESULT_FIELDS] == list(want)
+    momenta = rng.uniform(-2, 2, (40, 3))
+    group = [MomentumState(p=p, constants=k) for p in momenta]
+    psis = rng.standard_normal((len(group), 4)) + 1j * rng.standard_normal((len(group), 4))
+    psis = psis / np.linalg.norm(psis, axis=1, keepdims=True)
+    psis[::2] = [eigenspinor(s, 1, "down", (0.2, 1.0)) for s in group[::2]]
+    got = self_action_reduction(psis, MomentumState(p=momenta, constants=k))
+    for i, (psi, state) in enumerate(zip(psis, group)):
+        want = ref.self_action_reduction(psi, state)
+        assert [getattr(got, name)[i] for name in RESULT_FIELDS] == list(want)
+        one = self_action_reduction(psi, state)
+        assert [getattr(one, name) for name in RESULT_FIELDS] == list(want)
     theta, phi = np.arccos(rng.uniform(-1, 1, 25)), rng.uniform(-math.pi, math.pi, 25)
     assert rest_energy(theta, phi, k).tolist() == [ref.rest_energy(a, b, k)
                                                    for a, b in zip(theta.tolist(), phi.tolist())]

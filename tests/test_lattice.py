@@ -194,13 +194,6 @@ def test_extraction_zero_preset_exact_zero():
     assert res.e_error == 0.0
 
 
-def test_extraction_requires_three_test_functions():
-    grid = Grid3(n=9, h=0.2)
-    with pytest.raises(DomainError):
-        commutator_field_extract(make_preset("zero"), grid,
-                                 test_fields=default_test_fields()[:2], constants=K)
-
-
 def test_convergence_second_order_uniform_b():
     study = convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05), K)
     assert study.grid_sizes == (9, 17, 33)
@@ -378,16 +371,21 @@ def _nan_test_fields():
     def nan_values(x, y, z):
         return np.full(np.shape(x), np.nan + 0.0j)
 
-    return [lattice_mod.TestField(name=f"nan{i}", values=nan_values, gradient=None,
-                                  hessian=None) for i in range(3)]
+    return [lattice_mod.TestField(values=nan_values, gradient=None, hessian=None)
+            for _ in range(3)]
 
 
-def test_all_nan_estimates_raise_instead_of_reading_zero():
+def _use_test_fields(monkeypatch, fields):
+    """Make the extraction walk fields in place of default_test_fields()."""
+    monkeypatch.setattr(lattice_mod, "default_test_fields", lambda: list(fields))
+
+
+def test_all_nan_estimates_raise_instead_of_reading_zero(monkeypatch):
     # NaN samples are not weak (|NaN| < floor is False), so every estimate
     # is NaN on cells no mask excuses: the old reduction reported 0 here.
+    _use_test_fields(monkeypatch, _nan_test_fields())
     with pytest.raises(ArithmeticError):
-        commutator_field_extract(make_preset("uniform_b"), Grid3(n=9, h=0.2),
-                                 _nan_test_fields(), K)
+        commutator_field_extract(make_preset("uniform_b"), Grid3(n=9, h=0.2), K)
 
 
 def test_convergence_to_dict_layout():
@@ -539,9 +537,9 @@ def test_every_hbar_gives_the_same_order(name):
 def test_extraction_matches_full_box_reference(name, n, h):
     cfg = _config(name)
     grid = Grid3(n=n, h=h)
-    fields = default_test_fields()
-    res = commutator_field_extract(cfg, grid, fields, K)
-    h_error, e_error, spread, excluded, h_field, e_field = _full_box_extract(cfg, grid, fields, K)
+    res = commutator_field_extract(cfg, grid, K)
+    h_error, e_error, spread, excluded, h_field, e_field = _full_box_extract(
+        cfg, grid, default_test_fields(), K)
     _assert_within_ulps(res.h_error, h_error)
     _assert_within_ulps(res.e_error, e_error)
     _assert_within_ulps(res.function_deviation, spread)
@@ -557,16 +555,17 @@ def _vanishing_on_plane(x0, k_vec):
     def values(x, y, z):
         return (x - x0) * np.exp(1j * (kx * x + ky * y + kz * z))
 
-    return lattice_mod.TestField(name="vanishing", values=values, gradient=None, hessian=None)
+    return lattice_mod.TestField(values=values, gradient=None, hessian=None)
 
 
-def test_weak_amplitude_points_are_excluded():
+def test_weak_amplitude_points_are_excluded(monkeypatch):
     grid = Grid3(n=17, h=0.1)
     x0 = grid.axis[10]  # an interior plane: index 10 lies between 2 and n - 3
     fields = [_vanishing_on_plane(x0, kv)
               for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
+    _use_test_fields(monkeypatch, fields)
     cfg = make_preset("uniform_b")
-    res = commutator_field_extract(cfg, grid, fields, K)
+    res = commutator_field_extract(cfg, grid, K)
     m = grid.n - 4
     assert res.excluded_points == len(fields) * m * m
     assert math.isfinite(res.h_error) and math.isfinite(res.e_error)
@@ -637,9 +636,10 @@ def test_weak_plane_on_a_slab_boundary_does_not_change_a_bit(monkeypatch, n):
         x0 = grid.axis[plane]
         fields = [_vanishing_on_plane(x0, kv)
                   for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
+        _use_test_fields(monkeypatch, fields)
         _extract_at_each_setting(
-            monkeypatch, n, lambda: commutator_field_extract(cfg, grid, fields, K))
-        res = commutator_field_extract(cfg, grid, fields, K)
+            monkeypatch, n, lambda: commutator_field_extract(cfg, grid, K))
+        res = commutator_field_extract(cfg, grid, K)
         assert res.excluded_points == len(fields) * (n - 4) ** 2
 
 
@@ -670,6 +670,17 @@ def test_leaving_out_dead_terms_does_not_change_a_bit(monkeypatch, name, n, ampl
     assert _extraction_bits(commutator_field_extract(cfg, grid, constants=K)) == pruned
 
 
+@pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
+def test_analytic_fold_of_the_live_components_does_not_change_a_bit(monkeypatch, name):
+    # the default test functions' Hessians are symmetric to the bit, so the
+    # analytic estimates of a component the field cannot move are exact zeros
+    cfg = _config(name)
+    grid = Grid3(n=17, h=0.1)
+    pruned = _extraction_bits(commutator_field_extract(cfg, grid, K, mode="analytic"))
+    monkeypatch.setattr(lattice_mod, "_live_terms", _all_live)
+    assert _extraction_bits(commutator_field_extract(cfg, grid, K, mode="analytic")) == pruned
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_leaving_out_dead_terms_does_not_change_the_n65_study(monkeypatch, name):
     # all-live also makes the study fold every component, dead ones included
@@ -681,18 +692,18 @@ def test_leaving_out_dead_terms_does_not_change_the_n65_study(monkeypatch, name)
 
 
 @pytest.mark.parametrize("name", ["linear_phi", "zero"])
-def test_all_nan_estimates_raise_where_a_whole_block_is_dead(name):
+def test_all_nan_estimates_raise_where_a_whole_block_is_dead(monkeypatch, name):
     # linear_phi's H estimates and all of zero's are 0 times the
     # denominator, which stays NaN where the samples are
-    fields = _nan_test_fields()
+    _use_test_fields(monkeypatch, _nan_test_fields())
     with pytest.raises(ArithmeticError):
-        commutator_field_extract(make_preset(name), Grid3(n=9, h=0.2), fields, K)
+        commutator_field_extract(make_preset(name), Grid3(n=9, h=0.2), K)
     with pytest.raises(ArithmeticError):
-        convergence_study(make_preset(name), (0.2, 0.1, 0.05), K, test_fields=fields)
+        convergence_study(make_preset(name), (0.2, 0.1, 0.05), K)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_a_nan_sample_reads_nan_not_zero(name):
+def test_a_nan_sample_reads_nan_not_zero(monkeypatch, name):
     # every estimate is divided by psi, or is 0 times that denominator, so a
     # cell whose samples are NaN keeps NaN intensities even where the
     # commutators are dead
@@ -705,11 +716,11 @@ def test_a_nan_sample_reads_nan_not_zero(name):
         def values(x, y, z):
             return np.where((x == x0) & (y == x0) & (z == x0), np.nan + 0.0j, wave(x, y, z))
 
-        return lattice_mod.TestField(name="nan_center", values=values, gradient=None,
-                                     hessian=None)
+        return lattice_mod.TestField(values=values, gradient=None, hessian=None)
 
-    fields = [nan_at_center(kv) for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
-    res = commutator_field_extract(make_preset(name), grid, fields, K)
+    _use_test_fields(monkeypatch, [nan_at_center(kv) for kv in
+                                   ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))])
+    res = commutator_field_extract(make_preset(name), grid, K)
     assert np.isnan(res.h_field[:, 4, 4, 4]).all() and np.isnan(res.e_field[:, 4, 4, 4]).all()
     assert np.isfinite(res.h_field[:, 2, 2, 2]).all() and np.isfinite(res.e_field[:, 2, 2, 2]).all()
 
@@ -837,13 +848,6 @@ def test_convergence_errors_down_to_n65_are_locked(name):
     study = convergence_study(make_preset(name, 1.3, 0.7), (0.2, 0.1, 0.05, 0.025), K)
     assert study.grid_sizes == (9, 17, 33, 65)
     assert [err.hex() for err in study.errors] == N65_ERRORS_HEX[name]
-
-
-def test_convergence_study_reads_a_one_shot_iterator_once():
-    cfg = make_preset("uniform_b")
-    spacings = (0.2, 0.1, 0.05)
-    study = convergence_study(cfg, spacings, K, test_fields=iter(default_test_fields()))
-    assert study.errors == convergence_study(cfg, spacings, K).errors
 
 
 # sha256 of the JSON table written by the README invocation

@@ -201,9 +201,9 @@ def test_mat_exp_hermitian_argument_gives_unitary(seed):
 
 
 def test_dirac_generator_is_view_safe():
-    g1 = dirac_generator(GeneratorKind.BETA, Representation.PAULI_DIRAC)
+    g1 = dirac_generator(GeneratorKind.BETA)
     g1[0, 0] = 99.0
-    g2 = dirac_generator(GeneratorKind.BETA, Representation.PAULI_DIRAC)
+    g2 = dirac_generator(GeneratorKind.BETA)
     assert g2[0, 0] == 1.0, "callers must not be able to corrupt the cached set"
 
 
@@ -239,9 +239,11 @@ LITERAL_GENERATORS = {
 @pytest.mark.parametrize("rep,kind", list(LITERAL_GENERATORS), ids=lambda v: v.name)
 def test_generator_table_matches_literal(rep, kind):
     want = LITERAL_GENERATORS[(rep, kind)]
-    got = dirac_generator(kind, rep)
+    got = generators(rep)[kind.value - 1]
     assert got.dtype == complex and np.array_equal(got, want)
     assert np.array_equal(GENERATOR_STACK[rep][kind.value - 1], want)
+    if rep is Representation.PAULI_DIRAC:
+        assert np.array_equal(dirac_generator(kind), want)
 
 
 def test_pauli_and_sigma_block_tables_match_literal():

