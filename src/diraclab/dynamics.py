@@ -72,6 +72,10 @@ class MomentumState:
     constants: PhysicalConstants
 
     def __post_init__(self):
+        raw = self.p  # an array says by its dtype alone whether it holds booleans
+        if raw.dtype == bool if isinstance(raw, np.ndarray) else any(
+                isinstance(v, (bool, np.bool_)) for v in np.ravel(np.array(raw, dtype=object))):
+            raise DomainError(f"momentum components must be real numbers, got {raw!r}")
         p = np.array(self.p, dtype=float)
         if p.ndim == 0 or p.shape[-1] != 3 or not np.isfinite(p).all():
             raise DomainError(f"momentum must be 3 finite reals, or a (..., 3) stack of them, "

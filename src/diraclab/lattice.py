@@ -118,6 +118,8 @@ class Grid3:
 
 def make_preset(name: str, b0: float = 1.0, e0: float = 1.0) -> LinearPotentials:
     """The named field: a uniform H = (0, 0, b0), a uniform E = (e0, 0, 0), or none."""
+    if isinstance(b0, (bool, np.bool_)) or isinstance(e0, (bool, np.bool_)):
+        raise DomainError(f"b0 and e0 must be real numbers, got {b0!r} and {e0!r}")
     if name == "uniform_b":
         return symmetric_gauge(b0)
     if name == "linear_phi":

@@ -205,8 +205,9 @@ def mat_exp(a) -> np.ndarray:
         return m.copy()
     stack = m.reshape((-1,) + m.shape[-2:])
     htol = 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
-    herm = _hermitian_gap(stack) <= htol
-    skew = ~herm & (_hermitian_gap(-1j * stack) <= htol)
+    gap, skew_gap = _hermitian_gap(stack), _hermitian_gap(-1j * stack)
+    herm = (gap <= htol) & (gap <= skew_gap)  # one below htol is near both: take the nearer
+    skew = ~herm & (skew_gap <= htol)
     if not (herm | skew).all():
         raise DomainError("mat_exp needs a Hermitian or skew-Hermitian matrix")
     out = np.empty_like(stack)

@@ -368,6 +368,8 @@ class CylindricalSpinor:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
+        if any(isinstance(v, (bool, np.bool_)) for v in self.angular_indices):
+            raise DomainError(f"angular_indices must be integers, got {self.angular_indices!r}")
         idx = tuple(int(v) for v in self.angular_indices)
         if len(idx) != 4:
             raise DomainError("angular_indices must have 4 entries")
@@ -424,7 +426,7 @@ def angular_eigenstate(l: int, branch: str, **kw) -> CylindricalSpinor:
     branch "l+1/2" uses exponents (l, l+1, l, l+1); branch "l-1/2" uses
     (l-1, l, l-1, l).
     """
-    if not isinstance(l, int):
+    if not isinstance(l, int) or isinstance(l, bool):
         raise DomainError(f"l must be an integer, got {l!r}")
     if branch == BRANCH_PLUS:
         idx = (l, l + 1, l, l + 1)

@@ -1,18 +1,20 @@
 """Check suites: every claim in the catalogue grouped by subject area.
 
-Each builder draws its randomness from a child generator seeded as
-[run seed, suite index], so suite selection never shifts another suite's
-samples and identical configs replay identical numbers.  A builder returns
-only what it measures, keyed by claim id without the "<suite>." prefix:
-a list of deviations that should vanish (_dev), a (claimed, computed) pair,
-or a Verdict.  run_suite adds the prefix and _judge turns each measurement
-into a Check, reading the claim's eq, tolerance and notes from its row in
-CLAIMS.
+Each family of random samples draws from its own stream, keyed by the run
+seed, the suite and the family's name (_stream); a new family names its own
+stream.  So no family's draws move another's, and identical configs replay
+identical numbers.  A builder returns only what it measures, keyed by claim
+id without the "<suite>." prefix: a list of deviations that should vanish
+(_dev), a (claimed, computed) pair, or a Verdict.  run_suite adds the prefix
+and _judge turns each measurement into a Check, reading the claim's eq,
+tolerance and notes from its row in CLAIMS.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
+from functools import partial
 from itertools import product
 from typing import Any, NamedTuple
 
@@ -332,15 +334,15 @@ def _matrix_devs(got, want=0.0) -> list:
     return np.abs(got - want).max(axis=(-2, -1)).ravel().tolist()
 
 
-def _modulus(z) -> np.ndarray:
-    """|z| rounded as the scalar abs(complex) rounds it, by libm hypot;
-    numpy's complex absolute value can differ in the last bit."""
-    return np.hypot(z.real, z.imag)
+def _complex_normal(rng, shape: tuple) -> np.ndarray:
+    """Complex numbers whose real and imaginary parts are standard normal."""
+    re, im = rng.standard_normal((2, *shape))
+    return re + 1j * im
 
 
 # --- algebra -----------------------------------------------------------------
 
-def build_algebra_suite(config: RunConfig, rng) -> dict:
+def build_algebra_suite(config: RunConfig, draw) -> dict:
     m = {}
     eye2, zero = 2.0 * identity(4), np.zeros((4, 4), dtype=complex)
     spectrum = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -372,9 +374,8 @@ def build_algebra_suite(config: RunConfig, rng) -> dict:
     m["pauli_product_table"] = devs
 
     devs = []
-    parts = rng.standard_normal((4, 2, 4, 4))  # real and imaginary parts of 4 matrices
-    for kind, (re, im) in zip(("hermitian", "hermitian", "skew", "skew"), parts):
-        r = 0.4 * (re + 1j * im)
+    rs = 0.4 * _complex_normal(draw("matrix_exponential"), (4, 4, 4))
+    for kind, r in zip(("hermitian", "hermitian", "skew", "skew"), rs):
         a = r + r.conj().T if kind == "hermitian" else r - r.conj().T
         got = mat_exp(a)
         want = taylor_exp_reference(a)
@@ -385,13 +386,10 @@ def build_algebra_suite(config: RunConfig, rng) -> dict:
 
 # --- states ------------------------------------------------------------------
 
-def _random_cyl_points(rng, count: int) -> np.ndarray:
-    """(count, 4) rows of (rho, phi, z, t), drawn one coordinate at a time."""
-    return np.array([
-        (float(rng.uniform(0.4, 2.0)), float(rng.uniform(-math.pi, math.pi)),
-         float(rng.standard_normal()), float(rng.standard_normal()))
-        for _ in range(count)
-    ])
+def _random_cyl_points(rng, shape: tuple) -> np.ndarray:
+    """shape + (4,) rows of (rho, phi, z, t)."""
+    rho_phi = rng.uniform([0.4, -math.pi], [2.0, math.pi], (*shape, 2))
+    return np.concatenate((rho_phi, rng.standard_normal((*shape, 2))), axis=-1)
 
 
 def _wave_stack(amplitudes, momenta, omegas, constants) -> PlaneWave:
@@ -403,22 +401,16 @@ def _wave_stack(amplitudes, momenta, omegas, constants) -> PlaneWave:
 _ANGULAR_PROFILES = ("gaussian", "unit", "zwave", "gaussian")
 
 
-def build_states_suite(config: RunConfig, rng) -> dict:
+def build_states_suite(config: RunConfig, draw) -> dict:
     k = config.constants
     a1, a2, a3, beta = generators(Representation.PAULI_DIRAC)
     m = {}
 
-    # 12 random waves, each with 4 random points and 4 cylindrical points,
-    # drawn wave by wave and sampled as one stack
-    amps, ps, omegas, pts, cpts = [], [], [], [], []
-    for _ in range(12):
-        amps.append(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        ps.append(2.0 * rng.standard_normal(3))
-        omegas.append(float(rng.standard_normal()))
-        pts.append(rng.standard_normal((4, 4)))
-        cpts.append(_random_cyl_points(rng, 4))
-    waves = _wave_stack(amps, ps, omegas, k)
-    pts, cpts = np.array(pts), np.array(cpts)
+    # 12 random waves, each with 4 random and 4 cylindrical points, sampled as one stack
+    rng = draw("waves")
+    waves = _wave_stack(_complex_normal(rng, (12, 4)), 2.0 * rng.standard_normal((12, 3)),
+                        rng.standard_normal(12), k)
+    pts, cpts = rng.standard_normal((12, 4, 4)), _random_cyl_points(rng, (12, 4))
     rho, phi = cpts[..., :1], cpts[..., 1:2]
     cart = np.concatenate((rho * np.cos(phi), rho * np.sin(phi), cpts[..., 2:]), axis=-1)
     # per wave: its 4 points, the origin, and the cartesian forms of its cylindrical points
@@ -435,43 +427,43 @@ def build_states_suite(config: RunConfig, rng) -> dict:
     m["cylindrical_rows_match"] = _row_devs(
         cylindrical_residual(CylindricalPlaneWave(waves), cpts), rows[:, 5:])
 
-    parts = rng.standard_normal((5, 2, 4))
-    psis = parts[:, 0] + 1j * parts[:, 1]
+    psis = _complex_normal(draw("bispinors"), (5, 4))
     m["split_recompose"] = _row_devs(recompose(split_bispinor(psis)), psis)
 
-    us, ps, omegas, pts = [], [], [], []
-    for _ in range(4):
-        p = rng.uniform(-2.0, 2.0, 3)
-        state = MomentumState(p=p, constants=k)
-        for sign in (1, -1):
-            spin = "up" if rng.integers(0, 2) else "down"
-            us.append(eigenspinor(state, sign, spin))
-            ps.append(p)
-            omegas.append(sign * state.energy / k.hbar)
-            pts.append(rng.standard_normal((3, 4)))
-    waves = _wave_stack(us, ps, omegas, k)
-    m["eigen_wave_residual"] = _matrix_devs(component_residual(waves, np.array(pts)))
+    # 4 momenta, each with both energy signs and a random spin: 8 waves at 3 points each
+    rng = draw("eigen_waves")
+    momenta, ups = np.repeat(rng.uniform(-2.0, 2.0, (4, 3)), 2, axis=0), rng.integers(0, 2, 8)
+    states, signs = [MomentumState(p=p, constants=k) for p in momenta], (1, -1) * 4
+    us = [eigenspinor(s, sign, "up" if up else "down")
+          for s, sign, up in zip(states, signs, ups.tolist())]
+    omegas = [sign * s.energy / k.hbar for s, sign in zip(states, signs)]
+    waves = _wave_stack(us, momenta, omegas, k)
+    m["eigen_wave_residual"] = _matrix_devs(
+        component_residual(waves, rng.standard_normal((8, 3, 4))))
     m["coupled_split_residual"] = _matrix_devs(np.concatenate(coupled_residual(waves), axis=-1))
 
     sz = np.array([1.0, -1.0, 1.0, -1.0])
+    # for each branch and each l in [-5, 5]: weights, omega and two cylindrical points
+    rng = draw("angular")
+    draws = zip(_complex_normal(rng, (2, 11, 4)), rng.standard_normal((2, 11)).tolist(),
+                _random_cyl_points(rng, (2, 11, 2)))
     # (branch, tag, l + 1/2 offset, exponent shifts)
-    for branch, tag, offset, shifts in (
+    for (branch, tag, offset, shifts), (weights, omegas, cyl_points) in zip((
         (BRANCH_PLUS, "plus", 0.5, (0, 1, 0, 1)),
         (BRANCH_MINUS, "minus", -0.5, (-1, 0, -1, 0)),
-    ):
+    ), draws):
         dev_val, sampled = [], []
         indices_ok = True
-        for l in range(-5, 6):
-            weights = tuple(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-            cyl = angular_eigenstate(l, branch, weights=weights, profile_refs=_ANGULAR_PROFILES,
-                                     omega=float(rng.standard_normal()), constants=k)
+        for l, w, omega, points in zip(range(-5, 6), weights, omegas, cyl_points):
+            cyl = angular_eigenstate(l, branch, weights=tuple(w), profile_refs=_ANGULAR_PROFILES,
+                                     omega=omega, constants=k)
             indices_ok &= cyl.angular_indices == tuple(l + d for d in shifts)
             res = jz_apply(cyl)
             if not res.is_eigenstate:
                 dev_val.append(math.inf)
                 continue
             dev_val.append(abs(res.eigenvalue - k.hbar * (l + offset)))
-            sampled.append((cyl, res.eigenvalue, _random_cyl_points(rng, 2)))
+            sampled.append((cyl, res.eigenvalue, points))
         dev_op = []
         if sampled:  # every eigenstate of the family at its two points, in one call
             cyls, values, cpts = zip(*sampled)
@@ -505,24 +497,22 @@ def _position_rate(state, j, t, step: float) -> np.ndarray:
             - (bwd.drift_matrix + bwd.zbw_matrix)) / (2.0 * step)
 
 
-def build_dynamics_suite(config: RunConfig, rng) -> dict:
+def build_dynamics_suite(config: RunConfig, draw) -> dict:
     k = config.constants
     m = {}
 
     # 200 rows of (p, C, mass), drawn and diagonalised as one stack
-    draws = rng.uniform([-3.0, -3.0, -3.0, 0.4, 0.4], [3.0, 3.0, 3.0, 2.5, 2.5], (200, 5))
+    draws = draw("spectrum").uniform([-3.0, -3.0, -3.0, 0.4, 0.4], [3.0, 3.0, 3.0, 2.5, 2.5],
+                                     (200, 5))
     p, c, mass = draws[:, :3], draws[:, 3], draws[:, 4]
-    # powers by np.float_power, the libm pow of the scalar c**2 and mass**2 * c**4
-    c_sq = np.float_power(c, 2)
-    w = np.linalg.eigvalsh(hamiltonians(p, c, mass * c_sq))  # ascending rows
-    p_sq = (p[:, None, :] @ p[:, :, None])[:, 0, 0]  # each p @ p
-    e = np.sqrt(c_sq * p_sq + np.float_power(mass, 2) * np.float_power(c, 4))
+    w = np.linalg.eigvalsh(hamiltonians(p, c, mass * c**2))  # ascending rows
+    e = np.sqrt(c**2 * (p * p).sum(axis=1) + mass**2 * c**4)
     m["energy_spectrum"] = (
         np.abs(w - e[:, None] * [-1.0, -1.0, 1.0, 1.0]).max(axis=1) / e).tolist()
     m["spectrum_degeneracy"] = (
         np.maximum(np.abs(w[:, 0] - w[:, 1]), np.abs(w[:, 2] - w[:, 3])) / e).tolist()
 
-    momenta = rng.uniform(-2.0, 2.0, (6, 3))
+    momenta = draw("momenta").uniform(-2.0, 2.0, (6, 3))
     states = [MomentumState(p=p, constants=k) for p in momenta]
 
     # each closed form below runs once, on the stack of its family's states:
@@ -531,28 +521,22 @@ def build_dynamics_suite(config: RunConfig, rng) -> dict:
     axes = np.tile([1, 2, 3], 6)
     etas = eta_matrix(pairs, axes)
     m["eta_anticommutes"] = _matrix_devs(etas @ pairs.h + pairs.h @ etas)
-    m["eta_traceless"] = _modulus(np.trace(etas, axis1=-2, axis2=-1)).tolist()
+    m["eta_traceless"] = np.abs(np.trace(etas, axis1=-2, axis2=-1)).tolist()
 
     first = MomentumState(p=pairs.p[:9], constants=k)
     m["velocity_at_zero"] = _matrix_devs(
         _position_rate(first, axes[:9], 0.0, 1e-6),
         np.array([velocity_operator(j, k) for j in axes[:9].tolist()]))
 
-    picked, ts, js = [], [], []  # per-sample draws: integers interleave them
-    for _ in range(18):
-        picked.append(int(rng.integers(0, len(states))))
-        ts.append(float(rng.uniform(-3.0, 3.0)))
-        js.append(int(rng.integers(1, 4)))
-    picked = MomentumState(p=momenta[picked], constants=k)
+    rng = draw("evolution")
+    picked = MomentumState(p=momenta[rng.integers(0, len(states), 18)], constants=k)
+    ts, js = rng.uniform(-3.0, 3.0, 18), rng.integers(1, 4, 18)
     m["velocity_direction_evolution"] = _matrix_devs(
         velocity_direction(picked, js, ts), alpha_evolved_oracle(picked, js, ts))
 
-    drawn, ts, js = [], [], []
-    for _ in range(20):
-        drawn.append(rng.uniform(-1.5, 1.5, 3))
-        ts.append(float(rng.uniform(0.1, 3.0)))
-        js.append(int(rng.integers(1, 4)))
-    drawn, ts = MomentumState(p=np.array(drawn), constants=k), np.array(ts)
+    rng = draw("position_rate")
+    drawn = MomentumState(p=rng.uniform(-1.5, 1.5, (20, 3)), constants=k)
+    ts, js = rng.uniform(0.1, 3.0, 20), rng.integers(1, 4, 20)
     m["position_rate_matches_velocity"] = _matrix_devs(
         _position_rate(drawn, js, ts, 1e-5), k.c * alpha_evolved_oracle(drawn, js, ts))
 
@@ -571,7 +555,7 @@ def build_dynamics_suite(config: RunConfig, rng) -> dict:
     m["eigenstate_no_oscillation"] = dev_osc
     m["eigenstate_drift_linear"] = dev_lin
 
-    state = MomentumState(p=rng.uniform(-1.0, 1.0, 3), constants=k)
+    state = MomentumState(p=draw("fft_state").uniform(-1.0, 1.0, 3), constants=k)
     omega = 2.0 * state.energy / k.hbar
     m["zbw_frequency_fft"] = (omega, fitted_zbw_frequency(state), _fft_bound(omega))
 
@@ -596,21 +580,25 @@ def build_dynamics_suite(config: RunConfig, rng) -> dict:
 
 # --- fields ------------------------------------------------------------------
 
-def _random_direction(rng) -> tuple:
-    """(theta, phi) of a direction drawn uniformly on the sphere."""
-    return math.acos(float(rng.uniform(-1.0, 1.0))), float(rng.uniform(-math.pi, math.pi))
+def _random_directions(rng, count: int) -> tuple:
+    """(theta, phi) arrays of count directions drawn uniformly on the sphere."""
+    cos_theta, phi = rng.uniform([-1.0, -math.pi], [1.0, math.pi], (count, 2)).T
+    return np.arccos(cos_theta), phi
 
 
-def random_eigen_sample(rng, constants: PhysicalConstants):
-    """One deterministic random eigenspinor: (state, spinor)."""
-    p = rng.uniform(-2.0, 2.0, 3)
-    state = MomentumState(p=p, constants=constants)
-    sign = 1 if rng.integers(0, 2) else -1
-    spin = "up" if rng.integers(0, 2) else "down"
-    return state, eigenspinor(state, sign, spin, _random_direction(rng))
+def random_eigen_samples(rng, count: int, constants: PhysicalConstants):
+    """count random eigenspinors, each of a random energy sign and of spin up
+    or down along a random axis: ((count, 4) spinors, their count-row state)."""
+    p = rng.uniform(-2.0, 2.0, (count, 3))
+    signs, ups = rng.integers(0, 2, (2, count)).tolist()
+    theta, phi = _random_directions(rng, count)
+    us = [eigenspinor(MomentumState(p=row, constants=constants), 1 if sign else -1,
+                      "up" if up else "down", axis)
+          for row, sign, up, axis in zip(p, signs, ups, zip(theta.tolist(), phi.tolist()))]
+    return np.array(us), MomentumState(p=p, constants=constants)
 
 
-def build_fields_suite(config: RunConfig, rng) -> dict:
+def build_fields_suite(config: RunConfig, draw) -> dict:
     k = config.constants
     m = {}
 
@@ -631,9 +619,9 @@ def build_fields_suite(config: RunConfig, rng) -> dict:
     # the run's constants, then 7 random sets (hbar, C, mass, charge); narrow
     # ranges keep 2 m^2 C^3 / (e hbar) small enough that the two routes,
     # rounded independently, stay within 1e-14 of each other
-    route_draws = rng.uniform([0.9, 0.8, 0.8, 0.9], [1.5, 1.2, 1.2, 1.5], (7, 4))
+    routes = draw("route_constants").uniform([0.9, 0.8, 0.8, 0.9], [1.5, 1.2, 1.2, 1.5], (7, 4))
     dev_expected, dev_routes, dev_e_comm, dev_e_sub = [], [], [], []
-    for kc in [k] + [PhysicalConstants(*row) for row in route_draws.tolist()]:
+    for kc in [k] + [PhysicalConstants(*row) for row in routes.tolist()]:
         expected = np.stack([expected_self_h(kc, ax) for ax in (1, 2, 3)])
         for rep in (Representation.PAULI_DIRAC, Representation.STANDARD):
             via_comm = self_fields_commutator(kc, rep)
@@ -647,19 +635,16 @@ def build_fields_suite(config: RunConfig, rng) -> dict:
     m["self_e_zero_commutator"] = dev_e_comm
     m["self_e_zero_substitution"] = dev_e_sub
 
-    b0 = float(rng.uniform(0.5, 2.0))
-    e0 = float(rng.uniform(0.5, 2.0))
-    gauge = symmetric_gauge(b0)
-    scalar = linear_scalar(e0)
+    rng = draw("classical")
+    b0, e0 = rng.uniform(0.5, 2.0, 2).tolist()
+    gauge, scalar = symmetric_gauge(b0), linear_scalar(e0)
     pts = tuple(rng.uniform(-2.0, 2.0, (10, 3)).T)  # 10 points as (x, y, z) arrays
     m["classical_curl"] = _row_devs(
         np.array(classical_maxwell_reference(gauge, pts).h).T, np.array([0.0, 0.0, b0]))
     m["classical_gradient"] = _row_devs(
         np.array(classical_maxwell_reference(scalar, pts).e).T, np.array([e0, 0.0, 0.0]))
 
-    # 100 directions (acos(u), phi), uniform on the sphere; acos is libm's per value
-    u, phi = rng.uniform([-1.0, -math.pi], [1.0, math.pi], (100, 2)).T
-    theta = np.array([math.acos(v) for v in u.tolist()])
+    theta, phi = _random_directions(draw("spin_directions"), 100)
     m["rest_energy_isotropic"] = (np.abs(rest_energy(theta, phi, k) - k.mc2) / k.mc2).tolist()
     spins = spin_coherent_expectation(theta, phi)
     norms = (spins[:, None, :] @ spins[:, :, None])[:, 0, 0]  # each s @ s
@@ -672,7 +657,7 @@ def build_fields_suite(config: RunConfig, rng) -> dict:
     m["anomalous_ratio_physical"] = (1.161410e-3, anomalous_moment_ratio(PhysicalConstants()))
     base = anomalous_moment_ratio(k)
     devs = []
-    for lam_h, lam_c, mass in rng.uniform(0.5, 3.0, (8, 3)).tolist():
+    for lam_h, lam_c, mass in draw("rescalings").uniform(0.5, 3.0, (8, 3)).tolist():
         scaled = PhysicalConstants(hbar=k.hbar * lam_h, c=k.c * lam_c, mass=mass,
                                    charge=k.charge * math.sqrt(lam_h * lam_c))
         devs.append(abs(anomalous_moment_ratio(scaled) - base))
@@ -680,23 +665,20 @@ def build_fields_suite(config: RunConfig, rng) -> dict:
 
     pots = self_potentials(eigenspinor(MomentumState(p=np.zeros(3), constants=k), 1, "up"), k)
     m["self_potentials_rest"] = (-k.mc2 / k.charge, pots.phi, _rest_potential_bound(k))
-    us = np.array([random_eigen_sample(rng, k)[1] for _ in range(20)])
+    us, _ = random_eigen_samples(draw("vector_eigenspinors"), 20, k)
     m["self_potentials_vector_real_part"] = [_dev(pots.a)] + _row_devs(self_potentials(us, k).a)
 
-    states, us = zip(*(random_eigen_sample(rng, k) for _ in range(100)))
-    r = self_action_reduction(np.array(us), MomentumState(p=[s.p for s in states], constants=k))
+    r = self_action_reduction(*random_eigen_samples(draw("reduction_eigenspinors"), 100, k))
     m["eigenspinor_norm"] = np.abs(r.norm_sq - 1.0).tolist()
-    m["cross_sum_eigenstates"] = _modulus(r.overlap_sum).tolist()
-    m["coupled_equals_reduced"] = _modulus(r.coupled_value - r.reduced_value).tolist()
-    m["reduced_equals_expectation"] = _modulus(r.reduced_value - r.hd_expectation).tolist()
+    m["cross_sum_eigenstates"] = np.abs(r.overlap_sum).tolist()
+    m["coupled_equals_reduced"] = np.abs(r.coupled_value - r.reduced_value).tolist()
+    m["reduced_equals_expectation"] = np.abs(r.reduced_value - r.hd_expectation).tolist()
 
-    psis, ps = [], []  # per-sample draws: normal and uniform draws interleave
-    for _ in range(20):
-        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psis.append(psi / np.linalg.norm(psi))
-        ps.append(rng.uniform(-2.0, 2.0, 3))
-    r = self_action_reduction(np.array(psis), MomentumState(p=ps, constants=k))
-    worst = float(_modulus(r.overlap_sum).max())
+    rng = draw("arbitrary_states")
+    psis = _complex_normal(rng, (20, 4))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    r = self_action_reduction(psis, MomentumState(p=rng.uniform(-2.0, 2.0, (20, 3)), constants=k))
+    worst = float(np.abs(r.overlap_sum).max())
     m["cross_sum_arbitrary_reported"] = Verdict(
         f"max |sum_j <alpha_j><beta alpha_j>| = {worst:.6f} over 20 random states", True)
     return m
@@ -704,7 +686,7 @@ def build_fields_suite(config: RunConfig, rng) -> dict:
 
 # --- lattice -----------------------------------------------------------------
 
-def build_lattice_suite(config: RunConfig, rng) -> dict:
+def build_lattice_suite(config: RunConfig, draw) -> dict:
     k = config.constants
     m = {}
     spacings = (0.2, 0.1, 0.05)
@@ -763,16 +745,21 @@ _BUILDERS = {
 }
 
 
+def _stream(seed: int, suite: str, family: str) -> np.random.Generator:
+    """One family's generator; crc32 keys its name alike in every process, unlike hash()."""
+    return np.random.default_rng([seed, SUITE_NAMES.index(suite), zlib.crc32(family.encode())])
+
+
 def run_suite(config: RunConfig) -> VerificationReport:
     """Run every selected suite and assemble the deterministic report."""
     checks = []
     for name in config.suites:
-        rng = np.random.default_rng([config.seed, SUITE_NAMES.index(name)])
+        draw = partial(_stream, config.seed, name)  # draw(family) -> its generator
         # an overflow or an invalid operation raises FloatingPointError (an
         # ArithmeticError) where it happens instead of printing a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             try:
-                measured = _BUILDERS[name](config, rng)
+                measured = _BUILDERS[name](config, draw)
             except ArithmeticError as exc:  # say which suite broke down
                 raise type(exc)(f"{name} suite: {exc}") from exc
         checks += [_judge(f"{name}.{claim_id}", value, config)

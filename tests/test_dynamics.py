@@ -40,6 +40,7 @@ from diraclab.dynamics import (
     zbw_trajectory,
 )
 from diraclab.errors import DomainError
+from diraclab.lattice import make_preset
 from diraclab.matrices import (
     SIGMA_BLOCKS,
     GeneratorKind,
@@ -47,6 +48,7 @@ from diraclab.matrices import (
     identity,
     mat_exp,
 )
+from diraclab.spinors import BRANCH_PLUS, CylindricalSpinor, angular_eigenstate
 
 K = PhysicalConstants()
 SI = PhysicalConstants(hbar=1.054571817e-34, c=299792458.0, mass=9.1093837015e-31,
@@ -525,6 +527,20 @@ def test_booleans_are_not_numbers():
                      lambda: eigenspinor(state, flag)):
             with pytest.raises(DomainError):
                 call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: angular_eigenstate(True, BRANCH_PLUS),
+    lambda: CylindricalSpinor(angular_indices=(True, 1, 0, 1)),
+    lambda: make_preset("uniform_b", True),
+    lambda: make_preset("linear_phi", e0=np.True_),
+    lambda: MomentumState(p=[True, 0, 0], constants=K),
+    lambda: MomentumState(p=np.array([True, False, True]), constants=K),
+], ids=["angular_eigenstate.l", "CylindricalSpinor.angular_indices", "make_preset.b0",
+        "make_preset.e0", "MomentumState.p-list", "MomentumState.p-array"])
+def test_a_boolean_is_refused_where_a_number_is_due(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_trajectory_csv_format():

@@ -177,6 +177,14 @@ def test_mat_exp_rejects_a_matrix_neither_hermitian_nor_skew():
             mat_exp(m)
 
 
+def test_mat_exp_of_a_skew_matrix_below_the_hermitian_tolerance():
+    # -i t H / hbar at |t / hbar| ~ 4e-13 lies within 1e-12 of Hermitian as
+    # well; taken as Hermitian, its exponential was off by the matrix's size
+    h = 1.3 * dirac_generator(GeneratorKind.ALPHA1) + dirac_generator(GeneratorKind.BETA)
+    for a in (-3.757e-13j * h, 4e-14j * h, np.zeros((4, 4))):
+        assert np.max(np.abs(mat_exp(a) - taylor_exp_reference(a))) <= 1e-15
+
+
 def test_import_does_not_load_scipy():
     # numpy is the only runtime dependency; scipy alone would more than
     # double the cost of every cold CLI start.

@@ -1,7 +1,7 @@
-"""Suite orchestration: seed sweep and independence of suite selection."""
+"""Suite orchestration: seed sweep, and independence of suite selection and of sample families."""
 
 import json
-import math
+import zlib
 
 import numpy as np
 import pytest
@@ -28,60 +28,69 @@ def test_seeded_suites_pass_at_every_seed(seed):
         assert report_json(run_suite(RunConfig(seed=seed, suites=SEEDED_SUITES))) == text
 
 
-# Every family the seeded suites draw in one call, as (batched draw, the
-# per-sample draws it replaced).  uniform with per-column bounds and
-# standard_normal fill element by element in C order, so the two must give
-# the same doubles and leave the generator in the same state.
-DRAW_FAMILIES = {
-    "algebra.matrix_exponential_oracle": (
-        lambda rng: rng.standard_normal((4, 2, 4, 4)),
-        lambda rng: [[rng.standard_normal((4, 4)) for _ in range(2)] for _ in range(4)]),
-    "states.split_recompose": (
-        lambda rng: rng.standard_normal((5, 2, 4)),
-        lambda rng: [[rng.standard_normal(4) for _ in range(2)] for _ in range(5)]),
-    "dynamics.energy_spectrum": (
-        lambda rng: rng.uniform([-3.0, -3.0, -3.0, 0.4, 0.4], [3.0, 3.0, 3.0, 2.5, 2.5],
-                                (200, 5)),
-        lambda rng: [[*rng.uniform(-3.0, 3.0, 3), rng.uniform(0.4, 2.5), rng.uniform(0.4, 2.5)]
-                     for _ in range(200)]),
-    "dynamics.states": (
-        lambda rng: rng.uniform(-2.0, 2.0, (6, 3)),
-        lambda rng: [rng.uniform(-2.0, 2.0, 3) for _ in range(6)]),
-    "fields.route_constants": (
-        lambda rng: rng.uniform([0.9, 0.8, 0.8, 0.9], [1.5, 1.2, 1.2, 1.5], (7, 4)),
-        lambda rng: [[rng.uniform(0.9, 1.5), rng.uniform(0.8, 1.2), rng.uniform(0.8, 1.2),
-                      rng.uniform(0.9, 1.5)] for _ in range(7)]),
-    "fields.classical_points": (
-        lambda rng: rng.uniform(-2.0, 2.0, (10, 3)),
-        lambda rng: [rng.uniform(-2.0, 2.0, 3) for _ in range(10)]),
-    "fields.spin_directions": (
-        lambda rng: rng.uniform([-1.0, -math.pi], [1.0, math.pi], (100, 2)),
-        lambda rng: [[rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi)]
-                     for _ in range(100)]),
-    "fields.rescalings": (
-        lambda rng: rng.uniform(0.5, 3.0, (8, 3)),
-        lambda rng: [[rng.uniform(0.5, 3.0) for _ in range(3)] for _ in range(8)]),
+# The claims each sample family feeds, by (suite, family name).  Claims that
+# measure an exact zero keep their bytes under any draw.
+FAMILY_CLAIMS = {
+    ("algebra", "matrix_exponential"): "matrix_exponential_oracle",
+    ("states", "waves"): "component_rows_match_matrix_form two_component_stack "
+                         "cylindrical_rows_match",
+    ("states", "bispinors"): "split_recompose",
+    ("states", "eigen_waves"): "eigen_wave_residual coupled_split_residual",
+    ("states", "angular"): "angular_eigenvalue.plus angular_eigenvalue.minus "
+                           "angular_operator.plus angular_operator.minus "
+                           "angular_family_indices.plus angular_family_indices.minus",
+    ("dynamics", "spectrum"): "energy_spectrum spectrum_degeneracy",
+    ("dynamics", "momenta"): "eta_anticommutes eta_traceless velocity_at_zero "
+                             "velocity_direction_evolution zbw_vanishes_at_zero "
+                             "eigenstate_no_oscillation eigenstate_drift_linear "
+                             "eigenspinor_residual eigenbasis_orthonormal "
+                             "eigenspinor_deterministic",
+    ("dynamics", "evolution"): "velocity_direction_evolution",
+    ("dynamics", "position_rate"): "position_rate_matches_velocity",
+    ("dynamics", "fft_state"): "zbw_frequency_fft",
+    ("fields", "route_constants"): "self_h_matches_expected routes_agree "
+                                   "self_e_zero_commutator self_e_zero_substitution",
+    ("fields", "classical"): "classical_curl classical_gradient",
+    ("fields", "spin_directions"): "rest_energy_isotropic coherent_norm",
+    ("fields", "rescalings"): "anomalous_ratio_invariance",
+    ("fields", "vector_eigenspinors"): "self_potentials_vector_real_part",
+    ("fields", "reduction_eigenspinors"): "eigenspinor_norm cross_sum_eigenstates "
+                                          "coupled_equals_reduced reduced_equals_expectation",
+    ("fields", "arbitrary_states"): "cross_sum_arbitrary_reported",
 }
 
 
-@pytest.mark.parametrize("family", DRAW_FAMILIES)
-def test_a_family_drawn_in_one_call_equals_its_per_sample_draws(family):
-    batched, per_sample = DRAW_FAMILIES[family]
-    for seed in range(25):
-        one, many = (np.random.default_rng([seed, 2]) for _ in range(2))
-        got, want = batched(one), np.array(per_sample(many), dtype=float)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (family, seed)
-        assert one.bit_generator.state == many.bit_generator.state, (family, seed)
+def _streams_asked(monkeypatch, reseeded=None) -> list:
+    """Patch suites._stream to record each (suite, family) asked for; the
+    family `reseeded` draws from the next run seed's stream."""
+    asked, real = [], suites_mod._stream
+
+    def stream(seed, suite, family):
+        asked.append((suite, family))
+        return real(seed + ((suite, family) == reseeded), suite, family)
+    monkeypatch.setattr(suites_mod, "_stream", stream)
+    return asked
 
 
-def test_the_spectrum_family_energies_match_the_scalar_formula():
-    # np.float_power is libm pow, as a Python c**2, and np.sqrt is math.sqrt
-    draws = DRAW_FAMILIES["dynamics.energy_spectrum"][0](np.random.default_rng(11))
-    p, c, mass = draws[:, :3], draws[:, 3], draws[:, 4]
-    p_sq = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
-    got = np.sqrt(np.float_power(c, 2) * p_sq + np.float_power(mass, 2) * np.float_power(c, 4))
-    assert got.tolist() == [math.sqrt(cc**2 * float(pp @ pp) + mm**2 * cc**4)
-                            for pp, cc, mm in zip(p, c.tolist(), mass.tolist())]
+def test_each_family_of_a_run_names_its_own_stream(monkeypatch):
+    asked = _streams_asked(monkeypatch)
+    run_suite(RunConfig(seed=DEFAULT_SEED))
+    assert len(set(asked)) == len(asked)
+    for suite in SUITE_NAMES:
+        names = [family for s, family in asked if s == suite]
+        assert len({zlib.crc32(name.encode()) for name in names}) == len(names), suite
+    assert sorted(asked) == sorted(FAMILY_CLAIMS)
+
+
+@pytest.mark.parametrize("family", FAMILY_CLAIMS, ids="/".join)
+def test_reseeding_one_family_moves_only_the_claims_it_feeds(monkeypatch, full_run, family):
+    suite = family[0]
+    asked = _streams_asked(monkeypatch, reseeded=family)
+    before = {c["claim_id"]: render_json(c) for c in full_run.to_dict()["checks"]}
+    after = run_suite(RunConfig(seed=DEFAULT_SEED, suites=(suite,))).to_dict()["checks"]
+    moved = {c["claim_id"] for c in after if render_json(c) != before[c["claim_id"]]}
+    assert family in asked
+    assert moved <= {f"{suite}.{name}" for name in FAMILY_CLAIMS[family].split()}
 
 
 # A wrong preset gauge or scalar potential no longer fails a lattice
