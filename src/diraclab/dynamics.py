@@ -129,22 +129,10 @@ def spectrum(state: MomentumState) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(state.h))
 
 
-def _axis_vector(axis) -> tuple:
-    theta, phi_s = float(axis[0]), float(axis[1])
-    if not (math.isfinite(theta) and math.isfinite(phi_s)):
-        raise DomainError("spin axis angles must be finite")
-    return (math.sin(theta) * math.cos(phi_s), math.sin(theta) * math.sin(phi_s),
-            math.cos(theta))
-
-
-def _boost(state: MomentumState):
-    """(q, rest): q = C p / (E + m C^2), with |q| < 1, and rest = 2 m C^2 / (E + m C^2).
-
-    rest equals 1 - |q|^2, written without the cancellation of that form.
-    """
+def _boost(state: MomentumState) -> np.ndarray:
+    """q = C p / (E + m C^2), with |q| < 1."""
     k = state.constants
-    e, mc2 = state.energy, k.mc2
-    return state.p * (k.c / (e + mc2)), 2.0 * mc2 / (e + mc2)
+    return state.p * (k.c / (state.energy + k.mc2))
 
 
 def _spin_up_along(ax: float, ay: float, az: float) -> tuple:
@@ -161,6 +149,39 @@ def _spin_up_along(ax: float, ay: float, az: float) -> tuple:
         return (1.0 + az) * f, complex(ax, ay) * f
     f = 1.0 / math.sqrt(2.0 * (1.0 - az))
     return complex(ax, -ay) * f, (1.0 - az) * f
+
+
+def _eigenspinor_row(px: float, py: float, pz: float, energy: float,
+                     constants: PhysicalConstants, energy_sign: int, spin: str,
+                     theta: float, phi_s: float) -> list:
+    """The four components of eigenspinor, as Python complex numbers, for
+    the momentum (px, py, pz) of positive energy `energy` and the spin axis
+    (theta, phi_s): the closed form on Python floats.
+
+    The arguments are taken as checked (eigenspinor checks them), so a
+    stack of momenta, each with its energy from one MomentumState, calls
+    this row by row and gets each row's single-state bits.
+    """
+    mc2 = constants.mc2
+    scale = constants.c / (energy + mc2)
+    qx, qy, qz = px * scale, py * scale, pz * scale  # q = C p / (E + m C^2)
+    rest = 2.0 * mc2 / (energy + mc2)  # 1 - |q|^2, without the cancellation
+    sin_theta = math.sin(theta)
+    n = (sin_theta * math.cos(phi_s), sin_theta * math.sin(phi_s), math.cos(theta))
+    qn = qx * n[0] + qy * n[1] + qz * n[2]
+    along = 1.0 if spin == "up" else -1.0
+    c0, c1 = _spin_up_along(*(along * (rest * ni + 2.0 * qn * qi)
+                              for ni, qi in zip(n, (qx, qy, qz))))
+    s0 = qz * c0 + complex(qx, -qy) * c1  # (sigma.q) chi
+    s1 = complex(qx, qy) * c0 - qz * c1
+    u = [c0, c1, s0, s1] if energy_sign == 1 else [-s0, -s1, c0, c1]
+    norm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in u))
+    u = [z / norm for z in u]
+    for comp in u:
+        if abs(comp) > 1e-12:
+            rot = comp.conjugate() / abs(comp)
+            return [z * rot for z in u]
+    return u
 
 
 def eigenspinor(state: MomentumState, energy_sign: int = 1, spin: str = "up",
@@ -186,31 +207,19 @@ def eigenspinor(state: MomentumState, energy_sign: int = 1, spin: str = "up",
     1 - |q|^2 = 2 m C^2 / (E + m C^2) > 0 is computed in that form, with
     no cancellation, so a.n > 0 and a never vanishes.  "up" takes chi
     along +a, "down" along -a.  The spinor is divided by its computed
-    norm, which stands for N.
+    norm, which stands for N.  The arithmetic is _eigenspinor_row's.
     """
     if isinstance(energy_sign, (bool, np.bool_)) or energy_sign not in (1, -1):
         raise DomainError(f"energy_sign must be +1 or -1, got {energy_sign!r}")
     if spin not in ("up", "down"):
         raise DomainError(f"spin must be 'up' or 'down', got {spin!r}")
     _one_momentum(state)
-    n = _axis_vector(axis)
-    q, rest = _boost(state)
-    qx, qy, qz = q.tolist()
-    qn = qx * n[0] + qy * n[1] + qz * n[2]
-    along = 1.0 if spin == "up" else -1.0
-    c0, c1 = _spin_up_along(*(along * (rest * ni + 2.0 * qn * qi)
-                              for ni, qi in zip(n, (qx, qy, qz))))
-    s0 = qz * c0 + complex(qx, -qy) * c1  # (sigma.q) chi
-    s1 = complex(qx, qy) * c0 - qz * c1
-    u = [c0, c1, s0, s1] if energy_sign == 1 else [-s0, -s1, c0, c1]
-    norm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in u))
-    u = [z / norm for z in u]
-    for comp in u:
-        if abs(comp) > 1e-12:
-            rot = comp.conjugate() / abs(comp)
-            u = [z * rot for z in u]
-            break
-    return np.array(u, dtype=complex)
+    theta, phi_s = float(axis[0]), float(axis[1])
+    if not (math.isfinite(theta) and math.isfinite(phi_s)):
+        raise DomainError("spin axis angles must be finite")
+    px, py, pz = state.p.tolist()
+    return np.array(_eigenspinor_row(px, py, pz, state.energy, state.constants,
+                                     energy_sign, spin, theta, phi_s), dtype=complex)
 
 
 def velocity_operator(j: int, constants: PhysicalConstants) -> np.ndarray:
@@ -416,7 +425,7 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
     t_max = float(np.max(np.abs(times)))
     if not math.isfinite(t_max * (e / k.hbar)):
         raise DomainError("the phase E t / hbar overflows at the largest |t|")
-    q, _ = _boost(state)
+    q = _boost(state)
     chi_p, chi_m = _energy_split(q, psi)
     s = PAULI_STACK @ chi_m @ chi_p.conj()  # chi_+^dag sigma_j chi_-
     cross = s - (2.0 * (q @ s) / (1.0 + float(q @ q))) * q

@@ -79,62 +79,89 @@ def kinematic_momenta(constants: PhysicalConstants,
 @dataclass(frozen=True)
 class SelfFields:
     """Matrix-valued intensities: e[j] and h[k] for axes 1..3 (0-indexed),
-    each a (3, 4, 4) array."""
+    each a (3, 4, 4) array, or (sets, 3, 4, 4) for a list of constant sets."""
 
     e: np.ndarray
     h: np.ndarray
 
 
-def self_fields_commutator(constants: PhysicalConstants,
-                           rep: Representation = Representation.PAULI_DIRAC) -> SelfFields:
+def _constant_sets(constants) -> tuple:
+    """(sets, one): the constant sets of a PhysicalConstants or of a
+    non-empty list or tuple of them, and whether a single set was given."""
+    if isinstance(constants, PhysicalConstants):
+        return (constants,), True
+    sets = tuple(constants) if isinstance(constants, (list, tuple)) else ()
+    if not sets or not all(isinstance(k, PhysicalConstants) for k in sets):
+        raise DomainError(f"expected a PhysicalConstants or a non-empty list or tuple of them, "
+                          f"got {constants!r}")
+    return sets, False
+
+
+def _per_set(values, ndim: int) -> np.ndarray:
+    """One scalar per constant set, formed in Python, as an array with ndim
+    trailing axes of length 1: a factor of each set's stack of matrices."""
+    return np.array(values).reshape((-1,) + (1,) * ndim)
+
+
+def self_fields_commutator(constants, rep: Representation = Representation.PAULI_DIRAC
+                           ) -> SelfFields:
     """Intensities solved from the kinematic-momentum commutators.
 
     [p_j, p_l] = i hbar (e/C) eps_jlk H_k gives H_k for the cyclic pair
     (j, l); [p_j, p0] = i hbar (e/C) E_j gives E_j (identically zero since
-    p0 is proportional to the identity).  The three commutators of each
-    kind are formed as one stack.
+    p0 is proportional to the identity), with p0 = m C I and p_j =
+    m C alpha_j (kinematic_momenta).  The three commutators of each kind
+    are formed as one stack.  A list of constant sets gives e and h of
+    shape (sets, 3, 4, 4), each set's the bits of its single-set call.
     """
-    k = constants
-    mom = kinematic_momenta(k, rep)
-    p = np.stack(mom.p)
-    factor = k.c / (1j * k.hbar * k.charge)
+    sets, one = _constant_sets(constants)
+    mc = _per_set([k.mass * k.c for k in sets], 3)
+    factor = _per_set([k.c / (1j * k.hbar * k.charge) for k in sets], 3)
+    p = mc * np.stack(generators(rep)[:3])
+    p0 = mc * identity(4)
     # H_k from the cyclic pair (j, l) before it: (1, 2), (2, 0), (0, 1), 0-indexed
-    pj, pl = p[[1, 2, 0]], p[[2, 0, 1]]
-    return SelfFields(e=factor * (p @ mom.p0 - mom.p0 @ p), h=factor * (pj @ pl - pl @ pj))
+    pj, pl = p[:, [1, 2, 0]], p[:, [2, 0, 1]]
+    e, h = factor * (p @ p0 - p0 @ p), factor * (pj @ pl - pl @ pj)
+    return SelfFields(e=e[0], h=h[0]) if one else SelfFields(e=e, h=h)
 
 
 # The nonzero eps_jkl as (j, k, l), j-major with (k, l) ascending: two per j.
 _CURL_TERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
-def self_fields_matrix_maxwell(constants: PhysicalConstants,
-                               rep: Representation = Representation.PAULI_DIRAC) -> SelfFields:
+def self_fields_matrix_maxwell(constants, rep: Representation = Representation.PAULI_DIRAC
+                               ) -> SelfFields:
     """Intensities from the substitution route.
 
     grad_k -> i (m C / hbar) alpha_k and (1/C) d/dt -> (m C / hbar) I act on
     the potential operators (m C^2 / -e) alpha_l (vector part) and
     (m C^2 / -e) I (scalar part); the curl and gradient analogues are then
-    evaluated literally.
+    evaluated literally.  A list of constant sets stacks as in
+    self_fields_commutator.
     """
-    k = constants
+    sets, one = _constant_sets(constants)
     a = GENERATOR_STACK[rep][:3]
-    grad_factor = 1j * (k.mass * k.c / k.hbar)
-    pot_factor = k.mass * k.c**2 / (-k.charge)
+    grad_factor = _per_set([1j * (k.mass * k.c / k.hbar) for k in sets], 1)
+    pot_factor = _per_set([k.mass * k.c**2 / (-k.charge) for k in sets], 3)
     j, kk, ll = (list(axis) for axis in zip(*_CURL_TERMS))
-    coef = (EPS[j, kk, ll] * grad_factor)[:, None, None]
+    coef = (EPS[j, kk, ll] * grad_factor)[..., None, None]
     terms = (coef * a[kk]) @ (pot_factor * a[ll])  # eps_jkl grad_k acting on A_l
-    h = np.zeros((3, 4, 4), dtype=complex) + terms[0::2] + terms[1::2]
+    h = np.zeros((len(sets), 3, 4, 4), dtype=complex) + terms[:, 0::2] + terms[:, 1::2]
     # time-gradient acting on the vector part minus space gradient acting on
     # the scalar part; elementwise scalar products keep the cancellation
     # exact in floating point
+    grad_factor = grad_factor[..., None, None]
     e = grad_factor * (pot_factor * a) - grad_factor * (a * pot_factor)
-    return SelfFields(e=e, h=h)
+    return SelfFields(e=e[0], h=h[0]) if one else SelfFields(e=e, h=h)
 
 
-def expected_self_h(constants: PhysicalConstants, k_axis: int) -> np.ndarray:
-    """2 (m^2 C^3 / (e hbar)) Sigma_k: the claimed self intensity."""
-    kc = constants
-    return 2.0 * kc.mass**2 * kc.c**3 / (kc.charge * kc.hbar) * sigma_block(k_axis)
+def expected_self_h(constants, k_axis: int) -> np.ndarray:
+    """2 (m^2 C^3 / (e hbar)) Sigma_k: the claimed self intensity, (4, 4),
+    or (sets, 4, 4) for a list of constant sets."""
+    sets, one = _constant_sets(constants)
+    h = _per_set([2.0 * kc.mass**2 * kc.c**3 / (kc.charge * kc.hbar) for kc in sets], 2
+                 ) * sigma_block(k_axis)
+    return h[0] if one else h
 
 
 _ZERO3 = (0.0, 0.0, 0.0)

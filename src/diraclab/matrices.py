@@ -166,19 +166,31 @@ def complex_product(a, b) -> np.ndarray:
     return out
 
 
-def commutator(a, b) -> np.ndarray:
-    """a b - b a."""
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape != b.shape:
+def _square_pair(a, b) -> tuple:
+    """a and b as complex (..., n, n) stacks of one n whose leading axes broadcast."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    for m in (a, b):
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+            raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise DomainError(f"dimension mismatch: {a.shape} vs {b.shape}") from None
+    if a.shape[-1] != b.shape[-1]:
         raise DomainError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def commutator(a, b) -> np.ndarray:
+    """a b - b a, for two matrices or, broadcast, for stacks (..., n, n):
+    each pair of a stack gives the bits of its own call."""
+    a, b = _square_pair(a, b)
     return a @ b - b @ a
 
 
 def anticommutator(a, b) -> np.ndarray:
-    """a b + b a."""
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape != b.shape:
-        raise DomainError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    """a b + b a, stacked as commutator."""
+    a, b = _square_pair(a, b)
     return a @ b + b @ a
 
 

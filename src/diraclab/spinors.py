@@ -368,7 +368,10 @@ class CylindricalSpinor:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        if any(isinstance(v, (bool, np.bool_)) for v in self.angular_indices):
+        # an integer type, as angular_eigenstate asks of l: int() would
+        # truncate 1.5 to 1 silently, and a boolean is not an index
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in self.angular_indices):
             raise DomainError(f"angular_indices must be integers, got {self.angular_indices!r}")
         idx = tuple(int(v) for v in self.angular_indices)
         if len(idx) != 4:
@@ -376,6 +379,8 @@ class CylindricalSpinor:
         object.__setattr__(self, "angular_indices", idx)
         if len(self.weights) != 4:
             raise DomainError("weights must have 4 entries")
+        if any(isinstance(w, (bool, np.bool_)) for w in self.weights):
+            raise DomainError(f"weights must be numbers, got {self.weights!r}")
         object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
         refs = tuple(self.profile_refs)
         if len(refs) != 4:

@@ -26,6 +26,7 @@ from .constants import PhysicalConstants
 from .dynamics import (
     RESOLVED_OSCILLATION,
     MomentumState,
+    _eigenspinor_row,
     alpha_evolved_oracle,
     eigenspinor,
     eta_matrix,
@@ -340,6 +341,18 @@ def _complex_normal(rng, shape: tuple) -> np.ndarray:
     return re + 1j * im
 
 
+def _eigenspinors(state: MomentumState, signs, ups, thetas, phis) -> np.ndarray:
+    """(n, 4) eigenspinors of an n-row state: row i is eigenspinor of row i's
+    momentum with energy sign signs[i], spin up if ups[i] else down, about
+    the axis (thetas[i], phis[i]), and its bits (the same row kernel, fed
+    the state's per-row energies)."""
+    k = state.constants
+    return np.array([
+        _eigenspinor_row(px, py, pz, e, k, sign, "up" if up else "down", theta, phi)
+        for (px, py, pz), e, sign, up, theta, phi
+        in zip(state.p.tolist(), state.energy.tolist(), signs, ups, thetas, phis)])
+
+
 # --- algebra -----------------------------------------------------------------
 
 def build_algebra_suite(config: RunConfig, draw) -> dict:
@@ -347,22 +360,26 @@ def build_algebra_suite(config: RunConfig, draw) -> dict:
     eye2, zero = 2.0 * identity(4), np.zeros((4, 4), dtype=complex)
     spectrum = np.array([-1.0, -1.0, 1.0, 1.0])
     for rep in (Representation.PAULI_DIRAC, Representation.STANDARD):
-        gens = generators(rep)  # fresh copies
+        gens = np.stack(generators(rep))  # a fresh (4, 4, 4) stack
         if config.tamper and rep is Representation.PAULI_DIRAC:
-            gens[3][0, 0] = -gens[3][0, 0]  # a deliberately corrupted scalar generator
+            gens[3, 0, 0] = -gens[3, 0, 0]  # a deliberately corrupted scalar generator
         labels = generator_labels(rep)
         family = f"clifford.{rep.value}"
+        table = anticommutator(gens[:, None], gens[None, :])  # entry (j, l): {G_j, G_l}
         for j, l in product(range(4), repeat=2):
             m[f"{family}.anticomm.{labels[j]}.{labels[l]}"] = (
-                eye2 if j == l else zero, anticommutator(gens[j], gens[l]))
+                eye2 if j == l else zero, table[j, l])
         for g, label in zip(gens, labels):
             m[f"{family}.hermitian.{label}"] = (g.conj().T, g)
             m[f"{family}.traceless.{label}"] = (0.0, complex(np.trace(g)))
-        for g, label in zip(generators(rep), labels):  # the spectra of the built-in set
-            m[f"{family}.eigenvalues.{label}"] = (spectrum, np.sort(np.linalg.eigvalsh(g)))
-        m[f"block_spin_commutator.{rep.value}"] = [
-            _dev(commutator(gens[j], gens[l]), 2j * sigma_block(k_ax))
-            for (j, l, k_ax) in ((0, 1, 3), (1, 2, 1), (2, 0, 2))]
+        # the spectra of the built-in set, ascending
+        spectra = np.sort(np.linalg.eigvalsh(np.stack(generators(rep))), axis=-1)
+        for w, label in zip(spectra, labels):
+            m[f"{family}.eigenvalues.{label}"] = (spectrum, w)
+        # [G_j, G_l] = 2 i Sigma_k for the cyclic (j, l, k): (0, 1, 3), (1, 2, 1), (2, 0, 2)
+        m[f"block_spin_commutator.{rep.value}"] = _matrix_devs(
+            commutator(gens[[0, 1, 2]], gens[[1, 2, 0]]),
+            2j * np.stack([sigma_block(k_ax) for k_ax in (3, 1, 2)]))
 
     devs = []
     for j in (1, 2, 3):
@@ -433,10 +450,9 @@ def build_states_suite(config: RunConfig, draw) -> dict:
     # 4 momenta, each with both energy signs and a random spin: 8 waves at 3 points each
     rng = draw("eigen_waves")
     momenta, ups = np.repeat(rng.uniform(-2.0, 2.0, (4, 3)), 2, axis=0), rng.integers(0, 2, 8)
-    states, signs = [MomentumState(p=p, constants=k) for p in momenta], (1, -1) * 4
-    us = [eigenspinor(s, sign, "up" if up else "down")
-          for s, sign, up in zip(states, signs, ups.tolist())]
-    omegas = [sign * s.energy / k.hbar for s, sign in zip(states, signs)]
+    stack, signs = MomentumState(p=momenta, constants=k), (1, -1) * 4
+    us = _eigenspinors(stack, signs, ups.tolist(), (0.0,) * 8, (0.0,) * 8)
+    omegas = [sign * e / k.hbar for e, sign in zip(stack.energy.tolist(), signs)]
     waves = _wave_stack(us, momenta, omegas, k)
     m["eigen_wave_residual"] = _matrix_devs(
         component_residual(waves, rng.standard_normal((8, 3, 4))))
@@ -589,13 +605,11 @@ def _random_directions(rng, count: int) -> tuple:
 def random_eigen_samples(rng, count: int, constants: PhysicalConstants):
     """count random eigenspinors, each of a random energy sign and of spin up
     or down along a random axis: ((count, 4) spinors, their count-row state)."""
-    p = rng.uniform(-2.0, 2.0, (count, 3))
-    signs, ups = rng.integers(0, 2, (2, count)).tolist()
+    state = MomentumState(p=rng.uniform(-2.0, 2.0, (count, 3)), constants=constants)
+    positive, ups = rng.integers(0, 2, (2, count)).tolist()
     theta, phi = _random_directions(rng, count)
-    us = [eigenspinor(MomentumState(p=row, constants=constants), 1 if sign else -1,
-                      "up" if up else "down", axis)
-          for row, sign, up, axis in zip(p, signs, ups, zip(theta.tolist(), phi.tolist()))]
-    return np.array(us), MomentumState(p=p, constants=constants)
+    signs = [1 if sign else -1 for sign in positive]
+    return _eigenspinors(state, signs, ups, theta.tolist(), phi.tolist()), state
 
 
 def build_fields_suite(config: RunConfig, draw) -> dict:
@@ -620,20 +634,17 @@ def build_fields_suite(config: RunConfig, draw) -> dict:
     # ranges keep 2 m^2 C^3 / (e hbar) small enough that the two routes,
     # rounded independently, stay within 1e-14 of each other
     routes = draw("route_constants").uniform([0.9, 0.8, 0.8, 0.9], [1.5, 1.2, 1.2, 1.5], (7, 4))
-    dev_expected, dev_routes, dev_e_comm, dev_e_sub = [], [], [], []
-    for kc in [k] + [PhysicalConstants(*row) for row in routes.tolist()]:
-        expected = np.stack([expected_self_h(kc, ax) for ax in (1, 2, 3)])
-        for rep in (Representation.PAULI_DIRAC, Representation.STANDARD):
-            via_comm = self_fields_commutator(kc, rep)
-            via_sub = self_fields_matrix_maxwell(kc, rep)
-            dev_expected += _matrix_devs(via_comm.h, expected)
-            dev_routes += _matrix_devs(via_comm.h, via_sub.h)
-            dev_e_comm += _matrix_devs(via_comm.e)
-            dev_e_sub += _matrix_devs(via_sub.e)
-    m["self_h_matches_expected"] = dev_expected
-    m["routes_agree"] = dev_routes
-    m["self_e_zero_commutator"] = dev_e_comm
-    m["self_e_zero_substitution"] = dev_e_sub
+    sets = [k] + [PhysicalConstants(*row) for row in routes.tolist()]
+    # each stack is (set, generator set, axis, 4, 4), in that order
+    expected = np.stack([expected_self_h(sets, ax) for ax in (1, 2, 3)], axis=1)[:, None]
+    reps = (Representation.PAULI_DIRAC, Representation.STANDARD)
+    via_comm = [self_fields_commutator(sets, rep) for rep in reps]
+    via_sub = [self_fields_matrix_maxwell(sets, rep) for rep in reps]
+    comm_h, sub_h = (np.stack([f.h for f in via], axis=1) for via in (via_comm, via_sub))
+    m["self_h_matches_expected"] = _matrix_devs(comm_h, expected)
+    m["routes_agree"] = _matrix_devs(comm_h, sub_h)
+    m["self_e_zero_commutator"] = _matrix_devs(np.stack([f.e for f in via_comm], axis=1))
+    m["self_e_zero_substitution"] = _matrix_devs(np.stack([f.e for f in via_sub], axis=1))
 
     rng = draw("classical")
     b0, e0 = rng.uniform(0.5, 2.0, 2).tolist()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diraclab import cli, dynamics, matrices
@@ -193,6 +193,34 @@ def test_eigenspinor_si_constants_momentum_across_spin_axis(p_over_mc, axis):
     for sign in (1, -1):
         u = eigenspinor(state, sign, "up", axis)
         assert np.max(np.abs(state.h @ u - sign * state.energy * u)) <= 1e-12 * state.energy
+
+
+ROW_CONSTANTS = (K, PhysicalConstants(hbar=1.3, c=2.1, mass=0.7, charge=0.9),
+                 PhysicalConstants(c=137.036, charge=1.0), SI)
+momentum_component = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(momentum_component, momentum_component, momentum_component),
+       st.sampled_from(ROW_CONSTANTS), st.sampled_from((1, -1)), st.sampled_from(("up", "down")),
+       st.one_of(st.just(0.0), st.floats(0.0, math.pi)),
+       st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
+# zero momentum on the z axis; the a_z < 0 branch (spin down about z, and
+# spin up about -z); the axis across a momentum along x
+@example((0.0, 0.0, 0.0), K, 1, "up", 0.0, 0.0)
+@example((0.0, 0.0, 0.0), ROW_CONSTANTS[1], -1, "down", 0.0, 0.0)
+@example((0.4, -1.2, 0.3), ROW_CONSTANTS[2], 1, "up", math.pi, 0.0)
+@example((2.5, 0.0, 0.0), ROW_CONSTANTS[1], -1, "down", math.pi / 2, 0.0)
+def test_the_eigenspinor_row_kernel_gives_the_scalar_codes_bits(p, k, sign, spin, theta, phi):
+    # tests/reference_kernels.py holds eigenspinor's scalar code before the
+    # row kernel took it over
+    import reference_kernels as ref
+
+    state = MomentumState(p=np.array(p), constants=k)
+    want = ref.eigenspinor(state, sign, spin, (theta, phi))
+    row = dynamics._eigenspinor_row(*p, state.energy, k, sign, spin, theta, phi)
+    assert ref.same_bits(np.array(row, dtype=complex), want)
+    assert ref.same_bits(eigenspinor(state, sign, spin, (theta, phi)), want)
 
 
 def test_eigenspinor_deterministic_and_phase_fixed():

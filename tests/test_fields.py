@@ -93,6 +93,34 @@ def test_expected_self_h_is_sigma_block_multiple():
     assert np.array_equal(want, scale * sigma_block(3))
 
 
+def test_a_sequence_of_constant_sets_stacks_each_sets_single_call():
+    sets = [K, PhysicalConstants(hbar=1.3, c=2.1, mass=0.7, charge=0.9),
+            PhysicalConstants(c=137.036, charge=1.0)]
+    for rep in REPS:
+        for route in (self_fields_commutator, self_fields_matrix_maxwell):
+            for seq in (sets, tuple(sets)):
+                stacked = route(seq, rep)
+                assert stacked.e.shape == stacked.h.shape == (3, 3, 4, 4)
+                for i, k in enumerate(sets):
+                    one = route(k, rep)
+                    assert one.e.shape == one.h.shape == (3, 4, 4)
+                    assert np.array_equal(stacked.e[i], one.e)
+                    assert np.array_equal(stacked.h[i], one.h)
+    for axis in (1, 2, 3):
+        stacked = expected_self_h(sets, axis)
+        assert stacked.shape == (3, 4, 4)
+        assert all(np.array_equal(stacked[i], expected_self_h(k, axis)) for i, k in enumerate(sets))
+
+
+@pytest.mark.parametrize("bad", [[], [K, (1.0, 1.0, 1.0, 1.0)], "constants", 1.0],
+                         ids=["empty", "tuple-row", "string", "number"])
+def test_the_self_field_routes_refuse_what_is_not_constant_sets(bad):
+    for call in (self_fields_commutator, self_fields_matrix_maxwell,
+                 lambda k: expected_self_h(k, 1)):
+        with pytest.raises(DomainError):
+            call(bad)
+
+
 def test_classical_reference_uniform_field_gauges():
     gauge = symmetric_gauge(1.7)
     scalar = linear_scalar(0.9)

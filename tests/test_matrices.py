@@ -92,6 +92,42 @@ def test_block_spin_commutator_frozen():
     assert np.array_equal(got, 2j * sigma_block(3))
 
 
+def test_stacked_commutators_give_each_pairs_bits():
+    # tests/reference_kernels.py holds the per-pair loop the stacks replaced
+    import reference_kernels as ref
+
+    rng = np.random.default_rng(27)
+    tampered = np.stack(generators(Representation.PAULI_DIRAC))
+    tampered[3, 0, 0] = -tampered[3, 0, 0]
+    random = [rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+              for m, n in ((3, 4), (5, 2), (2, 3))]
+    for gens in (*GENERATOR_STACK.values(), tampered, *random):
+        for op, anti in ((anticommutator, True), (commutator, False)):
+            table = op(gens[:, None], gens[None, :])
+            assert ref.same_bits(table, ref.pair_table(gens, anti))
+            for j, l in np.ndindex(table.shape[:2]):
+                assert ref.same_bits(table[j, l], op(gens[j], gens[l]))
+            # one matrix against a stack, and a list of matrices
+            assert ref.same_bits(op(gens[0], gens), table[0])
+            assert ref.same_bits(op(list(gens), gens[1]), table[:, 1])
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.zeros((3, 4)), np.zeros((3, 4))),
+    (np.zeros(4), np.zeros(4)),
+    (np.zeros((4, 4)), np.zeros((2, 2))),
+    (np.zeros((1, 1)), np.zeros((4, 4))),
+    (np.zeros((2, 4, 4)), np.zeros((3, 4, 4))),
+    (np.zeros((2, 4, 3)), np.zeros((2, 4, 3))),
+], ids=["non-square", "vector", "mismatched", "one-by-one", "unbroadcastable", "non-square-stack"])
+def test_commutators_refuse_a_non_square_or_mismatched_shape(a, b):
+    for op in (commutator, anticommutator):
+        with pytest.raises(DomainError):
+            op(a, b)
+        with pytest.raises(DomainError):
+            op(b, a)
+
+
 def _clifford_checks(rep, kinds, tamper=False):
     """The algebra suite's Clifford checks of one generator set, by kind."""
     report = run_suite(RunConfig(suites=("algebra",), tamper=tamper))

@@ -214,6 +214,28 @@ def test_angular_eigenstate_rejects_bad_input():
         CylindricalSpinor(angular_indices=(0, 1, 0, 1), profile_refs=("nope",) * 4)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"angular_indices": (1.5, 2.7, 1, 2)},
+    {"angular_indices": (0, 1.0, 0, 1)},
+    {"angular_indices": (0, 1, np.float64(0.0), 1)},
+    {"angular_indices": (0, 1, 0, 1), "weights": (True, 1.0, 1.0, 1.0)},
+    {"angular_indices": (0, 1, 0, 1), "weights": (1.0, 1.0, np.False_, 1.0)},
+], ids=["fractional-index", "float-index", "numpy-float-index", "bool-weight",
+        "numpy-bool-weight"])
+def test_cylindrical_spinor_refuses_a_non_integer_index_and_a_boolean_weight(kwargs):
+    # int() would truncate 1.5 to 1, and jz_apply would then report an
+    # eigenstate of (1, 2, 1, 2); complex(True) would read a flag as weight 1
+    with pytest.raises(DomainError):
+        CylindricalSpinor(**kwargs)
+
+
+def test_cylindrical_spinor_takes_numpy_integer_indices_as_ints():
+    cyl = CylindricalSpinor(angular_indices=tuple(np.arange(-1, 3)), weights=(1, 2.0, 1j, 0))
+    assert cyl.angular_indices == (-1, 0, 1, 2)
+    assert all(type(v) is int for v in cyl.angular_indices)
+    assert cyl.weights == (1 + 0j, 2 + 0j, 1j, 0j)
+
+
 def test_spin_coherent_expectation_is_unit_direction():
     rng = np.random.default_rng(19)
     for _ in range(20):

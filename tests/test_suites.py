@@ -28,6 +28,15 @@ def test_seeded_suites_pass_at_every_seed(seed):
         assert report_json(run_suite(RunConfig(seed=seed, suites=SEEDED_SUITES))) == text
 
 
+@pytest.mark.parametrize("seed", range(50))
+def test_the_stacked_families_give_the_per_state_and_per_set_bits(seed):
+    # tests/reference_kernels.py holds the loops the stacks replaced: one
+    # MomentumState per eigenspinor, one constant set per self-field route
+    import reference_kernels as ref
+
+    assert ref.stacked_path_mismatches(seed) == []
+
+
 # The claims each sample family feeds, by (suite, family name).  Claims that
 # measure an exact zero keep their bytes under any draw.
 FAMILY_CLAIMS = {
