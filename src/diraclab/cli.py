@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 # `constants`, `--help` and every flag or config error load no numpy.  Each
 # command imports the numerical modules it runs, once its flags are valid.
 from .config import PRESET_NAMES, SUITE_NAMES, resolve_run_config
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, is_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,35 +131,28 @@ def _require_known_keys(obj: dict, allowed: tuple, where: str) -> None:
                            f"allowed keys are {list(allowed)}"])
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, but not a bool, which Python counts as an int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_number_pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
-
-
 def _state_from_term(term: dict, state: MomentumState) -> np.ndarray:
+    """The term's one eigenspinor; eigenspinor checks the spin and the spin axis."""
     from .dynamics import eigenspinor
 
     sign = term.get("energy_sign", 1)
-    if not _is_number(sign) or sign not in (1, -1):
+    if not is_real(sign) or sign not in (1, -1):  # a JSON 1.0 counts
         raise ConfigError([f"--state: energy_sign must be 1 or -1, got {sign!r}"])
-    spin = term.get("spin", "up")
-    if spin not in ("up", "down"):
-        raise ConfigError([f"--state: spin must be 'up' or 'down', got {spin!r}"])
-    axis = term.get("spin_axis", [0.0, 0.0])
-    if not _is_number_pair(axis):
-        raise ConfigError([f"--state: spin_axis must be [theta, phi], got {axis!r}"])
-    return eigenspinor(state, int(sign), spin, (float(axis[0]), float(axis[1])))
+    try:
+        u = eigenspinor(state, int(sign), term.get("spin", "up"), term.get("spin_axis", (0.0, 0.0)))
+    except DomainError as exc:
+        raise ConfigError([f"--state: {exc}"]) from None
+    if u.shape != (4,):  # a list of spins or of axes would broadcast to a stack
+        raise ConfigError([f"--state: spin must be 'up' or 'down' and spin_axis [theta, phi], "
+                           f"got {term.get('spin')!r} and {term.get('spin_axis')!r}"])
+    return u
 
 
 def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
     import numpy as np
 
     from .dynamics import eigenspinor, max_mixing_state
-    from .spinors import as_spinor, spinor_norm
+    from .spinors import spinor_rows
 
     if spec == "plus":
         return eigenspinor(state, 1, "up")
@@ -185,14 +178,14 @@ def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
                 raise ConfigError([f"--state: superposition term must be an object, got {term!r}"])
             _require_known_keys(term, _WEIGHTED_TERM_KEYS, "a superposition term")
             w = term.get("weight", 1.0)
-            if not (_is_number(w) or _is_number_pair(w)):
+            if not (is_real(w) or isinstance(w, list) and len(w) == 2 and all(map(is_real, w))):
                 raise ConfigError([f"--state: weight must be a number or [re, im], got {w!r}"])
             w = complex(*w) if isinstance(w, list) else complex(w)
             psi = psi + w * _state_from_term(term, state)
-        norm = spinor_norm(psi)
+        norm = float(np.linalg.norm(spinor_rows(psi)))  # refuses a non-finite weighted sum
         if norm < 1e-12:
             raise ConfigError(["--state: superposition terms cancel to zero"])
-        return as_spinor(psi / norm)
+        return psi / norm
     _require_known_keys(data, _TERM_KEYS, "the state object")
     return _state_from_term(data, state)
 

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 
 from .constants import PhysicalConstants
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, is_integer, real
 
 DEFAULT_SEED = 137
 SUITE_NAMES = ("algebra", "states", "dynamics", "fields", "lattice")
@@ -99,7 +99,7 @@ class RunConfig:
 
     def __post_init__(self):
         problems = []
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0):
+        if not (is_integer(self.seed) and self.seed >= 0):
             problems.append(f"seed must be a non-negative integer, got {self.seed!r}")
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
@@ -109,8 +109,11 @@ class RunConfig:
         for key, val in self.tol_overrides.items():
             if key not in SUITE_NAMES:
                 problems.append(f"unknown tolerance key {key!r}")
-            elif not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
-                problems.append(f"tolerance {key} must be finite and > 0, got {val!r}")
+            else:
+                try:
+                    real(val, f"tolerance {key}", positive=True)
+                except DomainError as exc:
+                    problems.append(str(exc))
         if problems:
             raise ConfigError(problems)
         # keep suite order canonical regardless of how they were requested

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import real
 
 # Inverse fine-structure constant (CODATA 2018).  The default charge is
 # chosen so that charge^2 / (hbar * c) reproduces 1 / this value.
@@ -16,8 +16,9 @@ CODATA_INVERSE_ALPHA = 137.035999084
 class PhysicalConstants:
     """hbar, light speed, electron mass and charge magnitude.
 
-    All four must be finite and strictly positive.  The charge carries no
-    sign: formulas that need the electron's signed charge spell the sign out.
+    All four must be finite reals, strictly positive, and are kept as Python
+    floats.  The charge carries no sign: formulas that need the electron's
+    signed charge spell the sign out.
     """
 
     hbar: float = 1.0
@@ -27,11 +28,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("hbar", "c", "mass", "charge"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+            object.__setattr__(self, name, real(getattr(self, name), name, positive=True))
 
     @property
     def alpha(self) -> float:

@@ -33,12 +33,13 @@ from functools import cached_property
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import DomainError
+from .errors import DomainError, number_array
 from .matrices import (
     DIRAC_STACK,
     PAULI_STACK,
     GeneratorKind,
-    _is_axis,
+    _axis,
+    _read_only,
     dirac_generator,
     hamiltonians,
     mat_exp,
@@ -72,16 +73,8 @@ class MomentumState:
     constants: PhysicalConstants
 
     def __post_init__(self):
-        raw = self.p  # an array says by its dtype alone whether it holds booleans
-        if raw.dtype == bool if isinstance(raw, np.ndarray) else any(
-                isinstance(v, (bool, np.bool_)) for v in np.ravel(np.array(raw, dtype=object))):
-            raise DomainError(f"momentum components must be real numbers, got {raw!r}")
-        p = np.array(self.p, dtype=float)
-        if p.ndim == 0 or p.shape[-1] != 3 or not np.isfinite(p).all():
-            raise DomainError(f"momentum must be 3 finite reals, or a (..., 3) stack of them, "
-                              f"got {self.p!r}")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
+        p = number_array(self.p, "momentum", width=3)
+        object.__setattr__(self, "p", _read_only(np.array(p)))  # a copy of the caller's
 
     @cached_property
     def energy_sq(self):
@@ -158,9 +151,9 @@ def _eigenspinor_row(px: float, py: float, pz: float, energy: float,
     the momentum (px, py, pz) of positive energy `energy` and the spin axis
     (theta, phi_s): the closed form on Python floats.
 
-    The arguments are taken as checked (eigenspinor checks them), so a
-    stack of momenta, each with its energy from one MomentumState, calls
-    this row by row and gets each row's single-state bits.
+    The arguments are taken as checked: eigenspinor checks them and calls
+    this once per row, with each row's energy from its MomentumState, so
+    every row of a stack gets its single-state bits.
     """
     mc2 = constants.mc2
     scale = constants.c / (energy + mc2)
@@ -184,9 +177,12 @@ def _eigenspinor_row(px: float, py: float, pz: float, energy: float,
     return u
 
 
-def eigenspinor(state: MomentumState, energy_sign: int = 1, spin: str = "up",
-                axis=(0.0, 0.0)) -> np.ndarray:
+def eigenspinor(state: MomentumState, energy_sign=1, spin="up", axis=(0.0, 0.0)) -> np.ndarray:
     """Normalized energy eigenvector with a deterministic phase.
+
+    energy_sign (the integer +1 or -1), spin ("up" or "down") and axis
+    (theta, phi_s) broadcast against the state's rows: (4,) for one of
+    each, else (..., 4), each row the bits of its single-momentum call.
 
     The two degenerate states of one energy sign are split by the spin
     operator Sigma.n restricted to that eigenspace; "up" takes the larger
@@ -209,24 +205,34 @@ def eigenspinor(state: MomentumState, energy_sign: int = 1, spin: str = "up",
     along +a, "down" along -a.  The spinor is divided by its computed
     norm, which stands for N.  The arithmetic is _eigenspinor_row's.
     """
-    if isinstance(energy_sign, (bool, np.bool_)) or energy_sign not in (1, -1):
-        raise DomainError(f"energy_sign must be +1 or -1, got {energy_sign!r}")
-    if spin not in ("up", "down"):
-        raise DomainError(f"spin must be 'up' or 'down', got {spin!r}")
-    _one_momentum(state)
-    theta, phi_s = float(axis[0]), float(axis[1])
-    if not (math.isfinite(theta) and math.isfinite(phi_s)):
-        raise DomainError("spin axis angles must be finite")
-    px, py, pz = state.p.tolist()
-    return np.array(_eigenspinor_row(px, py, pz, state.energy, state.constants,
-                                     energy_sign, spin, theta, phi_s), dtype=complex)
+    if not isinstance(state, MomentumState):
+        raise DomainError(f"expected a MomentumState, got {type(state).__name__}")
+    signs, spins = number_array(energy_sign, "energy_sign", "iu"), np.array(spin, dtype=object)
+    if not (set(signs.ravel().tolist()) <= {1, -1}
+            and all(map(("up", "down").__contains__, spins.ravel().tolist()))):
+        raise DomainError(f"energy_sign must be +1 or -1 and spin 'up' or 'down', "
+                          f"got {energy_sign!r} and {spin!r}")
+    angles, k = number_array(axis, "spin axis", width=2), state.constants
+    try:
+        shape = np.broadcast(state.p[..., 0], signs, spins, angles[..., 0]).shape
+    except ValueError:
+        raise DomainError(f"sign, spin and axis do not broadcast with p {state.p.shape}") from None
+
+    def columns(a, *width) -> list:  # a broadcast against the rows, as one list per column
+        full = np.empty(shape + width, a.dtype)
+        full[...] = a
+        return full.reshape(-1, *width).T.tolist()
+
+    rows = zip(*columns(state.p, 3), columns(np.asarray(state.energy)), columns(signs),
+               columns(spins), *columns(angles, 2))
+    return np.array([_eigenspinor_row(px, py, pz, e, k, sign, up, theta, phi_s)
+                     for px, py, pz, e, sign, up, theta, phi_s in rows],
+                    dtype=complex).reshape(shape + (4,))
 
 
 def velocity_operator(j: int, constants: PhysicalConstants) -> np.ndarray:
     """C alpha_j: the velocity operator along axis j."""
-    if not _is_axis(j):
-        raise DomainError(f"axis must be 1, 2 or 3, got {j!r}")
-    return constants.c * dirac_generator(GeneratorKind(j))
+    return constants.c * dirac_generator(GeneratorKind(_axis(j)))
 
 
 def _per_matrix(x) -> np.ndarray:
@@ -242,12 +248,11 @@ def _axes(state, j, t=0.0) -> tuple:
     if not isinstance(state, MomentumState):
         raise DomainError(f"expected a MomentumState, got {type(state).__name__}; "
                           "a stack of momenta is one state's p")
-    bad = [v for v in np.ravel(np.asarray(j, dtype=object)).tolist() if not _is_axis(v)]
-    j = np.asarray(j)
-    if bad:
-        raise DomainError(f"axis must be 1, 2 or 3, got {bad[0]!r}")
-    shape = np.broadcast_shapes(state.p.shape[:-1], j.shape, np.shape(t))
-    j = np.broadcast_to(j.astype(int), shape)
+    axes = number_array(j, "axis", "iu")
+    if not ((axes >= 1) & (axes <= 3)).all():
+        raise DomainError(f"axis must be 1, 2 or 3, got {j!r}")
+    shape = np.broadcast_shapes(state.p.shape[:-1], axes.shape, np.shape(t))
+    j = np.broadcast_to(axes, shape)
     return (np.choose(j - 1, np.moveaxis(state.p, -1, 0)), j,
             np.broadcast_to(np.asarray(t, dtype=float), shape))
 
@@ -455,8 +460,7 @@ def zbw_trajectory(state: MomentumState, psi, times) -> Trajectory:
 def max_mixing_state(state: MomentumState) -> np.ndarray:
     """Equal-weight superposition of the two energy signs, both spin up along z."""
     _one_momentum(state)
-    plus = eigenspinor(state, 1, "up")
-    minus = eigenspinor(state, -1, "up")
+    plus, minus = eigenspinor(state, np.array([1, -1]), "up")
     return (plus + minus) / math.sqrt(2.0)
 
 
@@ -520,7 +524,7 @@ def fit_dominant_frequency(times, signal) -> float:
     spectrum.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
-    x = np.asarray(signal, dtype=float).reshape(-1)
+    x = number_array(signal, "the signal").reshape(-1)
     if times.size != x.size or times.size < 8:
         raise DomainError("need at least 8 uniformly spaced samples")
     dt = times[1] - times[0]
@@ -528,8 +532,6 @@ def fit_dominant_frequency(times, signal) -> float:
         raise DomainError(f"sample times must increase, got a first step of {dt!r}")
     if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0):
         raise DomainError("samples must be uniformly spaced")
-    if not np.isfinite(x).all():
-        raise DomainError("the signal has a non-finite sample")
     if _is_flat(float(np.ptp(x)), float(np.max(np.abs(x)))):
         return 0.0
     y = x - x.mean()

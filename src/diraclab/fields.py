@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import DomainError
+from .errors import DomainError, number_array
 from .matrices import (
     DIRAC_STACK,
-    GENERATOR_STACK,
     Representation,
     complex_product,
     generators,
@@ -140,7 +139,7 @@ def self_fields_matrix_maxwell(constants, rep: Representation = Representation.P
     self_fields_commutator.
     """
     sets, one = _constant_sets(constants)
-    a = GENERATOR_STACK[rep][:3]
+    a = np.stack(generators(rep)[:3])
     grad_factor = _per_set([1j * (k.mass * k.c / k.hbar) for k in sets], 1)
     pot_factor = _per_set([k.mass * k.c**2 / (-k.charge) for k in sets], 3)
     j, kk, ll = (list(axis) for axis in zip(*_CURL_TERMS))
@@ -183,17 +182,22 @@ def _linear(coeffs, coords):
 class LinearPotentials:
     """Static potentials linear in position, given by their constant gradients.
 
-    grad_a[k][l] = d_k A_l and grad_phi[k] = d_k phi, all finite, so that
-    A_l = sum_k grad_a[k][l] x_k and phi = sum_k grad_phi[k] x_k.  a and phi
-    broadcast over numpy arrays.  LinearPotentials() is the zero field.
+    grad_a[k][l] = d_k A_l and grad_phi[k] = d_k phi, finite reals kept as
+    floats, so that A_l = sum_k grad_a[k][l] x_k and phi = sum_k grad_phi[k]
+    x_k.  a and phi broadcast over numpy arrays.  LinearPotentials() is the zero field.
     """
 
     grad_a: tuple = (_ZERO3, _ZERO3, _ZERO3)
     grad_phi: tuple = _ZERO3
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for row in (*self.grad_a, self.grad_phi) for v in row):
-            raise DomainError(f"potential coefficients must be finite, got {self!r}")
+        grad_a = number_array(self.grad_a, "potential coefficients")
+        grad_phi = number_array(self.grad_phi, "potential coefficients")
+        if grad_a.shape != (3, 3) or grad_phi.shape != (3,):
+            raise DomainError(f"grad_a must be 3 x 3 and grad_phi 3 long, got {grad_a.shape} "
+                              f"and {grad_phi.shape}")
+        object.__setattr__(self, "grad_a", tuple(map(tuple, grad_a.tolist())))
+        object.__setattr__(self, "grad_phi", tuple(grad_phi.tolist()))
 
     def a(self, x, y, z) -> tuple:
         return tuple(_linear([row[l] for row in self.grad_a], (x, y, z)) for l in range(3))
@@ -204,11 +208,13 @@ class LinearPotentials:
 
 def symmetric_gauge(b0: float) -> LinearPotentials:
     """A = (-B0 y / 2, B0 x / 2, 0): uniform intensity (0, 0, B0)."""
+    number_array(b0, "potential coefficients")  # a bool: 0.5 * True would hide it
     return LinearPotentials(grad_a=((0.0, 0.5 * b0, 0.0), (-0.5 * b0, 0.0, 0.0), _ZERO3))
 
 
 def linear_scalar(e0: float) -> LinearPotentials:
     """phi = -E0 x: uniform static field (E0, 0, 0)."""
+    number_array(e0, "potential coefficients")
     return LinearPotentials(grad_phi=(-e0, 0.0, 0.0))
 
 

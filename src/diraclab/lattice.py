@@ -63,8 +63,9 @@ import numpy as np
 
 from .config import PRESET_NAMES
 from .constants import PhysicalConstants
-from .errors import DomainError
+from .errors import DomainError, is_integer, real
 from .fields import LinearPotentials, classical_maxwell_reference, linear_scalar, symmetric_gauge
+from .matrices import _axis
 
 SIGN_CONVENTION = (
     "kinetic pi_j = -i hbar D_j + (e/C) A_j with e > 0; intensities solved from "
@@ -76,14 +77,14 @@ SIGN_CONVENTION = (
 AMPLITUDE_FLOOR = 1e-8
 
 
-def _check_spacing(h) -> None:
-    """A spacing the stencils can divide by: finite, > 0, and large enough
-    that the stencil scale 1 / (2 h) is finite (h above about 2.8e-309)."""
-    if isinstance(h, bool) or not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
-        raise DomainError(f"grid spacing must be finite and > 0, got {h!r}")
+def _check_spacing(h) -> float:
+    """h as a float the stencils can divide by: a finite real > 0 whose stencil
+    scale 1 / (2 h) is finite (h above about 2.8e-309)."""
+    h = real(h, "grid spacing", positive=True)
     if not math.isfinite(1.0 / (2.0 * h)):
         raise DomainError(f"grid spacing {h!r} is too small: the stencil scale "
                           f"1 / (2 h) overflows")
+    return h
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,10 @@ class Grid3:
     h: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 9 or self.n % 2 == 0:
+        if not (is_integer(self.n) and self.n >= 9 and self.n % 2):
             raise DomainError(f"grid size must be an odd integer >= 9, got {self.n!r}")
-        _check_spacing(self.h)
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "h", _check_spacing(self.h))
 
     @property
     def axis(self) -> np.ndarray:
@@ -118,8 +120,6 @@ class Grid3:
 
 def make_preset(name: str, b0: float = 1.0, e0: float = 1.0) -> LinearPotentials:
     """The named field: a uniform H = (0, 0, b0), a uniform E = (e0, 0, 0), or none."""
-    if isinstance(b0, (bool, np.bool_)) or isinstance(e0, (bool, np.bool_)):
-        raise DomainError(f"b0 and e0 must be real numbers, got {b0!r} and {e0!r}")
     if name == "uniform_b":
         return symmetric_gauge(b0)
     if name == "linear_phi":
@@ -190,8 +190,7 @@ def kinetic_momentum_apply(j: int, potentials: LinearPotentials, grid: Grid3, ps
     psi must be sampled on the full grid.  Cells whose central difference
     would reach outside the box come back NaN.
     """
-    if not isinstance(j, int) or isinstance(j, bool) or j not in (1, 2, 3):
-        raise DomainError(f"axis must be the int 1, 2 or 3, got {j!r}")
+    j = _axis(j)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (grid.n,) * 3:
         raise DomainError(f"psi shape {psi.shape} does not match grid {(grid.n,)*3}")
@@ -694,11 +693,9 @@ def convergence_study(potentials: LinearPotentials, spacings,
     spacing (nine points across), so finer grids refine the same volume.
     """
     constants = PhysicalConstants() if constants is None else constants
-    spac = [h if isinstance(h, (bool, np.bool_)) else float(h) for h in spacings]
+    spac = [_check_spacing(h) for h in spacings]
     if len(spac) < 3:
         raise DomainError("need at least 3 spacings")
-    for h in spac:
-        _check_spacing(h)
     for a, b in zip(spac, spac[1:]):
         if not math.isclose(b, a / 2.0, rel_tol=1e-9):
             raise DomainError(f"each spacing must halve the previous; {b} does not halve {a}")

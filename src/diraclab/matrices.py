@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integer, number_array
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -31,16 +31,16 @@ PAULI_TABLE = tuple(_read_only(m) for m in (
 PAULI_STACK = _read_only(np.stack(PAULI_TABLE))  # (sigma_1, sigma_2, sigma_3) as (3, 2, 2)
 
 
-def _is_axis(j) -> bool:
-    """Whether j names the axis 1, 2 or 3: an integer, not a boolean."""
-    return not isinstance(j, (bool, np.bool_)) and j in (1, 2, 3)
+def _axis(j) -> int:
+    """j if it names the axis 1, 2 or 3 (an integer, errors.is_integer)."""
+    if not (is_integer(j) and j in (1, 2, 3)):
+        raise DomainError(f"axis must be 1, 2 or 3, got {j!r}")
+    return int(j)
 
 
 def pauli(j: int) -> np.ndarray:
     """Pauli matrix sigma_j, axis j in {1, 2, 3}."""
-    if not _is_axis(j):
-        raise DomainError(f"pauli axis must be 1, 2 or 3, got {j!r}")
-    return PAULI_TABLE[j - 1].copy()
+    return PAULI_TABLE[_axis(j) - 1].copy()
 
 
 def identity(dim: int = 4) -> np.ndarray:
@@ -60,9 +60,7 @@ SIGMA_BLOCKS = tuple(_sigma_block(s) for s in PAULI_TABLE)
 
 def sigma_block(j: int) -> np.ndarray:
     """4x4 promotion of sigma_j: block-diag(sigma_j, sigma_j)."""
-    if not _is_axis(j):
-        raise DomainError(f"pauli axis must be 1, 2 or 3, got {j!r}")
-    return SIGMA_BLOCKS[j - 1].copy()
+    return SIGMA_BLOCKS[_axis(j) - 1].copy()
 
 
 class Representation(Enum):
@@ -208,11 +206,9 @@ def mat_exp(a) -> np.ndarray:
     matrix of a stack is judged and diagonalised on its own, as it would
     be alone.
     """
-    m = np.asarray(a, dtype=complex)
+    m = number_array(a, "matrix", "iufc")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("matrix has non-finite entries")
     if not m.size:
         return m.copy()
     stack = m.reshape((-1,) + m.shape[-2:])

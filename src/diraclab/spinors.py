@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import DomainError
+from .errors import DomainError, is_integer, number_array, real
 from .matrices import PAULI_STACK, _read_only, complex_product
 
 BRANCH_PLUS = "l+1/2"
@@ -21,29 +21,9 @@ BRANCH_MINUS = "l-1/2"
 
 
 def spinor_rows(values) -> np.ndarray:
-    """values as a complex array whose last axis holds the four components of
-    each spinor: one spinor of shape (4,) or a stack of shape (..., 4).
-
-    The whole stack is checked at once; a misshapen or non-finite row
-    anywhere in it is refused.
-    """
-    try:
-        a = np.asarray(values, dtype=complex)
-    except (TypeError, ValueError) as exc:  # ragged rows, non-numbers
-        raise DomainError(f"spinor rows must be complex 4-vectors: {exc}") from None
-    if a.ndim == 0 or a.shape[-1] != 4:
-        raise DomainError(f"spinor must have 4 components, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise DomainError("spinor has non-finite components")
-    return a
-
-
-def as_spinor(values) -> np.ndarray:
-    return spinor_rows(np.asarray(values, dtype=complex).reshape(-1))
-
-
-def spinor_norm(psi) -> float:
-    return float(np.linalg.norm(as_spinor(psi)))
+    """values as a complex spinor (4,) or stack (..., 4), checked whole at once
+    (errors.number_array): a misshapen or non-finite row anywhere is refused."""
+    return number_array(values, "spinor", "iufc", width=4)
 
 
 def require_normalized(psi) -> np.ndarray:
@@ -75,20 +55,14 @@ def recompose(split: BispinorSplit) -> np.ndarray:
 
 
 def _coordinates(*coords) -> tuple:
-    """Equal-shaped float arrays, one per coordinate; scalars are shape ()."""
-    arrays = tuple(np.asarray(c, dtype=float) for c in coords)
-    if any(a.shape != arrays[0].shape for a in arrays):
-        raise DomainError(f"coordinates must share one shape, got {[a.shape for a in arrays]}")
-    return arrays
+    """Equal-shaped finite float arrays, one per coordinate; scalars are shape ()."""
+    return tuple(map(np.asarray, number_array(coords, "coordinates of one shape")))
 
 
 def _point_columns(points) -> tuple:
-    """The four coordinate arrays of a (..., 4) table of points."""
-    try:
-        table = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"points must be rows of 4 coordinates: {exc}") from None
-    if table.ndim < 2 or table.shape[-1] != 4:
+    """The four coordinate arrays of a (..., 4) table of finite points."""
+    table = number_array(points, "points", width=4)
+    if table.ndim < 2:
         raise DomainError(f"points must have shape (npoints, 4), got {table.shape}")
     return tuple(np.moveaxis(table, -1, 0))
 
@@ -100,15 +74,8 @@ def _by_component(*stacks) -> tuple:
 
 
 def _validated(sample, names: tuple):
-    """Check a sample's stacks once: present, one shape, 4 components, finite."""
-    stacks = [getattr(sample, name) for name in names]
-    if any(v is None for v in stacks):
-        raise DomainError(f"missing derivative data: {names[stacks.index(None)]}")
-    stacks = [np.asarray(v, dtype=complex) for v in stacks]
-    shape = stacks[0].shape
-    if any(v.shape != shape for v in stacks):
-        raise DomainError(f"sample stacks differ in shape: {[v.shape for v in stacks]}")
-    spinor_rows(np.stack(stacks))
+    """Check a sample's stacks at once: numbers, one shape, 4 components, finite."""
+    stacks = number_array([getattr(sample, name) for name in names], "sample stacks", "iufc", 4)
     for name, v in zip(names, stacks):
         object.__setattr__(sample, name, v)
 
@@ -162,14 +129,10 @@ class PlaneWave:
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", _read_only(spinor_rows(self.amplitude).copy()))
-        p = np.array(self.p, dtype=float)
-        if p.ndim == 0 or p.shape[-1] != 3 or not np.isfinite(p).all():
-            raise DomainError(f"momentum must be 3 finite reals, got {self.p!r}")
-        object.__setattr__(self, "p", _read_only(p))
-        if np.ndim(self.omega):
-            object.__setattr__(self, "omega", _read_only(np.array(self.omega, dtype=float)))
-        if not np.isfinite(self.omega).all():
-            raise DomainError("omega must be finite")
+        p = number_array(self.p, "momentum", width=3)
+        object.__setattr__(self, "p", _read_only(np.array(p)))
+        omega = number_array(self.omega, "omega")
+        object.__setattr__(self, "omega", _read_only(omega.copy()) if omega.ndim else float(omega))
 
     def phase(self, x, y, z, t) -> np.ndarray:
         """The phase factor at equal-shaped coordinates (scalars or arrays)."""
@@ -217,9 +180,7 @@ class CylindricalPlaneWave:
 
 def sigma_dot(p) -> np.ndarray:
     """2x2 contraction sigma_j p_j, of one momentum (3,) or a stack (..., 3)."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 0 or p.shape[-1] != 3:
-        raise DomainError(f"need 3 momentum components, got shape {p.shape}")
+    p = number_array(p, "momentum", width=3)
     # each product is exact and each entry sums disjoint parts, so any
     # summation order gives the same bits
     return np.tensordot(p, PAULI_STACK, axes=1)
@@ -308,8 +269,6 @@ def spin_coherent_state(theta, phi_s) -> np.ndarray:
     Equal-shaped arrays of angles give a (..., 2) stack, one spinor per pair.
     """
     theta, phi_s = _coordinates(theta, phi_s)
-    if not (np.isfinite(theta).all() and np.isfinite(phi_s).all()):
-        raise DomainError("angles must be finite")
     v = np.empty(theta.shape + (2,), dtype=complex)
     v[..., 0] = np.cos(theta / 2.0)
     v[..., 1] = np.exp(1j * phi_s) * np.sin(theta / 2.0)
@@ -358,7 +317,8 @@ PROFILES = {
 class CylindricalSpinor:
     """Separable test state psi_k = w_k f_k(rho, z) exp(i l_k phi - i omega t).
 
-    angular_indices carries one integer exponent per component.
+    angular_indices carries one integer exponent per component (1.5 is
+    refused, not truncated), weights four numbers and omega a real.
     """
 
     angular_indices: tuple
@@ -368,26 +328,15 @@ class CylindricalSpinor:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        # an integer type, as angular_eigenstate asks of l: int() would
-        # truncate 1.5 to 1 silently, and a boolean is not an index
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in self.angular_indices):
-            raise DomainError(f"angular_indices must be integers, got {self.angular_indices!r}")
-        idx = tuple(int(v) for v in self.angular_indices)
-        if len(idx) != 4:
-            raise DomainError("angular_indices must have 4 entries")
-        object.__setattr__(self, "angular_indices", idx)
-        if len(self.weights) != 4:
-            raise DomainError("weights must have 4 entries")
-        if any(isinstance(w, (bool, np.bool_)) for w in self.weights):
-            raise DomainError(f"weights must be numbers, got {self.weights!r}")
-        object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
+        for name, kinds in (("angular_indices", "iu"), ("weights", "iufc")):
+            values = number_array(getattr(self, name), name, kinds)
+            if values.shape != (4,):
+                raise DomainError(f"{name} must have 4 entries, got shape {values.shape}")
+            object.__setattr__(self, name, tuple(values.tolist()))
+        object.__setattr__(self, "omega", real(self.omega, "omega"))
         refs = tuple(self.profile_refs)
-        if len(refs) != 4:
-            raise DomainError("profile_refs must have 4 entries")
-        for ref in refs:
-            if ref not in PROFILES:
-                raise DomainError(f"unknown profile_ref {ref!r}")
+        if len(refs) != 4 or not all(ref in PROFILES for ref in refs):
+            raise DomainError(f"profile_refs must be 4 of {list(PROFILES)}, got {refs!r}")
         object.__setattr__(self, "profile_refs", refs)
 
     def sample_cyl(self, rho, phi, z, t) -> CylindricalSample:
@@ -431,7 +380,7 @@ def angular_eigenstate(l: int, branch: str, **kw) -> CylindricalSpinor:
     branch "l+1/2" uses exponents (l, l+1, l, l+1); branch "l-1/2" uses
     (l-1, l, l-1, l).
     """
-    if not isinstance(l, int) or isinstance(l, bool):
+    if not is_integer(l):
         raise DomainError(f"l must be an integer, got {l!r}")
     if branch == BRANCH_PLUS:
         idx = (l, l + 1, l, l + 1)

@@ -26,7 +26,6 @@ from .constants import PhysicalConstants
 from .dynamics import (
     RESOLVED_OSCILLATION,
     MomentumState,
-    _eigenspinor_row,
     alpha_evolved_oracle,
     eigenspinor,
     eta_matrix,
@@ -341,18 +340,6 @@ def _complex_normal(rng, shape: tuple) -> np.ndarray:
     return re + 1j * im
 
 
-def _eigenspinors(state: MomentumState, signs, ups, thetas, phis) -> np.ndarray:
-    """(n, 4) eigenspinors of an n-row state: row i is eigenspinor of row i's
-    momentum with energy sign signs[i], spin up if ups[i] else down, about
-    the axis (thetas[i], phis[i]), and its bits (the same row kernel, fed
-    the state's per-row energies)."""
-    k = state.constants
-    return np.array([
-        _eigenspinor_row(px, py, pz, e, k, sign, "up" if up else "down", theta, phi)
-        for (px, py, pz), e, sign, up, theta, phi
-        in zip(state.p.tolist(), state.energy.tolist(), signs, ups, thetas, phis)])
-
-
 # --- algebra -----------------------------------------------------------------
 
 def build_algebra_suite(config: RunConfig, draw) -> dict:
@@ -451,7 +438,7 @@ def build_states_suite(config: RunConfig, draw) -> dict:
     rng = draw("eigen_waves")
     momenta, ups = np.repeat(rng.uniform(-2.0, 2.0, (4, 3)), 2, axis=0), rng.integers(0, 2, 8)
     stack, signs = MomentumState(p=momenta, constants=k), (1, -1) * 4
-    us = _eigenspinors(stack, signs, ups.tolist(), (0.0,) * 8, (0.0,) * 8)
+    us = eigenspinor(stack, signs, np.where(ups, "up", "down"))
     omegas = [sign * e / k.hbar for e, sign in zip(stack.energy.tolist(), signs)]
     waves = _wave_stack(us, momenta, omegas, k)
     m["eigen_wave_residual"] = _matrix_devs(
@@ -529,7 +516,7 @@ def build_dynamics_suite(config: RunConfig, draw) -> dict:
         np.maximum(np.abs(w[:, 0] - w[:, 1]), np.abs(w[:, 2] - w[:, 3])) / e).tolist()
 
     momenta = draw("momenta").uniform(-2.0, 2.0, (6, 3))
-    states = [MomentumState(p=p, constants=k) for p in momenta]
+    states = MomentumState(p=momenta[:, None], constants=k)  # (6, 1, 3): a label axis to come
 
     # each closed form below runs once, on the stack of its family's states:
     # every state with each axis j, then the first three states with theirs
@@ -545,7 +532,7 @@ def build_dynamics_suite(config: RunConfig, draw) -> dict:
         np.array([velocity_operator(j, k) for j in axes[:9].tolist()]))
 
     rng = draw("evolution")
-    picked = MomentumState(p=momenta[rng.integers(0, len(states), 18)], constants=k)
+    picked = MomentumState(p=momenta[rng.integers(0, len(momenta), 18)], constants=k)
     ts, js = rng.uniform(-3.0, 3.0, 18), rng.integers(1, 4, 18)
     m["velocity_direction_evolution"] = _matrix_devs(
         velocity_direction(picked, js, ts), alpha_evolved_oracle(picked, js, ts))
@@ -559,7 +546,7 @@ def build_dynamics_suite(config: RunConfig, draw) -> dict:
     m["zbw_vanishes_at_zero"] = _matrix_devs(zbw_closed_form(first, axes[:9], 0.0).zbw_matrix)
 
     dev_osc, dev_lin = [], []
-    for state in states[:2]:
+    for state in (MomentumState(p=p, constants=k) for p in momenta[:2]):
         period = 2.0 * math.pi * k.hbar / (2.0 * state.energy)
         times = np.linspace(0.0, 3.0 * period, 48)
         for sign in (1, -1):
@@ -575,20 +562,16 @@ def build_dynamics_suite(config: RunConfig, draw) -> dict:
     omega = 2.0 * state.energy / k.hbar
     m["zbw_frequency_fft"] = (omega, fitted_zbw_frequency(state), _fft_bound(omega))
 
-    dev_res, dev_orth = [], []
-    deterministic = True
-    for state in states:
-        basis = []
-        for sign in (1, -1):
-            for spin_label in ("up", "down"):
-                u = eigenspinor(state, sign, spin_label)
-                deterministic &= bool(np.array_equal(u, eigenspinor(state, sign, spin_label)))
-                dev_res.append(_dev(state.h @ u, sign * state.energy * u) / state.energy)
-                basis.append(u)
-        g = np.stack(basis, axis=1)
-        dev_orth.append(_dev(g.conj().T @ g, identity(4)))
-    m["eigenspinor_residual"] = dev_res
-    m["eigenbasis_orthonormal"] = dev_orth
+    # each state's four eigenspinors, energy sign (+, +, -, -) by spin (up,
+    # down, up, down), in one call, and in a second to see it reproduce
+    signs, spins = np.array([1, 1, -1, -1]), ["up", "down"] * 2
+    us = eigenspinor(states, signs, spins)  # (state, label, component)
+    deterministic = bool(np.array_equal(us, eigenspinor(states, signs, spins)))
+    energies = signs * states.energy  # (state, label)
+    devs = _row_devs((states.h @ us[..., None])[..., 0], energies[..., None] * us)
+    m["eigenspinor_residual"] = [d / e for d, e in zip(devs, np.abs(energies).ravel().tolist())]
+    m["eigenbasis_orthonormal"] = [  # each basis as the columns of one matrix g
+        _dev(g.conj().T @ g, identity(4)) for g in map(np.ascontiguousarray, us.swapaxes(1, 2))]
     m["eigenspinor_deterministic"] = Verdict(
         "reproduced exactly" if deterministic else "reproduction differed", deterministic)
     return m
@@ -606,10 +589,10 @@ def random_eigen_samples(rng, count: int, constants: PhysicalConstants):
     """count random eigenspinors, each of a random energy sign and of spin up
     or down along a random axis: ((count, 4) spinors, their count-row state)."""
     state = MomentumState(p=rng.uniform(-2.0, 2.0, (count, 3)), constants=constants)
-    positive, ups = rng.integers(0, 2, (2, count)).tolist()
+    positive, ups = rng.integers(0, 2, (2, count))
     theta, phi = _random_directions(rng, count)
-    signs = [1 if sign else -1 for sign in positive]
-    return _eigenspinors(state, signs, ups, theta.tolist(), phi.tolist()), state
+    return eigenspinor(state, 2 * positive - 1, np.where(ups, "up", "down"),
+                       np.stack((theta, phi), axis=-1)), state
 
 
 def build_fields_suite(config: RunConfig, draw) -> dict:

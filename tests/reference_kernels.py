@@ -224,7 +224,7 @@ def stacked_path_mismatches(seed: int) -> list:
     stack, signs = MomentumState(p=momenta, constants=k), (1, -1) * 4
     rows = [MomentumState(p=p, constants=k) for p in momenta]
     want = [eigenspinor(s, sign, "up" if up else "down") for s, sign, up in zip(rows, signs, ups)]
-    if not (same_bits(suites._eigenspinors(stack, signs, ups.tolist(), (0.0,) * 8, (0.0,) * 8),
+    if not (same_bits(suites.eigenspinor(stack, signs, np.where(ups, "up", "down")),
                       np.array(want))
             and stack.energy.tolist() == [s.energy for s in rows]):
         bad.append("eigen_waves")

@@ -358,6 +358,18 @@ def test_zbw_unknown_state_key_error_names_allowed_keys(tmp_path, capsys):
         assert repr(key) in err
 
 
+@pytest.mark.parametrize("state", [
+    '{"spin": ["up", "down"]}', '{"spin_axis": [[0, 0]]}', '{"spin": "sideways"}',
+    '{"superposition": [{"spin_axis": [[0, 0], [1, 1]]}]}'])
+def test_zbw_blames_the_state_for_a_spin_or_axis_that_is_not_one(state, tmp_path, capsys):
+    # eigenspinor broadcasts a list of spins or axes; a --state term names one spinor
+    out = tmp_path / "traj.csv"
+    assert cli.main([*ZBW_BASE, "--state", state, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --state: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["linspace", "zbw_trajectory"])
 def test_zbw_out_of_memory_exits_two(target, tmp_path, capsys, monkeypatch):
     # Stands in for a --steps too large to allocate; nothing big is allocated.

@@ -540,35 +540,137 @@ def test_a_stack_of_spinors_is_refused_where_one_is_expected():
             call()
 
 
-def test_booleans_are_not_numbers():
-    from diraclab.lattice import Grid3, convergence_study, make_preset
-    from diraclab.matrices import pauli
+def _policy_rows() -> list:
+    """(id, call, exception) rows of the input policy (diraclab.errors): each
+    call must raise that exception, DomainError unless the entry point
+    collects its problems into a ConfigError."""
+    from diraclab.config import RunConfig
+    from diraclab.errors import ConfigError
+    from diraclab.fields import LinearPotentials, linear_scalar, symmetric_gauge
+    from diraclab.lattice import Grid3, convergence_study, kinetic_momentum_apply
+    from diraclab.matrices import pauli, sigma_block
+    from diraclab.spinors import PlaneWave
 
     state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K)
-    for flag in (True, np.True_):
-        for call in (lambda: Grid3(9, flag),
-                     lambda: convergence_study(make_preset("uniform_b"), (flag, 0.5, 0.25)),
-                     lambda: velocity_operator(flag, K),
-                     lambda: eta_matrix(state, flag),
-                     lambda: eta_matrix(state, [1, flag]),
-                     lambda: pauli(flag),
-                     lambda: eigenspinor(state, flag)):
-            with pytest.raises(DomainError):
-                call()
+    grid, amp = Grid3(n=9, h=0.2), np.ones(4) / 2.0
+    psi = np.ones((9, 9, 9), dtype=complex)
+    rows = [  # the boolean cases each site refused before the policy
+        ("angular_eigenstate.l", lambda: angular_eigenstate(True, BRANCH_PLUS), DomainError),
+        ("CylindricalSpinor.angular_indices",
+         lambda: CylindricalSpinor(angular_indices=(True, 1, 0, 1)), DomainError),
+        ("make_preset.b0", lambda: make_preset("uniform_b", True), DomainError),
+        ("make_preset.e0", lambda: make_preset("linear_phi", e0=np.True_), DomainError),
+        ("MomentumState.p-list", lambda: MomentumState(p=[True, 0, 0], constants=K), DomainError),
+        ("MomentumState.p-array",
+         lambda: MomentumState(p=np.array([True, False, True]), constants=K), DomainError),
+    ]
+    # where an integer is due: each site with a valid value, then a boolean,
+    # a numpy boolean, the value as a string and the value as a float
+    integer_sites = {
+        "pauli": (2, pauli),
+        "sigma_block": (3, sigma_block),
+        "velocity_operator": (1, lambda j: velocity_operator(j, K)),
+        "eta_matrix": (1, lambda j: eta_matrix(state, j)),
+        "eta_matrix-list": (1, lambda j: eta_matrix(state, [2, j])),
+        "kinetic_momentum_apply": (1, lambda j: kinetic_momentum_apply(
+            j, make_preset("uniform_b"), grid, psi, K)),
+        "Grid3.n": (9, lambda n: Grid3(n=n, h=0.2)),
+        "angular_eigenstate": (1, lambda l: angular_eigenstate(l, BRANCH_PLUS)),
+        "CylindricalSpinor.indices": (1, lambda l: CylindricalSpinor(angular_indices=(l, 2, 1, 2))),
+        "eigenspinor.sign": (1, lambda sign: eigenspinor(state, sign, "up")),
+        "RunConfig.seed": (1, lambda seed: RunConfig(seed=seed)),
+    }
+    for site, (good, call) in integer_sites.items():
+        error = ConfigError if site.startswith("RunConfig") else DomainError
+        for label, bad in (("bool", bool(good)), ("numpy-bool", np.bool_(good)),
+                           ("string", str(good)), ("float", float(good))):
+            rows.append((f"{site}-{label}", lambda call=call, bad=bad: call(bad), error))
+    # where a finite real is due: a boolean, a numpy boolean, a numeric
+    # string, nan and inf
+    real_sites = {
+        "PhysicalConstants": lambda v: PhysicalConstants(hbar=v),
+        "RunConfig.tol_overrides": lambda v: RunConfig(tol_overrides={"fields": v}),
+        "MomentumState.p": lambda v: MomentumState(p=[v, 0.2, 0.3], constants=K),
+        "Grid3.h": lambda v: Grid3(n=9, h=v),
+        "convergence_study": lambda v: convergence_study(make_preset("uniform_b"), (v, 0.5, 0.25)),
+        "make_preset": lambda v: make_preset("uniform_b", b0=v),
+        "LinearPotentials": lambda v: LinearPotentials(grad_phi=(v, 0.0, 0.0)),
+        "symmetric_gauge": symmetric_gauge,
+        "linear_scalar": linear_scalar,
+        "PlaneWave.p": lambda v: PlaneWave(amplitude=amp, p=[v, 0.0, 0.0], omega=1.0, constants=K),
+        "PlaneWave.omega": lambda v: PlaneWave(amplitude=amp, p=[0.1, 0.0, 0.0], omega=v,
+                                               constants=K),
+        "CylindricalSpinor.weights": lambda v: CylindricalSpinor(angular_indices=(1, 2, 1, 2),
+                                                                 weights=(v, 1.0, 1.0, 1.0)),
+        "CylindricalSpinor.omega": lambda v: CylindricalSpinor(angular_indices=(1, 2, 1, 2),
+                                                               omega=v),
+        "eigenspinor.axis": lambda v: eigenspinor(state, 1, "up", (v, 0.0)),
+    }
+    for site, call in real_sites.items():
+        error = ConfigError if site.startswith("RunConfig") else DomainError
+        for label, bad in (("bool", True), ("numpy-bool", np.True_), ("string", "0.5"),
+                           ("nan", math.nan), ("inf", math.inf)):
+            rows.append((f"{site}-{label}", lambda call=call, bad=bad: call(bad), error))
+    rows += [
+        ("MomentumState.p-complex", lambda: MomentumState(p=[0.1j, 0.2, 0.3], constants=K),
+         DomainError),
+        ("PhysicalConstants-huge-int", lambda: PhysicalConstants(hbar=10**400), DomainError),
+        ("Grid3.h-huge-int", lambda: Grid3(n=9, h=10**400), DomainError),
+        ("RunConfig.tol_overrides-huge-int",
+         lambda: RunConfig(tol_overrides={"fields": 10**400}), ConfigError),
+        ("MomentumState.p-huge-int", lambda: MomentumState(p=[10**400, 0, 0], constants=K),
+         DomainError),
+        ("MomentumState.p-complex-array",
+         lambda: MomentumState(p=np.array([0.1j, 0.2, 0.3]), constants=K), DomainError),
+        ("PlaneWave.p-complex", lambda: PlaneWave(amplitude=amp, p=np.array([0.1j, 0.0, 0.0]),
+                                                  omega=1.0, constants=K), DomainError),
+        ("eigenspinor.axis-one-angle", lambda: eigenspinor(state, 1, "up", (0.0,)), DomainError),
+        ("eigenspinor.axis-three-angles",
+         lambda: eigenspinor(state, 1, "up", (0.1, 0.2, 0.3)), DomainError),
+        ("eigenspinor.axis-text", lambda: eigenspinor(state, 1, "up", "ab"), DomainError),
+        ("eigenspinor.spin", lambda: eigenspinor(state, 1, ["up", "sideways"]), DomainError),
+        ("cli.energy_sign-bool", lambda: cli._parse_state('{"energy_sign": true}', state),
+         ConfigError),
+        ("cli.weight-bool",
+         lambda: cli._parse_state('{"superposition": [{"weight": true}]}', state), ConfigError),
+        ("cli.spin_axis-bool", lambda: cli._parse_state('{"spin_axis": [true, 0]}', state),
+         ConfigError),
+    ]
+    return rows
 
 
-@pytest.mark.parametrize("call", [
-    lambda: angular_eigenstate(True, BRANCH_PLUS),
-    lambda: CylindricalSpinor(angular_indices=(True, 1, 0, 1)),
-    lambda: make_preset("uniform_b", True),
-    lambda: make_preset("linear_phi", e0=np.True_),
-    lambda: MomentumState(p=[True, 0, 0], constants=K),
-    lambda: MomentumState(p=np.array([True, False, True]), constants=K),
-], ids=["angular_eigenstate.l", "CylindricalSpinor.angular_indices", "make_preset.b0",
-        "make_preset.e0", "MomentumState.p-list", "MomentumState.p-array"])
-def test_a_boolean_is_refused_where_a_number_is_due(call):
-    with pytest.raises(DomainError):
+POLICY_ROWS = _policy_rows()
+
+
+@pytest.mark.parametrize("call, error", [row[1:] for row in POLICY_ROWS],
+                         ids=[row[0] for row in POLICY_ROWS])
+def test_a_boolean_is_refused_where_a_number_is_due(call, error):
+    # and so is any other value that the policy does not count as a number
+    # of the kind due: a numeric string, a float where an integer is due,
+    # nan or inf where a finite real is, a complex momentum, a misshapen axis
+    with pytest.raises(error):
         call()
+
+
+def test_a_numpy_integer_is_an_integer():
+    from diraclab.config import RunConfig
+    from diraclab.lattice import Grid3
+    from diraclab.matrices import pauli, sigma_block
+
+    state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K)
+    two = np.int64(2)
+    for got, want in ((pauli(two), pauli(2)), (sigma_block(two), sigma_block(2)),
+                      (velocity_operator(two, K), velocity_operator(2, K)),
+                      (eta_matrix(state, two), eta_matrix(state, 2)),
+                      (eta_matrix(state, np.array([1, 2], dtype=np.int32)),
+                       eta_matrix(state, [1, 2])),
+                      (eigenspinor(state, np.int64(-1), "up"), eigenspinor(state, -1, "up"))):
+        assert np.array_equal(got, want)
+    assert Grid3(n=np.int64(9), h=0.2) == Grid3(n=9, h=0.2)
+    assert angular_eigenstate(two, BRANCH_PLUS) == angular_eigenstate(2, BRANCH_PLUS)
+    assert PhysicalConstants(hbar=two) == PhysicalConstants(hbar=2)
+    assert type(PhysicalConstants(hbar=two).hbar) is float
+    assert RunConfig(seed=np.int64(5)).seed == 5
 
 
 def test_trajectory_csv_format():
@@ -908,10 +1010,40 @@ def test_the_single_momentum_forms_refuse_a_stack():
     one = MomentumState(p=stack.p[0], constants=K)
     psi = eigenspinor(one, 1, "up")
     times = np.linspace(0.0, 1.0, 16)
-    for fn in (lambda: eigenspinor(stack, 1, "up"), lambda: zbw_trajectory(stack, psi, times),
+    for fn in (lambda: zbw_trajectory(stack, psi, times),
                lambda: velocity_signal(stack, psi, times), lambda: fitted_zbw_frequency(stack),
                lambda: max_mixing_state(stack)):
         with pytest.raises(DomainError, match="one momentum"):
             fn()
-    with pytest.raises(DomainError, match="one momentum"):
-        eigenspinor([one], 1, "up")
+
+
+def test_an_eigenspinor_stack_gives_each_rows_bits():
+    rng = np.random.default_rng(31)
+    k = ROW_CONSTANTS[1]
+    momenta = rng.uniform(-2.0, 2.0, (6, 3))
+    momenta[0] = 0.0
+    stack = MomentumState(p=momenta, constants=k)
+    signs = np.array([1, -1, -1, 1, 1, -1])
+    spins = ["up", "down", "up", "down", "down", "up"]
+    axes = np.stack((rng.uniform(0.0, math.pi, 6), rng.uniform(-math.pi, math.pi, 6)), axis=-1)
+    rows = [MomentumState(p=p, constants=k) for p in momenta]
+    got = eigenspinor(stack, signs, spins, axes)
+    assert got.shape == (6, 4)
+    for i, state in enumerate(rows):
+        assert np.array_equal(got[i].view(np.uint64),
+                              eigenspinor(state, int(signs[i]), spins[i], axes[i]).view(np.uint64))
+    # labels broadcast against the rows, and a (2, 3) stack keeps its shape
+    assert np.array_equal(eigenspinor(stack, -1, "down"),
+                          np.array([eigenspinor(s, -1, "down") for s in rows]))
+    grid = eigenspinor(MomentumState(p=momenta.reshape(2, 3, 3), constants=k), signs.reshape(2, 3),
+                       np.array(spins).reshape(2, 3), axes.reshape(2, 3, 2))
+    assert np.array_equal(grid, got.reshape(2, 3, 4))
+    # one momentum with a stack of labels gives one row per label
+    both = eigenspinor(rows[2], np.array([1, -1]), "up")
+    assert np.array_equal(both, [eigenspinor(rows[2], 1, "up"), eigenspinor(rows[2], -1, "up")])
+    for bad in (lambda: eigenspinor(stack, signs[:4], "up"),
+                lambda: eigenspinor(stack, 1, "up", axes[:4])):
+        with pytest.raises(DomainError, match="do not broadcast"):
+            bad()
+    with pytest.raises(DomainError, match="expected a MomentumState"):
+        eigenspinor(rows, 1, "up")

@@ -121,6 +121,13 @@ def test_the_self_field_routes_refuse_what_is_not_constant_sets(bad):
             call(bad)
 
 
+@pytest.mark.parametrize("rep", ["standard", None, 0])
+def test_both_self_field_routes_refuse_a_set_that_is_not_a_representation(rep):
+    for route in (self_fields_commutator, self_fields_matrix_maxwell):
+        with pytest.raises(DomainError, match="rep must be a Representation"):
+            route(K, rep)
+
+
 def test_classical_reference_uniform_field_gauges():
     gauge = symmetric_gauge(1.7)
     scalar = linear_scalar(0.9)

@@ -15,6 +15,7 @@ the oscillating part of `zbw_trajectory`, and `fitted_zbw_frequency` x1.005
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import diraclab.suites as suites_mod
@@ -60,6 +61,15 @@ def _maxwell_h_scaled(factor):
     return mutant
 
 
+def _sign_negated():
+    """eigenspinor with every energy sign negated, elementwise on a stack."""
+    kernel = suites_mod.eigenspinor
+
+    def mutant(state, energy_sign=1, *args, **kwargs):
+        return kernel(state, -np.asarray(energy_sign), *args, **kwargs)
+    return mutant
+
+
 def _beta_flipped(rep=Representation.PAULI_DIRAC):
     """The generator set with the Pauli-Dirac beta's first diagonal entry negated."""
     gens = generators(rep)
@@ -93,6 +103,11 @@ MUTANTS = {
     "fitted_zbw_frequency x1.02": (
         "fitted_zbw_frequency", lambda: _scaled("fitted_zbw_frequency", 1.02),
         {"dynamics.zbw_frequency_fft"}),
+    "eigenspinor energy sign negated": (
+        "eigenspinor", _sign_negated,
+        {"dynamics.eigenspinor_residual", "dynamics.eigenstate_drift_linear",
+         "fields.self_potentials_rest", "states.coupled_split_residual",
+         "states.eigen_wave_residual"}),
     "Pauli-Dirac beta[0, 0] negated": (
         "generators", lambda: _beta_flipped,
         {"algebra.clifford.pauli_dirac.anticomm", "algebra.clifford.pauli_dirac.traceless",
