@@ -152,7 +152,6 @@ def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
     import numpy as np
 
     from .dynamics import eigenspinor, max_mixing_state
-    from .spinors import spinor_rows
 
     if spec == "plus":
         return eigenspinor(state, 1, "up")
@@ -181,8 +180,12 @@ def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
             if not (is_real(w) or isinstance(w, list) and len(w) == 2 and all(map(is_real, w))):
                 raise ConfigError([f"--state: weight must be a number or [re, im], got {w!r}"])
             w = complex(*w) if isinstance(w, list) else complex(w)
-            psi = psi + w * _state_from_term(term, state)
-        norm = float(np.linalg.norm(spinor_rows(psi)))  # refuses a non-finite weighted sum
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+                psi = psi + w * _state_from_term(term, state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(np.linalg.norm(psi))  # not finite if psi is not, or if it overflows
+        if not math.isfinite(norm):
+            raise ConfigError(["--state: the weighted superposition or its norm overflows"])
         if norm < 1e-12:
             raise ConfigError(["--state: superposition terms cancel to zero"])
         return psi / norm

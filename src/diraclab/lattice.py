@@ -27,17 +27,19 @@ coefficients are all zero): such a term only adds or subtracts signed
 zeros, and x - (+-0) = x for every nonzero x, so on finite samples only the
 sign of an exact-zero estimate can differ, which the error magnitudes and
 the per-cell mean do not see.
-commutator_field_extract folds the error maxima, the test-function spread
-and the per-cell mean into the two intensity grids it returns;
-convergence_study folds only the error maxima and so holds one slab's
-working set.  The error maxima take only the intensity components the
-field can move: a dead one's estimate is 0 against an expected 0.  Every
-cell sees the same operations in the same order whatever the slab size, so
-the results are bit-identical to a single whole-block pass.
 Commuting the discrete components and dividing out the test function
-recovers the external intensities to second order in the spacing; the same
-extraction run with the test functions' exact derivatives recovers them to
-rounding.
+recovers the external intensities to second order in the spacing.  For
+linear potentials the central difference obeys the exact product rule
+D_j (a psi) = a D_j psi + (d_j a) M_j psi, M_j psi the mean of psi at
+x +- h e_j, so hbar, C and e cancel and each estimate has an exact discrete
+value built from M_j psi / psi, which each test function gives in closed
+form.  commutator_field_extract folds the error maxima, the distance from
+that value (rounding alone), the test-function spread and the per-cell
+mean; convergence_study folds only the error maxima, so it holds one slab's
+working set.  The error maxima take only the intensity components the field
+can move: a dead one's estimate is 0 against an expected 0.  Every cell sees
+the same operations in the same order whatever the slab size, so the
+results are bit-identical to a single whole-block pass.
 
 Sign bookkeeping, fixed once: the charge symbol is the positive magnitude
 and the operators describe the electron (signed charge -e), so
@@ -204,20 +206,13 @@ def kinetic_momentum_apply(j: int, potentials: LinearPotentials, grid: Grid3, ps
 
 @dataclass(frozen=True)
 class TestField:
-    """Smooth scalar probe with analytic derivatives for the exact path.
+    """Smooth scalar probe psi and the closed form of M_j psi / psi, j = 1, 2, 3
+    (module docstring), computed without a stencil.  Both take broadcast axes,
+    x of shape (p, 1, 1), y (1, q, 1) and z (1, 1, q), and return arrays that
+    broadcast to (p, q, q), with fewer cells where psi does not vary."""
 
-    values, gradient and hessian receive coordinates that broadcast against
-    each other, not full grids: the extraction passes x of shape (p, 1, 1),
-    y of shape (1, q, 1) and z of shape (1, 1, q).  Each returned array must
-    broadcast to their common shape (p, q, q); it may have that shape, or
-    fewer cells where the probe does not vary along an axis.  hessian[a][b]
-    and hessian[b][a] must be equal to the bit, so that the analytic terms
-    of a component the field cannot move cancel exactly.
-    """
-
-    values: Callable    # (x, y, z) -> complex array
-    gradient: Callable  # -> [3] arrays
-    hessian: Callable   # -> [3][3] arrays
+    values: Callable      # (x, y, z) -> complex array
+    mean_ratio: Callable  # (h, x, y, z) -> [3] arrays
 
 
 def plane_wave_field(k_vec) -> TestField:
@@ -226,16 +221,10 @@ def plane_wave_field(k_vec) -> TestField:
     def values(x, y, z):
         return np.exp(1j * (kx * x + ky * y + kz * z))
 
-    def gradient(x, y, z):
-        f = values(x, y, z)
-        return [1j * kx * f, 1j * ky * f, 1j * kz * f]
+    def mean_ratio(h, x, y, z):
+        return [np.cos(kj * h) for kj in (kx, ky, kz)]
 
-    def hessian(x, y, z):
-        f = values(x, y, z)
-        kk = (kx, ky, kz)
-        return [[-kk[a] * kk[b] * f for b in range(3)] for a in range(3)]
-
-    return TestField(values=values, gradient=gradient, hessian=hessian)
+    return TestField(values=values, mean_ratio=mean_ratio)
 
 
 def gaussian_field(center=(0.05, -0.04, 0.03), width: float = 1.0) -> TestField:
@@ -246,61 +235,33 @@ def gaussian_field(center=(0.05, -0.04, 0.03), width: float = 1.0) -> TestField:
         r2 = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2
         return np.exp(-0.5 * r2 / w2) + 0.0j
 
-    def gradient(x, y, z):
-        f = values(x, y, z)
-        d = [(x - cx), (y - cy), (z - cz)]
-        return [-d[a] / w2 * f for a in range(3)]
+    def mean_ratio(h, x, y, z):
+        # exp(-h^2/2w^2) cosh(h (x_j - c_j)/w^2) as a mean of two shift ratios: no overflow
+        return [0.5 * (np.exp(-h * (0.5 * h + d) / w2) + np.exp(-h * (0.5 * h - d) / w2))
+                for d in (x - cx, y - cy, z - cz)]
 
-    def hessian(x, y, z):
-        f = values(x, y, z)
-        d = [(x - cx), (y - cy), (z - cz)]
-        return [
-            [
-                (d[a] * d[b] / w2**2 - (1.0 / w2 if a == b else 0.0)) * f
-                for b in range(3)
-            ]
-            for a in range(3)
-        ]
-
-    return TestField(values=values, gradient=gradient, hessian=hessian)
+    return TestField(values=values, mean_ratio=mean_ratio)
 
 
 def modulated_field(k_vec=(0.8, -0.5, 0.6), width: float = 1.2) -> TestField:
     pw = plane_wave_field(k_vec)
     ga = gaussian_field(center=(0.0, 0.0, 0.0), width=width)
+    w2 = float(width) ** 2
 
     def values(x, y, z):
         return pw.values(x, y, z) * ga.values(x, y, z)
 
-    def gradient(x, y, z):
-        f1, f2 = pw.values(x, y, z), ga.values(x, y, z)
-        g1, g2 = pw.gradient(x, y, z), ga.gradient(x, y, z)
-        return [g1[a] * f2 + f1 * g2[a] for a in range(3)]
+    def mean_ratio(h, x, y, z):
+        # exp(-h^2 / 2 w^2) cos(k_j h + i h x_j / w^2), summed as for the Gaussian
+        return [0.5 * (np.exp(1j * kj * h - h * (0.5 * h + xj) / w2)
+                       + np.exp(-1j * kj * h - h * (0.5 * h - xj) / w2))
+                for kj, xj in zip(k_vec, (x, y, z))]
 
-    def hessian(x, y, z):
-        f1, f2 = pw.values(x, y, z), ga.values(x, y, z)
-        g1, g2 = pw.gradient(x, y, z), ga.gradient(x, y, z)
-        h1, h2 = pw.hessian(x, y, z), ga.hessian(x, y, z)
-        # the cross terms in one order for (a, b) and (b, a), so the
-        # Hessian is symmetric to the last bit
-        return [
-            [
-                h1[a][b] * f2 + g1[min(a, b)] * g2[max(a, b)] + g1[max(a, b)] * g2[min(a, b)]
-                + f1 * h2[a][b]
-                for b in range(3)
-            ]
-            for a in range(3)
-        ]
-
-    return TestField(values=values, gradient=gradient, hessian=hessian)
+    return TestField(values=values, mean_ratio=mean_ratio)
 
 
 def default_test_fields() -> list:
-    return [
-        plane_wave_field((1.3, -0.7, 0.5)),
-        gaussian_field(),
-        modulated_field(),
-    ]
+    return [plane_wave_field((1.3, -0.7, 0.5)), gaussian_field(), modulated_field()]
 
 
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
@@ -312,6 +273,7 @@ class ExtractResult:
     e_field: np.ndarray
     h_error: float             # worst |estimate - expected| on the interior
     e_error: float
+    prediction_error: float    # worst |estimate - exact discrete prediction|
     function_deviation: float  # worst spread between test functions
     excluded_points: int
 
@@ -456,47 +418,6 @@ class _DiscreteKernel:
         return h_est, e_est, weak
 
 
-def _analytic_estimates(potentials, tf, constants, mesh, window, alpha, po):
-    """Same commutators, no grid differencing: every derivative is exact.
-
-    Evaluated on the slab's own cells (window of mesh), like the discrete
-    estimates.  All test-function derivatives cancel algebraically;
-    carrying them through checks the operator identity rather than
-    assuming it.  Each term of pi_j pi_l is subtracted from its twin in
-    pi_l pi_j before the terms are summed, and hbar multiplies the Hessian
-    pair one factor at a time, so no field term is rounded against an
-    O(hbar^2) one and hbar^2 is never formed.  As in the discrete kernel,
-    the products of two potentials, equal in both orders, are not formed.
-    """
-    k = constants
-    x, y, z = mesh[0][window[0]], mesh[1][:, window[1]], mesh[2][:, :, window[2]]
-    a = [alpha[i][window] for i in range(3)]
-    psi = np.asarray(np.broadcast_to(tf.values(x, y, z), a[0].shape), dtype=complex)
-    grad = tf.gradient(x, y, z)
-    hess = tf.hessian(x, y, z)
-    coupling = k.charge / k.c
-    da = [[coupling * g for g in row] for row in potentials.grad_a]
-    weak = np.abs(psi) < AMPLITUDE_FLOOR
-    psi_safe = np.where(weak, np.nan + 0.0j, psi)
-    h_est = np.empty((3,) + psi.shape, dtype=complex)
-    e_est = np.empty((3,) + psi.shape, dtype=complex)
-    po = po[window]
-    dpo = [coupling * g for g in potentials.grad_phi]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for (j, l, kk) in _CYCLIC:
-            j, l = j - 1, l - 1
-            comm = (-k.hbar * (k.hbar * (hess[j][l] - hess[l][j]))
-                    - 1j * k.hbar * ((da[j][l] - da[l][j]) * psi)
-                    - 1j * k.hbar * (a[l] * grad[j] - a[l] * grad[j])
-                    - 1j * k.hbar * (a[j] * grad[l] - a[j] * grad[l]))
-            h_est[kk - 1] = comm / (-1j * k.hbar * coupling * psi_safe)
-        for j in range(3):
-            comm = (-1j * k.hbar * (dpo[j] * psi)
-                    - 1j * k.hbar * (po * grad[j] - po * grad[j]))
-            e_est[j] = comm / (1j * k.hbar * coupling * psi_safe)
-    return h_est, e_est, weak
-
-
 def _worst(current: float, diffs: np.ndarray, *weak: np.ndarray) -> float:
     """max(current, largest non-NaN entry of diffs).
 
@@ -514,8 +435,8 @@ def _worst(current: float, diffs: np.ndarray, *weak: np.ndarray) -> float:
     return current
 
 
-def _slab_estimates(potentials, grid, constants, mode):
-    """Validate the mode and yield the interior block's estimates slab by slab.
+def _slab_estimates(potentials, grid, constants):
+    """Yield the interior block's estimates slab by slab.
 
     Each item is (s0, s1, estimates): the slab's planes [s0, s1) along
     axis 0 and one (h_est, e_est, weak) per test function of
@@ -523,8 +444,6 @@ def _slab_estimates(potentials, grid, constants, mode):
     estimates it yields, so a consumer that lets go of them before asking
     for the next slab holds one slab's working set at a time.
     """
-    if mode not in ("discrete", "analytic"):
-        raise DomainError(f"mode must be 'discrete' or 'analytic', got {mode!r}")
     test_fields = default_test_fields()
     coupling = constants.charge / constants.c
     n, m = grid.n, grid.n - 4
@@ -534,13 +453,8 @@ def _slab_estimates(potentials, grid, constants, mode):
     s0, s1 = slabs[0]
     halo_shape = (s1 - s0 + 2, m + 2, m + 2)
     _keep_slab_pages(math.prod(halo_shape))
-    if mode == "discrete":
-        estimate = _DiscreteKernel(constants, grid.h, halo_shape, test_fields,
-                                   _live_terms(potentials)).slab
-    else:
-        def estimate(mesh, window, alpha, po):
-            return [_analytic_estimates(potentials, tf, constants, mesh, window, alpha, po)
-                    for tf in test_fields]
+    estimate = _DiscreteKernel(constants, grid.h, halo_shape, test_fields,
+                               _live_terms(potentials)).slab
 
     def slab(s0, s1):
         # the slab's interior cells and the one-cell halo the stencils reach,
@@ -563,10 +477,8 @@ def _fold_errors(h_error: float, e_error: float, expected, estimates, live) -> t
     Only the components the field can move are folded, as live (a mask from
     _live_terms) says: H_k where A_j or A_l is live for cyclic (j, l, k), E_j
     where phi is.  The discrete kernel makes a dead component's estimate 0
-    times the denominator, and the analytic route a difference of equal
-    terms over it (the Hessian of every default test function is symmetric
-    to the bit).  Its expected value is exactly 0, so it can never raise a
-    maximum.  All dead estimates are NaN on the same cells,
+    times the denominator, and its expected value is exactly 0, so it can
+    never raise a maximum.  All dead estimates are NaN on the same cells,
     those whose denominator is not finite, so _worst on one of them per test
     function keeps the all-NaN guard firing wherever folding them all would.
     Every difference and its magnitude go into the same two cell buffers.
@@ -590,6 +502,22 @@ def _fold_errors(h_error: float, e_error: float, expected, estimates, live) -> t
     return h_error, e_error
 
 
+def _fold_prediction(error: float, potentials, h, mesh, test_fields, estimates) -> float:
+    """error raised to the worst distance of one slab's estimates from their exact
+    discrete value: with r_j = M_j psi / psi from mean_ratio on mesh, the slab's
+    cells, H_k = (d_j A_l) r_j - (d_l A_j) r_l for cyclic (j, l, k) and E_j =
+    -(d_j phi) r_j.  r_j is undefined only where psi vanishes, on weak cells."""
+    g, g_phi = potentials.grad_a, potentials.grad_phi
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for tf, (h_est, e_est, weak) in zip(test_fields, estimates):
+            r = tf.mean_ratio(h, *mesh)
+            pairs = [(h_est[k - 1], g[j - 1][l - 1] * r[j - 1] - g[l - 1][j - 1] * r[l - 1])
+                     for j, l, k in _CYCLIC] + [(e_est[a], -g_phi[a] * r[a]) for a in range(3)]
+            for est, want in pairs:
+                error = _worst(error, np.abs(est - want), weak)
+    return error
+
+
 def _fold_spread(spread: float, estimates) -> float:
     """spread raised to the worst disagreement between two test functions on one slab."""
     for (h_a, e_a, weak_a), (h_b, e_b, weak_b) in itertools.combinations(estimates, 2):
@@ -600,29 +528,32 @@ def _fold_spread(spread: float, estimates) -> float:
 
 
 def commutator_field_extract(potentials: LinearPotentials, grid: Grid3,
-                             constants: PhysicalConstants | None = None,
-                             mode: str = "discrete") -> ExtractResult:
+                             constants: PhysicalConstants | None = None) -> ExtractResult:
     """Estimate the external intensities from kinetic-momentum commutators.
 
-    mode "discrete" uses central differences; "analytic" uses the exact
-    derivatives of default_test_fields().  Estimates from every test
-    function are compared pairwise and averaged on the interior block, one
-    slab of planes at a time; the returned fields are NaN outside the
-    block.  A grid whose coordinates or (e/C)-scaled potentials overflow
-    when squared raises DomainError, as in convergence_study.
+    Estimates from every test function of default_test_fields() are compared
+    with curl A and -grad phi, with their exact discrete value and pairwise,
+    and averaged on the interior block, one slab of planes at a time; the
+    returned fields are NaN outside the block.  A grid whose coordinates or
+    (e/C)-scaled potentials overflow when squared raises DomainError, as in
+    convergence_study.
     """
     constants = PhysicalConstants() if constants is None else constants
     n = grid.n
     _check_box_scale(potentials, (n - 1) // 2 * grid.h, constants, grid.h)
     h_field = np.full((3,) + (n,) * 3, np.nan)
     e_field = np.full((3,) + (n,) * 3, np.nan)
-    h_error = e_error = spread = 0.0
+    h_error = e_error = predicted = spread = 0.0
     excluded = 0
     expected = classical_maxwell_reference(potentials, (0.0, 0.0, 0.0))
     live = _live_terms(potentials)
-    for s0, s1, estimates in _slab_estimates(potentials, grid, constants, mode):
+    test_fields = default_test_fields()
+    ax, across = grid.axis, grid.axis[2:n - 2]
+    for s0, s1, estimates in _slab_estimates(potentials, grid, constants):
         excluded += sum(int(np.count_nonzero(weak)) for _, _, weak in estimates)
         h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
+        mesh = (ax[s0:s1, None, None], across[None, :, None], across[None, None, :])
+        predicted = _fold_prediction(predicted, potentials, grid.h, mesh, test_fields, estimates)
         spread = _fold_spread(spread, estimates)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -636,6 +567,7 @@ def commutator_field_extract(potentials: LinearPotentials, grid: Grid3,
         e_field=e_field,
         h_error=h_error,
         e_error=e_error,
+        prediction_error=predicted,
         function_deviation=spread,
         excluded_points=excluded,
     )
@@ -712,8 +644,7 @@ def convergence_study(potentials: LinearPotentials, spacings,
         if n % 2 == 0:
             n += 1
         h_error = e_error = 0.0
-        for _, _, estimates in _slab_estimates(potentials, Grid3(n=n, h=h), constants,
-                                               "discrete"):
+        for _, _, estimates in _slab_estimates(potentials, Grid3(n=n, h=h), constants):
             h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
             del estimates  # freed before the generator builds the next slab
         errors.append(max(h_error, e_error))

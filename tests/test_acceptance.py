@@ -240,12 +240,12 @@ def test_criterion_10_lattice_convergence():
     grid = Grid3(n=17, h=0.1)
     worst = 0.0
     for preset in ("uniform_b", "linear_phi"):
-        res = commutator_field_extract(make_preset(preset), grid, mode="analytic")
-        worst = max(worst, res.h_error, res.e_error)
+        res = commutator_field_extract(make_preset(preset), grid)
+        worst = max(worst, res.prediction_error)
     ok = order_ok and worst <= 1e-12
     order_text = f"{study.order:.3f}" if isinstance(study.order, float) else str(study.order)
     _verdict(10, f"uniform-field extraction converges at order {order_text}, "
-                 f"analytic path err {worst:.1e}", ok)
+                 f"exact discrete prediction err {worst:.1e}", ok)
 
 
 def test_criterion_11_deterministic_reports():

@@ -370,6 +370,20 @@ def test_zbw_blames_the_state_for_a_spin_or_axis_that_is_not_one(state, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("state", [
+    '{"superposition": [{"weight": 1e308}, {"weight": 1e308}]}',
+    '{"superposition": [{"weight": [1e308, 1e308]}]}'], ids=["sum-overflow", "norm-overflow"])
+@pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
+def test_zbw_blames_the_state_for_weights_that_overflow(state, tmp_path, capsys):
+    # the weighted sum, or its norm, is not finite: one --state error, not an
+    # overflow warning or a normalization error blamed on the time flags
+    out = tmp_path / "traj.csv"
+    assert cli.main([*ZBW_BASE, "--state", state, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --state: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["linspace", "zbw_trajectory"])
 def test_zbw_out_of_memory_exits_two(target, tmp_path, capsys, monkeypatch):
     # Stands in for a --steps too large to allocate; nothing big is allocated.

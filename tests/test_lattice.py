@@ -32,6 +32,7 @@ from diraclab.lattice import (
     make_preset,
     plane_wave_field,
 )
+from diraclab.suites import _prediction_bound
 
 K = PhysicalConstants()
 
@@ -148,43 +149,40 @@ def test_extraction_discrete_uniform_b():
     assert np.nanmax(vals) - np.nanmin(vals) <= 2.0 * res.h_error + 1e-13
 
 
-def test_extraction_analytic_is_exact_to_rounding():
-    grid = Grid3(n=17, h=0.1)
-    for name in ("uniform_b", "linear_phi"):
-        res = commutator_field_extract(make_preset(name), grid, constants=K, mode="analytic")
-        assert res.h_error <= 1e-12
-        assert res.e_error <= 1e-12
+@pytest.mark.parametrize("n, h", [(9, 0.2), (17, 0.1)])
+def test_mean_ratios_match_the_sampled_stencil_mean(n, h):
+    # each probe's closed form against (psi(x + h e_j) + psi(x - h e_j)) / (2 psi)
+    grid = Grid3(n=n, h=h)
+    ax = grid.axis
+    x, y, z = ax[1:-1, None, None], ax[None, 1:-1, None], ax[None, None, 1:-1]
+    inner = (slice(1, -1),) * 3
+    for tf in default_test_fields():
+        psi = tf.values(*grid.meshgrid())
+        ratio = tf.mean_ratio(h, x, y, z)
+        for j in range(3):
+            up, down = list(inner), list(inner)
+            up[j], down[j] = slice(2, None), slice(None, -2)
+            sampled = (psi[tuple(up)] + psi[tuple(down)]) / (2.0 * psi[inner])
+            assert np.max(np.abs(np.broadcast_to(ratio[j], sampled.shape) - sampled)) <= 1e-14
 
 
 _COEFFICIENT = st.floats(-2.0, 2.0)
 _TRIPLE = st.tuples(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT)
 
 
-# The analytic route subtracts each term of one order from its twin in the
-# other before summing, so its rounding is relative to the coefficients.
-# ANALYTIC_FLOOR only covers subnormal coefficients, whose (e/C) scaling
-# underflows and loses the relative precision.  The zero field is exact
-# (below).
-ANALYTIC_FLOOR = 4 * sys.float_info.min
-
-
 @settings(max_examples=50, deadline=None)
-@given(st.tuples(_TRIPLE, _TRIPLE, _TRIPLE), _TRIPLE)
-def test_analytic_extraction_recovers_any_linear_field(grad_a, grad_phi):
+@given(st.tuples(_TRIPLE, _TRIPLE, _TRIPLE), _TRIPLE, st.booleans(),
+       st.sampled_from([(9, 0.2), (17, 0.1)]))
+def test_discrete_prediction_holds_for_any_linear_field(grad_a, grad_phi, symmetric, grid):
+    # A symmetric grad_a is a pure gauge (curl A = 0); every draw with a
+    # nonzero A_z coefficient or with A and phi both live runs a kernel
+    # branch the presets leave idle.
+    if symmetric:
+        grad_a = tuple(tuple(grad_a[min(k, l)][max(k, l)] for l in range(3)) for k in range(3))
     potentials = LinearPotentials(grad_a=grad_a, grad_phi=grad_phi)
-    scale = max(abs(v) for row in (*grad_a, grad_phi) for v in row)
-    res = commutator_field_extract(potentials, Grid3(n=9, h=0.2), constants=K, mode="analytic")
-    assert res.h_error <= 1e-13 * scale + ANALYTIC_FLOOR
-    assert res.e_error <= 1e-13 * scale + ANALYTIC_FLOOR
-
-
-def test_zero_field_analytic_identity_is_exact():
-    # The test functions' Hessians are symmetric to the last bit, so with no
-    # live potential the analytic commutator leaves no rounding at all.
-    res = commutator_field_extract(LinearPotentials(), Grid3(n=9, h=0.2), constants=K,
-                                   mode="analytic")
-    assert res.h_error == 0.0
-    assert res.e_error == 0.0
+    grid = Grid3(*grid)
+    res = commutator_field_extract(potentials, grid, constants=K)
+    assert res.prediction_error <= _prediction_bound(potentials, grid)
 
 
 def test_extraction_zero_preset_exact_zero():
@@ -267,22 +265,21 @@ def test_potentials_scaled_past_the_float_range_are_refused():
             convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05), small_c)
 
 
-@pytest.mark.parametrize("mode", ["discrete", "analytic"])
-def test_extraction_refuses_a_grid_whose_square_overflows(mode):
+def test_extraction_refuses_a_grid_whose_square_overflows():
     # A single extraction applies the same box check as a convergence study:
     # at h = 1e160 the half width 4e160 overflows when squared.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="square overflows"):
-            commutator_field_extract(make_preset("uniform_b"), Grid3(9, 1e160), mode=mode)
+            commutator_field_extract(make_preset("uniform_b"), Grid3(9, 1e160))
         with pytest.raises(DomainError, match="square overflows"):
             commutator_field_extract(make_preset("uniform_b"), Grid3(9, 0.2),
-                                     constants=PhysicalConstants(c=1e-160), mode=mode)
+                                     constants=PhysicalConstants(c=1e-160))
     limit = math.sqrt(sys.float_info.max) / 8.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = commutator_field_extract(make_preset("zero"), Grid3(9, limit / 4.0), mode=mode)
-    assert res.h_error == res.e_error == 0.0
+        res = commutator_field_extract(make_preset("zero"), Grid3(9, limit / 4.0))
+    assert res.h_error == res.e_error == res.prediction_error == 0.0
 
 
 # hbar^2 overflows for hbar above sqrt(float max), about 1.34e154.  No
@@ -371,8 +368,10 @@ def _nan_test_fields():
     def nan_values(x, y, z):
         return np.full(np.shape(x), np.nan + 0.0j)
 
-    return [lattice_mod.TestField(values=nan_values, gradient=None, hessian=None)
-            for _ in range(3)]
+    def nan_ratio(h, x, y, z):
+        return [np.nan] * 3
+
+    return [lattice_mod.TestField(values=nan_values, mean_ratio=nan_ratio) for _ in range(3)]
 
 
 def _use_test_fields(monkeypatch, fields):
@@ -549,13 +548,18 @@ def test_extraction_matches_full_box_reference(name, n, h):
 
 
 def _vanishing_on_plane(x0, k_vec):
-    """(x - x0) exp(i k.r): exactly zero on the grid plane x = x0 (discrete mode only)."""
+    """(x - x0) exp(i k.r): exactly zero on the grid plane x = x0."""
     kx, ky, kz = k_vec
 
     def values(x, y, z):
         return (x - x0) * np.exp(1j * (kx * x + ky * y + kz * z))
 
-    return lattice_mod.TestField(values=values, gradient=None, hessian=None)
+    def mean_ratio(h, x, y, z):
+        # undefined on the plane itself, whose cells are weak
+        return [np.cos(kx * h) + 1j * h * np.sin(kx * h) / (x - x0),
+                np.cos(ky * h), np.cos(kz * h)]
+
+    return lattice_mod.TestField(values=values, mean_ratio=mean_ratio)
 
 
 def test_weak_amplitude_points_are_excluded(monkeypatch):
@@ -569,6 +573,7 @@ def test_weak_amplitude_points_are_excluded(monkeypatch):
     m = grid.n - 4
     assert res.excluded_points == len(fields) * m * m
     assert math.isfinite(res.h_error) and math.isfinite(res.e_error)
+    assert res.prediction_error <= _prediction_bound(cfg, grid)
     x = grid.meshgrid()[0]
     inner = grid.interior_mask()
     plane = inner & (x == x0)
@@ -587,7 +592,8 @@ def test_weak_amplitude_points_are_excluded(monkeypatch):
 
 def _result_bytes(res):
     return (res.h_field.tobytes(), res.e_field.tobytes(),
-            repr((res.h_error, res.e_error, res.function_deviation, res.excluded_points)))
+            repr((res.h_error, res.e_error, res.prediction_error, res.function_deviation,
+                  res.excluded_points)))
 
 
 def _slab_settings(n):
@@ -616,14 +622,13 @@ def test_slabs_cover_the_block_in_order(monkeypatch):
     assert lattice_mod._slabs(2, 31, 29 * 29)[-1] == (29, 31)
 
 
-@pytest.mark.parametrize("mode", ["discrete", "analytic"])
 @pytest.mark.parametrize("n", [9, 17, 33])
 @pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
-def test_slab_size_does_not_change_a_bit(monkeypatch, name, n, mode):
+def test_slab_size_does_not_change_a_bit(monkeypatch, name, n):
     cfg = _config(name)
     grid = Grid3(n=n, h=1.6 / (n - 1))
     _extract_at_each_setting(
-        monkeypatch, n, lambda: commutator_field_extract(cfg, grid, constants=K, mode=mode))
+        monkeypatch, n, lambda: commutator_field_extract(cfg, grid, constants=K))
 
 
 @pytest.mark.parametrize("n", [9, 17, 33])
@@ -656,7 +661,8 @@ def _all_live(potentials):
 
 def _extraction_bits(res):
     return (res.h_field.tobytes(), res.e_field.tobytes(), res.excluded_points,
-            [err.hex() for err in (res.h_error, res.e_error, res.function_deviation)])
+            [err.hex() for err in (res.h_error, res.e_error, res.prediction_error,
+                                   res.function_deviation)])
 
 
 @pytest.mark.parametrize("amplitudes", [(1.0, 1.0), (1.3, 0.7)])
@@ -671,14 +677,15 @@ def test_leaving_out_dead_terms_does_not_change_a_bit(monkeypatch, name, n, ampl
 
 
 @pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
-def test_analytic_fold_of_the_live_components_does_not_change_a_bit(monkeypatch, name):
-    # the default test functions' Hessians are symmetric to the bit, so the
-    # analytic estimates of a component the field cannot move are exact zeros
+def test_prediction_fold_does_not_change_a_bit_with_every_term_live(monkeypatch, name):
+    # the prediction fold takes every component, so a dead one's estimate, 0
+    # times the denominator against a prediction of 0 times the ratios, must
+    # read the same when the kernel evaluates its terms
     cfg = _config(name)
     grid = Grid3(n=17, h=0.1)
-    pruned = _extraction_bits(commutator_field_extract(cfg, grid, K, mode="analytic"))
+    pruned = _extraction_bits(commutator_field_extract(cfg, grid, K))
     monkeypatch.setattr(lattice_mod, "_live_terms", _all_live)
-    assert _extraction_bits(commutator_field_extract(cfg, grid, K, mode="analytic")) == pruned
+    assert _extraction_bits(commutator_field_extract(cfg, grid, K)) == pruned
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -716,7 +723,7 @@ def test_a_nan_sample_reads_nan_not_zero(monkeypatch, name):
         def values(x, y, z):
             return np.where((x == x0) & (y == x0) & (z == x0), np.nan + 0.0j, wave(x, y, z))
 
-        return lattice_mod.TestField(values=values, gradient=None, hessian=None)
+        return lattice_mod.TestField(values=values, mean_ratio=plane_wave_field(k_vec).mean_ratio)
 
     _use_test_fields(monkeypatch, [nan_at_center(kv) for kv in
                                    ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))])

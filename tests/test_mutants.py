@@ -3,7 +3,9 @@ named claims red at seed 137.
 
 A mutant wraps one kernel that `suites` imports by name and perturbs what
 it returns; it is applied by monkeypatching the `suites` name, so the
-builders call it in place of the kernel.  Each row records the CLAIMS rows
+builders call it in place of the kernel.  A kernel the builders reach only
+through another module is named by an (owner, attribute) pair and patched
+there.  Each row records the CLAIMS rows
 (claim ids, or the family prefixes that key them) whose checks then fail,
 and no others.
 
@@ -18,6 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import diraclab.lattice as lattice_mod
 import diraclab.suites as suites_mod
 from diraclab.config import RunConfig
 from diraclab.matrices import Representation, generators
@@ -70,6 +73,16 @@ def _sign_negated():
     return mutant
 
 
+def _lattice_estimates_scaled(factor):
+    """_DiscreteKernel.slab with every h_est and e_est multiplied by factor."""
+    slab = lattice_mod._DiscreteKernel.slab
+
+    def mutant(self, *args, **kwargs):
+        return [(h_est * factor, e_est * factor, weak)
+                for h_est, e_est, weak in slab(self, *args, **kwargs)]
+    return mutant
+
+
 def _beta_flipped(rep=Representation.PAULI_DIRAC):
     """The generator set with the Pauli-Dirac beta's first diagonal entry negated."""
     gens = generators(rep)
@@ -108,6 +121,9 @@ MUTANTS = {
         {"dynamics.eigenspinor_residual", "dynamics.eigenstate_drift_linear",
          "fields.self_potentials_rest", "states.coupled_split_residual",
          "states.eigen_wave_residual"}),
+    "lattice estimates x(1+1e-9)": (
+        (lattice_mod._DiscreteKernel, "slab"), lambda: _lattice_estimates_scaled(1.0 + 1e-9),
+        {"lattice.discrete_prediction"}),
     "Pauli-Dirac beta[0, 0] negated": (
         "generators", lambda: _beta_flipped,
         {"algebra.clifford.pauli_dirac.anticomm", "algebra.clifford.pauli_dirac.traceless",
@@ -126,8 +142,9 @@ def _row_key(claim_id: str) -> str:
 
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_each_mutant_turns_exactly_its_claims_red(monkeypatch, mutant):
-    name, build, killers = MUTANTS[mutant]
-    monkeypatch.setattr(suites_mod, name, build())
+    target, build, killers = MUTANTS[mutant]
+    owner, name = target if isinstance(target, tuple) else (suites_mod, target)
+    monkeypatch.setattr(owner, name, build())
     report = run_suite(RunConfig(seed=SEED))
     assert {_row_key(c.claim_id) for c in report.checks if not c.passed} == killers
 

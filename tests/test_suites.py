@@ -205,9 +205,7 @@ TOL_OVERRIDE_FACTORS = {
         "fields.coupled_equals_reduced": 1.0,
         "fields.reduced_equals_expectation": 1.0,
     },
-    "lattice": {
-        "lattice.analytic_identity": 1.0,
-    },
+    "lattice": {},
 }
 
 
