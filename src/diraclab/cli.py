@@ -56,8 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="report path (default report.json)")
     for name in SUITE_NAMES:
         p_verify.add_argument(f"--tol-{name}", type=float, dest=f"tol.{name}",
-                              metavar=f"TOL_{name.upper()}",
-                              help=f"override the {name} suite tolerance")
+                              metavar="F",
+                              help=f"multiply the tolerance of every {name} check by F, "
+                                   "0 < F <= 1 (default 1)")
     p_verify.add_argument("--tamper", action="store_true", help=argparse.SUPPRESS)
 
     p_zbw = sub.add_parser("zbw", help="export a position-trajectory CSV")
@@ -183,9 +184,12 @@ def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
             with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
                 psi = psi + w * _state_from_term(term, state)
         with np.errstate(over="ignore", invalid="ignore"):
-            norm = float(np.linalg.norm(psi))  # not finite if psi is not, or if it overflows
+            norm = float(np.linalg.norm(psi))  # not finite if psi is not, or if squares overflow
+            if not math.isfinite(norm) and np.isfinite(psi).all():
+                psi = psi / np.abs(psi.view(float)).max()  # the largest real or imaginary part
+                norm = float(np.linalg.norm(psi))
         if not math.isfinite(norm):
-            raise ConfigError(["--state: the weighted superposition or its norm overflows"])
+            raise ConfigError(["--state: the weighted superposition overflows"])
         if norm < 1e-12:
             raise ConfigError(["--state: superposition terms cancel to zero"])
         return psi / norm

@@ -1,4 +1,4 @@
-"""Run configuration: constants, seed, suite selection, tolerance overrides.
+"""Run configuration: constants, seed, suite selection, tolerance factors.
 
 Precedence is command-line flag over config file over built-in default.
 The config file is plain "key = value" lines; '#' starts a comment.
@@ -7,19 +7,20 @@ Recognized keys:
     hbar, c, mass, charge   positive floats
     seed                    non-negative integer
     tol.algebra, tol.states, tol.dynamics, tol.fields, tol.lattice
-                            positive floats, per-suite base tolerances
+                            factors F with 0 < F <= 1 (default 1); each
+                            multiplies the tolerance of every check of
+                            its suite, so it can tighten them, never loosen
 
 Every problem in a file is reported, not just the first.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
 from .constants import PhysicalConstants
-from .errors import ConfigError, DomainError, is_integer, real
+from .errors import ConfigError, DomainError, is_integer, is_real, real
 
 DEFAULT_SEED = 137
 SUITE_NAMES = ("algebra", "states", "dynamics", "fields", "lattice")
@@ -31,6 +32,13 @@ ENV_CONFIG = "DIRACLAB_CONFIG"
 _CONSTANT_KEYS = ("hbar", "c", "mass", "charge")
 _TOL_KEYS = tuple(f"tol.{name}" for name in SUITE_NAMES)
 KNOWN_KEYS = _CONSTANT_KEYS + ("seed",) + _TOL_KEYS
+
+
+def tol_factor(value, what: str) -> float:
+    """value as a tolerance factor: a real in (0, 1], so it can only tighten."""
+    if not (is_real(value) and 0.0 < value <= 1.0):  # refuses nan
+        raise DomainError(f"{what} must be a factor in (0, 1], got {value!r}")
+    return float(value)
 
 
 def read_config_file(path: str) -> dict:
@@ -72,16 +80,17 @@ def read_config_file(path: str) -> dict:
                 problems.append(f"line {lineno}: seed must be >= 0, got {seed}")
                 continue
             values[key] = seed
-        else:
-            try:
-                num = float(text)
-            except ValueError:
-                problems.append(f"line {lineno}: {key} must be a number, got {text!r}")
-                continue
-            if not (math.isfinite(num) and num > 0):
-                problems.append(f"line {lineno}: {key} must be finite and > 0, got {text!r}")
-                continue
-            values[key] = num
+            continue
+        try:
+            num = float(text)
+        except ValueError:
+            problems.append(f"line {lineno}: {key} must be a number, got {text!r}")
+            continue
+        try:
+            values[key] = (tol_factor(num, key) if key in _TOL_KEYS
+                           else real(num, key, positive=True))
+        except DomainError as exc:
+            problems.append(f"line {lineno}: {exc}")
     if problems:
         raise ConfigError(problems)
     return values
@@ -94,7 +103,7 @@ class RunConfig:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
     seed: int = DEFAULT_SEED
     suites: tuple = SUITE_NAMES
-    tol_overrides: dict = field(default_factory=dict)
+    tol_factors: dict = field(default_factory=dict)
     tamper: bool = False
 
     def __post_init__(self):
@@ -106,12 +115,12 @@ class RunConfig:
             problems.append(f"unknown suites {unknown}; choose from {list(SUITE_NAMES)}")
         if len(set(self.suites)) != len(self.suites):
             problems.append(f"duplicate suites in {list(self.suites)}")
-        for key, val in self.tol_overrides.items():
+        for key, val in self.tol_factors.items():
             if key not in SUITE_NAMES:
                 problems.append(f"unknown tolerance key {key!r}")
             else:
                 try:
-                    real(val, f"tolerance {key}", positive=True)
+                    tol_factor(val, f"tol.{key}")
                 except DomainError as exc:
                     problems.append(str(exc))
         if problems:
@@ -119,9 +128,6 @@ class RunConfig:
         # keep suite order canonical regardless of how they were requested
         ordered = tuple(s for s in SUITE_NAMES if s in self.suites)
         object.__setattr__(self, "suites", ordered)
-
-    def tol(self, suite: str, fallback: float) -> float:
-        return float(self.tol_overrides.get(suite, fallback))
 
 
 def resolve_run_config(flag_values: dict, config_path: str | None = None,
@@ -137,33 +143,22 @@ def resolve_run_config(flag_values: dict, config_path: str | None = None,
     path = config_path or env.get(ENV_CONFIG)
     file_values = read_config_file(path) if path else {}
 
-    def pick(key):
-        flag = flag_values.get(key)
-        if flag is not None:
-            return flag
-        return file_values.get(key)
-
-    const_kwargs = {}
-    for key in _CONSTANT_KEYS:
-        val = pick(key)
+    given = {}
+    for key in KNOWN_KEYS:
+        val = flag_values.get(key)
+        val = file_values.get(key) if val is None else val
         if val is not None:
-            const_kwargs[key] = float(val)
+            given[key] = val
+    # values pass uncast: PhysicalConstants and RunConfig judge them
     try:
-        constants = PhysicalConstants(**const_kwargs)
+        constants = PhysicalConstants(**{key: given[key] for key in _CONSTANT_KEYS
+                                         if key in given})
     except ValueError as exc:
         raise ConfigError([str(exc)])
-
-    seed = pick("seed")
-    seed = DEFAULT_SEED if seed is None else int(seed)
-
-    tol_overrides = {}
-    for key in _TOL_KEYS:
-        val = pick(key)
-        if val is not None:
-            tol_overrides[key.split(".", 1)[1]] = float(val)
+    tol_factors = {key.split(".", 1)[1]: given[key] for key in _TOL_KEYS if key in given}
 
     suites = flag_values.get("suites")
     suites = tuple(suites) if suites else SUITE_NAMES
     tamper = bool(flag_values.get("tamper", False))
-    return RunConfig(constants=constants, seed=seed, suites=suites,
-                     tol_overrides=tol_overrides, tamper=tamper)
+    return RunConfig(constants=constants, seed=given.get("seed", DEFAULT_SEED), suites=suites,
+                     tol_factors=tol_factors, tamper=tamper)

@@ -103,18 +103,11 @@ CONVENTIONS = [
 
 # --- the claim table ---------------------------------------------------------
 
-class Base(NamedTuple):
-    """Suite-base tolerance: tol.<suite> if set, else default; times factor."""
-
-    default: float
-    factor: float = 1.0
-
-
 BOUND = "bound"  # the tolerance is Pair.bound, which the builder takes from a named bound
 
 
 class Claim(NamedTuple):
-    """One CLAIMS row.  tol is an absolute number, a Base or BOUND; claimed
+    """One CLAIMS row.  tol is an absolute number or BOUND; claimed
     is the claim text of a row whose builder returns a Verdict."""
 
     eq: str
@@ -143,32 +136,32 @@ class Verdict(NamedTuple):
 # Keyed by claim id, or by a dotted prefix naming a family of claim ids.
 CLAIMS = {
     # algebra
-    **{f"algebra.clifford.{rep}.{kind}": Claim(eq, Base(1e-14), notes)
+    **{f"algebra.clifford.{rep}.{kind}": Claim(eq, 1e-14, notes)
        for rep, eq in (("pauli_dirac", "a2"), ("standard", "b2"))
        for kind, notes in (("anticomm", ""),
                            ("hermitian", "generator equals its own conjugate transpose"),
                            ("traceless", ""),
                            ("eigenvalues", "doubly degenerate +1/-1 spectrum"))},
     "algebra.pauli_product_table": Claim(
-        "plumbing", Base(1e-14),
+        "plumbing", 1e-14,
         "sigma_j sigma_l = delta_jl I + i eps_jlk sigma_k, all nine pairs"),
     **{f"algebra.block_spin_commutator.{rep}": Claim(
-        eq, Base(1e-14), "[G_j, G_l] = 2 i eps_jlk blockdiag(sigma_k, sigma_k)")
+        eq, 1e-14, "[G_j, G_l] = 2 i eps_jlk blockdiag(sigma_k, sigma_k)")
        for rep, eq in (("pauli_dirac", "a2"), ("standard", "b2"))},
     "algebra.matrix_exponential_oracle": Claim(
         "plumbing", 1e-12, "eigendecomposition exponential against scaled Taylor summation"),
     # states
     "states.component_rows_match_matrix_form": Claim(
-        "aa1", Base(1e-12), "four scalar rows against the matrix equation, arbitrary plane waves"),
+        "aa1", 1e-12, "four scalar rows against the matrix equation, arbitrary plane waves"),
     "states.two_component_stack": Claim(
-        "ab1", Base(1e-12), "upper/lower residuals stacked equal the component rows at the origin"),
+        "ab1", 1e-12, "upper/lower residuals stacked equal the component rows at the origin"),
     "states.cylindrical_rows_match": Claim(
-        "aa2", Base(1e-12, 100.0), "cylindrical rows against cartesian rows at matched points; "
+        "aa2", 1e-10, "cylindrical rows against cartesian rows at matched points; "
         "tolerance 100x suite base (chain-rule amplification)"),
     "states.split_recompose": Claim("ab3", 0.0, "(upper, lower) split loses nothing"),
     "states.eigen_wave_residual": Claim(
-        "a1", Base(1e-12), "on-shell plane waves built from energy eigenvectors"),
-    "states.coupled_split_residual": Claim("ab1", Base(1e-12)),
+        "a1", 1e-12, "on-shell plane waves built from energy eigenvectors"),
+    "states.coupled_split_residual": Claim("ab1", 1e-12),
     **{f"states.angular_eigenvalue.{tag}": Claim(
         eq, 0.0, "index arithmetic eigenvalue, exact for l in [-5, 5]")
        for tag, eq in (("plus", "aa8"), ("minus", "aa9"))},
@@ -183,39 +176,39 @@ CLAIMS = {
         claimed="mismatched exponent pattern is not an eigenstate"),
     # dynamics
     "dynamics.energy_spectrum": Claim(
-        "closing", Base(1e-12),
+        "closing", 1e-12,
         "relative deviation from +-sqrt(C^2 p^2 + m^2 C^4), 200 random draws"),
-    "dynamics.spectrum_degeneracy": Claim("closing", Base(1e-12), "each energy doubly degenerate"),
-    "dynamics.eta_anticommutes": Claim("f", Base(1e-12)),
-    "dynamics.eta_traceless": Claim("f", Base(1e-12)),
+    "dynamics.spectrum_degeneracy": Claim("closing", 1e-12, "each energy doubly degenerate"),
+    "dynamics.eta_anticommutes": Claim("f", 1e-12),
+    "dynamics.eta_traceless": Claim("f", 1e-12),
     "dynamics.velocity_at_zero": Claim(
         "d", 1e-8, "position rate at t=0 equals C alpha_j (central difference)"),
     "dynamics.velocity_direction_evolution": Claim(
-        "e", Base(1e-12), "C p_j H^-1 + eta exp(-2 i t H / hbar) against direct conjugation"),
+        "e", 1e-12, "C p_j H^-1 + eta exp(-2 i t H / hbar) against direct conjugation"),
     "dynamics.position_rate_matches_velocity": Claim(
         "g", 1e-8, "d/dt of drift + oscillation against C times the conjugated generator, "
         "central difference step 1e-5, 20 random (p, t)"),
     "dynamics.zbw_vanishes_at_zero": Claim("g", 1e-13),
     "dynamics.eigenstate_no_oscillation": Claim(
-        "g", Base(1e-12), "energy eigenstates carry no oscillatory displacement"),
+        "g", 1e-12, "energy eigenstates carry no oscillatory displacement"),
     "dynamics.eigenstate_drift_linear": Claim("g", 1e-10, "uniform drift at C^2 p_j / E"),
     "dynamics.zbw_frequency_fft": Claim(
         "g", BOUND, "windowed FFT with parabolic peak refinement, 64 periods"),
-    "dynamics.eigenspinor_residual": Claim("closing", Base(1e-12), "H u = sign E u, relative to E"),
-    "dynamics.eigenbasis_orthonormal": Claim("closing", Base(1e-12)),
+    "dynamics.eigenspinor_residual": Claim("closing", 1e-12, "H u = sign E u, relative to E"),
+    "dynamics.eigenbasis_orthonormal": Claim("closing", 1e-12),
     "dynamics.eigenspinor_deterministic": Claim(
         "plumbing", claimed="identical inputs give bit-identical eigenvectors"),
-    # fields: two base defaults, 1e-12 and 1e-14, share the key tol.fields
+    # fields
     "fields.kinematic_momenta_form": Claim("m", 0.0, "m C I and m C alpha_j as printed"),
     "fields.kinematic_from_velocity": Claim(
         "h", 0.0, "m v_j with zero vector potential reproduces the kinematic momenta"),
-    "fields.momentum_commutator_h": Claim("n1", Base(1e-14)),
+    "fields.momentum_commutator_h": Claim("n1", 1e-14),
     "fields.momentum_time_commutator_zero": Claim(
         "n2", 0.0, "time component is a multiple of the identity"),
     "fields.self_h_matches_expected": Claim(
-        "o", Base(1e-14), "commutator route against 2 (m^2 C^3 / (e hbar)) Sigma_k, both "
+        "o", 1e-14, "commutator route against 2 (m^2 C^3 / (e hbar)) Sigma_k, both "
         "generator sets, random constants"),
-    "fields.routes_agree": Claim("u1", Base(1e-14), U1_INDEX_NOTE),
+    "fields.routes_agree": Claim("u1", 1e-14, U1_INDEX_NOTE),
     "fields.self_e_zero_commutator": Claim("n2", 0.0),
     "fields.self_e_zero_substitution": Claim("u2", 0.0),
     "fields.classical_curl": Claim(
@@ -232,15 +225,15 @@ CLAIMS = {
         "r", 1e-17, "invariant under rescalings that preserve e^2 / (hbar C)"),
     "fields.self_potentials_rest": Claim("s", BOUND, "scalar potential at rest"),
     "fields.self_potentials_vector_real_part": Claim(
-        "s", Base(1e-12), "the vector-potential operator is anti-Hermitian, so the real "
+        "s", 1e-12, "the vector-potential operator is anti-Hermitian, so the real "
         "parts reported as components vanish to rounding"),
-    "fields.eigenspinor_norm": Claim("w", Base(1e-12)),
+    "fields.eigenspinor_norm": Claim("w", 1e-12),
     "fields.cross_sum_eigenstates": Claim(
-        "w", Base(1e-12), "sum_j <alpha_j><beta alpha_j> on 100 random eigenspinors"),
+        "w", 1e-12, "sum_j <alpha_j><beta alpha_j> on 100 random eigenspinors"),
     "fields.coupled_equals_reduced": Claim(
-        "v", Base(1e-12), "energy expectation with self potentials inserted collapses to "
+        "v", 1e-12, "energy expectation with self potentials inserted collapses to "
         "the potential-free form"),
-    "fields.reduced_equals_expectation": Claim("ba1", Base(1e-12)),
+    "fields.reduced_equals_expectation": Claim("ba1", 1e-12),
     "fields.cross_sum_arbitrary_reported": Claim(
         "w", notes="the cross sum vanishes only on energy eigenvectors",
         claimed="evaluated without assertion away from eigenstates"),
@@ -304,6 +297,7 @@ def _prediction_bound(potentials, grid) -> float:
 def _judge(claim_id: str, measured, config: RunConfig):
     """Build the Check of one claim from what its builder measured and its
     CLAIMS row: the row of the claim id, else of its longest family prefix.
+    Its tolerance is the row's, times the run's factor for its suite.
 
     A NaN deviation raises ArithmeticError: max() would silently drop it.
     """
@@ -320,11 +314,8 @@ def _judge(claim_id: str, measured, config: RunConfig):
             raise ArithmeticError(f"{claim_id}: NaN deviation")
         measured = (0.0, max([0.0, *measured]))
     claimed, computed, bound, oracle = Pair(*measured)
-    tol = row.tol
-    if isinstance(tol, Base):
-        tol = config.tol(claim_id.split(".", 1)[0], tol.default) * tol.factor
-    elif tol == BOUND:
-        tol = bound
+    factor = config.tol_factors.get(claim_id.split(".", 1)[0], 1.0)
+    tol = (bound if row.tol == BOUND else row.tol) * factor
     return make_check(claim_id, row.eq, claimed, computed, tol, oracle=oracle, notes=row.notes)
 
 

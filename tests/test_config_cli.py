@@ -80,21 +80,25 @@ class TestRunConfig:
         assert cfg.suites == ("algebra", "lattice")
 
     def test_tol_fallback(self):
-        cfg = RunConfig(tol_overrides={"algebra": 1e-10})
-        assert cfg.tol("algebra", 1e-14) == 1e-10
-        assert cfg.tol("states", 5e-13) == 5e-13
+        # a suite's factor scales its rows' tolerances; a suite without one
+        # keeps them (factor 1)
+        from diraclab.suites import _judge
+
+        cfg = RunConfig(tol_factors={"algebra": 0.5})
+        assert _judge("algebra.pauli_product_table", [0.0], cfg).tol == 0.5e-14
+        assert _judge("states.eigen_wave_residual", [0.0], cfg).tol == 1e-12
 
     def test_validation_collects_problems(self):
         with pytest.raises(ConfigError) as err:
             RunConfig(seed=-1, suites=("algebra", "algebra", "nope"),
-                      tol_overrides={"weird": 1.0, "states": 0.0})
+                      tol_factors={"weird": 1.0, "states": 0.0})
         problems = err.value.problems
         assert len(problems) == 5
         assert any("seed" in p for p in problems)
         assert any("unknown suites" in p for p in problems)
         assert any("duplicate suites" in p for p in problems)
         assert any("unknown tolerance key" in p for p in problems)
-        assert any("tolerance states" in p for p in problems)
+        assert any("tol.states must be a factor in (0, 1]" in p for p in problems)
 
     def test_bool_seed_rejected(self):
         with pytest.raises(ConfigError):
@@ -107,7 +111,7 @@ class TestResolvePrecedence:
         assert cfg.constants == PhysicalConstants()
         assert cfg.seed == DEFAULT_SEED
         assert cfg.suites == SUITE_NAMES
-        assert cfg.tol_overrides == {}
+        assert cfg.tol_factors == {}
 
     def test_flag_beats_file(self, tmp_path):
         path = write_config(tmp_path, "mass = 2.0\nseed = 11\n")
@@ -119,7 +123,7 @@ class TestResolvePrecedence:
         path = write_config(tmp_path, "hbar = 2.5\ntol.lattice = 0.3\n")
         cfg = resolve_run_config({}, path, env={})
         assert cfg.constants.hbar == 2.5
-        assert cfg.tol_overrides == {"lattice": 0.3}
+        assert cfg.tol_factors == {"lattice": 0.3}
         assert cfg.constants.mass == 1.0
 
     def test_env_var_points_at_file(self, tmp_path):
@@ -206,6 +210,27 @@ class TestVerifyCommand:
         assert code == 0
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["seed"] == 42
+
+
+@pytest.mark.parametrize("factor", [2, 0, -1, "nan", "inf", True], ids=str)
+def test_a_tolerance_factor_outside_0_1_is_refused(factor, tmp_path, capsys):
+    # the flag, the config file and RunConfig each refuse it: a factor
+    # can tighten a suite's checks, never loosen them
+    value = float(factor) if isinstance(factor, str) else factor
+    with pytest.raises(ConfigError, match=r"tol.fields must be a factor in \(0, 1\]"):
+        RunConfig(tol_factors={"fields": value})
+    path = write_config(tmp_path, f"tol.fields = {factor}\n")
+    with pytest.raises(ConfigError) as err:
+        read_config_file(path)
+    assert len(err.value.problems) == 1 and err.value.problems[0].startswith("line 1: tol.fields")
+    out = tmp_path / "r.json"
+    for flags in (["--tol-fields", str(factor)], ["--config", path]):
+        try:
+            code = cli.main(["verify", "--suite", "fields", *flags, "--out", str(out)])
+        except SystemExit as exc:  # argparse refuses a flag value that is not a number
+            code = exc.code
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.count("error:") == 1
 
 
 SI_CONSTANTS = ["--hbar", "1.054571817e-34", "--c", "299792458",
@@ -372,16 +397,38 @@ def test_zbw_blames_the_state_for_a_spin_or_axis_that_is_not_one(state, tmp_path
 
 @pytest.mark.parametrize("state", [
     '{"superposition": [{"weight": 1e308}, {"weight": 1e308}]}',
-    '{"superposition": [{"weight": [1e308, 1e308]}]}'], ids=["sum-overflow", "norm-overflow"])
+    '{"superposition": [{"weight": [1e308, 1e308]}, {"weight": [1e308, 1e308]}]}'],
+    ids=["sum-overflow", "complex-sum-overflow"])
 @pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
 def test_zbw_blames_the_state_for_weights_that_overflow(state, tmp_path, capsys):
-    # the weighted sum, or its norm, is not finite: one --state error, not an
-    # overflow warning or a normalization error blamed on the time flags
+    # the weighted sum is not finite: one --state error, not an overflow
+    # warning or a normalization error blamed on the time flags
     out = tmp_path / "traj.csv"
     assert cli.main([*ZBW_BASE, "--state", state, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --state: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("state", [
+    '{"superposition": [{"weight": 1e200}, {"weight": 1e200, "energy_sign": -1}]}',
+    '{"superposition": [{"weight": [1e308, 1e308]}]}'], ids=["mixed-1e200", "complex-1e308"])
+@pytest.mark.filterwarnings("error")
+def test_zbw_normalises_weights_whose_squares_overflow(state, tmp_path):
+    # the plain norm overflows, the normalised state does not
+    out = tmp_path / "traj.csv"
+    argv = ["zbw", "--p", "0.3,0,0", "--t1", "6", "--steps", "40", "--state", state]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="ascii").splitlines()) == 41
+
+
+def test_zbw_norm_fallback_gives_the_state_of_unit_weights():
+    # weights of 1e200 and of 1 describe the same state; the fallback
+    # rescales the first, the plain norm takes the second
+    state = dynamics.MomentumState(p=np.array([0.3, 0.0, 0.0]), constants=PhysicalConstants())
+    big, small = (cli._parse_state(json.dumps({"superposition": [
+        {"weight": w}, {"weight": w, "energy_sign": -1}]}), state) for w in (1e200, 1.0))
+    assert np.allclose(big, small, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("target", ["linspace", "zbw_trajectory"])

@@ -544,7 +544,7 @@ def _policy_rows() -> list:
     """(id, call, exception) rows of the input policy (diraclab.errors): each
     call must raise that exception, DomainError unless the entry point
     collects its problems into a ConfigError."""
-    from diraclab.config import RunConfig
+    from diraclab.config import RunConfig, resolve_run_config
     from diraclab.errors import ConfigError
     from diraclab.fields import LinearPotentials, linear_scalar, symmetric_gauge
     from diraclab.lattice import Grid3, convergence_study, kinetic_momentum_apply
@@ -589,7 +589,7 @@ def _policy_rows() -> list:
     # string, nan and inf
     real_sites = {
         "PhysicalConstants": lambda v: PhysicalConstants(hbar=v),
-        "RunConfig.tol_overrides": lambda v: RunConfig(tol_overrides={"fields": v}),
+        "RunConfig.tol_overrides": lambda v: RunConfig(tol_factors={"fields": v}),
         "MomentumState.p": lambda v: MomentumState(p=[v, 0.2, 0.3], constants=K),
         "Grid3.h": lambda v: Grid3(n=9, h=v),
         "convergence_study": lambda v: convergence_study(make_preset("uniform_b"), (v, 0.5, 0.25)),
@@ -617,7 +617,7 @@ def _policy_rows() -> list:
         ("PhysicalConstants-huge-int", lambda: PhysicalConstants(hbar=10**400), DomainError),
         ("Grid3.h-huge-int", lambda: Grid3(n=9, h=10**400), DomainError),
         ("RunConfig.tol_overrides-huge-int",
-         lambda: RunConfig(tol_overrides={"fields": 10**400}), ConfigError),
+         lambda: RunConfig(tol_factors={"fields": 10**400}), ConfigError),
         ("MomentumState.p-huge-int", lambda: MomentumState(p=[10**400, 0, 0], constants=K),
          DomainError),
         ("MomentumState.p-complex-array",
@@ -636,6 +636,12 @@ def _policy_rows() -> list:
         ("cli.spin_axis-bool", lambda: cli._parse_state('{"spin_axis": [true, 0]}', state),
          ConfigError),
     ]
+    # the resolver passes its values on uncast, so RunConfig and
+    # PhysicalConstants judge them as given
+    rows += [(f"resolve_run_config.{key}-{label}",
+              lambda flags={key: bad}: resolve_run_config(flags, env={}), ConfigError)
+             for key, label, bad in (("seed", "float", 7.9), ("seed", "bool", True),
+                                     ("hbar", "bool", True), ("tol.fields", "bool", True))]
     return rows
 
 

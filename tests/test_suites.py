@@ -10,7 +10,7 @@ import diraclab.suites as suites_mod
 from diraclab.config import DEFAULT_SEED, SUITE_NAMES, RunConfig
 from diraclab.fields import LinearPotentials
 from diraclab.report import ANCHORS, render_json, report_json
-from diraclab.suites import CLAIMS, NOT_MACHINE_CHECKABLE, _dev, _judge, run_suite
+from diraclab.suites import BOUND, CLAIMS, NOT_MACHINE_CHECKABLE, _dev, _judge, run_suite
 
 SEEDED_SUITES = ("algebra", "states", "dynamics", "fields")
 
@@ -169,66 +169,18 @@ def test_a_claim_id_without_a_row_is_refused():
         _judge("algebra.no_such_claim", [0.0], RunConfig())
 
 
-# Claims whose tol follows tol.<suite>, keyed by claim id or by a dotted
-# prefix of it, with the factor between the override and the tol.  Every
-# other claim keeps its tol under every override.
-TOL_OVERRIDE_FACTORS = {
-    "algebra": {
-        "algebra.clifford": 1.0,
-        "algebra.pauli_product_table": 1.0,
-        "algebra.block_spin_commutator": 1.0,
-    },
-    "states": {
-        "states.component_rows_match_matrix_form": 1.0,
-        "states.two_component_stack": 1.0,
-        "states.cylindrical_rows_match": 100.0,
-        "states.eigen_wave_residual": 1.0,
-        "states.coupled_split_residual": 1.0,
-    },
-    "dynamics": {
-        "dynamics.energy_spectrum": 1.0,
-        "dynamics.spectrum_degeneracy": 1.0,
-        "dynamics.eta_anticommutes": 1.0,
-        "dynamics.eta_traceless": 1.0,
-        "dynamics.velocity_direction_evolution": 1.0,
-        "dynamics.eigenstate_no_oscillation": 1.0,
-        "dynamics.eigenspinor_residual": 1.0,
-        "dynamics.eigenbasis_orthonormal": 1.0,
-    },
-    "fields": {
-        "fields.momentum_commutator_h": 1.0,
-        "fields.self_h_matches_expected": 1.0,
-        "fields.routes_agree": 1.0,
-        "fields.self_potentials_vector_real_part": 1.0,
-        "fields.eigenspinor_norm": 1.0,
-        "fields.cross_sum_eigenstates": 1.0,
-        "fields.coupled_equals_reduced": 1.0,
-        "fields.reduced_equals_expectation": 1.0,
-    },
-    "lattice": {},
-}
-
-
-def _override_factor(suite, claim_id):
-    for key, factor in TOL_OVERRIDE_FACTORS[suite].items():
-        if claim_id == key or claim_id.startswith(key + "."):
-            return factor
-    return None
+def test_every_claim_tol_is_a_number_or_bound():
+    assert all(row.tol in (None, BOUND) or type(row.tol) is float for row in CLAIMS.values())
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_tol_override_moves_exactly_the_mapped_claims(full_run, suite):
-    override = 2.0**-20  # a power of two, so factor * override is exact
-    moved = run_suite(RunConfig(seed=DEFAULT_SEED, tol_overrides={suite: override}))
-    base_tols = {c.claim_id: c.tol for c in full_run.checks}
-    assert [c.claim_id for c in moved.checks] == list(base_tols)
-    seen = set()
-    for c in moved.checks:
-        factor = _override_factor(suite, c.claim_id)
-        if factor is None:
-            assert c.tol == base_tols[c.claim_id], c.claim_id
-        else:
-            assert c.tol == factor * override, c.claim_id
-            seen.update(k for k in TOL_OVERRIDE_FACTORS[suite]
-                        if c.claim_id == k or c.claim_id.startswith(k + "."))
-    assert seen == set(TOL_OVERRIDE_FACTORS[suite])
+    # tol.<suite> = F multiplies the tol of every check of its suite, BOUND
+    # rows included, and of no other; F is a power of two, so F * tol is exact
+    factor = 2.0**-20
+    moved = run_suite(RunConfig(seed=DEFAULT_SEED, tol_factors={suite: factor}))
+    assert [c.claim_id for c in moved.checks] == [c.claim_id for c in full_run.checks]
+    assert [c.tol for c in moved.checks] == [
+        factor * c.tol if c.claim_id.startswith(suite + ".") and c.tol is not None else c.tol
+        for c in full_run.checks]
+    assert any(a.tol != b.tol for a, b in zip(moved.checks, full_run.checks))
