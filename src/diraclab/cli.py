@@ -173,6 +173,7 @@ def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
         if not isinstance(terms, list) or not terms:
             raise ConfigError(["--state: superposition must be a non-empty list"])
         psi = np.zeros(4, dtype=complex)
+        scale = 0.0  # the largest real or imaginary part of any weight
         for term in terms:
             if not isinstance(term, dict):
                 raise ConfigError([f"--state: superposition term must be an object, got {term!r}"])
@@ -181,16 +182,18 @@ def _parse_state(spec: str, state: MomentumState) -> np.ndarray:
             if not (is_real(w) or isinstance(w, list) and len(w) == 2 and all(map(is_real, w))):
                 raise ConfigError([f"--state: weight must be a number or [re, im], got {w!r}"])
             w = complex(*w) if isinstance(w, list) else complex(w)
+            scale = max(scale, abs(w.real), abs(w.imag))
             with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
                 psi = psi + w * _state_from_term(term, state)
         with np.errstate(over="ignore", invalid="ignore"):
-            norm = float(np.linalg.norm(psi))  # not finite if psi is not, or if squares overflow
-            if not math.isfinite(norm) and np.isfinite(psi).all():
-                psi = psi / np.abs(psi.view(float)).max()  # the largest real or imaginary part
+            norm = float(np.linalg.norm(psi))  # inf if squares overflow, inexact if they underflow
+            if not 1e-150 < norm < math.inf and np.isfinite(psi).all() and psi.any():
+                e = math.frexp(np.abs(psi.view(float)).max())[1]  # scale exactly by 2**-e
+                psi, scale = np.ldexp(psi.view(float), -e).view(complex), np.ldexp(scale, -e)
                 norm = float(np.linalg.norm(psi))
         if not math.isfinite(norm):
             raise ConfigError(["--state: the weighted superposition overflows"])
-        if norm < 1e-12:
+        if norm <= 1e-12 * scale:  # relative to the weights, so tiny ones are a state
             raise ConfigError(["--state: superposition terms cancel to zero"])
         return psi / norm
     _require_known_keys(data, _TERM_KEYS, "the state object")

@@ -1,14 +1,14 @@
 """Check records, report assembly and deterministic JSON rendering.
 
 Every verification run produces a list of Check records plus a summary.
-Serialization is byte-stable: floats render with 17 significant digits,
-dict keys keep their construction order, and nothing time-dependent is
-written.
+Serialization is byte-stable: json writes each float as its repr, the shortest
+text that reads back to the same double; keys keep their construction order,
+each check sits on its own line, and nothing time-dependent is written.
 """
 
 from __future__ import annotations
 
-import re
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -208,105 +208,22 @@ class VerificationReport:
         }
 
 
-def _render_float(x: float) -> str:
-    """A Python float (not a subclass) as JSON text."""
-    if x.is_integer():  # False for nan and the infinities
-        # '1.0': integers stay visibly floating below 1e16
-        return repr(x) if -1e16 < x < 1e16 else format(x, ".17g")
-    if x - x != 0.0:  # nan or an infinity
-        raise ValueError("non-finite float cannot be serialized")
-    return format(x, ".17g")
-
-
-# Characters a JSON string cannot hold literally: the quote, the backslash
-# and the C0 controls.
-_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
-
-
-def _escape(match) -> str:
-    ch = match.group()
-    if ch == '"':
-        return '\\"'
-    if ch == "\\":
-        return "\\\\"
-    if ch == "\n":
-        return "\\n"
-    return f"\\u{ord(ch):04x}"
-
-
-# Rendered strings by content: report keys, quotes and notes repeat in every
-# check.  Bounded, so rendering many distinct strings cannot grow it without end.
-_STRING_CACHE: dict = {}
-_STRING_CACHE_SIZE = 4096
-
-
-def _render_string(s: str) -> str:
-    text = _STRING_CACHE.get(s)
-    if text is None:
-        text = '"' + _NEEDS_ESCAPE.sub(_escape, s) + '"'
-        if len(_STRING_CACHE) < _STRING_CACHE_SIZE:
-            _STRING_CACHE[s] = text
-    return text
-
-
-def _render_dict(value: dict, indent: int) -> str:
-    if not value:
-        return "{}"
-    inner = "\n" + "  " * (indent + 1)
-    rows = [f"{_render_string(str(k))}: {_render_value(v, indent + 1)}"
-            for k, v in value.items()]
-    return "{" + inner + ("," + inner).join(rows) + "\n" + "  " * indent + "}"
-
-
-def _render_sequence(value, indent: int) -> str:
-    if not len(value):
-        return "[]"
-    # plain floats, and the [re, im] pairs of every matrix entry, skip the
-    # dispatch; a pair of floats always fits the inline rule below
-    parts = [
-        _render_float(v) if type(v) is float
-        else "[" + _render_float(v[0]) + ", " + _render_float(v[1]) + "]"
-        if type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
-        else _render_value(v, indent + 1)
-        for v in value]
-    if sum(map(len, parts)) <= 72 and all(len(p) <= 24 and "\n" not in p for p in parts):
-        return "[" + ", ".join(parts) + "]"
-    inner = "\n" + "  " * (indent + 1)
-    return "[" + inner + ("," + inner).join(parts) + "\n" + "  " * indent + "]"
-
-
-def _unserializable(value, indent: int) -> str:
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-# How each kind of value renders, tried in this order for a type seen the
-# first time; _HANDLERS then maps the type itself to its renderer.
-_KINDS = (
-    (type(None), lambda v, indent: "null"),
-    (bool, lambda v, indent: "true" if v else "false"),
-    ((int, np.integer), lambda v, indent: str(int(v))),
-    ((float, np.floating), lambda v, indent: _render_float(float(v))),
-    (str, lambda v, indent: _render_string(v)),
-    ((np.ndarray, complex, np.complexfloating),
-     lambda v, indent: _render_value(_jsonable_value(v), indent)),
-    (dict, _render_dict),
-    ((list, tuple), _render_sequence),
-)
-_HANDLERS: dict = {float: lambda v, indent: _render_float(v)}
-
-
-def _render_value(value, indent: int) -> str:
-    kind = type(value)
-    handler = _HANDLERS.get(kind)
-    if handler is None:
-        handler = next((h for base, h in _KINDS if issubclass(kind, base)), _unserializable)
-        _HANDLERS[kind] = handler
-    return handler(value, indent)
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 
 def render_json(value) -> str:
-    """Deterministic JSON text: 17-significant-digit floats, stable key order."""
-    return _render_value(value, 0)
+    """Deterministic JSON: a top-level dict one key per line, a list of dicts
+    under it (the report's checks) one dict per line, all else compact."""
+    if not isinstance(value, dict) or not value:
+        return _encode(value)
+    rows = []
+    for k, v in value.items():
+        if isinstance(v, list) and v and all(isinstance(x, dict) for x in v):
+            text = "[\n    " + ",\n    ".join(map(_encode, v)) + "\n  ]"
+        else:
+            text = _encode(v)
+        rows.append(f"  {_encode(str(k))}: {text}")
+    return "{\n" + ",\n".join(rows) + "\n}"
 
 
 def report_json(report: VerificationReport) -> str:

@@ -157,7 +157,7 @@ CLAIMS = {
         "ab1", 1e-12, "upper/lower residuals stacked equal the component rows at the origin"),
     "states.cylindrical_rows_match": Claim(
         "aa2", 1e-10, "cylindrical rows against cartesian rows at matched points; "
-        "tolerance 100x suite base (chain-rule amplification)"),
+        "tolerance 100x the cartesian rows' (chain-rule amplification)"),
     "states.split_recompose": Claim("ab3", 0.0, "(upper, lower) split loses nothing"),
     "states.eigen_wave_residual": Claim(
         "a1", 1e-12, "on-shell plane waves built from energy eigenvectors"),

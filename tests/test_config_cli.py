@@ -351,6 +351,8 @@ ZBW_BASE = ["zbw", "--p", "0.5,0,0", "--t1", "6", "--steps", "40"]
      '{"superposition": [{"energy_sign": 1}, {"energy_sign": -1, "weight": false}]}'],
     [*ZBW_BASE, "--state", '{"superposition": [{"energy_sign": -1, "weight": [true, 0]}]}'],
     [*ZBW_BASE, "--state", '{"spin_axis": [true, 0]}'],
+    # equal terms of opposite weight cancel; the test is relative to the weights
+    [*ZBW_BASE, "--state", '{"superposition": [{"weight": 1}, {"weight": -1}]}'],
     ["zbw", "--p", "0.3,0,0", "--t0", "1", "--t1", "1.0000000000000002", "--steps", "10"],
     ["zbw", "--p", "0.3,0,0", "--t0=-1e308", "--t1=1e308", "--steps", "10"],
     ["zbw", "--p", "0.3,0,0", "--t0", "0", "--t1", "1e308", "--c", "10", "--steps", "10"],
@@ -362,8 +364,8 @@ ZBW_BASE = ["zbw", "--p", "0.5,0,0", "--t1", "6", "--steps", "40"]
 ], ids=["t1-inf", "t0-minus-inf", "t0-nan", "energy-overflow", "c-overflow",
         "unknown-key", "typo-key", "weight-outside-superposition",
         "key-beside-superposition", "typo-in-term", "bool-energy-sign", "bool-weight",
-        "bool-in-weight-pair", "bool-in-spin-axis", "times-collapse", "span-overflow",
-        "phase-overflow", "drift-overflow", "fit-window-overflow"])
+        "bool-in-weight-pair", "bool-in-spin-axis", "weights-cancel", "times-collapse",
+        "span-overflow", "phase-overflow", "drift-overflow", "fit-window-overflow"])
 @pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
 def test_zbw_rejects_input_with_one_error_line(argv, tmp_path, capsys):
     out = tmp_path / "traj.csv"
@@ -423,12 +425,14 @@ def test_zbw_normalises_weights_whose_squares_overflow(state, tmp_path):
 
 
 def test_zbw_norm_fallback_gives_the_state_of_unit_weights():
-    # weights of 1e200 and of 1 describe the same state; the fallback
-    # rescales the first, the plain norm takes the second
+    # weights of 1e200, 1e-160 (squares that underflow to subnormals) and 1
+    # describe the same state; the fallback rescales the first two, the
+    # plain norm takes the last
     state = dynamics.MomentumState(p=np.array([0.3, 0.0, 0.0]), constants=PhysicalConstants())
-    big, small = (cli._parse_state(json.dumps({"superposition": [
-        {"weight": w}, {"weight": w, "energy_sign": -1}]}), state) for w in (1e200, 1.0))
-    assert np.allclose(big, small, rtol=0.0, atol=1e-15)
+    unit, *scaled = (cli._parse_state(json.dumps({"superposition": [
+        {"weight": w}, {"weight": w, "energy_sign": -1}]}), state) for w in (1.0, 1e200, 1e-160))
+    for psi in scaled:
+        assert np.allclose(psi, unit, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("target", ["linspace", "zbw_trajectory"])
@@ -458,6 +462,9 @@ def test_zbw_out_of_memory_exits_two(target, tmp_path, capsys, monkeypatch):
         {"energy_sign": -1, "spin": "down", "spin_axis": [1.2, 4.5], "weight": [0.9, -0.2]}]},
     {"energy_sign": -1, "spin": "down", "spin_axis": [0.3, 0.1]},
     {},
+    # one tiny weight cannot cancel, however small; 1e-170 squared underflows
+    {"superposition": [{"weight": 1e-20}]},
+    {"superposition": [{"weight": 1e-170}, {"weight": 1e-170, "energy_sign": -1}]},
 ])
 def test_zbw_allowed_state_keys_still_parse(spec, tmp_path):
     out = tmp_path / "traj.csv"

@@ -858,13 +858,13 @@ def test_convergence_errors_down_to_n65_are_locked(name):
 
 
 # sha256 of the JSON table written by the README invocation
-# `diraclab lattice --preset <name> --h 0.2,0.1,0.05`, recorded before the
-# extraction was split into slabs; uniform_b's re-recorded when the
-# commutators stopped forming the terms both orders share.
+# `diraclab lattice --preset <name> --h 0.2,0.1,0.05`, re-recorded when the
+# standard library's encoder took over the text (floats as repr), which
+# left every parsed value as it was.
 @pytest.mark.parametrize("preset, digest", [
-    ("uniform_b", "7407ea384f1c425af72be1b9b3cc6bf54cdca4a6a78e6bf15fcce519a5b637b9"),
-    ("linear_phi", "6b32a994a5c847d8ce71352d650a912774296ab283bddc53af3eaa047b29c0f8"),
-])
+    ("uniform_b", "1c2d1fe268ac9b054d885b92ce6c705eb2cd3192eb3656f56ba1bb88d72cb38f"),
+    ("linear_phi", "fbe016e162d316a0ab9612ae306ae2b65cb9c185058ccd358f9031050259b70f"),
+], ids=["uniform_b", "linear_phi"])
 def test_readme_lattice_table_bytes_are_locked(tmp_path, preset, digest):
     import hashlib
 
