@@ -262,11 +262,17 @@ def cmd_lattice(args) -> int:
         raise ConfigError([f"--h must be comma-separated numbers, got {args.h!r}"])
     if len(spacings) < 3:
         raise ConfigError([f"--h needs at least 3 spacings, got {len(spacings)}"])
+    import numpy as np
+
     from .lattice import convergence_study, make_preset
     from .report import render_json
 
     try:
-        study = convergence_study(make_preset(args.preset), spacings, config.constants)
+        # run_suite's policy: an overflow or invalid operation (an e/C so
+        # small that the estimates' denominators underflow) raises
+        # FloatingPointError, exit 2, instead of writing an infinite error
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            study = convergence_study(make_preset(args.preset), spacings, config.constants)
     except MemoryError:
         raise ConfigError([f"not enough memory for the grids of --h {args.h}"])
     payload = {"preset": args.preset}

@@ -1,16 +1,22 @@
-"""Check records, report assembly and deterministic JSON rendering.
+"""Report rows, report assembly and deterministic JSON rendering.
 
-Every verification run produces a list of Check records plus a summary.
-Serialization is byte-stable: json writes each float as its repr, the shortest
-text that reads back to the same double; keys keep their construction order,
-each check sits on its own line, and nothing time-dependent is written.
+Every claim becomes its report row in one constructor, check_row: a plain
+dict whose keys are in report order and whose values are JSON values
+already, so the report is the rows sorted by claim id plus a summary.
+make_check builds the row of a numeric claim from its deviation, a verdict
+goes to check_row directly, and check_row alone refuses a non-finite
+number.  Serialization is byte-stable: json writes each float as its repr,
+the shortest text that reads back to the same double; keys keep their
+construction order, each row sits on its own line, and nothing
+time-dependent is written.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any
+from operator import itemgetter
 
 import numpy as np
 
@@ -62,99 +68,61 @@ ANCHORS = {
 }
 
 
-@dataclass
-class Check:
-    """One verified claim: what was expected, what came out, how far apart."""
-
-    claim_id: str
-    paper_eq: str
-    quote: str
-    claimed: Any
-    computed: Any
-    oracle: Any = None
-    abs_err: float = 0.0
-    rel_err: float | None = None
-    tol: float = 0.0
-    passed: bool = False
-    notes: str = ""
-
-
-def matrix_to_json(m) -> dict:
-    """Row-major {dim, entries: [[re, im], ...]} encoding of a square matrix."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    entries = [list(z) for z in zip(a.real.ravel().tolist(), a.imag.ravel().tolist())]
-    return {"dim": int(a.shape[0]), "entries": entries}
+def _plain(v):
+    """v as a JSON value: a square matrix as {dim, entries: [[re, im], ...]}
+    in row-major order, any other array as (nested) lists, a numpy scalar as
+    the Python number, and a complex number as its real part if its
+    imaginary part is zero, else as [re, im]."""
+    if isinstance(v, np.ndarray):
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            return [_plain(x) for x in v.tolist()]
+        a = np.ascontiguousarray(v, dtype=complex)
+        return {"dim": len(a), "entries": a.view(float).reshape(-1, 2).tolist()}
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, complex):
+        return v.real if v.imag == 0.0 else [v.real, v.imag]
+    return v
 
 
-def _deviation(claimed, computed) -> tuple[float, float]:
-    """Max absolute entrywise deviation and the claimed-side scale."""
+def check_row(claim_id, eq, claimed, computed, passed, *, oracle=None,
+              abs_err=0.0, rel_err=None, tol=0.0, notes="") -> dict:
+    """The report row of one claim, keys in report order (a verdict keeps the
+    defaults).  A NaN or infinite abs_err, rel_err or tol raises
+    ArithmeticError naming the claim: the report could not hold it."""
+    if not all(map(math.isfinite, (abs_err, rel_err or 0.0, tol))):
+        raise ArithmeticError(f"{claim_id}: non-finite deviation or tolerance "
+                              f"(abs_err={abs_err!r}, rel_err={rel_err!r}, tol={tol!r})")
+    return {
+        "claim_id": claim_id,
+        "paper_eq": eq,
+        "quote": ANCHORS[eq],
+        "claimed": claimed,
+        "computed": computed,
+        "oracle": oracle,
+        "abs_err": abs_err,
+        "rel_err": rel_err,
+        "tol": tol,
+        "pass": bool(passed),
+        "notes": notes,
+    }
+
+
+def make_check(claim_id, eq, claimed, computed, tol, *, oracle=None, notes=""):
+    """The row of a numeric claim, scalar or array: the largest entrywise
+    |claimed - computed| against tol (0 demands equality), relative to the
+    largest |claimed| entry unless that is 0."""
     a = np.asarray(claimed, dtype=complex)
     b = np.asarray(computed, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    dev = float(np.max(np.abs(a - b))) if a.size else 0.0
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return dev, scale
-
-
-def _jsonable_value(v):
-    if isinstance(v, np.ndarray):
-        if v.ndim == 2:
-            return matrix_to_json(v)
-        return [_jsonable_value(x) for x in v.tolist()]
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (complex, np.complexfloating)):
-        z = complex(v)
-        if z.imag == 0.0:
-            return z.real
-        return [z.real, z.imag]
-    return v
-
-
-def make_check(claim_id, eq, claimed, computed, tol, *, oracle=None, notes=""):
-    """Build a Check by comparing claimed and computed values.
-
-    Scalars and arrays both work; arrays compare entrywise and record the
-    largest deviation.  tol = 0 demands exact equality.
-    """
-    abs_err, scale = _deviation(claimed, computed)
-    rel_err = abs_err / scale if scale > 0.0 else None
-    passed = abs_err <= tol
-    return Check(
-        claim_id=claim_id,
-        paper_eq=eq,
-        quote=ANCHORS[eq],
-        claimed=_jsonable_value(claimed),
-        computed=_jsonable_value(computed),
-        oracle=_jsonable_value(oracle) if oracle is not None else None,
-        abs_err=abs_err,
-        rel_err=rel_err,
-        tol=float(tol),
-        passed=bool(passed),
-        notes=notes,
-    )
-
-
-def qualitative_check(claim_id, eq, claimed, computed, passed, *, notes=""):
-    """Check whose verdict is a judgement, not a numeric distance."""
-    return Check(
-        claim_id=claim_id,
-        paper_eq=eq,
-        quote=ANCHORS[eq],
-        claimed=claimed,
-        computed=computed,
-        oracle=None,
-        abs_err=0.0,
-        rel_err=None,
-        tol=0.0,
-        passed=bool(passed),
-        notes=notes,
-    )
+    with np.errstate(all="ignore"):  # a non-finite deviation is check_row's to refuse
+        abs_err = float(np.max(np.abs(a - b), initial=0.0))
+        scale = float(np.max(np.abs(a), initial=0.0))
+    return check_row(claim_id, eq, _plain(claimed), _plain(computed), abs_err <= tol,
+                     oracle=_plain(oracle), abs_err=abs_err,
+                     rel_err=abs_err / scale if scale > 0.0 else None,
+                     tol=float(tol), notes=notes)
 
 
 @dataclass
@@ -169,41 +137,21 @@ class VerificationReport:
 
     @property
     def summary(self) -> dict:
-        total = len(self.checks)
-        passed = sum(1 for c in self.checks if c.passed)
-        return {
-            "total": total,
-            "passed": passed,
-            "failed": total - passed,
-            "not_machine_checkable": self.not_machine_checkable,
-        }
+        total, passed = len(self.checks), sum(c["pass"] for c in self.checks)
+        return {"total": total, "passed": passed, "failed": total - passed,
+                "not_machine_checkable": self.not_machine_checkable}
 
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c["pass"] for c in self.checks)
 
     def to_dict(self) -> dict:
-        checks = []
-        for c in sorted(self.checks, key=lambda c: c.claim_id):
-            checks.append({
-                "claim_id": c.claim_id,
-                "paper_eq": c.paper_eq,
-                "quote": c.quote,
-                "claimed": c.claimed,
-                "computed": c.computed,
-                "oracle": c.oracle,
-                "abs_err": c.abs_err,
-                "rel_err": c.rel_err,
-                "tol": c.tol,
-                "pass": c.passed,
-                "notes": c.notes,
-            })
         return {
             "tool_version": self.tool_version,
             "constants_used": dict(self.constants_used),
             "seed": self.seed,
             "conventions": list(self.conventions),
             "suites_run": list(self.suites_run),
-            "checks": checks,
+            "checks": sorted(self.checks, key=itemgetter("claim_id")),
             "summary": self.summary,
         }
 
@@ -234,21 +182,19 @@ def text_summary(report: VerificationReport) -> str:
     """Human-skimmable sibling of the JSON report."""
     lines = [f"diraclab {report.tool_version}  seed={report.seed}"]
     consts = report.constants_used
-    lines.append(
-        "constants: " + "  ".join(f"{k}={consts[k]:.12g}" for k in consts)
-    )
-    by_suite: dict[str, list[Check]] = {}
+    lines.append("constants: " + "  ".join(f"{k}={consts[k]:.12g}" for k in consts))
+    by_suite: dict[str, list[dict]] = {}
     for c in report.checks:
-        by_suite.setdefault(c.claim_id.split(".", 1)[0], []).append(c)
+        by_suite.setdefault(c["claim_id"].split(".", 1)[0], []).append(c)
     for name in report.suites_run:
         group = by_suite.get(name, [])
-        good = sum(1 for c in group if c.passed)
+        good = sum(c["pass"] for c in group)
         lines.append(f"suite {name:<8s} {good}/{len(group)} checks passed")
-    failures = [c for c in report.checks if not c.passed]
+    failures = sorted((c for c in report.checks if not c["pass"]), key=itemgetter("claim_id"))
     if failures:
         lines.append("failed checks:")
-        for c in sorted(failures, key=lambda c: c.claim_id):
-            lines.append(f"  [FAIL] {c.claim_id}  abs_err={c.abs_err:.3e} tol={c.tol:.3e}")
+        for c in failures:
+            lines.append(f"  [FAIL] {c['claim_id']}  abs_err={c['abs_err']:.3e} tol={c['tol']:.3e}")
     else:
         lines.append("failed checks: none")
     if report.not_machine_checkable:

@@ -6,8 +6,8 @@ stream.  So no family's draws move another's, and identical configs replay
 identical numbers.  A builder returns only what it measures, keyed by claim
 id without the "<suite>." prefix: a list of deviations that should vanish
 (_dev), a (claimed, computed) pair, or a Verdict.  run_suite adds the prefix
-and _judge turns each measurement into a Check, reading the claim's eq,
-tolerance and notes from its row in CLAIMS.
+and _judge turns each measurement into its report row, reading the claim's
+eq, tolerance and notes from its row in CLAIMS.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ from .matrices import (
 from .report import (
     TOOL_VERSION,
     VerificationReport,
+    check_row,
     make_check,
-    qualitative_check,
 )
 from .spinors import (
     BRANCH_MINUS,
@@ -295,11 +295,11 @@ def _prediction_bound(potentials, grid) -> float:
 
 
 def _judge(claim_id: str, measured, config: RunConfig):
-    """Build the Check of one claim from what its builder measured and its
-    CLAIMS row: the row of the claim id, else of its longest family prefix.
-    Its tolerance is the row's, times the run's factor for its suite.
-
-    A NaN deviation raises ArithmeticError: max() would silently drop it.
+    """Build the report row of one claim from what its builder measured and
+    its CLAIMS row: the row of the claim id, else of its longest family
+    prefix.  Its tolerance is the row's, times the run's factor for its suite.
+    A list of deviations is judged by its largest, NaN if any is NaN, so
+    check_row refuses it as it refuses an infinite one.
     """
     key = claim_id
     while key and key not in CLAIMS:
@@ -307,12 +307,10 @@ def _judge(claim_id: str, measured, config: RunConfig):
     row = CLAIMS[key or claim_id]  # KeyError names a claim id without a row
     if isinstance(measured, Verdict):
         notes = row.notes if measured.notes is None else measured.notes
-        return qualitative_check(claim_id, row.eq, row.claimed, measured.text,
-                                 measured.passed, notes=notes)
+        return check_row(claim_id, row.eq, row.claimed, measured.text, measured.passed,
+                         notes=notes)
     if isinstance(measured, list):
-        if any(math.isnan(d) for d in measured):
-            raise ArithmeticError(f"{claim_id}: NaN deviation")
-        measured = (0.0, max([0.0, *measured]))
+        measured = (0.0, float(np.max(measured, initial=0.0)))
     claimed, computed, bound, oracle = Pair(*measured)
     factor = config.tol_factors.get(claim_id.split(".", 1)[0], 1.0)
     tol = (bound if row.tol == BOUND else row.tol) * factor
@@ -462,11 +460,11 @@ def build_states_suite(config: RunConfig, draw) -> dict:
                                      omega=omega, constants=k)
             indices_ok &= cyl.angular_indices == tuple(l + d for d in shifts)
             res = jz_apply(cyl)
-            if not res.is_eigenstate:
-                dev_val.append(math.inf)
-                continue
-            dev_val.append(abs(res.eigenvalue - k.hbar * (l + offset)))
-            sampled.append((cyl, res.eigenvalue, points))
+            # every component's value against the claimed one: for an
+            # eigenstate all four are the eigenvalue, bit for bit
+            dev_val.append(max(abs(v - k.hbar * (l + offset)) for v in res.component_values))
+            if res.is_eigenstate:
+                sampled.append((cyl, res.eigenvalue, points))
         dev_op = []
         if sampled:  # every eigenstate of the family at its two points, in one call
             cyls, values, cpts = zip(*sampled)

@@ -85,8 +85,8 @@ class TestRunConfig:
         from diraclab.suites import _judge
 
         cfg = RunConfig(tol_factors={"algebra": 0.5})
-        assert _judge("algebra.pauli_product_table", [0.0], cfg).tol == 0.5e-14
-        assert _judge("states.eigen_wave_residual", [0.0], cfg).tol == 1e-12
+        assert _judge("algebra.pauli_product_table", [0.0], cfg)["tol"] == 0.5e-14
+        assert _judge("states.eigen_wave_residual", [0.0], cfg)["tol"] == 1e-12
 
     def test_validation_collects_problems(self):
         with pytest.raises(ConfigError) as err:
@@ -545,6 +545,27 @@ def test_lattice_arithmetic_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+# An e/C at or below about 1e-308 underflows the estimates' denominators
+# -i hbar (e/C) psi, and the quotients overflow; without the errstate of
+# cmd_lattice the table held an infinite error and could not be written.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [
+    ["--preset", "uniform_b", "--charge", "1e-308"],
+    ["--preset", "uniform_b", "--charge", "1e-310"],
+    ["--preset", "uniform_b", "--charge", "1e-315"],
+    ["--preset", "uniform_b", "--c", "1e308"],
+    ["--preset", "linear_phi", "--charge", "1e-308"],
+])
+def test_lattice_with_a_tiny_coupling_exits_two(flags, tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert cli.main(["lattice", *flags, "--h", "0.2,0.1,0.05", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: numerical breakdown with these inputs: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestConstantsCommand:
     def test_prints_effective_values(self, capsys):
         assert cli.main(["constants", "--mass", "2.5"]) == 0
@@ -585,6 +606,30 @@ def test_verify_breakdown_prints_one_error_line_and_no_warning(flags, tmp_path, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith(f"error: numerical breakdown with these inputs: {suite} suite: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("claim, measured", [
+    ("rest_energy_isotropic", [0.0, float("nan")]),
+    ("rest_energy_isotropic", [float("inf")]),
+    ("rest_energy_isotropic", (1.0, float("nan"))),
+    ("self_potentials_rest", (0.0, 1.0, float("inf"))),  # a BOUND row's bound
+], ids=["nan-list", "inf-list", "nan-pair", "inf-bound"])
+def test_verify_refuses_a_non_finite_measurement_with_one_error_line(claim, measured, tmp_path,
+                                                                     capsys, monkeypatch):
+    # a measurement the report cannot hold ends the run before anything is
+    # written, naming its claim
+    import diraclab.suites as suites_mod
+
+    monkeypatch.setitem(suites_mod._BUILDERS, "fields", lambda config, draw: {claim: measured})
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "--suite", "fields", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: numerical breakdown with these inputs: "
+                                   f"fields.{claim}: non-finite deviation")
+    assert captured.err.count("\n") == 1 and captured.out == ""
     assert not out.exists()
 
 

@@ -132,34 +132,34 @@ def _clifford_checks(rep, kinds, tamper=False):
     """The algebra suite's Clifford checks of one generator set, by kind."""
     report = run_suite(RunConfig(suites=("algebra",), tamper=tamper))
     return [c for c in report.checks
-            if c.claim_id.startswith(f"algebra.clifford.{rep.value}.")
-            and c.claim_id.split(".")[3] in kinds]
+            if c["claim_id"].startswith(f"algebra.clifford.{rep.value}.")
+            and c["claim_id"].split(".")[3] in kinds]
 
 
 @pytest.mark.parametrize("rep", REPS)
 def test_clifford_check_all_pass(rep):
     checks = _clifford_checks(rep, ("anticomm", "hermitian", "traceless"))
     assert len(checks) == 16 + 4 + 4
-    assert all(c.passed for c in checks)
+    assert all(c["pass"] for c in checks)
 
 
 def test_clifford_check_catches_tampered_beta():
     # --tamper flips the first diagonal entry of the Pauli-Dirac beta
     checks = _clifford_checks(Representation.PAULI_DIRAC,
                               ("anticomm", "hermitian", "traceless"), tamper=True)
-    failed = [c for c in checks if not c.passed]
+    failed = [c["claim_id"] for c in checks if not c["pass"]]
     assert failed, "sign flip in beta must break anticommutators"
-    assert any("anticomm" in c.claim_id for c in failed)
-    assert any("traceless" in c.claim_id for c in failed)
+    assert any("anticomm" in claim_id for claim_id in failed)
+    assert any("traceless" in claim_id for claim_id in failed)
 
 
 def test_spectrum_checks_emit_one_per_generator():
     checks = _clifford_checks(Representation.STANDARD, ("eigenvalues",))
     assert len(checks) == 4
-    assert all(c.passed for c in checks)
+    assert all(c["pass"] for c in checks)
     labels = generator_labels(Representation.STANDARD)
     for label in labels:
-        assert any(label in c.claim_id for c in checks)
+        assert any(label in c["claim_id"] for c in checks)
 
 
 def test_mat_exp_frozen_rotation():

@@ -1,5 +1,5 @@
 """Every check can fail: a table of semantic mutants, each of which must turn
-named claims red at seed 137.
+named claims red at seed 137, with `verify` exiting 1 and its report written.
 
 A mutant wraps one kernel that `suites` imports by name and perturbs what
 it returns; it is applied by monkeypatching the `suites` name, so the
@@ -16,15 +16,16 @@ the oscillating part of `zbw_trajectory`, and `fitted_zbw_frequency` x1.005
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 import diraclab.lattice as lattice_mod
 import diraclab.suites as suites_mod
-from diraclab.config import RunConfig
+from diraclab import cli
 from diraclab.matrices import Representation, generators
-from diraclab.suites import CLAIMS, run_suite
+from diraclab.suites import CLAIMS
 
 SEED = 137
 
@@ -83,6 +84,19 @@ def _lattice_estimates_scaled(factor):
     return mutant
 
 
+def _jz_component_shifted():
+    """jz_apply with its last component's value moved by hbar, so no state
+    is an eigenstate; the report must still hold the finite deviation."""
+    kernel = suites_mod.jz_apply
+
+    def mutant(cyl):
+        out = kernel(cyl)
+        values = out.component_values
+        return dataclasses.replace(out, is_eigenstate=False, eigenvalue=None,
+                                   component_values=values[:3] + (values[3] + cyl.constants.hbar,))
+    return mutant
+
+
 def _beta_flipped(rep=Representation.PAULI_DIRAC):
     """The generator set with the Pauli-Dirac beta's first diagonal entry negated."""
     gens = generators(rep)
@@ -121,6 +135,9 @@ MUTANTS = {
         {"dynamics.eigenspinor_residual", "dynamics.eigenstate_drift_linear",
          "fields.self_potentials_rest", "states.coupled_split_residual",
          "states.eigen_wave_residual"}),
+    "jz_apply last component + hbar": (
+        "jz_apply", _jz_component_shifted,
+        {"states.angular_eigenvalue.plus", "states.angular_eigenvalue.minus"}),
     "lattice estimates x(1+1e-9)": (
         (lattice_mod._DiscreteKernel, "slab"), lambda: _lattice_estimates_scaled(1.0 + 1e-9),
         {"lattice.discrete_prediction"}),
@@ -141,10 +158,13 @@ def _row_key(claim_id: str) -> str:
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
-def test_each_mutant_turns_exactly_its_claims_red(monkeypatch, mutant):
+def test_each_mutant_turns_exactly_its_claims_red(monkeypatch, tmp_path, capsys, mutant):
     target, build, killers = MUTANTS[mutant]
     owner, name = target if isinstance(target, tuple) else (suites_mod, target)
     monkeypatch.setattr(owner, name, build())
-    report = run_suite(RunConfig(seed=SEED))
-    assert {_row_key(c.claim_id) for c in report.checks if not c.passed} == killers
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--seed", str(SEED), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert {_row_key(c["claim_id"]) for c in checks if not c["pass"]} == killers
 

@@ -13,9 +13,8 @@ from diraclab.report import (
     ANCHORS,
     TOOL_VERSION,
     VerificationReport,
+    check_row,
     make_check,
-    matrix_to_json,
-    qualitative_check,
     render_json,
     report_json,
     text_summary,
@@ -34,12 +33,19 @@ def small_report(checks=None, nmc=None):
     )
 
 
+ROW_KEYS = ["claim_id", "paper_eq", "quote", "claimed", "computed", "oracle",
+            "abs_err", "rel_err", "tol", "pass", "notes"]
+
+
 def test_make_check_scalar_pass_and_fail():
     ok = make_check("algebra.x", "plumbing", claimed=1.0, computed=1.0 + 1e-15, tol=1e-12)
-    assert ok.passed and ok.abs_err <= 1e-12
-    assert ok.rel_err is not None
+    assert ok["pass"] is True and ok["abs_err"] <= 1e-12
+    assert ok["rel_err"] == ok["abs_err"]
     bad = make_check("algebra.y", "plumbing", claimed=1.0, computed=1.5, tol=1e-12)
-    assert not bad.passed and bad.abs_err == 0.5
+    assert bad["pass"] is False and bad["abs_err"] == 0.5
+    # a claimed zero has no scale to be relative to
+    zero = make_check("algebra.z", "plumbing", claimed=[0.0, 0.0], computed=[0.0, 0.25], tol=1.0)
+    assert zero["rel_err"] is None and zero["abs_err"] == 0.25 and zero["pass"] is True
 
 
 def test_make_check_matrix_entrywise():
@@ -47,31 +53,71 @@ def test_make_check_matrix_entrywise():
     b = a.copy()
     b[0, 1] = 1e-3
     c = make_check("algebra.z", "plumbing", claimed=a, computed=b, tol=1e-6)
-    assert not c.passed
-    assert abs(c.abs_err - 1e-3) <= 1e-18
-    assert c.claimed == matrix_to_json(a) == {
+    assert not c["pass"]
+    assert abs(c["abs_err"] - 1e-3) <= 1e-18
+    assert c["claimed"] == {
         "dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
-    assert c.computed == {
+    assert c["computed"] == {
         "dim": 2, "entries": [[1.0, 0.0], [1e-3, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+
+
+def test_make_check_refuses_a_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        make_check("algebra.z", "plumbing", claimed=np.zeros(3), computed=np.zeros(4), tol=1.0)
 
 
 def test_make_check_requires_known_anchor():
     with pytest.raises(KeyError):
         make_check("x", "zz9", claimed=0.0, computed=0.0, tol=1.0)
+    with pytest.raises(KeyError):
+        check_row("x", "zz9", claimed="a", computed="a", passed=True)
 
 
 def test_every_check_carries_quote():
     c = make_check("x.y", "a1", claimed=0.0, computed=0.0, tol=1.0)
-    assert c.quote == ANCHORS["a1"]
-    q = qualitative_check("x.q", "plumbing", claimed="a", computed="a", passed=True)
-    assert q.quote == "plumbing"
+    assert c["quote"] == ANCHORS["a1"]
+    q = check_row("x.q", "plumbing", claimed="a", computed="a", passed=True)
+    assert q["quote"] == "plumbing"
+    # a verdict row and a numeric row share one layout
+    assert list(q) == list(c) == ROW_KEYS
+    assert (q["oracle"], q["abs_err"], q["rel_err"], q["tol"]) == (None, 0.0, None, 0.0)
+
+
+def test_row_values_are_plain_json_values():
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for value, plain in [
+        (np.float64(0.5), 0.5), (np.int64(3), 3), (np.complex128(2.0), 2.0),
+        (1 + 2j, [1.0, 2.0]), (np.complex128(-0.0 - 1j), [-0.0, -1.0]), (2 + 0j, 2.0),
+        (np.array([1 + 1j, 2.0]), [[1.0, 1.0], 2.0]), (np.zeros((2, 3)), [[0.0] * 3] * 2),
+        (np.ones((2, 1, 2)), [[[1.0, 1.0]], [[1.0, 1.0]]]),
+        (m.T, {"dim": 2, "entries": [[1.0, 0.0], [3.0, 0.0], [2.0, 0.0], [4.0, 0.0]]}),
+        ("text", "text"), ([0.5, None], [0.5, None]), (None, None),
+    ]:
+        row = make_check("x.v", "plumbing", claimed=0.0, computed=0.0, tol=0.0, oracle=value)
+        assert same(row["oracle"], plain), (value, row["oracle"])
+        assert same(json.loads(render_json(row)), row)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"claimed": 0.0, "computed": math.nan, "tol": 1.0},
+    {"claimed": 0.0, "computed": math.inf, "tol": 1.0},
+    {"claimed": [math.inf], "computed": [math.inf], "tol": 1.0},
+    {"claimed": 1 + 0j, "computed": complex(1.0, math.nan), "tol": 1.0},
+    {"claimed": 0.0, "computed": 0.0, "tol": math.inf},
+    {"claimed": 1e-300, "computed": 1e300, "tol": 1.0},  # relative deviation overflows
+], ids=["nan", "inf", "inf-inf", "complex-nan", "inf-tol", "rel-overflow"])
+def test_a_non_finite_row_raises_naming_its_claim(kwargs):
+    with pytest.raises(ArithmeticError, match="^fields.x: non-finite deviation"):
+        make_check("fields.x", "plumbing", **kwargs)
+    with pytest.raises(ArithmeticError, match="^fields.x: non-finite deviation"):
+        check_row("fields.x", "plumbing", "a", "b", False, abs_err=math.nan)
 
 
 def test_summary_counts_match_checks():
     checks = [
         make_check("a.1", "plumbing", claimed=0.0, computed=0.0, tol=1.0),
         make_check("a.2", "plumbing", claimed=0.0, computed=5.0, tol=1.0),
-        qualitative_check("a.3", "plumbing", claimed="x", computed="x", passed=True),
+        check_row("a.3", "plumbing", claimed="x", computed="x", passed=True),
     ]
     rep = small_report(checks=checks)
     assert rep.summary["total"] == 3
@@ -87,10 +133,7 @@ def test_report_checks_sorted_by_claim_id():
     ]
     d = small_report(checks=checks).to_dict()
     assert [c["claim_id"] for c in d["checks"]] == ["a.1", "b.2"]
-    assert set(d["checks"][0].keys()) == {
-        "claim_id", "paper_eq", "quote", "claimed", "computed", "oracle",
-        "abs_err", "rel_err", "tol", "pass", "notes",
-    }
+    assert list(d["checks"][0]) == ROW_KEYS
 
 
 def test_render_json_deterministic_and_shortest_repr():
@@ -191,19 +234,19 @@ def test_render_json_mixed_lists_match_reference():
 @pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.eye(2), 1 + 2j, 2 + 0j,
                                  np.complex128(1.0), np.int64(3)], ids=repr)
 def test_numpy_and_complex_values_raise_type_error(bad):
-    # make_check turns these into plain values before a report holds them
+    # make_check turns these into plain values before a row holds them
     for value in (bad, {"x": [bad]}, {"checks": [{"computed": bad}]}):
         with pytest.raises(TypeError):
             render_json(value)
 
 
-def test_matrix_to_json_matches_per_entry_reference():
+def test_matrix_row_value_matches_per_entry_reference():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m[0, 0] = complex(-0.0, 0.0)
     m[1, 2] = complex(0.0, -0.0)
     m[3, 3] = complex(-0.0, -0.0)
-    got = matrix_to_json(m)
+    got = make_check("x.m", "plumbing", claimed=m, computed=m, tol=0.0)["computed"]
     assert got["dim"] == 4
     assert same(got["entries"], [[float(z.real), float(z.imag)] for z in m.ravel()])
     assert same(json.loads(render_json(got)), got)

@@ -100,6 +100,24 @@ def test_lattice_computed_equals_recorded_exactly(current, recorded):
     assert [cid for cid in lattice if current[cid]["computed"] != recorded[cid]["computed"]] == []
 
 
+TOP_KEYS = ["tool_version", "constants_used", "seed", "conventions", "suites_run", "checks",
+            "summary"]
+ROW_KEYS = ["claim_id", "paper_eq", "quote", "claimed", "computed", "oracle", "abs_err",
+            "rel_err", "tol", "pass", "notes"]
+
+
+def test_report_keys_are_in_report_order():
+    # the values above are compared parsed, so a reordered key, which moves
+    # every byte of the report, is caught here
+    data = json.loads(report_json(run_suite(RunConfig(seed=SEED))))
+    assert list(data) == TOP_KEYS
+    assert [c["claim_id"] for c in data["checks"] if list(c) != ROW_KEYS] == []
+    by_id = {c["claim_id"]: c for c in data["checks"]}
+    verdict, numeric = by_id["states.angular_mixed_rejected"], by_id["fields.self_potentials_rest"]
+    assert isinstance(verdict["computed"], str) and isinstance(numeric["computed"], float)
+    assert list(verdict) == list(numeric) == ROW_KEYS
+
+
 def test_within_accepts_rounding_and_rejects_a_changed_value():
     assert _within({"entries": [[1.0, 0.0]]}, {"entries": [[1.0 + 1e-15, 0.0]]}, 1e-14)
     assert not _within({"entries": [[1.0, 0.0]]}, {"entries": [[1.1, 0.0]]}, 1e-14)
