@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_zbw.add_argument("--out", required=True, metavar="PATH", help="CSV path")
 
     p_lat = sub.add_parser("lattice", help="export a convergence table")
-    _add_shared_flags(p_lat)
     p_lat.add_argument("--preset", required=True, help="|".join(PRESET_NAMES))
     p_lat.add_argument("--h", required=True, metavar="H1,H2,...",
                        help="grid spacings, each half the previous, at least 3")
@@ -253,7 +252,6 @@ def cmd_zbw(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    config = resolve_run_config(vars(args), args.config)
     if args.preset not in PRESET_NAMES:
         raise ConfigError([f"unknown preset {args.preset!r}; choose from {list(PRESET_NAMES)}"])
     try:
@@ -268,11 +266,10 @@ def cmd_lattice(args) -> int:
     from .report import render_json
 
     try:
-        # run_suite's policy: an overflow or invalid operation (an e/C so
-        # small that the estimates' denominators underflow) raises
-        # FloatingPointError, exit 2, instead of writing an infinite error
+        # run_suite's policy: an overflow or invalid operation raises
+        # FloatingPointError, exit 2, instead of writing a non-finite error
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            study = convergence_study(make_preset(args.preset), spacings, config.constants)
+            study = convergence_study(make_preset(args.preset), spacings)
     except MemoryError:
         raise ConfigError([f"not enough memory for the grids of --h {args.h}"])
     payload = {"preset": args.preset}

@@ -21,12 +21,17 @@ the two planes neighbouring slabs share are sampled once; it evaluates the
 operator terms into buffers reused for every slab and test function; and it
 forms no term that cancels between the two orders of a commutator (the mixed
 second difference, the products of two potentials), so the field terms are
-never rounded against larger terms that drop out.  It skips every term
-whose potential is identically zero (a component of A, or phi, whose
-coefficients are all zero): such a term only adds or subtracts signed
-zeros, and x - (+-0) = x for every nonzero x, so on finite samples only the
-sign of an exact-zero estimate can differ, which the error magnitudes and
-the per-cell mean do not see.
+never rounded against larger terms that drop out.  Every term left is
+linear in hbar (e/C), the factor the intensities are solved by dividing
+out, so the kernel never multiplies it in: it computes the estimates from
+the potentials and the samples alone, and no constant can change them
+(kinetic_momentum_apply, the physical operator, is the one place the
+constants enter this module).  It skips every term whose potential is
+identically zero (a component of A, or phi, whose coefficients are all
+zero): such a term only adds or subtracts signed zeros, and x - (+-0) = x
+for every nonzero x, so on finite samples only the sign of an exact-zero
+estimate can differ, which the error magnitudes and the per-cell mean do
+not see.
 Commuting the discrete components and dividing out the test function
 recovers the external intensities to second order in the spacing.  For
 linear potentials the central difference obeys the exact product rule
@@ -156,7 +161,7 @@ def _keep_slab_pages(halo_cells: int) -> None:
     unmap its working set and fault it back in: about 50 000 minor page
     faults per study over h = 0.2 ... 0.025.  Allocating and freeing one
     untouched block of 24 such arrays lifts both thresholds past the at most
-    35 alive at once, for one mmap/munmap pair and no resident page, up to
+    34 alive at once, for one mmap/munmap pair and no resident page, up to
     glibc's 32 MiB cap (reached near n = 170).  Under other allocators this
     is an ordinary short-lived allocation.
     """
@@ -288,31 +293,25 @@ def _live_terms(potentials: LinearPotentials) -> tuple:
 class _DiscreteKernel:
     """The discrete estimator on one grid, walked slab by slab.
 
-    Made once per grid: the stencil scale, the scalar factors of the
-    operator terms, which potentials are live (_live_terms), and every
-    buffer the commutators are evaluated into, sized for the grid's first
-    slab (a shorter last slab uses their leading planes).  Each test
-    function keeps its samples in a buffer of its own, so the two planes one
-    slab shares with the next (its last own plane and its upper halo) are
-    carried over instead of sampled again.
+    Made once per grid: the stencil scale, which potentials are live
+    (_live_terms), and every buffer the commutators are evaluated into,
+    sized for the grid's first slab (a shorter last slab uses their leading
+    planes).  Each test function keeps its samples in a buffer of its own,
+    so the two planes one slab shares with the next (its last own plane and
+    its upper halo) are carried over instead of sampled again.
     """
 
-    def __init__(self, constants, h, halo_shape, test_fields, live):
-        k = constants
-        coupling = k.charge / k.c
+    def __init__(self, h, halo_shape, test_fields, live):
         self.inv_2h = 1.0 / (2.0 * h)
         self.a_live, self.phi_live = live
-        self.neg_i_hbar = -1j * k.hbar
-        self.h_scale = -1j * k.hbar * coupling
-        self.e_scale = 1j * k.hbar * coupling
-        # D_a psi enters alpha_x D_a psi (x != a) and po D_a psi of the E block
+        # D_a psi enters A_x D_a psi (x != a) and phi D_a psi of the E block
         self.d1_live = [self.phi_live or any(self.a_live[x] for x in range(3) if x != a)
                         for a in range(3)]
         self.test_fields = test_fields
         self.samples = [np.empty(halo_shape, dtype=complex) for _ in test_fields]
         self.halo = [np.empty(halo_shape, dtype=complex) for _ in range(3)]
         cells = tuple(size - 2 for size in halo_shape)
-        self.cells = [np.empty(cells, dtype=complex) for _ in range(7)]
+        self.cells = [np.empty(cells, dtype=complex) for _ in range(6)]
         self.carry = None  # first of the planes the next slab shares
 
     def _sample(self, mesh) -> list:
@@ -326,60 +325,59 @@ class _DiscreteKernel:
         self.carry = planes - 2
         return [psi[:planes] for psi in self.samples]
 
-    def slab(self, mesh, window, alpha, po) -> list:
+    def slab(self, mesh, window, a_vals, phi_vals) -> list:
         """(h_est, e_est, weak) for every test function on the next slab.
 
-        mesh holds the broadcast axes, alpha = (e/C) A and po = (e/C) phi
-        the samples, of the slab's cells plus a one-cell halo on every face;
+        mesh holds the broadcast axes, a_vals = A and phi_vals = phi the
+        samples, of the slab's cells plus a one-cell halo on every face;
         window holds the basic slices of the slab's own cells, so every
         estimate has the window's shape.  Slabs must come in order along
         axis 0.
         """
         samples = self._sample(mesh)
         planes = samples[0].shape[0]
-        alpha_in = [a[window] for a in alpha]
+        a_in = [a[window] for a in a_vals]
         halo = [buf[:planes] for buf in self.halo]
         work = [buf[:planes - 2] for buf in self.cells]
-        return [self._estimate(psi, window, alpha, alpha_in, po, halo, work) for psi in samples]
+        return [self._estimate(psi, window, a_vals, a_in, phi_vals, halo, work)
+                for psi in samples]
 
-    def _estimate(self, psi, window, alpha, alpha_in, po, halo, work) -> tuple:
+    def _estimate(self, psi, window, a_vals, a_in, phi_vals, halo, work) -> tuple:
         """Apply each commutator to one test function's samples psi.
 
         The composition pi_j pi_l is distributed over the four operator terms
         (exact at the discrete level by linearity).  Two of them are the same
         in both orders, -hbar^2 D_j D_l psi (the symmetric stencil has
-        D_j D_l = D_l D_j) and (alpha_j alpha_l) psi, and so is the term
-        alpha_j po psi of [pi_j, pi_o]; they cancel in the commutator and are
-        never formed, so the field terms are not rounded against them.  What
-        is left is evaluated into the buffers in halo and work one operation
-        at a time, grouped from left to right as in
+        D_j D_l = D_l D_j) and (e/C)^2 A_j A_l psi, and so is the term
+        (e/C)^2 A_j phi psi of [pi_j, pi_o]; they cancel in the commutator
+        and are never formed.  Every term left is linear in hbar (e/C), the
+        factor the intensities are solved by dividing out, so it is never
+        multiplied in: the estimates are evaluated into the buffers in halo
+        and work one operation at a time, grouped from left to right as in
 
-            [pi_j, pi_l] psi = -i hbar ((D_j (alpha_l psi) + alpha_j D_l psi)
-                                        - (D_l (alpha_j psi) + alpha_l D_j psi))
-            [pi_j, po] psi = -i hbar (D_j (po psi) - po D_j psi)
+            H_k = ((D_j (A_l psi) + A_j D_l psi) - (D_l (A_j psi) + A_l D_j psi)) / psi
+            E_j = (phi D_j psi - D_j (phi psi)) / psi
 
-        and divided by -i hbar (e/C) psi for H, +i hbar (e/C) psi for E, so
-        which buffer holds a term does not change a bit.
+        for cyclic (j, l, k), so which buffer holds a term does not change
+        a bit, and no constant can change one.
 
-        A term with a dead factor (alpha_l, alpha_j or po identically zero)
-        is left out: it is a signed zero, and adding or subtracting one
-        leaves every nonzero value as it is.  A commutator whose two alphas
-        are both dead has no term left, and with po dead neither has any E
-        commutator; those estimates are 0 times the denominator, which keeps
+        A term with a dead factor (A_l, A_j or phi identically zero) is left
+        out: it is a signed zero, and adding or subtracting one leaves every
+        nonzero value as it is.  An H estimate whose two A components are
+        both dead has no term left, and with phi dead neither has any E
+        estimate; those estimates are 0 times the denominator, which keeps
         it NaN where psi is too weak to divide by or not finite.
         """
         live = self.a_live
         psi_in = psi[window]
         weak = np.abs(psi_in) < AMPLITUDE_FLOOR
-        den_h, den_e, p2, tmp, *d1 = work
-        np.copyto(den_e, psi_in)
-        np.copyto(den_e, np.nan + 0.0j, where=weak)  # psi, NaN where too weak to divide by
-        np.multiply(self.h_scale, den_e, out=den_h)
-        np.multiply(self.e_scale, den_e, out=den_e)
-        alpha_psi = halo
+        den, p2, tmp, *d1 = work
+        np.copyto(den, psi_in)
+        np.copyto(den, np.nan + 0.0j, where=weak)  # psi, NaN where too weak to divide by
+        a_psi = halo
         for a in range(3):
             if live[a]:
-                np.multiply(alpha[a], psi, out=alpha_psi[a])
+                np.multiply(a_vals[a], psi, out=a_psi[a])
             if self.d1_live[a]:
                 _central_difference(psi, a, self.inv_2h, window, out=d1[a])
         h_est = np.empty((3,) + psi_in.shape, dtype=complex)
@@ -389,32 +387,30 @@ class _DiscreteKernel:
                 a, b = j - 1, l - 1
                 est = h_est[kk - 1]
                 if not (live[a] or live[b]):
-                    np.multiply(0.0, den_h, out=est)
+                    np.multiply(0.0, den, out=est)
                     continue
                 for out, (x, y) in ((est, (a, b)), (p2, (b, a))):
-                    # D_x (alpha_y psi) + alpha_x D_y psi; alpha_x or alpha_y
-                    # is live, so out is written
+                    # D_x (A_y psi) + A_x D_y psi; A_x or A_y is live, so
+                    # out is written
                     if live[y]:
-                        _central_difference(alpha_psi[y], x, self.inv_2h, window, out=out)
+                        _central_difference(a_psi[y], x, self.inv_2h, window, out=out)
                     if live[x] and live[y]:
-                        np.add(out, np.multiply(alpha_in[x], d1[y], out=tmp), out=out)
+                        np.add(out, np.multiply(a_in[x], d1[y], out=tmp), out=out)
                     elif live[x]:
-                        np.multiply(alpha_in[x], d1[y], out=out)
+                        np.multiply(a_in[x], d1[y], out=out)
                 np.subtract(est, p2, out=est)
-                np.multiply(self.neg_i_hbar, est, out=est)
-                np.divide(est, den_h, out=est)
+                np.divide(est, den, out=est)
             if not self.phi_live:
                 for a in range(3):
-                    np.multiply(0.0, den_e, out=e_est[a])
+                    np.multiply(0.0, den, out=e_est[a])
                 return h_est, e_est, weak
-            po_psi = np.multiply(po, psi, out=halo[0])
-            po_in = po[window]
+            phi_psi = np.multiply(phi_vals, psi, out=halo[0])
+            phi_in = phi_vals[window]
             for a in range(3):
-                est = _central_difference(po_psi, a, self.inv_2h, window, out=e_est[a])
-                np.multiply(po_in, d1[a], out=tmp)
+                est = np.multiply(phi_in, d1[a], out=e_est[a])
+                _central_difference(phi_psi, a, self.inv_2h, window, out=tmp)
                 np.subtract(est, tmp, out=est)
-                np.multiply(self.neg_i_hbar, est, out=est)
-                np.divide(est, den_e, out=est)
+                np.divide(est, den, out=est)
         return h_est, e_est, weak
 
 
@@ -435,7 +431,7 @@ def _worst(current: float, diffs: np.ndarray, *weak: np.ndarray) -> float:
     return current
 
 
-def _slab_estimates(potentials, grid, constants):
+def _slab_estimates(potentials, grid):
     """Yield the interior block's estimates slab by slab.
 
     Each item is (s0, s1, estimates): the slab's planes [s0, s1) along
@@ -445,7 +441,6 @@ def _slab_estimates(potentials, grid, constants):
     for the next slab holds one slab's working set at a time.
     """
     test_fields = default_test_fields()
-    coupling = constants.charge / constants.c
     n, m = grid.n, grid.n - 4
     ax = grid.axis
     across = ax[1:n - 1]
@@ -453,8 +448,7 @@ def _slab_estimates(potentials, grid, constants):
     s0, s1 = slabs[0]
     halo_shape = (s1 - s0 + 2, m + 2, m + 2)
     _keep_slab_pages(math.prod(halo_shape))
-    estimate = _DiscreteKernel(constants, grid.h, halo_shape, test_fields,
-                               _live_terms(potentials)).slab
+    estimate = _DiscreteKernel(grid.h, halo_shape, test_fields, _live_terms(potentials)).slab
 
     def slab(s0, s1):
         # the slab's interior cells and the one-cell halo the stencils reach,
@@ -462,9 +456,8 @@ def _slab_estimates(potentials, grid, constants):
         mesh = (ax[s0 - 1:s1 + 1, None, None], across[None, :, None], across[None, None, :])
         shape = (s1 - s0 + 2, m + 2, m + 2)
         window = (slice(1, s1 - s0 + 1), slice(1, m + 1), slice(1, m + 1))
-        alpha = [np.broadcast_to(coupling * a, shape) for a in potentials.a(*mesh)]
-        po = np.broadcast_to(coupling * potentials.phi(*mesh), shape)
-        return estimate(mesh, window, alpha, po)
+        a_vals = [np.broadcast_to(a, shape) for a in potentials.a(*mesh)]
+        return estimate(mesh, window, a_vals, np.broadcast_to(potentials.phi(*mesh), shape))
 
     for s0, s1 in slabs:
         yield s0, s1, slab(s0, s1)  # the mesh and potentials are gone by the yield
@@ -527,20 +520,18 @@ def _fold_spread(spread: float, estimates) -> float:
     return spread
 
 
-def commutator_field_extract(potentials: LinearPotentials, grid: Grid3,
-                             constants: PhysicalConstants | None = None) -> ExtractResult:
+def commutator_field_extract(potentials: LinearPotentials, grid: Grid3) -> ExtractResult:
     """Estimate the external intensities from kinetic-momentum commutators.
 
     Estimates from every test function of default_test_fields() are compared
     with curl A and -grad phi, with their exact discrete value and pairwise,
     and averaged on the interior block, one slab of planes at a time; the
     returned fields are NaN outside the block.  A grid whose coordinates or
-    (e/C)-scaled potentials overflow when squared raises DomainError, as in
+    potentials overflow when squared raises DomainError, as in
     convergence_study.
     """
-    constants = PhysicalConstants() if constants is None else constants
     n = grid.n
-    _check_box_scale(potentials, (n - 1) // 2 * grid.h, constants, grid.h)
+    _check_box_scale(potentials, (n - 1) // 2 * grid.h, grid.h)
     h_field = np.full((3,) + (n,) * 3, np.nan)
     e_field = np.full((3,) + (n,) * 3, np.nan)
     h_error = e_error = predicted = spread = 0.0
@@ -549,7 +540,7 @@ def commutator_field_extract(potentials: LinearPotentials, grid: Grid3,
     live = _live_terms(potentials)
     test_fields = default_test_fields()
     ax, across = grid.axis, grid.axis[2:n - 2]
-    for s0, s1, estimates in _slab_estimates(potentials, grid, constants):
+    for s0, s1, estimates in _slab_estimates(potentials, grid):
         excluded += sum(int(np.count_nonzero(weak)) for _, _, weak in estimates)
         h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
         mesh = (ax[s0:s1, None, None], across[None, :, None], across[None, None, :])
@@ -592,39 +583,35 @@ class ConvergenceResult:
 EXACT_FLOOR = 1e-13
 
 
-def _check_box_scale(potentials, half_width, constants, spacing) -> None:
-    """Refuse a box whose coordinates or coupled potentials overflow when squared.
+def _check_box_scale(potentials, half_width, spacing) -> None:
+    """Refuse a box whose coordinates or potentials overflow when squared.
 
-    The Gaussian test functions square the coordinates, and the kinetic
-    momenta multiply (e/C) A and (e/C) phi by the samples, then difference
-    and sum a few such products.  All of that stays finite when every
-    coordinate and coupled potential on the box is at most
-    sqrt(float max) / 8 in magnitude; one limit serves both.  The
-    potentials are linear, so their largest magnitude on the box is at a
-    corner.
+    The Gaussian test functions square the coordinates, and the estimates
+    multiply A and phi by the samples, then difference and sum a few such
+    products.  All of that stays finite when every coordinate and potential
+    on the box is at most sqrt(float max) / 8 in magnitude; one limit
+    serves both.  The potentials are linear, so their largest magnitude on
+    the box is at a corner.
     """
     limit = math.sqrt(sys.float_info.max) / 8.0
     ends = np.array([-half_width, half_width])
     x, y, z = np.meshgrid(ends, ends, ends, indexing="ij")
-    coupling = constants.charge / constants.c
     with np.errstate(over="ignore", invalid="ignore"):
         fields = (*potentials.a(x, y, z), potentials.phi(x, y, z))
-        largest = max([half_width] + [float(np.max(np.abs(coupling * f))) for f in fields])
+        largest = max([half_width] + [float(np.max(np.abs(f))) for f in fields])
     if not largest <= limit:
-        raise DomainError(f"grid spacing {spacing!r} is too large for these potentials and "
-                          f"constants: a coordinate or an (e/C)-scaled potential on the box "
-                          f"reaches {largest:.3g}, whose square overflows")
+        raise DomainError(f"grid spacing {spacing!r} is too large for these potentials: a "
+                          f"coordinate or a potential on the box reaches {largest:.3g}, "
+                          f"whose square overflows")
 
 
-def convergence_study(potentials: LinearPotentials, spacings,
-                      constants: PhysicalConstants | None = None) -> ConvergenceResult:
+def convergence_study(potentials: LinearPotentials, spacings) -> ConvergenceResult:
     """Error-versus-spacing fit for the discrete extraction.
 
     spacings must be at least three values, each half the previous and
     each a spacing Grid3 accepts.  The physical box is fixed by the coarsest
     spacing (nine points across), so finer grids refine the same volume.
     """
-    constants = PhysicalConstants() if constants is None else constants
     spac = [_check_spacing(h) for h in spacings]
     if len(spac) < 3:
         raise DomainError("need at least 3 spacings")
@@ -634,7 +621,7 @@ def convergence_study(potentials: LinearPotentials, spacings,
     half_width = 4.0 * spac[0]
     if not math.isfinite(2.0 * half_width):
         raise DomainError(f"grid spacing {spac[0]!r} is too large: the box width overflows")
-    _check_box_scale(potentials, half_width, constants, spac[0])
+    _check_box_scale(potentials, half_width, spac[0])
     expected = classical_maxwell_reference(potentials, (0.0, 0.0, 0.0))
     live = _live_terms(potentials)
     errors = []
@@ -644,7 +631,7 @@ def convergence_study(potentials: LinearPotentials, spacings,
         if n % 2 == 0:
             n += 1
         h_error = e_error = 0.0
-        for _, _, estimates in _slab_estimates(potentials, Grid3(n=n, h=h), constants):
+        for _, _, estimates in _slab_estimates(potentials, Grid3(n=n, h=h)):
             h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
             del estimates  # freed before the generator builds the next slab
         errors.append(max(h_error, e_error))

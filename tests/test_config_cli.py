@@ -545,23 +545,19 @@ def test_lattice_arithmetic_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-# An e/C at or below about 1e-308 underflows the estimates' denominators
-# -i hbar (e/C) psi, and the quotients overflow; without the errstate of
-# cmd_lattice the table held an infinite error and could not be written.
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("flags", [
-    ["--preset", "uniform_b", "--charge", "1e-308"],
-    ["--preset", "uniform_b", "--charge", "1e-310"],
-    ["--preset", "uniform_b", "--charge", "1e-315"],
-    ["--preset", "uniform_b", "--c", "1e308"],
-    ["--preset", "linear_phi", "--charge", "1e-308"],
-])
-def test_lattice_with_a_tiny_coupling_exits_two(flags, tmp_path, capsys):
+# No constant reaches the lattice table, so `lattice` takes no constant
+# flag and no config file: argparse refuses each with exit 2.
+@pytest.mark.parametrize("flags", [["--hbar", "2"], ["--c", "2"], ["--mass", "2"],
+                                   ["--charge", "1e-308"], ["--config", "run.conf"]],
+                         ids=lambda flags: flags[0])
+def test_lattice_refuses_a_constant_flag(flags, tmp_path, capsys):
     out = tmp_path / "t.json"
-    assert cli.main(["lattice", *flags, "--h", "0.2,0.1,0.05", "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lattice", "--preset", "uniform_b", "--h", "0.2,0.1,0.05", *flags,
+                  "--out", str(out)])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: numerical breakdown with these inputs: ")
-    assert captured.err.count("\n") == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
     assert captured.out == ""
     assert not out.exists()
 

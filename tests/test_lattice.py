@@ -1,8 +1,11 @@
 """Grid extraction of field intensities from kinetic-momentum commutators."""
 
+import functools
+import json
 import math
 import os
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -132,7 +135,7 @@ def test_kinetic_momentum_rejects_an_axis_that_is_not_the_int_1_2_or_3(axis):
 def test_extracted_uniform_intensity_coarse_grid():
     # even the coarse grid lands near the exact value
     grid = Grid3(n=9, h=0.2)
-    res = commutator_field_extract(make_preset("uniform_b"), grid, constants=K)
+    res = commutator_field_extract(make_preset("uniform_b"), grid)
     vals = res.h_field[2][grid.interior_mask()]
     assert np.isfinite(vals).all()
     b_ref = np.nanmean(vals)
@@ -141,7 +144,7 @@ def test_extracted_uniform_intensity_coarse_grid():
 
 def test_extraction_discrete_uniform_b():
     grid = Grid3(n=17, h=0.1)
-    res = commutator_field_extract(make_preset("uniform_b"), grid, constants=K)
+    res = commutator_field_extract(make_preset("uniform_b"), grid)
     assert res.h_error <= 0.01
     assert res.e_error <= 0.01
     assert res.function_deviation <= 2.0 * max(res.h_error, res.e_error) + 1e-13
@@ -181,19 +184,19 @@ def test_discrete_prediction_holds_for_any_linear_field(grad_a, grad_phi, symmet
         grad_a = tuple(tuple(grad_a[min(k, l)][max(k, l)] for l in range(3)) for k in range(3))
     potentials = LinearPotentials(grad_a=grad_a, grad_phi=grad_phi)
     grid = Grid3(*grid)
-    res = commutator_field_extract(potentials, grid, constants=K)
+    res = commutator_field_extract(potentials, grid)
     assert res.prediction_error <= _prediction_bound(potentials, grid)
 
 
 def test_extraction_zero_preset_exact_zero():
     grid = Grid3(n=17, h=0.05)
-    res = commutator_field_extract(make_preset("zero"), grid, constants=K)
+    res = commutator_field_extract(make_preset("zero"), grid)
     assert res.h_error == 0.0
     assert res.e_error == 0.0
 
 
 def test_convergence_second_order_uniform_b():
-    study = convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05), K)
+    study = convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05))
     assert study.grid_sizes == (9, 17, 33)
     assert isinstance(study.order, float)
     assert abs(study.order - 2.0) <= 0.15
@@ -201,13 +204,13 @@ def test_convergence_second_order_uniform_b():
 
 
 def test_convergence_second_order_linear_phi():
-    study = convergence_study(make_preset("linear_phi"), (0.2, 0.1, 0.05), K)
+    study = convergence_study(make_preset("linear_phi"), (0.2, 0.1, 0.05))
     assert isinstance(study.order, float)
     assert abs(study.order - 2.0) <= 0.15
 
 
 def test_convergence_zero_preset_reports_exact():
-    study = convergence_study(make_preset("zero"), (0.2, 0.1, 0.05), K)
+    study = convergence_study(make_preset("zero"), (0.2, 0.1, 0.05))
     assert study.order == "exact"
     assert all(err == 0.0 for err in study.errors)
 
@@ -215,9 +218,9 @@ def test_convergence_zero_preset_reports_exact():
 def test_convergence_rejects_bad_spacings():
     cfg = make_preset("uniform_b")
     with pytest.raises(DomainError):
-        convergence_study(cfg, (0.2,), K)
+        convergence_study(cfg, (0.2,))
     with pytest.raises(DomainError):
-        convergence_study(cfg, (0.2, 0.15, 0.1), K)
+        convergence_study(cfg, (0.2, 0.15, 0.1))
 
 
 @pytest.mark.parametrize("spacings, match", [
@@ -238,31 +241,30 @@ def test_convergence_rejects_unusable_spacings_before_any_grid(spacings, match, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=match):
-            convergence_study(make_preset("uniform_b"), spacings, K)
+            convergence_study(make_preset("uniform_b"), spacings)
 
 
 def test_largest_accepted_box_runs_without_overflow():
-    # Half the box is 4 h; coordinates and (e/C)-scaled potentials may reach
+    # Half the box is 4 h; coordinates and potentials may reach
     # sqrt(float max) / 8, and every preset then extracts without a warning.
     limit = math.sqrt(sys.float_info.max) / 8.0
     top = limit / 4.0
     for preset in ("uniform_b", "linear_phi", "zero"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            convergence_study(make_preset(preset), (top, top / 2, top / 4), K)
+            convergence_study(make_preset(preset), (top, top / 2, top / 4))
             with pytest.raises(DomainError, match="square overflows"):
                 convergence_study(make_preset(preset), (1.01 * top, 1.01 * top / 2,
-                                                        1.01 * top / 4), K)
+                                                        1.01 * top / 4))
 
 
 def test_potentials_scaled_past_the_float_range_are_refused():
-    # A tiny C makes the coupling e/C, and with it (e/C) A, overflow when
+    # An amplitude of 1e160 makes A, and with it A psi, overflow when
     # squared on an ordinary box.
-    small_c = PhysicalConstants(c=1e-160)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="square overflows"):
-            convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05), small_c)
+            convergence_study(make_preset("uniform_b", 1e160), (0.2, 0.1, 0.05))
 
 
 def test_extraction_refuses_a_grid_whose_square_overflows():
@@ -273,8 +275,7 @@ def test_extraction_refuses_a_grid_whose_square_overflows():
         with pytest.raises(DomainError, match="square overflows"):
             commutator_field_extract(make_preset("uniform_b"), Grid3(9, 1e160))
         with pytest.raises(DomainError, match="square overflows"):
-            commutator_field_extract(make_preset("uniform_b"), Grid3(9, 0.2),
-                                     constants=PhysicalConstants(c=1e-160))
+            commutator_field_extract(make_preset("uniform_b", 1e160), Grid3(9, 0.2))
     limit = math.sqrt(sys.float_info.max) / 8.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -282,55 +283,79 @@ def test_extraction_refuses_a_grid_whose_square_overflows():
     assert res.h_error == res.e_error == res.prediction_error == 0.0
 
 
-# hbar^2 overflows for hbar above sqrt(float max), about 1.34e154.  No
-# commutator forms it, so every field runs there.
+# The constants reach the lattice suite only through the physical operator
+# of discrete_symbol; the studies and extractions never see them.  Run at a
+# set of constants, the suite must keep the default run's bits in every
+# other row, also where hbar^2 overflows (hbar above sqrt(float max), about
+# 1.34e154) or e/C is subnormal, and under constants scaled by powers of 4
+# (exact) in every row.
+
+@functools.lru_cache(maxsize=None)
+def _lattice_rows(*flags) -> dict:
+    """{claim_id: (computed, abs_err, tol, pass)} of `verify --suite lattice`
+    with these flags, which must exit 0; every float as its bits (computed as
+    its JSON text)."""
+    from diraclab import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify", "--suite", "lattice", *flags, "--out", str(out)]) == 0
+        checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    return {c["claim_id"]: tuple(v.hex() if isinstance(v, float) else v for v in (
+        json.dumps(c["computed"]), c["abs_err"], c["tol"], c["pass"])) for c in checks}
+
+
+def _assert_rows_kept(rows, skip=()):
+    want = _lattice_rows()
+    assert sorted(rows) == sorted(want) and len(want) == 7
+    assert all(row[3] for row in want.values())
+    assert {cid: rows[cid] for cid in want if cid not in skip and rows[cid] != want[cid]} == {}
+
+
 @pytest.mark.parametrize("hbar", [1e160, 1e200, 1e300])
 def test_zero_field_is_exact_at_an_hbar_whose_square_overflows(hbar):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        study = convergence_study(make_preset("zero"), (0.2, 0.1, 0.05),
-                                  PhysicalConstants(hbar=hbar))
-    assert study.order == "exact"
-    assert all(err == 0.0 for err in study.errors)
+    row = _lattice_rows("--hbar", repr(hbar))["lattice.zero_field_exact"]
+    assert row == _lattice_rows()["lattice.zero_field_exact"] and row[3]
 
 
 @pytest.mark.parametrize("hbar", [1e160, 1e200, 1e300])
 def test_linear_phi_converges_at_an_hbar_whose_square_overflows(hbar):
-    spacings = (0.2, 0.1, 0.05)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        study = convergence_study(make_preset("linear_phi"), spacings,
-                                  PhysicalConstants(hbar=hbar))
-    # the E estimates are hbar-free up to rounding
-    want = convergence_study(make_preset("linear_phi"), spacings, K)
-    assert all(math.isclose(got, ref, rel_tol=1e-12)
-               for got, ref in zip(study.errors, want.errors)), study.errors
-    assert abs(study.order - want.order) <= 1e-9
+    cid = "lattice.convergence_order.linear_phi"
+    assert _lattice_rows("--hbar", repr(hbar))[cid] == _lattice_rows()[cid]
 
 
 @pytest.mark.parametrize("hbar", [1e160, 1e200, 1e300])
 def test_uniform_b_converges_at_an_hbar_whose_square_overflows(hbar):
-    spacings = (0.2, 0.1, 0.05)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        study = convergence_study(make_preset("uniform_b"), spacings,
-                                  PhysicalConstants(hbar=hbar))
-    assert abs(study.order - convergence_study(make_preset("uniform_b"), spacings, K).order) <= 1e-9
+    cid = "lattice.convergence_order.uniform_b"
+    assert _lattice_rows("--hbar", repr(hbar))[cid] == _lattice_rows()[cid]
 
 
-def test_lattice_cli_at_an_hbar_whose_square_overflows(tmp_path, capsys):
-    import json
+# (hbar, c, mass, charge) as powers of 4 times the defaults
+POWER_OF_4_SCALINGS = [(1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 3, 0), (0, 0, 0, -2),
+                       (2, -3, 1, 4), (-5, 5, -2, 1), (40, -40, 40, -40)]
 
-    from diraclab import cli
 
-    out = tmp_path / "table.json"
-    args = ["--h", "0.2,0.1,0.05", "--hbar", "1e200", "--out", str(out)]
-    assert cli.main(["lattice", "--preset", "uniform_b", *args]) == 0
-    assert capsys.readouterr().err == ""
-    want = convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05), K).order
-    assert abs(json.loads(out.read_text(encoding="utf-8"))["order"] - want) <= 1e-9
-    assert cli.main(["lattice", "--preset", "zero", *args]) == 0
-    assert '"order": "exact"' in out.read_text(encoding="utf-8")
+@pytest.mark.parametrize("powers", POWER_OF_4_SCALINGS, ids=str)
+def test_constants_scaled_by_powers_of_4_keep_every_lattice_row(powers):
+    base = PhysicalConstants()
+    flags = [arg for name, p in zip(("hbar", "c", "mass", "charge"), powers)
+             for arg in (f"--{name}", repr(getattr(base, name) * 4.0**p))]
+    _assert_rows_kept(_lattice_rows(*flags))
+
+
+SI_FLAGS = ("--hbar", "1.054571817e-34", "--c", "299792458",
+            "--mass", "9.1093837015e-31", "--charge", "1.602176634e-19")
+
+
+@pytest.mark.parametrize("flags", [("--charge", "1e-308"), ("--c", "1e308"),
+                                   ("--hbar", "1e200"), SI_FLAGS],
+                         ids=["charge-1e-308", "c-1e308", "hbar-1e200", "SI"])
+def test_extreme_constants_keep_every_lattice_row_but_the_symbol(flags):
+    # e/C is subnormal in the first two; the estimates never form it, so
+    # only discrete_symbol, which applies the physical operator, may move
+    _assert_rows_kept(_lattice_rows(*flags), skip=("lattice.discrete_symbol",))
 
 
 def test_grid_rejects_a_spacing_whose_stencil_denominator_underflows():
@@ -350,7 +375,7 @@ def test_tiny_spacings_run_and_are_exact(top):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name in PRESET_NAMES:
-            study = convergence_study(make_preset(name), (top, top / 2, top / 4), K)
+            study = convergence_study(make_preset(name), (top, top / 2, top / 4))
             assert study.order == "exact", (name, study)
 
 
@@ -384,11 +409,11 @@ def test_all_nan_estimates_raise_instead_of_reading_zero(monkeypatch):
     # is NaN on cells no mask excuses: the old reduction reported 0 here.
     _use_test_fields(monkeypatch, _nan_test_fields())
     with pytest.raises(ArithmeticError):
-        commutator_field_extract(make_preset("uniform_b"), Grid3(n=9, h=0.2), K)
+        commutator_field_extract(make_preset("uniform_b"), Grid3(n=9, h=0.2))
 
 
 def test_convergence_to_dict_layout():
-    study = convergence_study(make_preset("zero"), (0.2, 0.1, 0.05), K)
+    study = convergence_study(make_preset("zero"), (0.2, 0.1, 0.05))
     d = study.to_dict()
     assert list(d.keys()) == ["h", "n", "max_err", "order"]
     assert d["order"] == "exact"
@@ -414,13 +439,12 @@ def _full_box_difference(v, axis, h):
     return out
 
 
-def _full_box_extract(potentials, grid, fields, k):
+def _full_box_extract(potentials, grid, fields):
     """(h_error, e_error, function_deviation, excluded_points, h_field, e_field)."""
     x, y, z = grid.meshgrid()
     inner = grid.interior_mask()
-    coupling = k.charge / k.c
-    alpha = [coupling * a for a in potentials.a(x, y, z)]
-    po = coupling * potentials.phi(x, y, z)
+    a_vals = potentials.a(x, y, z)
+    phi = potentials.phi(x, y, z)
     want = classical_maxwell_reference(potentials, (x, y, z))
     b_want, e_want = want.h, want.e
     all_h, all_e, excluded = [], [], 0
@@ -433,20 +457,19 @@ def _full_box_extract(potentials, grid, fields, k):
 
         def pi_pi(a, b):
             # pi_a pi_b psi less what pi_b pi_a has too (-hbar^2 D_a D_b psi,
-            # alpha_a alpha_b psi), over -i hbar
-            return _full_box_difference(alpha[b] * psi, a, grid.h) + alpha[a] * d1[b]
+            # (e/C)^2 A_a A_b psi), over -i hbar (e/C)
+            return _full_box_difference(a_vals[b] * psi, a, grid.h) + a_vals[a] * d1[b]
 
         h_est = np.empty((3,) + psi.shape, dtype=complex)
         e_est = np.empty((3,) + psi.shape, dtype=complex)
         with np.errstate(invalid="ignore", divide="ignore"):
             for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                comm = -1j * k.hbar * (pi_pi(a, b) - pi_pi(b, a))
-                h_est[c] = comm / (-1j * k.hbar * coupling * psi_safe)
-            po_psi = po * psi
+                h_est[c] = (pi_pi(a, b) - pi_pi(b, a)) / psi_safe
+            phi_psi = phi * psi
             for a in range(3):
-                # pi_a po psi - po pi_a psi less alpha_a po psi, which both have
-                comm = -1j * k.hbar * (_full_box_difference(po_psi, a, grid.h) - po * d1[a])
-                e_est[a] = comm / (1j * k.hbar * coupling * psi_safe)
+                # pi_a pi_o psi - pi_o pi_a psi less (e/C)^2 A_a phi psi, which
+                # both have, over +i hbar (e/C)
+                e_est[a] = (phi * d1[a] - _full_box_difference(phi_psi, a, grid.h)) / psi_safe
         all_h.append(h_est)
         all_e.append(e_est)
 
@@ -516,29 +539,14 @@ def test_live_configs_are_valid_and_live_everywhere():
     assert lattice_mod._live_terms(make_preset("zero")) == ((False,) * 3, False)
 
 
-@pytest.mark.parametrize("name", ["uniform_b", *LIVE_CONFIGS])
-def test_every_hbar_gives_the_same_order(name):
-    # The commutators form no term that cancels between the two orders, so
-    # hbar only scales what is left, and the order is that of hbar = 1 from
-    # the bottom of the normal range to the top.
-    cfg = _config(name)
-    spacings = (0.2, 0.1, 0.05)
-    want = convergence_study(cfg, spacings, K).order
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for e in range(-300, 301, 50):
-            study = convergence_study(cfg, spacings, PhysicalConstants(hbar=10.0**e))
-            assert isinstance(study.order, float) and abs(study.order - want) <= 1e-9, (e, study)
-
-
 @pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
 @pytest.mark.parametrize("n, h", [(17, 0.1), (33, 0.05)])
 def test_extraction_matches_full_box_reference(name, n, h):
     cfg = _config(name)
     grid = Grid3(n=n, h=h)
-    res = commutator_field_extract(cfg, grid, K)
+    res = commutator_field_extract(cfg, grid)
     h_error, e_error, spread, excluded, h_field, e_field = _full_box_extract(
-        cfg, grid, default_test_fields(), K)
+        cfg, grid, default_test_fields())
     _assert_within_ulps(res.h_error, h_error)
     _assert_within_ulps(res.e_error, e_error)
     _assert_within_ulps(res.function_deviation, spread)
@@ -569,7 +577,7 @@ def test_weak_amplitude_points_are_excluded(monkeypatch):
               for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
     _use_test_fields(monkeypatch, fields)
     cfg = make_preset("uniform_b")
-    res = commutator_field_extract(cfg, grid, K)
+    res = commutator_field_extract(cfg, grid)
     m = grid.n - 4
     assert res.excluded_points == len(fields) * m * m
     assert math.isfinite(res.h_error) and math.isfinite(res.e_error)
@@ -628,7 +636,7 @@ def test_slab_size_does_not_change_a_bit(monkeypatch, name, n):
     cfg = _config(name)
     grid = Grid3(n=n, h=1.6 / (n - 1))
     _extract_at_each_setting(
-        monkeypatch, n, lambda: commutator_field_extract(cfg, grid, constants=K))
+        monkeypatch, n, lambda: commutator_field_extract(cfg, grid))
 
 
 @pytest.mark.parametrize("n", [9, 17, 33])
@@ -643,8 +651,8 @@ def test_weak_plane_on_a_slab_boundary_does_not_change_a_bit(monkeypatch, n):
                   for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
         _use_test_fields(monkeypatch, fields)
         _extract_at_each_setting(
-            monkeypatch, n, lambda: commutator_field_extract(cfg, grid, K))
-        res = commutator_field_extract(cfg, grid, K)
+            monkeypatch, n, lambda: commutator_field_extract(cfg, grid))
+        res = commutator_field_extract(cfg, grid)
         assert res.excluded_points == len(fields) * (n - 4) ** 2
 
 
@@ -671,9 +679,9 @@ def _extraction_bits(res):
 def test_leaving_out_dead_terms_does_not_change_a_bit(monkeypatch, name, n, amplitudes):
     cfg = make_preset(name, *amplitudes)
     grid = Grid3(n=n, h=1.6 / (n - 1))
-    pruned = _extraction_bits(commutator_field_extract(cfg, grid, constants=K))
+    pruned = _extraction_bits(commutator_field_extract(cfg, grid))
     monkeypatch.setattr(lattice_mod, "_live_terms", _all_live)
-    assert _extraction_bits(commutator_field_extract(cfg, grid, constants=K)) == pruned
+    assert _extraction_bits(commutator_field_extract(cfg, grid)) == pruned
 
 
 @pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
@@ -683,9 +691,9 @@ def test_prediction_fold_does_not_change_a_bit_with_every_term_live(monkeypatch,
     # read the same when the kernel evaluates its terms
     cfg = _config(name)
     grid = Grid3(n=17, h=0.1)
-    pruned = _extraction_bits(commutator_field_extract(cfg, grid, K))
+    pruned = _extraction_bits(commutator_field_extract(cfg, grid))
     monkeypatch.setattr(lattice_mod, "_live_terms", _all_live)
-    assert _extraction_bits(commutator_field_extract(cfg, grid, K)) == pruned
+    assert _extraction_bits(commutator_field_extract(cfg, grid)) == pruned
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -693,9 +701,9 @@ def test_leaving_out_dead_terms_does_not_change_the_n65_study(monkeypatch, name)
     # all-live also makes the study fold every component, dead ones included
     cfg = make_preset(name, 1.3, 0.7)
     spacings = (0.2, 0.1, 0.05, 0.025)
-    pruned = [err.hex() for err in convergence_study(cfg, spacings, K).errors]
+    pruned = [err.hex() for err in convergence_study(cfg, spacings).errors]
     monkeypatch.setattr(lattice_mod, "_live_terms", _all_live)
-    assert [err.hex() for err in convergence_study(cfg, spacings, K).errors] == pruned
+    assert [err.hex() for err in convergence_study(cfg, spacings).errors] == pruned
 
 
 @pytest.mark.parametrize("name", ["linear_phi", "zero"])
@@ -704,9 +712,9 @@ def test_all_nan_estimates_raise_where_a_whole_block_is_dead(monkeypatch, name):
     # denominator, which stays NaN where the samples are
     _use_test_fields(monkeypatch, _nan_test_fields())
     with pytest.raises(ArithmeticError):
-        commutator_field_extract(make_preset(name), Grid3(n=9, h=0.2), K)
+        commutator_field_extract(make_preset(name), Grid3(n=9, h=0.2))
     with pytest.raises(ArithmeticError):
-        convergence_study(make_preset(name), (0.2, 0.1, 0.05), K)
+        convergence_study(make_preset(name), (0.2, 0.1, 0.05))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -727,7 +735,7 @@ def test_a_nan_sample_reads_nan_not_zero(monkeypatch, name):
 
     _use_test_fields(monkeypatch, [nan_at_center(kv) for kv in
                                    ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))])
-    res = commutator_field_extract(make_preset(name), grid, K)
+    res = commutator_field_extract(make_preset(name), grid)
     assert np.isnan(res.h_field[:, 4, 4, 4]).all() and np.isnan(res.e_field[:, 4, 4, 4]).all()
     assert np.isfinite(res.h_field[:, 2, 2, 2]).all() and np.isfinite(res.e_field[:, 2, 2, 2]).all()
 
@@ -735,17 +743,17 @@ def test_a_nan_sample_reads_nan_not_zero(monkeypatch, name):
 # numpy reports its buffers to tracemalloc, so the traced peak of a call is
 # deterministic.  A "slab array" is one complex array over a slab's planes and
 # their one-cell halo; every slab-sized array of a discrete extraction is at
-# most that large.  Counted from the code, at most 35 are alive at once,
+# most that large.  Counted from the code, at most 34 are alive at once,
 # while the third test function is estimated: the 12 estimates of the first
-# two (2 intensities x 3 components each), the third's 6, the kernel's 13
+# two (2 intensities x 3 components each), the third's 6, the kernel's 12
 # reused buffers (3 test-function samples carried from slab to slab, 3 halo
-# products and 7 cell buffers), the one buffer numpy casts a real operand
+# products and 6 cell buffers), the one buffer numpy casts a real operand
 # into for a complex product, and the real potentials with the 3 weak masks
 # (at most 4 real arrays, the mesh being broadcast axes, and 3 boolean
 # ones, less than 3 slab arrays).  The expected intensities are constants
 # and take no array.  Folding the 18 finished estimates afterwards, and
 # averaging them one component at a time, needs fewer: the potentials are
-# gone by then.  The bound allows 39, four to spare.
+# gone by then.  The bound allows 39, five to spare.
 LIVE_SLAB_ARRAYS = 39
 
 
@@ -760,7 +768,7 @@ def test_extraction_memory_is_bounded_by_the_slab(monkeypatch):
     slab_bytes = (planes + 2) * (n - 2) ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        res = commutator_field_extract(cfg, grid, constants=K)
+        res = commutator_field_extract(cfg, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -780,7 +788,7 @@ def test_convergence_study_memory_is_one_slab():
     slab_bytes = (planes + 2) * (n - 2) ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        study = convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05, 0.025), K)
+        study = convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05, 0.025))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -826,11 +834,11 @@ def test_convergence_errors_equal_the_extraction_bit_for_bit(monkeypatch, name, 
         monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
         want = []
         for n, h in zip((9, 17, 33), spacings):
-            res = commutator_field_extract(cfg, Grid3(n=n, h=h), constants=K)
+            res = commutator_field_extract(cfg, Grid3(n=n, h=h))
             want.append(max(res.h_error, res.e_error))
         with monkeypatch.context() as patch:
             patch.setattr(lattice_mod, "commutator_field_extract", None)
-            study = convergence_study(cfg, spacings, K)
+            study = convergence_study(cfg, spacings)
         assert study.grid_sizes == (9, 17, 33)
         assert [err.hex() for err in study.errors] == [err.hex() for err in want], cells
 
@@ -839,20 +847,22 @@ def test_convergence_errors_equal_the_extraction_bit_for_bit(monkeypatch, name, 
 # as float.hex(), recorded before the discrete kernel carried halo samples,
 # hoisted its slab invariants and evaluated into reused buffers; uniform_b's
 # last error re-recorded (one ulp lower) when the commutators stopped forming
-# the terms both orders share.  The other bit-identity tests stop at n = 33;
-# this one reaches the benchmark's n = 65.
+# the terms both orders share, and all but uniform_b's last two re-recorded
+# (rounding level) when the kernel stopped multiplying hbar (e/C) in and
+# dividing it back out.  The other bit-identity tests stop at n = 33; this
+# one reaches the benchmark's n = 65.
 N65_ERRORS_HEX = {
-    "uniform_b": ["0x1.e0653547c6d00p-6", "0x1.e421ae3f4fe00p-8",
+    "uniform_b": ["0x1.e0653547c6cc0p-6", "0x1.e421ae3f4ff00p-8",
                   "0x1.e51243051f000p-10", "0x1.e54e7fbad6000p-12"],
-    "linear_phi": ["0x1.81777453e8b60p-6", "0x1.83198d5fe6a80p-8",
-                   "0x1.83824c3b9f600p-10", "0x1.839c7f7d3d000p-12"],
+    "linear_phi": ["0x1.81777453e8b40p-6", "0x1.83198d5fe6980p-8",
+                   "0x1.83824c3b9ee00p-10", "0x1.839c7f7d3a000p-12"],
     "zero": ["0x0.0p+0"] * 4,
 }
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_convergence_errors_down_to_n65_are_locked(name):
-    study = convergence_study(make_preset(name, 1.3, 0.7), (0.2, 0.1, 0.05, 0.025), K)
+    study = convergence_study(make_preset(name, 1.3, 0.7), (0.2, 0.1, 0.05, 0.025))
     assert study.grid_sizes == (9, 17, 33, 65)
     assert [err.hex() for err in study.errors] == N65_ERRORS_HEX[name]
 
@@ -860,10 +870,11 @@ def test_convergence_errors_down_to_n65_are_locked(name):
 # sha256 of the JSON table written by the README invocation
 # `diraclab lattice --preset <name> --h 0.2,0.1,0.05`, re-recorded when the
 # standard library's encoder took over the text (floats as repr), which
-# left every parsed value as it was.
+# left every parsed value as it was, and again when the estimates stopped
+# carrying hbar (e/C), which moved errors and orders at rounding level.
 @pytest.mark.parametrize("preset, digest", [
-    ("uniform_b", "1c2d1fe268ac9b054d885b92ce6c705eb2cd3192eb3656f56ba1bb88d72cb38f"),
-    ("linear_phi", "fbe016e162d316a0ab9612ae306ae2b65cb9c185058ccd358f9031050259b70f"),
+    ("uniform_b", "bbcdddf5bb8c55321572535c887db2acd39a8437eeb5a902ff512b8049271b55"),
+    ("linear_phi", "960bdd050605987b06a43b4320ac2f65f4a28fa0d45b4e872d910cb2aad35f44"),
 ], ids=["uniform_b", "linear_phi"])
 def test_readme_lattice_table_bytes_are_locked(tmp_path, preset, digest):
     import hashlib

@@ -1,5 +1,6 @@
 """Suite orchestration: seed sweep, and independence of suite selection and of sample families."""
 
+import dataclasses
 import json
 import zlib
 
@@ -121,6 +122,27 @@ def test_a_wrong_preset_potential_fails_its_classical_row(monkeypatch, name, wro
     monkeypatch.setattr(suites_mod, name, wrong)
     report = run_suite(RunConfig(suites=("fields",)))
     assert [c["claim_id"] for c in report.checks if not c["pass"]] == [claim_id]
+
+
+def test_the_angular_operator_is_judged_on_every_state_whatever_jz_apply_reports(monkeypatch):
+    # jz_apply reports no eigenstate (its component values kept), and the
+    # sampled angular derivative is 1% off: the operator rows must still
+    # apply the operator to all 11 states of each family and turn red
+    jz_apply, sample_separable = suites_mod.jz_apply, suites_mod.sample_separable
+
+    def no_eigenstate(cyl):
+        return dataclasses.replace(jz_apply(cyl), is_eigenstate=False, eigenvalue=None)
+
+    def d_phi_scaled(*args, **kwargs):
+        s = sample_separable(*args, **kwargs)
+        assert s.psi.shape[0] == 11
+        return dataclasses.replace(s, d_phi=s.d_phi * 1.01)
+
+    monkeypatch.setattr(suites_mod, "jz_apply", no_eigenstate)
+    monkeypatch.setattr(suites_mod, "sample_separable", d_phi_scaled)
+    report = run_suite(RunConfig(seed=DEFAULT_SEED, suites=("states",)))
+    assert [c["claim_id"] for c in report.checks if not c["pass"]] == [
+        "states.angular_operator.plus", "states.angular_operator.minus"]
 
 
 def _rendered_checks(report, suite):
