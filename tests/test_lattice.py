@@ -410,6 +410,24 @@ def test_all_nan_estimates_raise_instead_of_reading_zero(monkeypatch):
     _use_test_fields(monkeypatch, _nan_test_fields())
     with pytest.raises(ArithmeticError):
         commutator_field_extract(make_preset("uniform_b"), Grid3(n=9, h=0.2))
+    with pytest.raises(ArithmeticError):
+        convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05))
+
+
+def test_convergence_study_never_asks_for_the_discrete_prediction(monkeypatch):
+    # the study folds the error maxima only; the exact discrete value is the
+    # extraction's business, so a mean_ratio that raises must not be reached
+    def no_prediction(h, x, y, z):
+        raise AssertionError("convergence_study evaluated mean_ratio")
+
+    cfg = make_preset("uniform_b", 1.3, 0.7)
+    spacings = (0.2, 0.1, 0.05)
+    want = [err.hex() for err in convergence_study(cfg, spacings).errors]
+    _use_test_fields(monkeypatch, [lattice_mod.TestField(values=tf.values, mean_ratio=no_prediction)
+                                   for tf in default_test_fields()])
+    assert [err.hex() for err in convergence_study(cfg, spacings).errors] == want
+    with pytest.raises(AssertionError, match="mean_ratio"):
+        commutator_field_extract(cfg, Grid3(n=9, h=0.2))
 
 
 def test_convergence_to_dict_layout():
@@ -740,6 +758,61 @@ def test_a_nan_sample_reads_nan_not_zero(monkeypatch, name):
     assert np.isfinite(res.h_field[:, 2, 2, 2]).all() and np.isfinite(res.e_field[:, 2, 2, 2]).all()
 
 
+def _infinite_on_plane(k_vec, sign):
+    """A plane wave that is sign * inf on the plane x = 0."""
+    wave = plane_wave_field(k_vec)
+
+    def values(x, y, z):
+        v = wave.values(x, y, z)
+        return np.where(np.broadcast_to(x == 0.0, np.shape(v)), sign * np.inf + 0.0j, v)
+
+    return lattice_mod.TestField(values=values, mean_ratio=wave.mean_ratio)
+
+
+# With a plane of infinite samples at x = 0 (the middle plane at n = 9),
+# recorded before the kernel moved to flat planes: (h_error, e_error,
+# prediction_error, function_deviation) of the n = 9 extraction, one slab
+# for the whole block, and the errors of the (0.2, 0.1, 0.05) study.  An
+# infinite denominator turns E_x on the plane into a finite 0 (its stencil
+# reaches only the finite neighbours), so the live fold reads 0.7 or 0.5;
+# with one plane per slab every estimate of the infinite plane is NaN or
+# that 0, and the guards raise.
+INFINITE_PLANE_HEX = {
+    "uniform_b": (("0x1.ce21072a76dc0p-6", "0x0.0p+0", "0x1.8053a2d8c77a8p-51",
+                   "0x1.3d960dd46f980p-6"),
+                  ("0x1.ce21072a76dc0p-6", "0x1.cfc5f6d4b6300p-8", "0x1.d02f689561400p-10")),
+    "linear_phi": (("0x0.0p+0", "0x1.6666666666666p-1", "0x1.6540f48cd55ccp-1",
+                    "0x1.5cc93921c7800p-6"), ("0x1.6666666666666p-1",) * 3),
+    "zero": (("0x0.0p+0",) * 4, ("0x0.0p+0",) * 3),
+    "all_live": (("0x1.c19649f4f3300p-6", "0x1.0000000000000p-1", "0x1.fe5ccb12555ffp-2",
+                  "0x1.330645a6aea00p-6"), ("0x1.0000000000000p-1",) * 3),
+    "symmetric_gauge_and_phi": (("0x1.ce21072a76dc0p-6", "0x1.6666666666666p-1",
+                                 "0x1.6540f48cd55ccp-1", "0x1.5cc93921c7800p-6"),
+                                ("0x1.6666666666666p-1",) * 3),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
+def test_a_plane_of_infinite_samples_keeps_its_outcome(monkeypatch, name, sign):
+    # zero has no live estimate, so at one plane per slab only the dead-block
+    # guard sees that 0 times an infinite denominator is NaN on every cell
+    cfg = _config(name)
+    _use_test_fields(monkeypatch, [_infinite_on_plane(kv, sign) for kv in
+                                   ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))])
+    extraction, study = INFINITE_PLANE_HEX[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, 0 * inf
+        res = commutator_field_extract(cfg, Grid3(n=9, h=0.2))
+        assert res.excluded_points == 0
+        assert tuple(err.hex() for err in (res.h_error, res.e_error, res.prediction_error,
+                                           res.function_deviation)) == extraction
+        assert tuple(err.hex() for err in convergence_study(cfg, (0.2, 0.1, 0.05)).errors) == study
+        monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", 1)
+        with pytest.raises(ArithmeticError):
+            commutator_field_extract(cfg, Grid3(n=9, h=0.2))
+
+
 # numpy reports its buffers to tracemalloc, so the traced peak of a call is
 # deterministic.  A "slab array" is one complex array over a slab's planes and
 # their one-cell halo; every slab-sized array of a discrete extraction is at
@@ -865,6 +938,59 @@ def test_convergence_errors_down_to_n65_are_locked(name):
     study = convergence_study(make_preset(name, 1.3, 0.7), (0.2, 0.1, 0.05, 0.025))
     assert study.grid_sizes == (9, 17, 33, 65)
     assert [err.hex() for err in study.errors] == N65_ERRORS_HEX[name]
+
+
+# The same for LIVE_CONFIGS, the only fields that run the A_z terms and A
+# and phi together; recorded before the kernel moved to flat planes.
+# symmetric_gauge_and_phi's maxima are its H errors, uniform_b's at b0 = 1.3.
+N65_LIVE_ERRORS_HEX = {
+    "all_live": ["0x1.136a1011169e0p-5", "0x1.157b0fc468f00p-7",
+                 "0x1.1649726930200p-9", "0x1.16776a6e71800p-11"],
+    "symmetric_gauge_and_phi": N65_ERRORS_HEX["uniform_b"],
+}
+
+
+@pytest.mark.parametrize("name", LIVE_CONFIGS)
+def test_live_config_errors_down_to_n65_are_locked(name):
+    study = convergence_study(LIVE_CONFIGS[name], (0.2, 0.1, 0.05, 0.025))
+    assert study.grid_sizes == (9, 17, 33, 65)
+    assert [err.hex() for err in study.errors] == N65_LIVE_ERRORS_HEX[name]
+
+
+def _reference_values():
+    """default_test_fields()'s values as first written, with complex exp."""
+    def plane_wave(x, y, z):
+        return np.exp(1j * (1.3 * x + -0.7 * y + 0.5 * z))
+
+    def gaussian(x, y, z, center=(0.05, -0.04, 0.03), w2=1.0):
+        cx, cy, cz = center
+        return np.exp(-0.5 * ((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2) / w2) + 0.0j
+
+    def modulated(x, y, z):
+        wave = np.exp(1j * (0.8 * x + -0.5 * y + 0.6 * z))
+        return wave * gaussian(x, y, z, center=(0.0, 0.0, 0.0), w2=1.2 ** 2)
+
+    return [plane_wave, gaussian, modulated]
+
+
+def _bits(values):
+    v = np.asarray(values, dtype=complex)
+    return v.real.view(np.uint64), v.imag.view(np.uint64)
+
+
+def test_test_function_samples_keep_their_bits_on_every_slab():
+    # every slab of the study ladder, on the broadcast axes the kernel
+    # samples: the probes' values, sign bits included, are the first formulas'
+    for n, h in ((9, 0.2), (17, 0.1), (33, 0.05), (65, 0.025)):
+        ax = Grid3(n=n, h=h).axis
+        across = ax[1:n - 1]
+        for s0, s1 in lattice_mod._slabs(2, n - 2, (n - 4) ** 2):
+            mesh = (ax[s0 - 1:s1 + 1, None, None], across[None, :, None], across[None, None, :])
+            shape = (s1 - s0 + 2, n - 2, n - 2)
+            for tf, reference in zip(default_test_fields(), _reference_values()):
+                got, want = _bits(tf.values(*mesh)), _bits(reference(*mesh))
+                assert got[0].shape == got[1].shape == shape
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (n, s0)
 
 
 # sha256 of the JSON table written by the README invocation
