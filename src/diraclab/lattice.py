@@ -11,27 +11,38 @@ Kinetic momentum components are applied with symmetric central differences
 works on the interior block, the n - 4 cells per axis two layers inside the
 box, and walks it in slabs of whole planes along axis 0, each sized to stay
 near an L2 cache.  One generator builds every slab: it samples the test
-functions and the potentials on the slab's own planes plus the one-cell halo
-the stencils reach, on broadcast axes (x of shape (p, 1, 1), y (1, q, 1),
-z (1, 1, q)) rather than full coordinate arrays, and yields the estimates,
-which are dropped before the next slab is built, so no full-grid complex
-temporary is ever made.  The discrete kernel behind it is made once per
-grid.  It keeps each test function's samples from one slab to the next, so
-the two planes neighbouring slabs share are sampled once; it evaluates the
-operator terms into buffers reused for every slab and test function; and it
-forms no term that cancels between the two orders of a commutator (the mixed
-second difference, the products of two potentials), so the field terms are
-never rounded against larger terms that drop out.  Every term left is
-linear in hbar (e/C), the factor the intensities are solved by dividing
-out, so the kernel never multiplies it in: it computes the estimates from
-the potentials and the samples alone, and no constant can change them
+functions and the potentials on the slab's own planes plus the one-plane
+halo the stencils reach, each plane the full (n - 2)^2 cross-section of
+grid points 1 ... n - 2, on broadcast axes (x of shape (p, 1, 1), y
+(1, q, 1), z (1, 1, q)) rather than full coordinate arrays, and yields the
+estimates, which are dropped before the next slab is built, so no full-grid
+complex temporary is ever made.  The discrete kernel behind it is made once
+per grid.  It keeps a slab's samples as one flat run, so a neighbour along
+axis 0, 1 or 2 is (n - 2)^2, n - 2 or 1 cells away and every stencil operand
+is one contiguous slice; it computes the estimates on the own planes whole
+and gives the one-cell gutter round each plane's interior window, where the
+stencils wrap into the next row or plane, a NaN denominator, so every
+estimate there is NaN and every fold skips it.  It keeps each test
+function's samples from one slab to the next, so the two planes neighbouring
+slabs share are sampled once; it copies the live potentials into flat runs
+once per slab for all three test functions; it evaluates the operator terms
+into buffers reused for every slab and test function; and it forms no term
+that cancels between the two orders of a commutator (the mixed second
+difference, the products of two potentials), so the field terms are never
+rounded against larger terms that drop out.  Every term left is linear in
+hbar (e/C), the factor the intensities are solved by dividing out, so the
+kernel never multiplies it in: it computes the estimates from the
+potentials and the samples alone, and no constant can change them
 (kinetic_momentum_apply, the physical operator, is the one place the
 constants enter this module).  It skips every term whose potential is
 identically zero (a component of A, or phi, whose coefficients are all
 zero): such a term only adds or subtracts signed zeros, and x - (+-0) = x
 for every nonzero x, so on finite samples only the sign of an exact-zero
 estimate can differ, which the error magnitudes and the per-cell mean do
-not see.
+not see.  An estimate with no term left is 0 times the denominator, one
+array per test function that a block with no live component broadcasts.
+The test functions write cos and sin of their phase into the real and
+imaginary parts, which are the bits of the complex exponential.
 Commuting the discrete components and dividing out the test function
 recovers the external intensities to second order in the spacing.  For
 linear potentials the central difference obeys the exact product rule
@@ -42,9 +53,9 @@ form.  commutator_field_extract folds the error maxima, the distance from
 that value (rounding alone), the test-function spread and the per-cell
 mean; convergence_study folds only the error maxima, so it holds one slab's
 working set.  The error maxima take only the intensity components the field
-can move: a dead one's estimate is 0 against an expected 0.  Every cell sees
-the same operations in the same order whatever the slab size, so the
-results are bit-identical to a single whole-block pass.
+can move: a dead one's estimate is 0 against an expected 0.  Every interior
+cell sees the same operations in the same order whatever the slab size, so
+the results are bit-identical to a single whole-block pass.
 
 Sign bookkeeping, fixed once: the charge symbol is the positive magnitude
 and the operators describe the electron (signed charge -e), so
@@ -156,38 +167,16 @@ def _keep_slab_pages(halo_cells: int) -> None:
 
     glibc hands the top of its heap back to the OS once more than twice the
     largest block it has unmapped lies free there (its dynamic mmap and trim
-    thresholds, mallopt(3)), and a slab frees a few dozen complex arrays of
-    halo_cells cells at once.  Under the default thresholds every slab would
-    unmap its working set and fault it back in: about 50 000 minor page
-    faults per study over h = 0.2 ... 0.025.  Allocating and freeing one
-    untouched block of 24 such arrays lifts both thresholds past the at most
-    34 alive at once, for one mmap/munmap pair and no resident page, up to
-    glibc's 32 MiB cap (reached near n = 170).  Under other allocators this
-    is an ordinary short-lived allocation.
+    thresholds, mallopt(3)), and a slab frees a few dozen arrays of at most
+    halo_cells complex cells at once.  Under the default thresholds every
+    slab would unmap its working set and fault it back in: about 50 000
+    minor page faults per study over h = 0.2 ... 0.025.  Allocating and
+    freeing one untouched block of 24 such arrays lifts both thresholds past
+    the at most LIVE_ARRAYS alive at once, for one mmap/munmap pair and no
+    resident page, up to glibc's 32 MiB cap (reached near n = 170).  Under
+    other allocators this is an ordinary short-lived allocation.
     """
     np.empty(24 * halo_cells, dtype=complex)
-
-
-def _shift(window: tuple, axis: int, step: int) -> tuple:
-    """The basic-slice window moved by step cells along axis."""
-    moved = list(window)
-    moved[axis] = slice(window[axis].start + step, window[axis].stop + step)
-    return tuple(moved)
-
-
-def _central_difference(values: np.ndarray, axis: int, inv_2h: float, window: tuple,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """Central difference along axis on the cells window selects.
-
-    window holds explicit slice bounds at least one cell inside the box
-    along axis; the result has the window's shape.  inv_2h is 1 / (2 h):
-    numpy divides a complex array by a real scalar as a complex division by
-    (c + 0j), which Smith's method carries out as a multiplication by 1 / c,
-    so on finite values the product has the quotient's bits, up to the sign
-    of a zero component, without the cost of a complex division.
-    """
-    out = np.subtract(values[_shift(window, axis, 1)], values[_shift(window, axis, -1)], out=out)
-    return np.multiply(out, inv_2h, out=out)
 
 
 def kinetic_momentum_apply(j: int, potentials: LinearPotentials, grid: Grid3, psi,
@@ -203,9 +192,10 @@ def kinetic_momentum_apply(j: int, potentials: LinearPotentials, grid: Grid3, ps
         raise DomainError(f"psi shape {psi.shape} does not match grid {(grid.n,)*3}")
     a_vals = potentials.a(*grid.meshgrid())
     k = constants
-    valid = tuple(slice(1, grid.n - 1) if axis == j - 1 else slice(0, grid.n) for axis in range(3))
+    valid, up, down = ([slice(None)] * 3 for _ in range(3))
+    valid[j - 1], up[j - 1], down[j - 1] = slice(1, -1), slice(2, None), slice(None, -2)
     deriv = np.full(psi.shape, np.nan + 0.0j, dtype=complex)
-    deriv[valid] = _central_difference(psi, j - 1, 1.0 / (2.0 * grid.h), valid)
+    deriv[tuple(valid)] = (psi[tuple(up)] - psi[tuple(down)]) * (1.0 / (2.0 * grid.h))
     return -1j * k.hbar * deriv + (k.charge / k.c) * a_vals[j - 1] * psi
 
 
@@ -220,11 +210,23 @@ class TestField:
     mean_ratio: Callable  # (h, x, y, z) -> [3] arrays
 
 
+def _unit_phasor(theta) -> np.ndarray:
+    """exp(1j * theta) for real theta, as cos and sin written into the real
+    and imaginary parts: the bits of the complex exponential (cexp(0 + i t)
+    is (cos t, sin t)) at half its cost.  theta must not be -0, whose sine
+    the complex exponential reads as +0."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def plane_wave_field(k_vec) -> TestField:
     kx, ky, kz = (float(v) for v in k_vec)
 
     def values(x, y, z):
-        return np.exp(1j * (kx * x + ky * y + kz * z))
+        # + 0.0 turns a -0 first term into +0, so the phase is never -0
+        return _unit_phasor((kx * x + 0.0) + ky * y + kz * z)
 
     def mean_ratio(h, x, y, z):
         return [np.cos(kj * h) for kj in (kx, ky, kz)]
@@ -232,13 +234,18 @@ def plane_wave_field(k_vec) -> TestField:
     return TestField(values=values, mean_ratio=mean_ratio)
 
 
+def _gaussian(x, y, z, center, w2):
+    """The real envelope exp(-r^2 / 2 w^2) about center."""
+    cx, cy, cz = center
+    return np.exp(-0.5 * ((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2) / w2)
+
+
 def gaussian_field(center=(0.05, -0.04, 0.03), width: float = 1.0) -> TestField:
-    cx, cy, cz = (float(v) for v in center)
+    cx, cy, cz = center = tuple(float(v) for v in center)
     w2 = float(width) ** 2
 
     def values(x, y, z):
-        r2 = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2
-        return np.exp(-0.5 * r2 / w2) + 0.0j
+        return _gaussian(x, y, z, center, w2) + 0.0j
 
     def mean_ratio(h, x, y, z):
         # exp(-h^2/2w^2) cosh(h (x_j - c_j)/w^2) as a mean of two shift ratios: no overflow
@@ -249,12 +256,18 @@ def gaussian_field(center=(0.05, -0.04, 0.03), width: float = 1.0) -> TestField:
 
 
 def modulated_field(k_vec=(0.8, -0.5, 0.6), width: float = 1.2) -> TestField:
-    pw = plane_wave_field(k_vec)
-    ga = gaussian_field(center=(0.0, 0.0, 0.0), width=width)
+    wave = plane_wave_field(k_vec).values
     w2 = float(width) ** 2
 
     def values(x, y, z):
-        return pw.values(x, y, z) * ga.values(x, y, z)
+        # (c + i s) g, g real, part by part: the complex product with
+        # (g + 0i) adds only the exact zeros s * 0 and c * 0, which leave a
+        # nonzero part as it is
+        out = wave(x, y, z)
+        g = _gaussian(x, y, z, (0.0, 0.0, 0.0), w2)
+        np.multiply(out.real, g, out=out.real)
+        np.multiply(out.imag, g, out=out.imag)
+        return out
 
     def mean_ratio(h, x, y, z):
         # exp(-h^2 / 2 w^2) cos(k_j h + i h x_j / w^2), summed as for the Gaussian
@@ -290,59 +303,109 @@ def _live_terms(potentials: LinearPotentials) -> tuple:
     return a_live, any(g != 0.0 for g in potentials.grad_phi)
 
 
-class _DiscreteKernel:
-    """The discrete estimator on one grid, walked slab by slab.
+def _h_live(a_live) -> list:
+    """Whether each H_k can move: A_j or A_l is live for cyclic (j, l, k)."""
+    return [a_live[(k + 1) % 3] or a_live[(k + 2) % 3] for k in range(3)]
 
-    Made once per grid: the stencil scale, which potentials are live
-    (_live_terms), and every buffer the commutators are evaluated into,
+
+# The interior block's cells of a slab's (..., p, n - 2, n - 2) planes; the
+# rest is the one-cell gutter round each plane.
+_WINDOW = (Ellipsis, slice(1, -1), slice(1, -1))
+
+
+class _DiscreteKernel:
+    """The discrete estimator on one grid, walked slab by slab on flat planes.
+
+    A slab's samples cover its own planes and one plane on either side, each
+    plane the full (n - 2)^2 cross-section of grid points 1 ... n - 2 per
+    axis, and are kept as one flat run in C order.  A cell's neighbour along
+    axis 0, 1 or 2 is then (n - 2)^2, n - 2 or 1 cells away, so every
+    stencil operand is one contiguous slice of the run, and every estimate
+    is computed on the own planes whole.  The one-cell gutter round each
+    plane's (n - 4)^2 window of interior cells, where the axis-1 and axis-2
+    stencils reach into the next row or plane, gets a NaN denominator: every
+    estimate there is NaN, which every fold skips, and the gutter is marked
+    in the returned mask, so no guard counts it as a breakdown.  A gutter
+    stencil spans a whole row or plane where an interior one spans two
+    cells, so a potential whose coefficients come within a factor n of the
+    float maximum can overflow there, and numpy warns, where the interior
+    stays finite; the values are never read.
+
+    Made once per grid: the stencil offsets and scale, which potentials are
+    live (_live_terms), and every buffer the commutators are evaluated into,
     sized for the grid's first slab (a shorter last slab uses their leading
-    planes).  Each test function keeps its samples in a buffer of its own,
-    so the two planes one slab shares with the next (its last own plane and
-    its upper halo) are carried over instead of sampled again.
+    cells).  The live potentials are copied into flat runs once per slab,
+    shared by every test function.  Each test function keeps its samples in
+    a buffer of its own, so the two planes one slab shares with the next
+    (its last own plane and its upper halo) are carried over instead of
+    sampled again.
     """
 
-    def __init__(self, h, halo_shape, test_fields, live):
+    def __init__(self, h, n, planes, test_fields, live):
+        q = n - 2
         self.inv_2h = 1.0 / (2.0 * h)
+        self.plane = q * q
+        self.offsets = (q * q, q, 1)
         self.a_live, self.phi_live = live
         # D_a psi enters A_x D_a psi (x != a) and phi D_a psi of the E block
         self.d1_live = [self.phi_live or any(self.a_live[x] for x in range(3) if x != a)
                         for a in range(3)]
         self.test_fields = test_fields
-        self.samples = [np.empty(halo_shape, dtype=complex) for _ in test_fields]
-        self.halo = [np.empty(halo_shape, dtype=complex) for _ in range(3)]
-        cells = tuple(size - 2 for size in halo_shape)
-        self.cells = [np.empty(cells, dtype=complex) for _ in range(6)]
+        halo = (planes + 2) * self.plane
+        cells = planes * self.plane
+        self.samples = [np.empty(halo, dtype=complex) for _ in test_fields]
+        self.potentials = [np.empty(halo) if on else None for on in (*self.a_live, self.phi_live)]
+        self.a_psi = [np.empty(halo, dtype=complex) for _ in range(3)]
+        self.work = [np.empty(cells, dtype=complex) for _ in range(6)]
         self.carry = None  # first of the planes the next slab shares
 
-    def _sample(self, mesh) -> list:
+    def _sample(self, mesh, halo, shape) -> list:
         x, y, z = mesh
-        planes = x.shape[0]
         start = 0 if self.carry is None else 2
         for tf, psi in zip(self.test_fields, self.samples):
             if start:
-                psi[:2] = psi[self.carry:self.carry + 2]
-            psi[start:planes] = tf.values(x[start:], y, z)
-        self.carry = planes - 2
-        return [psi[:planes] for psi in self.samples]
+                psi[:2 * self.plane] = psi[self.carry * self.plane:(self.carry + 2) * self.plane]
+            psi[:halo].reshape(shape)[start:] = tf.values(x[start:], y, z)
+        self.carry = shape[0] - 2
+        return [psi[:halo] for psi in self.samples]
 
-    def slab(self, mesh, window, a_vals, phi_vals) -> list:
+    def slab(self, mesh, potentials) -> list:
         """(h_est, e_est, weak) for every test function on the next slab.
 
-        mesh holds the broadcast axes, a_vals = A and phi_vals = phi the
-        samples, of the slab's cells plus a one-cell halo on every face;
-        window holds the basic slices of the slab's own cells, so every
-        estimate has the window's shape.  Slabs must come in order along
-        axis 0.
+        mesh holds the broadcast axes of the slab's p own planes plus one
+        plane on either side, across the full (n - 2)^2 cross-section;
+        slabs must come in order along axis 0.  h_est and e_est are shaped
+        (3, p, n - 2, n - 2) and weak (p, n - 2, n - 2): True on the gutter
+        and where psi is too weak to divide by, the cells whose estimates
+        are NaN by construction.  _WINDOW selects the interior cells.
         """
-        samples = self._sample(mesh)
-        planes = samples[0].shape[0]
-        a_in = [a[window] for a in a_vals]
-        halo = [buf[:planes] for buf in self.halo]
-        work = [buf[:planes - 2] for buf in self.cells]
-        return [self._estimate(psi, window, a_vals, a_in, phi_vals, halo, work)
-                for psi in samples]
+        shape = np.broadcast_shapes(*(axis.shape for axis in mesh))
+        halo = math.prod(shape)
+        for buf, values in zip(self.potentials, (*potentials.a(*mesh), potentials.phi(*mesh))):
+            if buf is not None:
+                np.copyto(buf[:halo].reshape(shape), values)
+        pots = [None if buf is None else buf[:halo] for buf in self.potentials]
+        a_psi = [buf[:halo] for buf in self.a_psi]
+        work = [buf[:halo - 2 * self.plane] for buf in self.work]
+        planes = (shape[0] - 2,) + shape[1:]
+        return [self._estimate(psi, pots, a_psi, work, planes)
+                for psi in self._sample(mesh, halo, shape)]
 
-    def _estimate(self, psi, window, a_vals, a_in, phi_vals, halo, work) -> tuple:
+    def _difference(self, values, axis, out) -> np.ndarray:
+        """Central difference along axis of the flat run values, on the own
+        planes' cells: out's length of them, from the second plane on.
+
+        inv_2h is 1 / (2 h): numpy multiplies a complex array by a real
+        scalar as a complex product with (c + 0j), so on finite values the
+        product has the quotient's bits, up to the sign of a zero component,
+        without the cost of a complex division.
+        """
+        step, first, cells = self.offsets[axis], self.plane, out.shape[0]
+        np.subtract(values[first + step:first + step + cells],
+                    values[first - step:first - step + cells], out=out)
+        return np.multiply(out, self.inv_2h, out=out)
+
+    def _estimate(self, psi, pots, a_psi, work, planes) -> tuple:
         """Apply each commutator to one test function's samples psi.
 
         The composition pi_j pi_l is distributed over the four operator terms
@@ -352,8 +415,9 @@ class _DiscreteKernel:
         (e/C)^2 A_j phi psi of [pi_j, pi_o]; they cancel in the commutator
         and are never formed.  Every term left is linear in hbar (e/C), the
         factor the intensities are solved by dividing out, so it is never
-        multiplied in: the estimates are evaluated into the buffers in halo
-        and work one operation at a time, grouped from left to right as in
+        multiplied in: the estimates are evaluated on the flat own planes,
+        into the buffers in a_psi and work one operation at a time,
+        grouped from left to right as in
 
             H_k = ((D_j (A_l psi) + A_j D_l psi) - (D_l (A_j psi) + A_l D_j psi)) / psi
             E_j = (phi D_j psi - D_j (phi psi)) / psi
@@ -366,68 +430,83 @@ class _DiscreteKernel:
         nonzero value as it is.  An H estimate whose two A components are
         both dead has no term left, and with phi dead neither has any E
         estimate; those estimates are 0 times the denominator, which keeps
-        it NaN where psi is too weak to divide by or not finite.
+        it NaN where psi is too weak to divide by, not finite, or on the
+        gutter.  A block with no live component is one such array
+        broadcast to (3, ...).
         """
         live = self.a_live
-        psi_in = psi[window]
-        weak = np.abs(psi_in) < AMPLITUDE_FLOOR
+        h_live = _h_live(live)
+        first = self.plane
         den, p2, tmp, *d1 = work
-        np.copyto(den, psi_in)
-        np.copyto(den, np.nan + 0.0j, where=weak)  # psi, NaN where too weak to divide by
-        a_psi = halo
+        own = slice(first, first + den.shape[0])
+        weak = np.abs(psi[own]) < AMPLITUDE_FLOOR
+        masked = weak.reshape(planes)
+        masked[:, 0] = masked[:, -1] = masked[:, :, 0] = masked[:, :, -1] = True  # the gutter
+        np.copyto(den, psi[own])
+        np.copyto(den, np.nan + 0.0j, where=weak)  # psi, NaN where not divided by
         for a in range(3):
             if live[a]:
-                np.multiply(a_vals[a], psi, out=a_psi[a])
+                np.multiply(pots[a], psi, out=a_psi[a])
             if self.d1_live[a]:
-                _central_difference(psi, a, self.inv_2h, window, out=d1[a])
-        h_est = np.empty((3,) + psi_in.shape, dtype=complex)
-        e_est = np.empty((3,) + psi_in.shape, dtype=complex)
+                self._difference(psi, a, out=d1[a])
+        a_in = [None if pot is None else pot[own] for pot in pots]
+        block = (3,) + planes
         with np.errstate(invalid="ignore", divide="ignore"):
-            for j, l, kk in _CYCLIC:
-                a, b = j - 1, l - 1
-                est = h_est[kk - 1]
-                if not (live[a] or live[b]):
-                    np.multiply(0.0, den, out=est)
-                    continue
-                for out, (x, y) in ((est, (a, b)), (p2, (b, a))):
-                    # D_x (A_y psi) + A_x D_y psi; A_x or A_y is live, so
-                    # out is written
-                    if live[y]:
-                        _central_difference(a_psi[y], x, self.inv_2h, window, out=out)
-                    if live[x] and live[y]:
-                        np.add(out, np.multiply(a_in[x], d1[y], out=tmp), out=out)
-                    elif live[x]:
-                        np.multiply(a_in[x], d1[y], out=out)
-                np.subtract(est, p2, out=est)
-                np.divide(est, den, out=est)
-            if not self.phi_live:
+            dead = None
+            if not (any(h_live) and self.phi_live):
+                dead = np.multiply(0.0, den).reshape(planes)
+            h_est = e_est = None
+            if any(h_live):
+                h_est = np.empty(block, dtype=complex)
+                for j, l, kk in _CYCLIC:
+                    a, b = j - 1, l - 1
+                    est = h_est[kk - 1].reshape(-1)
+                    if not h_live[kk - 1]:
+                        np.multiply(0.0, den, out=est)
+                        continue
+                    for out, (x, y) in ((est, (a, b)), (p2, (b, a))):
+                        # D_x (A_y psi) + A_x D_y psi; A_x or A_y is live, so
+                        # out is written
+                        if live[y]:
+                            self._difference(a_psi[y], x, out=out)
+                        if live[x] and live[y]:
+                            np.add(out, np.multiply(a_in[x], d1[y], out=tmp), out=out)
+                        elif live[x]:
+                            np.multiply(a_in[x], d1[y], out=out)
+                    np.subtract(est, p2, out=est)
+                    np.divide(est, den, out=est)
+            if self.phi_live:
+                e_est = np.empty(block, dtype=complex)
+                phi_psi = np.multiply(pots[3], psi, out=a_psi[0])
                 for a in range(3):
-                    np.multiply(0.0, den, out=e_est[a])
-                return h_est, e_est, weak
-            phi_psi = np.multiply(phi_vals, psi, out=halo[0])
-            phi_in = phi_vals[window]
-            for a in range(3):
-                est = np.multiply(phi_in, d1[a], out=e_est[a])
-                _central_difference(phi_psi, a, self.inv_2h, window, out=tmp)
-                np.subtract(est, tmp, out=est)
-                np.divide(est, den, out=est)
-        return h_est, e_est, weak
+                    est = np.multiply(a_in[3], d1[a], out=e_est[a].reshape(-1))
+                    self._difference(phi_psi, a, out=tmp)
+                    np.subtract(est, tmp, out=est)
+                    np.divide(est, den, out=est)
+        return (np.broadcast_to(dead, block) if h_est is None else h_est,
+                np.broadcast_to(dead, block) if e_est is None else e_est, masked)
+
+
+def _breakdown(*weak: np.ndarray) -> None:
+    """Raise ArithmeticError unless every cell is True in one of the weak masks."""
+    if not np.logical_or.reduce(weak).all():
+        raise ArithmeticError("every lattice estimate on a slab of planes is NaN, "
+                              "including cells where the test function is not weak")
 
 
 def _worst(current: float, diffs: np.ndarray, *weak: np.ndarray) -> float:
     """max(current, largest non-NaN entry of diffs).
 
     A NaN entry is expected only on a cell where a test function is too weak
-    to divide by (a True cell of one of the weak masks).  If every entry is
-    NaN while some cell is weak in none of the masks, the estimates broke
-    down, and that raises ArithmeticError instead of passing current on.
+    to divide by, or on the gutter (a True cell of one of the weak masks).
+    If every entry is NaN while some cell is weak in none of the masks, the
+    estimates broke down, and that raises ArithmeticError instead of passing
+    current on.
     """
     top = float(np.fmax.reduce(diffs, axis=None))
     if not math.isnan(top):
         return max(current, top)
-    if not np.logical_or.reduce(weak).all():
-        raise ArithmeticError("every lattice estimate on a slab of planes is NaN, "
-                              "including cells where the test function is not weak")
+    _breakdown(*weak)
     return current
 
 
@@ -436,62 +515,65 @@ def _slab_estimates(potentials, grid):
 
     Each item is (s0, s1, estimates): the slab's planes [s0, s1) along
     axis 0 and one (h_est, e_est, weak) per test function of
-    default_test_fields().  The generator keeps no reference to the
+    default_test_fields(), on the planes' full (n - 2)^2 cross-section
+    (_DiscreteKernel.slab).  The generator keeps no reference to the
     estimates it yields, so a consumer that lets go of them before asking
     for the next slab holds one slab's working set at a time.
     """
-    test_fields = default_test_fields()
     n, m = grid.n, grid.n - 4
     ax = grid.axis
     across = ax[1:n - 1]
     slabs = _slabs(2, n - 2, m * m)
     s0, s1 = slabs[0]
-    halo_shape = (s1 - s0 + 2, m + 2, m + 2)
-    _keep_slab_pages(math.prod(halo_shape))
-    estimate = _DiscreteKernel(grid.h, halo_shape, test_fields, _live_terms(potentials)).slab
-
-    def slab(s0, s1):
-        # the slab's interior cells and the one-cell halo the stencils reach,
-        # on broadcast axes; the potentials are full-shape views of theirs
-        mesh = (ax[s0 - 1:s1 + 1, None, None], across[None, :, None], across[None, None, :])
-        shape = (s1 - s0 + 2, m + 2, m + 2)
-        window = (slice(1, s1 - s0 + 1), slice(1, m + 1), slice(1, m + 1))
-        a_vals = [np.broadcast_to(a, shape) for a in potentials.a(*mesh)]
-        return estimate(mesh, window, a_vals, np.broadcast_to(potentials.phi(*mesh), shape))
-
+    _keep_slab_pages((s1 - s0 + 2) * (n - 2) ** 2)
+    kernel = _DiscreteKernel(grid.h, n, s1 - s0, default_test_fields(), _live_terms(potentials))
     for s0, s1 in slabs:
-        yield s0, s1, slab(s0, s1)  # the mesh and potentials are gone by the yield
+        # the slab's planes and the one-plane halo the stencils reach, on
+        # broadcast axes; the mesh is gone by the yield
+        mesh = (ax[s0 - 1:s1 + 1, None, None], across[None, :, None], across[None, None, :])
+        yield s0, s1, kernel.slab(mesh, potentials)
+
+
+def _deviation(est: np.ndarray, want, diff: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """|est - want| into mag, through diff; where want is 0 the subtraction
+    is skipped, since x - 0 keeps every bit of |x|, NaN and -0 included."""
+    if want == 0.0:
+        return np.abs(est, out=mag)
+    return np.abs(np.subtract(est, want, out=diff), out=mag)
 
 
 def _fold_errors(h_error: float, e_error: float, expected, estimates, live) -> tuple:
     """(h_error, e_error) raised to the worst deviation of one slab's estimates
     from expected, the constant MaxwellFields (curl A, -grad phi) of the field.
 
-    Only the components the field can move are folded, as live (a mask from
-    _live_terms) says: H_k where A_j or A_l is live for cyclic (j, l, k), E_j
-    where phi is.  The discrete kernel makes a dead component's estimate 0
-    times the denominator, and its expected value is exactly 0, so it can
-    never raise a maximum.  All dead estimates are NaN on the same cells,
-    those whose denominator is not finite, so _worst on one of them per test
-    function keeps the all-NaN guard firing wherever folding them all would.
-    Every difference and its magnitude go into the same two cell buffers.
+    Each estimate is folded on its slab's whole planes: the gutter and the
+    weak cells are NaN and skipped.  Only the components the field can move
+    are folded, as live (a mask from _live_terms) says: H_k where A_j or A_l
+    is live for cyclic (j, l, k), E_j where phi is.  The discrete kernel
+    makes a dead component's estimate 0 times the denominator, and its
+    expected value is exactly 0, so it can never raise a maximum; but it is
+    NaN exactly where the denominator is not finite, and where that is every
+    cell (NaN or infinite samples) the all-NaN guard fires on one of them,
+    as _worst on its magnitudes would.  A live fold does not always see
+    that: on an infinite sample an estimate whose stencil reaches only
+    finite neighbours comes out as a finite 0.  An expected value of exactly
+    0 is not subtracted (_deviation).  Every difference and its magnitude go
+    into the same two cell buffers.
     """
     a_live, phi_live = live
-    h_live = [a_live[(k + 1) % 3] or a_live[(k + 2) % 3] for k in range(3)]
-    h_dead = [k for k in range(3) if not h_live[k]]
+    h_live = _h_live(a_live)
     diff = np.empty_like(estimates[0][0][0])
     mag = np.empty(diff.shape)
     for h_est, e_est, weak in estimates:
         for j in range(3):
             if h_live[j]:
-                np.subtract(h_est[j], expected.h[j], out=diff)
-                h_error = _worst(h_error, np.abs(diff, out=mag), weak)
+                h_error = _worst(h_error, _deviation(h_est[j], expected.h[j], diff, mag), weak)
             if phi_live:
-                np.subtract(e_est[j], expected.e[j], out=diff)
-                e_error = _worst(e_error, np.abs(diff, out=mag), weak)
-        if h_dead or not phi_live:
-            dead = h_est[h_dead[0]] if h_dead else e_est[0]
-            _worst(0.0, np.abs(dead, out=mag), weak)
+                e_error = _worst(e_error, _deviation(e_est[j], expected.e[j], diff, mag), weak)
+        if not (all(h_live) and phi_live):
+            dead = h_est[h_live.index(False)] if not all(h_live) else e_est[0]
+            if not np.isfinite(dead).any():
+                _breakdown(weak)
     return h_error, e_error
 
 
@@ -541,18 +623,19 @@ def commutator_field_extract(potentials: LinearPotentials, grid: Grid3) -> Extra
     test_fields = default_test_fields()
     ax, across = grid.axis, grid.axis[2:n - 2]
     for s0, s1, estimates in _slab_estimates(potentials, grid):
-        excluded += sum(int(np.count_nonzero(weak)) for _, _, weak in estimates)
         h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
-        mesh = (ax[s0:s1, None, None], across[None, :, None], across[None, None, :])
-        predicted = _fold_prediction(predicted, potentials, grid.h, mesh, test_fields, estimates)
         spread = _fold_spread(spread, estimates)
+        inner = [tuple(v[_WINDOW] for v in est) for est in estimates]
+        excluded += sum(int(np.count_nonzero(weak)) for _, _, weak in inner)
+        mesh = (ax[s0:s1, None, None], across[None, :, None], across[None, None, :])
+        predicted = _fold_prediction(predicted, potentials, grid.h, mesh, test_fields, inner)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for j in range(3):  # one component at a time keeps nanmean's copies small
                 out = (j, slice(s0, s1), slice(2, n - 2), slice(2, n - 2))
-                h_field[out] = np.nanmean(np.stack([h[j].real for h, _, _ in estimates]), axis=0)
-                e_field[out] = np.nanmean(np.stack([e[j].real for _, e, _ in estimates]), axis=0)
-        del estimates  # freed before the generator builds the next slab
+                h_field[out] = np.nanmean(np.stack([h[j].real for h, _, _ in inner]), axis=0)
+                e_field[out] = np.nanmean(np.stack([e[j].real for _, e, _ in inner]), axis=0)
+        del estimates, inner  # freed before the generator builds the next slab
     return ExtractResult(
         h_field=h_field,
         e_field=e_field,
