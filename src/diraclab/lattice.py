@@ -172,7 +172,7 @@ def _keep_slab_pages(halo_cells: int) -> None:
     slab would unmap its working set and fault it back in: about 50 000
     minor page faults per study over h = 0.2 ... 0.025.  Allocating and
     freeing one untouched block of 24 such arrays lifts both thresholds past
-    the at most LIVE_ARRAYS alive at once, for one mmap/munmap pair and no
+    the at most 37 alive at once, for one mmap/munmap pair and no
     resident page, up to glibc's 32 MiB cap (reached near n = 170).  Under
     other allocators this is an ordinary short-lived allocation.
     """

@@ -815,18 +815,21 @@ def test_a_plane_of_infinite_samples_keeps_its_outcome(monkeypatch, name, sign):
 
 # numpy reports its buffers to tracemalloc, so the traced peak of a call is
 # deterministic.  A "slab array" is one complex array over a slab's planes and
-# their one-cell halo; every slab-sized array of a discrete extraction is at
-# most that large.  Counted from the code, at most 34 are alive at once,
-# while the third test function is estimated: the 12 estimates of the first
-# two (2 intensities x 3 components each), the third's 6, the kernel's 12
-# reused buffers (3 test-function samples carried from slab to slab, 3 halo
-# products and 6 cell buffers), the one buffer numpy casts a real operand
-# into for a complex product, and the real potentials with the 3 weak masks
-# (at most 4 real arrays, the mesh being broadcast axes, and 3 boolean
-# ones, less than 3 slab arrays).  The expected intensities are constants
-# and take no array.  Folding the 18 finished estimates afterwards, and
-# averaging them one component at a time, needs fewer: the potentials are
-# gone by then.  The bound allows 39, five to spare.
+# their one-plane halo, each plane the full (n - 2)^2 cross-section; every
+# slab-sized array of a discrete extraction is at most that large.  Counted
+# from the code, at most 34 are alive at once while the third test function
+# is estimated: the 12 estimates of the first two (2 intensities x 3
+# components each; a block with no live component is one array broadcast),
+# the third's 6, the kernel's 12 reused buffers (3 test-function samples
+# carried from slab to slab, 3 products of A with psi and 6 cell buffers), the
+# one buffer numpy casts a real operand into for a complex product, and the
+# kernel's flat runs of the live potentials with the 3 weak masks (at most 4
+# real arrays and 3 boolean ones, less than 3 slab arrays).  The expected
+# intensities are constants and take no array.  Folding the 18 finished
+# estimates afterwards keeps the buffers and the potentials and adds less
+# than 5 for one averaged component (its stacked real parts, nanmean's
+# NaN-free copy, sums and counts), 37 at most.  The bound allows 39, two to
+# spare.
 LIVE_SLAB_ARRAYS = 39
 
 
