@@ -119,6 +119,22 @@ def rest_energy(theta, phi_s, constants) -> float:
     return float(-(mu @ h))
 
 
+def classical_maxwell_arrays(potentials, point) -> tuple:
+    """(H, E) of linear potentials, each component an array shaped like the
+    broadcast point: H_j the sum over the nonzero eps_jkl of eps_jkl d_k A_l
+    in numpy scalars, E_j = -d_j phi, as the reference once returned them."""
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
+    g = potentials.grad_a
+    with np.errstate(over="ignore"):
+        h = [sum(eps[j, k, l] * g[k][l] for k in range(3) for l in range(3) if eps[j, k, l])
+             for j in range(3)]
+    e = [-v for v in potentials.grad_phi]
+    shape = np.broadcast(*point).shape
+    return tuple(np.full(shape, v) for v in h), tuple(np.full(shape, v) for v in e)
+
+
 def eigenspinor(state, energy_sign, spin, axis=(0.0, 0.0)) -> np.ndarray:
     """The closed-form eigenspinor of one state, written out in full."""
     k = state.constants

@@ -258,6 +258,58 @@ def test_largest_accepted_box_runs_without_overflow():
                                                         1.01 * top / 4))
 
 
+_LIMIT = math.sqrt(sys.float_info.max) / 8.0
+
+
+def _column(*coefficients):
+    """A_1 = sum_k c_k x_k and nothing else: grad_a with one live column."""
+    return LinearPotentials(grad_a=tuple((c, 0.0, 0.0) for c in coefficients))
+
+
+# (potentials, half-width, refused) on a box of half-width w at spacing w / 4:
+# a coordinate, A or phi on the box may reach sqrt(float max) / 8 = _LIMIT.
+BOX_SCALE_ROWS = {
+    "coordinates below": (LinearPotentials(), 0.99 * _LIMIT, False),
+    "coordinates above": (LinearPotentials(), 1.01 * _LIMIT, True),
+    "A one coefficient below": (_column(0.99 * _LIMIT, 0.0, 0.0), 1.0, False),
+    "A one coefficient above": (_column(0.0, 0.0, -1.01 * _LIMIT), 1.0, True),
+    "A one column summed below": (_column(0.5 * _LIMIT, -0.49 * _LIMIT, 0.0), 1.0, False),
+    "A one column summed above": (_column(0.5 * _LIMIT, 0.0, -0.51 * _LIMIT), 1.0, True),
+    "A two columns each below": (LinearPotentials(
+        grad_a=((0.99 * _LIMIT, -0.99 * _LIMIT, 0.0), (0.0,) * 3, (0.0,) * 3)), 1.0, False),
+    "A scaled by the half-width below": (_column(2.0, 0.0, 0.0), 0.49 * _LIMIT, False),
+    "A scaled by the half-width above": (_column(2.0, 0.0, 0.0), 0.51 * _LIMIT, True),
+    "phi one coefficient below": (LinearPotentials(grad_phi=(0.0, 0.99 * _LIMIT, 0.0)), 1.0,
+                                  False),
+    "phi one coefficient above": (LinearPotentials(grad_phi=(-1.01 * _LIMIT, 0.0, 0.0)), 1.0,
+                                  True),
+    "phi summed below": (LinearPotentials(grad_phi=(0.33 * _LIMIT,) * 3), 1.0, False),
+    "phi summed above": (LinearPotentials(grad_phi=(0.34 * _LIMIT, -0.34 * _LIMIT, 0.34 * _LIMIT)),
+                         1.0, True),
+    "A and phi each below, summed below": (LinearPotentials(
+        grad_a=symmetric_gauge(0.8 * _LIMIT).grad_a, grad_phi=(0.0, 0.0, 0.4 * _LIMIT)), 1.0,
+        False),
+    "A and phi, one above": (LinearPotentials(
+        grad_a=symmetric_gauge(2.02 * _LIMIT).grad_a, grad_phi=(0.0, 0.0, 0.01 * _LIMIT)), 1.0,
+        True),
+    "A and phi each below, summed above": (LinearPotentials(
+        grad_a=symmetric_gauge(1.2 * _LIMIT).grad_a, grad_phi=(0.0, 0.0, 0.6 * _LIMIT)), 1.0,
+        False),
+}
+
+
+@pytest.mark.parametrize("row", BOX_SCALE_ROWS)
+def test_box_scale_refusal_table(row):
+    potentials, half_width, refused = BOX_SCALE_ROWS[row]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused:
+            with pytest.raises(DomainError, match="square overflows"):
+                lattice_mod._check_box_scale(potentials, half_width, half_width / 4.0)
+        else:
+            lattice_mod._check_box_scale(potentials, half_width, half_width / 4.0)
+
+
 def test_potentials_scaled_past_the_float_range_are_refused():
     # An amplitude of 1e160 makes A, and with it A psi, overflow when
     # squared on an ordinary box.
@@ -555,6 +607,53 @@ def test_live_configs_are_valid_and_live_everywhere():
             == ((True, True, False), True))
     assert lattice_mod._live_terms(make_preset("linear_phi")) == ((False,) * 3, True)
     assert lattice_mod._live_terms(make_preset("zero")) == ((False,) * 3, False)
+
+
+# curl A and -grad phi as float.hex, signed zeros included: H then E of each
+# preset at amplitudes (1, 1) and (1.3, 0.7), and of LIVE_CONFIGS.
+_Z, _NZ = "0x0.0p+0", "-0x0.0p+0"
+INTENSITY_HEX = {
+    ("uniform_b", 1.0): ((_Z, _Z, "0x1.0000000000000p+0"), (_NZ, _NZ, _NZ)),
+    ("uniform_b", 1.3): ((_Z, _Z, "0x1.4cccccccccccdp+0"), (_NZ, _NZ, _NZ)),
+    ("linear_phi", 1.0): ((_Z, _Z, _Z), ("0x1.0000000000000p+0", _NZ, _NZ)),
+    ("linear_phi", 1.3): ((_Z, _Z, _Z), ("0x1.6666666666666p-1", _NZ, _NZ)),
+    ("zero", 1.0): ((_Z, _Z, _Z), (_NZ, _NZ, _NZ)),
+    ("zero", 1.3): ((_Z, _Z, _Z), (_NZ, _NZ, _NZ)),
+    ("all_live", None): (("0x1.b333333333334p+0", "0x1.999999999999ap-1", "0x1.199999999999ap+0"),
+                         ("0x1.0000000000000p-1", "-0x1.6666666666666p-2", "-0x1.ccccccccccccdp-2")),
+    ("symmetric_gauge_and_phi", None): ((_Z, _Z, "0x1.4cccccccccccdp+0"),
+                                        ("0x1.6666666666666p-1", _NZ, _NZ)),
+}
+
+
+def _assert_eps_sum_bits(potentials):
+    """Each intensity equals every entry of the eps-sum reference's arrays, bit for bit."""
+    import reference_kernels
+
+    h, e = _intensities(potentials)
+    want_h, want_e = reference_kernels.classical_maxwell_arrays(potentials, (np.zeros(10),) * 3)
+    for got, want in zip((*h, *e), (*want_h, *want_e)):
+        assert {float(w).hex() for w in want} == {got.hex()}
+
+
+@pytest.mark.parametrize("name, amplitude", INTENSITY_HEX)
+def test_intensities_of_the_presets_and_live_configs_keep_their_bits(name, amplitude):
+    cfg = LIVE_CONFIGS[name] if amplitude is None else make_preset(
+        name, b0=amplitude, e0={1.0: 1.0, 1.3: 0.7}[amplitude])
+    h, e = _intensities(cfg)
+    assert (tuple(v.hex() for v in h), tuple(v.hex() for v in e)) == INTENSITY_HEX[name, amplitude]
+    _assert_eps_sum_bits(cfg)
+
+
+# no pair of coefficients whose difference overflows
+_ANY_COEFFICIENT = st.floats(-1e307, 1e307)
+_ANY_TRIPLE = st.tuples(_ANY_COEFFICIENT, _ANY_COEFFICIENT, _ANY_COEFFICIENT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_ANY_TRIPLE, _ANY_TRIPLE, _ANY_TRIPLE), _ANY_TRIPLE)
+def test_intensities_of_any_linear_field_keep_the_bits_of_the_eps_sum(grad_a, grad_phi):
+    _assert_eps_sum_bits(LinearPotentials(grad_a=grad_a, grad_phi=grad_phi))
 
 
 @pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])

@@ -1,5 +1,6 @@
 """Generator algebra: anticommutators, spectra, exponentials."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from diraclab.config import RunConfig
 from diraclab.errors import DomainError
 from diraclab.matrices import (
     GENERATOR_STACK,
+    PAULI_STACK,
     PAULI_TABLE,
     SIGMA_BLOCKS,
     Representation,
@@ -298,6 +300,24 @@ def test_pauli_and_sigma_block_tables_match_literal():
         block = _blocks(s, Z2, Z2, s)
         assert np.array_equal(sigma_block(j), block)
         assert np.array_equal(SIGMA_BLOCKS[j - 1], block)
+
+
+# sha256 of each table's bytes, signed zeros included (sigma_2's real parts
+# are -0 where -1j is written): the tables keep every bit however they are built.
+TABLE_DIGESTS = {
+    "PAULI_STACK": "5f6a5d75d7eb2583bc1700920d4ddcf616c65a750483bbb372215ce30217e9ff",
+    "SIGMA_BLOCKS": "aa269ed6e8b9e84a76d39aff46d0f4dfddb225772ec30b7ee0d5c30efc4d6b50",
+    "GENERATOR_STACK": "1f2affe1e33d190fb4779ecfa9dacd75659f6005b5394fd797f1ae94488697ef",
+}
+
+
+def test_table_bytes_are_locked():
+    tables = {"PAULI_STACK": [PAULI_STACK], "SIGMA_BLOCKS": SIGMA_BLOCKS,
+              "GENERATOR_STACK": [GENERATOR_STACK[rep] for rep in Representation]}
+    for name, arrays in tables.items():
+        digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+        assert digest.hexdigest() == TABLE_DIGESTS[name], name
+    assert np.signbit(PAULI_STACK[1].real).tolist() == [[False, True], [False, False]]
 
 
 def test_tables_are_read_only_and_copies_are_fresh():
