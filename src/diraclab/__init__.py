@@ -22,7 +22,6 @@ _EXPORTS = {
     "MomentumState": "dynamics",
     "eigenspinor": "dynamics",
     "fitted_zbw_frequency": "dynamics",
-    "hamiltonian": "dynamics",
     "spectrum": "dynamics",
     "zbw_closed_form": "dynamics",
     "zbw_trajectory": "dynamics",

@@ -91,7 +91,7 @@ class MomentumState:
 
     @cached_property
     def h(self) -> np.ndarray:
-        """C alpha_j p_j + m C^2 beta, read-only; hamiltonian() hands out copies."""
+        """C alpha_j p_j + m C^2 beta, read-only."""
         k = self.constants
         h = hamiltonians(self.p, k.c, k.mc2)
         h.setflags(write=False)
@@ -110,11 +110,6 @@ def _one_spinor(psi) -> np.ndarray:
     if psi.ndim != 1:
         raise DomainError(f"expected one spinor of shape (4,), got shape {psi.shape}")
     return psi
-
-
-def hamiltonian(state: MomentumState) -> np.ndarray:
-    """C alpha_j p_j + m C^2 beta at the state's momentum, as a writable copy."""
-    return state.h.copy()
 
 
 def spectrum(state: MomentumState) -> np.ndarray:

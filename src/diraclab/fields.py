@@ -11,8 +11,10 @@ eps_jkl alpha_k alpha_l; the printed contraction reuses the free index and
 is recorded as corrected in every check this route emits.
 
 External fields are static potentials linear in position, held as their
-constant coefficients (LinearPotentials); their classical intensities,
-curl A and -grad phi, are read from those coefficients.
+constant coefficients (LinearPotentials).  Every number the package reads
+from such a field comes from those coefficients: its classical intensities,
+curl A and -grad phi, three floats each, and its largest value on a box
+(LinearPotentials.box_max).
 """
 
 from __future__ import annotations
@@ -68,10 +70,9 @@ class KinematicMomenta:
     p: tuple
 
 
-def kinematic_momenta(constants: PhysicalConstants,
-                      rep: Representation = Representation.PAULI_DIRAC) -> KinematicMomenta:
+def kinematic_momenta(constants: PhysicalConstants) -> KinematicMomenta:
     mc = constants.mass * constants.c
-    a1, a2, a3, _ = generators(rep)
+    a1, a2, a3, _ = generators()
     return KinematicMomenta(p0=mc * identity(4), p=(mc * a1, mc * a2, mc * a3))
 
 
@@ -205,6 +206,13 @@ class LinearPotentials:
     def phi(self, x, y, z):
         return _linear(self.grad_phi, (x, y, z))
 
+    def box_max(self, half_width: float) -> float:
+        """w (max_l sum_k |d_k A_l| + sum_k |d_k phi|), w = half_width: a bound
+        on max_l |A_l| + |phi| over the box |x_k| <= w, so on each of them.
+        A Python float, inf where it overflows."""
+        slopes = [sum(abs(row[l]) for row in self.grad_a) for l in range(3)]
+        return half_width * (max(slopes) + sum(map(abs, self.grad_phi)))
+
 
 def symmetric_gauge(b0: float) -> LinearPotentials:
     """A = (-B0 y / 2, B0 x / 2, 0): uniform intensity (0, 0, B0)."""
@@ -224,20 +232,17 @@ class MaxwellFields:
     h: tuple
 
 
-def classical_maxwell_reference(potentials: LinearPotentials, point) -> MaxwellFields:
+def classical_maxwell_reference(potentials: LinearPotentials) -> MaxwellFields:
     """Textbook intensities H = curl A and E = -grad phi of static potentials.
 
-    Read from the constant gradients, so they are the same everywhere;
-    point is (x, y, z) scalars or broadcastable arrays and sets the shape of
-    every component.  Used as ground truth by the lattice comparisons.
+    Read from the constant gradients, so they are the same everywhere: three
+    Python floats each, H_k = d_j A_l - d_l A_j for cyclic (j, l, k), added
+    to +0 first, so an exact zero is +0 as in the sum over eps_jkl.  Used as
+    ground truth by the lattice comparisons.
     """
     g = potentials.grad_a
-    h = [sum(EPS[jj, kk, ll] * g[kk][ll] for kk in range(3) for ll in range(3) if EPS[jj, kk, ll])
-         for jj in range(3)]
-    e = [-v for v in potentials.grad_phi]
-    shape = np.broadcast(*point).shape
-    return MaxwellFields(e=tuple(np.full(shape, v) for v in e),
-                         h=tuple(np.full(shape, v) for v in h))
+    h = tuple(0.0 + g[j][l] - g[l][j] for j, l in ((1, 2), (2, 0), (0, 1)))
+    return MaxwellFields(e=tuple(-v for v in potentials.grad_phi), h=h)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ An external field is a pair of static potentials linear in position, given
 by their constant coefficients (fields.LinearPotentials).  The intensities
 it should produce, H = curl A and E = -grad phi, are read once from those
 coefficients (fields.classical_maxwell_reference), and every estimate's
-error is its distance from them.
+error is its distance from them; so is the bound on the potentials over the
+box (LinearPotentials.box_max) that refuses a box where they could overflow.
 
 Kinetic momentum components are applied with symmetric central differences
 (no periodic wrap: boundary cells are marked invalid).  The extraction
@@ -240,9 +241,9 @@ def _gaussian(x, y, z, center, w2):
     return np.exp(-0.5 * ((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2) / w2)
 
 
-def gaussian_field(center=(0.05, -0.04, 0.03), width: float = 1.0) -> TestField:
-    cx, cy, cz = center = tuple(float(v) for v in center)
-    w2 = float(width) ** 2
+def gaussian_field() -> TestField:
+    cx, cy, cz = center = (0.05, -0.04, 0.03)
+    w2 = 1.0
 
     def values(x, y, z):
         return _gaussian(x, y, z, center, w2) + 0.0j
@@ -255,9 +256,10 @@ def gaussian_field(center=(0.05, -0.04, 0.03), width: float = 1.0) -> TestField:
     return TestField(values=values, mean_ratio=mean_ratio)
 
 
-def modulated_field(k_vec=(0.8, -0.5, 0.6), width: float = 1.2) -> TestField:
+def modulated_field() -> TestField:
+    k_vec = (0.8, -0.5, 0.6)
     wave = plane_wave_field(k_vec).values
-    w2 = float(width) ** 2
+    w2 = 1.2 ** 2
 
     def values(x, y, z):
         # (c + i s) g, g real, part by part: the complex product with
@@ -327,9 +329,8 @@ class _DiscreteKernel:
     estimate there is NaN, which every fold skips, and the gutter is marked
     in the returned mask, so no guard counts it as a breakdown.  A gutter
     stencil spans a whole row or plane where an interior one spans two
-    cells, so a potential whose coefficients come within a factor n of the
-    float maximum can overflow there, and numpy warns, where the interior
-    stays finite; the values are never read.
+    cells, so its terms can be larger than any interior term, but no larger
+    than the bound _check_box_scale keeps finite.
 
     Made once per grid: the stencil offsets and scale, which potentials are
     live (_live_terms), and every buffer the commutators are evaluated into,
@@ -608,9 +609,9 @@ def commutator_field_extract(potentials: LinearPotentials, grid: Grid3) -> Extra
     Estimates from every test function of default_test_fields() are compared
     with curl A and -grad phi, with their exact discrete value and pairwise,
     and averaged on the interior block, one slab of planes at a time; the
-    returned fields are NaN outside the block.  A grid whose coordinates or
-    potentials overflow when squared raises DomainError, as in
-    convergence_study.
+    returned fields are NaN outside the block.  A grid on which the
+    estimates could overflow raises DomainError, as in convergence_study
+    (_check_box_scale).
     """
     n = grid.n
     _check_box_scale(potentials, (n - 1) // 2 * grid.h, grid.h)
@@ -618,7 +619,7 @@ def commutator_field_extract(potentials: LinearPotentials, grid: Grid3) -> Extra
     e_field = np.full((3,) + (n,) * 3, np.nan)
     h_error = e_error = predicted = spread = 0.0
     excluded = 0
-    expected = classical_maxwell_reference(potentials, (0.0, 0.0, 0.0))
+    expected = classical_maxwell_reference(potentials)
     live = _live_terms(potentials)
     test_fields = default_test_fields()
     ax, across = grid.axis, grid.axis[2:n - 2]
@@ -667,25 +668,29 @@ EXACT_FLOOR = 1e-13
 
 
 def _check_box_scale(potentials, half_width, spacing) -> None:
-    """Refuse a box whose coordinates or potentials overflow when squared.
+    """Refuse a box of this half-width where the estimates could overflow at
+    grid spacings down to spacing.
 
     The Gaussian test functions square the coordinates, and the estimates
-    multiply A and phi by the samples, then difference and sum a few such
-    products.  All of that stays finite when every coordinate and potential
-    on the box is at most sqrt(float max) / 8 in magnitude; one limit
-    serves both.  The potentials are linear, so their largest magnitude on
-    the box is at a corner.
+    multiply A and phi by the samples (|psi| <= 1), then difference and sum
+    a few such products.  A_max = potentials.box_max(half_width) bounds
+    |A_l| and |phi| on the box.  The squares stay finite when A_max and every
+    coordinate are at most sqrt(float max) / 8.  Every stencil term stays
+    finite when 4 A_max / h does, on the gutter too: a difference of A psi
+    or phi psi over 2 h is at most A_max / h, a sum adds two, and an
+    estimate takes one difference of two sums.
     """
     limit = math.sqrt(sys.float_info.max) / 8.0
-    ends = np.array([-half_width, half_width])
-    x, y, z = np.meshgrid(ends, ends, ends, indexing="ij")
-    with np.errstate(over="ignore", invalid="ignore"):
-        fields = (*potentials.a(x, y, z), potentials.phi(x, y, z))
-        largest = max([half_width] + [float(np.max(np.abs(f))) for f in fields])
+    a_max = potentials.box_max(half_width)
+    largest = max(half_width, a_max)
     if not largest <= limit:
         raise DomainError(f"grid spacing {spacing!r} is too large for these potentials: a "
-                          f"coordinate or a potential on the box reaches {largest:.3g}, "
-                          f"whose square overflows")
+                          f"coordinate or a potential on the box of half-width "
+                          f"{half_width:.3g} reaches {largest:.3g}, whose square overflows")
+    if not math.isfinite(4.0 * a_max / spacing):
+        raise DomainError(f"grid spacing {spacing!r} is too small for these potentials: the "
+                          f"stencil terms on the box, up to 4 A_max / h with A_max = "
+                          f"{a_max:.3g}, overflow")
 
 
 def convergence_study(potentials: LinearPotentials, spacings) -> ConvergenceResult:
@@ -704,8 +709,8 @@ def convergence_study(potentials: LinearPotentials, spacings) -> ConvergenceResu
     half_width = 4.0 * spac[0]
     if not math.isfinite(2.0 * half_width):
         raise DomainError(f"grid spacing {spac[0]!r} is too large: the box width overflows")
-    _check_box_scale(potentials, half_width, spac[0])
-    expected = classical_maxwell_reference(potentials, (0.0, 0.0, 0.0))
+    _check_box_scale(potentials, half_width, spac[-1])
+    expected = classical_maxwell_reference(potentials)
     live = _live_terms(potentials)
     errors = []
     sizes = []

@@ -23,12 +23,9 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 
 # Module tables, built once at import and never written: the accessors
 # below validate their arguments and hand out fresh writable copies.
-PAULI_TABLE = tuple(_read_only(m) for m in (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-))
-PAULI_STACK = _read_only(np.stack(PAULI_TABLE))  # (sigma_1, sigma_2, sigma_3) as (3, 2, 2)
+# (sigma_1, sigma_2, sigma_3) as (3, 2, 2); sigma_2's real parts are -0 where -1j is written
+PAULI_STACK = _read_only(np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                                  dtype=complex))
 
 
 def _axis(j) -> int:
@@ -40,7 +37,7 @@ def _axis(j) -> int:
 
 def pauli(j: int) -> np.ndarray:
     """Pauli matrix sigma_j, axis j in {1, 2, 3}."""
-    return PAULI_TABLE[_axis(j) - 1].copy()
+    return PAULI_STACK[_axis(j) - 1].copy()
 
 
 def identity(dim: int = 4) -> np.ndarray:
@@ -55,7 +52,7 @@ def _sigma_block(s: np.ndarray) -> np.ndarray:
 
 
 # SIGMA_BLOCKS[j - 1] is block-diag(sigma_j, sigma_j).
-SIGMA_BLOCKS = tuple(_sigma_block(s) for s in PAULI_TABLE)
+SIGMA_BLOCKS = tuple(_sigma_block(s) for s in PAULI_STACK)
 
 
 def sigma_block(j: int) -> np.ndarray:
@@ -81,7 +78,7 @@ def _build_generator(kind: GeneratorKind, rep: Representation) -> np.ndarray:
         if kind is GeneratorKind.BETA:
             np.fill_diagonal(out, (1, 1, -1, -1))
         else:
-            s = PAULI_TABLE[kind.value - 1]
+            s = PAULI_STACK[kind.value - 1]
             out[:2, 2:] = s
             out[2:, :2] = s
     else:
@@ -89,7 +86,7 @@ def _build_generator(kind: GeneratorKind, rep: Representation) -> np.ndarray:
             out[:2, 2:] = np.eye(2)
             out[2:, :2] = np.eye(2)
         else:
-            s = PAULI_TABLE[kind.value - 1]
+            s = PAULI_STACK[kind.value - 1]
             out[:2, :2] = s
             out[2:, 2:] = -s
     return out

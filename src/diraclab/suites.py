@@ -294,11 +294,10 @@ def _truncation_bound(res) -> float:
 
 
 def _prediction_bound(potentials, grid) -> float:
-    """16 eps (1 + A_max / h), A_max = w (max_l sum_k |d_k A_l| + sum_k |d_k phi|)
-    bounding the potentials on a box of half-width w: the rounding of four
+    """16 eps (1 + A_max / h), A_max = potentials.box_max(w) bounding the
+    potentials on the grid's box of half-width w: the rounding of four
     stencil terms of up to A_max / h each, which cancel down to the intensity."""
-    slopes = [sum(abs(row[l]) for row in potentials.grad_a) for l in range(3)]
-    a_max = (grid.n - 1) // 2 * grid.h * (max(slopes) + sum(map(abs, potentials.grad_phi)))
+    a_max = potentials.box_max((grid.n - 1) // 2 * grid.h)
     return 16.0 * np.finfo(float).eps * (1.0 + a_max / grid.h)
 
 
@@ -632,14 +631,11 @@ def build_fields_suite(config: RunConfig, draw) -> dict:
     m["self_e_zero_commutator"] = _matrix_devs(np.stack([f.e for f in via_comm], axis=1))
     m["self_e_zero_substitution"] = _matrix_devs(np.stack([f.e for f in via_sub], axis=1))
 
-    rng = draw("classical")
-    b0, e0 = rng.uniform(0.5, 2.0, 2).tolist()
-    gauge, scalar = symmetric_gauge(b0), linear_scalar(e0)
-    pts = tuple(rng.uniform(-2.0, 2.0, (10, 3)).T)  # 10 points as (x, y, z) arrays
+    b0, e0 = draw("classical").uniform(0.5, 2.0, 2).tolist()
     m["classical_curl"] = _row_devs(
-        np.array(classical_maxwell_reference(gauge, pts).h).T, np.array([0.0, 0.0, b0]))
+        np.array(classical_maxwell_reference(symmetric_gauge(b0)).h), np.array([0.0, 0.0, b0]))
     m["classical_gradient"] = _row_devs(
-        np.array(classical_maxwell_reference(scalar, pts).e).T, np.array([e0, 0.0, 0.0]))
+        np.array(classical_maxwell_reference(linear_scalar(e0)).e), np.array([e0, 0.0, 0.0]))
 
     theta, phi = _random_directions(draw("spin_directions"), 100)
     m["rest_energy_isotropic"] = (np.abs(rest_energy(theta, phi, k) - k.mc2) / k.mc2).tolist()

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from diraclab.dynamics import MomentumState
-from diraclab.matrices import DIRAC_STACK, GENERATOR_STACK, PAULI_TABLE, SIGMA_BLOCKS
+from diraclab.matrices import DIRAC_STACK, GENERATOR_STACK, PAULI_STACK, SIGMA_BLOCKS
 
 
 def plane_wave_sample(wave, x, y, z, t) -> tuple:
@@ -113,7 +113,7 @@ def rest_energy(theta, phi_s, constants) -> float:
     k = constants
     v = np.array([math.cos(theta / 2.0), np.exp(1j * phi_s) * math.sin(theta / 2.0)],
                  dtype=complex)
-    s = np.array([complex(v.conj() @ (sigma @ v)).real for sigma in PAULI_TABLE])
+    s = np.array([complex(v.conj() @ (sigma @ v)).real for sigma in PAULI_STACK])
     mu = (-k.charge * k.hbar / (2.0 * k.mass * k.c)) * s
     h = (2.0 * k.mass**2 * k.c**3 / (k.charge * k.hbar)) * s
     return float(-(mu @ h))

@@ -16,7 +16,6 @@ from diraclab.dynamics import (
     alpha_evolved_oracle,
     eigenspinor,
     fitted_zbw_frequency,
-    hamiltonian,
     zbw_closed_form,
     zbw_trajectory,
 )
@@ -85,7 +84,7 @@ def test_criterion_02_spectrum():
         m = rng.uniform(0.4, 2.5)
         c = rng.uniform(0.4, 2.5)
         state = MomentumState(p=p, constants=PhysicalConstants(mass=m, c=c))
-        vals = np.linalg.eigvalsh(hamiltonian(state))
+        vals = np.linalg.eigvalsh(state.h)
         e = math.sqrt(c**2 * float(p @ p) + m**2 * c**4)
         worst = max(worst, float(np.max(np.abs(vals - np.array([-e, -e, e, e])))) / e)
     ok = worst <= 1e-12

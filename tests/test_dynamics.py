@@ -29,7 +29,6 @@ from diraclab.dynamics import (
     evolution_operator,
     fit_dominant_frequency,
     fitted_zbw_frequency,
-    hamiltonian,
     max_mixing_state,
     spectrum,
     velocity_direction,
@@ -71,18 +70,15 @@ def test_spectrum_matches_dispersion(p, mass, c):
 def test_state_keeps_a_read_only_copy_of_its_momentum():
     arr = np.array([0.3, -0.2, 0.5])
     state = MomentumState(p=arr, constants=K)
-    energy, h = state.energy, hamiltonian(state)
+    energy, h = state.energy, state.h.copy()
     arr[0] = 5.0
     assert state.p[0] == 0.3
     assert MomentumState(p=state.p, constants=K).energy == energy
-    assert np.array_equal(hamiltonian(state), h)
+    assert np.array_equal(state.h, h)
     with pytest.raises(ValueError):
         state.p[0] = 5.0
     with pytest.raises(ValueError):
         state.h[0, 0] = 5.0
-    copy = hamiltonian(state)
-    copy[0, 0] = 5.0
-    assert np.array_equal(hamiltonian(state), h)
 
 
 def test_production_side_never_reaches_the_oracles_linear_algebra(monkeypatch):
@@ -99,7 +95,7 @@ def test_production_side_never_reaches_the_oracles_linear_algebra(monkeypatch):
         monkeypatch.setattr(owner, name, refuse)
     times = np.linspace(0.0, 3.0, 9)
     state = MomentumState(p=np.array([0.3, -0.2, 0.5]), constants=K)
-    hamiltonian(state)
+    assert state.h.shape == (4, 4)
     for j in (1, 2, 3):
         eta_matrix(state, j)
         zbw_closed_form(state, j, 0.7)
@@ -120,14 +116,14 @@ def test_rest_hamiltonian_inverse_frozen():
     # H(p=0)^-1 = beta / (m C^2)
     state = MomentumState(p=np.zeros(3), constants=K)
     beta = dirac_generator(GeneratorKind.BETA)
-    assert np.max(np.abs(np.linalg.inv(hamiltonian(state)) - beta)) <= 1e-14
+    assert np.max(np.abs(np.linalg.inv(state.h) - beta)) <= 1e-14
 
 
 def test_eigenspinor_residual_and_orthonormality():
     rng = np.random.default_rng(21)
     for _ in range(8):
         state = MomentumState(p=rng.uniform(-2, 2, 3), constants=K)
-        h = hamiltonian(state)
+        h = state.h
         cols = []
         for sign in (1, -1):
             for spin in ("up", "down"):
@@ -142,7 +138,7 @@ def _eigh_eigenspinor(state, energy_sign, spin, axis):
     """Reference: diagonalise H, then Sigma.n restricted to the chosen
     eigenspace, with eigenspinor's phase rule.  Shares no code with the
     closed form."""
-    w, v = np.linalg.eigh(hamiltonian(state))
+    w, v = np.linalg.eigh(state.h)
     sub = v[:, [2, 3] if energy_sign == 1 else [0, 1]]
     theta, phi = axis
     n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
@@ -245,7 +241,7 @@ def test_eta_anticommutes_with_hamiltonian():
     rng = np.random.default_rng(22)
     for _ in range(5):
         state = MomentumState(p=rng.uniform(-2, 2, 3), constants=K)
-        h = hamiltonian(state)
+        h = state.h
         for j in (1, 2, 3):
             eta = eta_matrix(state, j)
             assert np.max(np.abs(eta @ h + h @ eta)) <= 1e-12
@@ -258,7 +254,7 @@ def test_velocity_direction_closed_form_vs_conjugation_oracle():
         state = MomentumState(p=rng.uniform(-2, 2, 3), constants=K)
         t = float(rng.uniform(-3, 3))
         j = int(rng.integers(1, 4))
-        h = hamiltonian(state)
+        h = state.h
         closed = (K.c * state.p[j - 1] * np.linalg.inv(h)
                   + eta_matrix(state, j) @ mat_exp(-2j * t / K.hbar * h))
         assert np.max(np.abs(closed - alpha_evolved_oracle(state, j, t))) <= 1e-12

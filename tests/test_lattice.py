@@ -64,8 +64,9 @@ def test_grid_rejects_bad_parameters():
 
 def _intensities(potentials):
     """(H, E) as floats: curl A and -grad phi of the coefficients."""
-    ref = classical_maxwell_reference(potentials, (0.0, 0.0, 0.0))
-    return tuple(float(v) for v in ref.h), tuple(float(v) for v in ref.e)
+    ref = classical_maxwell_reference(potentials)
+    assert all(type(v) is float for v in (*ref.h, *ref.e))
+    return ref.h, ref.e
 
 
 def test_presets_and_validation():
@@ -292,9 +293,10 @@ BOX_SCALE_ROWS = {
     "A and phi, one above": (LinearPotentials(
         grad_a=symmetric_gauge(2.02 * _LIMIT).grad_a, grad_phi=(0.0, 0.0, 0.01 * _LIMIT)), 1.0,
         True),
+    # refused since A_max adds the larger |A_l| and the larger |phi| on the box
     "A and phi each below, summed above": (LinearPotentials(
         grad_a=symmetric_gauge(1.2 * _LIMIT).grad_a, grad_phi=(0.0, 0.0, 0.6 * _LIMIT)), 1.0,
-        False),
+        True),
 }
 
 
@@ -308,6 +310,30 @@ def test_box_scale_refusal_table(row):
                 lattice_mod._check_box_scale(potentials, half_width, half_width / 4.0)
         else:
             lattice_mod._check_box_scale(potentials, half_width, half_width / 4.0)
+
+
+@pytest.mark.parametrize("potentials", [_column(0.0, 1e150, 0.0),
+                                        LinearPotentials(grad_phi=(0.0, 0.0, -1e150))],
+                         ids=["A", "phi"])
+def test_box_scale_refuses_stencil_terms_that_could_overflow(potentials):
+    # 4 A_max / h, with A_max = 1e150 on a box of half-width 1, may not overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lattice_mod._check_box_scale(potentials, 1.0, 1e-157)  # 4e307
+        with pytest.raises(DomainError, match="spacing 1e-158 is too small"):
+            lattice_mod._check_box_scale(potentials, 1.0, 1e-158)  # 4e308
+
+
+def test_a_potential_that_overflowed_on_the_gutter_is_refused_before_any_grid():
+    # A_1 = 1e308 z: every interior term is finite, but a gutter stencil
+    # pairs cells a plane apart, where (A psi) / (2 h) overflowed
+    potentials = LinearPotentials(grad_a=((0, 0, 0), (0, 0, 0), (1e308, 0, 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="grid spacing 2.5e-157 is too small"):
+            convergence_study(potentials, (1e-156, 5e-157, 2.5e-157))
+        with pytest.raises(DomainError, match="grid spacing 2.5e-157 is too small"):
+            commutator_field_extract(potentials, Grid3(33, 2.5e-157))
 
 
 def test_potentials_scaled_past_the_float_range_are_refused():
@@ -515,8 +541,9 @@ def _full_box_extract(potentials, grid, fields):
     inner = grid.interior_mask()
     a_vals = potentials.a(x, y, z)
     phi = potentials.phi(x, y, z)
-    want = classical_maxwell_reference(potentials, (x, y, z))
-    b_want, e_want = want.h, want.e
+    want = classical_maxwell_reference(potentials)
+    b_want, e_want = (tuple(np.full(x.shape, v) for v in want.h),
+                      tuple(np.full(x.shape, v) for v in want.e))
     all_h, all_e, excluded = [], [], 0
     for tf in fields:
         psi = np.asarray(tf.values(x, y, z), dtype=complex)
@@ -553,8 +580,8 @@ def _full_box_extract(potentials, grid, fields):
         return top
 
     comps = range(3)
-    h_error = worst((h[j], np.asarray(b_want[j])) for h in all_h for j in comps)
-    e_error = worst((e[j], np.asarray(e_want[j])) for e in all_e for j in comps)
+    h_error = worst((h[j], b_want[j]) for h in all_h for j in comps)
+    e_error = worst((e[j], e_want[j]) for e in all_e for j in comps)
     pairs = [(a, b) for a in range(len(fields)) for b in range(a + 1, len(fields))]
     spread = max(
         worst((all_h[a][j], all_h[b][j]) for a, b in pairs for j in comps),

@@ -17,7 +17,6 @@ from diraclab.errors import DomainError
 from diraclab.matrices import (
     GENERATOR_STACK,
     PAULI_STACK,
-    PAULI_TABLE,
     SIGMA_BLOCKS,
     Representation,
     anticommutator,
@@ -296,7 +295,7 @@ def test_pauli_and_sigma_block_tables_match_literal():
     for j, s in enumerate((S1, S2, S3), start=1):
         want = np.array(s, dtype=complex)
         assert np.array_equal(pauli(j), want)
-        assert np.array_equal(PAULI_TABLE[j - 1], want)
+        assert np.array_equal(PAULI_STACK[j - 1], want)
         block = _blocks(s, Z2, Z2, s)
         assert np.array_equal(sigma_block(j), block)
         assert np.array_equal(SIGMA_BLOCKS[j - 1], block)
@@ -321,7 +320,7 @@ def test_table_bytes_are_locked():
 
 
 def test_tables_are_read_only_and_copies_are_fresh():
-    entries = [*PAULI_TABLE, *SIGMA_BLOCKS,
+    entries = [*PAULI_STACK, *SIGMA_BLOCKS,
                *(g for stack in GENERATOR_STACK.values() for g in stack)]
     assert len(entries) == 14
     for m in entries:
