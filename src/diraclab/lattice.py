@@ -8,55 +8,40 @@ error is its distance from them; so is the bound on the potentials over the
 box (LinearPotentials.box_max) that refuses a box where they could overflow.
 
 Kinetic momentum components are applied with symmetric central differences
-(no periodic wrap: boundary cells are marked invalid).  The extraction
-works on the interior block, the n - 4 cells per axis two layers inside the
-box, and walks it in slabs of whole planes along axis 0, each sized to stay
-near an L2 cache.  One generator builds every slab: it samples the test
-functions and the potentials on the slab's own planes plus the one-plane
-halo the stencils reach, each plane the full (n - 2)^2 cross-section of
-grid points 1 ... n - 2, on broadcast axes (x of shape (p, 1, 1), y
-(1, q, 1), z (1, 1, q)) rather than full coordinate arrays, and yields the
-estimates, which are dropped before the next slab is built, so no full-grid
-complex temporary is ever made.  The discrete kernel behind it is made once
-per grid.  It keeps a slab's samples as one flat run, so a neighbour along
-axis 0, 1 or 2 is (n - 2)^2, n - 2 or 1 cells away and every stencil operand
-is one contiguous slice; it computes the estimates on the own planes whole
-and gives the one-cell gutter round each plane's interior window, where the
-stencils wrap into the next row or plane, a NaN denominator, so every
-estimate there is NaN and every fold skips it.  It keeps each test
-function's samples from one slab to the next, so the two planes neighbouring
-slabs share are sampled once; it copies the live potentials into flat runs
-once per slab for all three test functions; it evaluates the operator terms
-into buffers reused for every slab and test function; and it forms no term
-that cancels between the two orders of a commutator (the mixed second
-difference, the products of two potentials), so the field terms are never
-rounded against larger terms that drop out.  Every term left is linear in
-hbar (e/C), the factor the intensities are solved by dividing out, so the
-kernel never multiplies it in: it computes the estimates from the
-potentials and the samples alone, and no constant can change them
-(kinetic_momentum_apply, the physical operator, is the one place the
-constants enter this module).  It skips every term whose potential is
-identically zero (a component of A, or phi, whose coefficients are all
-zero): such a term only adds or subtracts signed zeros, and x - (+-0) = x
-for every nonzero x, so on finite samples only the sign of an exact-zero
-estimate can differ, which the error magnitudes and the per-cell mean do
-not see.  An estimate with no term left is 0 times the denominator, one
-array per test function that a block with no live component broadcasts.
-The test functions write cos and sin of their phase into the real and
-imaginary parts, which are the bits of the complex exponential.
+(no periodic wrap: boundary cells are marked invalid); kinetic_momentum_apply,
+the physical operator, is the one place the constants enter this module.
 Commuting the discrete components and dividing out the test function
 recovers the external intensities to second order in the spacing.  For
 linear potentials the central difference obeys the exact product rule
 D_j (a psi) = a D_j psi + (d_j a) M_j psi, M_j psi the mean of psi at
 x +- h e_j, so hbar, C and e cancel and each estimate has an exact discrete
 value built from M_j psi / psi, which each test function gives in closed
-form.  commutator_field_extract folds the error maxima, the distance from
-that value (rounding alone), the test-function spread and the per-cell
-mean; convergence_study folds only the error maxima, so it holds one slab's
-working set.  The error maxima take only the intensity components the field
-can move: a dead one's estimate is 0 against an expected 0.  Every interior
-cell sees the same operations in the same order whatever the slab size, so
-the results are bit-identical to a single whole-block pass.
+form.
+
+The extraction works on the interior block, the n - 4 cells per axis two
+layers inside the box, and walks it in slabs of whole planes along axis 0,
+each sized to stay near an L2 cache.  One generator (_slab_estimates)
+builds every slab on broadcast axes (x of shape (p, 1, 1), y (1, q, 1),
+z (1, 1, q)) rather than full coordinate arrays, through one discrete
+kernel per grid (_DiscreteKernel), and yields its estimates, which are
+dropped before the next slab is built, so no full-grid complex temporary
+is ever made.  commutator_field_extract folds the error maxima, the
+distance from the exact discrete value (rounding alone), the test-function
+spread and the per-cell mean; convergence_study folds only the error
+maxima, so it holds one slab's working set.  The error maxima take only the
+intensity components the field can move: a dead one's estimate is 0
+against an expected 0.
+
+One rule decides a breakdown: a test-function sample that is NaN or
+infinite raises ArithmeticError where it is taken.  On finite samples every
+stencil term is finite (_check_box_scale) and the denominator psi is at
+least AMPLITUDE_FLOOR in magnitude, so an estimate is NaN exactly where it
+is not divided out, on weak cells and the gutter, and every fold is a plain
+NaN-skipping maximum.  The closed-form prediction is the one input not
+computed from the samples, so a prediction that is NaN where its estimate
+is not raises as well.  Every interior cell sees the same operations in the
+same order whatever the slab size, so every result, a refusal included, is
+the one a single whole-block pass gives, bit for bit.
 
 Sign bookkeeping, fixed once: the charge symbol is the positive magnitude
 and the operators describe the electron (signed charge -e), so
@@ -325,12 +310,12 @@ class _DiscreteKernel:
     stencil operand is one contiguous slice of the run, and every estimate
     is computed on the own planes whole.  The one-cell gutter round each
     plane's (n - 4)^2 window of interior cells, where the axis-1 and axis-2
-    stencils reach into the next row or plane, gets a NaN denominator: every
-    estimate there is NaN, which every fold skips, and the gutter is marked
-    in the returned mask, so no guard counts it as a breakdown.  A gutter
-    stencil spans a whole row or plane where an interior one spans two
-    cells, so its terms can be larger than any interior term, but no larger
-    than the bound _check_box_scale keeps finite.
+    stencils reach into the next row or plane, gets a NaN denominator, as
+    do the cells where psi is too weak to divide by: every estimate there is
+    NaN, which every fold skips.  A gutter stencil spans a whole row or
+    plane where an interior one spans two cells, so its terms can be larger
+    than any interior term, but no larger than the bound _check_box_scale
+    keeps finite.
 
     Made once per grid: the stencil offsets and scale, which potentials are
     live (_live_terms), and every buffer the commutators are evaluated into,
@@ -339,7 +324,7 @@ class _DiscreteKernel:
     shared by every test function.  Each test function keeps its samples in
     a buffer of its own, so the two planes one slab shares with the next
     (its last own plane and its upper halo) are carried over instead of
-    sampled again.
+    sampled again; every plane is checked finite once, when it is sampled.
     """
 
     def __init__(self, h, n, planes, test_fields, live):
@@ -366,19 +351,21 @@ class _DiscreteKernel:
         for tf, psi in zip(self.test_fields, self.samples):
             if start:
                 psi[:2 * self.plane] = psi[self.carry * self.plane:(self.carry + 2) * self.plane]
-            psi[:halo].reshape(shape)[start:] = tf.values(x[start:], y, z)
+            new = psi[:halo].reshape(shape)[start:]
+            new[...] = tf.values(x[start:], y, z)
+            if not np.isfinite(new).all():
+                raise ArithmeticError("a test function sample is NaN or infinite")
         self.carry = shape[0] - 2
         return [psi[:halo] for psi in self.samples]
 
     def slab(self, mesh, potentials) -> list:
-        """(h_est, e_est, weak) for every test function on the next slab.
+        """(h_est, e_est) for every test function on the next slab.
 
         mesh holds the broadcast axes of the slab's p own planes plus one
         plane on either side, across the full (n - 2)^2 cross-section;
         slabs must come in order along axis 0.  h_est and e_est are shaped
-        (3, p, n - 2, n - 2) and weak (p, n - 2, n - 2): True on the gutter
-        and where psi is too weak to divide by, the cells whose estimates
-        are NaN by construction.  _WINDOW selects the interior cells.
+        (3, p, n - 2, n - 2), NaN on the gutter and where psi is too weak to
+        divide by; _WINDOW selects the interior cells.
         """
         shape = np.broadcast_shapes(*(axis.shape for axis in mesh))
         halo = math.prod(shape)
@@ -428,12 +415,12 @@ class _DiscreteKernel:
 
         A term with a dead factor (A_l, A_j or phi identically zero) is left
         out: it is a signed zero, and adding or subtracting one leaves every
-        nonzero value as it is.  An H estimate whose two A components are
-        both dead has no term left, and with phi dead neither has any E
-        estimate; those estimates are 0 times the denominator, which keeps
-        it NaN where psi is too weak to divide by, not finite, or on the
-        gutter.  A block with no live component is one such array
-        broadcast to (3, ...).
+        nonzero value as it is, so only the sign of an exact-zero estimate
+        can differ, which no fold sees.  An H estimate whose two A
+        components are both dead has no term left, and with phi dead neither
+        has any E estimate; those estimates are 0 times the denominator,
+        which keeps them NaN where it is.  A block with no live component is
+        one such array broadcast to (3, ...).
         """
         live = self.a_live
         h_live = _h_live(live)
@@ -441,8 +428,8 @@ class _DiscreteKernel:
         den, p2, tmp, *d1 = work
         own = slice(first, first + den.shape[0])
         weak = np.abs(psi[own]) < AMPLITUDE_FLOOR
-        masked = weak.reshape(planes)
-        masked[:, 0] = masked[:, -1] = masked[:, :, 0] = masked[:, :, -1] = True  # the gutter
+        cells = weak.reshape(planes)
+        cells[:, 0] = cells[:, -1] = cells[:, :, 0] = cells[:, :, -1] = True  # the gutter
         np.copyto(den, psi[own])
         np.copyto(den, np.nan + 0.0j, where=weak)  # psi, NaN where not divided by
         for a in range(3):
@@ -485,37 +472,19 @@ class _DiscreteKernel:
                     np.subtract(est, tmp, out=est)
                     np.divide(est, den, out=est)
         return (np.broadcast_to(dead, block) if h_est is None else h_est,
-                np.broadcast_to(dead, block) if e_est is None else e_est, masked)
+                np.broadcast_to(dead, block) if e_est is None else e_est)
 
 
-def _breakdown(*weak: np.ndarray) -> None:
-    """Raise ArithmeticError unless every cell is True in one of the weak masks."""
-    if not np.logical_or.reduce(weak).all():
-        raise ArithmeticError("every lattice estimate on a slab of planes is NaN, "
-                              "including cells where the test function is not weak")
-
-
-def _worst(current: float, diffs: np.ndarray, *weak: np.ndarray) -> float:
-    """max(current, largest non-NaN entry of diffs).
-
-    A NaN entry is expected only on a cell where a test function is too weak
-    to divide by, or on the gutter (a True cell of one of the weak masks).
-    If every entry is NaN while some cell is weak in none of the masks, the
-    estimates broke down, and that raises ArithmeticError instead of passing
-    current on.
-    """
-    top = float(np.fmax.reduce(diffs, axis=None))
-    if not math.isnan(top):
-        return max(current, top)
-    _breakdown(*weak)
-    return current
+def _worst(current: float, diffs: np.ndarray) -> float:
+    """max(current, largest non-NaN entry of diffs)."""
+    return float(np.fmax.reduce(diffs, axis=None, initial=current))
 
 
 def _slab_estimates(potentials, grid):
     """Yield the interior block's estimates slab by slab.
 
     Each item is (s0, s1, estimates): the slab's planes [s0, s1) along
-    axis 0 and one (h_est, e_est, weak) per test function of
+    axis 0 and one (h_est, e_est) per test function of
     default_test_fields(), on the planes' full (n - 2)^2 cross-section
     (_DiscreteKernel.slab).  The generator keeps no reference to the
     estimates it yields, so a consumer that lets go of them before asking
@@ -547,34 +516,24 @@ def _fold_errors(h_error: float, e_error: float, expected, estimates, live) -> t
     """(h_error, e_error) raised to the worst deviation of one slab's estimates
     from expected, the constant MaxwellFields (curl A, -grad phi) of the field.
 
-    Each estimate is folded on its slab's whole planes: the gutter and the
-    weak cells are NaN and skipped.  Only the components the field can move
-    are folded, as live (a mask from _live_terms) says: H_k where A_j or A_l
-    is live for cyclic (j, l, k), E_j where phi is.  The discrete kernel
-    makes a dead component's estimate 0 times the denominator, and its
-    expected value is exactly 0, so it can never raise a maximum; but it is
-    NaN exactly where the denominator is not finite, and where that is every
-    cell (NaN or infinite samples) the all-NaN guard fires on one of them,
-    as _worst on its magnitudes would.  A live fold does not always see
-    that: on an infinite sample an estimate whose stencil reaches only
-    finite neighbours comes out as a finite 0.  An expected value of exactly
-    0 is not subtracted (_deviation).  Every difference and its magnitude go
-    into the same two cell buffers.
+    Each estimate is folded on its slab's whole planes, skipping its NaN
+    cells (the gutter and the weak cells).  Only the components the field
+    can move are folded, as live (a mask from _live_terms) says: H_k where
+    A_j or A_l is live for cyclic (j, l, k), E_j where phi is; a dead
+    component's estimate is 0 against an expected 0.  An expected value of
+    exactly 0 is not subtracted (_deviation).  Every difference and its
+    magnitude go into the same two cell buffers.
     """
     a_live, phi_live = live
     h_live = _h_live(a_live)
     diff = np.empty_like(estimates[0][0][0])
     mag = np.empty(diff.shape)
-    for h_est, e_est, weak in estimates:
+    for h_est, e_est in estimates:
         for j in range(3):
             if h_live[j]:
-                h_error = _worst(h_error, _deviation(h_est[j], expected.h[j], diff, mag), weak)
+                h_error = _worst(h_error, _deviation(h_est[j], expected.h[j], diff, mag))
             if phi_live:
-                e_error = _worst(e_error, _deviation(e_est[j], expected.e[j], diff, mag), weak)
-        if not (all(h_live) and phi_live):
-            dead = h_est[h_live.index(False)] if not all(h_live) else e_est[0]
-            if not np.isfinite(dead).any():
-                _breakdown(weak)
+                e_error = _worst(e_error, _deviation(e_est[j], expected.e[j], diff, mag))
     return h_error, e_error
 
 
@@ -582,24 +541,29 @@ def _fold_prediction(error: float, potentials, h, mesh, test_fields, estimates) 
     """error raised to the worst distance of one slab's estimates from their exact
     discrete value: with r_j = M_j psi / psi from mean_ratio on mesh, the slab's
     cells, H_k = (d_j A_l) r_j - (d_l A_j) r_l for cyclic (j, l, k) and E_j =
-    -(d_j phi) r_j.  r_j is undefined only where psi vanishes, on weak cells."""
+    -(d_j phi) r_j.  r_j may be undefined only where psi vanishes, on weak
+    cells, whose estimates are NaN; a prediction that is NaN where its
+    estimate is not raises ArithmeticError."""
     g, g_phi = potentials.grad_a, potentials.grad_phi
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for tf, (h_est, e_est, weak) in zip(test_fields, estimates):
+        for tf, (h_est, e_est) in zip(test_fields, estimates):
             r = tf.mean_ratio(h, *mesh)
             pairs = [(h_est[k - 1], g[j - 1][l - 1] * r[j - 1] - g[l - 1][j - 1] * r[l - 1])
                      for j, l, k in _CYCLIC] + [(e_est[a], -g_phi[a] * r[a]) for a in range(3)]
             for est, want in pairs:
-                error = _worst(error, np.abs(est - want), weak)
+                if (np.isnan(want) & ~np.isnan(est)).any():
+                    raise ArithmeticError("the discrete prediction is NaN where its estimate "
+                                          "is not")
+                error = _worst(error, np.abs(est - want))
     return error
 
 
 def _fold_spread(spread: float, estimates) -> float:
     """spread raised to the worst disagreement between two test functions on one slab."""
-    for (h_a, e_a, weak_a), (h_b, e_b, weak_b) in itertools.combinations(estimates, 2):
+    for (h_a, e_a), (h_b, e_b) in itertools.combinations(estimates, 2):
         for j in range(3):
-            spread = _worst(spread, np.abs(h_a[j] - h_b[j]), weak_a, weak_b)
-            spread = _worst(spread, np.abs(e_a[j] - e_b[j]), weak_a, weak_b)
+            spread = _worst(spread, np.abs(h_a[j] - h_b[j]))
+            spread = _worst(spread, np.abs(e_a[j] - e_b[j]))
     return spread
 
 
@@ -627,15 +591,15 @@ def commutator_field_extract(potentials: LinearPotentials, grid: Grid3) -> Extra
         h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
         spread = _fold_spread(spread, estimates)
         inner = [tuple(v[_WINDOW] for v in est) for est in estimates]
-        excluded += sum(int(np.count_nonzero(weak)) for _, _, weak in inner)
+        excluded += sum(int(np.count_nonzero(np.isnan(h[0]))) for h, _ in inner)
         mesh = (ax[s0:s1, None, None], across[None, :, None], across[None, None, :])
         predicted = _fold_prediction(predicted, potentials, grid.h, mesh, test_fields, inner)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for j in range(3):  # one component at a time keeps nanmean's copies small
                 out = (j, slice(s0, s1), slice(2, n - 2), slice(2, n - 2))
-                h_field[out] = np.nanmean(np.stack([h[j].real for h, _, _ in inner]), axis=0)
-                e_field[out] = np.nanmean(np.stack([e[j].real for _, e, _ in inner]), axis=0)
+                h_field[out] = np.nanmean(np.stack([h[j].real for h, _ in inner]), axis=0)
+                e_field[out] = np.nanmean(np.stack([e[j].real for _, e in inner]), axis=0)
         del estimates, inner  # freed before the generator builds the next slab
     return ExtractResult(
         h_field=h_field,

@@ -20,7 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 
-TOOL_VERSION = "0.1.0"
+from . import __version__ as TOOL_VERSION
 
 # Formula anchors, keyed by the catalogue tag of each identity this tool
 # checks.  Anchors are ASCII renderings of the identities themselves.

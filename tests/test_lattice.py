@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diraclab.lattice as lattice_mod
+from diraclab.config import RunConfig
 from diraclab.constants import PhysicalConstants
 from diraclab.errors import DomainError
 from diraclab.fields import (
@@ -35,7 +36,8 @@ from diraclab.lattice import (
     make_preset,
     plane_wave_field,
 )
-from diraclab.suites import _prediction_bound
+from diraclab.report import report_json
+from diraclab.suites import _prediction_bound, run_suite
 
 K = PhysicalConstants()
 
@@ -457,39 +459,9 @@ def test_tiny_spacings_run_and_are_exact(top):
             assert study.order == "exact", (name, study)
 
 
-def test_worst_skips_nan_only_on_weak_cells():
-    weak = np.array([True, False])
-    assert lattice_mod._worst(0.5, np.array([np.nan, 2.0]), weak) == 2.0
-    assert lattice_mod._worst(0.5, np.array([np.nan, np.nan]), weak, ~weak) == 0.5
-    with pytest.raises(ArithmeticError):
-        lattice_mod._worst(0.5, np.array([np.nan, np.nan]), weak)
-    with pytest.raises(ArithmeticError):
-        lattice_mod._worst(0.5, np.array([np.nan, np.nan]), weak, weak)
-
-
-def _nan_test_fields():
-    def nan_values(x, y, z):
-        return np.full(np.shape(x), np.nan + 0.0j)
-
-    def nan_ratio(h, x, y, z):
-        return [np.nan] * 3
-
-    return [lattice_mod.TestField(values=nan_values, mean_ratio=nan_ratio) for _ in range(3)]
-
-
 def _use_test_fields(monkeypatch, fields):
     """Make the extraction walk fields in place of default_test_fields()."""
     monkeypatch.setattr(lattice_mod, "default_test_fields", lambda: list(fields))
-
-
-def test_all_nan_estimates_raise_instead_of_reading_zero(monkeypatch):
-    # NaN samples are not weak (|NaN| < floor is False), so every estimate
-    # is NaN on cells no mask excuses: the old reduction reported 0 here.
-    _use_test_fields(monkeypatch, _nan_test_fields())
-    with pytest.raises(ArithmeticError):
-        commutator_field_extract(make_preset("uniform_b"), Grid3(n=9, h=0.2))
-    with pytest.raises(ArithmeticError):
-        convergence_study(make_preset("uniform_b"), (0.2, 0.1, 0.05))
 
 
 def test_convergence_study_never_asks_for_the_discrete_prediction(monkeypatch):
@@ -850,93 +822,92 @@ def test_leaving_out_dead_terms_does_not_change_the_n65_study(monkeypatch, name)
     assert [err.hex() for err in convergence_study(cfg, spacings).errors] == pruned
 
 
+# --- one breakdown rule ------------------------------------------------------
+#
+# A NaN or infinite test-function sample raises ArithmeticError where it is
+# sampled, so the outcome is one and the same at every slab size, for every
+# field, through both entry points, with no warning on the way.  The samples
+# below sit on the middle plane x = 0 of the n = 9 grid both entry points
+# start with.
+
+
+def _raises_at_every_slab_setting(monkeypatch, cfg, fields):
+    _use_test_fields(monkeypatch, fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cells in (*_slab_settings(9), lattice_mod._SLAB_CELLS):
+            monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
+            with pytest.raises(ArithmeticError, match="sample is NaN or infinite"):
+                commutator_field_extract(cfg, Grid3(n=9, h=0.2))
+            with pytest.raises(ArithmeticError, match="sample is NaN or infinite"):
+                convergence_study(cfg, (0.2, 0.1, 0.05))
+
+
+def _wave_replaced_where(where, value):
+    """Three plane waves, with value on the cells where where(x, y, z)."""
+    def field(k_vec):
+        wave = plane_wave_field(k_vec)
+
+        def values(x, y, z):
+            v = wave.values(x, y, z)
+            return np.where(np.broadcast_to(where(x, y, z), np.shape(v)), value, v)
+
+        return lattice_mod.TestField(values=values, mean_ratio=wave.mean_ratio)
+
+    return [field(kv) for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
+
+
+_ALL_NAN = _wave_replaced_where(lambda x, y, z: True, np.nan + 0.0j)
+
+
+def test_all_nan_estimates_raise_instead_of_reading_zero(monkeypatch):
+    # NaN samples are not weak (|NaN| < floor is False); a reduction that
+    # skipped every NaN estimate once reported 0 here
+    for cfg in (make_preset("uniform_b"), *LIVE_CONFIGS.values()):
+        _raises_at_every_slab_setting(monkeypatch, cfg, _ALL_NAN)
+
+
 @pytest.mark.parametrize("name", ["linear_phi", "zero"])
 def test_all_nan_estimates_raise_where_a_whole_block_is_dead(monkeypatch, name):
     # linear_phi's H estimates and all of zero's are 0 times the
-    # denominator, which stays NaN where the samples are
-    _use_test_fields(monkeypatch, _nan_test_fields())
-    with pytest.raises(ArithmeticError):
-        commutator_field_extract(make_preset(name), Grid3(n=9, h=0.2))
-    with pytest.raises(ArithmeticError):
-        convergence_study(make_preset(name), (0.2, 0.1, 0.05))
+    # denominator: no stencil reads the samples, but they are still checked
+    _raises_at_every_slab_setting(monkeypatch, make_preset(name), _ALL_NAN)
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_a_nan_sample_reads_nan_not_zero(monkeypatch, name):
-    # every estimate is divided by psi, or is 0 times that denominator, so a
-    # cell whose samples are NaN keeps NaN intensities even where the
-    # commutators are dead
-    grid = Grid3(n=9, h=0.2)
-    x0 = grid.axis[4]
-
-    def nan_at_center(k_vec):
-        wave = plane_wave_field(k_vec).values
-
-        def values(x, y, z):
-            return np.where((x == x0) & (y == x0) & (z == x0), np.nan + 0.0j, wave(x, y, z))
-
-        return lattice_mod.TestField(values=values, mean_ratio=plane_wave_field(k_vec).mean_ratio)
-
-    _use_test_fields(monkeypatch, [nan_at_center(kv) for kv in
-                                   ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))])
-    res = commutator_field_extract(make_preset(name), grid)
-    assert np.isnan(res.h_field[:, 4, 4, 4]).all() and np.isnan(res.e_field[:, 4, 4, 4]).all()
-    assert np.isfinite(res.h_field[:, 2, 2, 2]).all() and np.isfinite(res.e_field[:, 2, 2, 2]).all()
-
-
-def _infinite_on_plane(k_vec, sign):
-    """A plane wave that is sign * inf on the plane x = 0."""
-    wave = plane_wave_field(k_vec)
-
-    def values(x, y, z):
-        v = wave.values(x, y, z)
-        return np.where(np.broadcast_to(x == 0.0, np.shape(v)), sign * np.inf + 0.0j, v)
-
-    return lattice_mod.TestField(values=values, mean_ratio=wave.mean_ratio)
-
-
-# With a plane of infinite samples at x = 0 (the middle plane at n = 9),
-# recorded before the kernel moved to flat planes: (h_error, e_error,
-# prediction_error, function_deviation) of the n = 9 extraction, one slab
-# for the whole block, and the errors of the (0.2, 0.1, 0.05) study.  An
-# infinite denominator turns E_x on the plane into a finite 0 (its stencil
-# reaches only the finite neighbours), so the live fold reads 0.7 or 0.5;
-# with one plane per slab every estimate of the infinite plane is NaN or
-# that 0, and the guards raise.
-INFINITE_PLANE_HEX = {
-    "uniform_b": (("0x1.ce21072a76dc0p-6", "0x0.0p+0", "0x1.8053a2d8c77a8p-51",
-                   "0x1.3d960dd46f980p-6"),
-                  ("0x1.ce21072a76dc0p-6", "0x1.cfc5f6d4b6300p-8", "0x1.d02f689561400p-10")),
-    "linear_phi": (("0x0.0p+0", "0x1.6666666666666p-1", "0x1.6540f48cd55ccp-1",
-                    "0x1.5cc93921c7800p-6"), ("0x1.6666666666666p-1",) * 3),
-    "zero": (("0x0.0p+0",) * 4, ("0x0.0p+0",) * 3),
-    "all_live": (("0x1.c19649f4f3300p-6", "0x1.0000000000000p-1", "0x1.fe5ccb12555ffp-2",
-                  "0x1.330645a6aea00p-6"), ("0x1.0000000000000p-1",) * 3),
-    "symmetric_gauge_and_phi": (("0x1.ce21072a76dc0p-6", "0x1.6666666666666p-1",
-                                 "0x1.6540f48cd55ccp-1", "0x1.5cc93921c7800p-6"),
-                                ("0x1.6666666666666p-1",) * 3),
-}
+@pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
+def test_a_nan_sample_raises_at_every_slab_setting(monkeypatch, name):
+    # a single NaN cell: under the old per-slab guard its NaN estimates were
+    # skipped without a word, whatever the field
+    fields = _wave_replaced_where(lambda x, y, z: (x == 0.0) & (y == 0.0) & (z == 0.0),
+                                  np.nan + 0.0j)
+    _raises_at_every_slab_setting(monkeypatch, _config(name), fields)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
 def test_a_plane_of_infinite_samples_keeps_its_outcome(monkeypatch, name, sign):
-    # zero has no live estimate, so at one plane per slab only the dead-block
-    # guard sees that 0 times an infinite denominator is NaN on every cell
-    cfg = _config(name)
-    _use_test_fields(monkeypatch, [_infinite_on_plane(kv, sign) for kv in
-                                   ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))])
-    extraction, study = INFINITE_PLANE_HEX[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, 0 * inf
-        res = commutator_field_extract(cfg, Grid3(n=9, h=0.2))
-        assert res.excluded_points == 0
-        assert tuple(err.hex() for err in (res.h_error, res.e_error, res.prediction_error,
-                                           res.function_deviation)) == extraction
-        assert tuple(err.hex() for err in convergence_study(cfg, (0.2, 0.1, 0.05)).errors) == study
-        monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", 1)
-        with pytest.raises(ArithmeticError):
-            commutator_field_extract(cfg, Grid3(n=9, h=0.2))
+    # the old per-slab guard raised here at one plane per slab and returned
+    # finite errors with one slab for the whole block
+    fields = _wave_replaced_where(lambda x, y, z: x == 0.0, sign * np.inf + 0.0j)
+    _raises_at_every_slab_setting(monkeypatch, _config(name), fields)
+
+
+def test_a_prediction_that_is_nan_where_its_estimate_is_not_raises(monkeypatch):
+    # finite samples, so every estimate off the gutter is finite; the first
+    # probe's closed-form mean_ratio is NaN on the one cell x = y = z = 0,
+    # which a NaN-skipping fold would pass over
+    fields = default_test_fields()
+
+    def nan_at_center(h, x, y, z):
+        center = (x == 0.0) & (y == 0.0) & (z == 0.0)
+        return [np.where(center, np.nan, r) for r in fields[0].mean_ratio(h, x, y, z)]
+
+    _use_test_fields(monkeypatch, [lattice_mod.TestField(fields[0].values, nan_at_center),
+                                   *fields[1:]])
+    for cells in (*_slab_settings(9), lattice_mod._SLAB_CELLS):
+        monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
+        with pytest.raises(ArithmeticError, match="prediction is NaN"):
+            commutator_field_extract(make_preset("uniform_b"), Grid3(n=9, h=0.2))
 
 
 # numpy reports its buffers to tracemalloc, so the traced peak of a call is
@@ -949,13 +920,13 @@ def test_a_plane_of_infinite_samples_keeps_its_outcome(monkeypatch, name, sign):
 # the third's 6, the kernel's 12 reused buffers (3 test-function samples
 # carried from slab to slab, 3 products of A with psi and 6 cell buffers), the
 # one buffer numpy casts a real operand into for a complex product, and the
-# kernel's flat runs of the live potentials with the 3 weak masks (at most 4
-# real arrays and 3 boolean ones, less than 3 slab arrays).  The expected
-# intensities are constants and take no array.  Folding the 18 finished
-# estimates afterwards keeps the buffers and the potentials and adds less
-# than 5 for one averaged component (its stacked real parts, nanmean's
-# NaN-free copy, sums and counts), 37 at most.  The bound allows 39, two to
-# spare.
+# kernel's flat runs of the live potentials with the one weak mask being
+# built (at most 4 real arrays and 1 boolean one, less than 3 slab arrays).
+# The expected intensities are constants and take no array.  Folding the 18
+# finished estimates afterwards keeps the buffers and the potentials and
+# adds less than 5 for one averaged component (its stacked real parts,
+# nanmean's NaN-free copy, sums and counts), 37 at most.  The bound allows
+# 39, two to spare.
 LIVE_SLAB_ARRAYS = 39
 
 
@@ -1062,11 +1033,21 @@ N65_ERRORS_HEX = {
 }
 
 
+# One plane per slab, the default, and one slab for the whole block at any n.
+SLAB_CELLS = (1, lattice_mod._SLAB_CELLS, 10**9)
+
+
+def _study_at_every_slab_size(monkeypatch, cfg, want):
+    for cells in SLAB_CELLS:
+        monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
+        study = convergence_study(cfg, (0.2, 0.1, 0.05, 0.025))
+        assert study.grid_sizes == (9, 17, 33, 65)
+        assert [err.hex() for err in study.errors] == want, cells
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_convergence_errors_down_to_n65_are_locked(name):
-    study = convergence_study(make_preset(name, 1.3, 0.7), (0.2, 0.1, 0.05, 0.025))
-    assert study.grid_sizes == (9, 17, 33, 65)
-    assert [err.hex() for err in study.errors] == N65_ERRORS_HEX[name]
+def test_convergence_errors_down_to_n65_are_locked(monkeypatch, name):
+    _study_at_every_slab_size(monkeypatch, make_preset(name, 1.3, 0.7), N65_ERRORS_HEX[name])
 
 
 # The same for LIVE_CONFIGS, the only fields that run the A_z terms and A
@@ -1080,10 +1061,16 @@ N65_LIVE_ERRORS_HEX = {
 
 
 @pytest.mark.parametrize("name", LIVE_CONFIGS)
-def test_live_config_errors_down_to_n65_are_locked(name):
-    study = convergence_study(LIVE_CONFIGS[name], (0.2, 0.1, 0.05, 0.025))
-    assert study.grid_sizes == (9, 17, 33, 65)
-    assert [err.hex() for err in study.errors] == N65_LIVE_ERRORS_HEX[name]
+def test_live_config_errors_down_to_n65_are_locked(monkeypatch, name):
+    _study_at_every_slab_size(monkeypatch, LIVE_CONFIGS[name], N65_LIVE_ERRORS_HEX[name])
+
+
+def test_lattice_suite_report_keeps_its_bytes_at_every_slab_size(monkeypatch):
+    reports = set()
+    for cells in SLAB_CELLS:
+        monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
+        reports.add(report_json(run_suite(RunConfig(suites=("lattice",)))))
+    assert len(reports) == 1
 
 
 def _reference_values():

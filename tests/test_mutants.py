@@ -79,8 +79,7 @@ def _lattice_estimates_scaled(factor):
     slab = lattice_mod._DiscreteKernel.slab
 
     def mutant(self, *args, **kwargs):
-        return [(h_est * factor, e_est * factor, weak)
-                for h_est, e_est, weak in slab(self, *args, **kwargs)]
+        return [(h_est * factor, e_est * factor) for h_est, e_est in slab(self, *args, **kwargs)]
     return mutant
 
 

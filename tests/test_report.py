@@ -3,12 +3,15 @@
 import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diraclab
 from diraclab.report import (
     ANCHORS,
     TOOL_VERSION,
@@ -169,6 +172,13 @@ def test_report_json_ends_with_newline_and_round_trips():
     assert data["tool_version"] == TOOL_VERSION
     assert data["summary"]["total"] == 1
     assert data["checks"][0]["pass"] is True
+
+
+def test_one_version_string():
+    # a regex, not tomllib: Python 3.10 has no TOML reader
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'(?m)^version = "([^"]+)"$', pyproject) == [diraclab.__version__]
+    assert TOOL_VERSION is diraclab.__version__
 
 
 def test_text_summary_flags_failures_and_skips():
