@@ -18,9 +18,8 @@ algebra gives H^2 = E^2 I, so H^-1 = H / E^2,
 
 and the energy eigenspinors have the two-component closed form of
 eigenspinor (Bjorken & Drell, Relativistic Quantum Mechanics, ch. 3;
-Thaller, The Dirac Equation, 1992, ch. 1).  Only the oracles, spectrum,
-alpha_evolved_oracle (through evolution_operator) and velocity_signal,
-use eigvalsh, eigh and mat_exp.
+Thaller, The Dirac Equation, 1992, ch. 1).  Only the oracles,
+alpha_evolved_oracle and velocity_signal, use mat_exp and eigh.
 """
 
 from __future__ import annotations
@@ -110,11 +109,6 @@ def _one_spinor(psi) -> np.ndarray:
     if psi.ndim != 1:
         raise DomainError(f"expected one spinor of shape (4,), got shape {psi.shape}")
     return psi
-
-
-def spectrum(state: MomentumState) -> np.ndarray:
-    """The four energy eigenvalues, ascending: (-E, -E, +E, +E).  Oracle."""
-    return np.sort(np.linalg.eigvalsh(state.h))
 
 
 def _boost(state: MomentumState) -> np.ndarray:
@@ -285,24 +279,14 @@ def velocity_direction(state: MomentumState, j, t) -> np.ndarray:
             + _eta(state, p_j, j) @ _double_evolution(state, t))
 
 
-def _evolution(state: MomentumState, t) -> np.ndarray:
-    # -1j * t / hbar as the scalar forms it: (+-0, -t / hbar), purely imaginary
-    return mat_exp(_per_matrix(-1j * (t / state.constants.hbar)) * state.h)
-
-
-def evolution_operator(state: MomentumState, t) -> np.ndarray:
-    """exp(-i H t / hbar), by the general matrix exponential.  Oracle.
-
-    Stacks as _axes says."""
-    return _evolution(state, _axes(state, 1, t)[2])
-
-
 def alpha_evolved_oracle(state: MomentumState, j, t) -> np.ndarray:
-    """Brute-force Heisenberg velocity direction: U(t)^dag alpha_j U(t).
+    """Brute-force Heisenberg velocity direction: U(t)^dag alpha_j U(t), with
+    U(t) = exp(-i H t / hbar) by the general matrix exponential.
 
     Stacks as _axes says."""
     _, j, t = _axes(state, j, t)
-    u = _evolution(state, t)
+    # -1j * t / hbar as the scalar forms it: (+-0, -t / hbar), purely imaginary
+    u = mat_exp(_per_matrix(-1j * (t / state.constants.hbar)) * state.h)
     return u.conj().swapaxes(-1, -2) @ DIRAC_STACK[j - 1] @ u
 
 

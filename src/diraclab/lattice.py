@@ -8,8 +8,8 @@ error is its distance from them; so is the bound on the potentials over the
 box (LinearPotentials.box_max) that refuses a box where they could overflow.
 
 Kinetic momentum components are applied with symmetric central differences
-(no periodic wrap: boundary cells are marked invalid); kinetic_momentum_apply,
-the physical operator, is the one place the constants enter this module.
+(no periodic wrap: boundary cells are marked invalid), all through one
+stencil (_difference); central_difference applies it on the full grid.
 Commuting the discrete components and dividing out the test function
 recovers the external intensities to second order in the spacing.  For
 linear potentials the central difference obeys the exact product rule
@@ -66,7 +66,6 @@ from typing import Callable
 import numpy as np
 
 from .config import PRESET_NAMES
-from .constants import PhysicalConstants
 from .errors import DomainError, is_integer, real
 from .fields import LinearPotentials, classical_maxwell_reference, linear_scalar, symmetric_gauge
 from .matrices import _axis
@@ -165,24 +164,38 @@ def _keep_slab_pages(halo_cells: int) -> None:
     np.empty(24 * halo_cells, dtype=complex)
 
 
-def kinetic_momentum_apply(j: int, potentials: LinearPotentials, grid: Grid3, psi,
-                           constants: PhysicalConstants) -> np.ndarray:
-    """(-i hbar D_j + (e/C) A_j) psi on the grid.
+def _difference(values, first, step, inv_2h, out) -> np.ndarray:
+    """Central difference of the flat run values along the axis whose
+    neighbours lie step cells apart: out's length of cells from cell first on.
 
-    psi must be sampled on the full grid.  Cells whose central difference
-    would reach outside the box come back NaN.
+    inv_2h is 1 / (2 h): numpy multiplies a complex array by a real
+    scalar as a complex product with (c + 0j), so on finite values the
+    product has the quotient's bits, up to the sign of a zero component,
+    without the cost of a complex division.
+    """
+    cells = out.shape[0]
+    np.subtract(values[first + step:first + step + cells],
+                values[first - step:first - step + cells], out=out)
+    return np.multiply(out, inv_2h, out=out)
+
+
+def central_difference(j: int, grid: Grid3, psi) -> np.ndarray:
+    """D_j psi, the central difference along axis j, on the full grid.
+
+    psi must be sampled on the full grid.  The first and last cells along
+    axis j, where the stencil would leave the box, come back NaN.
     """
     j = _axis(j)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (grid.n,) * 3:
         raise DomainError(f"psi shape {psi.shape} does not match grid {(grid.n,)*3}")
-    a_vals = potentials.a(*grid.meshgrid())
-    k = constants
-    valid, up, down = ([slice(None)] * 3 for _ in range(3))
-    valid[j - 1], up[j - 1], down[j - 1] = slice(1, -1), slice(2, None), slice(None, -2)
-    deriv = np.full(psi.shape, np.nan + 0.0j, dtype=complex)
-    deriv[tuple(valid)] = (psi[tuple(up)] - psi[tuple(down)]) * (1.0 / (2.0 * grid.h))
-    return -1j * k.hbar * deriv + (k.charge / k.c) * a_vals[j - 1] * psi
+    step = grid.n ** (3 - j)
+    out = np.empty(psi.size, dtype=complex)
+    _difference(psi.reshape(-1), step, step, 1.0 / (2.0 * grid.h), out[step:-step])
+    out = out.reshape(psi.shape)
+    # the flat run wraps into the next row or plane there
+    np.moveaxis(out, j - 1, 0)[[0, -1]] = np.nan
+    return out
 
 
 @dataclass(frozen=True)
@@ -379,20 +392,6 @@ class _DiscreteKernel:
         return [self._estimate(psi, pots, a_psi, work, planes)
                 for psi in self._sample(mesh, halo, shape)]
 
-    def _difference(self, values, axis, out) -> np.ndarray:
-        """Central difference along axis of the flat run values, on the own
-        planes' cells: out's length of them, from the second plane on.
-
-        inv_2h is 1 / (2 h): numpy multiplies a complex array by a real
-        scalar as a complex product with (c + 0j), so on finite values the
-        product has the quotient's bits, up to the sign of a zero component,
-        without the cost of a complex division.
-        """
-        step, first, cells = self.offsets[axis], self.plane, out.shape[0]
-        np.subtract(values[first + step:first + step + cells],
-                    values[first - step:first - step + cells], out=out)
-        return np.multiply(out, self.inv_2h, out=out)
-
     def _estimate(self, psi, pots, a_psi, work, planes) -> tuple:
         """Apply each commutator to one test function's samples psi.
 
@@ -424,7 +423,7 @@ class _DiscreteKernel:
         """
         live = self.a_live
         h_live = _h_live(live)
-        first = self.plane
+        first, offsets = self.plane, self.offsets
         den, p2, tmp, *d1 = work
         own = slice(first, first + den.shape[0])
         weak = np.abs(psi[own]) < AMPLITUDE_FLOOR
@@ -436,7 +435,7 @@ class _DiscreteKernel:
             if live[a]:
                 np.multiply(pots[a], psi, out=a_psi[a])
             if self.d1_live[a]:
-                self._difference(psi, a, out=d1[a])
+                _difference(psi, first, offsets[a], self.inv_2h, d1[a])
         a_in = [None if pot is None else pot[own] for pot in pots]
         block = (3,) + planes
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -456,7 +455,7 @@ class _DiscreteKernel:
                         # D_x (A_y psi) + A_x D_y psi; A_x or A_y is live, so
                         # out is written
                         if live[y]:
-                            self._difference(a_psi[y], x, out=out)
+                            _difference(a_psi[y], first, offsets[x], self.inv_2h, out)
                         if live[x] and live[y]:
                             np.add(out, np.multiply(a_in[x], d1[y], out=tmp), out=out)
                         elif live[x]:
@@ -468,7 +467,7 @@ class _DiscreteKernel:
                 phi_psi = np.multiply(pots[3], psi, out=a_psi[0])
                 for a in range(3):
                     est = np.multiply(a_in[3], d1[a], out=e_est[a].reshape(-1))
-                    self._difference(phi_psi, a, out=tmp)
+                    _difference(phi_psi, first, offsets[a], self.inv_2h, tmp)
                     np.subtract(est, tmp, out=est)
                     np.divide(est, den, out=est)
         return (np.broadcast_to(dead, block) if h_est is None else h_est,

@@ -680,7 +680,6 @@ def build_fields_suite(config: RunConfig, draw) -> dict:
 # --- lattice -----------------------------------------------------------------
 
 def build_lattice_suite(config: RunConfig, draw) -> dict:
-    k = config.constants
     m = {}
     spacings = (0.2, 0.1, 0.05)
 
@@ -710,16 +709,14 @@ def build_lattice_suite(config: RunConfig, draw) -> dict:
     h3 = res.h_field[2][inner]
     m["uniform_intensity_flat"] = (0.0, float(np.nanmax(h3) - np.nanmin(h3)), bound)
 
-    zero = lattice_mod.make_preset("zero")
     kvec = (1.3, -0.7, 0.5)
     psi = lattice_mod.plane_wave_field(kvec).values(*grid.meshgrid())
     devs = []
     for j in (1, 2, 3):
-        applied = lattice_mod.kinetic_momentum_apply(j, zero, grid, psi, k)
-        # judged in units of hbar: the symbol is hbar sin(k h) / h, and its
-        # rounding is relative to it
-        symbol = math.sin(kvec[j - 1] * grid.h) / grid.h
-        devs.append(_dev(applied[inner] / (k.hbar * psi[inner]), symbol))
+        # -i D_j, the kinetic momentum in units of hbar, has the symbol
+        # sin(k h) / h
+        applied = -1j * lattice_mod.central_difference(j, grid, psi)[inner]
+        devs.append(_dev(applied / psi[inner], math.sin(kvec[j - 1] * grid.h) / grid.h))
     m["discrete_symbol"] = devs
     return m
 

@@ -26,11 +26,9 @@ from diraclab.dynamics import (
     alpha_evolved_oracle,
     eigenspinor,
     eta_matrix,
-    evolution_operator,
     fit_dominant_frequency,
     fitted_zbw_frequency,
     max_mixing_state,
-    spectrum,
     velocity_direction,
     velocity_operator,
     velocity_signal,
@@ -62,7 +60,7 @@ finite_momentum = st.tuples(
 def test_spectrum_matches_dispersion(p, mass, c):
     k = PhysicalConstants(hbar=1.0, c=c, mass=mass, charge=K.charge)
     state = MomentumState(p=np.array(p), constants=k)
-    w = spectrum(state)
+    w = np.linalg.eigvalsh(state.h)  # ascending
     e = math.sqrt(c**2 * float(np.dot(p, p)) + mass**2 * c**4)
     assert np.max(np.abs(w - np.array([-e, -e, e, e]))) / e <= 1e-12
 
@@ -106,7 +104,6 @@ def test_production_side_never_reaches_the_oracles_linear_algebra(monkeypatch):
     psi = max_mixing_state(state)
     zbw_trajectory(state, psi, times)
     for oracle in (lambda: alpha_evolved_oracle(state, 1, 0.7),
-                   lambda: spectrum(state),
                    lambda: velocity_signal(state, psi, times)):
         with pytest.raises(Reached):
             oracle()
@@ -449,7 +446,7 @@ def test_trajectory_rejects_a_phase_that_overflows():
 
 def test_evolution_operator_unitary():
     state = MomentumState(p=np.array([0.4, 0.7, -0.1]), constants=K)
-    u = evolution_operator(state, 1.7)
+    u = mat_exp(-1j * (1.7 / K.hbar) * state.h)
     assert np.max(np.abs(u.conj().T @ u - identity(4))) <= 1e-13
 
 
@@ -543,7 +540,7 @@ def _policy_rows() -> list:
     from diraclab.config import RunConfig, resolve_run_config
     from diraclab.errors import ConfigError
     from diraclab.fields import LinearPotentials, linear_scalar, symmetric_gauge
-    from diraclab.lattice import Grid3, convergence_study, kinetic_momentum_apply
+    from diraclab.lattice import Grid3, central_difference, convergence_study
     from diraclab.matrices import pauli, sigma_block
     from diraclab.spinors import PlaneWave
 
@@ -568,8 +565,7 @@ def _policy_rows() -> list:
         "velocity_operator": (1, lambda j: velocity_operator(j, K)),
         "eta_matrix": (1, lambda j: eta_matrix(state, j)),
         "eta_matrix-list": (1, lambda j: eta_matrix(state, [2, j])),
-        "kinetic_momentum_apply": (1, lambda j: kinetic_momentum_apply(
-            j, make_preset("uniform_b"), grid, psi, K)),
+        "central_difference": (1, lambda j: central_difference(j, grid, psi)),
         "Grid3.n": (9, lambda n: Grid3(n=n, h=0.2)),
         "angular_eigenstate": (1, lambda l: angular_eigenstate(l, BRANCH_PLUS)),
         "CylindricalSpinor.indices": (1, lambda l: CylindricalSpinor(angular_indices=(l, 2, 1, 2))),
@@ -946,7 +942,6 @@ def test_stacked_closed_forms_and_oracles_equal_their_single_rows():
     stacked = {
         "eta": eta_matrix(stack, js),
         "direction": velocity_direction(stack, js, ts),
-        "evolution": evolution_operator(stack, ts),
         "oracle": alpha_evolved_oracle(stack, js, ts),
         "drift": zbw_closed_form(stack, js, ts).drift_matrix,
         "zbw": zbw_closed_form(stack, js, ts).zbw_matrix,
@@ -955,7 +950,6 @@ def test_stacked_closed_forms_and_oracles_equal_their_single_rows():
     singles = {
         "eta": [eta_matrix(s, j) for s, j in zip(states, js)],
         "direction": [velocity_direction(s, j, t) for s, j, t in zip(states, js, ts)],
-        "evolution": [evolution_operator(s, t) for s, t in zip(states, ts)],
         "oracle": [alpha_evolved_oracle(s, j, t) for s, j, t in zip(states, js, ts)],
         "drift": [zbw_closed_form(s, j, t).drift_matrix for s, j, t in zip(states, js, ts)],
         "zbw": [zbw_closed_form(s, j, t).zbw_matrix for s, j, t in zip(states, js, ts)],
@@ -1001,8 +995,7 @@ def test_a_bad_row_inside_a_stack_of_states_is_refused():
     states = [MomentumState(p=p, constants=K) for p in momenta]
     for seq in (states, tuple(states)):
         for fn in (lambda: eta_matrix(seq, 1), lambda: velocity_direction(seq, 1, 0.5),
-                   lambda: zbw_closed_form(seq, 1, 0.5), lambda: evolution_operator(seq, 0.5),
-                   lambda: alpha_evolved_oracle(seq, 1, 0.5)):
+                   lambda: zbw_closed_form(seq, 1, 0.5), lambda: alpha_evolved_oracle(seq, 1, 0.5)):
             with pytest.raises(DomainError, match="expected a MomentumState"):
                 fn()
 

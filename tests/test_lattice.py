@@ -28,20 +28,18 @@ from diraclab.lattice import (
     AMPLITUDE_FLOOR,
     Grid3,
     PRESET_NAMES,
+    central_difference,
     commutator_field_extract,
     convergence_study,
     default_test_fields,
     gaussian_field,
-    kinetic_momentum_apply,
     make_preset,
     plane_wave_field,
 )
 from diraclab.report import report_json
 from diraclab.suites import _prediction_bound, run_suite
 
-K = PhysicalConstants()
-
-# frozen: (hbar / h) sin(k h) for k = 1.3, h = 0.1
+# frozen: sin(k h) / h for k = 1.3, h = 0.1
 FROZEN_SYMBOL = 1.2963414261969486
 
 
@@ -88,43 +86,33 @@ def test_presets_and_validation():
 
 
 def test_discrete_symbol_frozen():
-    # central difference of exp(i k x) multiplies by (hbar / h) sin(k h)
+    # central difference of exp(i k x) multiplies by (i / h) sin(k h)
     grid = Grid3(n=17, h=0.1)
-    x, y, z = grid.meshgrid()
-    tf = plane_wave_field((1.3, 0.0, 0.0))
-    psi = tf.values(x, y, z)
-    applied = kinetic_momentum_apply(1, make_preset("zero"), grid, psi, K)
+    psi = plane_wave_field((1.3, 0.0, 0.0)).values(*grid.meshgrid())
     inner = grid.interior_mask()
-    ratio = applied[inner] / psi[inner]
+    ratio = -1j * central_difference(1, grid, psi)[inner] / psi[inner]
     assert np.max(np.abs(ratio - FROZEN_SYMBOL)) <= 1e-12
-    assert abs(K.hbar * math.sin(1.3 * 0.1) / 0.1 - FROZEN_SYMBOL) == 0.0
+    assert abs(math.sin(1.3 * 0.1) / 0.1 - FROZEN_SYMBOL) == 0.0
+    # NaN exactly on the first and last cells along the axis, where the
+    # flat run wraps and the stencil would leave the box
+    for j in (1, 2, 3):
+        edge = np.zeros((17,) * 3, dtype=bool)
+        np.moveaxis(edge, j - 1, 0)[[0, -1]] = True
+        assert np.array_equal(np.isnan(central_difference(j, grid, psi)), edge)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-2, 2), st.floats(-2, 2))
 def test_kinetic_momentum_linear(a, b):
+    # central_difference is the stencil of the kinetic momentum -i hbar D_j
     grid = Grid3(n=9, h=0.2)
     x, y, z = grid.meshgrid()
     f = plane_wave_field((0.9, -0.3, 0.4)).values(x, y, z)
     g = gaussian_field().values(x, y, z)
-    cfg = make_preset("uniform_b")
-    lhs = kinetic_momentum_apply(2, cfg, grid, a * f + b * g, K)
-    rhs = (a * kinetic_momentum_apply(2, cfg, grid, f, K)
-           + b * kinetic_momentum_apply(2, cfg, grid, g, K))
+    lhs = central_difference(2, grid, a * f + b * g)
+    rhs = a * central_difference(2, grid, f) + b * central_difference(2, grid, g)
     inner = grid.interior_mask()
     assert np.nanmax(np.abs(lhs[inner] - rhs[inner])) <= 1e-12
-
-
-def test_kinetic_momentum_constant_potential_pointwise():
-    # with A = (-b0 y / 2, b0 x / 2, 0) the operator adds (e/C) A_j pointwise
-    grid = Grid3(n=9, h=0.2)
-    x, y, z = grid.meshgrid()
-    psi = np.ones_like(x, dtype=complex)
-    cfg = make_preset("uniform_b", b0=2.0)
-    applied = kinetic_momentum_apply(2, cfg, grid, psi, K)
-    inner = grid.interior_mask()
-    want = (K.charge / K.c) * (2.0 * x / 2.0)  # second component of the gauge
-    assert np.max(np.abs(applied[inner] - want[inner])) <= 1e-14
 
 
 @pytest.mark.parametrize("axis", [True, False, 1.0, 2.0, "1", None, 0, 4])
@@ -132,7 +120,7 @@ def test_kinetic_momentum_rejects_an_axis_that_is_not_the_int_1_2_or_3(axis):
     grid = Grid3(n=9, h=0.2)
     psi = np.ones((9, 9, 9), dtype=complex)
     with pytest.raises(DomainError, match="axis must be"):
-        kinetic_momentum_apply(axis, make_preset("uniform_b"), grid, psi, K)
+        central_difference(axis, grid, psi)
 
 
 def test_extracted_uniform_intensity_coarse_grid():
@@ -387,11 +375,11 @@ def _lattice_rows(*flags) -> dict:
         json.dumps(c["computed"]), c["abs_err"], c["tol"], c["pass"])) for c in checks}
 
 
-def _assert_rows_kept(rows, skip=()):
+def _assert_rows_kept(rows):
     want = _lattice_rows()
     assert sorted(rows) == sorted(want) and len(want) == 7
     assert all(row[3] for row in want.values())
-    assert {cid: rows[cid] for cid in want if cid not in skip and rows[cid] != want[cid]} == {}
+    assert {cid: rows[cid] for cid in want if rows[cid] != want[cid]} == {}
 
 
 @pytest.mark.parametrize("hbar", [1e160, 1e200, 1e300])
@@ -430,12 +418,13 @@ SI_FLAGS = ("--hbar", "1.054571817e-34", "--c", "299792458",
 
 
 @pytest.mark.parametrize("flags", [("--charge", "1e-308"), ("--c", "1e308"),
-                                   ("--hbar", "1e200"), SI_FLAGS],
-                         ids=["charge-1e-308", "c-1e308", "hbar-1e200", "SI"])
-def test_extreme_constants_keep_every_lattice_row_but_the_symbol(flags):
-    # e/C is subnormal in the first two; the estimates never form it, so
-    # only discrete_symbol, which applies the physical operator, may move
-    _assert_rows_kept(_lattice_rows(*flags), skip=("lattice.discrete_symbol",))
+                                   ("--hbar", "1e200"), ("--hbar", "1e-3"),
+                                   ("--c", "137.036", "--charge", "1"), SI_FLAGS],
+                         ids=["charge-1e-308", "c-1e308", "hbar-1e200", "hbar-1e-3",
+                              "gaussian", "SI"])
+def test_extreme_constants_keep_every_lattice_row(flags):
+    # e/C is subnormal in the first two; no lattice row reads a constant
+    _assert_rows_kept(_lattice_rows(*flags))
 
 
 def test_grid_rejects_a_spacing_whose_stencil_denominator_underflows():

@@ -83,6 +83,16 @@ def _lattice_estimates_scaled(factor):
     return mutant
 
 
+def _stencil_scaled(factor):
+    """lattice._difference, the one central-difference stencil, with its
+    scale 1 / (2 h) multiplied by factor."""
+    stencil = lattice_mod._difference
+
+    def mutant(values, first, step, inv_2h, out):
+        return stencil(values, first, step, inv_2h * factor, out)
+    return mutant
+
+
 def _jz_component_shifted():
     """jz_apply with its last component's value moved by hbar, so no state
     is an eigenstate; the report must still hold the finite deviation."""
@@ -140,6 +150,9 @@ MUTANTS = {
     "lattice estimates x(1+1e-9)": (
         (lattice_mod._DiscreteKernel, "slab"), lambda: _lattice_estimates_scaled(1.0 + 1e-9),
         {"lattice.discrete_prediction"}),
+    "lattice stencil x(1+1e-6)": (
+        (lattice_mod, "_difference"), lambda: _stencil_scaled(1.0 + 1e-6),
+        {"lattice.discrete_prediction", "lattice.discrete_symbol"}),
     "Pauli-Dirac beta[0, 0] negated": (
         "generators", lambda: _beta_flipped,
         {"algebra.clifford.pauli_dirac.anticomm", "algebra.clifford.pauli_dirac.traceless",
