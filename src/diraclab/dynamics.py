@@ -32,18 +32,16 @@ from functools import cached_property
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import DomainError, number_array
+from .errors import DomainError, _axis, number_array, require_normalized
 from .matrices import (
     DIRAC_STACK,
     PAULI_STACK,
     GeneratorKind,
-    _axis,
     _read_only,
     dirac_generator,
     hamiltonians,
     mat_exp,
 )
-from .spinors import require_normalized
 
 RESOLVED_OSCILLATION = (
     "oscillatory term resolved against the conjugation oracle: "

@@ -3,7 +3,10 @@
 An integer is a numbers.Integral that is not a bool (np.int64 counts; 2.0,
 True and np.True_ do not); a real is a numbers.Real that is not a bool,
 finite where one is due and then kept as a Python float.  numpy registers its
-scalars with this numeric tower (PEP 3141): only number_array imports numpy.
+scalars with this numeric tower (PEP 3141): only the array checks import
+numpy, inside their bodies.  An axis is an integer 1, 2 or 3 (_axis); a
+spinor is a complex (4,) array or (..., 4) stack (spinor_rows), normalized
+where a state is due (require_normalized).
 """
 
 from __future__ import annotations
@@ -84,3 +87,28 @@ def number_array(values, what: str, kinds: str = "iuf", width: int | None = None
     if dtype is not int and not np.isfinite(a).all():
         raise DomainError(f"{what} must be finite, got non-finite entries")
     return a
+
+
+def _axis(j) -> int:
+    """j if it names the axis 1, 2 or 3 (an integer, is_integer)."""
+    if not (is_integer(j) and j in (1, 2, 3)):
+        raise DomainError(f"axis must be 1, 2 or 3, got {j!r}")
+    return int(j)
+
+
+def spinor_rows(values):
+    """values as a complex spinor (4,) or stack (..., 4), checked whole at once
+    (number_array): a misshapen or non-finite row anywhere is refused."""
+    return number_array(values, "spinor", "iufc", width=4)
+
+
+def require_normalized(psi):
+    """psi, one spinor or a stack of them, each with |psi|^2 within 1e-12 of 1."""
+    import numpy as np
+
+    psi = spinor_rows(psi)
+    norm_sq = np.square(np.abs(psi)).sum(axis=-1)
+    off = np.abs(norm_sq - 1.0) > 1e-12
+    if off.any():
+        raise DomainError(f"state is not normalized: |psi|^2 = {float(norm_sq[off].flat[0])!r}")
+    return psi

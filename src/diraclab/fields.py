@@ -9,12 +9,6 @@ the potential operators).  They must agree entrywise.
 The substitution route's curl contraction is evaluated as
 eps_jkl alpha_k alpha_l; the printed contraction reuses the free index and
 is recorded as corrected in every check this route emits.
-
-External fields are static potentials linear in position, held as their
-constant coefficients (LinearPotentials).  Every number the package reads
-from such a field comes from those coefficients: its classical intensities,
-curl A and -grad phi, three floats each, and its largest value on a box
-(LinearPotentials.box_max).
 """
 
 from __future__ import annotations
@@ -25,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import DomainError, number_array
+from .dynamics import MomentumState
+from .errors import DomainError, require_normalized
 from .matrices import (
     DIRAC_STACK,
     Representation,
@@ -35,7 +30,7 @@ from .matrices import (
     pauli,
     sigma_block,
 )
-from .spinors import require_normalized, spin_coherent_expectation
+from .spinors import spin_coherent_expectation
 
 EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -164,87 +159,6 @@ def expected_self_h(constants, k_axis: int) -> np.ndarray:
     return h[0] if one else h
 
 
-_ZERO3 = (0.0, 0.0, 0.0)
-
-
-def _linear(coeffs, coords):
-    """sum_k coeffs[k] coords[k] over the nonzero coefficients only.
-
-    A single term keeps its bits (c * y, no 0 * x added to it); with no
-    term the result is zeros shaped like the coordinates.
-    """
-    terms = [c * x for c, x in zip(coeffs, coords) if c != 0.0]
-    if not terms:
-        return np.zeros_like(np.asarray(coords[0], dtype=float))
-    return sum(terms[1:], terms[0])
-
-
-@dataclass(frozen=True)
-class LinearPotentials:
-    """Static potentials linear in position, given by their constant gradients.
-
-    grad_a[k][l] = d_k A_l and grad_phi[k] = d_k phi, finite reals kept as
-    floats, so that A_l = sum_k grad_a[k][l] x_k and phi = sum_k grad_phi[k]
-    x_k.  a and phi broadcast over numpy arrays.  LinearPotentials() is the zero field.
-    """
-
-    grad_a: tuple = (_ZERO3, _ZERO3, _ZERO3)
-    grad_phi: tuple = _ZERO3
-
-    def __post_init__(self):
-        grad_a = number_array(self.grad_a, "potential coefficients")
-        grad_phi = number_array(self.grad_phi, "potential coefficients")
-        if grad_a.shape != (3, 3) or grad_phi.shape != (3,):
-            raise DomainError(f"grad_a must be 3 x 3 and grad_phi 3 long, got {grad_a.shape} "
-                              f"and {grad_phi.shape}")
-        object.__setattr__(self, "grad_a", tuple(map(tuple, grad_a.tolist())))
-        object.__setattr__(self, "grad_phi", tuple(grad_phi.tolist()))
-
-    def a(self, x, y, z) -> tuple:
-        return tuple(_linear([row[l] for row in self.grad_a], (x, y, z)) for l in range(3))
-
-    def phi(self, x, y, z):
-        return _linear(self.grad_phi, (x, y, z))
-
-    def box_max(self, half_width: float) -> float:
-        """w (max_l sum_k |d_k A_l| + sum_k |d_k phi|), w = half_width: a bound
-        on max_l |A_l| + |phi| over the box |x_k| <= w, so on each of them.
-        A Python float, inf where it overflows."""
-        slopes = [sum(abs(row[l]) for row in self.grad_a) for l in range(3)]
-        return half_width * (max(slopes) + sum(map(abs, self.grad_phi)))
-
-
-def symmetric_gauge(b0: float) -> LinearPotentials:
-    """A = (-B0 y / 2, B0 x / 2, 0): uniform intensity (0, 0, B0)."""
-    number_array(b0, "potential coefficients")  # a bool: 0.5 * True would hide it
-    return LinearPotentials(grad_a=((0.0, 0.5 * b0, 0.0), (-0.5 * b0, 0.0, 0.0), _ZERO3))
-
-
-def linear_scalar(e0: float) -> LinearPotentials:
-    """phi = -E0 x: uniform static field (E0, 0, 0)."""
-    number_array(e0, "potential coefficients")
-    return LinearPotentials(grad_phi=(-e0, 0.0, 0.0))
-
-
-@dataclass(frozen=True)
-class MaxwellFields:
-    e: tuple
-    h: tuple
-
-
-def classical_maxwell_reference(potentials: LinearPotentials) -> MaxwellFields:
-    """Textbook intensities H = curl A and E = -grad phi of static potentials.
-
-    Read from the constant gradients, so they are the same everywhere: three
-    Python floats each, H_k = d_j A_l - d_l A_j for cyclic (j, l, k), added
-    to +0 first, so an exact zero is +0 as in the sum over eps_jkl.  Used as
-    ground truth by the lattice comparisons.
-    """
-    g = potentials.grad_a
-    h = tuple(0.0 + g[j][l] - g[l][j] for j, l in ((1, 2), (2, 0), (0, 1)))
-    return MaxwellFields(e=tuple(-v for v in potentials.grad_phi), h=h)
-
-
 @dataclass(frozen=True)
 class SelfPotentials:
     a: np.ndarray
@@ -330,8 +244,6 @@ def self_action_reduction(psi, state) -> SelfActionResult:
     of two complex expectations is formed as the scalar arithmetic of one
     state would form it (complex_product), so a stack gives its rows' bits.
     """
-    from .dynamics import MomentumState  # here: the lattice CLI loads fields, not dynamics
-
     psi = require_normalized(psi)
     if not isinstance(state, MomentumState):
         raise DomainError(f"expected a MomentumState, got {type(state).__name__}")

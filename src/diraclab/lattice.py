@@ -1,11 +1,12 @@
 """Discrete minimal coupling on a cubic grid and the commutator field probe.
 
 An external field is a pair of static potentials linear in position, given
-by their constant coefficients (fields.LinearPotentials).  The intensities
-it should produce, H = curl A and E = -grad phi, are read once from those
-coefficients (fields.classical_maxwell_reference), and every estimate's
-error is its distance from them; so is the bound on the potentials over the
-box (LinearPotentials.box_max) that refuses a box where they could overflow.
+by their constant coefficients (LinearPotentials, built by name in
+make_preset).  The intensities it should produce, H = curl A and
+E = -grad phi, are read once from those coefficients
+(classical_maxwell_reference), and every estimate's error is its distance
+from them; so is the bound on the potentials over the box
+(LinearPotentials.box_max) that refuses a box where they could overflow.
 
 Kinetic momentum components are applied with symmetric central differences
 (no periodic wrap: boundary cells are marked invalid), all through one
@@ -66,9 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .config import PRESET_NAMES
-from .errors import DomainError, is_integer, real
-from .fields import LinearPotentials, classical_maxwell_reference, linear_scalar, symmetric_gauge
-from .matrices import _axis
+from .errors import DomainError, _axis, is_integer, number_array, real
 
 SIGN_CONVENTION = (
     "kinetic pi_j = -i hbar D_j + (e/C) A_j with e > 0; intensities solved from "
@@ -121,12 +120,84 @@ class Grid3:
         return mask
 
 
+_ZERO3 = (0.0, 0.0, 0.0)
+
+
+def _linear(coeffs, coords):
+    """sum_k coeffs[k] coords[k] over the nonzero coefficients only.
+
+    A single term keeps its bits (c * y, no 0 * x added to it); with no
+    term the result is zeros shaped like the coordinates.
+    """
+    terms = [c * x for c, x in zip(coeffs, coords) if c != 0.0]
+    if not terms:
+        return np.zeros_like(np.asarray(coords[0], dtype=float))
+    return sum(terms[1:], terms[0])
+
+
+@dataclass(frozen=True)
+class LinearPotentials:
+    """Static potentials linear in position, given by their constant gradients.
+
+    grad_a[k][l] = d_k A_l and grad_phi[k] = d_k phi, finite reals kept as
+    floats, so that A_l = sum_k grad_a[k][l] x_k and phi = sum_k grad_phi[k]
+    x_k.  a and phi broadcast over numpy arrays.  LinearPotentials() is the zero field.
+    """
+
+    grad_a: tuple = (_ZERO3, _ZERO3, _ZERO3)
+    grad_phi: tuple = _ZERO3
+
+    def __post_init__(self):
+        grad_a = number_array(self.grad_a, "potential coefficients")
+        grad_phi = number_array(self.grad_phi, "potential coefficients")
+        if grad_a.shape != (3, 3) or grad_phi.shape != (3,):
+            raise DomainError(f"grad_a must be 3 x 3 and grad_phi 3 long, got {grad_a.shape} "
+                              f"and {grad_phi.shape}")
+        object.__setattr__(self, "grad_a", tuple(map(tuple, grad_a.tolist())))
+        object.__setattr__(self, "grad_phi", tuple(grad_phi.tolist()))
+
+    def a(self, x, y, z) -> tuple:
+        return tuple(_linear([row[l] for row in self.grad_a], (x, y, z)) for l in range(3))
+
+    def phi(self, x, y, z):
+        return _linear(self.grad_phi, (x, y, z))
+
+    def box_max(self, half_width: float) -> float:
+        """w (max_l sum_k |d_k A_l| + sum_k |d_k phi|), w = half_width: a bound
+        on max_l |A_l| + |phi| over the box |x_k| <= w, so on each of them.
+        A Python float, inf where it overflows."""
+        slopes = [sum(abs(row[l]) for row in self.grad_a) for l in range(3)]
+        return half_width * (max(slopes) + sum(map(abs, self.grad_phi)))
+
+
+@dataclass(frozen=True)
+class MaxwellFields:
+    e: tuple
+    h: tuple
+
+
+def classical_maxwell_reference(potentials: LinearPotentials) -> MaxwellFields:
+    """Textbook intensities H = curl A and E = -grad phi of static potentials.
+
+    Read from the constant gradients, so they are the same everywhere: three
+    Python floats each, H_k = d_j A_l - d_l A_j for cyclic (j, l, k), added
+    to +0 first, so an exact zero is +0 as in the sum over eps_jkl.  Used as
+    ground truth by the lattice comparisons.
+    """
+    g = potentials.grad_a
+    h = tuple(0.0 + g[j][l] - g[l][j] for j, l in ((1, 2), (2, 0), (0, 1)))
+    return MaxwellFields(e=tuple(-v for v in potentials.grad_phi), h=h)
+
+
 def make_preset(name: str, b0: float = 1.0, e0: float = 1.0) -> LinearPotentials:
-    """The named field: a uniform H = (0, 0, b0), a uniform E = (e0, 0, 0), or none."""
+    """The named field: a uniform H = (0, 0, b0) from A = (-b0 y / 2, b0 x / 2, 0),
+    a uniform E = (e0, 0, 0) from phi = -e0 x, or none."""
     if name == "uniform_b":
-        return symmetric_gauge(b0)
+        number_array(b0, "potential coefficients")  # a bool: 0.5 * True would hide it
+        return LinearPotentials(grad_a=((0.0, 0.5 * b0, 0.0), (-0.5 * b0, 0.0, 0.0), _ZERO3))
     if name == "linear_phi":
-        return linear_scalar(e0)
+        number_array(e0, "potential coefficients")
+        return LinearPotentials(grad_phi=(-e0, 0.0, 0.0))
     if name == "zero":
         return LinearPotentials()
     raise DomainError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, is_integer, number_array
+from .errors import DomainError, _axis, number_array
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -26,13 +26,6 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 # (sigma_1, sigma_2, sigma_3) as (3, 2, 2); sigma_2's real parts are -0 where -1j is written
 PAULI_STACK = _read_only(np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
                                   dtype=complex))
-
-
-def _axis(j) -> int:
-    """j if it names the axis 1, 2 or 3 (an integer, errors.is_integer)."""
-    if not (is_integer(j) and j in (1, 2, 3)):
-        raise DomainError(f"axis must be 1, 2 or 3, got {j!r}")
-    return int(j)
 
 
 def pauli(j: int) -> np.ndarray:

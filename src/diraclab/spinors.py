@@ -13,27 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import DomainError, is_integer, number_array, real
+from .errors import DomainError, is_integer, number_array, real, spinor_rows
 from .matrices import PAULI_STACK, _read_only, complex_product
 
 BRANCH_PLUS = "l+1/2"
 BRANCH_MINUS = "l-1/2"
-
-
-def spinor_rows(values) -> np.ndarray:
-    """values as a complex spinor (4,) or stack (..., 4), checked whole at once
-    (errors.number_array): a misshapen or non-finite row anywhere is refused."""
-    return number_array(values, "spinor", "iufc", width=4)
-
-
-def require_normalized(psi) -> np.ndarray:
-    """psi, one spinor or a stack of them, each with |psi|^2 within 1e-12 of 1."""
-    psi = spinor_rows(psi)
-    norm_sq = np.square(np.abs(psi)).sum(axis=-1)
-    off = np.abs(norm_sq - 1.0) > 1e-12
-    if off.any():
-        raise DomainError(f"state is not normalized: |psi|^2 = {float(norm_sq[off].flat[0])!r}")
-    return psi
 
 
 @dataclass(frozen=True)

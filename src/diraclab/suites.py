@@ -21,6 +21,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import lattice as lattice_mod
+from .lattice import classical_maxwell_reference, make_preset
 from .config import SUITE_NAMES, RunConfig
 from .constants import PhysicalConstants
 from .dynamics import (
@@ -39,11 +40,9 @@ from .fields import (
     EPS,
     U1_INDEX_NOTE,
     anomalous_moment_ratio,
-    classical_maxwell_reference,
     expected_self_h,
     gyromagnetic_ratio,
     kinematic_momenta,
-    linear_scalar,
     magnetic_moment_matrices,
     rest_energy,
     self_action_reduction,
@@ -52,7 +51,6 @@ from .fields import (
     self_potentials,
     spin_coherent_expectation,
     spin_matrices,
-    symmetric_gauge,
 )
 from .matrices import (
     Representation,
@@ -632,10 +630,10 @@ def build_fields_suite(config: RunConfig, draw) -> dict:
     m["self_e_zero_substitution"] = _matrix_devs(np.stack([f.e for f in via_sub], axis=1))
 
     b0, e0 = draw("classical").uniform(0.5, 2.0, 2).tolist()
-    m["classical_curl"] = _row_devs(
-        np.array(classical_maxwell_reference(symmetric_gauge(b0)).h), np.array([0.0, 0.0, b0]))
-    m["classical_gradient"] = _row_devs(
-        np.array(classical_maxwell_reference(linear_scalar(e0)).e), np.array([e0, 0.0, 0.0]))
+    curl = classical_maxwell_reference(make_preset("uniform_b", b0=b0)).h
+    gradient = classical_maxwell_reference(make_preset("linear_phi", e0=e0)).e
+    m["classical_curl"] = _row_devs(np.array(curl), np.array([0.0, 0.0, b0]))
+    m["classical_gradient"] = _row_devs(np.array(gradient), np.array([e0, 0.0, 0.0]))
 
     theta, phi = _random_directions(draw("spin_directions"), 100)
     m["rest_energy_isotropic"] = (np.abs(rest_energy(theta, phi, k) - k.mc2) / k.mc2).tolist()

@@ -63,8 +63,9 @@ def test_light_paths_load_no_numpy(code):
 
 @pytest.mark.parametrize("argv, unused", [
     (["zbw", "--p", "0.3,-0.2,0.5", "--t1", "12", "--steps", "40"],
-     ("fields", "lattice", "suites")),
-    (["lattice", "--preset", "uniform_b", "--h", "0.2,0.1,0.05"], ("dynamics", "suites")),
+     ("fields", "lattice", "spinors", "suites")),
+    (["lattice", "--preset", "uniform_b", "--h", "0.2,0.1,0.05"],
+     ("dynamics", "fields", "matrices", "spinors", "suites")),
 ], ids=["zbw", "lattice"])
 def test_commands_load_only_their_modules(argv, unused, tmp_path):
     out = str(tmp_path / "out")

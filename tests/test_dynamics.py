@@ -539,8 +539,7 @@ def _policy_rows() -> list:
     collects its problems into a ConfigError."""
     from diraclab.config import RunConfig, resolve_run_config
     from diraclab.errors import ConfigError
-    from diraclab.fields import LinearPotentials, linear_scalar, symmetric_gauge
-    from diraclab.lattice import Grid3, central_difference, convergence_study
+    from diraclab.lattice import Grid3, LinearPotentials, central_difference, convergence_study
     from diraclab.matrices import pauli, sigma_block
     from diraclab.spinors import PlaneWave
 
@@ -586,9 +585,8 @@ def _policy_rows() -> list:
         "Grid3.h": lambda v: Grid3(n=9, h=v),
         "convergence_study": lambda v: convergence_study(make_preset("uniform_b"), (v, 0.5, 0.25)),
         "make_preset": lambda v: make_preset("uniform_b", b0=v),
+        "make_preset.e0": lambda v: make_preset("linear_phi", e0=v),
         "LinearPotentials": lambda v: LinearPotentials(grad_phi=(v, 0.0, 0.0)),
-        "symmetric_gauge": symmetric_gauge,
-        "linear_scalar": linear_scalar,
         "PlaneWave.p": lambda v: PlaneWave(amplitude=amp, p=[v, 0.0, 0.0], omega=1.0, constants=K),
         "PlaneWave.omega": lambda v: PlaneWave(amplitude=amp, p=[0.1, 0.0, 0.0], omega=v,
                                                constants=K),

@@ -11,13 +11,10 @@ from diraclab.constants import PhysicalConstants
 from diraclab.dynamics import MomentumState, eigenspinor
 from diraclab.errors import DomainError
 from diraclab.fields import (
-    LinearPotentials,
     anomalous_moment_ratio,
-    classical_maxwell_reference,
     expected_self_h,
     gyromagnetic_ratio,
     kinematic_momenta,
-    linear_scalar,
     magnetic_moment_matrices,
     rest_energy,
     self_action_reduction,
@@ -25,8 +22,8 @@ from diraclab.fields import (
     self_fields_matrix_maxwell,
     self_potentials,
     spin_matrices,
-    symmetric_gauge,
 )
+from diraclab.lattice import LinearPotentials, classical_maxwell_reference, make_preset
 from diraclab.matrices import Representation, commutator, generators, identity, sigma_block
 
 K = PhysicalConstants()
@@ -130,24 +127,24 @@ def test_both_self_field_routes_refuse_a_set_that_is_not_a_representation(rep):
 
 def test_classical_reference_uniform_field_gauges():
     # constant intensities: three floats each, read from the coefficients alone
-    ref = classical_maxwell_reference(symmetric_gauge(1.7))
+    ref = classical_maxwell_reference(make_preset("uniform_b", b0=1.7))
     assert all(type(c) is float for c in (*ref.h, *ref.e))
     assert np.max(np.abs(np.array(ref.h) - np.array([0.0, 0.0, 1.7]))) <= 1e-14
     assert np.max(np.abs(np.array(ref.e))) == 0.0
     assert ref.h[2] == 1.7
-    ref = classical_maxwell_reference(linear_scalar(0.9))
+    ref = classical_maxwell_reference(make_preset("linear_phi", e0=0.9))
     assert np.max(np.abs(np.array(ref.e) - np.array([0.9, 0.0, 0.0]))) <= 1e-14
     assert np.max(np.abs(np.array(ref.h))) == 0.0
 
 
 def test_linear_potentials_sample_only_their_nonzero_coefficients():
     x, y, z = np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * 3, indexing="ij")
-    ax, ay, az = symmetric_gauge(1.3).a(x, y, z)
+    ax, ay, az = make_preset("uniform_b", b0=1.3).a(x, y, z)
     assert ax.tobytes() == ((-0.5 * 1.3) * y).tobytes()
     assert ay.tobytes() == ((0.5 * 1.3) * x).tobytes()
     assert not az.any() and az.shape == x.shape
-    assert linear_scalar(0.7).phi(x, y, z).tobytes() == ((-0.7) * x).tobytes()
-    assert not symmetric_gauge(1.3).phi(x, y, z).any()
+    assert make_preset("linear_phi", e0=0.7).phi(x, y, z).tobytes() == ((-0.7) * x).tobytes()
+    assert not make_preset("uniform_b", b0=1.3).phi(x, y, z).any()
     zero = LinearPotentials()
     assert all(not c.any() and c.shape == x.shape for c in (*zero.a(x, y, z), zero.phi(x, y, z)))
     mixed = LinearPotentials(grad_phi=(1.5, -2.0, 0.25))

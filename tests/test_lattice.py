@@ -18,17 +18,13 @@ import diraclab.lattice as lattice_mod
 from diraclab.config import RunConfig
 from diraclab.constants import PhysicalConstants
 from diraclab.errors import DomainError
-from diraclab.fields import (
-    LinearPotentials,
-    classical_maxwell_reference,
-    linear_scalar,
-    symmetric_gauge,
-)
 from diraclab.lattice import (
     AMPLITUDE_FLOOR,
     Grid3,
+    LinearPotentials,
     PRESET_NAMES,
     central_difference,
+    classical_maxwell_reference,
     commutator_field_extract,
     convergence_study,
     default_test_fields,
@@ -278,15 +274,15 @@ BOX_SCALE_ROWS = {
     "phi summed above": (LinearPotentials(grad_phi=(0.34 * _LIMIT, -0.34 * _LIMIT, 0.34 * _LIMIT)),
                          1.0, True),
     "A and phi each below, summed below": (LinearPotentials(
-        grad_a=symmetric_gauge(0.8 * _LIMIT).grad_a, grad_phi=(0.0, 0.0, 0.4 * _LIMIT)), 1.0,
-        False),
+        grad_a=make_preset("uniform_b", b0=0.8 * _LIMIT).grad_a,
+        grad_phi=(0.0, 0.0, 0.4 * _LIMIT)), 1.0, False),
     "A and phi, one above": (LinearPotentials(
-        grad_a=symmetric_gauge(2.02 * _LIMIT).grad_a, grad_phi=(0.0, 0.0, 0.01 * _LIMIT)), 1.0,
-        True),
+        grad_a=make_preset("uniform_b", b0=2.02 * _LIMIT).grad_a,
+        grad_phi=(0.0, 0.0, 0.01 * _LIMIT)), 1.0, True),
     # refused since A_max adds the larger |A_l| and the larger |phi| on the box
     "A and phi each below, summed above": (LinearPotentials(
-        grad_a=symmetric_gauge(1.2 * _LIMIT).grad_a, grad_phi=(0.0, 0.0, 0.6 * _LIMIT)), 1.0,
-        True),
+        grad_a=make_preset("uniform_b", b0=1.2 * _LIMIT).grad_a,
+        grad_phi=(0.0, 0.0, 0.6 * _LIMIT)), 1.0, True),
 }
 
 
@@ -575,7 +571,8 @@ LIVE_CONFIGS = {
         grad_a=((0.3, 0.7, -0.2), (-0.4, 0.1, 0.9), (0.6, -0.8, 0.25)),
         grad_phi=(-0.5, 0.35, 0.45)),
     "symmetric_gauge_and_phi": LinearPotentials(
-        grad_a=symmetric_gauge(1.3).grad_a, grad_phi=linear_scalar(0.7).grad_phi),
+        grad_a=make_preset("uniform_b", b0=1.3).grad_a,
+        grad_phi=make_preset("linear_phi", e0=0.7).grad_phi),
 }
 
 

@@ -93,6 +93,16 @@ def _stencil_scaled(factor):
     return mutant
 
 
+def _potential_scaled(name, factor):
+    """LinearPotentials.a or .phi with every sampled value multiplied by factor."""
+    sample = getattr(lattice_mod.LinearPotentials, name)
+
+    def mutant(self, x, y, z):
+        out = sample(self, x, y, z)
+        return tuple(c * factor for c in out) if name == "a" else out * factor
+    return mutant
+
+
 def _jz_component_shifted():
     """jz_apply with its last component's value moved by hbar, so no state
     is an eigenstate; the report must still hold the finite deviation."""
@@ -153,6 +163,12 @@ MUTANTS = {
     "lattice stencil x(1+1e-6)": (
         (lattice_mod, "_difference"), lambda: _stencil_scaled(1.0 + 1e-6),
         {"lattice.discrete_prediction", "lattice.discrete_symbol"}),
+    "LinearPotentials.a x(1+1e-6)": (
+        (lattice_mod.LinearPotentials, "a"), lambda: _potential_scaled("a", 1.0 + 1e-6),
+        {"lattice.discrete_prediction"}),
+    "LinearPotentials.phi x(1+1e-6)": (
+        (lattice_mod.LinearPotentials, "phi"), lambda: _potential_scaled("phi", 1.0 + 1e-6),
+        {"lattice.discrete_prediction"}),
     "Pauli-Dirac beta[0, 0] negated": (
         "generators", lambda: _beta_flipped,
         {"algebra.clifford.pauli_dirac.anticomm", "algebra.clifford.pauli_dirac.traceless",

@@ -9,7 +9,7 @@ import pytest
 
 import diraclab.suites as suites_mod
 from diraclab.config import DEFAULT_SEED, SUITE_NAMES, RunConfig
-from diraclab.fields import LinearPotentials
+from diraclab.lattice import LinearPotentials
 from diraclab.report import ANCHORS, render_json, report_json
 from diraclab.suites import BOUND, CLAIMS, NOT_MACHINE_CHECKABLE, _dev, _judge, run_suite
 
@@ -105,21 +105,26 @@ def test_reseeding_one_family_moves_only_the_claims_it_feeds(monkeypatch, full_r
 
 # A wrong preset gauge or scalar potential no longer fails a lattice
 # validation step; the t1 and t2 rows of the fields suite must catch it.
-def _curl_one_and_a_half(b0):
+def _curl_one_and_a_half(b0=1.0):
     return LinearPotentials(grad_a=((0.0, 0.75 * b0, 0.0), (-0.75 * b0, 0.0, 0.0),
                                     (0.0, 0.0, 0.0)))
 
 
-def _gradient_one_and_a_half(e0):
+def _gradient_one_and_a_half(e0=1.0):
     return LinearPotentials(grad_phi=(-1.5 * e0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("name, wrong, claim_id", [
-    ("symmetric_gauge", _curl_one_and_a_half, "fields.classical_curl"),
-    ("linear_scalar", _gradient_one_and_a_half, "fields.classical_gradient"),
+@pytest.mark.parametrize("preset, wrong, claim_id", [
+    ("uniform_b", _curl_one_and_a_half, "fields.classical_curl"),
+    ("linear_phi", _gradient_one_and_a_half, "fields.classical_gradient"),
 ])
-def test_a_wrong_preset_potential_fails_its_classical_row(monkeypatch, name, wrong, claim_id):
-    monkeypatch.setattr(suites_mod, name, wrong)
+def test_a_wrong_preset_potential_fails_its_classical_row(monkeypatch, preset, wrong, claim_id):
+    make_preset = suites_mod.make_preset
+
+    def wrong_for_one(name, **amplitude):
+        return wrong(**amplitude) if name == preset else make_preset(name, **amplitude)
+
+    monkeypatch.setattr(suites_mod, "make_preset", wrong_for_one)
     report = run_suite(RunConfig(suites=("fields",)))
     assert [c["claim_id"] for c in report.checks if not c["pass"]] == [claim_id]
 
