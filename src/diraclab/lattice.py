@@ -24,14 +24,14 @@ layers inside the box, and walks it in slabs of whole planes along axis 0,
 each sized to stay near an L2 cache.  One generator (_slab_estimates)
 builds every slab on broadcast axes (x of shape (p, 1, 1), y (1, q, 1),
 z (1, 1, q)) rather than full coordinate arrays, through one discrete
-kernel per grid (_DiscreteKernel), and yields its estimates, which are
-dropped before the next slab is built, so no full-grid complex temporary
-is ever made.  commutator_field_extract folds the error maxima, the
-distance from the exact discrete value (rounding alone), the test-function
-spread and the per-cell mean; convergence_study folds only the error
-maxima, so it holds one slab's working set.  The error maxima take only the
-intensity components the field can move: a dead one's estimate is 0
-against an expected 0.
+kernel per grid (_DiscreteKernel), and yields its estimates on the slab's
+full planes, which are dropped before the next slab is built.  Both entry
+points are folds over those planes and keep no full-grid array, so each
+holds one slab's working set: convergence_study folds the error maxima,
+commutator_field_extract also the distance from the exact discrete value
+(rounding alone), the test-function spread and the range of the per-cell
+mean of H.  The error maxima take only the intensity components the field
+can move: a dead one's estimate is 0 against an expected 0.
 
 One rule decides a breakdown: a test-function sample that is NaN or
 infinite raises ArithmeticError where it is taken.  On finite samples every
@@ -78,6 +78,10 @@ SIGN_CONVENTION = (
 
 AMPLITUDE_FLOOR = 1e-8
 
+# A study's grids have n = 8 2^i + 1 points per axis, so at most eight
+# spacings; one slab at n = 1025 is estimated (not run) at about 700 MB.
+MAX_GRID_SIZE = 1025
+
 
 def _check_spacing(h) -> float:
     """h as a float the stencils can divide by: a finite real > 0 whose stencil
@@ -91,14 +95,15 @@ def _check_spacing(h) -> float:
 
 @dataclass(frozen=True)
 class Grid3:
-    """Origin-centered cubic grid: n points per axis (odd, >= 9), spacing h."""
+    """Origin-centered cubic grid: n points per axis (odd, 9 to 1025), spacing h."""
 
     n: int
     h: float
 
     def __post_init__(self):
-        if not (is_integer(self.n) and self.n >= 9 and self.n % 2):
-            raise DomainError(f"grid size must be an odd integer >= 9, got {self.n!r}")
+        if not (is_integer(self.n) and 9 <= self.n <= MAX_GRID_SIZE and self.n % 2):
+            raise DomainError(f"grid size must be an odd integer from 9 to {MAX_GRID_SIZE}, "
+                              f"got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "h", _check_spacing(self.h))
 
@@ -358,13 +363,11 @@ _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 @dataclass(frozen=True)
 class ExtractResult:
-    h_field: np.ndarray        # (3, n, n, n) real, NaN where invalid
-    e_field: np.ndarray
     h_error: float             # worst |estimate - expected| on the interior
     e_error: float
     prediction_error: float    # worst |estimate - exact discrete prediction|
     function_deviation: float  # worst spread between test functions
-    excluded_points: int
+    h_range: tuple             # per H_k: max - min of the per-cell mean, NaN if none
 
 
 def _live_terms(potentials: LinearPotentials) -> tuple:
@@ -377,11 +380,6 @@ def _live_terms(potentials: LinearPotentials) -> tuple:
 def _h_live(a_live) -> list:
     """Whether each H_k can move: A_j or A_l is live for cyclic (j, l, k)."""
     return [a_live[(k + 1) % 3] or a_live[(k + 2) % 3] for k in range(3)]
-
-
-# The interior block's cells of a slab's (..., p, n - 2, n - 2) planes; the
-# rest is the one-cell gutter round each plane.
-_WINDOW = (Ellipsis, slice(1, -1), slice(1, -1))
 
 
 class _DiscreteKernel:
@@ -449,7 +447,7 @@ class _DiscreteKernel:
         plane on either side, across the full (n - 2)^2 cross-section;
         slabs must come in order along axis 0.  h_est and e_est are shaped
         (3, p, n - 2, n - 2), NaN on the gutter and where psi is too weak to
-        divide by; _WINDOW selects the interior cells.
+        divide by.
         """
         shape = np.broadcast_shapes(*(axis.shape for axis in mesh))
         halo = math.prod(shape)
@@ -553,25 +551,24 @@ def _worst(current: float, diffs: np.ndarray) -> float:
 def _slab_estimates(potentials, grid):
     """Yield the interior block's estimates slab by slab.
 
-    Each item is (s0, s1, estimates): the slab's planes [s0, s1) along
-    axis 0 and one (h_est, e_est) per test function of
-    default_test_fields(), on the planes' full (n - 2)^2 cross-section
-    (_DiscreteKernel.slab).  The generator keeps no reference to the
+    Each item is (mesh, estimates): the broadcast axes of the slab's own
+    planes along axis 0, across the full (n - 2)^2 cross-section, and one
+    (h_est, e_est) per test function of default_test_fields() on those
+    cells (_DiscreteKernel.slab).  The generator keeps no reference to the
     estimates it yields, so a consumer that lets go of them before asking
     for the next slab holds one slab's working set at a time.
     """
     n, m = grid.n, grid.n - 4
     ax = grid.axis
-    across = ax[1:n - 1]
     slabs = _slabs(2, n - 2, m * m)
     s0, s1 = slabs[0]
     _keep_slab_pages((s1 - s0 + 2) * (n - 2) ** 2)
     kernel = _DiscreteKernel(grid.h, n, s1 - s0, default_test_fields(), _live_terms(potentials))
+    y, z = ax[None, 1:n - 1, None], ax[None, None, 1:n - 1]
     for s0, s1 in slabs:
-        # the slab's planes and the one-plane halo the stencils reach, on
-        # broadcast axes; the mesh is gone by the yield
-        mesh = (ax[s0 - 1:s1 + 1, None, None], across[None, :, None], across[None, None, :])
-        yield s0, s1, kernel.slab(mesh, potentials)
+        # sampled on the slab's planes and the one-plane halo the stencils reach
+        halo = (ax[s0 - 1:s1 + 1, None, None], y, z)
+        yield (ax[s0:s1, None, None], y, z), kernel.slab(halo, potentials)
 
 
 def _deviation(est: np.ndarray, want, diff: np.ndarray, mag: np.ndarray) -> np.ndarray:
@@ -612,8 +609,8 @@ def _fold_prediction(error: float, potentials, h, mesh, test_fields, estimates) 
     discrete value: with r_j = M_j psi / psi from mean_ratio on mesh, the slab's
     cells, H_k = (d_j A_l) r_j - (d_l A_j) r_l for cyclic (j, l, k) and E_j =
     -(d_j phi) r_j.  r_j may be undefined only where psi vanishes, on weak
-    cells, whose estimates are NaN; a prediction that is NaN where its
-    estimate is not raises ArithmeticError."""
+    cells, whose estimates are NaN as on the gutter; a prediction that is NaN
+    where its estimate is not raises ArithmeticError."""
     g, g_phi = potentials.grad_a, potentials.grad_phi
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for tf, (h_est, e_est) in zip(test_fields, estimates):
@@ -637,48 +634,48 @@ def _fold_spread(spread: float, estimates) -> float:
     return spread
 
 
+def _fold_range(lows, highs, estimates) -> tuple:
+    """(lows, highs) of each H_k's per-cell mean over the test functions, widened
+    by one slab; NaN cells (the gutter, cells weak in every test function) are
+    skipped, so a component with no finite cell stays NaN."""
+    lows, highs = list(lows), list(highs)
+    for j in range(3):  # one component at a time keeps nanmean's copies small
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the gutter's cells are all NaN
+            mean = np.nanmean(np.stack([h[j].real for h, _ in estimates]), axis=0)
+        lows[j] = np.fmin(lows[j], np.fmin.reduce(mean, axis=None))
+        highs[j] = np.fmax(highs[j], np.fmax.reduce(mean, axis=None))
+    return lows, highs
+
+
 def commutator_field_extract(potentials: LinearPotentials, grid: Grid3) -> ExtractResult:
     """Estimate the external intensities from kinetic-momentum commutators.
 
     Estimates from every test function of default_test_fields() are compared
     with curl A and -grad phi, with their exact discrete value and pairwise,
-    and averaged on the interior block, one slab of planes at a time; the
-    returned fields are NaN outside the block.  A grid on which the
-    estimates could overflow raises DomainError, as in convergence_study
+    and averaged per cell for the range of each H_k over the interior block,
+    all folded one slab of planes at a time.  A grid on which the estimates
+    could overflow raises DomainError, as in convergence_study
     (_check_box_scale).
     """
-    n = grid.n
-    _check_box_scale(potentials, (n - 1) // 2 * grid.h, grid.h)
-    h_field = np.full((3,) + (n,) * 3, np.nan)
-    e_field = np.full((3,) + (n,) * 3, np.nan)
+    _check_box_scale(potentials, (grid.n - 1) // 2 * grid.h, grid.h)
     h_error = e_error = predicted = spread = 0.0
-    excluded = 0
+    lows = highs = (math.nan,) * 3
     expected = classical_maxwell_reference(potentials)
     live = _live_terms(potentials)
     test_fields = default_test_fields()
-    ax, across = grid.axis, grid.axis[2:n - 2]
-    for s0, s1, estimates in _slab_estimates(potentials, grid):
+    for mesh, estimates in _slab_estimates(potentials, grid):
         h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
         spread = _fold_spread(spread, estimates)
-        inner = [tuple(v[_WINDOW] for v in est) for est in estimates]
-        excluded += sum(int(np.count_nonzero(np.isnan(h[0]))) for h, _ in inner)
-        mesh = (ax[s0:s1, None, None], across[None, :, None], across[None, None, :])
-        predicted = _fold_prediction(predicted, potentials, grid.h, mesh, test_fields, inner)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for j in range(3):  # one component at a time keeps nanmean's copies small
-                out = (j, slice(s0, s1), slice(2, n - 2), slice(2, n - 2))
-                h_field[out] = np.nanmean(np.stack([h[j].real for h, _ in inner]), axis=0)
-                e_field[out] = np.nanmean(np.stack([e[j].real for _, e in inner]), axis=0)
-        del estimates, inner  # freed before the generator builds the next slab
+        predicted = _fold_prediction(predicted, potentials, grid.h, mesh, test_fields, estimates)
+        lows, highs = _fold_range(lows, highs, estimates)
+        del estimates  # freed before the generator builds the next slab
     return ExtractResult(
-        h_field=h_field,
-        e_field=e_field,
         h_error=h_error,
         e_error=e_error,
         prediction_error=predicted,
         function_deviation=spread,
-        excluded_points=excluded,
+        h_range=tuple(float(hi - lo) for lo, hi in zip(lows, highs)),
     )
 
 
@@ -731,8 +728,9 @@ def convergence_study(potentials: LinearPotentials, spacings) -> ConvergenceResu
     """Error-versus-spacing fit for the discrete extraction.
 
     spacings must be at least three values, each half the previous and
-    each a spacing Grid3 accepts.  The physical box is fixed by the coarsest
-    spacing (nine points across), so finer grids refine the same volume.
+    each a spacing Grid3 accepts (so at most eight).  The physical box is
+    fixed by the coarsest spacing (nine points across), so finer grids
+    refine the same volume.
     """
     spac = [_check_spacing(h) for h in spacings]
     if len(spac) < 3:
@@ -744,20 +742,17 @@ def convergence_study(potentials: LinearPotentials, spacings) -> ConvergenceResu
     if not math.isfinite(2.0 * half_width):
         raise DomainError(f"grid spacing {spac[0]!r} is too large: the box width overflows")
     _check_box_scale(potentials, half_width, spac[-1])
+    # every grid before the first slab, so a ladder past MAX_GRID_SIZE does no work
+    grids = [Grid3(n=int(round(2.0 * half_width / h)) + 1, h=h) for h in spac]
     expected = classical_maxwell_reference(potentials)
     live = _live_terms(potentials)
     errors = []
-    sizes = []
-    for h in spac:
-        n = int(round(2.0 * half_width / h)) + 1
-        if n % 2 == 0:
-            n += 1
+    for grid in grids:
         h_error = e_error = 0.0
-        for _, _, estimates in _slab_estimates(potentials, Grid3(n=n, h=h)):
+        for _, estimates in _slab_estimates(potentials, grid):
             h_error, e_error = _fold_errors(h_error, e_error, expected, estimates, live)
             del estimates  # freed before the generator builds the next slab
         errors.append(max(h_error, e_error))
-        sizes.append(n)
     if all(err < EXACT_FLOOR for err in errors):
         order = "exact"
     elif all(b < a for a, b in zip(errors, errors[1:])):
@@ -766,5 +761,6 @@ def convergence_study(potentials: LinearPotentials, spacings) -> ConvergenceResu
     else:
         order = "no clean order"
     return ConvergenceResult(
-        spacings=tuple(spac), grid_sizes=tuple(sizes), errors=tuple(errors), order=order,
+        spacings=tuple(spac), grid_sizes=tuple(g.n for g in grids), errors=tuple(errors),
+        order=order,
     )

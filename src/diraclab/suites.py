@@ -704,8 +704,7 @@ def build_lattice_suite(config: RunConfig, draw) -> dict:
     bound = _truncation_bound(res)
     m["function_independence"] = (0.0, res.function_deviation, bound)
     inner = grid.interior_mask()
-    h3 = res.h_field[2][inner]
-    m["uniform_intensity_flat"] = (0.0, float(np.nanmax(h3) - np.nanmin(h3)), bound)
+    m["uniform_intensity_flat"] = (0.0, res.h_range[2], bound)
 
     kvec = (1.3, -0.7, 0.5)
     psi = lattice_mod.plane_wave_field(kvec).values(*grid.meshgrid())

@@ -56,6 +56,9 @@ def test_grid_rejects_bad_parameters():
         Grid3(n=7, h=0.1)
     with pytest.raises(DomainError):
         Grid3(n=9, h=-0.1)
+    assert Grid3(n=lattice_mod.MAX_GRID_SIZE, h=0.1).n == 1025
+    with pytest.raises(DomainError, match="from 9 to 1025, got 1027"):
+        Grid3(n=1027, h=0.1)
 
 
 def _intensities(potentials):
@@ -120,13 +123,10 @@ def test_kinetic_momentum_rejects_an_axis_that_is_not_the_int_1_2_or_3(axis):
 
 
 def test_extracted_uniform_intensity_coarse_grid():
-    # even the coarse grid lands near the exact value
-    grid = Grid3(n=9, h=0.2)
-    res = commutator_field_extract(make_preset("uniform_b"), grid)
-    vals = res.h_field[2][grid.interior_mask()]
-    assert np.isfinite(vals).all()
-    b_ref = np.nanmean(vals)
-    assert abs(b_ref - 1.0) <= 0.05
+    # even the coarse grid lands near the exact value, on every cell
+    res = commutator_field_extract(make_preset("uniform_b"), Grid3(n=9, h=0.2))
+    assert res.h_error <= 0.05
+    assert math.isfinite(res.h_range[2]) and res.h_range[2] <= 2.0 * res.h_error
 
 
 def test_extraction_discrete_uniform_b():
@@ -135,8 +135,7 @@ def test_extraction_discrete_uniform_b():
     assert res.h_error <= 0.01
     assert res.e_error <= 0.01
     assert res.function_deviation <= 2.0 * max(res.h_error, res.e_error) + 1e-13
-    vals = res.h_field[2][grid.interior_mask()]
-    assert np.nanmax(vals) - np.nanmin(vals) <= 2.0 * res.h_error + 1e-13
+    assert res.h_range[2] <= 2.0 * res.h_error + 1e-13
 
 
 @pytest.mark.parametrize("n, h", [(9, 0.2), (17, 0.1)])
@@ -229,6 +228,36 @@ def test_convergence_rejects_unusable_spacings_before_any_grid(spacings, match, 
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=match):
             convergence_study(make_preset("uniform_b"), spacings)
+
+
+# 0.2 halved eight times: the finest grid would have 2049 points per axis
+NINE_SPACINGS = tuple(0.2 / 2**i for i in range(9))
+
+
+def test_eight_spacings_reach_the_largest_grid(monkeypatch):
+    # no slab is built: the study's grids are what is checked
+    monkeypatch.setattr(lattice_mod, "_slab_estimates", lambda potentials, grid: iter(()))
+    study = convergence_study(make_preset("uniform_b"), NINE_SPACINGS[:8])
+    assert study.grid_sizes == tuple(8 * 2**i + 1 for i in range(8))
+    assert study.grid_sizes[-1] == lattice_mod.MAX_GRID_SIZE
+
+
+def test_a_ladder_past_the_largest_grid_is_refused_before_any_slab(monkeypatch, tmp_path, capsys):
+    from diraclab import cli
+
+    def no_slab(*args, **kwargs):
+        raise AssertionError("a slab was built")
+
+    monkeypatch.setattr(lattice_mod, "_slab_estimates", no_slab)
+    with pytest.raises(DomainError, match="from 9 to 1025, got 2049"):
+        convergence_study(make_preset("uniform_b"), NINE_SPACINGS)
+    out = tmp_path / "table.json"
+    assert cli.main(["lattice", "--preset", "uniform_b", "--h", ",".join(map(repr, NINE_SPACINGS)),
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_largest_accepted_box_runs_without_overflow():
@@ -493,7 +522,8 @@ def _full_box_difference(v, axis, h):
 
 
 def _full_box_extract(potentials, grid, fields):
-    """(h_error, e_error, function_deviation, excluded_points, h_field, e_field)."""
+    """(h_error, e_error, function_deviation, h_range, h_scale): h_scale[k] is
+    the largest |per-cell mean| of H_k, the scale of its range's rounding."""
     x, y, z = grid.meshgrid()
     inner = grid.interior_mask()
     a_vals = potentials.a(x, y, z)
@@ -501,11 +531,10 @@ def _full_box_extract(potentials, grid, fields):
     want = classical_maxwell_reference(potentials)
     b_want, e_want = (tuple(np.full(x.shape, v) for v in want.h),
                       tuple(np.full(x.shape, v) for v in want.e))
-    all_h, all_e, excluded = [], [], 0
+    all_h, all_e = [], []
     for tf in fields:
         psi = np.asarray(tf.values(x, y, z), dtype=complex)
         weak = np.abs(psi) < AMPLITUDE_FLOOR
-        excluded += int(np.count_nonzero(weak & inner))
         psi_safe = np.where(weak, np.nan + 0.0j, psi)
         d1 = [_full_box_difference(psi, a, grid.h) for a in range(3)]
 
@@ -547,21 +576,18 @@ def _full_box_extract(potentials, grid, fields):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN border cells
         h_field = np.nanmean(np.stack([h.real for h in all_h]), axis=0)
-        e_field = np.nanmean(np.stack([e.real for e in all_e]), axis=0)
-    h_field[:, ~inner] = np.nan
-    e_field[:, ~inner] = np.nan
-    return h_error, e_error, spread, excluded, h_field, e_field
+    h_range = tuple(float(np.nanmax(h[inner]) - np.nanmin(h[inner])) for h in h_field)
+    h_scale = tuple(float(np.nanmax(np.abs(h[inner]))) for h in h_field)
+    return h_error, e_error, spread, h_range, h_scale
 
 
 def _assert_within_ulps(got, want):
     assert abs(got - want) <= ORACLE_ULPS * np.spacing(abs(want)), (got, want)
 
 
-def _assert_fields_match(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    ok = ~np.isnan(want)
-    assert np.all(np.abs(got[ok] - want[ok]) <= ORACLE_ULPS * np.spacing(np.abs(want[ok])))
+def _assert_range_within_ulps(got, want, scale):
+    # a difference of two means, each within ORACLE_ULPS of scale's ulp
+    assert abs(got - want) <= 2 * ORACLE_ULPS * np.spacing(scale), (got, want, scale)
 
 
 # No preset has a live A_3, or A and phi live together; these two fields
@@ -647,14 +673,13 @@ def test_extraction_matches_full_box_reference(name, n, h):
     cfg = _config(name)
     grid = Grid3(n=n, h=h)
     res = commutator_field_extract(cfg, grid)
-    h_error, e_error, spread, excluded, h_field, e_field = _full_box_extract(
+    h_error, e_error, spread, h_range, h_scale = _full_box_extract(
         cfg, grid, default_test_fields())
     _assert_within_ulps(res.h_error, h_error)
     _assert_within_ulps(res.e_error, e_error)
     _assert_within_ulps(res.function_deviation, spread)
-    assert res.excluded_points == excluded
-    _assert_fields_match(res.h_field, h_field)
-    _assert_fields_match(res.e_field, e_field)
+    for got, want, scale in zip(res.h_range, h_range, h_scale):
+        _assert_range_within_ulps(got, want, scale)
 
 
 def _vanishing_on_plane(x0, k_vec):
@@ -672,25 +697,53 @@ def _vanishing_on_plane(x0, k_vec):
     return lattice_mod.TestField(values=values, mean_ratio=mean_ratio)
 
 
+WEAK_PLANE = 10  # an interior plane of the n = 17 grid: 10 lies between 2 and n - 3
+
+
+def _weak_plane_fields(x0):
+    return [_vanishing_on_plane(x0, kv)
+            for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
+
+
 def test_weak_amplitude_points_are_excluded(monkeypatch):
     grid = Grid3(n=17, h=0.1)
-    x0 = grid.axis[10]  # an interior plane: index 10 lies between 2 and n - 3
-    fields = [_vanishing_on_plane(x0, kv)
-              for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
-    _use_test_fields(monkeypatch, fields)
+    _use_test_fields(monkeypatch, _weak_plane_fields(grid.axis[WEAK_PLANE]))
     cfg = make_preset("uniform_b")
     res = commutator_field_extract(cfg, grid)
-    m = grid.n - 4
-    assert res.excluded_points == len(fields) * m * m
     assert math.isfinite(res.h_error) and math.isfinite(res.e_error)
     assert res.prediction_error <= _prediction_bound(cfg, grid)
-    x = grid.meshgrid()[0]
-    inner = grid.interior_mask()
-    plane = inner & (x == x0)
-    assert np.count_nonzero(plane) == m * m
-    for field in (res.h_field, res.e_field):
-        assert np.isnan(field[:, plane]).all()
-        assert np.isfinite(field[:, inner & ~plane]).all()
+    # the weak plane's per-cell means are NaN and skipped; every other cell counts
+    assert all(math.isfinite(r) for r in res.h_range)
+
+
+def _raw_estimates(cfg, grid):
+    """Every estimate _slab_estimates yields, slabs joined along axis 0:
+    shaped (test function, H or E, component, n - 4, n - 2, n - 2)."""
+    slabs = [np.stack([np.stack(est) for est in estimates])
+             for _, estimates in lattice_mod._slab_estimates(cfg, grid)]
+    return np.concatenate(slabs, axis=3)
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, *LIVE_CONFIGS])
+def test_raw_estimates_are_nan_exactly_on_the_gutter_and_weak_cells(monkeypatch, name):
+    # the per-cell rule, read where no fold has touched it: the same bytes at
+    # every slab setting, NaN on the one-cell gutter round each plane and on
+    # the plane where every test function vanishes, finite elsewhere
+    grid = Grid3(n=17, h=0.1)
+    cfg = _config(name)
+    _use_test_fields(monkeypatch, _weak_plane_fields(grid.axis[WEAK_PLANE]))
+    want = _raw_estimates(cfg, grid)
+    nan = np.zeros(want.shape[3:], dtype=bool)
+    nan[:, [0, -1], :] = nan[:, :, [0, -1]] = True
+    nan[WEAK_PLANE - 2] = True
+    assert np.array_equal(np.isnan(want), np.broadcast_to(nan, want.shape))
+    for cells in _slab_settings(grid.n):
+        monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
+        assert _raw_estimates(cfg, grid).tobytes() == want.tobytes(), cells
+    # every term evaluated: a dead term only adds a signed zero, so it can
+    # flip the sign of an exact-zero estimate and nothing else
+    monkeypatch.setattr(lattice_mod, "_live_terms", _all_live)
+    assert np.array_equal(_raw_estimates(cfg, grid), want, equal_nan=True)
 
 
 # --- slabs -------------------------------------------------------------------
@@ -700,10 +753,9 @@ def test_weak_amplitude_points_are_excluded(monkeypatch):
 # outputs must match the default setting bit for bit, not within ulps.
 
 
-def _result_bytes(res):
-    return (res.h_field.tobytes(), res.e_field.tobytes(),
-            repr((res.h_error, res.e_error, res.prediction_error, res.function_deviation,
-                  res.excluded_points)))
+def _extraction_bits(res):
+    return [v.hex() for v in (res.h_error, res.e_error, res.prediction_error,
+                              res.function_deviation, *res.h_range)]
 
 
 def _slab_settings(n):
@@ -714,10 +766,10 @@ def _slab_settings(n):
 
 
 def _extract_at_each_setting(monkeypatch, n, extract):
-    want = _result_bytes(extract())
+    want = _extraction_bits(extract())
     for cells in _slab_settings(n):
         monkeypatch.setattr(lattice_mod, "_SLAB_CELLS", cells)
-        assert _result_bytes(extract()) == want, cells
+        assert _extraction_bits(extract()) == want, cells
 
 
 def test_slabs_cover_the_block_in_order(monkeypatch):
@@ -748,14 +800,9 @@ def test_weak_plane_on_a_slab_boundary_does_not_change_a_bit(monkeypatch, n):
     grid = Grid3(n=n, h=0.1)
     cfg = make_preset("uniform_b")
     for plane in (4, 5):
-        x0 = grid.axis[plane]
-        fields = [_vanishing_on_plane(x0, kv)
-                  for kv in ((1.3, -0.7, 0.5), (0.4, 0.9, -0.6), (-0.8, 0.2, 1.1))]
-        _use_test_fields(monkeypatch, fields)
+        _use_test_fields(monkeypatch, _weak_plane_fields(grid.axis[plane]))
         _extract_at_each_setting(
             monkeypatch, n, lambda: commutator_field_extract(cfg, grid))
-        res = commutator_field_extract(cfg, grid)
-        assert res.excluded_points == len(fields) * (n - 4) ** 2
 
 
 # --- dead terms --------------------------------------------------------------
@@ -767,12 +814,6 @@ def test_weak_plane_on_a_slab_boundary_does_not_change_a_bit(monkeypatch, n):
 
 def _all_live(potentials):
     return (True, True, True), True
-
-
-def _extraction_bits(res):
-    return (res.h_field.tobytes(), res.e_field.tobytes(), res.excluded_points,
-            [err.hex() for err in (res.h_error, res.e_error, res.prediction_error,
-                                   res.function_deviation)])
 
 
 @pytest.mark.parametrize("amplitudes", [(1.0, 1.0), (1.3, 0.7)])
@@ -910,8 +951,9 @@ def test_a_prediction_that_is_nan_where_its_estimate_is_not_raises(monkeypatch):
 # built (at most 4 real arrays and 1 boolean one, less than 3 slab arrays).
 # The expected intensities are constants and take no array.  Folding the 18
 # finished estimates afterwards keeps the buffers and the potentials and
-# adds less than 5 for one averaged component (its stacked real parts,
-# nanmean's NaN-free copy, sums and counts), 37 at most.  The bound allows
+# adds less than 5 for one H component's per-cell mean (its stacked real
+# parts, nanmean's NaN-free copy, sums and counts), 37 at most.  No
+# full-grid array is kept.  The bound allows
 # 39, two to spare.
 LIVE_SLAB_ARRAYS = 39
 
@@ -927,12 +969,11 @@ def test_extraction_memory_is_bounded_by_the_slab(monkeypatch):
     slab_bytes = (planes + 2) * (n - 2) ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        res = commutator_field_extract(cfg, grid)
+        commutator_field_extract(cfg, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    own = res.h_field.nbytes + res.e_field.nbytes
-    assert peak <= own + LIVE_SLAB_ARRAYS * slab_bytes, (peak, own, slab_bytes)
+    assert peak <= LIVE_SLAB_ARRAYS * slab_bytes, (peak, slab_bytes)
 
 
 def test_convergence_study_memory_is_one_slab():
